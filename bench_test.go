@@ -1,8 +1,8 @@
 // Root benchmark suite: one testing.B benchmark per table/figure of the
 // paper's evaluation (§8), plus ablation benches for the design choices
-// DESIGN.md calls out. The cmd/mspgemm-bench CLI produces the full data
-// series; these benches give per-kernel steady-state numbers with
-// -benchmem allocation tracking.
+// ARCHITECTURE.md calls out. These benches give per-kernel steady-state
+// numbers with -benchmem allocation tracking; perfbench/ is the end-to-end
+// suite with per-layer metrics.
 //
 // Run: go test -bench=. -benchmem
 package repro_test
@@ -135,7 +135,7 @@ func BenchmarkFig09Baselines(b *testing.B) {
 func BenchmarkFig10Scaling(b *testing.B) {
 	for _, scale := range []int{8, 10, 12} {
 		g := grgen.RMAT(scale, 16, 1)
-		eng := apps.EngineVariant(core.Variant{Alg: core.MSA, Phase: core.OnePhase}, core.Options{})
+		eng := apps.NewSession(core.Options{}).EngineVariant(core.Variant{Alg: core.MSA, Phase: core.OnePhase})
 		b.Run("scale"+itoa(scale), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := apps.TriangleCount(g, eng); err != nil {
@@ -151,7 +151,7 @@ func BenchmarkFig10Scaling(b *testing.B) {
 func BenchmarkFig11Threads(b *testing.B) {
 	loadInputs()
 	for _, threads := range []int{1, 2, 4} {
-		eng := apps.EngineVariant(core.Variant{Alg: core.MSA, Phase: core.OnePhase}, core.Options{Threads: threads})
+		eng := apps.NewSession(core.Options{Threads: threads}).EngineVariant(core.Variant{Alg: core.MSA, Phase: core.OnePhase})
 		b.Run("threads"+itoa(threads), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := apps.TriangleCount(rmatG, eng); err != nil {
@@ -166,12 +166,12 @@ func BenchmarkFig11Threads(b *testing.B) {
 func BenchmarkFig12KTruss(b *testing.B) {
 	loadInputs()
 	engines := []apps.Engine{
-		apps.EngineVariant(core.Variant{Alg: core.MSA, Phase: core.OnePhase}, core.Options{}),
-		apps.EngineVariant(core.Variant{Alg: core.Hash, Phase: core.OnePhase}, core.Options{}),
-		apps.EngineVariant(core.Variant{Alg: core.MCA, Phase: core.OnePhase}, core.Options{}),
-		apps.EngineVariant(core.Variant{Alg: core.Inner, Phase: core.OnePhase}, core.Options{}),
-		apps.EngineSSSaxpy(baseline.Options{}),
-		apps.EngineSSDot(baseline.Options{}),
+		apps.NewSession(core.Options{}).EngineVariant(core.Variant{Alg: core.MSA, Phase: core.OnePhase}),
+		apps.NewSession(core.Options{}).EngineVariant(core.Variant{Alg: core.Hash, Phase: core.OnePhase}),
+		apps.NewSession(core.Options{}).EngineVariant(core.Variant{Alg: core.MCA, Phase: core.OnePhase}),
+		apps.NewSession(core.Options{}).EngineVariant(core.Variant{Alg: core.Inner, Phase: core.OnePhase}),
+		apps.NewSession(baseline.Options{}).EngineSSSaxpy(),
+		apps.NewSession(baseline.Options{}).EngineSSDot(),
 	}
 	for _, eng := range engines {
 		b.Run(eng.Name, func(b *testing.B) {
@@ -191,7 +191,7 @@ func BenchmarkFig14KTrussScaling(b *testing.B) {
 		g := grgen.RMAT(scale, 16, 1)
 		for _, name := range []string{"MSA-1P", "Inner-1P"} {
 			v, _ := core.VariantByName(name)
-			eng := apps.EngineVariant(v, core.Options{})
+			eng := apps.NewSession(core.Options{}).EngineVariant(v)
 			b.Run("scale"+itoa(scale)+"/"+name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					if _, _, err := apps.KTruss(g, 5, eng); err != nil {
@@ -208,11 +208,11 @@ func BenchmarkFig14KTrussScaling(b *testing.B) {
 func BenchmarkFig15BC(b *testing.B) {
 	loadInputs()
 	engines := []apps.Engine{
-		apps.EngineVariant(core.Variant{Alg: core.MSA, Phase: core.OnePhase}, core.Options{}),
-		apps.EngineVariant(core.Variant{Alg: core.Hash, Phase: core.OnePhase}, core.Options{}),
-		apps.EngineVariant(core.Variant{Alg: core.MSA, Phase: core.TwoPhase}, core.Options{}),
-		apps.EngineVariant(core.Variant{Alg: core.Hash, Phase: core.TwoPhase}, core.Options{}),
-		apps.EngineSSSaxpy(baseline.Options{}),
+		apps.NewSession(core.Options{}).EngineVariant(core.Variant{Alg: core.MSA, Phase: core.OnePhase}),
+		apps.NewSession(core.Options{}).EngineVariant(core.Variant{Alg: core.Hash, Phase: core.OnePhase}),
+		apps.NewSession(core.Options{}).EngineVariant(core.Variant{Alg: core.MSA, Phase: core.TwoPhase}),
+		apps.NewSession(core.Options{}).EngineVariant(core.Variant{Alg: core.Hash, Phase: core.TwoPhase}),
+		apps.NewSession(baseline.Options{}).EngineSSSaxpy(),
 	}
 	for _, eng := range engines {
 		b.Run(eng.Name, func(b *testing.B) {
@@ -473,8 +473,7 @@ func itoa(n int) string {
 // equal-flops spans (PR 4's scheduler) on the skewed triangle-counting
 // product, at ≥4 workers on a warmed workspace arena. On multi-core hosts
 // the cost schedule wins wall-clock on the R-MAT input by shaving the
-// straggler tail; `mspgemm-bench schedule` additionally reports the
-// deterministic load-imbalance model, which shows the effect on any host.
+// straggler tail (BENCH_PR4.json records the study's load-imbalance model).
 // -benchmem allocation counts are flat in the input size: the drivers take
 // all scratch from the pooled arena.
 func BenchmarkSchedule(b *testing.B) {
@@ -491,7 +490,7 @@ func BenchmarkSchedule(b *testing.B) {
 				if _, err := core.MaskedSpGEMM(v, lp, rmatL, rmatL, sr, opt); err != nil { // warm the pools
 					b.Fatal(err)
 				}
-				_, missBefore := ws.DriverPoolStats()
+				missBefore := ws.PoolStatsSnapshot().Misses
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -502,7 +501,7 @@ func BenchmarkSchedule(b *testing.B) {
 				b.StopTimer()
 				// Exact miss counts only hold without -race: the race
 				// detector makes sync.Pool drop a fraction of Puts.
-				if _, missAfter := ws.DriverPoolStats(); !raceEnabled && missAfter != missBefore {
+				if missAfter := ws.PoolStatsSnapshot().Misses; !raceEnabled && missAfter != missBefore {
 					b.Fatalf("warmed drivers performed %d pool-missing allocations over %d ops; want 0",
 						missAfter-missBefore, b.N)
 				}
@@ -515,7 +514,7 @@ func BenchmarkSchedule(b *testing.B) {
 // representation on the dense-mask shapes the representation subsystem
 // targets: the k-truss support product (mask = the graph itself, flat ER
 // degrees — MCA's per-A-entry merge regime) and the Hash kernel under a
-// dense mask. The planner's auto thresholds are calibrated from this data.
+// dense mask. The planner's auto thresholds were chosen from this data.
 func BenchmarkMaskRep(b *testing.B) {
 	loadInputs()
 	erK := grgen.ErdosRenyiSym(1<<11, 32, 21)
@@ -548,8 +547,8 @@ func BenchmarkMaskRep(b *testing.B) {
 // BenchmarkServing contrasts serialized one-at-a-time multiplies against
 // the batched serving path on a zipf-shaped query mix (hot requests
 // repeated, cold singletons). The serving win comes from coalescing the
-// hot duplicates plus arbitrated worker shares; `mspgemm-bench serving`
-// reports the full study with verification and arbiter counters.
+// hot duplicates plus arbitrated worker shares (BENCH_PR5.json records the
+// full study).
 func BenchmarkServing(b *testing.B) {
 	ctx := context.Background()
 	hotL := matrix.Tril(grgen.RMAT(8, 8, 51))

@@ -42,7 +42,6 @@ func main() {
 		threads     = flag.Int("threads", 0, "session worker budget (0 = GOMAXPROCS)")
 		inflight    = flag.Int("inflight", 0, "admission slots (0 = engine default)")
 		planCache   = flag.Int("plan-cache", 0, "plan cache capacity in plans (0 = engine default)")
-		calibrate   = flag.String("calibrate", "auto", "planner cost model: off (hand-tuned) | auto (per-host cached probes) | force (re-probe)")
 		internCap   = flag.Int("intern", 0, "operand intern table entries (0 = 128, negative disables)")
 		internMB    = flag.Int64("intern-max-mb", 0, "operand intern table byte bound in MiB (0 = 1024, negative = entry bound only)")
 		maxBodyMB   = flag.Int64("max-body-mb", 256, "request body cap in MiB")
@@ -81,15 +80,10 @@ func main() {
 		return
 	}
 
-	calib, err := masked.ParseCalibration(*calibrate)
-	if err != nil {
-		log.Fatal(err)
-	}
 	cfg := server.Config{
 		Threads:           *threads,
 		Inflight:          *inflight,
 		PlanCacheCapacity: *planCache,
-		Calibration:       calib,
 		InternCapacity:    *internCap,
 		InternMaxBytes:    *internMB << 20,
 		MaxBodyBytes:      *maxBodyMB << 20,

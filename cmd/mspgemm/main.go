@@ -57,7 +57,6 @@ func main() {
 	batch := flag.Int("batch", 1, "submit the product this many times through the serving batch API")
 	inflight := flag.Int("inflight", 0, "serving admission cap for -batch (0 = one request per worker thread)")
 	timeout := flag.Duration("timeout", 0, "abort the multiply after this duration, e.g. 30s (0 = no limit)")
-	calibrate := flag.String("calibrate", "auto", "planner cost model: off (hand-tuned) | auto (per-host cached probes) | force (re-probe)")
 	outPath := flag.String("out", "", "output Matrix Market path (default: stats only)")
 	flag.Parse()
 
@@ -104,16 +103,10 @@ func main() {
 	check(err)
 	sched, err := core.SchedByName(*schedName)
 	check(err)
-	calib, err := masked.ParseCalibration(*calibrate)
-	check(err)
-	var mdl *planner.Model
-	if calib != masked.CalibrationOff {
-		mdl = planner.HostModel(calib == masked.CalibrationForce)
-	}
 	opt := core.Options{Threads: *threads, Complement: *complement, MaskRep: rep, Sched: sched, Ctx: ctx}
 	var plan *planner.Plan
 	if *algName == "auto" || *explain {
-		plan = planner.AnalyzeModel(mask, a.Pattern(), b.Pattern(), opt, mdl)
+		plan = planner.Analyze(mask, a.Pattern(), b.Pattern(), opt)
 	}
 	if sched == core.SchedCost && *algName != "auto" {
 		// Pinned variants bypass the planner, so the cost profile the
@@ -132,7 +125,7 @@ func main() {
 		fmt.Fprint(os.Stderr, plan.Explain())
 	}
 	if *batch > 1 {
-		runBatch(ctx, mask, a, b, sr, *algName, *threads, *batch, *inflight, rep, sched, *complement, calib, *outPath)
+		runBatch(ctx, mask, a, b, sr, *algName, *threads, *batch, *inflight, rep, sched, *complement, *outPath)
 		return
 	}
 	t0 := time.Now()
@@ -178,7 +171,7 @@ func main() {
 // computation, so this measures the serving path's admission, arbitration
 // and single-flight machinery end to end on real operands.
 func runBatch(ctx context.Context, mask *matrix.Pattern, a, b *matrix.CSR[float64], sr semiring.Semiring[float64],
-	algName string, threads, n, inflight int, rep core.MaskRep, sched core.Sched, complement bool, calib masked.Calibration, outPath string) {
+	algName string, threads, n, inflight int, rep core.MaskRep, sched core.Sched, complement bool, outPath string) {
 	ops := []masked.Op{masked.WithAccumulate(sr), masked.WithMaskRep(rep), masked.WithSched(sched)}
 	if complement {
 		ops = append(ops, masked.WithComplement())
@@ -192,7 +185,7 @@ func runBatch(ctx context.Context, mask *matrix.Pattern, a, b *matrix.CSR[float6
 		check(err)
 		ops = append(ops, masked.WithVariant(v))
 	}
-	s := masked.NewSession(masked.WithThreads(threads), masked.WithInflight(inflight), masked.WithCalibration(calib))
+	s := masked.NewSession(masked.WithThreads(threads), masked.WithInflight(inflight))
 	reqs := make([]masked.BatchReq, n)
 	for i := range reqs {
 		reqs[i] = masked.BatchReq{M: mask, A: a, B: b, Opts: ops, Tag: i}
@@ -209,7 +202,7 @@ func runBatch(ctx context.Context, mask *matrix.Pattern, a, b *matrix.CSR[float6
 			coalesced++
 		}
 	}
-	st := s.ServingStats()
+	st := s.Stats().Arbiter
 	fmt.Printf("batch: %d requests (%d computed, %d coalesced)   inflight cap=%d   budget=%d workers\n",
 		n, n-coalesced, coalesced, st.MaxInflight, st.Budget)
 	fmt.Printf("C: %dx%d nnz=%d   total=%v   %.0f req/s\n",

@@ -6,13 +6,13 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
 	"sort"
 
 	"repro/internal/apps"
-	"repro/internal/core"
 	"repro/masked"
 )
 
@@ -35,8 +35,8 @@ func main() {
 		100*float64(cand.NNZ())/(float64(fm.NRows)*float64(fm.NRows)))
 
 	v, _ := masked.VariantByName("Hash-1P")
-	eng := apps.EngineVariant(v, core.Options{})
-	res, err := apps.CosineSimilarity(fm, cand, eng)
+	s := masked.NewSession()
+	res, err := s.CosineSimilarity(context.Background(), fm, cand, masked.WithVariant(v))
 	if err != nil {
 		log.Fatal(err)
 	}

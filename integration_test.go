@@ -35,8 +35,7 @@ func TestPipelineGenerateWriteReadCount(t *testing.T) {
 		t.Fatal("matrix market round trip changed the graph")
 	}
 	exact := apps.TriangleCountExact(back)
-	// Facade (session API; the deprecated free wrappers are not used here
-	// so they can carry a removal deadline).
+	// Facade (session API).
 	v, _ := masked.VariantByName("Hash-1P")
 	s := masked.NewSession()
 	fres, err := s.TriangleCount(context.Background(), back, masked.WithVariant(v))
@@ -211,7 +210,7 @@ func TestPipelineMCLOnGenerators(t *testing.T) {
 	coo.Val = append(coo.Val, 1, 1)
 	g := matrix.NewCSRFromCOO(coo, func(x, y float64) float64 { return 1 })
 	v, _ := masked.VariantByName("MSA-1P")
-	eng := apps.EngineVariant(core.Variant{Alg: v.Alg, Phase: v.Phase}, core.Options{})
+	eng := apps.NewSession(core.Options{}).EngineVariant(core.Variant{Alg: v.Alg, Phase: v.Phase})
 	res, err := apps.MCL(g, apps.MCLOptions{}, eng)
 	if err != nil {
 		t.Fatal(err)
@@ -266,7 +265,7 @@ func TestPipelineAutoMatchesEveryVariant(t *testing.T) {
 		}
 	}
 	// Auto engine drives the applications end-to-end.
-	eng := apps.EngineAuto(core.Options{})
+	eng := apps.NewSession(core.Options{}).EngineAuto()
 	g := graphs[3]
 	tc, err := apps.TriangleCount(g, eng)
 	if err != nil {

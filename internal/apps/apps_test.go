@@ -63,7 +63,7 @@ func starGraph(n Index) *matrix.CSR[float64] {
 func choose3(n int64) int64 { return n * (n - 1) * (n - 2) / 6 }
 
 func TestTriangleCountKnownGraphs(t *testing.T) {
-	eng := EngineVariant(core.Variant{Alg: core.MSA, Phase: core.OnePhase}, core.Options{Threads: 2})
+	eng := NewSession(core.Options{Threads: 2}).EngineVariant(core.Variant{Alg: core.MSA, Phase: core.OnePhase})
 	cases := []struct {
 		name string
 		g    *matrix.CSR[float64]
@@ -102,7 +102,7 @@ func TestTriangleCountAllEnginesAgree(t *testing.T) {
 		}
 	}
 	// The strawman engine must agree too.
-	straw := EnginePlainThenMask(baseline.Options{Threads: 2})
+	straw := NewSession(baseline.Options{Threads: 2}).EnginePlainThenMask()
 	got, err := TriangleCount(g, straw)
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +115,7 @@ func TestTriangleCountAllEnginesAgree(t *testing.T) {
 func TestTriangleCountERSym(t *testing.T) {
 	g := grgen.ErdosRenyiSym(200, 10, 77)
 	want := TriangleCountExact(g)
-	eng := EngineVariant(core.Variant{Alg: core.Hash, Phase: core.TwoPhase}, core.Options{})
+	eng := NewSession(core.Options{}).EngineVariant(core.Variant{Alg: core.Hash, Phase: core.TwoPhase})
 	got, err := TriangleCount(g, eng)
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +126,7 @@ func TestTriangleCountERSym(t *testing.T) {
 }
 
 func TestKTrussKnownGraphs(t *testing.T) {
-	eng := EngineVariant(core.Variant{Alg: core.MSA, Phase: core.OnePhase}, core.Options{Threads: 2})
+	eng := NewSession(core.Options{Threads: 2}).EngineVariant(core.Variant{Alg: core.MSA, Phase: core.OnePhase})
 	// K5 is a 5-truss: every edge supported by 3 triangles. 5-truss keeps it
 	// whole; 6-truss empties it.
 	k5 := completeGraph(5)
@@ -169,7 +169,7 @@ func TestKTrussMatchesExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			eng := EngineVariant(v, core.Options{Threads: 2})
+			eng := NewSession(core.Options{Threads: 2}).EngineVariant(v)
 			got, _, err := KTruss(g, k, eng)
 			if err != nil {
 				t.Fatal(err)
@@ -195,7 +195,7 @@ func bcClose(a, b []float64) bool {
 }
 
 func TestBetweennessKnownGraphs(t *testing.T) {
-	eng := EngineVariant(core.Variant{Alg: core.MSA, Phase: core.OnePhase}, core.Options{Threads: 2})
+	eng := NewSession(core.Options{Threads: 2}).EngineVariant(core.Variant{Alg: core.MSA, Phase: core.OnePhase})
 	// Path graph P5, all sources: center vertex has highest centrality.
 	g := pathGraph(5)
 	sources := []Index{0, 1, 2, 3, 4}
@@ -248,7 +248,7 @@ func TestBetweennessMatchesBrandesOnRandomGraphs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := BetweennessCentrality(g, sources, EngineVariant(v, core.Options{Threads: 2}))
+			res, err := BetweennessCentrality(g, sources, NewSession(core.Options{Threads: 2}).EngineVariant(v))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -257,7 +257,7 @@ func TestBetweennessMatchesBrandesOnRandomGraphs(t *testing.T) {
 			}
 		}
 		// SS:SAXPY baseline supports complement; verify it too.
-		res, err := BetweennessCentrality(g, sources, EngineSSSaxpy(baseline.Options{Threads: 2}))
+		res, err := BetweennessCentrality(g, sources, NewSession(baseline.Options{Threads: 2}).EngineSSSaxpy())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -269,16 +269,16 @@ func TestBetweennessMatchesBrandesOnRandomGraphs(t *testing.T) {
 
 func TestBetweennessRejectsComplementIncapable(t *testing.T) {
 	g := pathGraph(4)
-	if _, err := BetweennessCentrality(g, []Index{0}, EngineVariant(core.Variant{Alg: core.MCA, Phase: core.OnePhase}, core.Options{})); err == nil {
+	if _, err := BetweennessCentrality(g, []Index{0}, NewSession(core.Options{}).EngineVariant(core.Variant{Alg: core.MCA, Phase: core.OnePhase})); err == nil {
 		t.Error("expected MCA to be rejected for BC")
 	}
-	if _, err := BetweennessCentrality(g, []Index{0}, EngineSSDot(baseline.Options{})); err == nil {
+	if _, err := BetweennessCentrality(g, []Index{0}, NewSession(baseline.Options{}).EngineSSDot()); err == nil {
 		t.Error("expected SS:DOT to be rejected for BC")
 	}
 }
 
 func TestBetweennessEdgeCases(t *testing.T) {
-	eng := EngineVariant(core.Variant{Alg: core.MSA, Phase: core.OnePhase}, core.Options{})
+	eng := NewSession(core.Options{}).EngineVariant(core.Variant{Alg: core.MSA, Phase: core.OnePhase})
 	g := pathGraph(4)
 	// No sources.
 	res, err := BetweennessCentrality(g, nil, eng)

@@ -103,7 +103,7 @@ func TestMultiSourceBFS(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := MultiSourceBFS(g, sources, EngineVariant(v, core.Options{Threads: 2}))
+		res, err := MultiSourceBFS(g, sources, NewSession(core.Options{Threads: 2}).EngineVariant(v))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +124,7 @@ func TestMultiSourceBFS(t *testing.T) {
 
 func TestMultiSourceBFSEdgeCases(t *testing.T) {
 	g := pathGraph(4)
-	eng := EngineVariant(core.Variant{Alg: core.MSA, Phase: core.OnePhase}, core.Options{})
+	eng := NewSession(core.Options{}).EngineVariant(core.Variant{Alg: core.MSA, Phase: core.OnePhase})
 	res, err := MultiSourceBFS(g, nil, eng)
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +136,7 @@ func TestMultiSourceBFSEdgeCases(t *testing.T) {
 		t.Fatal("out of range source")
 	}
 	// MCA cannot do complemented masks, so it must fail for BFS.
-	if _, err := MultiSourceBFS(g, []Index{0}, EngineVariant(core.Variant{Alg: core.MCA, Phase: core.OnePhase}, core.Options{})); err == nil {
+	if _, err := MultiSourceBFS(g, []Index{0}, NewSession(core.Options{}).EngineVariant(core.Variant{Alg: core.MCA, Phase: core.OnePhase})); err == nil {
 		t.Fatal("MCA must be rejected")
 	}
 }

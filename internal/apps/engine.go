@@ -206,42 +206,3 @@ func (s *Session) EngineByName(name string) (Engine, error) {
 	}
 	return s.EngineVariant(v), nil
 }
-
-// EngineVariant constructs a variant engine with a one-off session.
-//
-// Deprecated: build engines from a Session so iterative Auto callers share
-// one plan cache; this wrapper creates a fresh cache per engine.
-func EngineVariant(v core.Variant, opt core.Options) Engine {
-	return NewSession(opt).EngineVariant(v)
-}
-
-// EngineAuto constructs a planner-backed engine with a one-off session.
-//
-// Deprecated: build engines from a Session so iterative Auto callers share
-// one plan cache; this wrapper creates a fresh cache per engine.
-func EngineAuto(opt core.Options) Engine {
-	return NewSession(opt).EngineAuto()
-}
-
-// EngineSSDot constructs the SS:DOT baseline engine with a one-off session.
-//
-// Deprecated: build engines from a Session.
-func EngineSSDot(opt baseline.Options) Engine {
-	return NewSession(opt).EngineSSDot()
-}
-
-// EngineSSSaxpy constructs the SS:SAXPY baseline engine with a one-off
-// session.
-//
-// Deprecated: build engines from a Session.
-func EngineSSSaxpy(opt baseline.Options) Engine {
-	return NewSession(opt).EngineSSSaxpy()
-}
-
-// EnginePlainThenMask constructs the Figure-1 strawman engine with a
-// one-off session.
-//
-// Deprecated: build engines from a Session.
-func EnginePlainThenMask(opt baseline.Options) Engine {
-	return NewSession(opt).EnginePlainThenMask()
-}

@@ -28,7 +28,7 @@ func twoCliques(k Index) *matrix.CSR[float64] {
 }
 
 func mclEngine() Engine {
-	return EngineVariant(core.Variant{Alg: core.MSA, Phase: core.OnePhase}, core.Options{Threads: 2})
+	return NewSession(core.Options{Threads: 2}).EngineVariant(core.Variant{Alg: core.MSA, Phase: core.OnePhase})
 }
 
 func TestMCLTwoCliques(t *testing.T) {

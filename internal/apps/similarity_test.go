@@ -46,7 +46,7 @@ func TestDotSimilarityMatchesBruteForce(t *testing.T) {
 	r := rand.New(rand.NewSource(81))
 	f := randFeatures(r, 60, 40, 5)
 	cand := grgen.ErdosRenyi(60, 8, 5).Pattern()
-	eng := EngineVariant(core.Variant{Alg: core.MSA, Phase: core.OnePhase}, core.Options{Threads: 2})
+	eng := NewSession(core.Options{Threads: 2}).EngineVariant(core.Variant{Alg: core.MSA, Phase: core.OnePhase})
 	res, err := DotSimilarity(f, cand, eng)
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +72,7 @@ func TestDotSimilarityDimCheck(t *testing.T) {
 	r := rand.New(rand.NewSource(82))
 	f := randFeatures(r, 10, 5, 2)
 	bad := grgen.ErdosRenyi(9, 2, 1).Pattern()
-	eng := EngineVariant(core.Variant{Alg: core.MSA, Phase: core.OnePhase}, core.Options{})
+	eng := NewSession(core.Options{}).EngineVariant(core.Variant{Alg: core.MSA, Phase: core.OnePhase})
 	if _, err := DotSimilarity(f, bad, eng); err == nil {
 		t.Fatal("expected dimension error")
 	}
@@ -82,7 +82,7 @@ func TestCosineSimilarityNormalized(t *testing.T) {
 	r := rand.New(rand.NewSource(83))
 	f := randFeatures(r, 50, 30, 4)
 	cand := grgen.ErdosRenyi(50, 6, 9).Pattern()
-	eng := EngineVariant(core.Variant{Alg: core.Hash, Phase: core.OnePhase}, core.Options{})
+	eng := NewSession(core.Options{}).EngineVariant(core.Variant{Alg: core.Hash, Phase: core.OnePhase})
 	res, err := CosineSimilarity(f, cand, eng)
 	if err != nil {
 		t.Fatal(err)
@@ -140,13 +140,13 @@ func TestSimilarityAllEnginesAgree(t *testing.T) {
 	if cand.NNZ() == 0 {
 		t.Skip("no candidates generated")
 	}
-	ref, err := DotSimilarity(f, cand, EngineVariant(core.Variant{Alg: core.MSA, Phase: core.OnePhase}, core.Options{}))
+	ref, err := DotSimilarity(f, cand, NewSession(core.Options{}).EngineVariant(core.Variant{Alg: core.MSA, Phase: core.OnePhase}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"Hash-1P", "MCA-2P", "Heap-1P", "Inner-1P"} {
 		v, _ := core.VariantByName(name)
-		got, err := DotSimilarity(f, cand, EngineVariant(v, core.Options{}))
+		got, err := DotSimilarity(f, cand, NewSession(core.Options{}).EngineVariant(v))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -117,9 +117,9 @@ type Options struct {
 	// *out*. MCA does not support complemented masks (§8.4) and returns an
 	// error; Heap/HeapDot run with NInspect=0 under complement (§5.5).
 	Complement bool
-	// Auto asks the layers above core (the masked facade and the apps
-	// engines) to route the call through the adaptive planner instead of a
-	// caller-pinned variant. The fixed-variant entry points in this package
+	// Auto asks the apps engines (apps.Session.EngineVariant) to route the
+	// call through the adaptive planner instead of a caller-pinned
+	// variant. The fixed-variant entry points in this package
 	// ignore it; see repro/internal/planner.
 	Auto bool
 	// MaskRep pins the mask representation kernels probe membership with

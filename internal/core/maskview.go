@@ -70,12 +70,13 @@ func MaskRepByName(name string) (MaskRep, error) {
 // Representation-selection thresholds. The bitmap's O(nnz(mask row)) scatter
 // and clear only repay themselves when the CSR probe would be repeated or
 // deep; the dense direct-index path needs rows that actually are runs. The
-// numbers are calibrated against the MaskRepStudy benchmark
-// (internal/bench): MCA's per-A-entry mask merge loses ~2.6× to the bitmap
-// on flat-degree dense masks but the bitmap *loses* on skewed masks with
-// small average rows, and Heap's merge never loses to the bitmap in
-// practice (the blind-push probe forfeits the merge's early exits), so Heap
-// is excluded from automatic bitmap selection entirely.
+// numbers come from a CSR-vs-bitmap study whose dense-mask shapes
+// BenchmarkMaskRep (bench_test.go) re-measures: MCA's per-A-entry mask
+// merge loses ~2.6× to the bitmap on flat-degree dense masks but the bitmap
+// *loses* on skewed masks with small average rows, and Heap's merge never
+// loses to the bitmap in practice (the blind-push probe forfeits the merge's
+// early exits), so Heap is excluded from automatic bitmap selection
+// entirely.
 const (
 	// bitmapMinMaskRow is the minimum average mask-row size for a bitmap
 	// hint or the MCA bitmap: below it, merges are short and the scatter
@@ -131,10 +132,10 @@ func AutoMaskRep(alg Algorithm, complement bool, rows, maskNNZ, aNNZ, runRows, n
 	return AutoMaskRepRatio(alg, complement, rows, maskNNZ, aNNZ, runRows, nonEmptyRows, 1, 1)
 }
 
-// AutoMaskRepRatio is AutoMaskRep with calibrated representation cost
-// ratios scaling the density thresholds: bitmapRatio is the measured
-// bitmap-vs-CSR probe cost ratio (above 1 the bitmap is relatively
-// expensive on this host, so it needs proportionally denser mask rows
+// AutoMaskRepRatio is AutoMaskRep with representation cost ratios scaling
+// the density thresholds (planner.Model's BitmapProbeRatio and DenseUnit):
+// bitmapRatio is the bitmap-vs-CSR probe cost ratio (above 1 the bitmap is
+// relatively expensive, so it needs proportionally denser mask rows
 // before it pays) and denseRatio the dense-direct-index-vs-CSR ratio,
 // scaling the dense-run path's minimum average row the same way. Ratios of
 // 1 (or anything non-positive) reproduce the hand-tuned thresholds exactly;

@@ -200,16 +200,16 @@ func TestDriverPoolsWarmZeroMisses(t *testing.T) {
 			if _, err := MaskedSpGEMM(v, m, l, l, sr, opt); err != nil { // warm the pools
 				t.Fatal(err)
 			}
-			_, missesBefore := ws.DriverPoolStats()
+			missesBefore := ws.PoolStatsSnapshot().Misses
 			for rep := 0; rep < 3; rep++ {
 				if _, err := MaskedSpGEMM(v, m, l, l, sr, opt); err != nil {
 					t.Fatal(err)
 				}
 			}
-			gets, missesAfter := ws.DriverPoolStats()
-			if missesAfter != missesBefore {
+			after := ws.PoolStatsSnapshot()
+			if after.Misses != missesBefore {
 				t.Errorf("%s sched=%s: %d driver pool misses after warmup (gets %d); want 0",
-					v.Name(), sched, missesAfter-missesBefore, gets)
+					v.Name(), sched, after.Misses-missesBefore, after.Gets)
 			}
 		}
 	}

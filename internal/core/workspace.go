@@ -93,23 +93,18 @@ func classCap(c, n int) int {
 	return n
 }
 
-// DriverPoolStats reports the driver buffer pools' Get calls and the subset
-// that had to allocate. Misses stop growing once a session is warm; the
+// PoolStats reports the driver buffer pools' Get calls and the subset that
+// had to allocate. Misses stop growing once a session is warm; the
 // difference across a warmed call is the "driver-layer allocations" the
-// alloc tests pin to zero.
-func (ws *Workspaces) DriverPoolStats() (gets, misses int64) {
-	return ws.drvGets.Load(), ws.drvMisses.Load()
-}
-
-// PoolStats is the struct form of DriverPoolStats, for snapshots that
-// travel through the unified session stats and the /metrics exporter.
+// alloc tests pin to zero. It travels through the unified session stats and
+// the /metrics exporter.
 type PoolStats struct {
 	// Gets counts driver buffer fetches; Misses the subset that had to
 	// allocate. Both are monotonic over the workspace's lifetime.
 	Gets, Misses int64
 }
 
-// PoolStatsSnapshot returns the driver pool counters as a PoolStats.
+// PoolStatsSnapshot returns the driver pool counters.
 func (ws *Workspaces) PoolStatsSnapshot() PoolStats {
 	return PoolStats{Gets: ws.drvGets.Load(), Misses: ws.drvMisses.Load()}
 }

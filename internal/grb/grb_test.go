@@ -269,7 +269,7 @@ func TestGrBBFSMatchesExact(t *testing.T) {
 func TestGrBKTrussMatchesApps(t *testing.T) {
 	g := grgen.RMAT(7, 8, 9)
 	v, _ := core.VariantByName("MSA-1P")
-	wantTruss, wantRes, err := apps.KTruss(g, 5, apps.EngineVariant(v, core.Options{}))
+	wantTruss, wantRes, err := apps.KTruss(g, 5, apps.NewSession(core.Options{}).EngineVariant(v))
 	if err != nil {
 		t.Fatal(err)
 	}

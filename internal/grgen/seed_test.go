@@ -2,7 +2,7 @@ package grgen
 
 // Seed-reproducibility audit: every generator takes an explicit seed, and
 // the same seed must reproduce the identical matrix bit for bit while a
-// different seed must not. Benchmarks, calibration probes and golden tests
+// different seed must not. Benchmarks, perfbench workloads and golden tests
 // all lean on this contract — a generator silently mixing in global or
 // time-derived state would make every "deterministic" study unrepeatable.
 

@@ -1,9 +1,6 @@
 // Package hostid identifies the host hardware a measurement was taken on.
-// Two consumers share it: the bench harness stamps its JSON output with the
-// CPU model so two BENCH_PR*.json files can be compared knowing whether the
-// hardware moved under the numbers, and the planner's calibration pass keys
-// its per-host coefficient cache on the same identity so probes taken on one
-// machine are never replayed on another.
+// perfbench stamps every result with the CPU model and Key, so two runs can
+// be compared knowing whether the hardware moved under the numbers.
 package hostid
 
 import (
@@ -32,9 +29,9 @@ func CPUModel() string {
 
 // Key returns a stable, filename-safe identity for (this host, this process
 // shape): a short hash of the CPU model, GOMAXPROCS, GOARCH and the Go
-// release. Calibration constants fitted under one key are only valid under
-// the same key — a different core count changes parallel-dispatch overhead,
-// a different CPU changes every per-unit cost.
+// release. Timings taken under one key are only comparable under the same
+// key — a different core count changes parallel-dispatch overhead, a
+// different CPU changes every per-unit cost.
 func Key() string {
 	id := fmt.Sprintf("%s|gomaxprocs=%d|%s|%s",
 		CPUModel(), runtime.GOMAXPROCS(0), runtime.GOARCH, runtime.Version())

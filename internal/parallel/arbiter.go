@@ -41,11 +41,6 @@ type Arbiter struct {
 	active   map[*Grant]struct{} // grants that may be topped up or stolen from
 
 	admitted, steals, topups, rejected atomic.Int64 // monotonic observability counters
-
-	// costPerWorker is the per-worker cost unit want() divides by; 0 means
-	// the CostPerWorker default. Atomic so a session can install a calibrated
-	// value (SetCostPerWorker) while requests are being admitted.
-	costPerWorker atomic.Int64
 }
 
 // ArbiterStats is a point-in-time snapshot of an arbiter's accounting.
@@ -107,8 +102,8 @@ type Grant struct {
 // planner's Plan.Costs unit) one worker is granted for: a request asking
 // for its k-th worker must bring at least k×CostPerWorker of work, so tiny
 // queries run on one goroutine and only genuinely large products fan out.
-// Calibrated to the point where a worker's spawn+sync overhead (~µs) is
-// well under the work it contributes.
+// Sized so that a worker's spawn+sync overhead (~µs) is well under the
+// work it contributes.
 const CostPerWorker = 1 << 16
 
 // NewArbiter returns an arbiter over the given worker budget (0 or less
@@ -132,27 +127,6 @@ func NewArbiter(budget, maxInflight int) *Arbiter {
 // Budget returns the arbiter's total worker budget.
 func (a *Arbiter) Budget() int { return a.budget }
 
-// SetCostPerWorker replaces the per-worker cost unit admission asks divide
-// by (0 or less resets to the CostPerWorker default). The planner's
-// calibration derives it from the measured dispatch overhead, so on hosts
-// where fan-out is cheap small requests are allowed more workers and vice
-// versa. Safe to call while requests are in flight; running grants keep the
-// ask they were admitted with.
-func (a *Arbiter) SetCostPerWorker(v int64) {
-	if v <= 0 {
-		v = 0
-	}
-	a.costPerWorker.Store(v)
-}
-
-// CostPerWorkerUnit returns the cost unit want() currently divides by.
-func (a *Arbiter) CostPerWorkerUnit() int64 {
-	if v := a.costPerWorker.Load(); v > 0 {
-		return v
-	}
-	return CostPerWorker
-}
-
 // MaxInflight returns the admission cap.
 func (a *Arbiter) MaxInflight() int { return a.maxIn }
 
@@ -167,8 +141,7 @@ func (a *Arbiter) want(cost int64) int {
 		}
 		return w
 	}
-	unit := a.CostPerWorkerUnit()
-	w := int((cost + unit - 1) / unit)
+	w := int((cost + CostPerWorker - 1) / CostPerWorker)
 	if w < 1 {
 		w = 1
 	}

@@ -41,8 +41,8 @@ type Cache struct {
 	// feedback-triggered invalidations — see Record).
 	hits, misses, evictions, records, replans atomic.Int64
 	// model is the cost model misses analyze with; nil means DefaultModel.
-	// Atomic so SetModel (session calibration) is safe against concurrent
-	// analyses; the *Model it points to is immutable.
+	// Atomic so SetModel is safe against concurrent analyses; the *Model it
+	// points to is immutable.
 	model atomic.Pointer[Model]
 }
 
@@ -248,8 +248,8 @@ func (c *Cache) Analyze(m, a, b *matrix.Pattern, opt core.Options) *Plan {
 // SetModel installs the cost model subsequent misses analyze with (nil
 // resets to DefaultModel). Resident plans are not re-analyzed — their
 // entries age out by LRU, bucket change or feedback invalidation — so a
-// session calibrates once, before its first products, and serving sessions
-// can still swap models live without a stop-the-world.
+// model is best installed before the first products, though a serving
+// session can still swap models live without a stop-the-world.
 func (c *Cache) SetModel(m *Model) { c.model.Store(m) }
 
 // Model returns the cost model cache misses analyze with (never nil).

@@ -5,12 +5,11 @@ package planner
 // ElapsedNs) is compared against the plan's PredictedNs and folded into an
 // EWMA stored on the plan's cache entry. The first FeedbackWarmup executions
 // freeze a baseline ratio — so the loop detects *drift* relative to the
-// plan's own established accuracy and works identically whether the model's
-// NsPerUnit was calibrated or is the dimensionless default — and a sustained
-// departure (the EWMA outside FeedbackBand× the baseline for FeedbackTrigger
-// consecutive executions, with a tighter re-entry band for hysteresis)
-// invalidates the cache entry: the next call re-analyzes with current
-// statistics. Mispredictions of that persistence mean the operands' real
+// plan's own established accuracy, whatever the model's NsPerUnit — and a
+// sustained departure (the EWMA outside FeedbackBand× the baseline for
+// FeedbackTrigger consecutive executions, with a tighter re-entry band for
+// hysteresis) invalidates the cache entry: the next call re-analyzes with
+// current statistics. Mispredictions of that persistence mean the operands' real
 // cost structure moved inside their cache bucket, which is exactly when the
 // chosen variant may be stale too.
 

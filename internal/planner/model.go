@@ -3,70 +3,51 @@ package planner
 // The parameterized form of the §8 cost model. The selection rules in
 // decide()/pushAlg() historically compared integer cost estimates built from
 // hand-tuned unit costs (every kernel family's per-entry cost implicitly 1);
-// Model makes those unit costs explicit so a calibration pass (calibrate.go)
-// can fit them to the host instead of trusting the constants measured once on
-// the reference machine. DefaultModel reproduces the hand-tuned behavior
-// exactly — an uncalibrated session plans precisely as before.
+// Model makes those unit costs explicit, so tests can skew one family's cost
+// and Plan.PredictedNs can be stated in one place. DefaultModel reproduces
+// the hand-tuned behavior exactly.
 
-import (
-	"repro/internal/core"
-	"repro/internal/parallel"
-)
+import "repro/internal/core"
 
 // Model is one set of cost-model coefficients. All *Unit fields are relative
 // per-entry costs with the MSA scatter as the 1.0 anchor; NsPerUnit converts
-// abstract cost units into nanoseconds on the host the model was fitted on,
-// which is what makes Plan.PredictedNs comparable against measured block
-// times. Models are immutable once built: the cache holds one by pointer and
-// concurrent analyses read it without locking.
+// abstract cost units into nanoseconds, which is what makes Plan.PredictedNs
+// comparable against measured block times. Models are immutable once built:
+// the cache holds one by pointer and concurrent analyses read it without
+// locking.
 type Model struct {
 	// PushUnit is the MSA scatter/gather cost per flop — the normalization
-	// anchor, 1.0 by construction in fitted models.
-	PushUnit float64 `json:"push_unit"`
+	// anchor, 1.0 in DefaultModel.
+	PushUnit float64
 	// HashUnit is the hash-probe cost per flop relative to the MSA scatter.
-	HashUnit float64 `json:"hash_unit"`
+	HashUnit float64
 	// HeapUnit is the heap pop/push cost per flop × log2(merge width),
 	// relative to the MSA scatter.
-	HeapUnit float64 `json:"heap_unit"`
-	// InnerUnit is the pull-side merge cost per touched entry. The probe set
-	// does not measure it (Inner's safety margin is PullMargin); it exists so
-	// tests can skew the pull decision and stays 1 in fitted models.
-	InnerUnit float64 `json:"inner_unit"`
+	HeapUnit float64
+	// InnerUnit is the pull-side merge cost per touched entry. Inner's safety
+	// margin is PullMargin; InnerUnit exists so tests can skew the pull
+	// decision.
+	InnerUnit float64
 	// MaskUnit is the mask gather/scatter cost per mask entry relative to
 	// the per-flop scatter cost.
-	MaskUnit float64 `json:"mask_unit"`
+	MaskUnit float64
 	// BitmapProbeRatio scales the bitmap-representation density thresholds:
-	// the measured bitmap-vs-CSR probe cost ratio. Above 1 the bitmap is
-	// relatively expensive on this host and needs denser masks to pay.
-	BitmapProbeRatio float64 `json:"bitmap_probe_ratio"`
+	// the bitmap-vs-CSR probe cost ratio. Above 1 the bitmap is relatively
+	// expensive and needs denser masks to pay.
+	BitmapProbeRatio float64
 	// DenseUnit scales the dense-run representation's minimum row density
-	// the same way: the measured dense-direct-index-vs-CSR cost ratio.
-	DenseUnit float64 `json:"dense_unit"`
+	// the same way: the dense-direct-index-vs-CSR cost ratio.
+	DenseUnit float64
 	// PullMargin is the factor Inner must beat the best push estimate by
 	// before the planner risks its strided column accesses.
-	PullMargin float64 `json:"pull_margin"`
-	// NsPerUnit is the measured nanoseconds per abstract cost unit (the MSA
-	// scatter's per-flop wall time at one worker).
-	NsPerUnit float64 `json:"ns_per_unit"`
-	// CostPerWorker is the cost-unit grant one worker is admitted for by the
-	// serving arbiter, fitted from the measured parallel-dispatch overhead.
-	CostPerWorker int64 `json:"cost_per_worker"`
-	// Source records where the coefficients came from: "default",
-	// "probed" (fresh calibration run) or "host-cache" (loaded from the
-	// per-host file a previous run saved).
-	Source string `json:"source"`
-	// SaveErr records why persisting this model to the per-host cache file
-	// failed ("" on success or when no save was attempted). Saving is
-	// best-effort — a failure only costs a re-probe next process — but the
-	// reason is surfaced (masked.CalibrationStats.SaveError) instead of
-	// swallowed. Not serialized: it describes this process's save attempt.
-	SaveErr string `json:"-"`
+	PullMargin float64
+	// NsPerUnit is the nanoseconds per abstract cost unit (the MSA
+	// scatter's per-flop wall time at one worker); 1 in DefaultModel.
+	NsPerUnit float64
 }
 
 // DefaultModel returns the hand-tuned reference coefficients: every unit
-// cost 1, PullMargin 8 and the arbiter's historical 64k cost-per-worker.
-// Planning under DefaultModel is bit-identical to the pre-calibration
-// planner.
+// cost 1 and PullMargin 8.
 func DefaultModel() *Model {
 	return &Model{
 		PushUnit:         1,
@@ -78,56 +59,8 @@ func DefaultModel() *Model {
 		DenseUnit:        1,
 		PullMargin:       pullMargin,
 		NsPerUnit:        1,
-		CostPerWorker:    parallel.CostPerWorker,
-		Source:           "default",
 	}
 }
-
-// clampUnit bounds a fitted coefficient to a sane range so one noisy probe
-// (a descheduled goroutine, a thermal dip) can never produce a model that
-// always — or never — picks one family.
-func clampUnit(v, lo, hi float64) float64 {
-	if !(v > lo) { // also catches NaN
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-// sanitized returns a copy of m with every coefficient clamped to its sane
-// range, defaulting non-positive/NaN fields. Applied to fitted models and to
-// models loaded from the per-host cache file (whose bytes are outside our
-// control).
-func (m Model) sanitized() *Model {
-	d := DefaultModel()
-	out := m
-	out.PushUnit = clampUnit(m.PushUnit, 0.05, 20)
-	out.HashUnit = clampUnit(m.HashUnit, 0.05, 20)
-	out.HeapUnit = clampUnit(m.HeapUnit, 0.02, 50)
-	out.InnerUnit = clampUnit(m.InnerUnit, 0.05, 20)
-	out.MaskUnit = clampUnit(m.MaskUnit, 0.05, 20)
-	out.BitmapProbeRatio = clampUnit(m.BitmapProbeRatio, 0.25, 4)
-	out.DenseUnit = clampUnit(m.DenseUnit, 0.25, 4)
-	out.PullMargin = clampUnit(m.PullMargin, 1, 64)
-	out.NsPerUnit = clampUnit(m.NsPerUnit, 0.01, 1000)
-	if out.CostPerWorker < minCostPerWorker || out.CostPerWorker > maxCostPerWorker {
-		out.CostPerWorker = d.CostPerWorker
-	}
-	if out.Source == "" {
-		out.Source = d.Source
-	}
-	return &out
-}
-
-// Fitted CostPerWorker bounds: no host makes goroutine dispatch cheap enough
-// to fan out sub-16k-unit products, and capping at 1M keeps a wildly noisy
-// overhead probe from serializing every request.
-const (
-	minCostPerWorker = 1 << 14
-	maxCostPerWorker = 1 << 20
-)
 
 // phasePassFactor is the predicted-cost multiplier of two-phase execution:
 // the symbolic and numeric passes each walk the full work, and the drivers'

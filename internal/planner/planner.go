@@ -307,8 +307,8 @@ func (p *Plan) NeedsSortedRows() bool {
 // Analyze derives a Plan for C = M .* (A·B) from operand structure alone
 // (values never matter to selection, so all operands are Patterns — use
 // CSR.Pattern() for free views). opt contributes only Complement. Selection
-// runs under the hand-tuned DefaultModel; use AnalyzeModel (or a calibrated
-// Cache) for host-fitted coefficients.
+// runs under the hand-tuned DefaultModel; use AnalyzeModel (or
+// Cache.SetModel) for other coefficients.
 func Analyze(m, a, b *matrix.Pattern, opt core.Options) *Plan {
 	return AnalyzeModel(m, a, b, opt, nil)
 }

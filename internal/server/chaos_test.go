@@ -52,7 +52,7 @@ func checkHealthy(t *testing.T, l *Local, c *Client) {
 	if err := c.Healthz(context.Background()); err != nil {
 		t.Fatalf("server unhealthy after fault: %v", err)
 	}
-	if st := l.Server.Session().ServingStats(); st.Inflight != 0 || st.Free != st.Budget {
+	if st := l.Server.Session().Stats().Arbiter; st.Inflight != 0 || st.Free != st.Budget {
 		t.Fatalf("arbiter leaked after fault: %+v", st)
 	}
 }
@@ -325,7 +325,7 @@ func TestDrainUnderBatch(t *testing.T) {
 		if err := <-inFlight; err != nil {
 			t.Errorf("in-flight batch during drain: %v", err)
 		}
-		if st := l.Server.Session().ServingStats(); st.Inflight != 0 || st.Free != st.Budget {
+		if st := l.Server.Session().Stats().Arbiter; st.Inflight != 0 || st.Free != st.Budget {
 			t.Errorf("arbiter leaked across drain: %+v", st)
 		}
 	}()

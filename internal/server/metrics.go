@@ -142,12 +142,6 @@ func writeProm(w io.Writer, m MetricsSnapshot) {
 	fmt.Fprintf(w, "mspgemm_plan_cache_total{event=\"replan\"} %d\n", c.Replans)
 	gauge("mspgemm_plan_cache_entries", "Resident cached plans.", float64(c.Entries))
 
-	cal := m.Session.Calibration
-	fmt.Fprintf(w, "# HELP mspgemm_calibration_info Session cost-model calibration (constant labels).\n# TYPE mspgemm_calibration_info gauge\n")
-	fmt.Fprintf(w, "mspgemm_calibration_info{mode=%q,source=%q} 1\n", cal.Mode, cal.Source)
-	gauge("mspgemm_calibration_ns_per_unit", "Measured nanoseconds per model cost unit.", cal.NsPerUnit)
-	gauge("mspgemm_calibration_cost_per_worker", "Admission cost unit per granted worker.", float64(cal.CostPerWorker))
-
 	a := m.Session.Arbiter
 	gauge("mspgemm_arbiter_budget_workers", "Total session worker budget.", float64(a.Budget))
 	gauge("mspgemm_arbiter_granted_workers", "Workers currently granted.", float64(a.Granted))

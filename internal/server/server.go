@@ -1,7 +1,8 @@
 // Package server is the network serving subsystem: an HTTP front end over
 // one masked.Session that speaks the internal/wire binary frame format.
-// cmd/mspgemm-server is a thin flag wrapper around it; the bench serve-load
-// study and the tests embed it in-process on an ephemeral port.
+// cmd/mspgemm-server is a thin flag wrapper around it; perfbench's
+// serve-wire workload and the tests embed it in-process on an ephemeral
+// port.
 //
 // The request path is frame → decode → admit → execute → encode:
 //
@@ -66,12 +67,6 @@ type Config struct {
 	Inflight int
 	// PlanCacheCapacity bounds the session plan cache (0 = engine default).
 	PlanCacheCapacity int
-	// Calibration selects the session's cost-model calibration mode: the
-	// zero value masked.CalibrationOff plans with the hand-tuned model,
-	// CalibrationAuto/CalibrationForce install the host's measured
-	// coefficients (see masked.WithCalibration). Exported in /metrics as
-	// mspgemm_calibration_info.
-	Calibration masked.Calibration
 	// InternCapacity bounds the operand intern table in entries
 	// (0 = 128, negative disables interning).
 	InternCapacity int
@@ -159,7 +154,6 @@ func New(cfg Config) *Server {
 	if cfg.PlanCacheCapacity > 0 {
 		opts = append(opts, masked.WithPlanCacheCapacity(cfg.PlanCacheCapacity))
 	}
-	opts = append(opts, masked.WithCalibration(cfg.Calibration))
 	sv := &Server{
 		cfg:    cfg,
 		sess:   masked.NewSession(opts...),
@@ -168,7 +162,7 @@ func New(cfg Config) *Server {
 	}
 	sv.maxQueued = int64(cfg.MaxQueuedFrames)
 	if sv.maxQueued <= 0 {
-		sv.maxQueued = 4 * int64(sv.sess.ServingStats().MaxInflight)
+		sv.maxQueued = 4 * int64(sv.sess.Stats().Arbiter.MaxInflight)
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/multiply", sv.guard(sv.handleMultiply))

@@ -91,13 +91,13 @@ func TestStreamingLoopDriverPoolWarm(t *testing.T) {
 		}
 	}
 	cycle() // warm the frontier-shaped pools
-	_, missBefore := s.ws.DriverPoolStats()
+	missBefore := s.Stats().DriverPool.Misses
 	for i := 0; i < 8; i++ {
 		cycle()
 	}
-	gets, missAfter := s.ws.DriverPoolStats()
-	if missAfter != missBefore {
+	after := s.Stats().DriverPool
+	if after.Misses != missBefore {
 		t.Fatalf("warmed streaming loop performed %d driver pool misses over 16 updates (gets %d); want 0",
-			missAfter-missBefore, gets)
+			after.Misses-missBefore, after.Gets)
 	}
 }

@@ -134,7 +134,7 @@ func reqKey(d opSpec, m *Pattern, a, b *Matrix) flightKey {
 
 // reqCost estimates a request's cost for worker-share arbitration: the
 // cached plan's scheduling cost total (flops + mask entries, the unit
-// parallel.CostPerWorker is calibrated in) when the plan cache already
+// parallel.CostPerWorker is stated in) when the plan cache already
 // holds a plan for the operands — the steady serving state — and a cheap
 // structural proxy (total operand entries) on a cold cache or a pinned
 // variant. Cost only shapes worker shares, never results.
@@ -441,8 +441,3 @@ func (s *Session) TryAdmit(cost int64) (*Admission, bool) {
 	}
 	return &Admission{g: g}, true
 }
-
-// ServingStats reports the session's serving-layer counters: the thread
-// arbiter's accounting (budget, in-flight, steals, top-ups) for dashboards
-// and the serving bench study. Plan-cache counters live on PlanCacheStats.
-func (s *Session) ServingStats() parallel.ArbiterStats { return s.arb.Stats() }

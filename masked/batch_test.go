@@ -59,7 +59,7 @@ func TestMultiplyBatchMatchesSequential(t *testing.T) {
 		}
 		sameCSR(t, fmt.Sprint(reqs[i].Tag), r.C, want[i])
 	}
-	if st := s.ServingStats(); st.Admitted == 0 || st.Inflight != 0 || st.Free != st.Budget {
+	if st := s.Stats().Arbiter; st.Admitted == 0 || st.Inflight != 0 || st.Free != st.Budget {
 		t.Errorf("arbiter did not drain cleanly: %+v", st)
 	}
 }
@@ -396,11 +396,11 @@ func TestServingStress(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	st := s.ServingStats()
+	st := s.Stats().Arbiter
 	if st.Inflight != 0 || st.Waiting != 0 || st.Free != st.Budget {
 		t.Fatalf("arbiter did not drain after stress: %+v", st)
 	}
-	cs := s.PlanCacheStats()
+	cs := s.Stats().Cache
 	if cs.Hits == 0 {
 		t.Error("stress run never hit the plan cache")
 	}

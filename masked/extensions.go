@@ -62,40 +62,11 @@ func MultiplyHybrid(m *Pattern, a, b *Matrix, sr Semiring, opt Options, stats *H
 // BFSResult reports a direction-optimized BFS.
 type BFSResult = apps.BFSResult
 
-// BFS runs a single-source direction-optimized breadth-first search.
-//
-// Deprecated: use Session.BFS. Scheduled for removal in v2 (no earlier
-// than 2027-02); the last in-repo callers migrated in PR 10.
-func BFS(g *Matrix, source Index, opt Options) (BFSResult, error) {
-	return DefaultSession().BFS(legacyCtx(opt), g, source, legacyOps(opt)...)
-}
-
 // MultiSourceBFSResult reports a batched BFS.
 type MultiSourceBFSResult = apps.MultiSourceBFSResult
 
-// MultiSourceBFS runs BFS from every source simultaneously with
-// complement-masked SpGEMM, using variant v (or the planner with opt.Auto).
-//
-// Deprecated: use Session.MultiSourceBFS. Scheduled for removal in v2 (no earlier
-// than 2027-02); the last in-repo callers migrated in PR 10.
-func MultiSourceBFS(g *Matrix, sources []Index, v Variant, opt Options) (MultiSourceBFSResult, error) {
-	return DefaultSession().MultiSourceBFS(legacyCtx(opt), g, sources,
-		legacyOps(opt, legacyVariant(v, opt))...)
-}
-
 // SimilarityResult reports a masked similarity computation.
 type SimilarityResult = apps.SimilarityResult
-
-// CosineSimilarity scores the candidate item pairs of F·Fᵀ with cosine
-// normalization via masked SpGEMM, using variant v (or the planner with
-// opt.Auto).
-//
-// Deprecated: use Session.CosineSimilarity. Scheduled for removal in v2 (no earlier
-// than 2027-02); the last in-repo callers migrated in PR 10.
-func CosineSimilarity(f *Matrix, candidates *Pattern, v Variant, opt Options) (SimilarityResult, error) {
-	return DefaultSession().CosineSimilarity(legacyCtx(opt), f, candidates,
-		legacyOps(opt, legacyVariant(v, opt))...)
-}
 
 // MultiplyColumns computes C = M .* (A·B) with column-by-column (CSC-major)
 // execution via the transpose identity Cᵀ = Mᵀ .* (Bᵀ·Aᵀ). Useful when the
@@ -110,17 +81,6 @@ type MCLOptions = apps.MCLOptions
 
 // MCLResult reports a Markov clustering run.
 type MCLResult = apps.MCLResult
-
-// MCL runs Markov clustering (expansion = SpGEMM, optionally masked by the
-// iterate's own pattern; inflation = element-wise powering) with variant v
-// supplying the masked expansion (or the planner with opt.Auto).
-//
-// Deprecated: use Session.MCL. Scheduled for removal in v2 (no earlier
-// than 2027-02); the last in-repo callers migrated in PR 10.
-func MCL(g *Matrix, o MCLOptions, v Variant, opt Options) (MCLResult, error) {
-	return DefaultSession().MCL(legacyCtx(opt), g, o,
-		legacyOps(opt, legacyVariant(v, opt))...)
-}
 
 // OpCounts aggregates abstract operation counts of an instrumented run.
 type OpCounts = core.OpCounts

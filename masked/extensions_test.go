@@ -1,6 +1,7 @@
 package masked
 
 import (
+	"context"
 	"testing"
 )
 
@@ -36,7 +37,7 @@ func TestVxMThroughFacade(t *testing.T) {
 func TestMultiplyHybridFacade(t *testing.T) {
 	g := RMAT(8, 8, 31)
 	l := Tril(g)
-	want, err := Multiply(l.Pattern(), l, l, PlusPair(), Options{})
+	want, err := NewSession().Multiply(context.Background(), l.Pattern(), l, l, WithAccumulate(PlusPair()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,14 +56,15 @@ func TestMultiplyHybridFacade(t *testing.T) {
 
 func TestBFSFacade(t *testing.T) {
 	g := ErdosRenyi(200, 5, 41)
-	res, err := BFS(g, 0, Options{})
+	ctx, s := context.Background(), NewSession()
+	res, err := s.BFS(ctx, g, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Level) != 200 || res.Level[0] != 0 {
 		t.Fatal("BFS levels")
 	}
-	ms, err := MultiSourceBFS(g, []Index{0, 5}, Variants()[0], Options{})
+	ms, err := s.MultiSourceBFS(ctx, g, []Index{0, 5}, WithVariant(Variants()[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +90,7 @@ func TestCosineSimilarityFacade(t *testing.T) {
 		NRows: 3, NCols: 3,
 		Row: []Index{0, 1}, Col: []Index{1, 0}, Val: []float64{1, 1},
 	}).Pattern()
-	res, err := CosineSimilarity(f, cand, Variants()[0], Options{})
+	res, err := NewSession().CosineSimilarity(context.Background(), f, cand, WithVariant(Variants()[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +108,7 @@ func TestCountOpsFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := Multiply(l.Pattern(), l, l, PlusPair(), Options{})
+	ref, err := NewSession().Multiply(context.Background(), l.Pattern(), l, l, WithAccumulate(PlusPair()))
 	if err != nil {
 		t.Fatal(err)
 	}

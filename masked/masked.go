@@ -65,36 +65,15 @@
 // rebalanced to stragglers mid-request); and identical concurrent requests
 // — same operands, mask mode and semiring — are computed once, sharing
 // the immutable result (single-flight). The plan cache behind this is
-// lock-striped and LRU-bounded (WithPlanCacheCapacity); PlanCacheStats
-// and ServingStats expose monotonic counters for dashboards. See
-// PERFORMANCE.md for the tuning guide.
-//
-// # Migrating from the free functions
-//
-// The pre-session API — free functions taking a positional (Variant,
-// Options) pair — remains as thin deprecated wrappers over a lazily
-// created DefaultSession and returns bit-identical results:
-//
-//	Multiply(m, a, b, sr, opt)        → s.Multiply(ctx, m, a, b, WithAccumulate(sr), ...)
-//	MultiplyVariant(v, m, a, b, sr, o)→ s.Multiply(ctx, m, a, b, WithVariant(v), WithAccumulate(sr))
-//	TriangleCount(g, v, opt)          → s.TriangleCount(ctx, g, WithVariant(v))
-//	KTruss(g, k, v, opt)              → s.KTruss(ctx, g, k, WithVariant(v))
-//	BetweennessCentrality(g, src, v, o)→ s.BC(ctx, g, src, WithVariant(v))
-//	BFS(g, source, opt)               → s.BFS(ctx, g, source)
-//	MCL(g, o, v, opt)                 → s.MCL(ctx, g, o, WithVariant(v))
-//	CosineSimilarity(f, cand, v, opt) → s.CosineSimilarity(ctx, f, cand, WithVariant(v))
-//	SSDot/SSSaxpy(m, a, b, sr, threads)→ s.SSDot/SSSaxpy(ctx, m, a, b, WithAccumulate(sr), WithThreads(threads))
-//
-// Passing Options{Auto: true} to a wrapper ignores the pinned variant and
-// plans adaptively, as before.
+// lock-striped and LRU-bounded (WithPlanCacheCapacity); Session.Stats
+// exposes monotonic counters for dashboards. See PERFORMANCE.md for the
+// tuning guide.
 package masked
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/apps"
-	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/grgen"
 	"repro/internal/matrix"
@@ -219,7 +198,7 @@ type Plan = planner.Plan
 type BlockStat = core.BlockStat
 
 // CacheStats is a snapshot of a session plan cache's hit/miss/eviction
-// counters and occupancy; see Session.PlanCacheStats.
+// counters and occupancy; see Stats.Cache.
 type CacheStats = planner.CacheStats
 
 // ExecStats is one observed execution of a plan — measured kernel time and
@@ -230,80 +209,6 @@ type ExecStats = planner.ExecStats
 // FeedbackState is a snapshot of a cached plan's prediction-error feedback
 // loop; see planner.FeedbackState.
 type FeedbackState = planner.FeedbackState
-
-// Model is the planner's parameterized cost model; sessions install a
-// host-calibrated one under WithCalibration. See planner.Model.
-type Model = planner.Model
-
-// legacyCtx extracts the context a deprecated free-function call runs
-// under: opt.Ctx when set, Background otherwise.
-func legacyCtx(opt Options) context.Context {
-	if opt.Ctx != nil {
-		return opt.Ctx
-	}
-	return context.Background()
-}
-
-// legacyOps translates the positional Options style into descriptor
-// options.
-func legacyOps(opt Options, extra ...Op) []Op {
-	ops := []Op{WithThreads(opt.Threads), WithGrain(opt.Grain), WithMaskRep(opt.MaskRep)}
-	if opt.Complement {
-		ops = append(ops, WithComplement())
-	}
-	return append(ops, extra...)
-}
-
-// legacyVariant resolves the old (Variant, Options.Auto) pair: Auto wins
-// over the pinned variant, as the application entry points documented.
-func legacyVariant(v Variant, opt Options) Op {
-	if opt.Auto {
-		return WithAuto()
-	}
-	return WithVariant(v)
-}
-
-// Multiply computes C = M .* (A·B), selecting the algorithm variant
-// adaptively from the operands' density profile. Set opt.Complement for
-// C = ¬M .* (A·B). The result is bit-identical to every fixed variant's.
-//
-// Deprecated: use Session.Multiply, which scopes the plan cache and
-// workspaces and takes a context; this wrapper runs on DefaultSession.
-// Scheduled for removal in v2 (no earlier than 2027-02); the last
-// in-repo callers migrated in PR 10.
-func Multiply(m *Pattern, a, b *Matrix, sr Semiring, opt Options) (*Matrix, error) {
-	c, _, err := MultiplyAuto(m, a, b, sr, opt)
-	return c, err
-}
-
-// MultiplyAuto computes C = M .* (A·B) like Multiply and returns the plan
-// that was executed alongside the product.
-//
-// Deprecated: use Session.MultiplyAuto. Scheduled for removal in v2 (no earlier
-// than 2027-02); the last in-repo callers migrated in PR 10.
-func MultiplyAuto(m *Pattern, a, b *Matrix, sr Semiring, opt Options) (*Matrix, *Plan, error) {
-	return DefaultSession().MultiplyAuto(legacyCtx(opt), m, a, b,
-		legacyOps(opt, WithAccumulate(sr))...)
-}
-
-// Explain analyzes C = M .* (A·B) without executing it and returns the plan
-// the adaptive path would run.
-//
-// Deprecated: use Session.Explain. Scheduled for removal in v2 (no earlier
-// than 2027-02); the last in-repo callers migrated in PR 10.
-func Explain(m *Pattern, a, b *Matrix, opt Options) *Plan {
-	return planner.Analyze(m, a.Pattern(), b.Pattern(), opt)
-}
-
-// MultiplyVariant computes C = M .* (A·B) with an explicit algorithm
-// variant. MCA does not support opt.Complement.
-//
-// Deprecated: use Session.Multiply with WithVariant. Scheduled for removal in v2 (no earlier
-// than 2027-02); the last in-repo callers migrated in PR 10.
-func MultiplyVariant(v Variant, m *Pattern, a, b *Matrix, sr Semiring, opt Options) (*Matrix, error) {
-	return DefaultSession().Multiply(legacyCtx(opt), m, a, b,
-		legacyOps(opt, WithAccumulate(sr), WithVariant(v))...)
-}
 
 // Variants returns all 12 (algorithm, phase) combinations the paper
 // evaluates.
@@ -355,7 +260,7 @@ func ErdosRenyi(n Index, deg float64, seed uint64) *Matrix {
 	return grgen.ErdosRenyiSym(n, deg, seed)
 }
 
-// --- Applications (the paper's benchmarks) ---
+// --- Application results (see the Session methods) ---
 
 // TCResult reports a TriangleCount run.
 type TCResult = apps.TCResult
@@ -365,55 +270,3 @@ type KTrussResult = apps.KTrussResult
 
 // BCResult reports a BetweennessCentrality run.
 type BCResult = apps.BCResult
-
-// TriangleCount counts triangles via sum(L .* (L·L)) with degree-descending
-// relabeling, using variant v (or the planner with opt.Auto).
-//
-// Deprecated: use Session.TriangleCount. Scheduled for removal in v2 (no earlier
-// than 2027-02); the last in-repo callers migrated in PR 10.
-func TriangleCount(g *Matrix, v Variant, opt Options) (TCResult, error) {
-	return DefaultSession().TriangleCount(legacyCtx(opt), g,
-		legacyOps(opt, legacyVariant(v, opt))...)
-}
-
-// KTruss computes the k-truss subgraph by iterated masked support counting,
-// using variant v (or the planner with opt.Auto).
-//
-// Deprecated: use Session.KTruss. Scheduled for removal in v2 (no earlier
-// than 2027-02); the last in-repo callers migrated in PR 10.
-func KTruss(g *Matrix, k int, v Variant, opt Options) (*Matrix, KTrussResult, error) {
-	return DefaultSession().KTruss(legacyCtx(opt), g, k,
-		legacyOps(opt, legacyVariant(v, opt))...)
-}
-
-// BetweennessCentrality computes batched Brandes betweenness centrality
-// contributions for the given sources, using variant v (which must support
-// complemented masks — any variant except MCA).
-//
-// Deprecated: use Session.BC. Scheduled for removal in v2 (no earlier
-// than 2027-02); the last in-repo callers migrated in PR 10.
-func BetweennessCentrality(g *Matrix, sources []Index, v Variant, opt Options) (BCResult, error) {
-	return DefaultSession().BC(legacyCtx(opt), g, sources,
-		legacyOps(opt, legacyVariant(v, opt))...)
-}
-
-// --- Baselines (for comparison studies) ---
-
-// SSDot is the SuiteSparse:GraphBLAS-style dot-product baseline.
-//
-// Deprecated: use Session.SSDot, which takes a context and can be
-// cancelled. Scheduled for removal in v2 (no earlier than 2027-02); the
-// last in-repo callers migrated in PR 10.
-func SSDot(m *Pattern, a, b *Matrix, sr Semiring, threads int) *Matrix {
-	return baseline.SSDot(m, a, b, sr, baseline.Options{Threads: threads})
-}
-
-// SSSaxpy is the SuiteSparse:GraphBLAS-style saxpy baseline (mask applied
-// at gather, not during accumulation).
-//
-// Deprecated: use Session.SSSaxpy, which takes a context and can be
-// cancelled. Scheduled for removal in v2 (no earlier than 2027-02); the
-// last in-repo callers migrated in PR 10.
-func SSSaxpy(m *Pattern, a, b *Matrix, sr Semiring, threads int) *Matrix {
-	return baseline.SSSaxpy(m, a, b, sr, baseline.Options{Threads: threads})
-}

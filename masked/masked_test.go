@@ -1,6 +1,7 @@
 package masked
 
 import (
+	"context"
 	"math"
 	"path/filepath"
 	"testing"
@@ -9,7 +10,8 @@ import (
 func TestMultiplyQuickstart(t *testing.T) {
 	g := RMAT(8, 8, 1)
 	l := Tril(g)
-	c, err := Multiply(l.Pattern(), l, l, PlusPair(), Options{})
+	ctx, s := context.Background(), NewSession()
+	c, err := s.Multiply(ctx, l.Pattern(), l, l, WithAccumulate(PlusPair()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,7 +20,7 @@ func TestMultiplyQuickstart(t *testing.T) {
 	}
 	// Every variant agrees with the default.
 	for _, v := range Variants() {
-		ci, err := MultiplyVariant(v, l.Pattern(), l, l, PlusPair(), Options{})
+		ci, err := s.Multiply(ctx, l.Pattern(), l, l, WithVariant(v), WithAccumulate(PlusPair()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,29 +46,30 @@ func TestVariantLookup(t *testing.T) {
 func TestApplications(t *testing.T) {
 	g := ErdosRenyi(300, 8, 2)
 	v, _ := VariantByName("MSA-1P")
-	tc, err := TriangleCount(g, v, Options{})
+	ctx, s := context.Background(), NewSession(WithVariant(v))
+	tc, err := s.TriangleCount(ctx, g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tc.Triangles < 0 {
 		t.Fatal("negative triangles")
 	}
-	truss, kres, err := KTruss(g, 4, v, Options{})
+	truss, kres, err := s.KTruss(ctx, g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if truss.NNZ() > g.NNZ() || kres.Iterations < 1 {
 		t.Fatal("k-truss must prune")
 	}
-	bc, err := BetweennessCentrality(g, []Index{0, 10, 20}, v, Options{})
+	bc, err := s.BC(ctx, g, []Index{0, 10, 20})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(bc.Scores) != int(g.NRows) {
 		t.Fatal("BC score length")
 	}
-	for _, s := range bc.Scores {
-		if s < 0 || math.IsNaN(s) {
+	for _, sc := range bc.Scores {
+		if sc < 0 || math.IsNaN(sc) {
 			t.Fatal("invalid BC score")
 		}
 	}
@@ -75,12 +78,19 @@ func TestApplications(t *testing.T) {
 func TestBaselinesExposed(t *testing.T) {
 	g := ErdosRenyi(100, 6, 3)
 	l := Tril(g)
-	want, err := Multiply(l.Pattern(), l, l, Arithmetic(), Options{})
+	ctx, s := context.Background(), NewSession()
+	want, err := s.Multiply(ctx, l.Pattern(), l, l)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dot := SSDot(l.Pattern(), l, l, Arithmetic(), 2)
-	sax := SSSaxpy(l.Pattern(), l, l, Arithmetic(), 2)
+	dot, err := s.SSDot(ctx, l.Pattern(), l, l, WithThreads(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sax, err := s.SSSaxpy(ctx, l.Pattern(), l, l, WithThreads(2))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if dot.NNZ() != want.NNZ() || sax.NNZ() != want.NNZ() {
 		t.Fatal("baseline nnz mismatch")
 	}
@@ -135,7 +145,8 @@ func TestMatrixMarketRoundTrip(t *testing.T) {
 
 func TestComplementOption(t *testing.T) {
 	g := ErdosRenyi(80, 6, 4)
-	c, err := Multiply(g.Pattern(), g, g, Arithmetic(), Options{Complement: true})
+	ctx, s := context.Background(), NewSession()
+	c, err := s.Multiply(ctx, g.Pattern(), g, g, WithComplement())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +167,7 @@ func TestComplementOption(t *testing.T) {
 	}
 	// MCA rejects complement through the facade too.
 	mca, _ := VariantByName("MCA-1P")
-	if _, err := MultiplyVariant(mca, g.Pattern(), g, g, Arithmetic(), Options{Complement: true}); err == nil {
+	if _, err := s.Multiply(ctx, g.Pattern(), g, g, WithVariant(mca), WithComplement()); err == nil {
 		t.Fatal("MCA must reject complement")
 	}
 }
@@ -164,11 +175,12 @@ func TestComplementOption(t *testing.T) {
 func TestMultiplyAutoPlanAndExplain(t *testing.T) {
 	g := RMAT(9, 8, 4)
 	l := Tril(g)
-	c, plan, err := MultiplyAuto(l.Pattern(), l, l, PlusPair(), Options{})
+	ctx, s := context.Background(), NewSession(WithAccumulate(PlusPair()))
+	c, plan, err := s.MultiplyAuto(ctx, l.Pattern(), l, l)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := MultiplyVariant(Variant{Alg: MSA, Phase: OnePhase}, l.Pattern(), l, l, PlusPair(), Options{})
+	want, err := s.Multiply(ctx, l.Pattern(), l, l, WithVariant(Variant{Alg: MSA, Phase: OnePhase}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,21 +195,24 @@ func TestMultiplyAutoPlanAndExplain(t *testing.T) {
 		t.Fatal("empty Explain")
 	}
 	// Explain without executing agrees on the block structure.
-	if dry := Explain(l.Pattern(), l, l, Options{}); len(dry.Blocks) != len(plan.Blocks) {
+	if dry := NewSession().Explain(l.Pattern(), l, l); len(dry.Blocks) != len(plan.Blocks) {
 		t.Fatalf("Explain blocks %d != executed plan blocks %d", len(dry.Blocks), len(plan.Blocks))
 	}
 }
 
 func TestOptionsAutoRoutesApplications(t *testing.T) {
 	g := RMAT(8, 8, 5)
-	// The pinned variant must be ignored under Auto: pass MCA (which cannot
-	// run the complemented masks BC needs) and expect success anyway.
-	v := Variant{Alg: MCA, Phase: OnePhase}
-	fixed, err := TriangleCount(g, Variant{Alg: MSA, Phase: OnePhase}, Options{})
+	// A session-level pin must be ignored under a per-call WithAuto: pin MCA
+	// (which cannot run the complemented masks BC needs) and expect success
+	// anyway.
+	ctx := context.Background()
+	s := NewSession(WithVariant(Variant{Alg: MCA, Phase: OnePhase}))
+	msa := WithVariant(Variant{Alg: MSA, Phase: OnePhase})
+	fixed, err := s.TriangleCount(ctx, g, msa)
 	if err != nil {
 		t.Fatal(err)
 	}
-	auto, err := TriangleCount(g, v, Options{Auto: true})
+	auto, err := s.TriangleCount(ctx, g, WithAuto())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,11 +220,11 @@ func TestOptionsAutoRoutesApplications(t *testing.T) {
 		t.Fatalf("auto TC %d != fixed TC %d", auto.Triangles, fixed.Triangles)
 	}
 	sources := []Index{0, 1, 2}
-	bcFixed, err := BetweennessCentrality(g, sources, Variant{Alg: MSA, Phase: OnePhase}, Options{})
+	bcFixed, err := s.BC(ctx, g, sources, msa)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bcAuto, err := BetweennessCentrality(g, sources, v, Options{Auto: true})
+	bcAuto, err := s.BC(ctx, g, sources, WithAuto())
 	if err != nil {
 		t.Fatal(err)
 	}

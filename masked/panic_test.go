@@ -40,7 +40,7 @@ func TestPanicIsolatedToRequest(t *testing.T) {
 	if !errors.As(r.Err, &pe) || len(pe.Stack) == 0 {
 		t.Fatalf("panic error carries no stack: %#v", r.Err)
 	}
-	if st := s.ServingStats(); st.Inflight != 0 || st.Free != st.Budget {
+	if st := s.Stats().Arbiter; st.Inflight != 0 || st.Free != st.Budget {
 		t.Fatalf("panicked request leaked arbiter budget: %+v", st)
 	}
 	if got := s.Panics(); got != 1 {
@@ -81,7 +81,7 @@ func TestPanicSharedWithFollowers(t *testing.T) {
 	if got := s.Panics(); got != 1 {
 		t.Fatalf("session counted %d panics for one coalesced group, want 1", got)
 	}
-	if st := s.ServingStats(); st.Inflight != 0 || st.Free != st.Budget {
+	if st := s.Stats().Arbiter; st.Inflight != 0 || st.Free != st.Budget {
 		t.Fatalf("arbiter did not drain after coalesced panic: %+v", st)
 	}
 }
@@ -105,7 +105,7 @@ func TestWorkerPanicCrossesParallelBoundary(t *testing.T) {
 	if !errors.Is(res.Err, ErrPanic) {
 		t.Fatalf("worker-panicked request: err %v, want ErrPanic", res.Err)
 	}
-	if st := s.ServingStats(); st.Inflight != 0 || st.Free != st.Budget {
+	if st := s.Stats().Arbiter; st.Inflight != 0 || st.Free != st.Budget {
 		t.Fatalf("worker panic leaked arbiter budget: %+v", st)
 	}
 	faultinject.Set(nil)

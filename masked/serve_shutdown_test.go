@@ -141,7 +141,7 @@ func TestTryMultiplySaturation(t *testing.T) {
 		leaderDone <- res[0]
 	}()
 	deadline := time.Now().Add(10 * time.Second)
-	for s.ServingStats().Inflight == 0 {
+	for s.Stats().Arbiter.Inflight == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("leader never reached in-flight state")
 		}
@@ -152,7 +152,7 @@ func TestTryMultiplySaturation(t *testing.T) {
 	if r := s.TryMultiply(ctx, otherp, other, other); !errors.Is(r.Err, ErrSaturated) {
 		t.Fatalf("distinct request under saturation: err %v, want ErrSaturated", r.Err)
 	}
-	if st := s.ServingStats(); st.Rejected == 0 {
+	if st := s.Stats().Arbiter; st.Rejected == 0 {
 		t.Fatalf("rejection not counted: %+v", st)
 	}
 
@@ -186,7 +186,7 @@ func TestTryMultiplySaturation(t *testing.T) {
 }
 
 // TestSessionStats checks the unified snapshot agrees with the three
-// component accessors and that its monotonic counters move under load.
+// components it reads and that its monotonic counters move under load.
 func TestSessionStats(t *testing.T) {
 	s := NewSession(WithThreads(2))
 	ctx := context.Background()
@@ -199,8 +199,14 @@ func TestSessionStats(t *testing.T) {
 		t.Fatal(r.Err)
 	}
 	st := s.Stats()
-	if st.Cache != s.PlanCacheStats() {
-		t.Fatalf("Stats.Cache %+v != PlanCacheStats %+v", st.Cache, s.PlanCacheStats())
+	if c := s.cache.Stats(); st.Cache != c {
+		t.Fatalf("Stats.Cache %+v != plan cache %+v", st.Cache, c)
+	}
+	if a := s.arb.Stats(); st.Arbiter != a {
+		t.Fatalf("Stats.Arbiter %+v != arbiter %+v", st.Arbiter, a)
+	}
+	if p := s.ws.PoolStatsSnapshot(); st.DriverPool != p {
+		t.Fatalf("Stats.DriverPool %+v != workspace pools %+v", st.DriverPool, p)
 	}
 	if st.Cache.Hits+st.Cache.Misses == 0 {
 		t.Fatal("plan cache counters did not move")

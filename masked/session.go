@@ -2,7 +2,6 @@ package masked
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -53,10 +52,6 @@ type Session struct {
 	def   opSpec
 	ws    *core.Workspaces
 	cache *planner.Cache
-	// model is the cost model the session plans with: DefaultModel when
-	// calibration is off, the host-calibrated model otherwise. Immutable
-	// after NewSession.
-	model *planner.Model
 	// arb splits the session thread budget across concurrent batch/serve
 	// requests; one arbiter per session, so overlapping MultiplyBatch and
 	// Serve calls share one budget instead of multiplying it.
@@ -87,7 +82,6 @@ type opSpec struct {
 	sched      Sched
 	sr         Semiring
 	hasSR      bool
-	calib      Calibration // WithCalibration: cost-model calibration mode (NewSession only)
 }
 
 func (d opSpec) apply(opts []Op) opSpec {
@@ -176,63 +170,6 @@ func WithInflight(k int) Op {
 	return func(d *opSpec) { d.inflight = k }
 }
 
-// Calibration selects how a session obtains its planner cost model; see
-// WithCalibration.
-type Calibration int
-
-const (
-	// CalibrationOff (the default) plans with the hand-tuned §8 model — the
-	// dimensionless unit costs every prior release used. Fully deterministic:
-	// no probes run, no files are read.
-	CalibrationOff Calibration = iota
-	// CalibrationAuto plans with the host-calibrated model: the per-host
-	// cached fit when one exists, else a one-time ~10 ms probe pass whose
-	// result is cached for future sessions (planner.HostModel).
-	CalibrationAuto
-	// CalibrationForce re-runs the calibration probes unconditionally,
-	// overwriting the per-host cache — for benchmarking after hardware or
-	// toolchain changes.
-	CalibrationForce
-)
-
-// String returns the flag spelling of the mode ("off", "auto", "force").
-func (c Calibration) String() string {
-	switch c {
-	case CalibrationAuto:
-		return "auto"
-	case CalibrationForce:
-		return "force"
-	default:
-		return "off"
-	}
-}
-
-// ParseCalibration parses a -calibrate flag value ("off", "auto", "force").
-func ParseCalibration(s string) (Calibration, error) {
-	switch s {
-	case "off", "":
-		return CalibrationOff, nil
-	case "auto":
-		return CalibrationAuto, nil
-	case "force":
-		return CalibrationForce, nil
-	}
-	return CalibrationOff, fmt.Errorf("masked: unknown calibration mode %q (want off, auto or force)", s)
-}
-
-// WithCalibration selects the session's cost-model calibration mode:
-// CalibrationOff (the default) keeps the hand-tuned dimensionless model,
-// CalibrationAuto installs the host's measured cost coefficients (cached per
-// host, probed once when absent), CalibrationForce re-probes unconditionally.
-// Calibration changes only which plan the planner picks and how many workers
-// the serving arbiter grants — results are bit-identical under every mode.
-// It takes effect on NewSession only and is ignored on individual operations
-// (a session's model is fixed at construction, so its cached plans are all
-// priced consistently).
-func WithCalibration(c Calibration) Op {
-	return func(d *opSpec) { d.calib = c }
-}
-
 // WithPlanCacheCapacity bounds the session plan cache to roughly n entries
 // (LRU-evicted per shard; 0 = planner.DefaultCacheCapacity). It only takes
 // effect on NewSession — the cache is constructed once per session — and is
@@ -246,35 +183,13 @@ func WithPlanCacheCapacity(n int) Op {
 // every operation.
 func NewSession(opts ...Op) *Session {
 	def := opSpec{}.apply(opts)
-	s := &Session{
+	return &Session{
 		def:    def,
 		ws:     core.NewWorkspaces(),
 		cache:  planner.NewCacheCapacity(def.cacheCap),
 		arb:    parallel.NewArbiter(def.threads, def.inflight),
 		flight: make(map[flightKey]*flightCall),
 	}
-	s.model = planner.DefaultModel()
-	if def.calib != CalibrationOff {
-		s.model = planner.HostModel(def.calib == CalibrationForce)
-		s.cache.SetModel(s.model)
-		s.arb.SetCostPerWorker(s.model.CostPerWorker)
-	}
-	return s
-}
-
-// defaultSession backs the deprecated free functions.
-var (
-	defaultOnce    sync.Once
-	defaultSession *Session
-)
-
-// DefaultSession returns the lazily-created process-wide session the
-// deprecated free functions run on. New code should create its own
-// sessions; separate workloads sharing the default session contend for one
-// plan cache and workspace arena.
-func DefaultSession() *Session {
-	defaultOnce.Do(func() { defaultSession = NewSession() })
-	return defaultSession
 }
 
 // options resolves a descriptor into the core execution options, attaching
@@ -378,12 +293,6 @@ func (s *Session) Explain(m *Pattern, a, b *Matrix, opts ...Op) *Plan {
 	p := s.cache.Analyze(m, a.Pattern(), b.Pattern(), s.options(context.Background(), d))
 	return stampOps(p, d.semiring())
 }
-
-// PlanCacheStats returns a snapshot of the session plan cache's counters:
-// hits, misses, evictions (all monotonic over the session's lifetime, so two
-// snapshots can be differenced to rate a serving window), the resident entry
-// count, and the configured capacity and shard count.
-func (s *Session) PlanCacheStats() CacheStats { return s.cache.Stats() }
 
 // --- Applications ---
 

@@ -72,46 +72,8 @@ func TestSessionPooledResultsBitIdentical(t *testing.T) {
 		}
 		sameCSR(t, "auto", got, fresh)
 	}
-	if s.PlanCacheStats().Hits == 0 {
+	if s.Stats().Cache.Hits == 0 {
 		t.Errorf("expected plan-cache hits on repeated session multiplies")
-	}
-}
-
-// TestFreeFunctionsMatchSession: the deprecated free functions are wrappers
-// over DefaultSession and must return bit-identical results to an explicit
-// session (the PR-1 behavior).
-func TestFreeFunctionsMatchSession(t *testing.T) {
-	ctx := context.Background()
-	lp, l := tcOperands(9, 8, 7)
-	want, err := NewSession().Multiply(ctx, lp, l, l, WithAccumulate(PlusPair()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Multiply(lp, l, l, PlusPair(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameCSR(t, "Multiply", got, want)
-	for _, v := range Variants() {
-		got, err := MultiplyVariant(v, lp, l, l, PlusPair(), Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameCSR(t, "MultiplyVariant/"+v.Name(), got, want)
-	}
-	// An application wrapper agrees with its session method.
-	g := RMAT(8, 8, 5)
-	v := Variant{Alg: MSA, Phase: OnePhase}
-	old, err := TriangleCount(g, v, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	neu, err := NewSession().TriangleCount(ctx, g, WithVariant(v))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if old.Triangles != neu.Triangles {
-		t.Fatalf("TriangleCount: free %d != session %d", old.Triangles, neu.Triangles)
 	}
 }
 
@@ -290,7 +252,7 @@ func benchmarkWarmedMultiplyDriverAllocs(b *testing.B, phase core.Phase) {
 			b.Fatal(err)
 		}
 	}
-	_, missBefore := s.ws.DriverPoolStats()
+	missBefore := s.Stats().DriverPool.Misses
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -301,7 +263,7 @@ func benchmarkWarmedMultiplyDriverAllocs(b *testing.B, phase core.Phase) {
 	b.StopTimer()
 	// Exact miss counts only hold without -race: the race detector makes
 	// sync.Pool drop a fraction of Puts.
-	if _, missAfter := s.ws.DriverPoolStats(); !raceEnabled && missAfter != missBefore {
+	if missAfter := s.Stats().DriverPool.Misses; !raceEnabled && missAfter != missBefore {
 		b.Fatalf("warmed Session.Multiply (%s) performed %d driver-layer allocations (pool misses) over %d ops; want 0",
 			phase, missAfter-missBefore, b.N)
 	}
@@ -334,13 +296,13 @@ func TestWarmedSessionZeroDriverAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		_, missBefore := s.ws.DriverPoolStats()
+		missBefore := s.Stats().DriverPool.Misses
 		for i := 0; i < 3; i++ {
 			if _, err := s.Multiply(ctx, lp, l, l); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if _, missAfter := s.ws.DriverPoolStats(); missAfter != missBefore {
+		if missAfter := s.Stats().DriverPool.Misses; missAfter != missBefore {
 			t.Errorf("%s: warmed session made %d driver pool misses; want 0", name, missAfter-missBefore)
 		}
 	}

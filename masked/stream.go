@@ -199,6 +199,6 @@ func (s *Session) deltaExecute(d opSpec, o Options, m *Pattern, a, b *Matrix) (*
 		}
 		return core.MaskedSpGEMM(d.variant, m, a, b, d.semiring(), o)
 	}
-	pl := planner.AnalyzeModel(m, a.Pattern(), b.Pattern(), o, s.model)
+	pl := planner.AnalyzeModel(m, a.Pattern(), b.Pattern(), o, s.cache.Model())
 	return planner.Execute(pl, m, a, b, d.semiring(), o, nil)
 }

@@ -206,7 +206,7 @@ func TestStreamPanicRecoveryMidUpdate(t *testing.T) {
 	if got := s.Panics(); got != 1 {
 		t.Fatalf("session counted %d panics, want 1", got)
 	}
-	if st := s.ServingStats(); st.Inflight != 0 || st.Free != st.Budget {
+	if st := s.Stats().Arbiter; st.Inflight != 0 || st.Free != st.Budget {
 		t.Fatalf("panicked update leaked arbiter budget: %+v", st)
 	}
 
@@ -313,7 +313,7 @@ func TestStreamConcurrentUpdateMultiplyServe(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameBits(t, "concurrent stream", got, want)
-	if st := s.ServingStats(); st.Inflight != 0 || st.Free != st.Budget {
+	if st := s.Stats().Arbiter; st.Inflight != 0 || st.Free != st.Budget {
 		t.Fatalf("arbiter budget leaked: %+v", st)
 	}
 	if n := s.Panics(); n != 0 {
