@@ -34,13 +34,13 @@ func (r TCResult) GFLOPS() float64 {
 // TriangleCount counts triangles in the undirected graph g (symmetric
 // adjacency, no self-loops) via sum(L .* (L·L)) where L is the strictly
 // lower triangular part after relabeling vertices in non-increasing degree
-// order (§8.2). The masked SpGEMM runs on the plus-pair semiring; eng
-// supplies the implementation under test.
+// order (§8.2), built by matrix.RelabelTril. For a non-symmetric g the
+// count is over L = Tril(P·g·Pᵀ): only the entries that land strictly below
+// the diagonal after relabeling count. The masked SpGEMM runs on the
+// plus-pair semiring; eng supplies the implementation under test.
 func TriangleCount(g *matrix.CSR[float64], eng Engine) (TCResult, error) {
 	start := time.Now()
-	perm := matrix.DegreeDescPerm(g)
-	rel := matrix.Permute(g, perm)
-	l := matrix.Tril(rel)
+	l := matrix.RelabelTril(g)
 	res := TCResult{Flops: core.Flops(l, l, 0)}
 	t0 := time.Now()
 	c, err := eng.Mult(l.Pattern(), l, l, semiring.PlusPairF(), false)

@@ -96,7 +96,7 @@ func TestNewRowCostsSkew(t *testing.T) {
 // decides who computes which rows when, never what is computed.
 func TestSchedEquivalence(t *testing.T) {
 	g := grgen.RMAT(8, 8, 17) // power-law rows: the profile cost scheduling targets
-	l := matrix.Tril(matrix.Permute(g, matrix.DegreeDescPerm(g)))
+	l := matrix.RelabelTril(g)
 	m, a, b := l.Pattern(), l, l
 	sr := semiring.Arithmetic()
 	costs := ComputeRowCosts(m, a.Pattern(), b.Pattern(), 0)
@@ -188,7 +188,7 @@ func TestDriverPoolsWarmZeroMisses(t *testing.T) {
 		t.Skip("sync.Pool drops a fraction of Puts under the race detector; exact miss counts only hold without -race")
 	}
 	g := grgen.RMAT(9, 8, 29)
-	l := matrix.Tril(matrix.Permute(g, matrix.DegreeDescPerm(g)))
+	l := matrix.RelabelTril(g)
 	m := l.Pattern()
 	sr := semiring.Arithmetic()
 	costs := ComputeRowCosts(m, l.Pattern(), l.Pattern(), 0)

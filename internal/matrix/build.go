@@ -125,33 +125,37 @@ func TransposePattern(p *Pattern) *Pattern {
 // Tril returns the strictly lower triangular part of a (entries with
 // column < row), preserving row order. Used by triangle counting, which
 // computes sum(L .* (L·L)) after degree relabeling (§8.2).
-func Tril[T any](a *CSR[T]) *CSR[T] {
-	out := &CSR[T]{NRows: a.NRows, NCols: a.NCols, RowPtr: make([]Index, a.NRows+1)}
-	for i := Index(0); i < a.NRows; i++ {
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			if a.Col[k] < i {
-				out.Col = append(out.Col, a.Col[k])
-				out.Val = append(out.Val, a.Val[k])
-			}
-		}
-		out.RowPtr[i+1] = Index(len(out.Col))
-	}
-	return out
-}
+func Tril[T any](a *CSR[T]) *CSR[T] { return strictTriangle(a, true) }
 
 // Triu returns the strictly upper triangular part of a (column > row).
-func Triu[T any](a *CSR[T]) *CSR[T] {
-	out := &CSR[T]{NRows: a.NRows, NCols: a.NCols, RowPtr: make([]Index, a.NRows+1)}
+func Triu[T any](a *CSR[T]) *CSR[T] { return strictTriangle(a, false) }
+
+// strictTriangle keeps the entries strictly below (lower) or strictly above
+// the diagonal. A count pass sizes Col and Val exactly; a second pass fills
+// them.
+func strictTriangle[T any](a *CSR[T], lower bool) *CSR[T] {
+	keep := func(i, j Index) bool { return j != i && (j < i) == lower }
+	ptr := make([]Index, a.NRows+1)
 	for i := Index(0); i < a.NRows; i++ {
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			if a.Col[k] > i {
-				out.Col = append(out.Col, a.Col[k])
-				out.Val = append(out.Val, a.Val[k])
+		ptr[i+1] = ptr[i]
+		for _, j := range a.Col[a.RowPtr[i]:a.RowPtr[i+1]] {
+			if keep(i, j) {
+				ptr[i+1]++
 			}
 		}
-		out.RowPtr[i+1] = Index(len(out.Col))
 	}
-	return out
+	col := make([]Index, ptr[a.NRows])
+	val := make([]T, ptr[a.NRows])
+	dst := 0
+	for i := Index(0); i < a.NRows; i++ {
+		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+			if keep(i, a.Col[k]) {
+				col[dst], val[dst] = a.Col[k], a.Val[k]
+				dst++
+			}
+		}
+	}
+	return &CSR[T]{NRows: a.NRows, NCols: a.NCols, RowPtr: ptr, Col: col, Val: val}
 }
 
 // Permute returns P·A·Pᵀ for the permutation perm, i.e. the matrix with
@@ -187,77 +191,84 @@ func Permute[T any](a *CSR[T], perm []Index) *CSR[T] {
 // non-increasing order of degree (row nnz), breaking ties by original id.
 // Triangle counting uses this relabeling for optimal performance (§8.2).
 func DegreeDescPerm[T any](a *CSR[T]) []Index {
+	return inversePerm(degreeDescOrder(a))
+}
+
+// degreeDescOrder lists the vertices of a in non-increasing order of degree
+// (row nnz), ids ascending within a degree: a stable counting sort, O(n +
+// max degree).
+func degreeDescOrder[T any](a *CSR[T]) []Index {
 	n := a.NRows
-	order := make([]Index, n)
-	for i := range order {
-		order[i] = Index(i)
+	maxDeg := Index(0)
+	for i := Index(0); i < n; i++ {
+		maxDeg = max(maxDeg, a.RowNNZ(i))
 	}
-	deg := func(i Index) Index { return a.RowPtr[i+1] - a.RowPtr[i] }
-	// Stable counting-free sort via sort.Slice (degrees are small ints but
-	// simplicity wins here; this is preprocessing, not a kernel).
-	sortSliceStable(order, func(x, y Index) bool {
-		dx, dy := deg(x), deg(y)
-		if dx != dy {
-			return dx > dy
-		}
-		return x < y
-	})
-	perm := make([]Index, n)
+	// Bucket b holds degree maxDeg-b, so bucket 0 is the highest degree;
+	// start[b] is where bucket b begins in the order.
+	start := make([]Index, maxDeg+2)
+	for i := Index(0); i < n; i++ {
+		start[maxDeg-a.RowNNZ(i)+1]++
+	}
+	for b := Index(0); b <= maxDeg; b++ {
+		start[b+1] += start[b]
+	}
+	order := make([]Index, n)
+	for i := Index(0); i < n; i++ {
+		b := maxDeg - a.RowNNZ(i)
+		order[start[b]] = i
+		start[b]++
+	}
+	return order
+}
+
+// inversePerm maps each entry of order to its position: the new label of
+// old vertex order[k] is k.
+func inversePerm(order []Index) []Index {
+	perm := make([]Index, len(order))
 	for newID, oldID := range order {
 		perm[oldID] = Index(newID)
 	}
 	return perm
 }
 
-func sortSliceStable(s []Index, less func(a, b Index) bool) {
-	// Insertion-based merge sort to avoid importing sort with closures in a
-	// hot path; n log n and stable.
-	if len(s) < 2 {
-		return
-	}
-	buf := make([]Index, len(s))
-	mergeSortIdx(s, buf, less)
-}
-
-func mergeSortIdx(s, buf []Index, less func(a, b Index) bool) {
-	n := len(s)
-	if n <= 16 {
-		for i := 1; i < n; i++ {
-			v := s[i]
-			j := i - 1
-			for j >= 0 && less(v, s[j]) {
-				s[j+1] = s[j]
-				j--
+// RelabelTril returns Tril(Permute(a, DegreeDescPerm(a))), the operand L of
+// triangle counting (§8.2), identical in RowPtr, Col and Val, without
+// building the permuted copy or sorting any row. a must be square with
+// duplicate-free rows; its rows need not be sorted, and it need not be
+// symmetric.
+//
+// Two counting passes produce Lᵀ: one counts the strictly lower entries of
+// P·A·Pᵀ per new column, the other scatters them while walking the new rows
+// in ascending order, so each column segment comes out sorted. The
+// counting-sort Transpose then turns Lᵀ into L with sorted rows.
+func RelabelTril[T any](a *CSR[T]) *CSR[T] {
+	n := a.NRows
+	order := degreeDescOrder(a)
+	perm := inversePerm(order)
+	ptr := make([]Index, n+1)
+	for i := Index(0); i < n; i++ {
+		r := perm[i]
+		for _, j := range a.Col[a.RowPtr[i]:a.RowPtr[i+1]] {
+			if c := perm[j]; c < r {
+				ptr[c+1]++
 			}
-			s[j+1] = v
 		}
-		return
 	}
-	mid := n / 2
-	mergeSortIdx(s[:mid], buf[:mid], less)
-	mergeSortIdx(s[mid:], buf[mid:], less)
-	copy(buf, s)
-	i, j, k := 0, mid, 0
-	for i < mid && j < n {
-		if less(buf[j], buf[i]) {
-			s[k] = buf[j]
-			j++
-		} else {
-			s[k] = buf[i]
-			i++
+	for c := Index(0); c < n; c++ {
+		ptr[c+1] += ptr[c]
+	}
+	next := append([]Index(nil), ptr[:n]...)
+	row := make([]Index, ptr[n])
+	val := make([]T, ptr[n])
+	for r, i := range order {
+		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+			if c := perm[a.Col[k]]; c < Index(r) {
+				row[next[c]], val[next[c]] = Index(r), a.Val[k]
+				next[c]++
+			}
 		}
-		k++
 	}
-	for i < mid {
-		s[k] = buf[i]
-		i++
-		k++
-	}
-	for j < n {
-		s[k] = buf[j]
-		j++
-		k++
-	}
+	return Transpose(&CSR[T]{NRows: n, NCols: n, RowPtr: ptr, Col: row, Val: val})
 }
 
 // MapValues returns a copy of a with every stored value transformed by f.

@@ -186,32 +186,6 @@ func TestPermutePreservesGraph(t *testing.T) {
 	}
 }
 
-func TestDegreeDescPerm(t *testing.T) {
-	// Degrees: row0=1, row1=3, row2=2.
-	c := &COO[float64]{
-		NRows: 3, NCols: 3,
-		Row: []Index{0, 1, 1, 1, 2, 2},
-		Col: []Index{0, 0, 1, 2, 0, 1},
-		Val: []float64{1, 1, 1, 1, 1, 1},
-	}
-	a := NewCSRFromCOO(c, add)
-	perm := DegreeDescPerm(a)
-	// Vertex 1 (deg 3) -> 0, vertex 2 (deg 2) -> 1, vertex 0 (deg 1) -> 2.
-	want := []Index{2, 0, 1}
-	for i, p := range perm {
-		if p != want[i] {
-			t.Fatalf("perm = %v, want %v", perm, want)
-		}
-	}
-	// After relabeling, degrees are non-increasing.
-	rel := Permute(a, perm)
-	for i := Index(1); i < rel.NRows; i++ {
-		if rel.RowNNZ(i) > rel.RowNNZ(i-1) {
-			t.Fatal("relabeled degrees not non-increasing")
-		}
-	}
-}
-
 func TestValidateCatchesCorruption(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
 	a := NewCSRFromCOO(randomCOO(r, 5, 5, 10), add)
