@@ -12,9 +12,11 @@ import (
 // TriangleCount and KTruss for graphs that evolve under an edge stream.
 // Both maintain their masked product C = M .* (A·B) through a
 // core.DeltaProduct, so each batch recomputes only the dirty-row frontier
-// — the rows whose mask/A content changed plus the rows whose A columns
-// hit changed rows of B — and splices the recomputed rows into the cached
-// output. Because every kernel produces bit-identical rows for identical
+// — the rows whose mask/A content changed plus each row i with
+// A(i,k) != 0 for a changed B(k,j) whose column j the mask row i holds
+// (for the triangle product: the rows that close a triangle on a changed
+// edge) — and splices the recomputed rows into the cached output.
+// Because every kernel produces bit-identical rows for identical
 // inputs, the maintained results equal a from-scratch run on the current
 // graph after every batch (stream_test.go checks each prefix against the
 // exact references).
@@ -232,7 +234,7 @@ func (st *KTrussStream) seedPeelFromGraph(s *matrix.CSR[float64]) error {
 		return err
 	}
 	st.t = t
-	st.tProd = core.NewDeltaProductSeeded(t, t, t, s)
+	st.tProd = core.NewDeltaProductSeeded(t, t, t, false, s)
 	all := make([]Index, cur.NRows)
 	for i := range all {
 		all[i] = Index(i)

@@ -2,21 +2,22 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/matrix"
 )
 
 // Incremental (delta) execution — the operand view the blocked drivers
 // read when operands change under an edge stream. The overlays
-// (matrix.DeltaCSR) never mutate their base; each refresh materializes the
-// current operands as plain sorted CSR snapshots, derives the dirty-row
-// frontier, extracts the frontier rows of the mask and A into small
-// sub-operands, runs the ordinary masked product on them, and splices the
-// recomputed rows over the previous output. Because every kernel in this
-// repository produces bit-identical rows for identical (mask row, A row,
-// B) inputs, the spliced output is bit-identical to a from-scratch multiply
-// on the compacted operands — the property delta_equiv_test.go asserts.
+// (matrix.DeltaCSR) never mutate their base; each refresh takes the
+// current operands as plain sorted CSR snapshots (patched from the
+// previous ones), derives the mask-aware dirty-row frontier, extracts the
+// frontier rows of the mask and A into small sub-operands, runs the
+// ordinary masked product on them, and splices the recomputed rows over
+// the previous output. Because every kernel in this repository produces
+// bit-identical rows for identical (mask row, A row, B) inputs, the
+// spliced output is bit-identical to a from-scratch multiply on the
+// compacted operands — the property delta_equiv_test.go asserts.
 
 // DeltaOperand selects which operand of a DeltaProduct an update batch
 // targets.
@@ -43,34 +44,41 @@ const (
 // concurrent use; callers (masked.Session) serialize.
 type DeltaProduct[T any] struct {
 	m, a, b *matrix.DeltaCSR[T]
+	// complement records that the product's mask is complemented
+	// (C = ¬M .* (A·B)); the frontier rule needs it.
+	complement bool
 	// c is the last full output (nil before the first Refresh).
 	c *matrix.CSR[T]
 	// dirtyAM collects rows of M or A whose content changed since the last
-	// refresh; dirtyB collects changed rows of B (columns of A).
+	// refresh; dirtyB maps each changed row k of B (a column of A) to the
+	// columns J_k its updates named, sorted and duplicate-free.
 	dirtyAM map[Index]struct{}
-	dirtyB  map[Index]struct{}
+	dirtyB  map[Index][]Index
 }
 
-// NewDeltaProduct tracks C = M .* (A·B) over the given overlays (which may
-// alias each other). The first Refresh computes the full product.
+// NewDeltaProduct tracks C = M .* (A·B), with an uncomplemented mask, over
+// the given overlays (which may alias each other). The first Refresh
+// computes the full product.
 func NewDeltaProduct[T any](m, a, b *matrix.DeltaCSR[T]) *DeltaProduct[T] {
+	return NewDeltaProductSeeded(m, a, b, false, nil)
+}
+
+// NewDeltaProductSeeded tracks C = M .* (A·B), or C = ¬M .* (A·B) when
+// complement is set, and takes c as a known-valid output for the
+// overlays' current content, so the first Refresh is incremental instead
+// of from scratch. The incremental k-truss peel seeds its speculative
+// per-batch product with the maintained support matrix this way. A nil c
+// leaves the first Refresh to compute the full product. The caller owns
+// the claim that c equals the product of the current operands, and
+// complement must match the descriptor every Refresh multiplies with.
+func NewDeltaProductSeeded[T any](m, a, b *matrix.DeltaCSR[T], complement bool, c *matrix.CSR[T]) *DeltaProduct[T] {
 	return &DeltaProduct[T]{
 		m: m, a: a, b: b,
-		dirtyAM: make(map[Index]struct{}),
-		dirtyB:  make(map[Index]struct{}),
+		complement: complement,
+		c:          c,
+		dirtyAM:    make(map[Index]struct{}),
+		dirtyB:     make(map[Index][]Index),
 	}
-}
-
-// NewDeltaProductSeeded is NewDeltaProduct with a known-valid output for
-// the overlays' current content, so the first Refresh is incremental
-// instead of from scratch. The incremental k-truss peel seeds its
-// speculative per-batch product with the maintained support matrix this
-// way. The caller owns the claim that c equals the product of the current
-// operands.
-func NewDeltaProductSeeded[T any](m, a, b *matrix.DeltaCSR[T], c *matrix.CSR[T]) *DeltaProduct[T] {
-	p := NewDeltaProduct(m, a, b)
-	p.c = c
-	return p
 }
 
 // Overlays returns the product's distinct overlays (deduplicated by
@@ -102,7 +110,8 @@ func (p *DeltaProduct[T]) targets(op DeltaOperand) ([]*matrix.DeltaCSR[T], error
 }
 
 // Apply applies one batch of edge updates to the selected operand's
-// overlay(s) and accumulates the touched rows into the dirty frontier.
+// overlay(s) and accumulates the touched rows into the dirty frontier:
+// the row of an M or A update, and the row and column of a B update.
 // The batch is validated against every target overlay first, so a
 // rejected batch (out-of-range index) mutates nothing. Aliased overlays
 // receive the batch once but dirty both roles they play.
@@ -126,12 +135,17 @@ func (p *DeltaProduct[T]) Apply(op DeltaOperand, batch []matrix.Update[T]) error
 			// Unreachable after the pre-validation above; surface it anyway.
 			return err
 		}
-		for _, i := range touched {
-			if d == p.m || d == p.a {
+		if d == p.m || d == p.a {
+			for _, i := range touched {
 				p.dirtyAM[i] = struct{}{}
 			}
-			if d == p.b {
-				p.dirtyB[i] = struct{}{}
+		}
+		if d == p.b {
+			for _, u := range batch {
+				cols := p.dirtyB[u.Row]
+				if k, found := slices.BinarySearch(cols, u.Col); !found {
+					p.dirtyB[u.Row] = slices.Insert(cols, k, u.Col)
+				}
 			}
 		}
 	}
@@ -156,33 +170,45 @@ func (p *DeltaProduct[T]) Output() *matrix.CSR[T] { return p.c }
 func (p *DeltaProduct[T]) Dirty() int { return len(p.dirtyAM) + len(p.dirtyB) }
 
 // DirtyFrontier derives the output rows an update round must recompute:
-// the changed rows of M and A (dirtyAM), plus every row of the current A
-// whose columns hit a changed row of B. The scan is O(nnz(A)) with
-// early exit per row; rows already dirty are not rescanned.
-func DirtyFrontier(a *matrix.Pattern, dirtyAM, dirtyB map[Index]struct{}) []Index {
-	frontier := make([]Index, 0, len(dirtyAM))
+// the changed rows of M and A (dirtyAM), plus every other row i that has
+// some k in A(i,:) with a changed column j in J_k = dirtyB[k] that the
+// mask admits, where admits means (j ∈ M(i,:)) != complement. No other
+// row can change: an admitted C(i,j) is a sum over k in A(i,:) order
+// whose terms change only with B(k,j). m and a are the current mask and
+// A; each J_k must be sorted. The scan is O(nnz(A)) with early exit per
+// row, and the frontier comes out ascending.
+func DirtyFrontier(m, a *matrix.Pattern, complement bool, dirtyAM map[Index]struct{}, dirtyB map[Index][]Index) []Index {
+	inAM := make([]bool, a.NRows)
 	for i := range dirtyAM {
-		frontier = append(frontier, i)
+		inAM[i] = true
 	}
+	var changed [][]Index // changed[k] = J_k, nil for a clean row of B
 	if len(dirtyB) > 0 {
-		hit := make([]bool, a.NCols)
-		for k := range dirtyB {
-			hit[k] = true
+		changed = make([][]Index, a.NCols)
+		for k, cols := range dirtyB {
+			changed[k] = cols
 		}
-		for i := Index(0); i < a.NRows; i++ {
-			if _, dirty := dirtyAM[i]; dirty {
-				continue
-			}
-			for _, j := range a.Row(i) {
-				if hit[j] {
-					frontier = append(frontier, i)
-					break
-				}
+	}
+	frontier := make([]Index, 0, len(dirtyAM))
+	for i := Index(0); i < a.NRows; i++ {
+		if inAM[i] || (changed != nil && admitsChange(m.Row(i), a.Row(i), changed, complement)) {
+			frontier = append(frontier, i)
+		}
+	}
+	return frontier
+}
+
+// admitsChange reports whether some k in the A row has a changed column
+// that the mask row admits.
+func admitsChange(mRow, aRow []Index, changed [][]Index, complement bool) bool {
+	for _, k := range aRow {
+		for _, j := range changed[k] {
+			if _, inMask := slices.BinarySearch(mRow, j); inMask != complement {
+				return true
 			}
 		}
 	}
-	sort.Slice(frontier, func(x, y int) bool { return frontier[x] < frontier[y] })
-	return frontier
+	return false
 }
 
 // DeltaMult is the multiply callback Refresh recomputes frontier rows
@@ -218,7 +244,7 @@ func (p *DeltaProduct[T]) Refresh(mult DeltaMult[T]) (*matrix.CSR[T], []Index, e
 	if len(p.dirtyAM) == 0 && len(p.dirtyB) == 0 {
 		return p.c, nil, nil
 	}
-	frontier := DirtyFrontier(curA.Pattern(), p.dirtyAM, p.dirtyB)
+	frontier := DirtyFrontier(curM, curA.Pattern(), p.complement, p.dirtyAM, p.dirtyB)
 	if len(frontier) == 0 {
 		p.resetDirty()
 		return p.c, nil, nil

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/matrix"
@@ -52,7 +53,7 @@ func deltaEquivConfig(t *testing.T, v Variant, comp bool, rep MaskRep, sched Sch
 		return d
 	}
 	dm, da, db := newOverlay(baseM), newOverlay(baseA), newOverlay(baseB)
-	p := NewDeltaProduct(dm, da, db)
+	p := NewDeltaProductSeeded(dm, da, db, comp, nil)
 	opt := func(m *matrix.Pattern, a, b *matrix.CSR[float64]) Options {
 		o := Options{Threads: 2, Grain: 3, Complement: comp, MaskRep: rep, Sched: sched}
 		if sched == SchedCost {
@@ -219,24 +220,88 @@ func TestDeltaApplyAtomicAcrossOverlays(t *testing.T) {
 	}
 }
 
-// TestDirtyFrontierDerivation checks the frontier rule directly: changed
-// A/M rows are included, and a changed B row pulls in exactly the A rows
-// whose columns reference it.
+// TestDirtyFrontierDerivation checks the mask-aware frontier rule through
+// DeltaProduct.Apply and Refresh: a changed B(k,j) pulls in row i only if
+// A(i,k) != 0 and the mask admits j in row i, while a changed M or A row
+// is always recomputed. Every refresh must still match a rebuild.
 func TestDirtyFrontierDerivation(t *testing.T) {
-	// A: row 0 -> {1}, row 1 -> {2}, row 2 -> {0, 2}, row 3 -> {}.
-	a := &matrix.Pattern{NRows: 4, NCols: 3,
-		RowPtr: []Index{0, 1, 2, 4, 4}, Col: []Index{1, 2, 0, 2}}
-	got := DirtyFrontier(a,
-		map[Index]struct{}{3: {}},
-		map[Index]struct{}{2: {}})
-	// Row 3 is dirty directly; B row 2 is referenced by A rows 1 and 2.
-	want := []Index{1, 2, 3}
-	if len(got) != len(want) {
-		t.Fatalf("frontier = %v, want %v", got, want)
+	csr := func(rows [][]Index) *matrix.CSR[float64] {
+		coo := &matrix.COO[float64]{NRows: 3, NCols: 3}
+		for i, cols := range rows {
+			for _, j := range cols {
+				coo.Row, coo.Col, coo.Val = append(coo.Row, Index(i)), append(coo.Col, j), append(coo.Val, 1)
+			}
+		}
+		return matrix.NewCSRFromCOO(coo, func(x, y float64) float64 { return x + y })
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("frontier = %v, want %v", got, want)
+	// A(0,:) = {1}, A(1,:) = {1, 2}, A(2,:) = {}.
+	// M(0,:) = {0}, M(1,:) = {2}, M(2,:) = {0, 1, 2}.
+	// B(1,:) = {1}, B(2,:) = {2}.
+	baseA := csr([][]Index{{1}, {1, 2}, {}})
+	baseM := csr([][]Index{{0}, {2}, {0, 1, 2}})
+	baseB := csr([][]Index{{}, {1}, {2}})
+	v := Variant{Alg: MSA, Phase: OnePhase}
+	sr := semiring.Arithmetic()
+	eqBits := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	frontier := func(comp bool, op DeltaOperand, u matrix.Update[float64]) []Index {
+		t.Helper()
+		var ov [3]*matrix.DeltaCSR[float64]
+		for k, base := range []*matrix.CSR[float64]{baseM, baseA, baseB} {
+			d, err := matrix.NewDeltaCSR(base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ov[k] = d
+		}
+		p := NewDeltaProductSeeded(ov[0], ov[1], ov[2], comp, nil)
+		mult := func(msub *matrix.Pattern, asub, b *matrix.CSR[float64]) (*matrix.CSR[float64], error) {
+			return MaskedSpGEMM(v, msub, asub, b, sr, Options{Threads: 1, Complement: comp})
+		}
+		if _, _, err := p.Refresh(mult); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Apply(op, []matrix.Update[float64]{u}); err != nil {
+			t.Fatal(err)
+		}
+		got, rows, err := p.Refresh(mult)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cm, ca, cb := ov[0].Current().Pattern(), ov[1].Current(), ov[2].Current()
+		want, err := MaskedSpGEMM(v, cm, ca, cb, sr, Options{Threads: 1, Complement: comp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !matrix.Equal(got, want, eqBits) {
+			t.Fatalf("complement=%v op=%d update %+v: refresh diverged from rebuild", comp, op, u)
+		}
+		return rows
+	}
+	cases := []struct {
+		name string
+		comp bool
+		op   DeltaOperand
+		u    matrix.Update[float64]
+		want []Index
+	}{
+		// B(1,0) is new: A rows 0 and 1 reference B row 1, but only M(0,:)
+		// holds column 0, so row 1 stays out.
+		{"B change outside M(1,:)", false, DeltaB, matrix.Update[float64]{Row: 1, Col: 0, Val: 5}, []Index{0}},
+		// Complemented, the mask admits exactly the other row.
+		{"B change under complement", true, DeltaB, matrix.Update[float64]{Row: 1, Col: 0, Val: 5}, []Index{1}},
+		// B(2,2) already holds 1: a value-only overwrite at a column M(1,:)
+		// admits still changes C(1,2).
+		{"B value overwrite", false, DeltaB, matrix.Update[float64]{Row: 2, Col: 2, Val: 7}, []Index{1}},
+		// A changed M or A row is in whatever the mask admits.
+		{"M row change", false, DeltaM, matrix.Update[float64]{Row: 2, Col: 0, Delete: true}, []Index{2}},
+		{"M row change under complement", true, DeltaM, matrix.Update[float64]{Row: 0, Col: 1, Val: 1}, []Index{0}},
+		{"A row change", false, DeltaA, matrix.Update[float64]{Row: 2, Col: 0, Val: 3}, []Index{2}},
+		{"A row change under complement", true, DeltaA, matrix.Update[float64]{Row: 0, Col: 1, Delete: true}, []Index{0}},
+	}
+	for _, tc := range cases {
+		got := frontier(tc.comp, tc.op, tc.u)
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%s: frontier = %v, want %v", tc.name, got, tc.want)
 		}
 	}
 }
@@ -255,7 +320,7 @@ func TestDeltaSeededProduct(t *testing.T) {
 		t.Fatal(err)
 	}
 	g, _ := matrix.NewDeltaCSR(base)
-	p := NewDeltaProductSeeded(g, g, g, seed)
+	p := NewDeltaProductSeeded(g, g, g, false, seed)
 	mult := func(msub *matrix.Pattern, asub, b *matrix.CSR[float64]) (*matrix.CSR[float64], error) {
 		return MaskedSpGEMM(v, msub, asub, b, sr, Options{Threads: 2})
 	}

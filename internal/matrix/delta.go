@@ -2,7 +2,9 @@ package matrix
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"unsafe"
 )
 
 // Delta-CSR — an immutable base CSR plus batched per-row insert/delete
@@ -11,9 +13,11 @@ import (
 // base; readers materialize rows on demand by merging a base row with its
 // log (MergedRow), or the whole matrix at once (Current), so the blocked
 // SpGEMM drivers always see a plain sorted CSR and the kernels stay
-// delta-oblivious. When the pending-log volume crosses a bounded merge
-// threshold, the logs are folded into a fresh base (Compact), keeping
-// merge cost amortized O(1) per applied update.
+// delta-oblivious. Current patches its previous snapshot: only the rows
+// touched since then are re-merged, and every other row moves with one
+// bulk copy (SpliceRows). When the pending-log volume crosses a bounded
+// merge threshold, the logs are folded into a fresh base (Compact),
+// keeping merge cost amortized O(1) per applied update.
 
 // Update is one edge mutation applied to a DeltaCSR: set entry (Row, Col)
 // to Val — inserting it if absent, overwriting if present — or remove it
@@ -45,8 +49,11 @@ type DeltaCSR[T any] struct {
 	nnz          int // entry count of the merged matrix, maintained incrementally
 	gen          uint64
 	threshold    float64
-	snap         *CSR[T]
-	snapGen      uint64
+	// snap is the last merged snapshot (nil: the base is the reference),
+	// and stale lists the rows touched since it was taken — the only rows
+	// whose merged content may differ from it (unsorted, may repeat).
+	snap  *CSR[T]
+	stale []Index
 }
 
 // DefaultMergeThreshold is the default bound on pending log volume: when
@@ -144,24 +151,22 @@ func (d *DeltaCSR[T]) ApplyBatch(batch []Update[T]) ([]Index, error) {
 	if len(batch) == 0 {
 		return nil, nil
 	}
-	touched := make(map[Index]struct{})
+	rows := make([]Index, 0, len(batch))
 	for _, u := range batch {
-		touched[u.Row] = struct{}{}
+		rows = append(rows, u.Row)
 		if u.Delete {
 			d.applyDelete(u.Row, u.Col)
 		} else {
 			d.applyInsert(u.Row, u.Col, u.Val)
 		}
 	}
+	slices.Sort(rows)
+	rows = slices.Compact(rows)
+	d.stale = append(d.stale, rows...)
 	d.gen++
 	if float64(d.pending) > d.threshold*float64(max(d.base.NNZ(), 1)) {
 		d.Compact()
 	}
-	rows := make([]Index, 0, len(touched))
-	for i := range touched {
-		rows = append(rows, i)
-	}
-	sort.Slice(rows, func(a, b int) bool { return rows[a] < rows[b] })
 	return rows, nil
 }
 
@@ -246,13 +251,15 @@ func (d *DeltaCSR[T]) applyDelete(i, j Index) {
 // MergedRow appends row i of the merged matrix (base row with its log
 // applied) to cols and vals and returns the extended slices, sorted by
 // column. For rows with no pending log it returns sub-slices of the base
-// storage directly when cols is nil (zero copy).
+// storage directly when cols and vals are both nil (zero copy); their
+// capacity ends at the row, so appending to them reallocates instead of
+// overwriting the next base row.
 func (d *DeltaCSR[T]) MergedRow(i Index, cols []Index, vals []T) ([]Index, []T) {
 	lo, hi := d.base.RowPtr[i], d.base.RowPtr[i+1]
 	l := d.logs[i]
 	if l == nil {
 		if cols == nil && vals == nil {
-			return d.base.Col[lo:hi], d.base.Val[lo:hi]
+			return d.base.Col[lo:hi:hi], d.base.Val[lo:hi:hi]
 		}
 		return append(cols, d.base.Col[lo:hi]...), append(vals, d.base.Val[lo:hi]...)
 	}
@@ -285,7 +292,9 @@ func (d *DeltaCSR[T]) MergedRow(i Index, cols []Index, vals []T) ([]Index, []T) 
 	return cols, vals
 }
 
-// merged materializes the merged matrix as a fresh CSR with sorted rows.
+// merged materializes the merged matrix as a fresh CSR with sorted rows,
+// merging every row. Validate uses it as the independent reference for
+// the patched snapshots Current builds.
 func (d *DeltaCSR[T]) merged() *CSR[T] {
 	out := &CSR[T]{
 		NRows:  d.nrows,
@@ -304,23 +313,49 @@ func (d *DeltaCSR[T]) merged() *CSR[T] {
 // Current returns the merged matrix as an immutable CSR snapshot without
 // mutating the base or consuming the logs. The snapshot is cached per
 // generation: repeated calls between batches return the same CSR, and the
-// base itself is returned when no updates are pending. Callers must not
+// base itself is returned when no updates are pending. A new snapshot
+// patches the previous one (or the base): it re-merges only the rows
+// touched since then and splices them in, so its cost is one bulk copy
+// plus O(touched rows) merges. Snapshots are fresh CSRs, never patched in
+// place, so a reader holding an older one is unaffected. Callers must not
 // mutate the result.
 func (d *DeltaCSR[T]) Current() *CSR[T] {
 	if d.pending == 0 {
+		d.snap, d.stale = nil, d.stale[:0]
 		return d.base
 	}
-	if d.snap != nil && d.snapGen == d.gen {
+	if d.snap != nil && len(d.stale) == 0 {
 		return d.snap
 	}
-	d.snap = d.merged()
-	d.snapGen = d.gen
+	prev := d.snap
+	if prev == nil {
+		prev = d.base
+	}
+	slices.Sort(d.stale)
+	rows := slices.Compact(d.stale)
+	// The staging slices start non-nil so MergedRow always appends a copy
+	// rather than returning a view of the base.
+	sub := &CSR[T]{
+		NRows:  Index(len(rows)),
+		NCols:  d.ncols,
+		RowPtr: make([]Index, len(rows)+1),
+		Col:    make([]Index, 0, len(rows)),
+		Val:    make([]T, 0, len(rows)),
+	}
+	for r, i := range rows {
+		sub.Col, sub.Val = d.MergedRow(i, sub.Col, sub.Val)
+		sub.RowPtr[r+1] = Index(len(sub.Col))
+	}
+	d.snap = SpliceRows(prev, rows, sub)
+	d.stale = d.stale[:0]
 	return d.snap
 }
 
-// Compact folds the pending logs into a fresh base CSR and clears them, in
-// O(nnz + pending). The matrix content is unchanged (Gen does not advance);
-// only the storage identity of Base/Current moves. Returns the new base.
+// Compact folds the pending logs into a fresh base CSR and clears them:
+// the new base is the Current snapshot, which costs nothing more when it
+// is already up to date. The matrix content is unchanged (Gen does not
+// advance); only the storage identity of Base/Current moves. Returns the
+// new base.
 func (d *DeltaCSR[T]) Compact() *CSR[T] {
 	if d.pending == 0 {
 		return d.base
@@ -334,8 +369,10 @@ func (d *DeltaCSR[T]) Compact() *CSR[T] {
 
 // Validate checks the overlay invariants: a valid sorted base, sorted
 // duplicate-free logs whose deletes all name base entries, consistent
-// pending and nnz accounting, and a valid merged matrix. It reports the
-// first violation; tests and the fuzzer use it as the corruption oracle.
+// pending and nnz accounting, and a valid merged matrix whose patched
+// snapshot (Current) matches an independent full merge bit for bit. It
+// reports the first violation; tests and the fuzzer use it as the
+// corruption oracle.
 func (d *DeltaCSR[T]) Validate() error {
 	if err := d.base.Validate(); err != nil {
 		return fmt.Errorf("matrix: delta base: %w", err)
@@ -396,5 +433,24 @@ func (d *DeltaCSR[T]) Validate() error {
 	if cur.NNZ() != d.nnz {
 		return fmt.Errorf("matrix: delta merged nnz %d, tracked %d", cur.NNZ(), d.nnz)
 	}
+	full := d.merged()
+	if !slices.Equal(cur.RowPtr, full.RowPtr) || !slices.Equal(cur.Col, full.Col) ||
+		!sameBits(cur.Val, full.Val) {
+		return fmt.Errorf("matrix: delta snapshot differs from a full merge")
+	}
 	return nil
+}
+
+// sameBits reports whether x and y hold the same values bit for bit
+// (NaN payloads included, which == cannot compare).
+func sameBits[T any](x, y []T) bool {
+	if len(x) != len(y) {
+		return false
+	}
+	if len(x) == 0 {
+		return true
+	}
+	n := len(x) * int(unsafe.Sizeof(x[0]))
+	return string(unsafe.Slice((*byte)(unsafe.Pointer(&x[0])), n)) ==
+		string(unsafe.Slice((*byte)(unsafe.Pointer(&y[0])), n))
 }

@@ -9,8 +9,9 @@ import (
 // duplicate edges, deletes of absent edges and out-of-range indices — and
 // asserts the overlay never corrupts the CSR invariants: sorted
 // duplicate-free rows, monotone row pointers, and exact nnz/pending
-// accounting (DeltaCSR.Validate is the oracle). A shadow map replays the
-// accepted updates to cross-check the merged content.
+// accounting, and a patched Current snapshot equal to a full merge
+// (DeltaCSR.Validate is the oracle). A shadow map replays the accepted
+// updates to cross-check the merged content.
 func FuzzDeltaApply(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 0x80, 9, 9, 4})
 	f.Add([]byte{2, 0xff, 0x03, 1, 1, 1, 1, 1, 1, 1, 1, 3})

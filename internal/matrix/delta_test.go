@@ -2,6 +2,7 @@ package matrix
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -251,6 +252,126 @@ func TestExtractAndSpliceRows(t *testing.T) {
 	// Inputs untouched.
 	if a.NNZ() != 5 || repl.NNZ() != 3 {
 		t.Fatal("splice mutated an input")
+	}
+
+	// Edge shapes, each checked against a row-by-row rebuild: no rows at
+	// all, every row, and a first or last row that grows or shrinks.
+	rowsOf := func(m *CSR[float64]) [][]Index {
+		out := make([][]Index, m.NRows)
+		for i := range out {
+			c, _ := m.Row(Index(i))
+			out[i] = c
+		}
+		return out
+	}
+	subOf := func(rows [][]Index) *CSR[float64] {
+		coo := &COO[float64]{NRows: Index(len(rows)), NCols: 4}
+		for r, cols := range rows {
+			for _, j := range cols {
+				coo.Row, coo.Col, coo.Val = append(coo.Row, Index(r)), append(coo.Col, j), append(coo.Val, float64(10*r+int(j)))
+			}
+		}
+		return NewCSRFromCOO(coo, func(x, y float64) float64 { return x + y })
+	}
+	for _, tc := range []struct {
+		name string
+		rows []Index
+		repl [][]Index
+	}{
+		{"no rows", nil, nil},
+		{"all rows", []Index{0, 1, 2, 3, 4}, [][]Index{{1}, {}, {0, 1, 2, 3}, {2}, {3}}},
+		{"first row grows", []Index{0}, [][]Index{{0, 1, 2, 3}}},
+		{"first row shrinks", []Index{0}, [][]Index{{}}},
+		{"last row grows", []Index{4}, [][]Index{{0, 1, 2, 3}}},
+		{"last row shrinks", []Index{4}, [][]Index{{}}},
+	} {
+		sub := subOf(tc.repl)
+		out := SpliceRows(a, tc.rows, sub)
+		if err := out.Validate(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if len(out.Col) != cap(out.Col) || len(out.Val) != cap(out.Val) {
+			t.Fatalf("%s: output not sized exactly", tc.name)
+		}
+		want := rowsOf(a)
+		for r, i := range tc.rows {
+			want[i] = tc.repl[r]
+		}
+		for i, cols := range want {
+			gc, gv := out.Row(Index(i))
+			if len(gc) != len(cols) {
+				t.Fatalf("%s: row %d = %v, want %v", tc.name, i, gc, cols)
+			}
+			for k := range gc {
+				if gc[k] != cols[k] {
+					t.Fatalf("%s: row %d = %v, want %v", tc.name, i, gc, cols)
+				}
+				if r := slices.Index(tc.rows, Index(i)); r >= 0 && gv[k] != float64(10*r+int(cols[k])) {
+					t.Fatalf("%s: row %d value %v not taken from sub", tc.name, i, gv[k])
+				}
+			}
+		}
+	}
+}
+
+// TestDeltaMergedRowViewIsClipped: appending to the zero-copy view
+// MergedRow returns for a log-free row must reallocate, never overwrite
+// the next base row.
+func TestDeltaMergedRowViewIsClipped(t *testing.T) {
+	d := deltaFromCOO(t, 3,
+		[]Index{0, 0, 1, 1, 2}, []Index{0, 2, 1, 2, 0}, []float64{1, 2, 3, 4, 5})
+	// A log on row 2 only, so rows 0 and 1 stay log-free views.
+	if _, err := d.ApplyBatch([]Update[float64]{{Row: 2, Col: 1, Val: 6}}); err != nil {
+		t.Fatal(err)
+	}
+	baseCol := slices.Clone(d.Base().Col)
+	baseVal := slices.Clone(d.Base().Val)
+	cols, vals := d.MergedRow(0, nil, nil)
+	if len(cols) != 2 || cap(cols) != 2 || cap(vals) != 2 {
+		t.Fatalf("row 0 view len %d cap %d/%d, want 2 and 2/2", len(cols), cap(cols), cap(vals))
+	}
+	_ = append(cols, 3)
+	_ = append(vals, 99)
+	if !slices.Equal(d.Base().Col, baseCol) || !slices.Equal(d.Base().Val, baseVal) {
+		t.Fatal("append to a merged-row view overwrote the base")
+	}
+	if err := d.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDeltaSnapshotPatching: each snapshot patches the previous one, leaves
+// earlier snapshots untouched, and matches the full merge that Validate
+// compares it with.
+func TestDeltaSnapshotPatching(t *testing.T) {
+	const n = 16
+	rng := rand.New(rand.NewSource(11))
+	d := deltaFromCOO(t, n, []Index{0, 5, 9}, []Index{3, 5, 1}, []float64{1, 2, 3})
+	d.SetMergeThreshold(1e9)
+	var held []*CSR[float64]
+	var frozen []*CSR[float64]
+	for step := 0; step < 30; step++ {
+		batch := make([]Update[float64], 1+rng.Intn(3))
+		for k := range batch {
+			batch[k] = Update[float64]{Row: Index(rng.Intn(n)), Col: Index(rng.Intn(n)),
+				Val: float64(step), Delete: rng.Intn(3) == 0}
+		}
+		if _, err := d.ApplyBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Validate(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		cur := d.Current()
+		held, frozen = append(held, cur), append(frozen, cur.Clone())
+		if step%10 == 9 {
+			d.Compact()
+		}
+	}
+	for k := range held {
+		if !Equal(held[k], frozen[k], func(x, y float64) bool { return x == y }) {
+			t.Fatalf("snapshot %d changed after later batches", k)
+		}
 	}
 }
 

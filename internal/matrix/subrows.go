@@ -5,7 +5,8 @@ package matrix
 // rows×ncols CSR holding only the frontier rows (ExtractRows), the masked
 // product runs on that sub-operand with the ordinary blocked drivers, and
 // the recomputed rows are spliced back over the previous output
-// (SpliceRows). Both are pure copies: the inputs are never mutated.
+// (SpliceRows), which also patches DeltaCSR snapshots at their touched
+// rows. Both are pure copies: the inputs are never mutated.
 
 // ExtractRows returns the len(rows)×(a.NCols) CSR whose row r is row
 // rows[r] of a. rows must be in-range; duplicates are allowed (each
@@ -53,31 +54,43 @@ func ExtractRowsPattern(p *Pattern, rows []Index) *Pattern {
 // SpliceRows returns a copy of old with row rows[r] replaced by row r of
 // sub, for every r. rows must be strictly increasing and in-range, and sub
 // must have len(rows) rows and old's column count. Neither input is
-// mutated.
+// mutated. The output is sized exactly, and each run of unchanged rows
+// between two spliced rows moves with one copy and a shifted RowPtr, so
+// the cost is one bulk copy of old plus O(len(rows)) row-sized steps.
 func SpliceRows[T any](old *CSR[T], rows []Index, sub *CSR[T]) *CSR[T] {
+	nnz := Index(len(old.Col)) + Index(len(sub.Col))
+	for _, i := range rows {
+		nnz -= old.RowPtr[i+1] - old.RowPtr[i]
+	}
 	out := &CSR[T]{
 		NRows:  old.NRows,
 		NCols:  old.NCols,
 		RowPtr: make([]Index, old.NRows+1),
+		Col:    make([]Index, nnz),
+		Val:    make([]T, nnz),
 	}
-	nnzOld := Index(len(old.Col))
-	nnzSub := Index(len(sub.Col))
-	// Upper bound; exact when no row both shrinks and grows — trim below.
-	out.Col = make([]Index, 0, int(nnzOld+nnzSub))
-	out.Val = make([]T, 0, int(nnzOld+nnzSub))
-	r := 0
-	for i := Index(0); i < old.NRows; i++ {
-		if r < len(rows) && rows[r] == i {
-			lo, hi := sub.RowPtr[r], sub.RowPtr[r+1]
-			out.Col = append(out.Col, sub.Col[lo:hi]...)
-			out.Val = append(out.Val, sub.Val[lo:hi]...)
-			r++
-		} else {
-			lo, hi := old.RowPtr[i], old.RowPtr[i+1]
-			out.Col = append(out.Col, old.Col[lo:hi]...)
-			out.Val = append(out.Val, old.Val[lo:hi]...)
+	pos := Index(0) // next free output position
+	// copyRun copies old's rows [from, to) to the output at pos.
+	copyRun := func(from, to Index) {
+		lo, hi := old.RowPtr[from], old.RowPtr[to]
+		copy(out.Col[pos:], old.Col[lo:hi])
+		copy(out.Val[pos:], old.Val[lo:hi])
+		shift := pos - lo
+		for i := from; i < to; i++ {
+			out.RowPtr[i+1] = old.RowPtr[i+1] + shift
 		}
-		out.RowPtr[i+1] = Index(len(out.Col))
+		pos += hi - lo
 	}
+	next := Index(0) // first old row not yet emitted
+	for r, i := range rows {
+		copyRun(next, i)
+		lo, hi := sub.RowPtr[r], sub.RowPtr[r+1]
+		copy(out.Col[pos:], sub.Col[lo:hi])
+		copy(out.Val[pos:], sub.Val[lo:hi])
+		pos += hi - lo
+		out.RowPtr[i+1] = pos
+		next = i + 1
+	}
+	copyRun(next, old.NRows)
 	return out
 }

@@ -15,7 +15,8 @@ import (
 // with batched edge insert/delete logs; a DeltaProduct tracks one masked
 // product over such overlays and Session.Update / Session.MultiplyDelta
 // recompute only the dirty-row frontier of each batch — the rows of M or A
-// that changed plus the rows whose A columns hit changed rows of B —
+// that changed plus each row i with A(i,k) != 0 for a changed B(k,j)
+// whose column j the (possibly complemented) mask row i admits —
 // splicing the recomputed rows into the cached output. Rows outside the
 // frontier reuse their previously computed output unchanged; the frontier
 // rows re-plan through the ordinary planner stats path on the extracted
@@ -81,10 +82,11 @@ type DeltaProduct struct {
 // Update/UpdateOperand — mutating an overlay directly desynchronizes the
 // product's dirty-row tracking.
 func (s *Session) NewDeltaProduct(m, a, b *DeltaMatrix, opts ...Op) *DeltaProduct {
+	d := s.def.apply(opts)
 	return &DeltaProduct{
 		owner: s,
-		d:     s.def.apply(opts),
-		inner: core.NewDeltaProduct(m, a, b),
+		d:     d,
+		inner: core.NewDeltaProductSeeded(m, a, b, d.complement, nil),
 	}
 }
 
