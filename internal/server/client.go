@@ -1,7 +1,7 @@
 package server
 
-// Client speaks the wire protocol to a running server. The bench
-// serve-load study, the cmd/mspgemm-server smoke mode, and the tests all
+// Client speaks the wire protocol to a running server. perfbench's
+// serve-wire workload, the cmd/mspgemm-server smoke mode, and the tests all
 // drive servers through it.
 //
 // Requests are sent as checksummed (version-2) wire frames and responses
@@ -162,17 +162,22 @@ func (c *Client) Stats() ClientStats {
 }
 
 // readCapped reads a response body up to the client's cap, failing on
-// larger bodies before buffering them.
-func (c *Client) readCapped(body io.Reader) ([]byte, error) {
-	data, err := io.ReadAll(io.LimitReader(body, c.maxResp+1))
-	if err != nil {
+// larger bodies before buffering them. A Content-Length within the cap
+// sizes the buffer once; only bodies of unknown length grow by doubling.
+func (c *Client) readCapped(resp *http.Response) ([]byte, error) {
+	var buf bytes.Buffer
+	if n := resp.ContentLength; n >= 0 && n <= c.maxResp {
+		// MinRead spare bytes let ReadFrom see EOF without growing.
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, c.maxResp+1)); err != nil {
 		return nil, err
 	}
-	if int64(len(data)) > c.maxResp {
+	if int64(buf.Len()) > c.maxResp {
 		return nil, &StatusError{Code: http.StatusInsufficientStorage,
 			Message: fmt.Sprintf("response exceeds client cap of %d bytes", c.maxResp)}
 	}
-	return data, nil
+	return buf.Bytes(), nil
 }
 
 // post sends a frame-sequence body and returns the response body, mapping
@@ -189,7 +194,7 @@ func (c *Client) post(ctx context.Context, path string, body []byte) ([]byte, er
 		return nil, err
 	}
 	defer resp.Body.Close()
-	data, err := c.readCapped(resp.Body)
+	data, err := c.readCapped(resp)
 	if err != nil {
 		return nil, err
 	}
@@ -502,7 +507,7 @@ func (c *Client) get(ctx context.Context, path string) ([]byte, error) {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	data, err := c.readCapped(resp.Body)
+	data, err := c.readCapped(resp)
 	if err != nil {
 		return nil, err
 	}

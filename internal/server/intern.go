@@ -4,14 +4,25 @@ package server
 // both key on operand *identity* — which serves in-process callers that
 // re-submit the same objects, but a wire request decodes fresh objects
 // every time, so nothing would ever hit. The intern table restores
-// identity across the network: each decoded operand is content-addressed
-// by a SHA-256 over its dimensions and CSR arrays, and requests carrying
-// bytes seen before are rewritten to the canonical decoded object. Serving
-// workloads are exactly the re-multiply-against-a-static-graph loops the
-// session is built for, so the hot operands intern once and every later
-// request reuses their plans, coalesces with identical in-flight work, and
-// skips semantic re-validation (the canonical object was validated when it
-// was first admitted).
+// identity across the network: each decoded operand is keyed by a 64-bit
+// hash/maphash of its kind, dimensions and CSR arrays, and a request whose
+// operand hashes to a stored entry *and* matches it byte for byte is
+// rewritten to the canonical decoded object. Serving workloads are exactly
+// the re-multiply-against-a-static-graph loops the session is built for,
+// so the hot operands intern once and every later request reuses their
+// plans, coalesces with identical in-flight work, and skips semantic
+// re-validation (the canonical object was validated when it was first
+// admitted).
+//
+// The hash only finds the candidate; equality is decided by comparing the
+// raw bytes, floats included (so -0.0, +0.0 and distinct NaN payloads stay
+// distinct operands). A hash match whose bytes differ is a miss and is
+// never served; inserting the new operand replaces the colliding entry.
+// Each table draws its own random seed, so an adversary cannot precompute
+// colliding operands to flood one key. A hit therefore costs one hashing
+// pass plus one comparison pass over the operand, both memory-bandwidth
+// bound, and the comparison runs outside the table mutex: canonical copies
+// are immutable, so reading one after a concurrent eviction is safe.
 //
 // The table owns a private deep copy of every canonical operand, made at
 // insertion time. Decoded operands alias the pooled request body they
@@ -28,9 +39,10 @@ package server
 // the byte bound by itself is served but never stored.
 
 import (
+	"bytes"
 	"container/list"
-	"crypto/sha256"
 	"encoding/binary"
+	"hash/maphash"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -38,9 +50,10 @@ import (
 	"repro/internal/matrix"
 )
 
-// internKey is the content address of an operand: SHA-256 over a kind tag,
-// the dimensions, and the raw CSR array bytes.
-type internKey [sha256.Size]byte
+// internKey locates an operand's candidate entry: a seeded 64-bit hash of
+// a kind tag, the dimensions, and the raw CSR array bytes. Equal keys do
+// not imply equal operands; lookup and insert confirm by comparing bytes.
+type internKey uint64
 
 const (
 	internKindPattern = 0
@@ -49,6 +62,7 @@ const (
 
 // internTable is a bounded LRU of canonical decoded operands.
 type internTable struct {
+	seed     maphash.Seed
 	mu       sync.Mutex
 	cap      int
 	maxBytes int64
@@ -61,7 +75,7 @@ type internTable struct {
 
 type internEntry struct {
 	key  internKey
-	val  any // *matrix.Pattern or *matrix.CSR[float64]
+	val  any // *matrix.Pattern or *matrix.CSR[float64]; never mutated
 	size int64
 }
 
@@ -73,6 +87,7 @@ func newInternTable(capacity int, maxBytes int64) *internTable {
 		return nil
 	}
 	return &internTable{
+		seed:     maphash.MakeSeed(),
 		cap:      capacity,
 		maxBytes: maxBytes,
 		entries:  make(map[internKey]*list.Element, capacity),
@@ -81,7 +96,7 @@ func newInternTable(capacity int, maxBytes int64) *internTable {
 }
 
 // i32Bytes and f64Bytes reinterpret slice payloads as raw bytes for
-// hashing — read-only views, never stored.
+// hashing and comparison — read-only views, never stored.
 func i32Bytes(s []int32) []byte {
 	if len(s) == 0 {
 		return nil
@@ -96,34 +111,58 @@ func f64Bytes(s []float64) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), 8*len(s))
 }
 
-// digest content-addresses one operand.
-func digest(kind byte, nrows, ncols int32, rowptr, col []int32, val []float64) internKey {
-	h := sha256.New()
-	var hdr [9]byte
-	hdr[0] = kind
-	binary.LittleEndian.PutUint32(hdr[1:], uint32(nrows))
-	binary.LittleEndian.PutUint32(hdr[5:], uint32(ncols))
-	h.Write(hdr[:])
-	h.Write(i32Bytes(rowptr))
-	h.Write(i32Bytes(col))
-	if kind == internKindMatrix {
-		h.Write(f64Bytes(val))
-	}
-	return internKey(h.Sum(nil))
+// hash keys one operand under the table's seed: each array is hashed in
+// one call, and the kind, dimensions and array hashes are hashed again.
+func (t *internTable) hash(kind byte, nrows, ncols int32, rowptr, col []int32, val []float64) internKey {
+	var b [9 + 3*8]byte
+	b[0] = kind
+	binary.LittleEndian.PutUint32(b[1:], uint32(nrows))
+	binary.LittleEndian.PutUint32(b[5:], uint32(ncols))
+	binary.LittleEndian.PutUint64(b[9:], maphash.Bytes(t.seed, i32Bytes(rowptr)))
+	binary.LittleEndian.PutUint64(b[17:], maphash.Bytes(t.seed, i32Bytes(col)))
+	binary.LittleEndian.PutUint64(b[25:], maphash.Bytes(t.seed, f64Bytes(val)))
+	return internKey(maphash.Bytes(t.seed, b[:]))
 }
 
-// lookup returns the canonical object for key when present. Lookup and
-// insert are separate so the caller can run the O(nnz) semantic validation
-// only between a miss and the insertion: a hit is an operand that was
-// validated when first admitted, and an invalid operand never enters the
-// table.
-func (t *internTable) lookup(key internKey) (any, bool) {
+// sameOperand reports whether a and b are operands of the same kind with
+// byte-identical dimensions and arrays.
+func sameOperand(a, b any) bool {
+	switch a := a.(type) {
+	case *matrix.Pattern:
+		b, ok := b.(*matrix.Pattern)
+		return ok && a.NRows == b.NRows && a.NCols == b.NCols &&
+			bytes.Equal(i32Bytes(a.RowPtr), i32Bytes(b.RowPtr)) &&
+			bytes.Equal(i32Bytes(a.Col), i32Bytes(b.Col))
+	case *matrix.CSR[float64]:
+		b, ok := b.(*matrix.CSR[float64])
+		return ok && a.NRows == b.NRows && a.NCols == b.NCols &&
+			bytes.Equal(i32Bytes(a.RowPtr), i32Bytes(b.RowPtr)) &&
+			bytes.Equal(i32Bytes(a.Col), i32Bytes(b.Col)) &&
+			bytes.Equal(f64Bytes(a.Val), f64Bytes(b.Val))
+	}
+	return false
+}
+
+// lookup returns the canonical object stored under key when it is
+// byte-equal to probe. Lookup and insert are separate so the caller can
+// run the O(nnz) semantic validation only between a miss and the
+// insertion: a hit is an operand that was validated when first admitted,
+// and an invalid operand never enters the table.
+//
+// The entry is touched in the LRU before its bytes are confirmed; a
+// colliding entry that gets touched is replaced by the insert that follows
+// the miss anyway.
+func (t *internTable) lookup(key internKey, probe any) (any, bool) {
 	t.mu.Lock()
-	defer t.mu.Unlock()
+	var val any
 	if el, ok := t.entries[key]; ok {
 		t.lru.MoveToFront(el)
+		val = el.Value.(*internEntry).val
+	}
+	t.mu.Unlock()
+	if val != nil && sameOperand(val, probe) {
 		t.hits.Add(1)
-		return el.Value.(*internEntry).val, true
+		return val, true
 	}
 	t.misses.Add(1)
 	return nil, false
@@ -131,15 +170,19 @@ func (t *internTable) lookup(key internKey) (any, bool) {
 
 // insert records clone — a private deep copy the table will own, size
 // bytes of arrays — as key's canonical object and returns the canonical
-// object: clone, or the raced winner when a concurrent duplicate inserted
-// first. An operand larger than the byte bound by itself is returned
+// object: clone, or the raced winner when a concurrent byte-equal
+// duplicate inserted first. A different operand stored under the same key
+// is replaced. An operand larger than the byte bound by itself is returned
 // un-stored.
 func (t *internTable) insert(key internKey, clone any, size int64) any {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if el, ok := t.entries[key]; ok {
-		t.lru.MoveToFront(el)
-		return el.Value.(*internEntry).val
+		if e := el.Value.(*internEntry); sameOperand(e.val, clone) {
+			t.lru.MoveToFront(el)
+			return e.val
+		}
+		t.remove(el)
 	}
 	if t.maxBytes > 0 && size > t.maxBytes {
 		return clone
@@ -147,24 +190,28 @@ func (t *internTable) insert(key internKey, clone any, size int64) any {
 	t.entries[key] = t.lru.PushFront(&internEntry{key: key, val: clone, size: size})
 	t.bytes += size
 	for t.lru.Len() > t.cap || (t.maxBytes > 0 && t.bytes > t.maxBytes && t.lru.Len() > 1) {
-		el := t.lru.Back()
-		t.lru.Remove(el)
-		e := el.Value.(*internEntry)
-		delete(t.entries, e.key)
-		t.bytes -= e.size
+		t.remove(t.lru.Back())
 		t.evictions.Add(1)
 	}
 	return clone
 }
 
-// patternKey and matrixKey content-address the two operand kinds;
-// patternSize and matrixSize report the array bytes a stored copy retains.
-func patternKey(p *matrix.Pattern) internKey {
-	return digest(internKindPattern, p.NRows, p.NCols, p.RowPtr, p.Col, nil)
+// remove drops one entry; the caller holds t.mu.
+func (t *internTable) remove(el *list.Element) {
+	t.lru.Remove(el)
+	e := el.Value.(*internEntry)
+	delete(t.entries, e.key)
+	t.bytes -= e.size
 }
 
-func matrixKey(a *matrix.CSR[float64]) internKey {
-	return digest(internKindMatrix, a.NRows, a.NCols, a.RowPtr, a.Col, a.Val)
+// patternKey and matrixKey key the two operand kinds; patternSize and
+// matrixSize report the array bytes a stored copy retains.
+func (t *internTable) patternKey(p *matrix.Pattern) internKey {
+	return t.hash(internKindPattern, p.NRows, p.NCols, p.RowPtr, p.Col, nil)
+}
+
+func (t *internTable) matrixKey(a *matrix.CSR[float64]) internKey {
+	return t.hash(internKindMatrix, a.NRows, a.NCols, a.RowPtr, a.Col, a.Val)
 }
 
 func patternSize(p *matrix.Pattern) int64 {

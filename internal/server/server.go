@@ -19,12 +19,14 @@
 // server-level bound on queued frames admits them — so a saturated server
 // always answers 429 promptly instead of accumulating work.
 //
-// Decoded operands are content-addressed and interned (see intern.go), so
-// the serving loops the engine is built for — re-multiplying against a
-// static graph — regain operand identity across the wire: repeated
-// operands hit the session's plan cache, identical in-flight requests
-// coalesce, and re-validation is skipped. The table stores private copies,
-// so handlers recycle their pooled body buffer unconditionally.
+// Decoded operands are interned (see intern.go): a seeded 64-bit hash
+// finds the candidate entry and a bytewise compare with its canonical copy
+// confirms the hit, so the serving loops the engine is built for —
+// re-multiplying against a static graph — regain operand identity across
+// the wire: repeated operands hit the session's plan cache, identical
+// in-flight requests coalesce, and re-validation is skipped. The table
+// stores private copies, so handlers recycle their pooled body buffer
+// unconditionally.
 package server
 
 import (
@@ -37,6 +39,7 @@ import (
 	"net"
 	"net/http"
 	"runtime/debug"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -236,7 +239,7 @@ func (sv *Server) ListenAndServe(ctx context.Context, addr string) error {
 }
 
 // Local is an in-process server on an ephemeral localhost port, for tests
-// and the bench serve-load study.
+// and perfbench's serve-wire workload.
 type Local struct {
 	// Server is the running server; URL its base address
 	// ("http://127.0.0.1:port").
@@ -284,6 +287,11 @@ func (sv *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, func
 	}
 	buf := (*bp)[:0]
 	limit := sv.cfg.MaxBodyBytes
+	if n := r.ContentLength; n > 0 && n <= limit {
+		// One growth to the declared size; the spare byte lets the read
+		// that reports EOF land without growing again.
+		buf = slices.Grow(buf, int(n)+1)
+	}
 	for {
 		if len(buf) == cap(buf) {
 			buf = append(buf, 0)[:len(buf)]
@@ -401,10 +409,10 @@ func (sv *Server) internPattern(p *matrix.Pattern, what string) (*matrix.Pattern
 		}
 		return p, nil
 	}
-	key := patternKey(p)
+	key := sv.intern.patternKey(p)
 	// Chaos point: a forced miss sends an operand the table already holds
 	// down the full revalidate-and-copy path — which must stay equivalent.
-	if v, ok := sv.intern.lookup(key); ok && !faultinject.Fire(faultinject.PointInternMiss) {
+	if v, ok := sv.intern.lookup(key, p); ok && !faultinject.Fire(faultinject.PointInternMiss) {
 		return v.(*matrix.Pattern), nil
 	}
 	if err := validatePattern(p); err != nil {
@@ -422,8 +430,8 @@ func (sv *Server) internMatrix(a *matrix.CSR[float64], what string) (*matrix.CSR
 		}
 		return a, nil
 	}
-	key := matrixKey(a)
-	if v, ok := sv.intern.lookup(key); ok && !faultinject.Fire(faultinject.PointInternMiss) {
+	key := sv.intern.matrixKey(a)
+	if v, ok := sv.intern.lookup(key, a); ok && !faultinject.Fire(faultinject.PointInternMiss) {
 		return v.(*matrix.CSR[float64]), nil
 	}
 	if err := validateMatrix(a); err != nil {

@@ -1,10 +1,13 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -352,5 +355,35 @@ func TestDeadlineMapsTo504(t *testing.T) {
 	var se *StatusError
 	if !errors.As(err, &se) || se.Code != http.StatusGatewayTimeout {
 		t.Fatalf("1ms deadline on a large multiply: %v, want StatusError 504", err)
+	}
+}
+
+// TestClientResponseCap checks the client's response cap holds whether a
+// body declares its Content-Length or streams chunked, and that bodies
+// within the cap arrive intact either way.
+func TestClientResponseCap(t *testing.T) {
+	body := bytes.Repeat([]byte("0123456789abcdef"), 4096)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/sized" {
+			w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+		}
+		w.Write(body[:len(body)/2])
+		w.(http.Flusher).Flush()
+		w.Write(body[len(body)/2:])
+	}))
+	defer ts.Close()
+	ctx := context.Background()
+	for _, path := range []string{"/sized", "/chunked"} {
+		c := NewClient(ts.URL, ts.Client(), WithMaxResponseBytes(int64(len(body))))
+		got, err := c.get(ctx, path)
+		if err != nil || !bytes.Equal(got, body) {
+			t.Fatalf("%s at the cap: %d bytes, err %v; want the %d-byte body", path, len(got), err, len(body))
+		}
+		c = NewClient(ts.URL, ts.Client(), WithMaxResponseBytes(int64(len(body))-1))
+		_, err = c.get(ctx, path)
+		var se *StatusError
+		if !errors.As(err, &se) || se.Code != http.StatusInsufficientStorage {
+			t.Fatalf("%s over the cap: %v, want StatusError 507", path, err)
+		}
 	}
 }

@@ -23,6 +23,17 @@ const (
 	FlagCoalesced uint16 = 1 << 0
 )
 
+// patternBound and matrixBound bound the payload bytes encodePattern and
+// encodeMatrix write: the 12-byte dimension header, then each array with
+// up to 7 bytes of alignment padding before it.
+func patternBound(p *matrix.Pattern) int {
+	return 12 + 7 + 4*len(p.RowPtr) + 7 + 4*len(p.Col)
+}
+
+func matrixBound(a *matrix.CSR[float64]) int {
+	return 12 + 7 + 4*len(a.RowPtr) + 7 + 4*len(a.Col) + 7 + 8*len(a.Val)
+}
+
 // encodePattern writes a structure-only CSR matrix into the payload.
 func encodePattern(e *enc, p *matrix.Pattern) {
 	e.i32(p.NRows)
@@ -95,7 +106,8 @@ type MultiplyReq struct {
 
 // Encode appends the request as a complete frame to dst.
 func (r *MultiplyReq) Encode(dst []byte) []byte {
-	dst, off := beginFrame(dst, FrameMultiplyReq)
+	dst, off := beginFrame(dst, FrameMultiplyReq,
+		2+4+1+len(r.Semiring)+patternBound(r.M)+matrixBound(r.A)+matrixBound(r.B))
 	e := &enc{buf: dst, base: off + headerSize}
 	e.u16(r.Flags)
 	e.u32(r.DeadlineMillis)
@@ -160,7 +172,7 @@ type MultiplyRes struct {
 
 // Encode appends the response as a complete frame to dst.
 func (r *MultiplyRes) Encode(dst []byte) []byte {
-	dst, off := beginFrame(dst, FrameMultiplyRes)
+	dst, off := beginFrame(dst, FrameMultiplyRes, 2+2+matrixBound(r.C))
 	e := &enc{buf: dst, base: off + headerSize}
 	e.u16(r.Flags)
 	e.u16(r.Workers)
@@ -190,7 +202,7 @@ type ErrorFrame struct {
 
 // Encode appends the error as a complete frame to dst.
 func (r *ErrorFrame) Encode(dst []byte) []byte {
-	dst, off := beginFrame(dst, FrameError)
+	dst, off := beginFrame(dst, FrameError, 2+2+min(len(r.Message), 1<<15))
 	e := &enc{buf: dst, base: off + headerSize}
 	e.u16(r.Code)
 	msg := r.Message
@@ -225,7 +237,7 @@ type TriangleCountReq struct {
 
 // Encode appends the request as a complete frame to dst.
 func (r *TriangleCountReq) Encode(dst []byte) []byte {
-	dst, off := beginFrame(dst, FrameTriangleCountReq)
+	dst, off := beginFrame(dst, FrameTriangleCountReq, 4+matrixBound(r.G))
 	e := &enc{buf: dst, base: off + headerSize}
 	e.u32(r.DeadlineMillis)
 	encodeMatrix(e, r.G)
@@ -254,7 +266,7 @@ type TriangleCountRes struct {
 
 // Encode appends the response as a complete frame to dst.
 func (r *TriangleCountRes) Encode(dst []byte) []byte {
-	dst, off := beginFrame(dst, FrameTriangleCountRes)
+	dst, off := beginFrame(dst, FrameTriangleCountRes, 4*8)
 	e := &enc{buf: dst, base: off + headerSize}
 	e.i64(r.Triangles)
 	e.i64(r.Flops)
@@ -286,7 +298,7 @@ type BFSReq struct {
 
 // Encode appends the request as a complete frame to dst.
 func (r *BFSReq) Encode(dst []byte) []byte {
-	dst, off := beginFrame(dst, FrameBFSReq)
+	dst, off := beginFrame(dst, FrameBFSReq, 4+4+matrixBound(r.G))
 	e := &enc{buf: dst, base: off + headerSize}
 	e.i32(r.Source)
 	e.u32(r.DeadlineMillis)
@@ -316,7 +328,7 @@ type BFSRes struct {
 
 // Encode appends the response as a complete frame to dst.
 func (r *BFSRes) Encode(dst []byte) []byte {
-	dst, off := beginFrame(dst, FrameBFSRes)
+	dst, off := beginFrame(dst, FrameBFSRes, 4*4+7+4*len(r.Level))
 	e := &enc{buf: dst, base: off + headerSize}
 	e.i32(r.Depth)
 	e.i32(r.PushSteps)

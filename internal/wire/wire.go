@@ -128,8 +128,17 @@ func pad8(n int) int { return (n + 7) &^ 7 }
 
 // beginFrame appends a frame header for type t to dst and returns the
 // extended slice plus the header's offset, for finishFrame to patch the
-// payload length once the payload is written.
-func beginFrame(dst []byte, t FrameType) ([]byte, int) {
+// payload length once the payload is written. bound is an upper bound on
+// the payload bytes the encoder will write, alignment padding included:
+// the whole frame is reserved up front, so encoding allocates at most once
+// and not at all into a buffer with room to spare. A buffer that must grow
+// at least doubles, keeping a batch of appended frames linear. (The
+// reservation is spelled out rather than slices.Grow, whose append-of-make
+// allocates twice when the race detector disables that fusion.)
+func beginFrame(dst []byte, t FrameType, bound int) ([]byte, int) {
+	if n := headerSize + pad8(bound); cap(dst)-len(dst) < n {
+		dst = append(make([]byte, 0, max(len(dst)+n, 2*cap(dst))), dst...)
+	}
 	off := len(dst)
 	var h [headerSize]byte
 	copy(h[:4], magic[:])

@@ -3,8 +3,11 @@ package wire
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"math"
 	"math/rand/v2"
+	"strings"
 	"testing"
 
 	"repro/internal/grgen"
@@ -271,5 +274,186 @@ func TestMalformedFramesError(t *testing.T) {
 	})
 	if allocs > 16 {
 		t.Fatalf("malformed decode allocated %v objects; want a cheap rejection", allocs)
+	}
+}
+
+// golden builds frames the plain way: every field appended one at a
+// time, every array element through encoding/binary, zero padding to
+// 8-byte payload boundaries. It is the reference the encoders' one-shot
+// reservation must reproduce byte for byte.
+type golden struct{ p []byte }
+
+func (g *golden) u16(v uint16) { g.p = binary.LittleEndian.AppendUint16(g.p, v) }
+func (g *golden) u32(v uint32) { g.p = binary.LittleEndian.AppendUint32(g.p, v) }
+func (g *golden) u64(v uint64) { g.p = binary.LittleEndian.AppendUint64(g.p, v) }
+
+func (g *golden) pad() {
+	for len(g.p)%8 != 0 {
+		g.p = append(g.p, 0)
+	}
+}
+
+func (g *golden) i32s(v []int32) {
+	g.pad()
+	for _, x := range v {
+		g.u32(uint32(x))
+	}
+}
+
+func (g *golden) pattern(p *matrix.Pattern) {
+	g.u32(uint32(p.NRows))
+	g.u32(uint32(p.NCols))
+	g.u32(uint32(len(p.Col)))
+	g.i32s(p.RowPtr)
+	g.i32s(p.Col)
+}
+
+func (g *golden) matrix(a *matrix.CSR[float64]) {
+	g.pattern(a.Pattern())
+	g.pad()
+	for _, x := range a.Val {
+		g.u64(math.Float64bits(x))
+	}
+}
+
+// frame wraps the payload in a version-1 header and pads it.
+func (g *golden) frame(t FrameType) []byte {
+	n := len(g.p)
+	out := append([]byte("MSPW"), Version, byte(t), 0, 0)
+	out = binary.LittleEndian.AppendUint32(out, uint32(n))
+	out = binary.LittleEndian.AppendUint32(out, 0)
+	out = append(out, g.p...)
+	for len(out)%8 != 0 {
+		out = append(out, 0)
+	}
+	return out
+}
+
+// randCSR makes a small random CSR matrix, zero rows and zero entries
+// included, with values that exercise signed zeros and NaN payloads.
+func randCSR(rng *rand.Rand) *matrix.CSR[float64] {
+	nrows, ncols := int32(rng.IntN(6)), int32(rng.IntN(6))
+	a := &matrix.CSR[float64]{NRows: nrows, NCols: ncols, RowPtr: make([]int32, nrows+1)}
+	specials := []float64{0, math.Copysign(0, -1), math.NaN(), math.Float64frombits(0x7ff8_0000_0000_0001), 1.5}
+	for i := int32(0); i < nrows; i++ {
+		for j := int32(0); j < ncols; j++ {
+			if rng.IntN(3) == 0 {
+				a.Col = append(a.Col, j)
+				a.Val = append(a.Val, specials[rng.IntN(len(specials))])
+			}
+		}
+		a.RowPtr[i+1] = int32(len(a.Col))
+	}
+	return a
+}
+
+// encoder is what every message type implements.
+type encoder interface{ Encode(dst []byte) []byte }
+
+// randMessages returns one random instance of every message type paired
+// with its golden frame.
+func randMessages(rng *rand.Rand) ([]encoder, [][]byte) {
+	var msgs []encoder
+	var want [][]byte
+	add := func(m encoder, g *golden, t FrameType) {
+		msgs = append(msgs, m)
+		want = append(want, g.frame(t))
+	}
+	names := []string{"", "plus-pair", "arithmetic"}
+
+	req := &MultiplyReq{Flags: uint16(rng.IntN(2)), DeadlineMillis: rng.Uint32(),
+		Semiring: names[rng.IntN(len(names))], M: randCSR(rng).Pattern(), A: randCSR(rng), B: randCSR(rng)}
+	g := &golden{}
+	g.u16(req.Flags)
+	g.u32(req.DeadlineMillis)
+	g.p = append(append(g.p, byte(len(req.Semiring))), req.Semiring...)
+	g.pattern(req.M)
+	g.matrix(req.A)
+	g.matrix(req.B)
+	add(req, g, FrameMultiplyReq)
+
+	res := &MultiplyRes{Flags: uint16(rng.IntN(2)), Workers: uint16(rng.IntN(4)), C: randCSR(rng)}
+	g = &golden{}
+	g.u16(res.Flags)
+	g.u16(res.Workers)
+	g.matrix(res.C)
+	add(res, g, FrameMultiplyRes)
+
+	ef := &ErrorFrame{Code: 400, Message: strings.Repeat("x", rng.IntN(20))}
+	g = &golden{}
+	g.u16(ef.Code)
+	g.u16(uint16(len(ef.Message)))
+	g.p = append(g.p, ef.Message...)
+	add(ef, g, FrameError)
+
+	tcReq := &TriangleCountReq{DeadlineMillis: rng.Uint32(), G: randCSR(rng)}
+	g = &golden{}
+	g.u32(tcReq.DeadlineMillis)
+	g.matrix(tcReq.G)
+	add(tcReq, g, FrameTriangleCountReq)
+
+	tcRes := &TriangleCountRes{Triangles: rng.Int64(), Flops: rng.Int64(), MaskedNanos: rng.Int64(), TotalNanos: rng.Int64()}
+	g = &golden{}
+	for _, v := range []int64{tcRes.Triangles, tcRes.Flops, tcRes.MaskedNanos, tcRes.TotalNanos} {
+		g.u64(uint64(v))
+	}
+	add(tcRes, g, FrameTriangleCountRes)
+
+	bfsReq := &BFSReq{Source: int32(rng.IntN(5)), DeadlineMillis: rng.Uint32(), G: randCSR(rng)}
+	g = &golden{}
+	g.u32(uint32(bfsReq.Source))
+	g.u32(bfsReq.DeadlineMillis)
+	g.matrix(bfsReq.G)
+	add(bfsReq, g, FrameBFSReq)
+
+	bfsRes := &BFSRes{Depth: 2, PushSteps: 1, PullSteps: 1}
+	for i := rng.IntN(7); i > 0; i-- {
+		bfsRes.Level = append(bfsRes.Level, int32(rng.IntN(4))-1)
+	}
+	g = &golden{}
+	for _, v := range []int32{bfsRes.Depth, bfsRes.PushSteps, bfsRes.PullSteps, int32(len(bfsRes.Level))} {
+		g.u32(uint32(v))
+	}
+	g.i32s(bfsRes.Level)
+	add(bfsRes, g, FrameBFSRes)
+	return msgs, want
+}
+
+// TestEncodeMatchesGolden checks every encoder against the plain-append
+// reference on random shapes, both into a fresh buffer and appended after
+// an odd-length prefix (padding is relative to the payload, not the
+// buffer).
+func TestEncodeMatchesGolden(t *testing.T) {
+	rng := rand.New(rand.NewPCG(19, 1))
+	for iter := 0; iter < 200; iter++ {
+		msgs, want := randMessages(rng)
+		for i, m := range msgs {
+			if got := m.Encode(nil); !bytes.Equal(got, want[i]) {
+				t.Fatalf("iter %d: %T frame differs from golden:\n got %x\nwant %x", iter, m, got, want[i])
+			}
+			prefix := []byte{1, 2, 3}
+			if got := m.Encode(prefix); !bytes.Equal(got[:3], prefix) || !bytes.Equal(got[3:], want[i]) {
+				t.Fatalf("iter %d: %T frame after a prefix differs from golden", iter, m)
+			}
+		}
+	}
+}
+
+// TestEncodeAllocs checks the one-shot reservation: Encode(nil) allocates
+// exactly the frame, and encoding into a buffer with room allocates
+// nothing.
+func TestEncodeAllocs(t *testing.T) {
+	rng := rand.New(rand.NewPCG(19, 2))
+	msgs, _ := randMessages(rng)
+	big := &MultiplyReq{M: grgen.Random01Mask(300, 300, 8, 1), A: grgen.ErdosRenyi(300, 8, 2), B: grgen.ErdosRenyi(300, 8, 3)}
+	msgs = append(msgs, big, &MultiplyRes{C: big.A}, &ErrorFrame{Code: 500, Message: strings.Repeat("y", 1<<16)})
+	for _, m := range msgs {
+		if n := testing.AllocsPerRun(20, func() { _ = m.Encode(nil) }); n != 1 {
+			t.Errorf("%T: Encode(nil) made %v allocations, want 1", m, n)
+		}
+		buf := m.Encode(nil)
+		if n := testing.AllocsPerRun(20, func() { buf = m.Encode(buf[:0]) }); n != 0 {
+			t.Errorf("%T: Encode into a reused buffer made %v allocations, want 0", m, n)
+		}
 	}
 }
