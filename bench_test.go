@@ -517,9 +517,7 @@ func BenchmarkSchedule(b *testing.B) {
 					}
 				}
 				b.StopTimer()
-				// Exact miss counts only hold without -race: the race
-				// detector makes sync.Pool drop a fraction of Puts.
-				if missAfter := ws.PoolStatsSnapshot().Misses; !raceEnabled && missAfter != missBefore {
+				if missAfter := ws.PoolStatsSnapshot().Misses; missAfter != missBefore {
 					b.Fatalf("warmed drivers performed %d pool-missing allocations over %d ops; want 0",
 						missAfter-missBefore, b.N)
 				}

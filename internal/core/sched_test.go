@@ -184,9 +184,6 @@ func TestSchedCancellationMidFlight(t *testing.T) {
 // arena — zero driver-layer allocations in steady state, for both phases
 // and both schedules.
 func TestDriverPoolsWarmZeroMisses(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops a fraction of Puts under the race detector; exact miss counts only hold without -race")
-	}
 	g := grgen.RMAT(9, 8, 29)
 	l := matrix.RelabelTril(g)
 	m := l.Pattern()

@@ -16,12 +16,12 @@ import (
 // finish, so iterative callers (BFS, BC, MCL, k-truss sweeps) stop paying
 // an O(ncols) allocation per worker per call.
 //
-// Workspaces is safe for concurrent use (sync.Pool underneath) and a nil
-// *Workspaces disables pooling entirely: every helper falls back to a fresh
-// allocation, which is the pre-session behavior. Pooled entries hold no row
-// state between calls — each kernel leaves its accumulator fully reset (the
-// per-row reset discipline the kernels already follow), so reuse is
-// bit-identical to fresh scratch.
+// Workspaces is safe for concurrent use (sync.Pool and mutex-guarded free
+// lists underneath) and a nil *Workspaces disables pooling entirely: every
+// helper falls back to a fresh allocation, which is the pre-session
+// behavior. Pooled entries hold no row state between calls — each kernel
+// leaves its accumulator fully reset (the per-row reset discipline the
+// kernels already follow), so reuse is bit-identical to fresh scratch.
 //
 // Overlapping calls — the serving layer admits several multiplies on one
 // session at once — are safe by ownership discipline: every pooled object
@@ -51,9 +51,17 @@ type Workspaces struct {
 	// in [2^c, 2^(c+1)); buffers are allocated with capacity rounded up to
 	// the class boundary, so a stable working size always lands back in the
 	// class it is fetched from.
-	i64 [poolClasses]sync.Pool // *bufI64
-	idx [poolClasses]sync.Pool // *bufIdx
-	val [poolClasses]sync.Pool // *bufVal[T]
+	//
+	// These are mutex-guarded free lists rather than sync.Pools: a
+	// sync.Pool parks a Put in the putting P's private slot, where a Get
+	// running on another P cannot see it, and drops it on GC, so the
+	// "warmed calls take zero misses" contract would depend on goroutine
+	// placement. Drivers fetch a handful of buffers per call (not per row),
+	// so the lock is off the hot path. The lists keep what they hold for
+	// the session's lifetime, at most freeListCap buffers per class.
+	i64 [poolClasses]freeList // *bufI64
+	idx [poolClasses]freeList // *bufIdx
+	val [poolClasses]freeList // *bufVal[T]
 
 	// drvGets/drvMisses instrument the driver pools: a "miss" is a Get that
 	// had to allocate. Warmed steady state shows zero new misses; the alloc
@@ -63,6 +71,40 @@ type Workspaces struct {
 
 // poolClasses bounds the size-class ladder (2^47 elements ≫ any host).
 const poolClasses = 48
+
+// freeListCap bounds the buffers one size class retains. A class needs as
+// many as the drivers hold at once across overlapping calls; a Put beyond
+// the cap is left to the garbage collector.
+const freeListCap = 64
+
+// freeList is a LIFO stack of retired driver buffers of one size class.
+// Every Put up to freeListCap is kept and every Get sees it, whichever
+// goroutine or P made the Put.
+type freeList struct {
+	mu   sync.Mutex
+	free []any
+}
+
+func (f *freeList) Get() any {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	n := len(f.free)
+	if n == 0 {
+		return nil
+	}
+	v := f.free[n-1]
+	f.free[n-1] = nil
+	f.free = f.free[:n-1]
+	return v
+}
+
+func (f *freeList) Put(v any) {
+	f.mu.Lock()
+	if len(f.free) < freeListCap {
+		f.free = append(f.free, v)
+	}
+	f.mu.Unlock()
+}
 
 // bufI64/bufIdx/bufVal box a pooled slice so the box itself is reused
 // through the pool: Get and Put move the same pointer, allocating nothing in

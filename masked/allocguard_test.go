@@ -57,9 +57,6 @@ func TestSpecializedKernelsZeroAllocsPerRow(t *testing.T) {
 // own small arrays, but the kernels' accumulator and output buffers all
 // come from the warmed pools.
 func TestStreamingLoopDriverPoolWarm(t *testing.T) {
-	if raceEnabled {
-		t.Skip("exact pool-miss counts do not hold under -race (sync.Pool drops Puts)")
-	}
 	ctx := context.Background()
 	_, l := tcOperands(9, 8, 23)
 	s := NewSession(WithThreads(2), WithAccumulate(PlusPair()))

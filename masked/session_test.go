@@ -261,9 +261,7 @@ func benchmarkWarmedMultiplyDriverAllocs(b *testing.B, phase core.Phase) {
 		}
 	}
 	b.StopTimer()
-	// Exact miss counts only hold without -race: the race detector makes
-	// sync.Pool drop a fraction of Puts.
-	if missAfter := s.Stats().DriverPool.Misses; !raceEnabled && missAfter != missBefore {
+	if missAfter := s.Stats().DriverPool.Misses; missAfter != missBefore {
 		b.Fatalf("warmed Session.Multiply (%s) performed %d driver-layer allocations (pool misses) over %d ops; want 0",
 			phase, missAfter-missBefore, b.N)
 	}
@@ -279,9 +277,6 @@ func BenchmarkSessionMultiplyDriverAllocs2P(b *testing.B) {
 // TestWarmedSessionZeroDriverAllocs is the deterministic (non-benchmark)
 // form of the guarantee, covering both phases and the planner path.
 func TestWarmedSessionZeroDriverAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops a fraction of Puts under the race detector; exact miss counts only hold without -race")
-	}
 	ctx := context.Background()
 	lp, l := tcOperands(10, 8, 15)
 	cases := map[string][]Op{
