@@ -212,6 +212,52 @@ func TestDriverPoolsWarmZeroMisses(t *testing.T) {
 	}
 }
 
+// TestDriverPoolsRetainBounded: one multiply larger than the arena's
+// retain limit must not leave its buffers resident — the retained bytes
+// stay within the limit — and a small steady working set re-warms after it
+// and again takes zero misses.
+func TestDriverPoolsRetainBounded(t *testing.T) {
+	sr := semiring.Arithmetic()
+	small := matrix.RelabelTril(grgen.RMAT(7, 8, 31))
+	large := matrix.RelabelTril(grgen.RMAT(12, 8, 37))
+	v := Variant{Alg: MSA, Phase: OnePhase}
+	ws := NewWorkspaces()
+	ws.retainLimit = 128 << 10 // above small's working set, below large's
+	opt := Options{Threads: 2, Workspaces: ws}
+	multiply := func(l *matrix.CSR[float64]) {
+		t.Helper()
+		if _, err := MaskedSpGEMM(v, l.Pattern(), l, l, sr, opt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	retained := func() int64 {
+		ws.drvMu.Lock()
+		defer ws.drvMu.Unlock()
+		return ws.drvRetained
+	}
+	steadyMisses := func() int64 {
+		multiply(small) // warm
+		before := ws.PoolStatsSnapshot().Misses
+		for rep := 0; rep < 3; rep++ {
+			multiply(small)
+		}
+		return ws.PoolStatsSnapshot().Misses - before
+	}
+	if n := steadyMisses(); n != 0 {
+		t.Fatalf("small working set: %d misses after warmup; want 0", n)
+	}
+	multiply(large)
+	if r := retained(); r > ws.retainLimit {
+		t.Fatalf("after an oversized multiply the arena retains %d bytes; limit %d", r, ws.retainLimit)
+	}
+	if n := steadyMisses(); n != 0 {
+		t.Fatalf("small working set after an oversized multiply: %d misses after rewarming; want 0", n)
+	}
+	if r := retained(); r > ws.retainLimit {
+		t.Fatalf("steady state retains %d bytes; limit %d", r, ws.retainLimit)
+	}
+}
+
 // TestOnePhaseZeroCopyFastPath: when every row exactly fills its bound (the
 // output pattern equals the mask), the one-phase driver hands its bound bins
 // to the caller without a stitch copy — and the result is still exact.

@@ -2,8 +2,10 @@ package core
 
 import (
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/accum"
 	"repro/internal/matrix"
@@ -52,16 +54,31 @@ type Workspaces struct {
 	// the class boundary, so a stable working size always lands back in the
 	// class it is fetched from.
 	//
-	// These are mutex-guarded free lists rather than sync.Pools: a
-	// sync.Pool parks a Put in the putting P's private slot, where a Get
-	// running on another P cannot see it, and drops it on GC, so the
-	// "warmed calls take zero misses" contract would depend on goroutine
-	// placement. Drivers fetch a handful of buffers per call (not per row),
-	// so the lock is off the hot path. The lists keep what they hold for
-	// the session's lifetime, at most freeListCap buffers per class.
-	i64 [poolClasses]freeList // *bufI64
-	idx [poolClasses]freeList // *bufIdx
-	val [poolClasses]freeList // *bufVal[T]
+	// These are free lists rather than sync.Pools: a sync.Pool parks a Put
+	// in the putting P's private slot, where a Get running on another P
+	// cannot see it, and drops it on GC, so the "warmed calls take zero
+	// misses" contract would depend on goroutine placement. One mutex,
+	// drvMu, guards all three ladders; drivers fetch a handful of buffers
+	// per call (not per row), so it is off the hot path.
+	//
+	// What the lists retain is bounded two ways. A class never holds more
+	// buffers than were outstanding from it at once, since a buffer is only
+	// allocated when its class's list is empty; one driver call holds at
+	// most three per class (driver1P's offsets, counts and final row
+	// pointers), so a class holds at most three per overlapping call. And
+	// the retained bytes never exceed retainLimit: a Put that would pass it
+	// first evicts the buffers returned longest ago, and a buffer larger
+	// than the limit is left to the garbage collector. So one oversized
+	// multiply cannot make a long-lived session keep its peak footprint,
+	// while a steady working set within the limit stays resident and takes
+	// zero misses.
+	drvMu       sync.Mutex
+	i64         [poolClasses]freeList // *bufI64
+	idx         [poolClasses]freeList // *bufIdx
+	val         [poolClasses]freeList // *bufVal[T]
+	drvSeq      uint64                // Put counter, orders retained buffers by age
+	drvRetained int64                 // bytes held across all three ladders
+	retainLimit int64                 // bound on drvRetained; NewWorkspaces sets driverRetainBytes
 
 	// drvGets/drvMisses instrument the driver pools: a "miss" is a Get that
 	// had to allocate. Warmed steady state shows zero new misses; the alloc
@@ -72,38 +89,71 @@ type Workspaces struct {
 // poolClasses bounds the size-class ladder (2^47 elements ≫ any host).
 const poolClasses = 48
 
-// freeListCap bounds the buffers one size class retains. A class needs as
-// many as the drivers hold at once across overlapping calls; a Put beyond
-// the cap is left to the garbage collector.
-const freeListCap = 64
+// driverRetainBytes bounds the driver buffer bytes a session retains
+// between calls. The steady working sets of perfbench's workloads (1.7 to
+// 5.8 MiB of driver buffers) stay under a fifth of it, so they run with
+// zero driver pool misses.
+const driverRetainBytes = 32 << 20
 
-// freeList is a LIFO stack of retired driver buffers of one size class.
-// Every Put up to freeListCap is kept and every Get sees it, whichever
-// goroutine or P made the Put.
-type freeList struct {
-	mu   sync.Mutex
-	free []any
+// freeList is a LIFO stack of retired driver buffers of one size class,
+// guarded by Workspaces.drvMu. Every retained Put is seen by the next Get,
+// whichever goroutine or P made it.
+type freeList struct{ free []retainedBuf }
+
+// retainedBuf is one buffer on a free list: its box, its capacity in
+// bytes, and the Put that retained it (its age, for eviction).
+type retainedBuf struct {
+	box   any
+	bytes int64
+	seq   uint64
 }
 
-func (f *freeList) Get() any {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	n := len(f.free)
+// getBuf pops the most recently returned buffer of l, or nil.
+func (ws *Workspaces) getBuf(l *freeList) any {
+	ws.drvMu.Lock()
+	defer ws.drvMu.Unlock()
+	n := len(l.free)
 	if n == 0 {
 		return nil
 	}
-	v := f.free[n-1]
-	f.free[n-1] = nil
-	f.free = f.free[:n-1]
-	return v
+	r := l.free[n-1]
+	l.free[n-1] = retainedBuf{}
+	l.free = l.free[:n-1]
+	ws.drvRetained -= r.bytes
+	return r.box
 }
 
-func (f *freeList) Put(v any) {
-	f.mu.Lock()
-	if len(f.free) < freeListCap {
-		f.free = append(f.free, v)
+// putBuf retains box (bytes of capacity) on l, first evicting the oldest
+// retained buffers until it fits under retainLimit. A buffer larger than
+// the limit is not retained.
+func (ws *Workspaces) putBuf(l *freeList, box any, bytes int64) {
+	ws.drvMu.Lock()
+	defer ws.drvMu.Unlock()
+	if bytes > ws.retainLimit {
+		return
 	}
-	f.mu.Unlock()
+	for ws.drvRetained+bytes > ws.retainLimit {
+		ws.evictOldest()
+	}
+	ws.drvSeq++
+	l.free = append(l.free, retainedBuf{box: box, bytes: bytes, seq: ws.drvSeq})
+	ws.drvRetained += bytes
+}
+
+// evictOldest drops the buffer returned longest ago. Each list is a stack,
+// so its oldest buffer is at the bottom; the oldest overall is the bottom
+// with the smallest seq. Callers hold drvMu and retain at least one buffer.
+func (ws *Workspaces) evictOldest() {
+	var oldest *freeList
+	for _, ladder := range []*[poolClasses]freeList{&ws.i64, &ws.idx, &ws.val} {
+		for c := range ladder {
+			if l := &ladder[c]; len(l.free) > 0 && (oldest == nil || l.free[0].seq < oldest.free[0].seq) {
+				oldest = l
+			}
+		}
+	}
+	ws.drvRetained -= oldest.free[0].bytes
+	oldest.free = slices.Delete(oldest.free, 0, 1)
 }
 
 // bufI64/bufIdx/bufVal box a pooled slice so the box itself is reused
@@ -155,7 +205,7 @@ func wsGetI64(ws *Workspaces, n int) *bufI64 {
 	if ws != nil {
 		ws.drvGets.Add(1)
 		c := sizeClass(n)
-		if v, ok := ws.i64[c].Get().(*bufI64); ok && cap(v.s) >= n {
+		if v, ok := ws.getBuf(&ws.i64[c]).(*bufI64); ok && cap(v.s) >= n {
 			v.s = v.s[:n]
 			return v
 		}
@@ -167,7 +217,7 @@ func wsGetI64(ws *Workspaces, n int) *bufI64 {
 
 func wsPutI64(ws *Workspaces, b *bufI64) {
 	if ws != nil && b != nil && cap(b.s) > 0 {
-		ws.i64[sizeClass(cap(b.s))].Put(b)
+		ws.putBuf(&ws.i64[sizeClass(cap(b.s))], b, int64(cap(b.s))*8)
 	}
 }
 
@@ -175,7 +225,7 @@ func wsGetIdx(ws *Workspaces, n int) *bufIdx {
 	if ws != nil {
 		ws.drvGets.Add(1)
 		c := sizeClass(n)
-		if v, ok := ws.idx[c].Get().(*bufIdx); ok && cap(v.s) >= n {
+		if v, ok := ws.getBuf(&ws.idx[c]).(*bufIdx); ok && cap(v.s) >= n {
 			v.s = v.s[:n]
 			return v
 		}
@@ -187,7 +237,7 @@ func wsGetIdx(ws *Workspaces, n int) *bufIdx {
 
 func wsPutIdx(ws *Workspaces, b *bufIdx) {
 	if ws != nil && b != nil && cap(b.s) > 0 {
-		ws.idx[sizeClass(cap(b.s))].Put(b)
+		ws.putBuf(&ws.idx[sizeClass(cap(b.s))], b, int64(cap(b.s))*int64(unsafe.Sizeof(Index(0))))
 	}
 }
 
@@ -195,7 +245,7 @@ func wsGetVal[T any](ws *Workspaces, n int) *bufVal[T] {
 	if ws != nil {
 		ws.drvGets.Add(1)
 		c := sizeClass(n)
-		if v, ok := ws.val[c].Get().(*bufVal[T]); ok && cap(v.s) >= n {
+		if v, ok := ws.getBuf(&ws.val[c]).(*bufVal[T]); ok && cap(v.s) >= n {
 			v.s = v.s[:n]
 			return v
 		}
@@ -207,12 +257,12 @@ func wsGetVal[T any](ws *Workspaces, n int) *bufVal[T] {
 
 func wsPutVal[T any](ws *Workspaces, b *bufVal[T]) {
 	if ws != nil && b != nil && cap(b.s) > 0 {
-		ws.val[sizeClass(cap(b.s))].Put(b)
+		ws.putBuf(&ws.val[sizeClass(cap(b.s))], b, int64(cap(b.s))*int64(unsafe.Sizeof(b.s[0])))
 	}
 }
 
 // NewWorkspaces returns an empty arena.
-func NewWorkspaces() *Workspaces { return &Workspaces{} }
+func NewWorkspaces() *Workspaces { return &Workspaces{retainLimit: driverRetainBytes} }
 
 func wsGetMSA[T any](ws *Workspaces, ncols int) *accum.MSA[T] {
 	if ws != nil {

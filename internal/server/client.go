@@ -161,14 +161,20 @@ func (c *Client) Stats() ClientStats {
 	}
 }
 
+// maxResponsePresize bounds the buffer readCapped reserves from a
+// response's Content-Length before any body byte arrives; a longer body
+// grows the buffer as its bytes are read.
+const maxResponsePresize = 4 << 20
+
 // readCapped reads a response body up to the client's cap, failing on
 // larger bodies before buffering them. A Content-Length within the cap
-// sizes the buffer once; only bodies of unknown length grow by doubling.
+// sizes the buffer once, up to maxResponsePresize; longer bodies and
+// bodies of unknown length grow by doubling.
 func (c *Client) readCapped(resp *http.Response) ([]byte, error) {
 	var buf bytes.Buffer
 	if n := resp.ContentLength; n >= 0 && n <= c.maxResp {
 		// MinRead spare bytes let ReadFrom see EOF without growing.
-		buf.Grow(int(n) + bytes.MinRead)
+		buf.Grow(int(min(n, maxResponsePresize)) + bytes.MinRead)
 	}
 	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, c.maxResp+1)); err != nil {
 		return nil, err

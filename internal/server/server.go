@@ -39,7 +39,6 @@ import (
 	"net"
 	"net/http"
 	"runtime/debug"
-	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -286,12 +285,10 @@ func (sv *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, func
 		bp = new([]byte)
 	}
 	buf := (*bp)[:0]
+	// The buffer grows with the bytes that arrive, never with the declared
+	// Content-Length: a client cannot pin memory with a header it does not
+	// follow with a body. Warmed pooled buffers already fit hot requests.
 	limit := sv.cfg.MaxBodyBytes
-	if n := r.ContentLength; n > 0 && n <= limit {
-		// One growth to the declared size; the spare byte lets the read
-		// that reports EOF land without growing again.
-		buf = slices.Grow(buf, int(n)+1)
-	}
 	for {
 		if len(buf) == cap(buf) {
 			buf = append(buf, 0)[:len(buf)]

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -385,5 +386,59 @@ func TestClientResponseCap(t *testing.T) {
 		if !errors.As(err, &se) || se.Code != http.StatusInsufficientStorage {
 			t.Fatalf("%s over the cap: %v, want StatusError 507", path, err)
 		}
+	}
+}
+
+// allocatedBytes reports the heap bytes allocated while f runs.
+func allocatedBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestReadBodyIgnoresDeclaredLength pins that the server's body buffer
+// grows with the bytes received, not with the Content-Length header: a
+// client declaring a large body and sending a few bytes must not make the
+// server reserve the declared size.
+func TestReadBodyIgnoresDeclaredLength(t *testing.T) {
+	sv := New(Config{Threads: 1})
+	const declared = 64 << 20
+	r := httptest.NewRequest(http.MethodPost, "/v1/multiply", strings.NewReader("MSPW"))
+	r.ContentLength = declared
+	var got []byte
+	n := allocatedBytes(func() {
+		body, release, ok := sv.readBody(httptest.NewRecorder(), r)
+		if !ok {
+			t.Fatal("readBody rejected a 4-byte body")
+		}
+		got = bytes.Clone(body)
+		release()
+	})
+	if string(got) != "MSPW" {
+		t.Fatalf("body %q, want %q", got, "MSPW")
+	}
+	if n > 1<<20 {
+		t.Fatalf("reading a 4-byte body declared as %d bytes allocated %d bytes", declared, n)
+	}
+}
+
+// TestClientResponsePresizeCapped pins that a response's Content-Length
+// reserves at most maxResponsePresize before its bytes arrive.
+func TestClientResponsePresizeCapped(t *testing.T) {
+	c := NewClient("http://127.0.0.1:0", nil)
+	const declared = 64 << 20
+	resp := &http.Response{ContentLength: declared, Body: io.NopCloser(strings.NewReader("abc"))}
+	var got []byte
+	var err error
+	n := allocatedBytes(func() { got, err = c.readCapped(resp) })
+	if err != nil || string(got) != "abc" {
+		t.Fatalf("readCapped = %q, %v; want %q", got, err, "abc")
+	}
+	// bytes.Buffer's growth copies once more under -race, so allow a few
+	// presizes; reserving the declared size would take 64 MiB.
+	if n > 4*maxResponsePresize {
+		t.Fatalf("reading a 3-byte response declared as %d bytes allocated %d bytes", declared, n)
 	}
 }

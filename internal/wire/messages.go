@@ -23,15 +23,11 @@ const (
 	FlagCoalesced uint16 = 1 << 0
 )
 
-// patternBound and matrixBound bound the payload bytes encodePattern and
-// encodeMatrix write: the 12-byte dimension header, then each array with
-// up to 7 bytes of alignment padding before it.
+// patternBound bounds the payload bytes encodePattern writes: the 12-byte
+// dimension header, then each array with up to 7 bytes of alignment
+// padding before it.
 func patternBound(p *matrix.Pattern) int {
 	return 12 + 7 + 4*len(p.RowPtr) + 7 + 4*len(p.Col)
-}
-
-func matrixBound(a *matrix.CSR[float64]) int {
-	return 12 + 7 + 4*len(a.RowPtr) + 7 + 4*len(a.Col) + 7 + 8*len(a.Val)
 }
 
 // encodePattern writes a structure-only CSR matrix into the payload.
@@ -61,6 +57,12 @@ func decodePattern(d *dec) *matrix.Pattern {
 		return nil
 	}
 	return &matrix.Pattern{NRows: nrows, NCols: ncols, RowPtr: rowptr, Col: col}
+}
+
+// matrixBound bounds the payload bytes encodeMatrix writes: its pattern,
+// then the values with up to 7 bytes of alignment padding before them.
+func matrixBound(a *matrix.CSR[float64]) int {
+	return patternBound(a.Pattern()) + 7 + 8*len(a.Val)
 }
 
 // encodeMatrix writes a CSR float64 matrix into the payload.
@@ -200,15 +202,16 @@ type ErrorFrame struct {
 	Message string
 }
 
+// maxErrorMessage is the longest Message an ErrorFrame carries; Encode
+// truncates longer ones.
+const maxErrorMessage = 1 << 15
+
 // Encode appends the error as a complete frame to dst.
 func (r *ErrorFrame) Encode(dst []byte) []byte {
-	dst, off := beginFrame(dst, FrameError, 2+2+min(len(r.Message), 1<<15))
+	msg := r.Message[:min(len(r.Message), maxErrorMessage)]
+	dst, off := beginFrame(dst, FrameError, 2+2+len(msg))
 	e := &enc{buf: dst, base: off + headerSize}
 	e.u16(r.Code)
-	msg := r.Message
-	if len(msg) > 1<<15 {
-		msg = msg[:1<<15]
-	}
 	e.u16(uint16(len(msg)))
 	e.buf = append(e.buf, msg...)
 	return finishFrame(e.buf, off)

@@ -379,11 +379,13 @@ func randMessages(rng *rand.Rand) ([]encoder, [][]byte) {
 	g.matrix(res.C)
 	add(res, g, FrameMultiplyRes)
 
-	ef := &ErrorFrame{Code: 400, Message: strings.Repeat("x", rng.IntN(20))}
+	// Messages past 32 KiB are truncated to their first 32768 bytes.
+	msgLen := []int{rng.IntN(20), 1 << 15, 1<<15 + 1 + rng.IntN(20)}[rng.IntN(3)]
+	ef := &ErrorFrame{Code: 400, Message: strings.Repeat("x", msgLen)}
 	g = &golden{}
 	g.u16(ef.Code)
-	g.u16(uint16(len(ef.Message)))
-	g.p = append(g.p, ef.Message...)
+	g.u16(uint16(min(msgLen, 1<<15)))
+	g.p = append(g.p, ef.Message[:min(msgLen, 1<<15)]...)
 	add(ef, g, FrameError)
 
 	tcReq := &TriangleCountReq{DeadlineMillis: rng.Uint32(), G: randCSR(rng)}
