@@ -10,6 +10,17 @@ package accum
 // Set --Insert--> Set; Remove returns the value iff Set and resets to
 // NotAllowed.
 //
+// Counting mode (plus-pair numeric rows): NotAllowed = 0 and Allowed = 1,
+// so the state byte is itself the weight of a plus-pair contribution and a
+// kernel can accumulate value[j] += T(state[j]) for every flop with no
+// branch. Allowing a key also zeroes its value, and keys never move to Set,
+// so the value at an allowed key is its contribution count. Values at
+// NotAllowed keys are scratch: they may hold anything, including another
+// semiring's leftovers, and are never read. The gather walks the mask row,
+// resets each key to NotAllowed and keeps it only if its count is non-zero.
+// The state machine reads a value only at a Set key, which it wrote on the
+// way to Set, so leftovers never leak between the two modes.
+//
 // Complement mode (§5.2 last paragraph): the default state plays the role
 // of Allowed, mask entries are marked Excluded via SetNotAllowed, and an
 // insertion log enables gathering without scanning the whole dense array
@@ -45,6 +56,11 @@ func (s *MSA[T]) Len() int { return len(s.state) }
 func (s *MSA[T]) SetAllowed(key Index) {
 	s.state[key] = Allowed
 }
+
+// Arrays returns the dense state and value arrays (equal lengths) for the
+// counting mode, whose setup, scatter and gather index them directly so
+// each flop is one byte load and one add-store.
+func (s *MSA[T]) Arrays() ([]State, []T) { return s.state, s.value[:len(s.state)] }
 
 // Insert accumulates v at key if allowed, reporting whether it was kept.
 func (s *MSA[T]) Insert(key Index, v T, add func(T, T) T) bool {

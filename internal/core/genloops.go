@@ -16,6 +16,14 @@
 //
 // Operators that ignore an operand skip its load entirely (plus-pair loops
 // never touch a.Val/b.Val), which is part of the speedup being generated.
+//
+// One loop departs from the generic structure: the plus-pair MSA numeric
+// row (msaCountLoopPlusPair) is a branch-free counting scatter,
+// value[j] += T(state[j]), instead of the three-way state switch (see the
+// counting mode in accum.MSA). Its output is still bit-identical: T is
+// int64 or float64 and every count stays below 2^53, so each sum of ones
+// is exact and is non-zero exactly when the key received a contribution,
+// and the gather runs in mask order as before.
 package main
 
 import (
@@ -33,6 +41,7 @@ type combo struct {
 	Constraint string
 	UsesAV     bool // Mul reads the A value
 	UsesBV     bool // Mul reads the B value
+	Counting   bool // MSA numeric row is the branch-free counting scatter
 	MulDoc     string
 	AddDoc     string
 	mul        func(av, bv string) string
@@ -42,21 +51,21 @@ type combo struct {
 func plusAdd(x, y string) string { return x + " + " + y }
 
 var combos = []combo{
-	{"PlusTimes", "loopNumeric", true, true, "x * y", "x + y",
+	{"PlusTimes", "loopNumeric", true, true, false, "x * y", "x + y",
 		func(av, bv string) string { return av + " * " + bv }, plusAdd},
-	{"PlusPair", "loopNumeric", false, false, "1", "x + y",
+	{"PlusPair", "loopNumeric", false, false, true, "1", "x + y",
 		func(av, bv string) string { return "T(1)" }, plusAdd},
-	{"PlusFirst", "loopNumeric", true, false, "x", "x + y",
+	{"PlusFirst", "loopNumeric", true, false, false, "x", "x + y",
 		func(av, bv string) string { return av }, plusAdd},
-	{"PlusSecond", "loopNumeric", false, true, "y", "x + y",
+	{"PlusSecond", "loopNumeric", false, true, false, "y", "x + y",
 		func(av, bv string) string { return bv }, plusAdd},
-	{"MinPlus", "loopNumeric", true, true, "x + y", "min(x, y)",
+	{"MinPlus", "loopNumeric", true, true, false, "x + y", "min(x, y)",
 		func(av, bv string) string { return av + " + " + bv },
 		func(x, y string) string { return "addMin(" + x + ", " + y + ")" }},
-	{"MaxTimes", "loopNumeric", true, true, "x * y", "max(x, y)",
+	{"MaxTimes", "loopNumeric", true, true, false, "x * y", "max(x, y)",
 		func(av, bv string) string { return av + " * " + bv },
 		func(x, y string) string { return "addMax(" + x + ", " + y + ")" }},
-	{"OrAnd", "loopBool", true, true, "x && y", "x || y",
+	{"OrAnd", "loopBool", true, true, false, "x && y", "x || y",
 		func(av, bv string) string { return av + " && " + bv },
 		func(x, y string) string { return x + " || " + y }},
 }
@@ -71,11 +80,42 @@ import (
 )
 `
 
-// loopsTmpl emits the nine loop shapes plus the opLoops constructor for one
+// loopsTmpl emits the nine loop shapes (the counting MSA row in place of
+// the MSA scatter for a Counting operator) plus the opLoops constructor for one
 // operator. {{p}} is the B-column position variable: "_" when the operator
 // never reads B values, so the generated loop skips the value loads.
 const loopsTmpl = `
 // ----- {{.Name}}: Add(x, y) = {{.AddDoc}}; Mul(x, y) = {{.MulDoc}} -----
+{{if .Counting}}
+// msaCountLoop{{.Name}} is msaKernel.numericRow for a non-empty,
+// non-complemented mask row as a branch-free counting scatter: allow each
+// mask key with a zero count, add the state byte (Allowed = 1,
+// NotAllowed = 0) for every flop, then gather the non-zero counts in mask
+// order, resetting each key. It returns the row's output length.
+func msaCountLoop{{.Name}}[T {{.Constraint}}](acc *accum.MSA[T], a, b *matrix.CSR[T], i Index, mrow, col []Index, val []T) Index {
+	state, value := acc.Arrays()
+	for _, j := range mrow {
+		state[j] = accum.Allowed
+		value[j] = 0
+	}
+	for kk := a.RowPtr[i]; kk < a.RowPtr[i+1]; kk++ {
+		kcol := a.Col[kk]
+		for _, j := range b.Col[b.RowPtr[kcol]:b.RowPtr[kcol+1]] {
+			value[j] += T(state[j])
+		}
+	}
+	var cnt Index
+	for _, j := range mrow {
+		state[j] = accum.NotAllowed
+		if c := value[j]; c != 0 {
+			col[cnt] = j
+			val[cnt] = c
+			cnt++
+		}
+	}
+	return cnt
+}
+{{- else}}
 
 // msaLoop{{.Name}} is msaKernel.numericRow's scatter with {{.Name}} inlined.
 func msaLoop{{.Name}}[T {{.Constraint}}](acc *accum.MSA[T], a, b *matrix.CSR[T], i Index) {
@@ -100,6 +140,7 @@ func msaLoop{{.Name}}[T {{.Constraint}}](acc *accum.MSA[T], a, b *matrix.CSR[T],
 		}
 	}
 }
+{{- end}}
 
 // msaRunLoop{{.Name}} is msaKernel.numericRowRun's scatter with {{.Name}} inlined.
 func msaRunLoop{{.Name}}[T {{.Constraint}}](acc *accum.MSA[T], a, b *matrix.CSR[T], i, lo, hi Index, comp bool) {
@@ -315,7 +356,11 @@ func dotLoop{{.Name}}[T {{.Constraint}}](aIdx []Index, aVal []T, bIdx []Index, b
 // opLoops{{.Name}} bundles the {{.Name}} loop set for element type T.
 func opLoops{{.Name}}[T {{.Constraint}}]() opLoops[T] {
 	return opLoops[T]{
+{{- if .Counting}}
+		msaCount:  msaCountLoop{{.Name}}[T],
+{{- else}}
 		msa:       msaLoop{{.Name}}[T],
+{{- end}}
 		msaRun:    msaRunLoop{{.Name}}[T],
 		msaC:      msaCLoop{{.Name}}[T],
 		hash:      hashLoop{{.Name}}[T],

@@ -30,6 +30,10 @@ type opLoops[T any] struct {
 	msa    func(acc *accum.MSA[T], a, b *matrix.CSR[T], i Index)
 	msaRun func(acc *accum.MSA[T], a, b *matrix.CSR[T], i, lo, hi Index, comp bool)
 	msaC   func(acc *accum.MSA[T], a, b *matrix.CSR[T], i Index)
+	// msaCount, set instead of msa for plus-pair, runs a whole
+	// non-complemented numeric row as a branch-free counting scatter (see
+	// accum.MSA's counting mode) and returns the row's output length.
+	msaCount func(acc *accum.MSA[T], a, b *matrix.CSR[T], i Index, mrow, col []Index, val []T) Index
 
 	hash      func(acc *accum.Hash[T], a, b *matrix.CSR[T], i Index)
 	hashProbe func(acc *accum.Hash[T], p *maskProbe, a, b *matrix.CSR[T], i Index, comp bool)

@@ -231,21 +231,33 @@ func opLoopsPlusTimes[T loopNumeric]() opLoops[T] {
 
 // ----- PlusPair: Add(x, y) = x + y; Mul(x, y) = 1 -----
 
-// msaLoopPlusPair is msaKernel.numericRow's scatter with PlusPair inlined.
-func msaLoopPlusPair[T loopNumeric](acc *accum.MSA[T], a, b *matrix.CSR[T], i Index) {
+// msaCountLoopPlusPair is msaKernel.numericRow for a non-empty,
+// non-complemented mask row as a branch-free counting scatter: allow each
+// mask key with a zero count, add the state byte (Allowed = 1,
+// NotAllowed = 0) for every flop, then gather the non-zero counts in mask
+// order, resetting each key. It returns the row's output length.
+func msaCountLoopPlusPair[T loopNumeric](acc *accum.MSA[T], a, b *matrix.CSR[T], i Index, mrow, col []Index, val []T) Index {
+	state, value := acc.Arrays()
+	for _, j := range mrow {
+		state[j] = accum.Allowed
+		value[j] = 0
+	}
 	for kk := a.RowPtr[i]; kk < a.RowPtr[i+1]; kk++ {
 		kcol := a.Col[kk]
-		bLo, bHi := b.RowPtr[kcol], b.RowPtr[kcol+1]
-		bCol := b.Col[bLo:bHi]
-		for _, j := range bCol {
-			switch acc.State(j) {
-			case accum.Allowed:
-				acc.Store(j, T(1))
-			case accum.Set:
-				acc.SetValue(j, acc.Value(j)+T(1))
-			}
+		for _, j := range b.Col[b.RowPtr[kcol]:b.RowPtr[kcol+1]] {
+			value[j] += T(state[j])
 		}
 	}
+	var cnt Index
+	for _, j := range mrow {
+		state[j] = accum.NotAllowed
+		if c := value[j]; c != 0 {
+			col[cnt] = j
+			val[cnt] = c
+			cnt++
+		}
+	}
+	return cnt
 }
 
 // msaRunLoopPlusPair is msaKernel.numericRowRun's scatter with PlusPair inlined.
@@ -417,7 +429,7 @@ func dotLoopPlusPair[T loopNumeric](aIdx []Index, aVal []T, bIdx []Index, bVal [
 // opLoopsPlusPair bundles the PlusPair loop set for element type T.
 func opLoopsPlusPair[T loopNumeric]() opLoops[T] {
 	return opLoops[T]{
-		msa:       msaLoopPlusPair[T],
+		msaCount:  msaCountLoopPlusPair[T],
 		msaRun:    msaRunLoopPlusPair[T],
 		msaC:      msaCLoopPlusPair[T],
 		hash:      hashLoopPlusPair[T],

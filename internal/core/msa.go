@@ -118,6 +118,9 @@ func (k *msaKernel[T, O]) numericRow(i Index, col []Index, val []T) Index {
 		return 0
 	}
 	acc, a, b, ops := k.acc, k.a, k.b, k.ops
+	if k.lp.msaCount != nil {
+		return k.lp.msaCount(acc, a, b, i, mrow, col, val)
+	}
 	for _, j := range mrow {
 		acc.SetAllowed(j)
 	}
