@@ -264,13 +264,16 @@ func TestFeedbackConcurrentReplanStress(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				if gi%2 == 0 {
-					q := analyze()
+					// Analyze may hand every goroutine the same resident
+					// plan, so set the prediction on a private shallow
+					// copy; it keeps the shared feedback pointer.
+					q := *analyze()
 					q.PredictedNs = 1000
 					ns := int64(1000)
 					if i%3 == 0 {
 						ns = 10000
 					}
-					c.Record(q, ns)
+					c.Record(&q, ns)
 				} else {
 					c.Record(p, 10000)
 				}
