@@ -80,10 +80,11 @@ import (
 )
 `
 
-// loopsTmpl emits the nine loop shapes (the counting MSA row in place of
-// the MSA scatter for a Counting operator) plus the opLoops constructor for one
-// operator. {{p}} is the B-column position variable: "_" when the operator
-// never reads B values, so the generated loop skips the value loads.
+// loopsTmpl emits the nine loop shapes plus the opLoops constructor for one
+// operator; a Counting operator gets the counting MSA row in place of the
+// MSA scatter. {{p}} is the B-column position variable: "_" when the
+// operator never reads B values, so the generated loop skips the value
+// loads.
 const loopsTmpl = `
 // ----- {{.Name}}: Add(x, y) = {{.AddDoc}}; Mul(x, y) = {{.MulDoc}} -----
 {{if .Counting}}

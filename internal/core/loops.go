@@ -21,7 +21,8 @@ import (
 // A zero opLoops (all fields nil) makes the kernels run their generic ops
 // loops instead: that is the funcptr fallback path for custom semirings.
 // The generated loops replicate the generic loops' operation order exactly,
-// so the two paths are bit-identical.
+// so the two paths are bit-identical; msaCount departs from that structure
+// but its integer-valued counts are exact, so its output is too.
 //
 // The Heap/HeapDot kernels have no loop entry here: their multiply-add sits
 // under a heap pop, so there is no inner sweep to batch, and the operator

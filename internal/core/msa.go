@@ -11,7 +11,9 @@ import (
 // msaKernel implements the MSA masked SpGEVM of Algorithm 2 row by row:
 // mark the mask entries allowed, scatter the scaled B rows through the MSA
 // state machine, then gather in mask order (which keeps output rows sorted
-// because mask rows are sorted).
+// because mask rows are sorted). Plus-pair rows on a non-complemented mask
+// run the generated counting row instead (opLoops.msaCount), which adds
+// the state byte per flop rather than switching on it.
 //
 // The MSA's dense state array is itself a direct-index mask representation,
 // so the bitmap adds nothing here; only the dense-run representation changes
