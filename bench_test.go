@@ -107,9 +107,10 @@ func BenchmarkFig08TriangleCount(b *testing.B) {
 	}
 }
 
-// BenchmarkRelabel times building triangle counting's operand L from the
+// BenchmarkRelabel times building triangle counting's operand from the
 // graph: the three-step chain (degree permutation, permuted copy, lower
-// triangle) against the fused RelabelTril, which yields the same L.
+// triangle) against the fused RelabelTril, which yields the same L, and
+// RelabelTriu, which yields the pattern of Lᵀ that TriangleCount runs on.
 func BenchmarkRelabel(b *testing.B) {
 	loadInputs()
 	b.Run("chain", func(b *testing.B) {
@@ -122,6 +123,12 @@ func BenchmarkRelabel(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			matrix.RelabelTril(rmatG)
+		}
+	})
+	b.Run("triu", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			matrix.RelabelTriu(rmatG)
 		}
 	})
 }

@@ -41,6 +41,12 @@ type Engine struct {
 	// (better information than the coarse hint), and the baselines have no
 	// representation choice, so both leave MultRep nil.
 	MultRep func(m *matrix.Pattern, a, b *matrix.CSR[float64], sr semiring.Semiring[float64], complement bool, rep core.MaskRep) (*matrix.CSR[float64], error)
+	// PairCount, if non-nil, returns sum(M .* (A·B)) over the plus-pair
+	// semiring with a non-complemented mask, and flops(A·B), without
+	// materializing the product. Only the Auto engine sets it; TriangleCount
+	// uses it when present and Mult otherwise, so the fixed variants and
+	// the baselines still time the kernels they name.
+	PairCount func(m, a, b *matrix.Pattern) (count, flops int64, err error)
 }
 
 // mult runs the engine with a mask-representation hint, falling back to the
@@ -110,6 +116,13 @@ func (s *Session) EngineVariant(v core.Variant) Engine {
 // BFS, BC, MCL and k-truss re-multiply against evolving masks over a static
 // graph) and executed with the variant, or per-row-block variant mix, the
 // §8 cost model selects.
+//
+// Its PairCount analyzes under the cache's model but leaves the plan out of
+// the cache: its caller (TriangleCount) builds fresh operands on every call,
+// so the entry could never hit and would only pin them until evicted. When
+// the family covering the most flops is MSA, the count runs as
+// core.MaskedPairCount on the plan's cost profile; otherwise the plan
+// executes on an all-ones view of the operands and the product is summed.
 func (s *Session) EngineAuto() Engine {
 	opt, cache := s.Opt, s.Cache
 	return Engine{
@@ -120,7 +133,34 @@ func (s *Session) EngineAuto() Engine {
 			p := cache.Analyze(m, a.Pattern(), b.Pattern(), o)
 			return planner.Execute(p, m, a, b, sr, o, nil)
 		},
+		PairCount: func(m, a, b *matrix.Pattern) (int64, int64, error) {
+			o := opt
+			o.Complement = false
+			p := planner.AnalyzeModel(m, a, b, o, cache.Model())
+			if p.Variant().Alg == core.MSA {
+				if o.RowCosts == nil {
+					o.RowCosts = p.Costs
+				}
+				n, err := core.MaskedPairCount(m, a, b, o)
+				return n, p.Stats.Flops, err
+			}
+			c, err := planner.Execute(p, m, ones(a), ones(b), semiring.PlusPairF(), o, nil)
+			if err != nil {
+				return 0, p.Stats.Flops, err
+			}
+			return int64(matrix.Sum(c)), p.Stats.Flops, nil
+		},
 	}
+}
+
+// ones views p as a matrix whose stored values are all one, sharing p's
+// row storage.
+func ones(p *matrix.Pattern) *matrix.CSR[float64] {
+	val := make([]float64, p.NNZ())
+	for k := range val {
+		val[k] = 1
+	}
+	return &matrix.CSR[float64]{NRows: p.NRows, NCols: p.NCols, RowPtr: p.RowPtr, Col: p.Col, Val: val}
 }
 
 // EngineSSDot wraps the SS:DOT baseline. It does not support complemented

@@ -235,13 +235,28 @@ func inversePerm(order []Index) []Index {
 // triangle counting (§8.2), identical in RowPtr, Col and Val, without
 // building the permuted copy or sorting any row. a must be square with
 // duplicate-free rows; its rows need not be sorted, and it need not be
-// symmetric.
-//
-// Two counting passes produce Lᵀ: one counts the strictly lower entries of
-// P·A·Pᵀ per new column, the other scatters them while walking the new rows
-// in ascending order, so each column segment comes out sorted. The
-// counting-sort Transpose then turns Lᵀ into L with sorted rows.
+// symmetric. It is the counting-sort Transpose of the valued Lᵀ that
+// relabelUpper builds.
 func RelabelTril[T any](a *CSR[T]) *CSR[T] {
+	return Transpose(relabelUpper(a, true))
+}
+
+// RelabelTriu returns the pattern of U = Lᵀ for the L of RelabelTril: the
+// strictly upper triangle of the relabeled graph, with sorted rows and no
+// values. Triangle counting can run on U instead of L, because
+// sum(U .* (U·U)) = sum((L .* (L·L))ᵀ) and flops(U·U) = flops(L·L); U skips
+// RelabelTril's final Transpose and its value array. a has the same
+// requirements as for RelabelTril.
+func RelabelTriu[T any](a *CSR[T]) *Pattern {
+	return relabelUpper(a, false).Pattern()
+}
+
+// relabelUpper builds Lᵀ for L = Tril(Permute(a, DegreeDescPerm(a))) in two
+// counting passes: one counts the strictly lower entries of P·A·Pᵀ per new
+// column, the other scatters them while walking the new rows in ascending
+// order, so each row of Lᵀ comes out sorted. It copies a's values only
+// when withVal is set; Val is nil otherwise.
+func relabelUpper[T any](a *CSR[T], withVal bool) *CSR[T] {
 	n := a.NRows
 	order := degreeDescOrder(a)
 	perm := inversePerm(order)
@@ -249,9 +264,8 @@ func RelabelTril[T any](a *CSR[T]) *CSR[T] {
 	for i := Index(0); i < n; i++ {
 		r := perm[i]
 		for _, j := range a.Col[a.RowPtr[i]:a.RowPtr[i+1]] {
-			if c := perm[j]; c < r {
-				ptr[c+1]++
-			}
+			c := perm[j]
+			ptr[c+1] += b2i(c < r) // branch-free: c < r is close to a coin flip
 		}
 	}
 	for c := Index(0); c < n; c++ {
@@ -259,16 +273,31 @@ func RelabelTril[T any](a *CSR[T]) *CSR[T] {
 	}
 	next := append([]Index(nil), ptr[:n]...)
 	row := make([]Index, ptr[n])
-	val := make([]T, ptr[n])
+	var val []T
+	if withVal {
+		val = make([]T, ptr[n])
+	}
 	for r, i := range order {
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
 			if c := perm[a.Col[k]]; c < Index(r) {
-				row[next[c]], val[next[c]] = Index(r), a.Val[k]
+				row[next[c]] = Index(r)
+				if withVal {
+					val[next[c]] = a.Val[k]
+				}
 				next[c]++
 			}
 		}
 	}
-	return Transpose(&CSR[T]{NRows: n, NCols: n, RowPtr: ptr, Col: row, Val: val})
+	return &CSR[T]{NRows: n, NCols: n, RowPtr: ptr, Col: row, Val: val}
+}
+
+// b2i is 1 for true and 0 for false; the compiler emits it without a
+// branch.
+func b2i(b bool) Index {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // MapValues returns a copy of a with every stored value transformed by f.

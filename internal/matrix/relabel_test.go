@@ -39,6 +39,20 @@ func sameBytes(got, want *matrix.CSR[float64]) string {
 	return ""
 }
 
+// samePattern reports the first difference between got and want in shape,
+// RowPtr or Col, or "" if none.
+func samePattern(got, want *matrix.Pattern) string {
+	switch {
+	case got.NRows != want.NRows || got.NCols != want.NCols:
+		return "shape differs"
+	case !slices.Equal(got.RowPtr, want.RowPtr):
+		return "RowPtr differs"
+	case !slices.Equal(got.Col, want.Col):
+		return "Col differs"
+	}
+	return ""
+}
+
 // fromEdges builds an n×n matrix from directed edges, each valued by its
 // position so that values tell entries apart.
 func fromEdges(n Index, edges [][2]Index) *matrix.CSR[float64] {
@@ -97,6 +111,9 @@ func TestRelabelTrilMatchesChain(t *testing.T) {
 			if diff := sameBytes(got, relabelChain(tc.g)); diff != "" {
 				t.Fatal(diff)
 			}
+			if diff := samePattern(matrix.RelabelTriu(tc.g), matrix.Transpose(got).Pattern()); diff != "" {
+				t.Fatal("RelabelTriu: " + diff)
+			}
 		})
 	}
 }
@@ -139,34 +156,58 @@ func TestDegreeDescPerm(t *testing.T) {
 	}
 }
 
-// FuzzRelabelTril builds a small square matrix from arbitrary triplets
+// fuzzSquare builds a small square matrix from arbitrary triplets
 // (duplicates folded, self-loops kept, rows optionally reversed so they
-// arrive unsorted) and requires RelabelTril to match the three-step chain
-// byte for byte.
-func FuzzRelabelTril(f *testing.F) {
+// arrive unsorted).
+func fuzzSquare(size uint8, reverse bool, data []byte) *matrix.CSR[float64] {
+	n := Index(size % 33)
+	c := &matrix.COO[float64]{NRows: n, NCols: n}
+	if n > 0 {
+		for k := 0; k+1 < len(data); k += 2 {
+			c.Row = append(c.Row, Index(data[k])%n)
+			c.Col = append(c.Col, Index(data[k+1])%n)
+			c.Val = append(c.Val, float64(k))
+		}
+	}
+	g := matrix.NewCSRFromCOO(c, func(a, b float64) float64 { return a + b })
+	if reverse {
+		for i := Index(0); i < n; i++ {
+			lo, hi := g.RowPtr[i], g.RowPtr[i+1]
+			slices.Reverse(g.Col[lo:hi])
+			slices.Reverse(g.Val[lo:hi])
+		}
+	}
+	return g
+}
+
+// addRelabelSeeds gives both relabel fuzzers the same seed corpus.
+func addRelabelSeeds(f *testing.F) {
 	f.Add(uint8(5), false, []byte{0, 1, 1, 0, 2, 3, 3, 2, 4, 4})
 	f.Add(uint8(1), true, []byte{0, 0})
 	f.Add(uint8(0), false, []byte{})
 	f.Add(uint8(9), true, []byte{8, 0, 7, 1, 6, 2, 5, 3, 0, 8, 1, 7, 2, 6})
+}
+
+// FuzzRelabelTril requires RelabelTril to match the three-step chain byte
+// for byte on arbitrary small square inputs (see fuzzSquare).
+func FuzzRelabelTril(f *testing.F) {
+	addRelabelSeeds(f)
 	f.Fuzz(func(t *testing.T, size uint8, reverse bool, data []byte) {
-		n := Index(size % 33)
-		c := &matrix.COO[float64]{NRows: n, NCols: n}
-		if n > 0 {
-			for k := 0; k+1 < len(data); k += 2 {
-				c.Row = append(c.Row, Index(data[k])%n)
-				c.Col = append(c.Col, Index(data[k+1])%n)
-				c.Val = append(c.Val, float64(k))
-			}
-		}
-		g := matrix.NewCSRFromCOO(c, func(a, b float64) float64 { return a + b })
-		if reverse {
-			for i := Index(0); i < n; i++ {
-				lo, hi := g.RowPtr[i], g.RowPtr[i+1]
-				slices.Reverse(g.Col[lo:hi])
-				slices.Reverse(g.Val[lo:hi])
-			}
-		}
+		g := fuzzSquare(size, reverse, data)
 		if diff := sameBytes(matrix.RelabelTril(g), relabelChain(g)); diff != "" {
+			t.Fatal(diff)
+		}
+	})
+}
+
+// FuzzRelabelTriu requires RelabelTriu to match the pattern of the
+// transposed three-step chain byte for byte on the inputs FuzzRelabelTril
+// draws.
+func FuzzRelabelTriu(f *testing.F) {
+	addRelabelSeeds(f)
+	f.Fuzz(func(t *testing.T, size uint8, reverse bool, data []byte) {
+		g := fuzzSquare(size, reverse, data)
+		if diff := samePattern(matrix.RelabelTriu(g), matrix.Transpose(relabelChain(g)).Pattern()); diff != "" {
 			t.Fatal(diff)
 		}
 	})

@@ -227,6 +227,11 @@ func TestAppEndpoints(t *testing.T) {
 	if tc.Triangles != want.Triangles {
 		t.Fatalf("triangles %d, want %d", tc.Triangles, want.Triangles)
 	}
+	// The response carries flops(L·L) of the relabeled graph, whichever
+	// path counted.
+	if l := matrix.RelabelTril(g); tc.Flops != masked.Flops(l, l) || tc.Flops != want.Flops {
+		t.Fatalf("flops %d, in-process %d, want flops(L·L) = %d", tc.Flops, want.Flops, masked.Flops(l, l))
+	}
 
 	bfs, err := c.BFS(ctx, &wire.BFSReq{Source: 0, G: g})
 	if err != nil {

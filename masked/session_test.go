@@ -327,3 +327,35 @@ func TestSessionSchedEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestTriangleCountLeavesPlanCache: a triangle count plans its relabeled
+// operand, which is rebuilt on every call, so its plan is never cached.
+// 300 counts on fresh graphs (more than the cache holds) leave the entry
+// and eviction counts unchanged, and a hot Multiply plan stays resident:
+// its next call is a hit.
+func TestTriangleCountLeavesPlanCache(t *testing.T) {
+	ctx := context.Background()
+	s := NewSession(WithThreads(2))
+	lp, l := tcOperands(8, 8, 1)
+	if _, err := s.Multiply(ctx, lp, l, l, WithAccumulate(PlusPair())); err != nil {
+		t.Fatal(err)
+	}
+	before := s.Stats().Cache
+	for k := 0; k < 300; k++ {
+		g := ErdosRenyi(64, 6, uint64(k+1))
+		if _, err := s.TriangleCount(ctx, g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := s.Stats().Cache
+	if after.Entries != before.Entries || after.Evictions != before.Evictions {
+		t.Fatalf("300 triangle counts moved the plan cache: entries %d → %d, evictions %d → %d",
+			before.Entries, after.Entries, before.Evictions, after.Evictions)
+	}
+	if _, err := s.Multiply(ctx, lp, l, l, WithAccumulate(PlusPair())); err != nil {
+		t.Fatal(err)
+	}
+	if hits := s.Stats().Cache.Hits; hits != after.Hits+1 {
+		t.Fatalf("hot Multiply after the counts: hits %d → %d, want one hit", after.Hits, hits)
+	}
+}
