@@ -110,7 +110,8 @@ func BenchmarkFig08TriangleCount(b *testing.B) {
 // BenchmarkRelabel times building triangle counting's operand from the
 // graph: the three-step chain (degree permutation, permuted copy, lower
 // triangle) against the fused RelabelTril, which yields the same L, and
-// RelabelTriu, which yields the pattern of Lᵀ that TriangleCount runs on.
+// RelabelTriu, which yields the pattern of Lᵀ that the Auto engine's
+// triangle count runs on.
 func BenchmarkRelabel(b *testing.B) {
 	loadInputs()
 	b.Run("chain", func(b *testing.B) {

@@ -117,12 +117,11 @@ func (s *Session) EngineVariant(v core.Variant) Engine {
 // graph) and executed with the variant, or per-row-block variant mix, the
 // §8 cost model selects.
 //
-// Its PairCount analyzes under the cache's model but leaves the plan out of
-// the cache: its caller (TriangleCount) builds fresh operands on every call,
-// so the entry could never hit and would only pin them until evicted. When
-// the family covering the most flops is MSA, the count runs as
-// core.MaskedPairCount on the plan's cost profile; otherwise the plan
-// executes on an all-ones view of the operands and the product is summed.
+// Its PairCount is core.MaskedPairCount scheduled over the row-cost profile
+// of core.ComputeRowCosts, whose total also yields the flops. It neither
+// plans nor touches the plan cache: its caller (TriangleCount) builds fresh
+// operands on every call, so a cached plan could never hit and would only
+// pin them until evicted.
 func (s *Session) EngineAuto() Engine {
 	opt, cache := s.Opt, s.Cache
 	return Engine{
@@ -136,31 +135,15 @@ func (s *Session) EngineAuto() Engine {
 		PairCount: func(m, a, b *matrix.Pattern) (int64, int64, error) {
 			o := opt
 			o.Complement = false
-			p := planner.AnalyzeModel(m, a, b, o, cache.Model())
-			if p.Variant().Alg == core.MSA {
-				if o.RowCosts == nil {
-					o.RowCosts = p.Costs
-				}
-				n, err := core.MaskedPairCount(m, a, b, o)
-				return n, p.Stats.Flops, err
+			o.RowCosts = core.ComputeRowCosts(m, a, b, o.Workers())
+			var flops int64
+			if o.RowCosts != nil { // cost_i = flops_i + nnz(M_i*) + 1
+				flops = o.RowCosts.Total() - int64(m.NNZ()) - int64(m.NRows)
 			}
-			c, err := planner.Execute(p, m, ones(a), ones(b), semiring.PlusPairF(), o, nil)
-			if err != nil {
-				return 0, p.Stats.Flops, err
-			}
-			return int64(matrix.Sum(c)), p.Stats.Flops, nil
+			n, err := core.MaskedPairCount(m, a, b, o)
+			return n, flops, err
 		},
 	}
-}
-
-// ones views p as a matrix whose stored values are all one, sharing p's
-// row storage.
-func ones(p *matrix.Pattern) *matrix.CSR[float64] {
-	val := make([]float64, p.NNZ())
-	for k := range val {
-		val[k] = 1
-	}
-	return &matrix.CSR[float64]{NRows: p.NRows, NCols: p.NCols, RowPtr: p.RowPtr, Col: p.Col, Val: val}
 }
 
 // EngineSSDot wraps the SS:DOT baseline. It does not support complemented

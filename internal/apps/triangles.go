@@ -15,12 +15,13 @@ type TCResult struct {
 	Triangles int64
 	// MaskedTime is the time spent inside the masked product only — what
 	// the paper reports for this benchmark (§8.2). On the count path it
-	// covers the whole count call, plan analysis included.
+	// covers the whole count call, its row-cost sweep included.
 	MaskedTime time.Duration
 	// TotalTime includes relabeling and the reduction.
 	TotalTime time.Duration
-	// Flops is flops(U·U), the work metric for GFLOPS plots (Fig. 10). It
-	// equals flops(L·L) for L = Uᵀ: both are Σ_k nnz(L(k,:))·nnz(L(:,k)).
+	// Flops is flops(L·L), the work metric for GFLOPS plots (Fig. 10). The
+	// count path takes it as flops(U·U) for U = Lᵀ, which is equal: both
+	// are Σ_k nnz(L(k,:))·nnz(L(:,k)).
 	Flops int64
 }
 
@@ -34,34 +35,35 @@ func (r TCResult) GFLOPS() float64 {
 }
 
 // TriangleCount counts triangles in the undirected graph g (symmetric
-// adjacency, no self-loops) via sum(U .* (U·U)), where U is the strictly
-// upper triangular part after relabeling vertices in non-increasing degree
-// order, built pattern-only by matrix.RelabelTriu. U is Lᵀ for the paper's
-// L (§8.2), and sum(U .* (U·U)) = sum((L .* (L·L))ᵀ), so the count is the
-// paper's. For a non-symmetric g the count is over L = Tril(P·g·Pᵀ): only
-// the entries that land strictly below the diagonal after relabeling
+// adjacency, no self-loops) via sum(L .* (L·L)) where L is the strictly
+// lower triangular part after relabeling vertices in non-increasing degree
+// order (§8.2). For a non-symmetric g the count is over L = Tril(P·g·Pᵀ):
+// only the entries that land strictly below the diagonal after relabeling
 // count.
 //
-// An engine with a PairCount (the Auto engine) counts without building the
-// product, and its flops come from the plan analysis; that plan is not
-// cached, because U is rebuilt on every call. Any other engine runs Mult
-// on the plus-pair semiring over an all-ones view of U and sums the
-// product, with the flops counted by core.Flops.
+// An engine with a PairCount (the Auto engine) counts on U = Lᵀ, built
+// pattern-only by matrix.RelabelTriu, without building the product:
+// sum(U .* (U·U)) = sum((L .* (L·L))ᵀ). Its flops come from the row-cost
+// sweep that schedules the count; it makes no plan and leaves the plan
+// cache alone, because U is rebuilt on every call. Any other engine runs
+// Mult on the plus-pair semiring over L from matrix.RelabelTril, the
+// paper's operand, and sums the product, with the flops counted by
+// core.Flops.
 func TriangleCount(g *matrix.CSR[float64], eng Engine) (TCResult, error) {
 	start := time.Now()
-	u := matrix.RelabelTriu(g)
 	var res TCResult
 	var err error
 	if eng.PairCount != nil {
+		u := matrix.RelabelTriu(g)
 		t0 := time.Now()
 		res.Triangles, res.Flops, err = eng.PairCount(u, u, u)
 		res.MaskedTime = time.Since(t0)
 	} else {
-		uv := ones(u)
-		res.Flops = core.Flops(uv, uv, 0)
+		l := matrix.RelabelTril(g)
+		res.Flops = core.Flops(l, l, 0)
 		t0 := time.Now()
 		var c *matrix.CSR[float64]
-		c, err = eng.Mult(u, uv, uv, semiring.PlusPairF(), false)
+		c, err = eng.Mult(l.Pattern(), l, l, semiring.PlusPairF(), false)
 		res.MaskedTime = time.Since(t0)
 		if err == nil {
 			res.Triangles = int64(matrix.Sum(c))

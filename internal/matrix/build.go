@@ -245,8 +245,10 @@ func RelabelTril[T any](a *CSR[T]) *CSR[T] {
 // strictly upper triangle of the relabeled graph, with sorted rows and no
 // values. Triangle counting can run on U instead of L, because
 // sum(U .* (U·U)) = sum((L .* (L·L))ᵀ) and flops(U·U) = flops(L·L); U skips
-// RelabelTril's final Transpose and its value array. a has the same
-// requirements as for RelabelTril.
+// RelabelTril's final Transpose and its value array. U's rows are long for
+// high-degree vertices, where L's stay short, so the paper's kernels run
+// slower on U than on L; only a count that never builds the product gains.
+// a has the same requirements as for RelabelTril.
 func RelabelTriu[T any](a *CSR[T]) *Pattern {
 	return relabelUpper(a, false).Pattern()
 }

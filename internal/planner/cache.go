@@ -213,7 +213,7 @@ func (c *Cache) Analyze(m, a, b *matrix.Pattern, opt core.Options) *Plan {
 		sh.lru.MoveToFront(el)
 	}
 	sh.mu.Unlock()
-	if p != nil && (!p.NeedsSortedRows() || sortedOperands(opt.Workers(), m, a)) {
+	if p != nil && (!p.NeedsSortedRows() || (sortedRows(m, opt.Workers()) && sortedRows(a, opt.Workers()))) {
 		c.hits.Add(1)
 		hit := *p
 		hit.CacheHit = true

@@ -24,7 +24,6 @@ package planner
 import (
 	"fmt"
 	"math"
-	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -339,7 +338,7 @@ func AnalyzeModel(m, a, b *matrix.Pattern, opt core.Options, mdl *Model) *Plan {
 		Complement: opt.Complement,
 		MaskRepPin: opt.MaskRep,
 		SchedPin:   opt.Sched,
-		Sorted:     sortedOperands(opt.Workers(), m, a, b),
+		Sorted:     sortedRows(m, opt.Workers()) && sortedRows(a, opt.Workers()) && sortedRows(b, opt.Workers()),
 	}
 	if b.NRows > 0 {
 		st.AvgDegB = float64(st.NNZB) / float64(b.NRows)
@@ -526,31 +525,6 @@ func sortedRows(p *matrix.Pattern, threads int) bool {
 		}
 	})
 	return !unsorted.Load()
-}
-
-// sortedOperands reports whether every operand has sorted rows. An operand
-// that shares its RowPtr and Col storage with one already checked has the
-// same rows, so it is skipped: a triangle count passes one matrix as M, A
-// and B.
-func sortedOperands(threads int, ops ...*matrix.Pattern) bool {
-	for i, p := range ops {
-		if !slices.ContainsFunc(ops[:i], func(q *matrix.Pattern) bool { return sameRows(p, q) }) &&
-			!sortedRows(p, threads) {
-			return false
-		}
-	}
-	return true
-}
-
-// sameRows reports whether p and q view the same row storage: equal row
-// counts and the same RowPtr and Col backing arrays.
-func sameRows(p, q *matrix.Pattern) bool {
-	return p.NRows == q.NRows && sameSlice(p.RowPtr, q.RowPtr) && sameSlice(p.Col, q.Col)
-}
-
-// sameSlice reports whether x and y have one length and one backing array.
-func sameSlice(x, y []Index) bool {
-	return len(x) == len(y) && (len(x) == 0 || &x[0] == &y[0])
 }
 
 // pushAlg picks the scatter/gather family for the comparable-density middle:

@@ -369,39 +369,3 @@ func TestDegenerateZeroValueOperands(t *testing.T) {
 		t.Fatalf("empty operands produced %d entries", out.NNZ())
 	}
 }
-
-// TestSortedOperandsSharedStorage: the sortedness check skips an operand
-// only when it views storage already checked. One matrix passed as M, A and
-// B plans exactly like three separate copies of it, while an unsorted
-// operand after a sorted one of the same shape, or one that shares only
-// RowPtr, still marks the call unsorted.
-func TestSortedOperandsSharedStorage(t *testing.T) {
-	u := matrix.Triu(grgen.RMAT(9, 8, 3)).Pattern()
-	clone := func(p *matrix.Pattern) *matrix.Pattern {
-		return &matrix.Pattern{NRows: p.NRows, NCols: p.NCols,
-			RowPtr: append([]Index(nil), p.RowPtr...), Col: append([]Index(nil), p.Col...)}
-	}
-	shared := Analyze(u, u, u, core.Options{})
-	copies := Analyze(u, clone(u), clone(u), core.Options{})
-	if !shared.Stats.Sorted || shared.Explain() != copies.Explain() {
-		t.Fatalf("shared operands plan differently from copies:\n%s\n%s", shared.Explain(), copies.Explain())
-	}
-	un := clone(u)
-	for i := Index(0); i < un.NRows; i++ {
-		lo, hi := un.RowPtr[i], un.RowPtr[i+1]
-		if hi-lo > 1 {
-			un.Col[lo], un.Col[hi-1] = un.Col[hi-1], un.Col[lo]
-		}
-	}
-	sameRowPtr := &matrix.Pattern{NRows: u.NRows, NCols: u.NCols, RowPtr: u.RowPtr, Col: un.Col}
-	for name, ops := range map[string][3]*matrix.Pattern{
-		"unsorted A":              {u, un, u},
-		"unsorted B":              {u, u, un},
-		"shared RowPtr, own Col":  {u, u, sameRowPtr},
-		"unsorted A, B shares it": {u, un, un},
-	} {
-		if p := Analyze(ops[0], ops[1], ops[2], core.Options{}); p.Stats.Sorted {
-			t.Errorf("%s: planned as sorted", name)
-		}
-	}
-}

@@ -297,10 +297,10 @@ func (s *Session) Explain(m *Pattern, a, b *Matrix, opts ...Op) *Plan {
 // --- Applications ---
 
 // TriangleCount counts triangles via sum(L .* (L·L)) with degree-descending
-// relabeling (§8.2), computed on U = Lᵀ. On the adaptive path the count
-// comes from one planned pass that sums mask hits without building the
-// product, and its plan is not cached; a pinned variant (WithVariant) runs
-// its product and sums it.
+// relabeling (§8.2). On the adaptive path the count comes from one
+// cost-scheduled pass over U = Lᵀ that sums mask hits without building the
+// product or a plan, so the plan cache is left alone; a pinned variant
+// (WithVariant) runs its product on L and sums it.
 func (s *Session) TriangleCount(ctx context.Context, g *Matrix, opts ...Op) (TCResult, error) {
 	d := s.def.apply(opts)
 	return apps.TriangleCount(g, s.engine(ctx, d))

@@ -328,9 +328,9 @@ func TestSessionSchedEquivalence(t *testing.T) {
 	}
 }
 
-// TestTriangleCountLeavesPlanCache: a triangle count plans its relabeled
-// operand, which is rebuilt on every call, so its plan is never cached.
-// 300 counts on fresh graphs (more than the cache holds) leave the entry
+// TestTriangleCountLeavesPlanCache: the adaptive triangle count makes no
+// plan for its relabeled operand, which is rebuilt on every call, so it
+// never touches the plan cache. 300 counts on fresh graphs (more than the cache holds) leave the entry
 // and eviction counts unchanged, and a hot Multiply plan stays resident:
 // its next call is a hit.
 func TestTriangleCountLeavesPlanCache(t *testing.T) {
