@@ -136,10 +136,8 @@ func (s *Session) EngineAuto() Engine {
 			o := opt
 			o.Complement = false
 			o.RowCosts = core.ComputeRowCosts(m, a, b, o.Workers())
-			var flops int64
-			if o.RowCosts != nil { // cost_i = flops_i + nnz(M_i*) + 1
-				flops = o.RowCosts.Total() - int64(m.NNZ()) - int64(m.NRows)
-			}
+			// cost_i = flops_i + nnz(M_i*) + 1
+			flops := o.RowCosts.Total() - int64(m.NNZ()) - int64(m.NRows)
 			n, err := core.MaskedPairCount(m, a, b, o)
 			return n, flops, err
 		},
