@@ -320,36 +320,6 @@ func BenchmarkAblationGrain(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationHybrid compares the per-row adaptive hybrid kernel (the
-// paper's §9 future work) against the best fixed kernel in each Fig. 7
-// regime. A good hybrid should be near the regime winner everywhere.
-func BenchmarkAblationHybrid(b *testing.B) {
-	loadInputs()
-	sr := semiring.Arithmetic()
-	regimes := []struct {
-		name string
-		mask *matrix.Pattern
-	}{
-		{"maskSparse_d1", erMaskSp},
-		{"maskEqual_d16", erMaskEq},
-		{"maskDense_d256", erMaskDn},
-	}
-	for _, reg := range regimes {
-		b.Run(reg.name+"/Hybrid", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.MaskedSpGEMMHybrid(core.OnePhase, reg.mask, erA, erB, sr, core.Options{}, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		for _, alg := range []core.Algorithm{core.MSA, core.Inner, core.Heap} {
-			b.Run(reg.name+"/"+alg.String(), func(b *testing.B) {
-				benchVariant(b, core.Variant{Alg: alg, Phase: core.OnePhase}, reg.mask, erA, erB)
-			})
-		}
-	}
-}
-
 // BenchmarkAdaptivePlanner races the planner's Auto path against every 1P
 // algorithm (and the old hardcoded MSA-1P default) at the three Fig. 7
 // regimes plus the triangle-counting product. The acceptance bar: Auto

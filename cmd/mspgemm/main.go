@@ -1,11 +1,10 @@
 // Command mspgemm computes a masked sparse matrix product C = M .* (A·B)
-// from Matrix Market files, with any of the paper's algorithm variants, the
-// hybrid kernel, or the adaptive planner, and writes the result as Matrix
-// Market.
+// from Matrix Market files, with any of the paper's algorithm variants or
+// the adaptive planner, and writes the result as Matrix Market.
 //
 // Usage:
 //
-//	mspgemm -a A.mtx -b B.mtx -mask M.mtx [-alg auto|MSA-1P|hybrid]
+//	mspgemm -a A.mtx -b B.mtx -mask M.mtx [-alg auto|MSA-1P..Inner-2P]
 //	        [-maskrep auto|csr|bitmap|dense] [-sched auto|equal|cost]
 //	        [-explain] [-complement] [-semiring arithmetic|plus-pair]
 //	        [-threads N] [-batch N] [-inflight K] [-timeout 30s] [-out C.mtx]
@@ -23,8 +22,7 @@
 // times as one Session.MultiplyBatch call with an -inflight admission cap,
 // and the report shows aggregate throughput plus how many requests were
 // coalesced onto the first (identical requests are computed once — the
-// serving layer's single-flight path). Only the auto and variant
-// algorithms batch; -batch with hybrid is rejected.
+// serving layer's single-flight path).
 package main
 
 import (
@@ -47,7 +45,7 @@ func main() {
 	aPath := flag.String("a", "", "Matrix Market file for A (required)")
 	bPath := flag.String("b", "", "Matrix Market file for B (default: A)")
 	mPath := flag.String("mask", "", "Matrix Market file for the mask (default: pattern of A)")
-	algName := flag.String("alg", "auto", "algorithm: 'auto' (planner), a variant (MSA-1P..Inner-2P), or 'hybrid'")
+	algName := flag.String("alg", "auto", "algorithm: 'auto' (planner) or a variant (MSA-1P..Inner-2P)")
 	maskRep := flag.String("maskrep", "auto", "mask representation: auto | csr | bitmap | dense")
 	schedName := flag.String("sched", "auto", "row-scheduling policy: auto | equal | cost")
 	explain := flag.Bool("explain", false, "print the adaptive plan for these operands to stderr")
@@ -139,12 +137,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "auto: rows [%d,%d) %s mask=%s → %d entries\n",
 				bs.Block.Lo, bs.Block.Hi, bs.Block.Alg, bs.Block.Rep, bs.OutNNZ)
 		}
-	case "hybrid":
-		var stats core.HybridStats
-		c, err = core.MaskedSpGEMMHybrid(core.OnePhase, mask, a, b, sr, opt, &stats)
-		check(err)
-		fmt.Fprintf(os.Stderr, "hybrid routing: %d pull / %d heap / %d msa rows\n",
-			stats.PullRows, stats.HeapRows, stats.MSARows)
 	default:
 		v, err := core.VariantByName(*algName)
 		check(err)
@@ -176,11 +168,7 @@ func runBatch(ctx context.Context, mask *matrix.Pattern, a, b *matrix.CSR[float6
 	if complement {
 		ops = append(ops, masked.WithComplement())
 	}
-	switch algName {
-	case "auto":
-	case "hybrid":
-		check(fmt.Errorf("-batch does not support -alg hybrid"))
-	default:
+	if algName != "auto" {
 		v, err := core.VariantByName(algName)
 		check(err)
 		ops = append(ops, masked.WithVariant(v))

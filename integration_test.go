@@ -1,6 +1,6 @@
 // Cross-module integration tests: end-to-end pipelines that exercise the
-// generators, Matrix Market I/O, all three API levels (internal kernels,
-// grb layer, public facade) and the applications against each other.
+// generators, Matrix Market I/O, both API levels (internal kernels and
+// the public facade) and the applications against each other.
 package repro_test
 
 import (
@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/core"
-	"repro/internal/grb"
 	"repro/internal/grgen"
 	"repro/internal/matrix"
 	"repro/internal/mmio"
@@ -20,7 +19,7 @@ import (
 
 // TestPipelineGenerateWriteReadCount: generate a graph, round-trip it
 // through Matrix Market, and verify that triangle counting agrees across
-// the facade, the grb layer, the apps engines and the exact counter.
+// two kernel families of the facade and the exact counter.
 func TestPipelineGenerateWriteReadCount(t *testing.T) {
 	g := grgen.RMAT(8, 8, 77)
 	path := filepath.Join(t.TempDir(), "g.mtx")
@@ -45,19 +44,20 @@ func TestPipelineGenerateWriteReadCount(t *testing.T) {
 	if fres.Triangles != exact {
 		t.Fatalf("facade: %d triangles, want %d", fres.Triangles, exact)
 	}
-	// grb layer.
-	gres, err := grb.TriangleCount(grb.WrapCSR(back), &grb.Desc{Method: core.MCA})
+	// A second kernel family (dense-array accumulator) on the same input.
+	v, _ = masked.VariantByName("MCA-1P")
+	mres, err := s.TriangleCount(context.Background(), back, masked.WithVariant(v))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gres != exact {
-		t.Fatalf("grb: %d triangles, want %d", gres, exact)
+	if mres.Triangles != exact {
+		t.Fatalf("facade MCA-1P: %d triangles, want %d", mres.Triangles, exact)
 	}
 }
 
-// TestPipelineHybridVsFixedOnCorpusShapes: the hybrid kernel must agree
-// with the fixed kernels on structurally diverse graphs.
-func TestPipelineHybridVsFixedOnCorpusShapes(t *testing.T) {
+// TestPipelineColumnsMatchRowsOnCorpusShapes: the column-major driver must
+// agree with the row-major MSA kernel on structurally diverse graphs.
+func TestPipelineColumnsMatchRowsOnCorpusShapes(t *testing.T) {
 	graphs := []*matrix.CSR[float64]{
 		grgen.WattsStrogatz(400, 6, 0.1, 1),
 		grgen.BarabasiAlbert(400, 3, 2),
@@ -72,14 +72,6 @@ func TestPipelineHybridVsFixedOnCorpusShapes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := core.MaskedSpGEMMHybrid(core.OnePhase, l.Pattern(), l, l, sr, core.Options{}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !matrix.Equal(got, want, func(a, b float64) bool { return a == b }) {
-			t.Fatalf("graph %d: hybrid disagrees", gi)
-		}
-		// Column-major path agrees too.
 		cols, err := core.MaskedSpGEMMColumns(core.Variant{Alg: core.Hash, Phase: core.TwoPhase},
 			l.Pattern(), l, l, sr, core.Options{})
 		if err != nil {
@@ -91,7 +83,7 @@ func TestPipelineHybridVsFixedOnCorpusShapes(t *testing.T) {
 	}
 }
 
-// TestPipelineBFSAcrossAPIs: single-source facade BFS, grb BFS and the
+// TestPipelineBFSAcrossAPIs: single-source facade BFS and the
 // multi-source batch BFS agree with the queue reference on every model.
 func TestPipelineBFSAcrossAPIs(t *testing.T) {
 	graphs := []*matrix.CSR[float64]{
@@ -107,10 +99,6 @@ func TestPipelineBFSAcrossAPIs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		glev, err := grb.BFSLevels(grb.WrapCSR(g), 0, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
 		v, _ := masked.VariantByName("MSA-1P")
 		mres, err := s.MultiSourceBFS(ctx, g, []matrix.Index{0}, masked.WithVariant(v))
 		if err != nil {
@@ -120,9 +108,6 @@ func TestPipelineBFSAcrossAPIs(t *testing.T) {
 			if fres.Level[vtx] != want[vtx] {
 				t.Fatalf("graph %d facade BFS: vertex %d", gi, vtx)
 			}
-			if glev[vtx] != want[vtx] {
-				t.Fatalf("graph %d grb BFS: vertex %d", gi, vtx)
-			}
 			if mres.Levels[0][vtx] != want[vtx] {
 				t.Fatalf("graph %d multi-source BFS: vertex %d", gi, vtx)
 			}
@@ -130,8 +115,8 @@ func TestPipelineBFSAcrossAPIs(t *testing.T) {
 	}
 }
 
-// TestPipelineKTrussConsistency: the specialized k-truss, the grb-native
-// k-truss and the exact reference agree on the mesh (which is triangle-free
+// TestPipelineKTrussConsistency: the session's k-truss and the exact
+// reference agree on the mesh (which is triangle-free
 // → empty 3-truss) and on a clique-rich small world graph.
 func TestPipelineKTrussConsistency(t *testing.T) {
 	mesh := grgen.Grid2D(12, 12)
@@ -153,13 +138,6 @@ func TestPipelineKTrussConsistency(t *testing.T) {
 	}
 	if !matrix.EqualPatterns(got.Pattern(), want.Pattern()) {
 		t.Fatalf("ws 4-truss: %d edges vs exact %d", got.NNZ(), want.NNZ())
-	}
-	edges, _, err := grb.KTrussEdges(grb.WrapCSR(ws), 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if edges != want.NNZ() {
-		t.Fatalf("grb 4-truss: %d edges vs exact %d", edges, want.NNZ())
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/matrix"
 	"repro/internal/semiring"
@@ -117,92 +116,5 @@ func TestMaskedSpGEVMAutoCorrectBothDirections(t *testing.T) {
 	}
 	if !matrix.VecEqual(gotC, wantC, eqF) {
 		t.Error("auto complement mismatch")
-	}
-}
-
-func TestHybridMatchesReference(t *testing.T) {
-	r := rand.New(rand.NewSource(53))
-	sr := semiring.Arithmetic()
-	for trial := 0; trial < 10; trial++ {
-		mrows := Index(20 + r.Intn(60))
-		k := Index(20 + r.Intn(60))
-		n := Index(20 + r.Intn(60))
-		a := randCSR(r, mrows, k, 0.05+0.2*r.Float64())
-		b := randCSR(r, k, n, 0.05+0.2*r.Float64())
-		mask := randCSR(r, mrows, n, 0.05+0.4*r.Float64()).Pattern()
-		want := Reference(mask, a, b, sr, false)
-		for _, ph := range []Phase{OnePhase, TwoPhase} {
-			got, err := MaskedSpGEMMHybrid(ph, mask, a, b, sr, Options{Threads: 2}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !matrix.Equal(got, want, eqF) {
-				t.Errorf("trial %d hybrid %s: mismatch", trial, ph)
-			}
-		}
-	}
-}
-
-func TestHybridRouting(t *testing.T) {
-	r := rand.New(rand.NewSource(59))
-	sr := semiring.Arithmetic()
-	n := Index(300)
-	// Dense inputs + very sparse mask: rows should route to pull.
-	aD := randCSR(r, n, n, 0.2)
-	bD := randCSR(r, n, n, 0.2)
-	sparseMask := randCSR(r, n, n, 0.002).Pattern()
-	var st HybridStats
-	if _, err := MaskedSpGEMMHybrid(OnePhase, sparseMask, aD, bD, sr, Options{Threads: 1}, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.PullRows == 0 {
-		t.Errorf("sparse mask: expected pull-routed rows, got %+v", st)
-	}
-	// Sparse inputs + dense mask: heap territory.
-	aS := randCSR(r, n, n, 0.003)
-	bS := randCSR(r, n, n, 0.003)
-	denseMask := randCSR(r, n, n, 0.5).Pattern()
-	st = HybridStats{}
-	if _, err := MaskedSpGEMMHybrid(OnePhase, denseMask, aS, bS, sr, Options{Threads: 1}, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.HeapRows == 0 {
-		t.Errorf("dense mask: expected heap-routed rows, got %+v", st)
-	}
-	// Comparable: MSA territory.
-	aM := randCSR(r, n, n, 0.03)
-	bM := randCSR(r, n, n, 0.03)
-	eqMask := randCSR(r, n, n, 0.03).Pattern()
-	st = HybridStats{}
-	if _, err := MaskedSpGEMMHybrid(OnePhase, eqMask, aM, bM, sr, Options{Threads: 1}, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.MSARows == 0 {
-		t.Errorf("comparable densities: expected MSA-routed rows, got %+v", st)
-	}
-}
-
-func TestHybridRejectsComplement(t *testing.T) {
-	r := rand.New(rand.NewSource(61))
-	a := randCSR(r, 5, 5, 0.5)
-	if _, err := MaskedSpGEMMHybrid(OnePhase, a.Pattern(), a, a, semiring.Arithmetic(), Options{Complement: true}, nil); err == nil {
-		t.Fatal("expected complement rejection")
-	}
-}
-
-func TestHybridQuick(t *testing.T) {
-	sr := semiring.Arithmetic()
-	prop := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := Index(5 + r.Intn(50))
-		a := randCSR(r, n, n, 0.02+0.3*r.Float64())
-		b := randCSR(r, n, n, 0.02+0.3*r.Float64())
-		mask := randCSR(r, n, n, 0.02+0.6*r.Float64()).Pattern()
-		want := Reference(mask, a, b, sr, false)
-		got, err := MaskedSpGEMMHybrid(OnePhase, mask, a, b, sr, Options{Threads: 2}, nil)
-		return err == nil && matrix.Equal(got, want, eqF)
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
 	}
 }

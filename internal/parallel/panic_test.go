@@ -37,25 +37,27 @@ func TestWorkerPanicRethrown(t *testing.T) {
 
 // TestWorkerPanicPoisonsClaims checks that after one worker panics, the
 // other workers stop claiming chunks quickly (the claim counter is
-// poisoned), rather than running the full iteration space.
+// poisoned), rather than running the full iteration space. The survivors
+// wait for the panicking worker's signal before their first claim, so the
+// outcome does not depend on when the scheduler first runs worker 0: the
+// only window left is worker 0's short unwind from the signal to the
+// poisoning store in its recover.
 func TestWorkerPanicPoisonsClaims(t *testing.T) {
 	var ran atomic.Int64
+	panicking := make(chan struct{})
 	func() {
 		defer func() { recover() }()
 		ForWorkers(1_000_000, 4, 1, func(id int, claim func() (int, int, bool)) {
 			if id == 0 {
+				close(panicking)
 				panic("die early")
 			}
+			<-panicking
 			for {
-				lo, _, ok := claim()
-				if !ok {
+				if _, _, ok := claim(); !ok {
 					return
 				}
 				ran.Add(1)
-				if lo == 0 {
-					// Give the panicking worker time to poison the counter.
-					time.Sleep(5 * time.Millisecond)
-				}
 			}
 		})
 	}()

@@ -256,12 +256,13 @@ func fmtNs(ns float64) string {
 	return time.Duration(int64(ns)).String()
 }
 
-// Cost-model constants. The pull/heap margins reproduce the ~8× density
-// ratios of the hybrid kernel's Fig. 7 thresholds; see decide().
+// Cost-model constants. The pull/heap margins are ~8× density ratios,
+// tuned by hand against the Fig. 7 mask regimes and §4.3's push vs pull
+// comparison; see decide().
 const (
 	// pullMargin: Inner must beat the best push-style estimate by this
 	// factor (its strided column accesses are pessimistic per unit cost);
-	// matches the hybrid kernel's empirically-tuned ~8× Fig. 7 threshold.
+	// ~8× was tuned by hand against the Fig. 7 regimes (§4.3).
 	pullMargin = 8
 	// heapMaskDiscountShift: heap's mask term is a sequential merge, ~4×
 	// cheaper per entry than the scatter/gather of MSA/Hash.

@@ -7,8 +7,7 @@ import (
 )
 
 // Extensions beyond the paper's evaluated kernels: the vector (SpGEVM)
-// primitive, the direction-optimized variant, the per-row hybrid kernel
-// (the paper's §9 future work), BFS, and masked similarity.
+// primitive, the direction-optimized variant, BFS, and masked similarity.
 
 // Vector is a sparse float64 vector.
 type Vector = matrix.SparseVec[float64]
@@ -47,17 +46,6 @@ type CSC = matrix.CSC[float64]
 
 // ToCSC converts a matrix to CSC (for VxMAuto and repeated pull calls).
 func ToCSC(a *Matrix) *CSC { return matrix.ToCSC(a) }
-
-// HybridStats counts per-row kernel routing decisions of MultiplyHybrid.
-type HybridStats = core.HybridStats
-
-// MultiplyHybrid computes C = M .* (A·B) with the per-row adaptive kernel
-// (the paper's stated future work): each output row routes to the pull,
-// heap or MSA sub-kernel by its local mask/flops densities. Complemented
-// masks are not supported. stats may be nil.
-func MultiplyHybrid(m *Pattern, a, b *Matrix, sr Semiring, opt Options, stats *HybridStats) (*Matrix, error) {
-	return core.MaskedSpGEMMHybrid(core.OnePhase, m, a, b, sr, opt, stats)
-}
 
 // BFSResult reports a direction-optimized BFS.
 type BFSResult = apps.BFSResult

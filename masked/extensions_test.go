@@ -34,26 +34,6 @@ func TestVxMThroughFacade(t *testing.T) {
 	}
 }
 
-func TestMultiplyHybridFacade(t *testing.T) {
-	g := RMAT(8, 8, 31)
-	l := Tril(g)
-	want, err := NewSession().Multiply(context.Background(), l.Pattern(), l, l, WithAccumulate(PlusPair()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stats HybridStats
-	got, err := MultiplyHybrid(l.Pattern(), l, l, PlusPair(), Options{Threads: 1}, &stats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NNZ() != want.NNZ() || Sum(got) != Sum(want) {
-		t.Fatal("hybrid disagrees with MSA")
-	}
-	if stats.MSARows+stats.HeapRows+stats.PullRows == 0 {
-		t.Fatal("no routing recorded")
-	}
-}
-
 func TestBFSFacade(t *testing.T) {
 	g := ErdosRenyi(200, 5, 41)
 	ctx, s := context.Background(), NewSession()
