@@ -11,13 +11,14 @@ import (
 // read when operands change under an edge stream. The overlays
 // (matrix.DeltaCSR) never mutate their base; each refresh takes the
 // current operands as plain sorted CSR snapshots (patched from the
-// previous ones), derives the mask-aware dirty-row frontier, extracts the
-// frontier rows of the mask and A into small sub-operands, runs the
-// ordinary masked product on them, and splices the recomputed rows over
-// the previous output. Because every kernel in this repository produces
-// bit-identical rows for identical (mask row, A row, B) inputs, the
-// spliced output is bit-identical to a from-scratch multiply on the
-// compacted operands — the property delta_equiv_test.go asserts.
+// previous ones), derives the mask-aware dirty-row frontier through a
+// column index of A, extracts the frontier rows of the mask and A into
+// small sub-operands, runs the ordinary masked product on them, and
+// splices the recomputed rows over the previous output. Because every
+// kernel in this repository produces bit-identical rows for identical
+// (mask row, A row, B) inputs, the spliced output is bit-identical to a
+// from-scratch multiply on the compacted operands — the property
+// delta_equiv_test.go asserts.
 
 // DeltaOperand selects which operand of a DeltaProduct an update batch
 // targets.
@@ -54,6 +55,24 @@ type DeltaProduct[T any] struct {
 	// columns J_k its updates named, sorted and duplicate-free.
 	dirtyAM map[Index]struct{}
 	dirtyB  map[Index][]Index
+	// at is the transposed pattern of A (row k lists the rows i with
+	// A(i,k) != 0), built from A's snapshot at the first refresh with B
+	// changes, and atBase is A's base at that build. The inserts into A
+	// since then form one list per column k: atHead[k] is the newest (-1
+	// for none), and insert e has row atRow[e] and the next older insert
+	// into its column atNext[e]. Together they cover every current entry
+	// of A; entries deleted since the build linger and are dropped by a
+	// lookup in A's current row. A new base drops them all, which bounds
+	// the lingering entries by one merge threshold.
+	at                    *matrix.Pattern
+	atBase                *matrix.CSR[T]
+	atHead, atNext, atRow []Index
+	// mark flags the rows already in the frontier being derived; it is
+	// all false between derivations.
+	mark []bool
+	// inFlight is the frontier of the sub-product being computed, nil
+	// outside Refresh and during a full product.
+	inFlight []Index
 }
 
 // NewDeltaProduct tracks C = M .* (A·B), with an uncomplemented mask, over
@@ -140,6 +159,9 @@ func (p *DeltaProduct[T]) Apply(op DeltaOperand, batch []matrix.Update[T]) error
 				p.dirtyAM[i] = struct{}{}
 			}
 		}
+		if d == p.a {
+			p.indexInserts(batch)
+		}
 		if d == p.b {
 			for _, u := range batch {
 				cols := p.dirtyB[u.Row]
@@ -169,43 +191,86 @@ func (p *DeltaProduct[T]) Output() *matrix.CSR[T] { return p.c }
 // rows) awaiting the next Refresh.
 func (p *DeltaProduct[T]) Dirty() int { return len(p.dirtyAM) + len(p.dirtyB) }
 
-// DirtyFrontier derives the output rows an update round must recompute:
-// the changed rows of M and A (dirtyAM), plus every other row i that has
-// some k in A(i,:) with a changed column j in J_k = dirtyB[k] that the
-// mask admits, where admits means (j ∈ M(i,:)) != complement. No other
-// row can change: an admitted C(i,j) is a sum over k in A(i,:) order
-// whose terms change only with B(k,j). m and a are the current mask and
-// A; each J_k must be sorted. The scan is O(nnz(A)) with early exit per
-// row, and the frontier comes out ascending.
-func DirtyFrontier(m, a *matrix.Pattern, complement bool, dirtyAM map[Index]struct{}, dirtyB map[Index][]Index) []Index {
-	inAM := make([]bool, a.NRows)
-	for i := range dirtyAM {
-		inAM[i] = true
+// indexInserts adds the inserts of a batch just applied to A to their
+// columns' insert lists, so the column index keeps covering A.
+func (p *DeltaProduct[T]) indexInserts(batch []matrix.Update[T]) {
+	if p.at == nil {
+		return
 	}
-	var changed [][]Index // changed[k] = J_k, nil for a clean row of B
-	if len(dirtyB) > 0 {
-		changed = make([][]Index, a.NCols)
-		for k, cols := range dirtyB {
-			changed[k] = cols
+	for _, u := range batch {
+		if !u.Delete {
+			p.atNext = append(p.atNext, p.atHead[u.Col])
+			p.atHead[u.Col] = Index(len(p.atRow))
+			p.atRow = append(p.atRow, u.Row)
 		}
 	}
-	frontier := make([]Index, 0, len(dirtyAM))
-	for i := Index(0); i < a.NRows; i++ {
-		if inAM[i] || (changed != nil && admitsChange(m.Row(i), a.Row(i), changed, complement)) {
-			frontier = append(frontier, i)
+}
+
+// frontier derives the output rows the pending batches require Refresh to
+// recompute: the changed rows of M and A (dirtyAM), plus every other row i
+// that has some k in A(i,:) with a changed column j in J_k = dirtyB[k]
+// that the mask admits, where admits means (j ∈ M(i,:)) != complement. No
+// other row can change: an admitted C(i,j) is a sum over k in A(i,:)
+// order whose terms change only with B(k,j). m and a are the current mask
+// and A. Each changed k visits only the rows of its column of A, read from
+// the column index, so the cost is O(Σ |A(:,k)|) over the changed k plus
+// a binary search of M(i,:) per changed column and visited row, and of
+// A(i,:) per admitted row, not O(nnz(A)). The frontier comes out
+// ascending.
+func (p *DeltaProduct[T]) frontier(m, a *matrix.Pattern) []Index {
+	if p.mark == nil {
+		p.mark = make([]bool, a.NRows)
+	}
+	frontier := make([]Index, 0, len(p.dirtyAM))
+	for i := range p.dirtyAM {
+		p.mark[i] = true
+		frontier = append(frontier, i)
+	}
+	if len(p.dirtyB) > 0 {
+		if p.at == nil || p.a.Base() != p.atBase {
+			// First use, or A was compacted (by a batch, by the product or
+			// directly): index the current A afresh.
+			p.at, p.atBase = matrix.TransposePattern(a), p.a.Base()
+			if p.atHead == nil {
+				p.atHead = make([]Index, a.NCols)
+			}
+			for k := range p.atHead {
+				p.atHead[k] = -1
+			}
+			p.atNext, p.atRow = p.atNext[:0], p.atRow[:0]
+		}
+		for k, cols := range p.dirtyB {
+			// The mask test rejects most rows, so the check that A(i,k)
+			// was not deleted since it was indexed comes last.
+			visit := func(i Index) {
+				if p.mark[i] || !admitsChange(m.Row(i), cols, p.complement) {
+					return
+				}
+				if _, ok := slices.BinarySearch(a.Row(i), k); ok {
+					p.mark[i] = true
+					frontier = append(frontier, i)
+				}
+			}
+			for _, i := range p.at.Row(k) {
+				visit(i)
+			}
+			for e := p.atHead[k]; e >= 0; e = p.atNext[e] {
+				visit(p.atRow[e])
+			}
 		}
 	}
+	for _, i := range frontier {
+		p.mark[i] = false
+	}
+	slices.Sort(frontier)
 	return frontier
 }
 
-// admitsChange reports whether some k in the A row has a changed column
-// that the mask row admits.
-func admitsChange(mRow, aRow []Index, changed [][]Index, complement bool) bool {
-	for _, k := range aRow {
-		for _, j := range changed[k] {
-			if _, inMask := slices.BinarySearch(mRow, j); inMask != complement {
-				return true
-			}
+// admitsChange reports whether the mask row admits some changed column.
+func admitsChange(mRow, changed []Index, complement bool) bool {
+	for _, j := range changed {
+		if _, inMask := slices.BinarySearch(mRow, j); inMask != complement {
+			return true
 		}
 	}
 	return false
@@ -213,8 +278,9 @@ func admitsChange(mRow, aRow []Index, changed [][]Index, complement bool) bool {
 
 // DeltaMult is the multiply callback Refresh recomputes frontier rows
 // with: it computes msub .* (asub · b) where msub and asub hold only the
-// frontier rows (b is the full current B). masked.Session supplies its
-// planner path; the apps layer supplies an Engine.
+// frontier rows (b is the full current B); DeltaProduct.Frontier names
+// them. masked.Session supplies its planner path; the apps layer supplies
+// an Engine.
 type DeltaMult[T any] func(msub *matrix.Pattern, asub, b *matrix.CSR[T]) (*matrix.CSR[T], error)
 
 // Refresh brings the output up to date with the overlays' current content:
@@ -226,6 +292,7 @@ type DeltaMult[T any] func(msub *matrix.Pattern, asub, b *matrix.CSR[T]) (*matri
 // error the dirty frontier is retained, so a failed or panicked refresh
 // can be retried.
 func (p *DeltaProduct[T]) Refresh(mult DeltaMult[T]) (*matrix.CSR[T], []Index, error) {
+	defer func() { p.inFlight = nil }()
 	curM := p.m.Current().Pattern()
 	curA, curB := p.a.Current(), p.b.Current()
 	if p.c == nil {
@@ -244,13 +311,17 @@ func (p *DeltaProduct[T]) Refresh(mult DeltaMult[T]) (*matrix.CSR[T], []Index, e
 	if len(p.dirtyAM) == 0 && len(p.dirtyB) == 0 {
 		return p.c, nil, nil
 	}
-	frontier := DirtyFrontier(curM, curA.Pattern(), p.complement, p.dirtyAM, p.dirtyB)
+	frontier := p.frontier(curM, curA.Pattern())
 	if len(frontier) == 0 {
 		p.resetDirty()
 		return p.c, nil, nil
 	}
-	msub := matrix.ExtractRowsPattern(curM, frontier)
 	asub := matrix.ExtractRows(curA, frontier)
+	msub := asub.Pattern()
+	if p.m != p.a {
+		msub = matrix.ExtractRowsPattern(curM, frontier)
+	}
+	p.inFlight = frontier
 	csub, err := mult(msub, asub, curB)
 	if err != nil {
 		return nil, nil, err
@@ -259,6 +330,12 @@ func (p *DeltaProduct[T]) Refresh(mult DeltaMult[T]) (*matrix.CSR[T], []Index, e
 	p.resetDirty()
 	return p.c, frontier, nil
 }
+
+// Frontier returns the output rows the DeltaMult call in flight
+// recomputes, ascending: row r of its sub-operands is row Frontier()[r] of
+// the product. It is nil outside Refresh and during a full product, whose
+// operands hold every row. Callers must not mutate it.
+func (p *DeltaProduct[T]) Frontier() []Index { return p.inFlight }
 
 func (p *DeltaProduct[T]) resetDirty() {
 	clear(p.dirtyAM)

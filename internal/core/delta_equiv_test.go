@@ -36,6 +36,73 @@ func genDeltaStream(rng *rand.Rand, rounds, per int, mr, mc, ar, ac, br, bc Inde
 	return deltaStream{m: gen(mr, mc), a: gen(ar, ac), b: gen(br, bc)}
 }
 
+// dirtyFrontier is the reference frontier rule, derived by a full scan of
+// A: the changed rows of M and A (dirtyAM), plus every other row i that
+// has some k in A(i,:) with a changed column j in J_k = dirtyB[k] that
+// the mask admits, (j ∈ M(i,:)) != complement. m and a are the current
+// mask and A. The product derives the same set through its column index
+// of A; refreshExact holds it to this scan.
+func dirtyFrontier(m, a *matrix.Pattern, complement bool, dirtyAM map[Index]struct{}, dirtyB map[Index][]Index) []Index {
+	var frontier []Index
+	for i := Index(0); i < a.NRows; i++ {
+		_, in := dirtyAM[i]
+		for _, k := range a.Row(i) {
+			for _, j := range dirtyB[k] {
+				if _, inMask := slices.BinarySearch(m.Row(i), j); inMask != complement {
+					in = true
+				}
+			}
+		}
+		if in {
+			frontier = append(frontier, i)
+		}
+	}
+	return frontier
+}
+
+// refreshExact refreshes p and fails unless the recomputed rows are
+// exactly what the pending batches require: every row on the first
+// refresh, none when clean, and the dirtyFrontier scan otherwise. It also
+// checks that Frontier names the sub-operands' rows inside the callback.
+func refreshExact(t *testing.T, p *DeltaProduct[float64], mult DeltaMult[float64]) (*matrix.CSR[float64], []Index) {
+	t.Helper()
+	var want []Index
+	cm, ca := p.m.Current().Pattern(), p.a.Current().Pattern()
+	switch {
+	case p.c == nil:
+		for i := Index(0); i < cm.NRows; i++ {
+			want = append(want, i)
+		}
+	case p.Dirty() > 0:
+		want = dirtyFrontier(cm, ca, p.complement, p.dirtyAM, p.dirtyB)
+	}
+	first := p.c == nil
+	var inFlight []Index
+	got, rows, err := p.Refresh(func(msub *matrix.Pattern, asub, b *matrix.CSR[float64]) (*matrix.CSR[float64], error) {
+		inFlight = slices.Clone(p.Frontier())
+		if !first && len(inFlight) != int(msub.NRows) {
+			t.Errorf("Frontier names %d rows, sub-operands hold %d", len(inFlight), msub.NRows)
+		}
+		return mult(msub, asub, b)
+	})
+	if err != nil {
+		t.Fatalf("refresh: %v", err)
+	}
+	if !slices.Equal(rows, want) {
+		t.Fatalf("refresh recomputed rows %v, the frontier rule requires %v", rows, want)
+	}
+	if first {
+		rows = nil // a full product has no frontier
+	}
+	if !slices.Equal(inFlight, rows) {
+		t.Fatalf("Frontier in the callback = %v, want %v", inFlight, rows)
+	}
+	if p.Frontier() != nil {
+		t.Fatal("Frontier is set outside Refresh")
+	}
+	return got, want
+}
+
 // deltaEquivConfig replays the stream under one (variant, complement, rep,
 // sched, semiring) configuration: after every prefix — including a
 // mid-stream Compact — the incrementally refreshed output must be
@@ -67,10 +134,7 @@ func deltaEquivConfig(t *testing.T, v Variant, comp bool, rep MaskRep, sched Sch
 	eqBits := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
 	check := func(round int) {
 		t.Helper()
-		got, _, err := p.Refresh(mult)
-		if err != nil {
-			t.Fatalf("round %d: incremental refresh: %v", round, err)
-		}
+		got, _ := refreshExact(t, p, mult)
 		cm, ca, cb := dm.Current().Pattern(), da.Current(), db.Current()
 		want, err := MaskedSpGEMM(v, cm, ca, cb, sr, opt(cm, ca, cb))
 		if err != nil {
@@ -158,9 +222,7 @@ func TestDeltaAliasedOverlays(t *testing.T) {
 			Options{Threads: 2})
 	}
 	eqBits := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
-	if _, rows, err := p.Refresh(mult); err != nil || len(rows) != n {
-		t.Fatalf("initial refresh: rows=%d err=%v", len(rows), err)
-	}
+	refreshExact(t, p, mult)
 	for round := 0; round < 6; round++ {
 		batch := make([]matrix.Update[float64], 5)
 		for k := range batch {
@@ -172,10 +234,7 @@ func TestDeltaAliasedOverlays(t *testing.T) {
 		if err := p.Apply(DeltaAll, batch); err != nil {
 			t.Fatal(err)
 		}
-		got, recomputed, err := p.Refresh(mult)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got, recomputed := refreshExact(t, p, mult)
 		if len(recomputed) == 0 {
 			t.Fatalf("round %d: refresh recomputed no rows after a batch", round)
 		}
@@ -221,25 +280,18 @@ func TestDeltaApplyAtomicAcrossOverlays(t *testing.T) {
 }
 
 // TestDirtyFrontierDerivation checks the mask-aware frontier rule through
-// DeltaProduct.Apply and Refresh: a changed B(k,j) pulls in row i only if
-// A(i,k) != 0 and the mask admits j in row i, while a changed M or A row
-// is always recomputed. Every refresh must still match a rebuild.
+// DeltaProduct.Apply and Refresh on overlays that are not aliased: a
+// changed B(k,j) pulls in row i only if A(i,k) != 0 and the mask admits j
+// in row i, while a changed M or A row is always recomputed. Every
+// refresh must recompute exactly the dirtyFrontier rows and still match
+// a rebuild.
 func TestDirtyFrontierDerivation(t *testing.T) {
-	csr := func(rows [][]Index) *matrix.CSR[float64] {
-		coo := &matrix.COO[float64]{NRows: 3, NCols: 3}
-		for i, cols := range rows {
-			for _, j := range cols {
-				coo.Row, coo.Col, coo.Val = append(coo.Row, Index(i)), append(coo.Col, j), append(coo.Val, 1)
-			}
-		}
-		return matrix.NewCSRFromCOO(coo, func(x, y float64) float64 { return x + y })
-	}
 	// A(0,:) = {1}, A(1,:) = {1, 2}, A(2,:) = {}.
 	// M(0,:) = {0}, M(1,:) = {2}, M(2,:) = {0, 1, 2}.
 	// B(1,:) = {1}, B(2,:) = {2}.
-	baseA := csr([][]Index{{1}, {1, 2}, {}})
-	baseM := csr([][]Index{{0}, {2}, {0, 1, 2}})
-	baseB := csr([][]Index{{}, {1}, {2}})
+	baseA := csr3([][]Index{{1}, {1, 2}, {}})
+	baseM := csr3([][]Index{{0}, {2}, {0, 1, 2}})
+	baseB := csr3([][]Index{{}, {1}, {2}})
 	v := Variant{Alg: MSA, Phase: OnePhase}
 	sr := semiring.Arithmetic()
 	eqBits := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
@@ -257,16 +309,11 @@ func TestDirtyFrontierDerivation(t *testing.T) {
 		mult := func(msub *matrix.Pattern, asub, b *matrix.CSR[float64]) (*matrix.CSR[float64], error) {
 			return MaskedSpGEMM(v, msub, asub, b, sr, Options{Threads: 1, Complement: comp})
 		}
-		if _, _, err := p.Refresh(mult); err != nil {
-			t.Fatal(err)
-		}
+		refreshExact(t, p, mult)
 		if err := p.Apply(op, []matrix.Update[float64]{u}); err != nil {
 			t.Fatal(err)
 		}
-		got, rows, err := p.Refresh(mult)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got, rows := refreshExact(t, p, mult)
 		cm, ca, cb := ov[0].Current().Pattern(), ov[1].Current(), ov[2].Current()
 		want, err := MaskedSpGEMM(v, cm, ca, cb, sr, Options{Threads: 1, Complement: comp})
 		if err != nil {
@@ -303,6 +350,104 @@ func TestDirtyFrontierDerivation(t *testing.T) {
 		if !slices.Equal(got, tc.want) {
 			t.Errorf("%s: frontier = %v, want %v", tc.name, got, tc.want)
 		}
+	}
+}
+
+// csr3 builds a 3×3 CSR holding 1 at the listed columns of each row.
+func csr3(rows [][]Index) *matrix.CSR[float64] {
+	coo := &matrix.COO[float64]{NRows: 3, NCols: 3}
+	for i, cols := range rows {
+		for _, j := range cols {
+			coo.Row, coo.Col, coo.Val = append(coo.Row, Index(i)), append(coo.Col, j), append(coo.Val, 1)
+		}
+	}
+	return matrix.NewCSRFromCOO(coo, func(x, y float64) float64 { return x + y })
+}
+
+// TestDirtyFrontierColumnIndex walks the column index of A through its
+// life on overlays that are not aliased: built at the first refresh with B
+// changes, extended by A inserts, left with stale entries by A deletes
+// (of a base entry, and of an entry inserted since the build), and
+// rebuilt after A is compacted behind the product and after an
+// auto-compaction. Every refresh must recompute exactly the dirtyFrontier
+// rows and match a rebuild.
+func TestDirtyFrontierColumnIndex(t *testing.T) {
+	// A(0,:) = {1}, A(1,:) = {1, 2}, A(2,:) = {}.
+	// M(0,:) = {0}, M(1,:) = {2}, M(2,:) = {0, 1, 2}.
+	// B(1,:) = {1}, B(2,:) = {2}.
+	var ov [3]*matrix.DeltaCSR[float64]
+	for k, rows := range [][][]Index{
+		{{0}, {2}, {0, 1, 2}},
+		{{1}, {1, 2}, {}},
+		{{}, {1}, {2}},
+	} {
+		d, err := matrix.NewDeltaCSR(csr3(rows))
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.SetMergeThreshold(100) // no auto-compaction until asked for
+		ov[k] = d
+	}
+	dm, da, db := ov[0], ov[1], ov[2]
+	p := NewDeltaProduct(dm, da, db)
+	v := Variant{Alg: MSA, Phase: OnePhase}
+	sr := semiring.Arithmetic()
+	mult := func(msub *matrix.Pattern, asub, b *matrix.CSR[float64]) (*matrix.CSR[float64], error) {
+		return MaskedSpGEMM(v, msub, asub, b, sr, Options{Threads: 1})
+	}
+	eqBits := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	refreshExact(t, p, mult)
+	set := func(i, j Index, v float64) matrix.Update[float64] {
+		return matrix.Update[float64]{Row: i, Col: j, Val: v}
+	}
+	del := func(i, j Index) matrix.Update[float64] { return matrix.Update[float64]{Row: i, Col: j, Delete: true} }
+	var preCompact, preAuto *matrix.CSR[float64]
+	steps := []struct {
+		name   string
+		before func() // runs before the batch
+		op     DeltaOperand
+		u      matrix.Update[float64]
+		want   []Index
+	}{
+		{"B change builds the index", nil, DeltaB, set(1, 0, 5), []Index{0}},
+		{"A insert is indexed", nil, DeltaA, set(2, 1, 1), []Index{2}},
+		{"A insert deleted again", nil, DeltaA, del(2, 1), []Index{2}},
+		// Row 2 is still listed under column 1, but A(2,1) is gone.
+		{"stale inserted entry skipped", nil, DeltaB, set(1, 0, 6), []Index{0}},
+		{"A base entry deleted", nil, DeltaA, del(1, 1), []Index{1}},
+		// M(1,:) admits column 2, but A(1,1) is gone.
+		{"stale base entry skipped", nil, DeltaB, set(1, 2, 3), nil},
+		{"M change", nil, DeltaM, set(0, 2, 1), []Index{0}},
+		{"B change after an M change", nil, DeltaB, set(1, 2, 2), []Index{0}},
+		{"A compacted behind the product", func() { preCompact = da.Base(); da.Compact() }, DeltaB, set(2, 2, 9), []Index{1}},
+		{"A auto-compacts", func() { da.SetMergeThreshold(0.01); preAuto = da.Base() }, DeltaA, set(2, 2, 1), []Index{2}},
+		{"B change after the auto-compaction", nil, DeltaB, set(2, 2, 4), []Index{1, 2}},
+	}
+	for _, st := range steps {
+		if st.before != nil {
+			st.before()
+		}
+		if err := p.Apply(st.op, []matrix.Update[float64]{st.u}); err != nil {
+			t.Fatal(err)
+		}
+		got, rows := refreshExact(t, p, mult)
+		if !slices.Equal(rows, st.want) {
+			t.Errorf("%s: frontier = %v, want %v", st.name, rows, st.want)
+		}
+		if st.op == DeltaB && p.atBase != da.Base() {
+			t.Errorf("%s: column index built on a stale base of A", st.name)
+		}
+		cm, ca, cb := dm.Current().Pattern(), da.Current(), db.Current()
+		want, err := MaskedSpGEMM(v, cm, ca, cb, sr, Options{Threads: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !matrix.Equal(got, want, eqBits) {
+			t.Fatalf("%s: refresh diverged from rebuild", st.name)
+		}
+	}
+	if preCompact == nil || preAuto == nil || da.Base() == preAuto {
+		t.Fatal("A was not compacted as the steps require")
 	}
 }
 

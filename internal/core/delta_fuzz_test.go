@@ -9,17 +9,25 @@ import (
 	"repro/internal/semiring"
 )
 
-// FuzzDeltaRefresh drives a DeltaProduct over small random M, A and B
-// with an arbitrary sequence of DeltaM, DeltaA, DeltaB and DeltaAll
-// batches and compactions, under a plain and a complemented mask, and
-// asserts that every refreshed prefix is bit-identical to a from-scratch
-// MaskedSpGEMM on the overlays' current content. It is the gate of the
-// mask-aware frontier: a row the frontier wrongly leaves out keeps a stale
-// output row and fails the comparison.
+// FuzzDeltaRefresh drives a DeltaProduct over small random M, A and B —
+// distinct overlays, or M and A one overlay — with an arbitrary sequence
+// of DeltaM, DeltaA, DeltaB and DeltaAll batches, product compactions,
+// direct compactions of one overlay behind the product, and per-overlay
+// merge thresholds from auto-compacting at almost every batch to never,
+// under a plain and a complemented mask. It asserts that every refresh recomputes exactly the
+// rows of the full-scan dirtyFrontier reference, and that every refreshed
+// prefix is bit-identical to a from-scratch MaskedSpGEMM on the overlays'
+// current content. It is the gate of the mask-aware frontier and its
+// column index of A: a row wrongly left out keeps a stale output row, and
+// a row wrongly pulled in fails the exactness check.
 func FuzzDeltaRefresh(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 2, 1, 2, 3, 1, 2, 3, 4, 5, 6, 3, 1, 0, 0})
 	f.Add([]byte{7, 3, 2, 0, 0, 1, 1, 1, 0, 2, 2, 4, 3, 3, 5, 6, 0, 1})
 	f.Add([]byte{42, 9, 3, 1, 4, 4, 2, 2, 6, 6, 0, 5, 5, 5, 1, 1, 1, 3, 2, 4})
+	// Found by the fuzzer: an A entry deleted after it was indexed, and an
+	// A insert that only the insert log covers.
+	f.Add([]byte("00107000121000000001112000000200"))
+	f.Add([]byte("0000000002000000001012"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, comp := range []bool{false, true} {
 			fuzzDeltaRefresh(t, data, comp)
@@ -52,7 +60,16 @@ func fuzzDeltaRefresh(t *testing.T, data []byte, comp bool) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		switch next() % 3 {
+		case 1:
+			d.SetMergeThreshold(0.05) // auto-compacts at almost every batch
+		case 2:
+			d.SetMergeThreshold(100) // keeps its logs, and A its column index
+		}
 		ov[k] = d
+	}
+	if next()%3 == 0 {
+		ov[1] = ov[0] // M and A one overlay
 	}
 	p := NewDeltaProductSeeded(ov[0], ov[1], ov[2], comp, nil)
 	sr := semiring.Arithmetic()
@@ -63,10 +80,7 @@ func fuzzDeltaRefresh(t *testing.T, data []byte, comp bool) {
 	eqBits := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
 	ops := []DeltaOperand{DeltaM, DeltaA, DeltaB, DeltaAll}
 	for step := 0; ; step++ {
-		got, _, err := p.Refresh(mult)
-		if err != nil {
-			t.Fatalf("step %d: refresh: %v", step, err)
-		}
+		got, _ := refreshExact(t, p, mult)
 		cm, ca, cb := ov[0].Current().Pattern(), ov[1].Current(), ov[2].Current()
 		want, err := MaskedSpGEMM(v, cm, ca, cb, sr, opt)
 		if err != nil {
@@ -78,9 +92,13 @@ func fuzzDeltaRefresh(t *testing.T, data []byte, comp bool) {
 		if pos >= len(data) {
 			return
 		}
-		sel := next() % (len(ops) + 1)
-		if sel == len(ops) {
+		sel := next() % (len(ops) + 2)
+		switch sel {
+		case len(ops):
 			p.Compact()
+			continue
+		case len(ops) + 1:
+			ov[next()%3].Compact() // behind the product's back
 			continue
 		}
 		batch := make([]matrix.Update[float64], 1+next()%3)

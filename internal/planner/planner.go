@@ -24,6 +24,7 @@ package planner
 import (
 	"fmt"
 	"math"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -189,6 +190,49 @@ func (p *Plan) ExecBlocks() []core.ExecBlock {
 		out[i] = core.ExecBlock{Lo: b.Lo, Hi: b.Hi, Alg: b.Alg, Rep: b.Rep}
 	}
 	return out
+}
+
+// Restrict returns the plan of the sub-product on the given rows of this
+// plan's product, taken in order: row r of the sub-product is row rows[r],
+// and runs with the Alg and Rep of the block holding that row. Runs of
+// rows that share an Alg and Rep form one block, so the blocks tile
+// [0, len(rows)). The cost profile is this plan's, cut to the rows, so
+// each row keeps its cost and the skew verdict is taken afresh. Nothing
+// is re-analyzed: the result is only as fresh as this plan, which callers
+// re-analyze once their operands have moved far. The sub-plan's blocks
+// carry no per-block statistics or predictions, and its Stats stay this
+// plan's apart from NRows and MaxRowCost. rows must be in [0, NRows); the
+// plan is not modified.
+func (p *Plan) Restrict(rows []Index) *Plan {
+	q := &Plan{Stats: p.Stats, Phase: p.Phase}
+	q.Stats.NRows = Index(len(rows))
+	q.Stats.MaxRowCost = 0
+	costs := p.Costs
+	var prefix []int64
+	if costs != nil {
+		prefix = make([]int64, len(rows)+1)
+	}
+	for r, i := range rows {
+		src := &p.Blocks[sort.Search(len(p.Blocks)-1, func(b int) bool { return p.Blocks[b].Hi > i })]
+		if n := len(q.Blocks); n > 0 && q.Blocks[n-1].Alg == src.Alg && q.Blocks[n-1].Rep == src.Rep {
+			q.Blocks[n-1].Hi = Index(r + 1)
+		} else {
+			q.Blocks = append(q.Blocks, Block{Lo: Index(r), Hi: Index(r + 1), Alg: src.Alg, Rep: src.Rep, Reason: src.Reason})
+		}
+		if costs != nil {
+			c := costs.Prefix[i+1] - costs.Prefix[i]
+			prefix[r+1] = prefix[r] + c
+			q.Stats.MaxRowCost = max(q.Stats.MaxRowCost, c)
+		}
+	}
+	if len(q.Blocks) == 0 {
+		b := p.Blocks[0]
+		q.Blocks = []Block{{Alg: b.Alg, Rep: b.Rep, Reason: "restricted to no rows"}}
+	}
+	if costs != nil {
+		q.Costs = core.NewRowCosts(prefix, q.Stats.MaxRowCost)
+	}
+	return q
 }
 
 // Explain renders the plan and the statistics behind it as a multi-line

@@ -1,6 +1,8 @@
 package planner
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -144,10 +146,10 @@ func TestComplementMemoryTightPlansTwoPhase(t *testing.T) {
 	}
 }
 
-// TestMixedPlanOnSkewedProfile: a row space whose halves sit in opposite
-// Fig. 7 corners gets a mixed plan, and the mixed execution is
-// bit-identical to a fixed variant.
-func TestMixedPlanOnSkewedProfile(t *testing.T) {
+// mixedFixture builds operands whose Auto plan is mixed: the top half of
+// the rows has a dense mask over about one flop per row (a heap variant),
+// the bottom half a two-entry mask over about 8192 flops per row (Inner).
+func mixedFixture() (*matrix.Pattern, *matrix.CSR[float64], *matrix.CSR[float64]) {
 	const n = 4096
 	const half = n / 2
 	// B: rows 0..63 dense (256 entries), the rest one entry each.
@@ -196,8 +198,14 @@ func TestMixedPlanOnSkewedProfile(t *testing.T) {
 		mcoo.Col = append(mcoo.Col, i%64, (i+13)%64)
 		mcoo.Val = append(mcoo.Val, 1, 1)
 	}
-	mask := matrix.NewCSRFromCOO(mcoo, nil).Pattern()
+	return matrix.NewCSRFromCOO(mcoo, nil).Pattern(), a, b
+}
 
+// TestMixedPlanOnSkewedProfile: a row space whose halves sit in opposite
+// Fig. 7 corners gets a mixed plan, and the mixed execution is
+// bit-identical to a fixed variant.
+func TestMixedPlanOnSkewedProfile(t *testing.T) {
+	mask, a, b := mixedFixture()
 	p := Analyze(mask, a.Pattern(), b.Pattern(), core.Options{})
 	if !p.Mixed() {
 		t.Fatalf("skewed profile should produce a mixed plan:\n%s", p.Explain())
@@ -231,6 +239,86 @@ func TestMixedPlanOnSkewedProfile(t *testing.T) {
 	}
 	if !matrix.Equal(got, want, func(x, y float64) bool { return x == y }) {
 		t.Fatal("mixed execution disagrees with MSA-1P")
+	}
+}
+
+// TestPlanRestrict cuts a mixed plan to scattered rows: each row keeps
+// its block's Alg and Rep, the blocks tile the rows and differ from their
+// neighbours, each row keeps its cost from the full profile, the full plan
+// is untouched, and the sub-plan computes the full product's rows.
+func TestPlanRestrict(t *testing.T) {
+	mask, a, b := mixedFixture()
+	p := Analyze(mask, a.Pattern(), b.Pattern(), core.Options{})
+	if !p.Mixed() || p.Costs == nil {
+		t.Fatalf("fixture plan should be mixed with a cost profile:\n%s", p.Explain())
+	}
+	blockOf := func(pl *Plan, i Index) Block {
+		t.Helper()
+		for _, blk := range pl.Blocks {
+			if blk.Lo <= i && i < blk.Hi {
+				return blk
+			}
+		}
+		t.Fatalf("row %d outside every block", i)
+		return Block{}
+	}
+	var rows []Index
+	for _, blk := range p.Blocks {
+		rows = append(rows, blk.Lo, blk.Hi-1)
+	}
+	for i := Index(3); i < mask.NRows; i += 97 {
+		rows = append(rows, i)
+	}
+	slices.Sort(rows)
+	rows = slices.Compact(rows)
+	before := slices.Clone(p.Blocks)
+	q := p.Restrict(rows)
+	if !slices.Equal(p.Blocks, before) {
+		t.Fatal("Restrict modified the full plan")
+	}
+	if q.Stats.NRows != Index(len(rows)) || q.Phase != p.Phase {
+		t.Fatalf("sub-plan has %d rows and phase %v, want %d and %v", q.Stats.NRows, q.Phase, len(rows), p.Phase)
+	}
+	next := Index(0)
+	for k, blk := range q.Blocks {
+		if blk.Lo != next || blk.Hi <= blk.Lo {
+			t.Fatalf("block %d = [%d,%d) does not continue the tiling at %d", k, blk.Lo, blk.Hi, next)
+		}
+		if k > 0 && blk.Alg == q.Blocks[k-1].Alg && blk.Rep == q.Blocks[k-1].Rep {
+			t.Fatalf("blocks %d and %d share %s/%s and were not coalesced", k-1, k, blk.Alg, blk.Rep)
+		}
+		next = blk.Hi
+	}
+	if next != Index(len(rows)) {
+		t.Fatalf("blocks tile [0,%d), want [0,%d)", next, len(rows))
+	}
+	if len(q.Costs.Prefix) != len(rows)+1 {
+		t.Fatalf("sub-profile has %d prefix entries for %d rows", len(q.Costs.Prefix), len(rows))
+	}
+	for r, i := range rows {
+		sub, full := blockOf(q, Index(r)), blockOf(p, i)
+		if sub.Alg != full.Alg || sub.Rep != full.Rep {
+			t.Fatalf("row %d (full row %d) runs %s/%s, its block runs %s/%s", r, i, sub.Alg, sub.Rep, full.Alg, full.Rep)
+		}
+		if got, want := q.Costs.Prefix[r+1]-q.Costs.Prefix[r], p.Costs.Prefix[i+1]-p.Costs.Prefix[i]; got != want {
+			t.Fatalf("row %d (full row %d) costs %d, the full profile says %d", r, i, got, want)
+		}
+	}
+	sr := semiring.Arithmetic()
+	full, err := Execute(p, mask, a, b, sr, core.Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Execute(q, matrix.ExtractRowsPattern(mask, rows), matrix.ExtractRows(a, rows), b, sr, core.Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eqBits := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	if !matrix.Equal(got, matrix.ExtractRows(full, rows), eqBits) {
+		t.Fatal("restricted plan's rows differ from the full product's")
+	}
+	if e := p.Restrict(nil); len(e.Blocks) != 1 || e.Blocks[0].Lo != 0 || e.Blocks[0].Hi != 0 {
+		t.Fatalf("restricting to no rows gave blocks %+v", e.Blocks)
 	}
 }
 

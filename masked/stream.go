@@ -19,11 +19,12 @@ import (
 // whose column j the (possibly complemented) mask row i admits —
 // splicing the recomputed rows into the cached output. Rows outside the
 // frontier reuse their previously computed output unchanged; the frontier
-// rows re-plan through the ordinary planner stats path on the extracted
-// sub-operands. Because every kernel produces bit-identical rows for
-// identical inputs, the incremental output is bit-identical to a
-// from-scratch multiply on the compacted operands (masked/stream_test.go
-// and internal/core/delta_equiv_test.go assert this per stream prefix).
+// rows run with their share of the product's own plan (Plan.Restrict),
+// which is re-analyzed whenever an overlay's base moves. Because every
+// kernel produces bit-identical rows for identical inputs, the incremental
+// output is bit-identical to a from-scratch multiply on the compacted
+// operands (masked/stream_test.go and internal/core/delta_equiv_test.go
+// assert this per stream prefix).
 
 // Update is one streamed edge mutation: set entry (Row, Col) to Val, or
 // remove it when Delete is true. Deletes of absent entries are no-ops.
@@ -67,10 +68,17 @@ const (
 // Output serialize on an internal lock, so a DeltaProduct is safe for
 // concurrent use alongside the session's other operations.
 type DeltaProduct struct {
-	mu    sync.Mutex
-	owner *Session
-	d     opSpec
-	inner *core.DeltaProduct[float64]
+	mu      sync.Mutex
+	owner   *Session
+	d       opSpec
+	inner   *core.DeltaProduct[float64]
+	m, a, b *DeltaMatrix
+	// plan is the Auto plan frontier sub-products are cut from: the first
+	// full product's, re-analyzed on the current operands once an overlay's
+	// base no longer matches bases, the bases it was analyzed on. Nil on
+	// pinned products and before the first refresh.
+	plan  *Plan
+	bases [3]*Matrix
 }
 
 // NewDeltaProduct tracks C = M .* (A·B) over the given overlays, which may
@@ -87,6 +95,7 @@ func (s *Session) NewDeltaProduct(m, a, b *DeltaMatrix, opts ...Op) *DeltaProduc
 		owner: s,
 		d:     d,
 		inner: core.NewDeltaProductSeeded(m, a, b, d.complement, nil),
+		m:     m, a: a, b: b,
 	}
 }
 
@@ -176,31 +185,47 @@ func (s *Session) refreshLocked(ctx context.Context, p *DeltaProduct) (c *Matrix
 		if first {
 			// The full initial product goes through the ordinary session
 			// path: plan cache, feedback recording, chaos point.
-			c, _, err := s.execute(p.d, o, msub, asub, b)
+			c, pl, err := s.execute(p.d, o, msub, asub, b)
+			if err == nil {
+				p.keepPlan(pl)
+			}
 			return c, err
 		}
-		return s.deltaExecute(p.d, o, msub, asub, b)
+		return s.deltaExecute(p, o, msub, asub, b)
 	})
 	return c, err
 }
 
+// keepPlan records pl as the plan frontier sub-products are cut from,
+// with the overlay bases it describes.
+func (p *DeltaProduct) keepPlan(pl *Plan) {
+	p.plan = pl
+	p.bases = [3]*Matrix{p.m.Base(), p.a.Base(), p.b.Base()}
+}
+
 // deltaExecute runs one frontier sub-product. It mirrors Session.execute's
-// two paths, but plans the extracted sub-operands directly with the
-// session's cost model instead of through the plan cache: frontier
-// sub-operands are freshly materialized every batch, so caching their
-// plans would only churn the LRU that iterative full products rely on.
-// Unchanged rows never reach this path at all — their cached output rows
-// (and the full product's cached plan) are reused as-is.
-func (s *Session) deltaExecute(d opSpec, o Options, m *Pattern, a, b *Matrix) (*Matrix, error) {
+// two paths. The Auto path neither analyzes the extracted sub-operands nor
+// touches the plan cache: it cuts the frontier rows out of the product's
+// own plan (Plan.Restrict), so each row runs with the algorithm and mask
+// representation its block of the full product chose, and is scheduled by
+// its cost from the full product's profile. Once an overlay's base has
+// moved (a compaction), the plan is first re-analyzed on the current full
+// operands, outside the cache, which keeps it within one merge threshold
+// of the content it plans. Unchanged rows never reach this path at all —
+// their cached output rows are reused as-is.
+func (s *Session) deltaExecute(p *DeltaProduct, o Options, m *Pattern, a, b *Matrix) (*Matrix, error) {
 	if faultinject.Fire(faultinject.PointKernelPanic) {
 		panic("faultinject: " + faultinject.PointKernelPanic)
 	}
+	d := p.d
 	if d.pinned {
 		if d.sched == SchedCost && o.RowCosts == nil {
 			o.RowCosts = core.ComputeRowCosts(m, a.Pattern(), b.Pattern(), o.Workers())
 		}
 		return core.MaskedSpGEMM(d.variant, m, a, b, d.semiring(), o)
 	}
-	pl := planner.AnalyzeModel(m, a.Pattern(), b.Pattern(), o, s.cache.Model())
-	return planner.Execute(pl, m, a, b, d.semiring(), o, nil)
+	if p.plan == nil || p.bases != [3]*Matrix{p.m.Base(), p.a.Base(), p.b.Base()} {
+		p.keepPlan(planner.AnalyzeModel(p.m.Current().Pattern(), p.a.Current().Pattern(), b.Pattern(), o, s.cache.Model()))
+	}
+	return planner.Execute(p.plan.Restrict(p.inner.Frontier()), m, a, b, d.semiring(), o, nil)
 }

@@ -3,6 +3,7 @@ package masked
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -123,6 +124,107 @@ func TestStreamEquivalence(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// mixedPlanOperands builds n×n operands (n = 4096) whose Auto plan is
+// mixed: the top half of the rows has a dense mask over about one flop per
+// row, the bottom half a two-entry mask over about 8192 flops per row.
+func mixedPlanOperands() (m, a, b *Matrix) {
+	const n, half = 4096, 2048
+	build := func(row func(i Index) []Index) *Matrix {
+		coo := &COO{NRows: n, NCols: n}
+		for i := Index(0); i < n; i++ {
+			for _, j := range row(i) {
+				coo.Row, coo.Col, coo.Val = append(coo.Row, i), append(coo.Col, j), append(coo.Val, 1)
+			}
+		}
+		return FromCOO(coo)
+	}
+	span := func(count, step, off Index) []Index {
+		out := make([]Index, count)
+		for c := range out {
+			out[c] = (Index(c)*step + off) % n
+		}
+		return out
+	}
+	b = build(func(i Index) []Index {
+		if i < 64 {
+			return span(256, 16, i)
+		}
+		return []Index{i}
+	})
+	a = build(func(i Index) []Index {
+		if i < half {
+			return []Index{64 + i%(n-64)}
+		}
+		return span(32, 1, i%64)
+	})
+	m = build(func(i Index) []Index {
+		if i < half {
+			return span(256, 7, i)
+		}
+		return []Index{i % 64, (i + 13) % 64}
+	})
+	return m, a, b
+}
+
+// TestStreamMixedPlan streams updates into a product whose Auto plan is
+// mixed, over overlays that are not aliased. Every prefix must be
+// bit-identical to Session.Multiply on the overlays' current content,
+// across auto-compactions that re-analyze the product's plan, and no
+// refresh may add a plan-cache miss: frontier sub-products run on rows cut
+// from the product's own plan.
+func TestStreamMixedPlan(t *testing.T) {
+	ctx := context.Background()
+	baseM, baseA, baseB := mixedPlanOperands()
+	s := NewSession(WithThreads(2))
+	var ov [3]*DeltaMatrix
+	for k, base := range []*Matrix{baseM, baseA, baseB} {
+		d, err := NewDeltaMatrix(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ov[k] = d
+	}
+	ov[1].SetMergeThreshold(0.0005) // A auto-compacts every few batches
+	p := s.NewDeltaProduct(ov[0], ov[1], ov[2])
+	if _, err := s.MultiplyDelta(ctx, p); err != nil {
+		t.Fatal(err)
+	}
+	if !p.plan.Mixed() {
+		t.Fatalf("fixture plan should be mixed:\n%s", p.plan.Explain())
+	}
+	rng := rand.New(rand.NewSource(23))
+	const n = 4096
+	ops := []DeltaOperand{DeltaM, DeltaA, DeltaB, DeltaAll}
+	firstBase, replans := ov[1].Base(), 0
+	for r := 0; r < 24; r++ {
+		batch := make([]Update, 8)
+		for k := range batch {
+			batch[k] = Update{Row: Index(rng.Intn(n)), Col: Index(rng.Intn(n)), Val: 1, Delete: rng.Intn(3) == 0}
+		}
+		plan := p.plan
+		misses := s.Stats().Cache.Misses
+		got, err := s.UpdateOperand(ctx, p, ops[r%len(ops)], batch)
+		if err != nil {
+			t.Fatalf("round %d: %v", r, err)
+		}
+		if d := s.Stats().Cache.Misses - misses; d != 0 {
+			t.Fatalf("round %d: refresh added %d plan-cache misses", r, d)
+		}
+		if p.plan != plan {
+			replans++
+		}
+		cm, ca, cb := ov[0].Current(), ov[1].Current(), ov[2].Current()
+		want, err := s.Multiply(ctx, cm.Pattern(), ca, cb)
+		if err != nil {
+			t.Fatalf("round %d rebuild: %v", r, err)
+		}
+		sameBits(t, fmt.Sprintf("round %d", r), got, want)
+	}
+	if ov[1].Base() == firstBase || replans == 0 {
+		t.Fatalf("A never auto-compacted or the plan was never re-analyzed (%d re-analyses)", replans)
 	}
 }
 
