@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/accum"
 	"repro/internal/matrix"
@@ -296,5 +296,5 @@ func sortIndices(s []Index) {
 		}
 		return
 	}
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	slices.Sort(s)
 }

@@ -54,6 +54,10 @@ const (
 	// PointInternMiss forces an operand intern lookup to miss, driving the
 	// full revalidate-and-copy path for an operand the table already holds.
 	PointInternMiss = "server.intern.miss"
+	// PointInternRefMiss forces an operand reference lookup to miss, as if
+	// the entry had just been evicted: the server answers "unknown
+	// reference" and the client must resend the operands inline.
+	PointInternRefMiss = "server.intern.ref_miss"
 	// PointKernelPanic panics inside Session.execute, under the serving
 	// layer's recover barrier and the arbiter grant (tests leak-free panic
 	// recovery on the kernel path).

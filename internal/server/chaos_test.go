@@ -10,6 +10,7 @@ package server
 // panic counters, retry stats).
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net/http"
@@ -246,6 +247,50 @@ func TestChaosWorkerPanicOverWire(t *testing.T) {
 	}
 	if m := l.Server.Metrics(); m.SessionPanics != 1 {
 		t.Fatalf("session panics %d, want 1", m.SessionPanics)
+	}
+	faultinject.Set(nil)
+	checkHealthy(t, l, c)
+}
+
+// TestRefMissResendsInline arms server.intern.ref_miss once: a reference
+// the server holds misses as if its entry had just been evicted. The
+// client must resend the operands inline exactly once, without a retry
+// policy, and still return the byte-identical product; /metrics counts
+// the miss in both forms.
+func TestRefMissResendsInline(t *testing.T) {
+	ctx := context.Background()
+	l, c := startLocal(t, Config{Threads: 2})
+	g := masked.ErdosRenyi(256, 8, 46)
+	req := &wire.MultiplyReq{Semiring: "min-plus", M: g.Pattern(), A: g, B: g}
+	want := productFrame(t, req, masked.WithAccumulate(masked.MinPlus()))
+	if _, err := c.Multiply(ctx, req); err != nil { // the server issues references
+		t.Fatal(err)
+	}
+
+	arm(t, "server.intern.ref_miss=every:1,limit:1")
+	res, err := c.Multiply(ctx, req)
+	if err != nil {
+		t.Fatalf("multiply under a forced reference miss: %v", err)
+	}
+	if !bytes.Equal((&wire.MultiplyRes{C: res.C}).Encode(nil), want) {
+		t.Fatal("product after the resend differs from the in-process reference")
+	}
+	if st := c.Stats(); st.RefResends != 1 || st.Retries != 0 || st.Attempts != 3 {
+		t.Fatalf("client stats %+v, want exactly one resend and no retries", st)
+	}
+	m, err := c.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.RefMisses != 1 || m.FaultsInjected[faultinject.PointInternRefMiss] != 1 {
+		t.Fatalf("reference misses %d, fault fires %v; want 1 and 1", m.RefMisses, m.FaultsInjected)
+	}
+	text, err := c.MetricsText(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !containsLine(text, `mspgemm_operand_ref_total{event="miss"} 1`) {
+		t.Fatalf("metrics text missing the reference miss:\n%s", text)
 	}
 	faultinject.Set(nil)
 	checkHealthy(t, l, c)

@@ -14,6 +14,10 @@ package server
 // (multiplies, triangle counts, BFS are side-effect free), so every
 // outcome that cannot be a deterministic property of the request itself is
 // idempotent-safe to retry.
+//
+// Multiply sends an operand the server already holds as the short
+// reference the server issued for it (refs.go), and resends the operands
+// inline once when the server no longer holds one.
 
 import (
 	"bytes"
@@ -88,15 +92,28 @@ type RetryPolicy struct {
 	AttemptTimeout time.Duration
 }
 
+// ErrUnknownRef is the client-side sentinel for a wire.CodeUnknownRef
+// error frame: a request named an operand reference the server does not
+// hold (never issued, or dropped with its evicted intern entry).
+// Client.Multiply answers it itself by resending the operands inline
+// once; it reaches callers only when that resend is refused the same way.
+var ErrUnknownRef = errors.New("server: unknown operand reference")
+
 // ClientStats are the client's monotonic retry-loop counters.
 type ClientStats struct {
-	// Attempts counts HTTP attempts, including first tries.
+	// Attempts counts HTTP attempts, including first tries and reference
+	// resends.
 	Attempts int64
-	// Retries counts attempts beyond each request's first.
+	// Retries counts attempts the retry policy made beyond each request's
+	// first.
 	Retries int64
 	// ChecksumErrors counts attempts that failed on a CRC32-C payload
 	// mismatch (wire.ErrChecksum) — corruption the checksums caught.
 	ChecksumErrors int64
+	// RefResends counts requests resent with inline operands because the
+	// server no longer held a reference the first body named
+	// (ErrUnknownRef).
+	RefResends int64
 }
 
 // ClientOpt configures a Client (NewClient's variadic tail).
@@ -129,8 +146,9 @@ type Client struct {
 	hc      *http.Client
 	retry   RetryPolicy
 	maxResp int64
+	refs    *refTable
 
-	attempts, retries, checksumErrs atomic.Int64
+	attempts, retries, checksumErrs, refResends atomic.Int64
 }
 
 // NewClient returns a client for the server at baseURL
@@ -145,6 +163,7 @@ func NewClient(baseURL string, hc *http.Client, opts ...ClientOpt) *Client {
 		base:    strings.TrimRight(baseURL, "/"),
 		hc:      hc,
 		maxResp: defaultMaxResponseBytes,
+		refs:    newRefTable(),
 	}
 	for _, o := range opts {
 		o(c)
@@ -158,6 +177,7 @@ func (c *Client) Stats() ClientStats {
 		Attempts:       c.attempts.Load(),
 		Retries:        c.retries.Load(),
 		ChecksumErrors: c.checksumErrs.Load(),
+		RefResends:     c.refResends.Load(),
 	}
 }
 
@@ -311,17 +331,18 @@ func (c *Client) backoff(ctx context.Context, attempt int, hint time.Duration) e
 // a fresh body (mkBody), posts it, and decodes the response; transient
 // failures back off and retry up to the policy's budget under ctx. The
 // body is re-encoded per attempt because a retry must never resend bytes a
-// previous attempt may have had corrupted in flight.
+// previous attempt may have had corrupted in flight. An ErrUnknownRef
+// answer is resent at once, one time per request and outside the policy's
+// budget: decode has dropped the stale references, so the next body
+// carries its operands inline.
 func (c *Client) do(ctx context.Context, path string, mkBody func() []byte, decode func([]byte) error) error {
 	maxAttempts := c.retry.MaxAttempts
 	if maxAttempts < 1 {
 		maxAttempts = 1
 	}
 	var err error
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		if attempt > 0 {
-			c.retries.Add(1)
-		}
+	resent := false
+	for attempt := 0; attempt < maxAttempts; {
 		c.attempts.Add(1)
 		actx, cancel := ctx, context.CancelFunc(nil)
 		if c.retry.AttemptTimeout > 0 {
@@ -345,6 +366,11 @@ func (c *Client) do(ctx context.Context, path string, mkBody func() []byte, deco
 		if ctx.Err() != nil {
 			return err // the overall budget is spent; no point classifying
 		}
+		if errors.Is(err, ErrUnknownRef) && !resent {
+			resent = true
+			c.refResends.Add(1)
+			continue
+		}
 		hint, ok := retryable(err)
 		if attemptTimedOut {
 			hint, ok = 0, true // per-attempt timeout under a healthy overall ctx
@@ -355,6 +381,8 @@ func (c *Client) do(ctx context.Context, path string, mkBody func() []byte, deco
 		if c.backoff(ctx, attempt, hint) != nil {
 			return err
 		}
+		attempt++
+		c.retries.Add(1)
 	}
 	return err
 }
@@ -365,28 +393,57 @@ func frameError(payload []byte) error {
 	if err != nil {
 		return err
 	}
-	if ef.Code == http.StatusTooManyRequests {
+	switch ef.Code {
+	case http.StatusTooManyRequests:
 		return fmt.Errorf("%w: %s", ErrSaturated, ef.Message)
+	case wire.CodeUnknownRef:
+		return fmt.Errorf("%w: %s", ErrUnknownRef, ef.Message)
 	}
 	return &StatusError{Code: int(ef.Code), Message: ef.Message}
 }
 
-// Multiply runs one masked multiply on the server.
+// Multiply runs one masked multiply on the server. An operand the server
+// already holds travels as the reference the server issued for it (see
+// refs.go): Multiply hashes each operand's content on every call, sends
+// the reference an earlier response reported for that content, and sends
+// the operand inline otherwise. When the server no longer holds a
+// reference, Multiply resends the request inline once, counted in
+// ClientStats.RefResends.
 func (c *Client) Multiply(ctx context.Context, req *wire.MultiplyReq) (*wire.MultiplyRes, error) {
+	keys := c.refs.keys(req)
+	inline := false
+	var sent [3]uint64 // the references the last body carried
 	var out *wire.MultiplyRes
 	err := c.do(ctx, "/v1/multiply",
-		func() []byte { return wire.WithChecksum(req.Encode(nil)) },
+		func() []byte {
+			r := wire.MultiplyRefReq{MultiplyReq: *req}
+			if !inline {
+				r.Refs = c.refs.lookup(keys)
+			}
+			sent = r.Refs
+			return wire.WithChecksum(r.Encode(nil))
+		},
 		func(data []byte) error {
 			t, payload, _, err := wire.DecodeFrame(data)
 			if err != nil {
 				return err
 			}
 			switch t {
-			case wire.FrameMultiplyRes:
-				out, err = wire.DecodeMultiplyRes(payload)
-				return err
+			case wire.FrameMultiplyRefRes:
+				res, err := wire.DecodeMultiplyRefRes(payload)
+				if err != nil {
+					return err
+				}
+				c.refs.record(keys, res.Refs)
+				out = &res.MultiplyRes
+				return nil
 			case wire.FrameError:
-				return frameError(payload)
+				err := frameError(payload)
+				if errors.Is(err, ErrUnknownRef) {
+					c.refs.drop(keys, sent)
+					inline = true
+				}
+				return err
 			default:
 				return fmt.Errorf("server: unexpected frame type %d", t)
 			}

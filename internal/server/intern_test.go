@@ -18,7 +18,7 @@ import (
 func TestInternStoresCopies(t *testing.T) {
 	sv := New(Config{Threads: 1})
 	g := masked.ErdosRenyi(64, 4, 7)
-	canon, err := sv.internMatrix(g, "A")
+	canon, _, err := sv.internMatrix(g, "A")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,8 +114,8 @@ func TestInternByteBound(t *testing.T) {
 	// An operand bigger than the whole bound is served but never stored.
 	big := masked.ErdosRenyi(512, 16, 9).Pattern()
 	before := tab.stats()
-	got := tab.insert(tab.patternKey(big), big, patternSize(big))
-	if got != big {
+	got, ref := tab.insert(tab.patternKey(big), big, patternSize(big))
+	if got != big || ref != 0 {
 		t.Fatal("oversized insert did not return the caller's object")
 	}
 	if after := tab.stats(); after.Entries != before.Entries || after.Bytes != before.Bytes {
@@ -132,27 +132,27 @@ func TestInternForcedKeyNeverServesOtherBytes(t *testing.T) {
 	b := masked.ErdosRenyi(32, 3, 2)
 	const key = internKey(42)
 
-	if got := tab.insert(key, a.Clone(), matrixSize(a)); !sameOperand(got, a) {
+	if got, _ := tab.insert(key, a.Clone(), matrixSize(a)); !sameOperand(got, a) {
 		t.Fatal("insert returned content different from the clone")
 	}
-	if _, ok := tab.lookup(key, b); ok {
+	if _, _, ok := tab.lookup(key, b); ok {
 		t.Fatal("lookup served a's bytes for probe b under a shared key")
 	}
-	if v, ok := tab.lookup(key, a); !ok || !sameOperand(v, a) {
+	if v, _, ok := tab.lookup(key, a); !ok || !sameOperand(v, a) {
 		t.Fatalf("lookup(a) = %v, %v; want a byte-equal hit", v, ok)
 	}
 	// Same key, other kind: a pattern must not be served a matrix.
-	if _, ok := tab.lookup(key, a.Pattern()); ok {
+	if _, _, ok := tab.lookup(key, a.Pattern()); ok {
 		t.Fatal("pattern probe hit a matrix entry")
 	}
 
-	if got := tab.insert(key, b.Clone(), matrixSize(b)); !sameOperand(got, b) {
+	if got, _ := tab.insert(key, b.Clone(), matrixSize(b)); !sameOperand(got, b) {
 		t.Fatal("insert under a colliding key returned the old operand")
 	}
-	if _, ok := tab.lookup(key, a); ok {
+	if _, _, ok := tab.lookup(key, a); ok {
 		t.Fatal("replaced operand still served")
 	}
-	if v, ok := tab.lookup(key, b); !ok || !sameOperand(v, b) {
+	if v, _, ok := tab.lookup(key, b); !ok || !sameOperand(v, b) {
 		t.Fatal("replacing operand not served")
 	}
 	if st := tab.stats(); st.Entries != 1 || st.Bytes != matrixSize(b) {
@@ -176,7 +176,7 @@ func TestInternFloatBitsDistinct(t *testing.T) {
 	for _, v := range vals {
 		g := base.Clone()
 		g.Val[0] = v
-		c, err := sv.internMatrix(g, "A")
+		c, _, err := sv.internMatrix(g, "A")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +188,7 @@ func TestInternFloatBitsDistinct(t *testing.T) {
 	for i, v := range vals {
 		g := base.Clone()
 		g.Val[0] = v
-		c, err := sv.internMatrix(g, "A")
+		c, _, err := sv.internMatrix(g, "A")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -285,10 +285,10 @@ func FuzzInternTable(f *testing.F) {
 				k = internKey(b & 3) // forced: unrelated operands share keys
 			}
 			if b&0x80 != 0 {
-				if got := tab.insert(k, clone(op), size(op)); !sameOperand(got, op) {
+				if got, _ := tab.insert(k, clone(op), size(op)); !sameOperand(got, op) {
 					t.Fatalf("insert returned content different from %T", op)
 				}
-			} else if v, ok := tab.lookup(k, op); ok && !sameOperand(v, op) {
+			} else if v, _, ok := tab.lookup(k, op); ok && !sameOperand(v, op) {
 				t.Fatalf("lookup hit served bytes different from the probe %T", op)
 			}
 			st := tab.stats()

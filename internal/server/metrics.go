@@ -51,6 +51,11 @@ type MetricsSnapshot struct {
 	InternEvictions int64 `json:"operand_intern_evictions"`
 	InternEntries   int   `json:"operand_intern_entries"`
 	InternBytes     int64 `json:"operand_intern_bytes"`
+	// RefHits counts operand references resolved to a held operand (each
+	// also counts as an intern hit); RefMisses references the table did
+	// not hold, each answered with an unknown-reference error.
+	RefHits   int64 `json:"operand_ref_hits"`
+	RefMisses int64 `json:"operand_ref_misses"`
 	// Session is the unified session snapshot: plan cache, arbiter,
 	// driver pools.
 	Session masked.Stats `json:"session"`
@@ -76,6 +81,8 @@ func (sv *Server) Metrics() MetricsSnapshot {
 		InternEvictions:       in.Evictions,
 		InternEntries:         in.Entries,
 		InternBytes:           in.Bytes,
+		RefHits:               in.RefHits,
+		RefMisses:             in.RefMisses,
 		HandlerPanics:         sv.nPanics.Load(),
 		SessionPanics:         sess.Panics,
 		FaultsInjected:        faultinject.Stats(),
@@ -130,6 +137,9 @@ func writeProm(w io.Writer, m MetricsSnapshot) {
 	fmt.Fprintf(w, "mspgemm_operand_intern_total{event=\"hit\"} %d\n", m.InternHits)
 	fmt.Fprintf(w, "mspgemm_operand_intern_total{event=\"miss\"} %d\n", m.InternMisses)
 	fmt.Fprintf(w, "mspgemm_operand_intern_total{event=\"eviction\"} %d\n", m.InternEvictions)
+	fmt.Fprintf(w, "# HELP mspgemm_operand_ref_total Operand references resolved (hit) or not held (miss, answered unknown-reference).\n# TYPE mspgemm_operand_ref_total counter\n")
+	fmt.Fprintf(w, "mspgemm_operand_ref_total{event=\"hit\"} %d\n", m.RefHits)
+	fmt.Fprintf(w, "mspgemm_operand_ref_total{event=\"miss\"} %d\n", m.RefMisses)
 	gauge("mspgemm_operand_intern_entries", "Resident interned operands.", float64(m.InternEntries))
 	gauge("mspgemm_operand_intern_bytes", "Bytes retained by interned operand copies.", float64(m.InternBytes))
 

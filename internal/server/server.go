@@ -7,7 +7,8 @@
 // The request path is frame → decode → admit → execute → encode:
 //
 //	POST body ─ wire.DecodeFrame loop ─ decode (zero-copy views of the
-//	pooled body buffer) ─ validate/intern operands ─ admission (TryMultiply
+//	pooled body buffer) ─ resolve operand references, validate/intern
+//	inline operands ─ admission (TryMultiply
 //	or TryAdmit; full ⇒ 429 + Retry-After, never an unbounded queue) ─
 //	masked.Session execute under the request deadline ─ encode response
 //	frames ─ write.
@@ -26,7 +27,10 @@
 // the wire: repeated operands hit the session's plan cache, identical
 // in-flight requests coalesce, and re-validation is skipped. The table
 // stores private copies, so handlers recycle their pooled body buffer
-// unconditionally.
+// unconditionally. Each entry carries a server-issued reference, and
+// Client.Multiply sends that reference in place of an operand the server
+// already holds (wire.FrameMultiplyRefReq), so a hot operand crosses the
+// wire once.
 package server
 
 import (
@@ -395,47 +399,95 @@ func validateMatrix(a *matrix.CSR[float64]) error {
 	return nil
 }
 
-// internPattern validates and interns a decoded mask. An intern hit skips
-// the O(nnz) validation, which ran when the canonical copy was first
-// admitted; a miss validates and stores a deep copy, because p aliases the
-// request's pooled body buffer and the table must outlive it.
-func (sv *Server) internPattern(p *matrix.Pattern, what string) (*matrix.Pattern, error) {
+// internPattern validates and interns a decoded mask, returning the
+// canonical copy and its reference (0 when the table retains none). An
+// intern hit skips the O(nnz) validation, which ran when the canonical
+// copy was first admitted; a miss validates and stores a deep copy,
+// because p aliases the request's pooled body buffer and the table must
+// outlive it.
+func (sv *Server) internPattern(p *matrix.Pattern, what string) (*matrix.Pattern, uint64, error) {
 	if sv.intern == nil {
 		if err := validatePattern(p); err != nil {
-			return nil, fmt.Errorf("%s: %w", what, err)
+			return nil, 0, fmt.Errorf("%s: %w", what, err)
 		}
-		return p, nil
+		return p, 0, nil
 	}
 	key := sv.intern.patternKey(p)
 	// Chaos point: a forced miss sends an operand the table already holds
 	// down the full revalidate-and-copy path — which must stay equivalent.
-	if v, ok := sv.intern.lookup(key, p); ok && !faultinject.Fire(faultinject.PointInternMiss) {
-		return v.(*matrix.Pattern), nil
+	if v, ref, ok := sv.intern.lookup(key, p); ok && !faultinject.Fire(faultinject.PointInternMiss) {
+		return v.(*matrix.Pattern), ref, nil
 	}
 	if err := validatePattern(p); err != nil {
-		return nil, fmt.Errorf("%s: %w", what, err)
+		return nil, 0, fmt.Errorf("%s: %w", what, err)
 	}
-	v := sv.intern.insert(key, p.Clone(), patternSize(p))
-	return v.(*matrix.Pattern), nil
+	v, ref := sv.intern.insert(key, p.Clone(), patternSize(p))
+	return v.(*matrix.Pattern), ref, nil
 }
 
 // internMatrix is internPattern for valued operands.
-func (sv *Server) internMatrix(a *matrix.CSR[float64], what string) (*matrix.CSR[float64], error) {
+func (sv *Server) internMatrix(a *matrix.CSR[float64], what string) (*matrix.CSR[float64], uint64, error) {
 	if sv.intern == nil {
 		if err := validateMatrix(a); err != nil {
-			return nil, fmt.Errorf("%s: %w", what, err)
+			return nil, 0, fmt.Errorf("%s: %w", what, err)
 		}
-		return a, nil
+		return a, 0, nil
 	}
 	key := sv.intern.matrixKey(a)
-	if v, ok := sv.intern.lookup(key, a); ok && !faultinject.Fire(faultinject.PointInternMiss) {
-		return v.(*matrix.CSR[float64]), nil
+	if v, ref, ok := sv.intern.lookup(key, a); ok && !faultinject.Fire(faultinject.PointInternMiss) {
+		return v.(*matrix.CSR[float64]), ref, nil
 	}
 	if err := validateMatrix(a); err != nil {
-		return nil, fmt.Errorf("%s: %w", what, err)
+		return nil, 0, fmt.Errorf("%s: %w", what, err)
 	}
-	v := sv.intern.insert(key, a.Clone(), matrixSize(a))
-	return v.(*matrix.CSR[float64]), nil
+	v, ref := sv.intern.insert(key, a.Clone(), matrixSize(a))
+	return v.(*matrix.CSR[float64]), ref, nil
+}
+
+// unknownRefError names an operand reference the intern table does not
+// hold. The handler answers it with a wire.CodeUnknownRef error frame.
+type unknownRefError struct {
+	what string
+	ref  uint64
+}
+
+func (e *unknownRefError) Error() string {
+	return fmt.Sprintf("%s: reference %#x is not held", e.what, e.ref)
+}
+
+// operand maps one operand slot onto its canonical object: through the
+// intern table when the frame carries a reference for it, through intern
+// (validate and intern) when it travels inline. It returns the object's
+// reference, 0 where the table retains none.
+func operand[T *matrix.Pattern | *matrix.CSR[float64]](sv *Server, inline T, ref uint64, what string,
+	intern func(T, string) (T, uint64, error)) (T, uint64, error) {
+	if ref == 0 {
+		return intern(inline, what)
+	}
+	if v, ok := resolve[T](sv.intern, ref); ok {
+		return v, ref, nil
+	}
+	return nil, 0, &unknownRefError{what, ref}
+}
+
+// operands maps one multiply frame onto canonical operands, refs holding
+// the references the frame carries for M, A and B (0 = inline). It
+// returns the operands' references and checks that the shapes agree.
+func (sv *Server) operands(f *wire.MultiplyReq, refs [3]uint64) (m *matrix.Pattern, a, b *matrix.CSR[float64], out [3]uint64, err error) {
+	if m, out[0], err = operand(sv, f.M, refs[0], "mask", sv.internPattern); err != nil {
+		return nil, nil, nil, out, err
+	}
+	if a, out[1], err = operand(sv, f.A, refs[1], "A", sv.internMatrix); err != nil {
+		return nil, nil, nil, out, err
+	}
+	if b, out[2], err = operand(sv, f.B, refs[2], "B", sv.internMatrix); err != nil {
+		return nil, nil, nil, out, err
+	}
+	if a.NCols != b.NRows || m.NRows != a.NRows || m.NCols != b.NCols {
+		return nil, nil, nil, out, fmt.Errorf("incompatible shapes: M %dx%d, A %dx%d, B %dx%d",
+			m.NRows, m.NCols, a.NRows, a.NCols, b.NRows, b.NCols)
+	}
+	return m, a, b, out, nil
 }
 
 // frameOpts maps a multiply frame's flags and semiring name onto
@@ -459,13 +511,16 @@ func frameOpts(f *wire.MultiplyReq) ([]masked.Op, error) {
 }
 
 // handleMultiply serves POST /v1/multiply: one or more concatenated
-// FrameMultiplyReq frames. A single frame takes the non-queuing admission
-// path (429 + Retry-After when saturated); a batch is admitted whole
-// against the queued-frames bound and answered as per-frame response or
-// error frames in request order. A batch executes under one context whose
-// deadline is the largest requested across its frames (documented on
+// FrameMultiplyReq frames, or one FrameMultiplyRefReq alone. A single
+// frame takes the non-queuing admission path (429 + Retry-After when
+// saturated); a batch is admitted whole against the queued-frames bound
+// and answered as per-frame response or error frames in request order. A
+// batch executes under one context whose deadline is the largest
+// requested across its frames (documented on
 // wire.MultiplyReq.DeadlineMillis): clients needing strict per-frame
-// deadlines send frames as separate requests.
+// deadlines send frames as separate requests. A reference request is
+// answered with a FrameMultiplyRefRes, or with a wire.CodeUnknownRef error
+// frame when it names a reference the intern table does not hold.
 func (sv *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		sv.httpError(w, http.StatusMethodNotAllowed, "POST only")
@@ -487,18 +542,28 @@ func (sv *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 	faultinject.Sleep(faultinject.PointServerSlow)
 
 	var frames []*wire.MultiplyReq
+	var refs [3]uint64 // the operand references of a sole reference request
+	isRef := false
 	for data := body; len(data) > 0; {
 		t, payload, rest, err := wire.DecodeFrame(data)
 		if err != nil {
 			sv.httpError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		if t != wire.FrameMultiplyReq {
+		var req *wire.MultiplyReq
+		switch {
+		case t == wire.FrameMultiplyReq:
+			req, err = wire.DecodeMultiplyReq(payload)
+		case t == wire.FrameMultiplyRefReq && len(frames) == 0 && len(rest) == 0:
+			var rr *wire.MultiplyRefReq
+			if rr, err = wire.DecodeMultiplyRefReq(payload); err == nil {
+				req, refs, isRef = &rr.MultiplyReq, rr.Refs, true
+			}
+		default:
 			sv.httpError(w, http.StatusBadRequest,
-				fmt.Sprintf("frame %d: type %d, want multiply request", len(frames), t))
+				fmt.Sprintf("frame %d: type %d, want multiply request (a reference request travels alone)", len(frames), t))
 			return
 		}
-		req, err := wire.DecodeMultiplyReq(payload)
 		if err != nil {
 			sv.httpError(w, http.StatusBadRequest, err.Error())
 			return
@@ -518,33 +583,24 @@ func (sv *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 
 	batch := make([]masked.BatchReq, len(frames))
 	var deadline time.Duration
+	var issued [3]uint64 // the operand references a reference request is answered with
 	for i, f := range frames {
 		opts, err := frameOpts(f)
 		if err != nil {
 			sv.httpError(w, http.StatusBadRequest, fmt.Sprintf("frame %d: %v", i, err))
 			return
 		}
-		m, err := sv.internPattern(f.M, "mask")
-		if err != nil {
+		m, a, b, out, err := sv.operands(f, refs)
+		var unknown *unknownRefError
+		switch {
+		case errors.As(err, &unknown):
+			sv.writeWire(w, (&wire.ErrorFrame{Code: wire.CodeUnknownRef, Message: err.Error()}).Encode(nil))
+			return
+		case err != nil:
 			sv.httpError(w, http.StatusBadRequest, fmt.Sprintf("frame %d: %v", i, err))
 			return
 		}
-		a, err := sv.internMatrix(f.A, "A")
-		if err != nil {
-			sv.httpError(w, http.StatusBadRequest, fmt.Sprintf("frame %d: %v", i, err))
-			return
-		}
-		b, err := sv.internMatrix(f.B, "B")
-		if err != nil {
-			sv.httpError(w, http.StatusBadRequest, fmt.Sprintf("frame %d: %v", i, err))
-			return
-		}
-		if a.NCols != b.NRows || m.NRows != a.NRows || m.NCols != b.NCols {
-			sv.httpError(w, http.StatusBadRequest, fmt.Sprintf(
-				"frame %d: incompatible shapes: M %dx%d, A %dx%d, B %dx%d",
-				i, m.NRows, m.NCols, a.NRows, a.NCols, b.NRows, b.NCols))
-			return
-		}
+		issued = out
 		batch[i] = masked.BatchReq{M: m, A: a, B: b, Opts: opts, Tag: i}
 		if d := sv.deadlineFor(f.DeadlineMillis); d > deadline {
 			deadline = d
@@ -563,6 +619,8 @@ func (sv *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 			sv.reject(w)
 		case res.Err != nil:
 			sv.httpError(w, statusFor(res.Err), res.Err.Error())
+		case isRef:
+			sv.writeWire(w, (&wire.MultiplyRefRes{MultiplyRes: multiplyRes(res), Refs: issued}).Encode(nil))
 		default:
 			sv.writeWire(w, encodeMultiplyRes(nil, res))
 		}
@@ -592,8 +650,8 @@ func (sv *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 	sv.writeWire(w, out)
 }
 
-// encodeMultiplyRes appends one multiply response frame.
-func encodeMultiplyRes(dst []byte, res masked.BatchRes) []byte {
+// multiplyRes maps one multiply result onto its response message.
+func multiplyRes(res masked.BatchRes) wire.MultiplyRes {
 	var flags uint16
 	if res.Coalesced {
 		flags |= wire.FlagCoalesced
@@ -602,7 +660,13 @@ func encodeMultiplyRes(dst []byte, res masked.BatchRes) []byte {
 	if workers > 1<<16-1 {
 		workers = 1<<16 - 1
 	}
-	return (&wire.MultiplyRes{Flags: flags, Workers: uint16(workers), C: res.C}).Encode(dst)
+	return wire.MultiplyRes{Flags: flags, Workers: uint16(workers), C: res.C}
+}
+
+// encodeMultiplyRes appends one multiply response frame.
+func encodeMultiplyRes(dst []byte, res masked.BatchRes) []byte {
+	r := multiplyRes(res)
+	return r.Encode(dst)
 }
 
 // decodeSingle reads the one request frame an app endpoint expects.
@@ -645,7 +709,7 @@ func (sv *Server) handleTriangleCount(w http.ResponseWriter, r *http.Request) {
 		sv.httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	g, err := sv.internMatrix(req.G, "graph")
+	g, _, err := sv.internMatrix(req.G, "graph")
 	if err != nil {
 		sv.httpError(w, http.StatusBadRequest, err.Error())
 		return
@@ -698,7 +762,7 @@ func (sv *Server) handleBFS(w http.ResponseWriter, r *http.Request) {
 		sv.httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	g, err := sv.internMatrix(req.G, "graph")
+	g, _, err := sv.internMatrix(req.G, "graph")
 	if err != nil {
 		sv.httpError(w, http.StatusBadRequest, err.Error())
 		return

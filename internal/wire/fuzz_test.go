@@ -26,6 +26,19 @@ func FuzzDecodeFrame(f *testing.F) {
 	flipped := WithChecksum((&BFSReq{Source: 1, G: l}).Encode(nil))
 	flipped[headerSize+4] ^= 0x40 // checksummed frame whose payload lies
 	f.Add(flipped)
+	// Reference frames: inline, referenced and mixed operands, a bad tag,
+	// and a reference cut short.
+	inline := &MultiplyRefReq{MultiplyReq: *req}
+	f.Add(inline.Encode(nil))
+	f.Add((&MultiplyRefReq{MultiplyReq: *req, Refs: [3]uint64{1, 2, 3}}).Encode(nil))
+	mixed := WithChecksum((&MultiplyRefReq{MultiplyReq: *req, Refs: [3]uint64{0, 0x8000_0000_0000_0001, 0}}).Encode(nil))
+	f.Add(mixed)
+	badTag := inline.Encode(nil)
+	badTag[headerSize+2+4+1+len(req.Semiring)] = 7
+	f.Add(badTag)
+	short := (&MultiplyRefReq{MultiplyReq: *req, Refs: [3]uint64{0, 0, 9}}).Encode(nil)
+	f.Add(short[:len(short)-8])
+	f.Add((&MultiplyRefRes{MultiplyRes: MultiplyRes{Workers: 1, C: l}, Refs: [3]uint64{4, 0, 5}}).Encode(nil))
 	f.Add([]byte("MSPW"))
 	f.Add([]byte{})
 
@@ -46,6 +59,26 @@ func FuzzDecodeFrame(f *testing.F) {
 				}
 			case FrameMultiplyRes:
 				if r, err := DecodeMultiplyRes(payload); err == nil && r.C != nil {
+					_ = r.C.Validate()
+				}
+			case FrameMultiplyRefReq:
+				if r, err := DecodeMultiplyRefReq(payload); err == nil {
+					for i, ref := range r.Refs {
+						if inline := [3]bool{r.M != nil, r.A != nil, r.B != nil}[i]; inline == (ref != 0) {
+							t.Fatalf("operand %d: inline %v with reference %#x", i, inline, ref)
+						}
+					}
+					if r.M != nil {
+						_ = r.M.Validate()
+					}
+					for _, a := range []*matrix.CSR[float64]{r.A, r.B} {
+						if a != nil {
+							_ = a.Validate()
+						}
+					}
+				}
+			case FrameMultiplyRefRes:
+				if r, err := DecodeMultiplyRefRes(payload); err == nil && r.C != nil {
 					_ = r.C.Validate()
 				}
 			case FrameError:

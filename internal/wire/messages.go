@@ -193,14 +193,160 @@ func DecodeMultiplyRes(payload []byte) (*MultiplyRes, error) {
 	return r, nil
 }
 
+// Operand tags of FrameMultiplyRefReq: each of M, A and B is preceded by
+// one tag byte saying how it travels.
+const (
+	// TagInline precedes an operand encoded in place, exactly as in
+	// FrameMultiplyReq.
+	TagInline uint8 = 0
+	// TagRef precedes a nonzero u64 reference the server issued for an
+	// operand it holds.
+	TagRef uint8 = 1
+)
+
+// MultiplyRefReq is a MultiplyReq whose operands may travel as references
+// the server issued in an earlier FrameMultiplyRefRes. Refs holds the
+// references of M, A and B in that order: where Refs[i] is nonzero the
+// frame carries it in place of the operand, whose field Encode ignores and
+// the decoder leaves nil. Operands with a zero reference travel inline.
+type MultiplyRefReq struct {
+	MultiplyReq
+	// Refs are the references of M, A and B (0 = inline).
+	Refs [3]uint64
+}
+
+// tag writes an operand's tag and, for a reference, the reference; it
+// reports whether the operand itself follows inline.
+func (e *enc) tag(ref uint64) bool {
+	if ref == 0 {
+		e.u8(TagInline)
+		return true
+	}
+	e.u8(TagRef)
+	e.i64(int64(ref))
+	return false
+}
+
+// tag reads an operand's tag: a nonzero reference, or inline true when the
+// operand follows in place. A reference of 0 or an unknown tag is a decode
+// error.
+func (d *dec) tag() (ref uint64, inline bool) {
+	switch t := d.u8(); {
+	case d.err != nil:
+		return 0, false
+	case t == TagInline:
+		return 0, true
+	case t == TagRef:
+		if ref = uint64(d.i64()); d.err == nil && ref == 0 {
+			d.fail("operand reference 0")
+		}
+		return ref, false
+	default:
+		d.fail("bad operand tag %d", t)
+		return 0, false
+	}
+}
+
+// Encode appends the request as a complete frame to dst.
+func (r *MultiplyRefReq) Encode(dst []byte) []byte {
+	bound := 2 + 4 + 1 + len(r.Semiring) + 3*(1+8)
+	if r.Refs[0] == 0 {
+		bound += patternBound(r.M)
+	}
+	if r.Refs[1] == 0 {
+		bound += matrixBound(r.A)
+	}
+	if r.Refs[2] == 0 {
+		bound += matrixBound(r.B)
+	}
+	dst, off := beginFrame(dst, FrameMultiplyRefReq, bound)
+	e := &enc{buf: dst, base: off + headerSize}
+	e.u16(r.Flags)
+	e.u32(r.DeadlineMillis)
+	e.bytesU8(r.Semiring)
+	if e.tag(r.Refs[0]) {
+		encodePattern(e, r.M)
+	}
+	if e.tag(r.Refs[1]) {
+		encodeMatrix(e, r.A)
+	}
+	if e.tag(r.Refs[2]) {
+		encodeMatrix(e, r.B)
+	}
+	return finishFrame(e.buf, off)
+}
+
+// DecodeMultiplyRefReq parses a FrameMultiplyRefReq payload. Inline
+// operands may alias payload, as in DecodeMultiplyReq.
+func DecodeMultiplyRefReq(payload []byte) (*MultiplyRefReq, error) {
+	d := &dec{p: payload}
+	r := &MultiplyRefReq{MultiplyReq: MultiplyReq{Flags: d.u16(), DeadlineMillis: d.u32(), Semiring: d.bytesU8()}}
+	var inline bool
+	if r.Refs[0], inline = d.tag(); inline {
+		r.M = decodePattern(d)
+	}
+	if r.Refs[1], inline = d.tag(); inline {
+		r.A = decodeMatrix(d)
+	}
+	if r.Refs[2], inline = d.tag(); inline {
+		r.B = decodeMatrix(d)
+	}
+	if d.err != nil {
+		return nil, d.err
+	}
+	return r, nil
+}
+
+// MultiplyRefRes is the response to a MultiplyRefReq: a MultiplyRes plus
+// the references the server holds its operands under, M, A and B in that
+// order. A reference is 0 when the server retains no copy of the operand
+// (interning disabled, or the operand larger than the table's byte bound).
+type MultiplyRefRes struct {
+	MultiplyRes
+	// Refs are the references of M, A and B (0 = not retained).
+	Refs [3]uint64
+}
+
+// Encode appends the response as a complete frame to dst.
+func (r *MultiplyRefRes) Encode(dst []byte) []byte {
+	dst, off := beginFrame(dst, FrameMultiplyRefRes, 2+2+3*8+matrixBound(r.C))
+	e := &enc{buf: dst, base: off + headerSize}
+	e.u16(r.Flags)
+	e.u16(r.Workers)
+	for _, ref := range r.Refs {
+		e.i64(int64(ref))
+	}
+	encodeMatrix(e, r.C)
+	return finishFrame(e.buf, off)
+}
+
+// DecodeMultiplyRefRes parses a FrameMultiplyRefRes payload.
+func DecodeMultiplyRefRes(payload []byte) (*MultiplyRefRes, error) {
+	d := &dec{p: payload}
+	r := &MultiplyRefRes{MultiplyRes: MultiplyRes{Flags: d.u16(), Workers: d.u16()}}
+	for i := range r.Refs {
+		r.Refs[i] = uint64(d.i64())
+	}
+	r.C = decodeMatrix(d)
+	if d.err != nil {
+		return nil, d.err
+	}
+	return r, nil
+}
+
 // ErrorFrame is the error response to any request frame.
 type ErrorFrame struct {
 	// Code is an HTTP-style status code (429 saturated, 400 bad request,
-	// 504 deadline exceeded, 500 execution failure).
+	// 504 deadline exceeded, 500 execution failure) or CodeUnknownRef.
 	Code uint16
 	// Message is the human-readable error.
 	Message string
 }
+
+// CodeUnknownRef is the ErrorFrame code of a FrameMultiplyRefReq naming a
+// reference the server does not hold: never issued, or dropped with its
+// evicted entry. The client resends the operands inline.
+const CodeUnknownRef uint16 = 410
 
 // maxErrorMessage is the longest Message an ErrorFrame carries; Encode
 // truncates longer ones.

@@ -21,6 +21,35 @@
 // DecodeFrame returns the remainder after each frame for exactly that
 // loop.
 //
+// # Frame types
+//
+//	type  name                   payload
+//	1     FrameError             code u16, message length u16, message
+//	2     FrameMultiplyReq       flags u16, deadline u32, semiring, M, A, B
+//	3     FrameMultiplyRes       flags u16, workers u16, C
+//	4     FrameTriangleCountReq  deadline u32, G
+//	5     FrameTriangleCountRes  triangles, flops, masked ns, total ns (i64 each)
+//	6     FrameBFSReq            source i32, deadline u32, G
+//	7     FrameBFSRes            depth, push steps, pull steps, n (i32 each), level[n]
+//	8     FrameMultiplyRefReq    flags u16, deadline u32, semiring, tagged M, A, B
+//	9     FrameMultiplyRefRes    flags u16, workers u16, M, A, B references (u64 each), C
+//
+// # Operand references
+//
+// The serving loops the engine is built for multiply one static graph
+// again and again, so the server issues a reference for every operand its
+// intern table holds. In FrameMultiplyRefReq each of M, A and B is
+// preceded by a tag byte:
+//
+//	tag 0 (TagInline)  the operand follows, encoded as in FrameMultiplyReq
+//	tag 1 (TagRef)     a nonzero u64 reference follows
+//
+// FrameMultiplyRefRes answers with the reference of each operand, 0 where
+// the server retains none. A reference the server does not hold gets a
+// FrameError with CodeUnknownRef, and the client resends the operands
+// inline. References are opaque: only the server that issued one can
+// resolve it.
+//
 // # Integrity checksums (version 2)
 //
 // Version 2 frames carry a CRC32-C (Castagnoli) checksum of the unpadded
@@ -89,6 +118,12 @@ const (
 	FrameBFSReq FrameType = 6
 	// FrameBFSRes is a BFS response: the level array and step counts.
 	FrameBFSRes FrameType = 7
+	// FrameMultiplyRefReq is a multiply request whose operands each travel
+	// inline or as a server-issued reference.
+	FrameMultiplyRefReq FrameType = 8
+	// FrameMultiplyRefRes is the response to FrameMultiplyRefReq: the
+	// result matrix, serving metadata and the operands' references.
+	FrameMultiplyRefRes FrameType = 9
 )
 
 // Version is the protocol version plain frames carry; encoders produce it

@@ -228,6 +228,88 @@ func TestResponseMessages(t *testing.T) {
 	}
 }
 
+// TestRefFramesRoundTrip round-trips both reference frame types: every
+// combination of inline and referenced operands decodes to the same
+// scalars, references and operands, and referenced operands decode nil.
+func TestRefFramesRoundTrip(t *testing.T) {
+	base := buildReq(5, 4, true, "min-plus")
+	base.DeadlineMillis = 250
+	for mask := 0; mask < 8; mask++ {
+		req := &MultiplyRefReq{MultiplyReq: *base}
+		for i := range req.Refs {
+			if mask&(1<<i) != 0 {
+				req.Refs[i] = 0x9e3779b97f4a7c15 + uint64(i)
+			}
+		}
+		typ, payload, rest, err := DecodeFrame(WithChecksum(req.Encode(nil)))
+		if err != nil || typ != FrameMultiplyRefReq || len(rest) != 0 {
+			t.Fatalf("refs %03b: frame type %d, %d trailing, err %v", mask, typ, len(rest), err)
+		}
+		got, err := DecodeMultiplyRefReq(payload)
+		if err != nil {
+			t.Fatalf("refs %03b: %v", mask, err)
+		}
+		if got.Flags != base.Flags || got.DeadlineMillis != base.DeadlineMillis ||
+			got.Semiring != base.Semiring || got.Refs != req.Refs {
+			t.Fatalf("refs %03b: scalars %+v, want %+v", mask, got, req)
+		}
+		if (got.M == nil) != (req.Refs[0] != 0) || (got.A == nil) != (req.Refs[1] != 0) || (got.B == nil) != (req.Refs[2] != 0) {
+			t.Fatalf("refs %03b: inline operands decoded as M %v A %v B %v", mask, got.M != nil, got.A != nil, got.B != nil)
+		}
+		if got.M != nil && !matrix.EqualPatterns(got.M, base.M) {
+			t.Fatalf("refs %03b: mask differs", mask)
+		}
+		for _, pair := range [][2]*matrix.CSR[float64]{{got.A, base.A}, {got.B, base.B}} {
+			if pair[0] != nil && !matrix.Equal(pair[0], pair[1], func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+				t.Fatalf("refs %03b: inline operand differs", mask)
+			}
+		}
+	}
+
+	res := &MultiplyRefRes{MultiplyRes: MultiplyRes{Flags: FlagCoalesced, Workers: 2, C: base.A}, Refs: [3]uint64{7, 0, 1 << 63}}
+	_, payload, _, err := DecodeFrame(res.Encode(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeMultiplyRefRes(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Flags != FlagCoalesced || got.Workers != 2 || got.Refs != res.Refs ||
+		!matrix.Equal(got.C, res.C, func(a, b float64) bool { return a == b }) {
+		t.Fatalf("reference response: %+v", got)
+	}
+}
+
+// TestRefFramesMalformed checks the reference frame's own failure modes:
+// an unknown tag, a zero reference and a reference cut short all fail to
+// decode.
+func TestRefFramesMalformed(t *testing.T) {
+	req := &MultiplyRefReq{MultiplyReq: *buildReq(4, 5, false, ""), Refs: [3]uint64{3, 0, 5}}
+	frame := req.Encode(nil)
+	tagAt := headerSize + 2 + 4 + 1 // the mask's tag: after flags, deadline and an empty name
+	cases := map[string]func([]byte) []byte{
+		"bad tag": func(b []byte) []byte { b[tagAt] = 2; return b },
+		"zero reference": func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[tagAt+1:], 0)
+			return b
+		},
+		"truncated reference": func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[8:], uint32(tagAt+1+4-headerSize))
+			return b
+		},
+	}
+	for name, corrupt := range cases {
+		typ, payload, _, err := DecodeFrame(corrupt(bytes.Clone(frame)))
+		if err != nil || typ != FrameMultiplyRefReq {
+			t.Fatalf("%s: frame type %d, err %v", name, typ, err)
+		}
+		if _, err := DecodeMultiplyRefReq(payload); err == nil {
+			t.Errorf("%s: decoded cleanly", name)
+		}
+	}
+}
+
 // TestMalformedFramesError feeds structurally broken frames and asserts
 // clean errors without panics or attacker-sized allocations.
 func TestMalformedFramesError(t *testing.T) {
@@ -378,6 +460,38 @@ func randMessages(rng *rand.Rand) ([]encoder, [][]byte) {
 	g.u16(res.Workers)
 	g.matrix(res.C)
 	add(res, g, FrameMultiplyRes)
+
+	// Each operand travels inline or by reference, independently.
+	refReq := &MultiplyRefReq{MultiplyReq: *req}
+	for i := range refReq.Refs {
+		if rng.IntN(2) == 0 {
+			refReq.Refs[i] = rng.Uint64() | 1
+		}
+	}
+	g = &golden{}
+	g.u16(req.Flags)
+	g.u32(req.DeadlineMillis)
+	g.p = append(append(g.p, byte(len(req.Semiring))), req.Semiring...)
+	for i, inline := range []func(){func() { g.pattern(req.M) }, func() { g.matrix(req.A) }, func() { g.matrix(req.B) }} {
+		if refReq.Refs[i] == 0 {
+			g.p = append(g.p, TagInline)
+			inline()
+		} else {
+			g.p = append(g.p, TagRef)
+			g.u64(refReq.Refs[i])
+		}
+	}
+	add(refReq, g, FrameMultiplyRefReq)
+
+	refRes := &MultiplyRefRes{MultiplyRes: *res, Refs: [3]uint64{rng.Uint64(), 0, rng.Uint64()}}
+	g = &golden{}
+	g.u16(res.Flags)
+	g.u16(res.Workers)
+	for _, ref := range refRes.Refs {
+		g.u64(ref)
+	}
+	g.matrix(res.C)
+	add(refRes, g, FrameMultiplyRefRes)
 
 	// Messages past 32 KiB are truncated to their first 32768 bytes.
 	msgLen := []int{rng.IntN(20), 1 << 15, 1<<15 + 1 + rng.IntN(20)}[rng.IntN(3)]
