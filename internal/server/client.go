@@ -95,17 +95,15 @@ type RetryPolicy struct {
 // ErrUnknownRef is the client-side sentinel for a wire.CodeUnknownRef
 // error frame: a request named an operand reference the server does not
 // hold (never issued, or dropped with its evicted intern entry).
-// Client.Multiply answers it itself by resending the operands inline
-// once; it reaches callers only when that resend is refused the same way.
+// Client.Multiply answers it itself by resending the operands inline, so
+// it reaches only callers that post reference frames of their own.
 var ErrUnknownRef = errors.New("server: unknown operand reference")
 
 // ClientStats are the client's monotonic retry-loop counters.
 type ClientStats struct {
-	// Attempts counts HTTP attempts, including first tries and reference
-	// resends.
+	// Attempts counts HTTP attempts, including first tries.
 	Attempts int64
-	// Retries counts attempts the retry policy made beyond each request's
-	// first.
+	// Retries counts attempts beyond each request's first.
 	Retries int64
 	// ChecksumErrors counts attempts that failed on a CRC32-C payload
 	// mismatch (wire.ErrChecksum) — corruption the checksums caught.
@@ -331,18 +329,17 @@ func (c *Client) backoff(ctx context.Context, attempt int, hint time.Duration) e
 // a fresh body (mkBody), posts it, and decodes the response; transient
 // failures back off and retry up to the policy's budget under ctx. The
 // body is re-encoded per attempt because a retry must never resend bytes a
-// previous attempt may have had corrupted in flight. An ErrUnknownRef
-// answer is resent at once, one time per request and outside the policy's
-// budget: decode has dropped the stale references, so the next body
-// carries its operands inline.
+// previous attempt may have had corrupted in flight.
 func (c *Client) do(ctx context.Context, path string, mkBody func() []byte, decode func([]byte) error) error {
 	maxAttempts := c.retry.MaxAttempts
 	if maxAttempts < 1 {
 		maxAttempts = 1
 	}
 	var err error
-	resent := false
-	for attempt := 0; attempt < maxAttempts; {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
+		if attempt > 0 {
+			c.retries.Add(1)
+		}
 		c.attempts.Add(1)
 		actx, cancel := ctx, context.CancelFunc(nil)
 		if c.retry.AttemptTimeout > 0 {
@@ -366,11 +363,6 @@ func (c *Client) do(ctx context.Context, path string, mkBody func() []byte, deco
 		if ctx.Err() != nil {
 			return err // the overall budget is spent; no point classifying
 		}
-		if errors.Is(err, ErrUnknownRef) && !resent {
-			resent = true
-			c.refResends.Add(1)
-			continue
-		}
 		hint, ok := retryable(err)
 		if attemptTimedOut {
 			hint, ok = 0, true // per-attempt timeout under a healthy overall ctx
@@ -381,8 +373,6 @@ func (c *Client) do(ctx context.Context, path string, mkBody func() []byte, deco
 		if c.backoff(ctx, attempt, hint) != nil {
 			return err
 		}
-		attempt++
-		c.retries.Add(1)
 	}
 	return err
 }
@@ -407,47 +397,48 @@ func frameError(payload []byte) error {
 // refs.go): Multiply hashes each operand's content on every call, sends
 // the reference an earlier response reported for that content, and sends
 // the operand inline otherwise. When the server no longer holds a
-// reference, Multiply resends the request inline once, counted in
-// ClientStats.RefResends.
+// reference, Multiply drops the references it sent and resends the
+// request inline once, counted in ClientStats.RefResends.
 func (c *Client) Multiply(ctx context.Context, req *wire.MultiplyReq) (*wire.MultiplyRes, error) {
 	keys := c.refs.keys(req)
 	inline := false
 	var sent [3]uint64 // the references the last body carried
 	var out *wire.MultiplyRes
-	err := c.do(ctx, "/v1/multiply",
-		func() []byte {
-			r := wire.MultiplyRefReq{MultiplyReq: *req}
-			if !inline {
-				r.Refs = c.refs.lookup(keys)
-			}
-			sent = r.Refs
-			return wire.WithChecksum(r.Encode(nil))
-		},
-		func(data []byte) error {
-			t, payload, _, err := wire.DecodeFrame(data)
+	mkBody := func() []byte {
+		r := wire.MultiplyRefReq{MultiplyReq: *req}
+		if !inline {
+			r.Refs = c.refs.lookup(keys)
+		}
+		sent = r.Refs
+		return wire.WithChecksum(r.Encode(nil))
+	}
+	decode := func(data []byte) error {
+		t, payload, _, err := wire.DecodeFrame(data)
+		if err != nil {
+			return err
+		}
+		switch t {
+		case wire.FrameMultiplyRefRes:
+			res, err := wire.DecodeMultiplyRefRes(payload)
 			if err != nil {
 				return err
 			}
-			switch t {
-			case wire.FrameMultiplyRefRes:
-				res, err := wire.DecodeMultiplyRefRes(payload)
-				if err != nil {
-					return err
-				}
-				c.refs.record(keys, res.Refs)
-				out = &res.MultiplyRes
-				return nil
-			case wire.FrameError:
-				err := frameError(payload)
-				if errors.Is(err, ErrUnknownRef) {
-					c.refs.drop(keys, sent)
-					inline = true
-				}
-				return err
-			default:
-				return fmt.Errorf("server: unexpected frame type %d", t)
-			}
-		})
+			c.refs.record(keys, res.Refs)
+			out = &res.MultiplyRes
+			return nil
+		case wire.FrameError:
+			return frameError(payload)
+		default:
+			return fmt.Errorf("server: unexpected frame type %d", t)
+		}
+	}
+	err := c.do(ctx, "/v1/multiply", mkBody, decode)
+	if errors.Is(err, ErrUnknownRef) {
+		c.refs.drop(keys, sent)
+		inline = true
+		c.refResends.Add(1)
+		err = c.do(ctx, "/v1/multiply", mkBody, decode)
+	}
 	if err != nil {
 		return nil, err
 	}

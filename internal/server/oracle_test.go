@@ -23,8 +23,8 @@ var oracleSemirings = []string{"", "arithmetic", "plus-pair", "min-plus", "plus-
 
 // oracle holds the shared state of FuzzServeMultiply: one live server with
 // a tiny intern table (so entries are evicted), a retrying client, a
-// single-attempt client for raw bodies, and an in-process session that
-// computes the references.
+// single-attempt client for raw bodies, an in-process session that
+// computes the references, and the errors of the operation in progress.
 type oracle struct {
 	l     *Local
 	c     *Client
@@ -34,7 +34,58 @@ type oracle struct {
 	pats  []*matrix.Pattern
 	mats  []*matrix.CSR[float64]
 	decoy *matrix.CSR[float64]
+	seen  []seenErr
 }
+
+// seenErr is a typed error one operation returned. Whether it was due
+// depends on whether a fault fired during the operation, which is known
+// only once the operation is over (see settle).
+type seenErr struct {
+	what string
+	err  error
+	// want is the refusal a fault-free run gives; nil marks a well-formed
+	// request, which a fault-free run serves unless the server saturates.
+	want func(error) bool
+}
+
+// firedFaults sums the installed registry's fired counts.
+func firedFaults() int64 {
+	var n int64
+	for _, v := range faultinject.Stats() {
+		n += v
+	}
+	return n
+}
+
+// settle judges the errors one operation returned. When no fault fired
+// during it, every well-formed request must have been served and every
+// refusal must be of its own class; saturation is the one exception.
+func (o *oracle) settle(t *testing.T, faulted bool) {
+	t.Helper()
+	seen := o.seen
+	o.seen = o.seen[:0]
+	if faulted {
+		return
+	}
+	for _, e := range seen {
+		switch {
+		case errors.Is(e.err, ErrSaturated):
+		case e.want == nil:
+			t.Fatalf("%s: refused with no fault fired: %v", e.what, e.err)
+		case !e.want(e.err):
+			t.Fatalf("%s: wrong refusal with no fault fired: %v", e.what, e.err)
+		}
+	}
+}
+
+// isBadRequest reports whether err is the server's 400.
+func isBadRequest(err error) bool {
+	var st *StatusError
+	return errors.As(err, &st) && st.Code == http.StatusBadRequest
+}
+
+// isUnknownRef reports whether err is an unknown-reference refusal.
+func isUnknownRef(err error) bool { return errors.Is(err, ErrUnknownRef) }
 
 // want is the in-process reference of req, encoded the way products are
 // compared: a response frame carrying only the product.
@@ -58,14 +109,17 @@ func (o *oracle) want(t *testing.T, req *wire.MultiplyReq) []byte {
 	return (&wire.MultiplyRes{C: c}).Encode(nil)
 }
 
-// check asserts one outcome: a product byte-identical to the reference,
-// or an error of one of the typed classes.
+// check asserts one outcome of a well-formed request: a product
+// byte-identical to the reference, or an error of one of the typed
+// classes, which settle then judges. An unknown operand reference is not
+// among them: Multiply resends inline, and the other paths send none.
 func (o *oracle) check(t *testing.T, what string, req *wire.MultiplyReq, res *wire.MultiplyRes, err error) {
 	t.Helper()
 	if err != nil {
-		if !typedErr(err) {
+		if !typedErr(err) || isUnknownRef(err) {
 			t.Fatalf("%s: untyped error %T: %v", what, err, err)
 		}
+		o.seen = append(o.seen, seenErr{what: what, err: err})
 		return
 	}
 	if got, want := (&wire.MultiplyRes{C: res.C}).Encode(nil), o.want(t, req); !bytes.Equal(got, want) {
@@ -74,19 +128,27 @@ func (o *oracle) check(t *testing.T, what string, req *wire.MultiplyReq, res *wi
 }
 
 // typedErr reports whether err is one of the errors the request path may
-// return for a well-formed request under the armed faults, or for a frame
-// the server must refuse: saturation, a bad frame (400 or a truncated
-// response), a checksum mismatch, or an unknown operand reference.
+// return under the armed faults, or for a frame the server must refuse:
+// saturation, a bad frame (400 or a truncated response), a checksum
+// mismatch, or an unknown operand reference.
 func typedErr(err error) bool {
-	var st *StatusError
 	switch {
 	case errors.Is(err, ErrSaturated), errors.Is(err, wire.ErrChecksum),
-		errors.Is(err, wire.ErrTruncated), errors.Is(err, ErrUnknownRef):
+		errors.Is(err, wire.ErrTruncated), isUnknownRef(err):
 		return true
-	case errors.As(err, &st):
-		return st.Code == http.StatusBadRequest
 	}
-	return false
+	return isBadRequest(err)
+}
+
+// refuse asserts that a request the server must refuse was refused with a
+// typed error, and leaves its class for settle: want is the refusal a
+// fault-free run gives.
+func (o *oracle) refuse(t *testing.T, what string, err error, want func(error) bool) {
+	t.Helper()
+	if err == nil || !typedErr(err) {
+		t.Fatalf("%s: %v, want a typed refusal", what, err)
+	}
+	o.seen = append(o.seen, seenErr{what: what, err: err, want: want})
 }
 
 // pick draws one request over the operand pool: every operand is n×n, so
@@ -149,14 +211,19 @@ func (o *oracle) postRef(req *wire.MultiplyRefReq) (*wire.MultiplyRefRes, error)
 	return wire.DecodeMultiplyRefRes(payload)
 }
 
-// checkRef checks a reference request's outcome.
+// checkRef checks a well-formed reference request's outcome. Only here
+// may an unknown reference come back, and only when a fault fired: the
+// server held every reference the request names.
 func (o *oracle) checkRef(t *testing.T, what string, req *wire.MultiplyReq, res *wire.MultiplyRefRes, err error) {
 	t.Helper()
-	if err != nil {
+	switch {
+	case isUnknownRef(err):
+		o.seen = append(o.seen, seenErr{what: what, err: err})
+	case err != nil:
 		o.check(t, what, req, nil, err)
-		return
+	default:
+		o.check(t, what, req, &res.MultiplyRes, nil)
 	}
-	o.check(t, what, req, &res.MultiplyRes, nil)
 }
 
 // checkBatch checks a batch's outcomes frame by frame.
@@ -186,7 +253,9 @@ func (o *oracle) checkBatch(t *testing.T, what string, reqs []*wire.MultiplyReq,
 // misses), and the server's intern table holds only a few entries
 // (evictions, so stale references). Fault points are armed at a low
 // seeded rate. Every product must be byte-identical to the in-process
-// reference; every error must be a typed one.
+// reference; every error must be a typed one. After an operation during
+// which no fault fired, every well-formed request must have been served,
+// saturation aside, and every refusal must be of its own class.
 func FuzzServeMultiply(f *testing.F) {
 	f.Add(uint64(1), []byte{0, 0, 1, 2, 3, 4, 5, 0})
 	f.Add(uint64(2), []byte{6, 0, 0, 7, 2, 6, 1})
@@ -236,7 +305,9 @@ func FuzzServeMultiply(f *testing.F) {
 		defer faultinject.Set(nil)
 
 		for _, op := range prog {
+			before := firedFaults()
 			o.run(t, op, rng)
+			o.settle(t, firedFaults() != before)
 		}
 	})
 }
@@ -306,9 +377,10 @@ func (o *oracle) run(t *testing.T, op byte, rng *rand.Rand) {
 		bad.Col[rng.Intn(len(bad.Col))] = bad.NCols + 3
 		req.A = bad
 		_, err := o.c.Multiply(o.ctx, req)
-		if err == nil || !typedErr(err) {
-			t.Fatalf("invalid operand: %v, want a typed refusal", err)
+		if isUnknownRef(err) {
+			t.Fatalf("invalid operand: %v, want no unknown reference from Multiply", err)
 		}
+		o.refuse(t, "invalid operand", err, isBadRequest)
 	case 8: // a raw reference request inline, then with some references
 		req := o.pick(rng)
 		first, err := o.postRef(&wire.MultiplyRefReq{MultiplyReq: *req})
@@ -326,9 +398,8 @@ func (o *oracle) run(t *testing.T, op byte, rng *rand.Rand) {
 			// Misplaced: the mask's reference names no matrix, and A's
 			// reference names no mask.
 			rr.Refs[0], rr.Refs[1] = rr.Refs[1], rr.Refs[0]
-			if _, err := o.postRef(rr); err == nil || !typedErr(err) {
-				t.Fatalf("misplaced references: %v, want a typed refusal", err)
-			}
+			_, err := o.postRef(rr)
+			o.refuse(t, "misplaced references", err, isUnknownRef)
 			return
 		}
 		res, err := o.postRef(rr)
@@ -337,24 +408,21 @@ func (o *oracle) run(t *testing.T, op byte, rng *rand.Rand) {
 		req := o.pick(rng)
 		rr := &wire.MultiplyRefReq{MultiplyReq: *req}
 		rr.Refs[rng.Intn(3)] = rng.Uint64() | 1
-		if _, err := o.postRef(rr); err == nil || !typedErr(err) {
-			t.Fatalf("forged reference: %v, want a typed refusal", err)
-		}
+		_, err := o.postRef(rr)
+		o.refuse(t, "forged reference", err, isUnknownRef)
 	case 10: // an operand tag that is neither inline nor reference
 		req := o.pick(rng)
 		body := (&wire.MultiplyRefReq{MultiplyReq: *req}).Encode(nil)
 		body[16+2+4+1+len(req.Semiring)] = 2
 		_, err := o.raw.post(o.ctx, "/v1/multiply", body)
-		var st *StatusError
-		if !errors.As(err, &st) || st.Code != http.StatusBadRequest {
+		if !isBadRequest(err) {
 			t.Fatalf("bad operand tag: %v, want a 400", err)
 		}
 	case 11: // a reference request inside a batch: refused whole
 		req := o.pick(rng)
 		body := (&wire.MultiplyRefReq{MultiplyReq: *req}).Encode(nil)
 		body = req.Encode(body)
-		if _, err := o.postRaw(body); err == nil || !typedErr(err) {
-			t.Fatalf("reference request in a batch: %v, want a typed refusal", err)
-		}
+		_, err := o.postRaw(body)
+		o.refuse(t, "reference request in a batch", err, isBadRequest)
 	}
 }

@@ -24,7 +24,10 @@ import (
 )
 
 // refTableCap bounds the references a client remembers. It matches the
-// server's default intern capacity, past which the server evicts anyway.
+// server's default intern capacity. The client cannot see what the server
+// evicts: a smaller table or byte budget there, or other clients'
+// traffic, leaves references here that name nothing, and each costs one
+// extra round trip (BenchmarkMultiplyTraffic/shared-churn).
 const refTableCap = 128
 
 // refKey identifies an operand's content: its kind, dimensions, entry
