@@ -10,7 +10,8 @@ import (
 
 // TestBlockedMatchesSingleVariant: a blocked execution cycling through
 // algorithm families per row range is bit-identical to any single-variant
-// run, in both phases and both mask modes.
+// run, in both phases and both mask modes, whether the Inner blocks
+// transpose B themselves or read a precomputed CSC.
 func TestBlockedMatchesSingleVariant(t *testing.T) {
 	r := rand.New(rand.NewSource(901))
 	sr := semiring.Arithmetic()
@@ -41,14 +42,18 @@ func TestBlockedMatchesSingleVariant(t *testing.T) {
 		if !complement {
 			algs = append(algs, MCA)
 		}
-		for _, phase := range []Phase{OnePhase, TwoPhase} {
+		for i, phase := range []Phase{OnePhase, TwoPhase, OnePhase, TwoPhase} {
+			var bcsc *matrix.CSC[float64]
+			if i >= 2 {
+				bcsc = matrix.ToCSC(b)
+			}
 			var stats []BlockStat
-			got, err := MaskedSpGEMMBlocked(phase, mkBlocks(algs), mask, a, b, sr, opt, &stats)
+			got, err := MaskedSpGEMMBlocked(phase, mkBlocks(algs), mask, a, b, bcsc, sr, opt, &stats)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !matrix.Equal(got, want, func(x, y float64) bool { return x == y }) {
-				t.Fatalf("complement=%v phase=%s: blocked result disagrees", complement, phase)
+				t.Fatalf("complement=%v phase=%s precomputed CSC=%v: blocked result disagrees", complement, phase, bcsc != nil)
 			}
 			if len(stats) != len(algs) {
 				t.Fatalf("got %d stats for %d blocks", len(stats), len(algs))
@@ -67,8 +72,9 @@ func TestBlockedMatchesSingleVariant(t *testing.T) {
 	}
 }
 
-// TestBlockedValidation: plans that do not tile the row space, or that
-// assign MCA under a complemented mask, are rejected.
+// TestBlockedValidation: plans that do not tile the row space, that
+// assign MCA under a complemented mask, or that bring a CSC of another
+// shape than B, are rejected.
 func TestBlockedValidation(t *testing.T) {
 	r := rand.New(rand.NewSource(902))
 	sr := semiring.Arithmetic()
@@ -84,15 +90,19 @@ func TestBlockedValidation(t *testing.T) {
 		{{Lo: 0, Hi: n + 1, Alg: MSA}},                          // past the end
 	}
 	for i, blocks := range bad {
-		if _, err := MaskedSpGEMMBlocked(OnePhase, blocks, mask, a, b, sr, Options{}, nil); err == nil {
+		if _, err := MaskedSpGEMMBlocked(OnePhase, blocks, mask, a, b, nil, sr, Options{}, nil); err == nil {
 			t.Fatalf("bad plan %d accepted", i)
 		}
 	}
 	ok := []ExecBlock{{Lo: 0, Hi: 20, Alg: MCA}, {Lo: 20, Hi: n, Alg: MSA}}
-	if _, err := MaskedSpGEMMBlocked(OnePhase, ok, mask, a, b, sr, Options{}, nil); err != nil {
+	if _, err := MaskedSpGEMMBlocked(OnePhase, ok, mask, a, b, nil, sr, Options{}, nil); err != nil {
 		t.Fatalf("valid MCA plan rejected: %v", err)
 	}
-	if _, err := MaskedSpGEMMBlocked(OnePhase, ok, mask, a, b, sr, Options{Complement: true}, nil); err == nil {
+	if _, err := MaskedSpGEMMBlocked(OnePhase, ok, mask, a, b, nil, sr, Options{Complement: true}, nil); err == nil {
 		t.Fatal("MCA block under complement accepted")
+	}
+	inner := []ExecBlock{{Lo: 0, Hi: n, Alg: Inner}}
+	if _, err := MaskedSpGEMMBlocked(OnePhase, inner, mask, a, b, matrix.ToCSC(randCSR(r, n, n+1, 0.1)), sr, Options{}, nil); err == nil {
+		t.Fatal("CSC of another shape than B accepted")
 	}
 }

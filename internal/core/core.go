@@ -288,11 +288,16 @@ type BlockStat struct {
 // cover [0, m.NRows) exactly. All algorithms produce entries in sorted
 // column order with identical per-row floating-point sums, so a blocked
 // product is bit-identical to any single-variant product. If stats is
-// non-nil it receives one BlockStat per block after execution. B is
-// transposed to CSC at most once, shared by all Inner blocks.
-func MaskedSpGEMMBlocked[T any](phase Phase, blocks []ExecBlock, m *matrix.Pattern, a, b *matrix.CSR[T], sr semiring.Semiring[T], opt Options, stats *[]BlockStat) (*matrix.CSR[T], error) {
+// non-nil it receives one BlockStat per block after execution. Inner
+// blocks read B by columns from bcsc, which must be B's CSC (ToCSC of the
+// same arrays); when bcsc is nil and the plan has an Inner block, B is
+// transposed once here and shared by all of them.
+func MaskedSpGEMMBlocked[T any](phase Phase, blocks []ExecBlock, m *matrix.Pattern, a, b *matrix.CSR[T], bcsc *matrix.CSC[T], sr semiring.Semiring[T], opt Options, stats *[]BlockStat) (*matrix.CSR[T], error) {
 	if err := checkDims(m, a, b); err != nil {
 		return nil, err
+	}
+	if bcsc != nil && (bcsc.NRows != b.NRows || bcsc.NCols != b.NCols) {
+		return nil, fmt.Errorf("core: CSC of B is %dx%d, B is %dx%d", bcsc.NRows, bcsc.NCols, b.NRows, b.NCols)
 	}
 	if len(blocks) == 0 {
 		return nil, fmt.Errorf("core: blocked plan has no blocks")
@@ -300,7 +305,6 @@ func MaskedSpGEMMBlocked[T any](phase Phase, blocks []ExecBlock, m *matrix.Patte
 	if err := opt.Err(); err != nil {
 		return nil, err
 	}
-	var bcsc *matrix.CSC[T]
 	segs := make([]execSeg[T], 0, len(blocks))
 	next := Index(0)
 	for _, blk := range blocks {

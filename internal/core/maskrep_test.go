@@ -269,7 +269,7 @@ func TestBlockedMixedReps(t *testing.T) {
 		{Lo: 20, Hi: 40, Alg: Hash, Rep: RepBitmap},
 		{Lo: 40, Hi: 60, Alg: Hash, Rep: RepDense},
 	}
-	got, err := MaskedSpGEMMBlocked(OnePhase, blocks, mask, a, b, sr, Options{Threads: 2}, nil)
+	got, err := MaskedSpGEMMBlocked(OnePhase, blocks, mask, a, b, nil, sr, Options{Threads: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

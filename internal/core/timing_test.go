@@ -36,7 +36,7 @@ func runTimed(t *testing.T, phase Phase, grain int) ([]BlockStat, *matrix.CSR[fl
 	g := grgen.ErdosRenyi(128, 4, 3)
 	opt := Options{Threads: 1, Grain: grain, NowNs: tickClock()}
 	var stats []BlockStat
-	c, err := MaskedSpGEMMBlocked(phase, timingBlocks(), g.Pattern(), g, g, semiring.Arithmetic(), opt, &stats)
+	c, err := MaskedSpGEMMBlocked(phase, timingBlocks(), g.Pattern(), g, g, nil, semiring.Arithmetic(), opt, &stats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestBlockTimingDisabledWithoutStats(t *testing.T) {
 	g := grgen.ErdosRenyi(128, 4, 3)
 	var reads atomic.Int64
 	opt := Options{Threads: 1, Grain: 64, NowNs: func() int64 { return reads.Add(1000) }}
-	if _, err := MaskedSpGEMMBlocked(OnePhase, timingBlocks(), g.Pattern(), g, g, semiring.Arithmetic(), opt, nil); err != nil {
+	if _, err := MaskedSpGEMMBlocked(OnePhase, timingBlocks(), g.Pattern(), g, g, nil, semiring.Arithmetic(), opt, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := reads.Load(); got != 0 {

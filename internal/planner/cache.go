@@ -30,6 +30,15 @@ import (
 // operators can difference snapshots. Eviction only unlinks a plan from the
 // cache; plans are immutable after Analyze, so a caller holding an evicted
 // plan can keep Executing it (see TestEvictedPlanStillExecutes).
+//
+// An entry also keeps what its hits derived from their operands: B's
+// transpose for plans with an Inner block, and the M and A arrays it last
+// found sorted. Both are reused only on exact identity — the very arrays,
+// same data pointer and length, never a content fingerprint — and both
+// are stored only on a cache hit, so a product seen once retains nothing
+// beyond its key. The entry holds the arrays it compares against, so they
+// cannot be freed and their addresses reused while it lives. Callers must
+// not mutate an operand the cache may see again.
 type Cache struct {
 	shards []cacheShard
 	// perShard is the entry bound of each shard; the cache-wide capacity is
@@ -40,6 +49,9 @@ type Cache struct {
 	// and replans are the feedback loop's counters (Record observations and
 	// feedback-triggered invalidations — see Record).
 	hits, misses, evictions, records, replans atomic.Int64
+	// The derived-state counters: transposes built and reused by hits'
+	// Inner blocks, and hits' sortedness re-checks run and skipped.
+	cscBuilds, cscReuses, sortChecks, sortSkips atomic.Int64
 	// model is the cost model misses analyze with; nil means DefaultModel.
 	// Atomic so SetModel is safe against concurrent analyses; the *Model it
 	// points to is immutable.
@@ -111,8 +123,9 @@ func makeKey(m, a, b *matrix.Pattern, opt core.Options) cacheKey {
 // Sharding and capacity defaults. 16 stripes keep lock hold times invisible
 // up to far more concurrent requests than a session admits; the default
 // capacity matches the pre-sharding bound (each entry pins its B operand's
-// RowPtr array through the fingerprint pointer, so growth must be bounded
-// in long-lived serving processes).
+// RowPtr array through the fingerprint pointer, and a hot entry also its
+// transpose of B and the M and A arrays it last found sorted, so growth
+// must be bounded in long-lived serving processes).
 const (
 	cacheShards     = 16
 	defaultCacheCap = 256
@@ -187,6 +200,14 @@ type CacheStats struct {
 	// Replans counts entries invalidated by the prediction-error feedback
 	// loop (sustained drift; the next Analyze of the product re-plans).
 	Replans int64
+	// TransposeBuilds counts transposes of B a cache hit built and stored
+	// on its entry for the plan's Inner blocks; TransposeReuses the hits
+	// that found the entry's transpose built from the same B arrays.
+	TransposeBuilds, TransposeReuses int64
+	// SortRechecks counts hits whose plan needs sorted rows and that
+	// re-scanned M and A; SortRechecksSkipped the hits that skipped the
+	// scan because M and A were the arrays the entry last found sorted.
+	SortRechecks, SortRechecksSkipped int64
 	// Entries is the resident plan count at snapshot time.
 	Entries int
 	// Capacity is the cache-wide entry bound (perShard × Shards).
@@ -201,8 +222,9 @@ type CacheStats struct {
 //
 // A cached plan whose kernels require sorted rows (the key buckets M and A
 // only by size, and the sweep may present different matrices) is revalidated
-// against the current M and A before reuse; B is part of the key's identity,
-// so its sortedness cannot have changed.
+// against the current M and A before reuse, unless they are the arrays the
+// entry last found sorted; B is part of the key's identity, so its
+// sortedness cannot have changed.
 func (c *Cache) Analyze(m, a, b *matrix.Pattern, opt core.Options) *Plan {
 	key := makeKey(m, a, b, opt)
 	sh := c.shard(key)
@@ -213,7 +235,7 @@ func (c *Cache) Analyze(m, a, b *matrix.Pattern, opt core.Options) *Plan {
 		sh.lru.MoveToFront(el)
 	}
 	sh.mu.Unlock()
-	if p != nil && (!p.NeedsSortedRows() || (sortedRows(m, opt.Workers()) && sortedRows(a, opt.Workers()))) {
+	if p != nil && (!p.NeedsSortedRows() || p.fb.rowsSorted(m, a, opt.Workers())) {
 		c.hits.Add(1)
 		hit := *p
 		hit.CacheHit = true
@@ -238,7 +260,7 @@ func (c *Cache) Analyze(m, a, b *matrix.Pattern, opt core.Options) *Plan {
 			delete(sh.plans, tail.Value.(*cacheEntry).key)
 			c.evictions.Add(1)
 		}
-		p.fb = &feedback{key: key}
+		p.fb = &feedback{key: key, c: c}
 		sh.plans[key] = sh.lru.PushFront(&cacheEntry{key: key, plan: p})
 	}
 	sh.mu.Unlock()
@@ -285,8 +307,14 @@ func (c *Cache) Stats() CacheStats {
 		Evictions: c.evictions.Load(),
 		Records:   c.records.Load(),
 		Replans:   c.replans.Load(),
-		Capacity:  c.perShard * len(c.shards),
-		Shards:    len(c.shards),
+
+		TransposeBuilds:     c.cscBuilds.Load(),
+		TransposeReuses:     c.cscReuses.Load(),
+		SortRechecks:        c.sortChecks.Load(),
+		SortRechecksSkipped: c.sortSkips.Load(),
+
+		Capacity: c.perShard * len(c.shards),
+		Shards:   len(c.shards),
 	}
 	for i := range c.shards {
 		sh := &c.shards[i]
@@ -309,4 +337,57 @@ func (c *Cache) Reset() {
 		sh.lru.Init()
 		sh.mu.Unlock()
 	}
+}
+
+// cscState is B's transpose with the B arrays it was built from. val is
+// B's Val slice and csc the *matrix.CSC of the same element type.
+type cscState struct {
+	rowPtr, col []Index
+	val, csc    any
+}
+
+// sortedState is the M and A arrays an entry's hit last found sorted.
+type sortedState struct {
+	mRowPtr, mCol, aRowPtr, aCol []Index
+}
+
+// sameArray reports whether x and y are the same array: the same data
+// pointer and length. Empty slices are equal whatever their pointer.
+func sameArray[E any](x, y []E) bool {
+	return len(x) == len(y) && (len(x) == 0 || &x[0] == &y[0])
+}
+
+// rowsSorted reports whether m and a have sorted rows, for a hit on the
+// entry fb belongs to. When they are the arrays this entry last found
+// sorted the scan is skipped; otherwise it runs, and arrays found sorted
+// replace the entry's.
+func (fb *feedback) rowsSorted(m, a *matrix.Pattern, threads int) bool {
+	if s := fb.sorted.Load(); s != nil && sameArray(s.mRowPtr, m.RowPtr) && sameArray(s.mCol, m.Col) &&
+		sameArray(s.aRowPtr, a.RowPtr) && sameArray(s.aCol, a.Col) {
+		fb.c.sortSkips.Add(1)
+		return true
+	}
+	fb.c.sortChecks.Add(1)
+	if !sortedRows(m, threads) || !sortedRows(a, threads) {
+		return false
+	}
+	fb.sorted.Store(&sortedState{mRowPtr: m.RowPtr, mCol: m.Col, aRowPtr: a.RowPtr, aCol: a.Col})
+	return true
+}
+
+// cachedCSC returns B's transpose for a hit on the entry fb belongs to:
+// the entry's own when it was built from the same B arrays, otherwise a
+// new one, which replaces the entry's. Two concurrent first hits may both
+// build; the later store wins, and neither waits for the other.
+func cachedCSC[T any](fb *feedback, b *matrix.CSR[T]) *matrix.CSC[T] {
+	if s := fb.csc.Load(); s != nil && sameArray(s.rowPtr, b.RowPtr) && sameArray(s.col, b.Col) {
+		if val, ok := s.val.([]T); ok && sameArray(val, b.Val) {
+			fb.c.cscReuses.Add(1)
+			return s.csc.(*matrix.CSC[T])
+		}
+	}
+	csc := matrix.ToCSC(b)
+	fb.csc.Store(&cscState{rowPtr: b.RowPtr, col: b.Col, val: b.Val, csc: csc})
+	fb.c.cscBuilds.Add(1)
+	return csc
 }

@@ -13,7 +13,10 @@ package planner
 // cost structure moved inside their cache bucket, which is exactly when the
 // chosen variant may be stale too.
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Feedback-loop tuning. Exported so tests and docs state the contract; the
 // values are deliberately conservative — re-planning costs an O(nnz(A))
@@ -40,10 +43,12 @@ const (
 	FeedbackTrigger = 4
 )
 
-// feedback is the prediction-error state of one cache entry, shared by
-// every copy of the entry's plan. All fields are guarded by mu; the struct
-// outlives cache eviction (a caller holding an evicted plan keeps recording
-// into it harmlessly — invalidation of a no-longer-resident key is a no-op).
+// feedback is the per-entry state of one cache entry, shared by every copy
+// of the entry's plan: the prediction-error state, guarded by mu, and the
+// operand-derived state (B's transpose, the rows last found sorted),
+// published through atomic pointers and never locked. The struct outlives
+// cache eviction (a caller holding an evicted plan keeps recording into it
+// harmlessly — invalidation of a no-longer-resident key is a no-op).
 type feedback struct {
 	mu          sync.Mutex
 	key         cacheKey
@@ -52,6 +57,15 @@ type feedback struct {
 	execs       int64   // executions recorded
 	streak      int     // consecutive out-of-band executions
 	invalidated bool
+
+	// c is the cache the entry was created in; it counts the builds,
+	// reuses and re-checks of the derived state.
+	c *Cache
+	// csc is B's transpose for plans with an Inner block (see cachedCSC);
+	// sorted holds the M and A arrays a hit last found sorted (see
+	// rowsSorted). Both are nil until a cache hit stores them.
+	csc    atomic.Pointer[cscState]
+	sorted atomic.Pointer[sortedState]
 }
 
 // FeedbackState is a snapshot of one plan's prediction-error feedback, as

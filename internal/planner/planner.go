@@ -183,6 +183,16 @@ func (p *Plan) Variant() core.Variant {
 	return core.Variant{Alg: best, Phase: p.Phase}
 }
 
+// hasInner reports whether any block of the plan runs Inner.
+func (p *Plan) hasInner() bool {
+	for _, b := range p.Blocks {
+		if b.Alg == core.Inner {
+			return true
+		}
+	}
+	return false
+}
+
 // ExecBlocks converts the plan's blocks to the core execution form.
 func (p *Plan) ExecBlocks() []core.ExecBlock {
 	out := make([]core.ExecBlock, len(p.Blocks))
@@ -678,6 +688,9 @@ func coalesce(blocks []Block) []Block {
 // Execute runs a plan. stats, if non-nil, receives per-block execution
 // results. The plan must have been analyzed for operands with the same row
 // count and mask mode (Cache guarantees this; core re-validates the tiling).
+// A plan from a cache hit with an Inner block reads B's transpose from its
+// cache entry, built on the first such hit and reused while b is the same
+// arrays.
 func Execute[T any](p *Plan, m *matrix.Pattern, a, b *matrix.CSR[T], sr semiring.Semiring[T], opt core.Options, stats *[]core.BlockStat) (*matrix.CSR[T], error) {
 	if opt.Complement != p.Stats.Complement {
 		return nil, fmt.Errorf("planner: plan analyzed with Complement=%v, executed with Complement=%v",
@@ -700,5 +713,11 @@ func Execute[T any](p *Plan, m *matrix.Pattern, a, b *matrix.CSR[T], sr semiring
 		// results.
 		opt.RowCosts = p.Costs
 	}
-	return core.MaskedSpGEMMBlocked(p.Phase, p.ExecBlocks(), m, a, b, sr, opt, stats)
+	var bcsc *matrix.CSC[T]
+	if p.CacheHit && p.fb != nil && p.hasInner() {
+		// Inner blocks read B by columns: a hit takes the entry's transpose
+		// (see cachedCSC); any other plan transposes B in core per call.
+		bcsc = cachedCSC(p.fb, b)
+	}
+	return core.MaskedSpGEMMBlocked(p.Phase, p.ExecBlocks(), m, a, b, bcsc, sr, opt, stats)
 }

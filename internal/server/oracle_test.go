@@ -31,10 +31,28 @@ type oracle struct {
 	raw   *Client
 	ref   *masked.Session
 	ctx   context.Context
-	pats  []*matrix.Pattern
-	mats  []*matrix.CSR[float64]
+	pool  []operandGroup
 	decoy *matrix.CSR[float64]
 	seen  []seenErr
+}
+
+// operandGroup is a set of shape-compatible operands: any of its masks
+// goes with any two of its matrices.
+type operandGroup struct {
+	pats []*matrix.Pattern
+	mats []*matrix.CSR[float64]
+}
+
+// innerCornerReq is a request in the sparse-mask corner, where the
+// planner runs Inner: about one mask entry per row, and A and B dense
+// enough (24 draws a row) that one pull dot product per mask entry beats
+// the push kernels' flops by the planner's margin.
+func innerCornerReq(n matrix.Index, seed uint64) *wire.MultiplyReq {
+	return &wire.MultiplyReq{
+		M: grgen.Random01Mask(n, n, 1, seed),
+		A: grgen.ErdosRenyi(n, 24, seed+1),
+		B: grgen.ErdosRenyi(n, 24, seed+2),
+	}
 }
 
 // seenErr is a typed error one operation returned. Whether it was due
@@ -102,6 +120,9 @@ func (o *oracle) want(t *testing.T, req *wire.MultiplyReq) []byte {
 	if req.Flags&wire.FlagComplement != 0 {
 		opts = append(opts, masked.WithComplement())
 	}
+	// A pinned variant runs no plan, so the reference never shares the
+	// plan cache's derived state with the path under test.
+	opts = append(opts, masked.WithVariant(masked.Variant{Alg: masked.MSA, Phase: masked.OnePhase}))
 	c, err := o.ref.Multiply(o.ctx, req.M, req.A, req.B, opts...)
 	if err != nil {
 		t.Fatalf("reference multiply: %v", err)
@@ -151,14 +172,15 @@ func (o *oracle) refuse(t *testing.T, what string, err error, want func(error) b
 	o.seen = append(o.seen, seenErr{what: what, err: err, want: want})
 }
 
-// pick draws one request over the operand pool: every operand is n×n, so
-// any choice is shape-compatible.
+// pick draws one request over one group of the operand pool, so any
+// choice is shape-compatible.
 func (o *oracle) pick(rng *rand.Rand) *wire.MultiplyReq {
+	g := o.pool[rng.Intn(len(o.pool))]
 	req := &wire.MultiplyReq{
 		Semiring: oracleSemirings[rng.Intn(len(oracleSemirings))],
-		M:        o.pats[rng.Intn(len(o.pats))],
-		A:        o.mats[rng.Intn(len(o.mats))],
-		B:        o.mats[rng.Intn(len(o.mats))],
+		M:        g.pats[rng.Intn(len(g.pats))],
+		A:        g.mats[rng.Intn(len(g.mats))],
+		B:        g.mats[rng.Intn(len(g.mats))],
 	}
 	if rng.Intn(3) == 0 {
 		req.Flags = wire.FlagComplement
@@ -251,7 +273,9 @@ func (o *oracle) checkBatch(t *testing.T, what string, reqs []*wire.MultiplyReq,
 // corrupted operands. The pool holds byte-identical copies at distinct
 // addresses (intern hits by content) and operands one bit apart (near
 // misses), and the server's intern table holds only a few entries
-// (evictions, so stale references). Fault points are armed at a low
+// (evictions, so stale references). A second group of the pool sits in
+// the sparse-mask corner, where the planner runs Inner, so hot repeats
+// read B's transpose from the cached plan. Fault points are armed at a low
 // seeded rate. Every product must be byte-identical to the in-process
 // reference; every error must be a typed one. After an operation during
 // which no fault fired, every well-formed request must have been served,
@@ -284,16 +308,18 @@ func FuzzServeMultiply(f *testing.F) {
 		}
 		rng := rand.New(rand.NewSource(int64(seed)))
 		n := matrix.Index(3 + seed%6)
-		o.pats, o.mats = nil, nil
+		var small operandGroup
 		for i := uint64(0); i < 3; i++ {
 			g := grgen.ErdosRenyi(n, 2, seed*7+i)
-			near := g.Clone()
-			if len(near.Val) > 0 {
-				near.Val[0] = math.Float64frombits(math.Float64bits(near.Val[0]) ^ 1)
-			}
-			o.mats = append(o.mats, g, g.Clone(), near)
-			o.pats = append(o.pats, g.Pattern(), grgen.Random01Mask(n, n, 2, seed*7+i))
+			small.mats = append(small.mats, g, g.Clone(), nearCopy(g))
+			small.pats = append(small.pats, g.Pattern(), grgen.Random01Mask(n, n, 2, seed*7+i))
 		}
+		ic := innerCornerReq(32, seed*7+100)
+		inner := operandGroup{
+			pats: []*matrix.Pattern{ic.M, ic.M.Clone()},
+			mats: []*matrix.CSR[float64]{ic.A, ic.B, ic.B.Clone(), nearCopy(ic.B)},
+		}
+		o.pool = []operandGroup{small, inner}
 		o.decoy = grgen.ErdosRenyi(n, 3, seed^0x5eed)
 
 		reg := faultinject.New(int64(seed))
@@ -310,6 +336,33 @@ func FuzzServeMultiply(f *testing.F) {
 			o.settle(t, firedFaults() != before)
 		}
 	})
+}
+
+// nearCopy is a copy of g whose first value differs in its lowest bit.
+func nearCopy(g *matrix.CSR[float64]) *matrix.CSR[float64] {
+	near := g.Clone()
+	if len(near.Val) > 0 {
+		near.Val[0] = math.Float64frombits(math.Float64bits(near.Val[0]) ^ 1)
+	}
+	return near
+}
+
+// TestInnerCornerPlansInner: the planner runs Inner on every block of the
+// oracle's sparse-mask group, so its hot repeats take the cached plan's
+// transpose of B.
+func TestInnerCornerPlansInner(t *testing.T) {
+	s := masked.NewSession(masked.WithThreads(2))
+	for seed := uint64(0); seed < 40; seed++ {
+		req := innerCornerReq(32, seed*7+100)
+		for _, b := range []*matrix.CSR[float64]{req.A, req.B} {
+			p := s.Explain(req.M, req.A, b)
+			for _, blk := range p.Blocks {
+				if blk.Alg != masked.Inner {
+					t.Fatalf("seed %d: block planned %s, want Inner:\n%s", seed, blk.Alg, p.Explain())
+				}
+			}
+		}
+	}
 }
 
 // run executes one program operation.
@@ -361,11 +414,12 @@ func (o *oracle) run(t *testing.T, op byte, rng *rand.Rand) {
 		o.checkBatch(t, "raw batch", reqs, out, err)
 	case 6: // a decoy planted under the intern key of a pool operand
 		tab := o.l.Server.intern
+		g := o.pool[rng.Intn(len(o.pool))]
 		if rng.Intn(2) == 0 {
-			p := o.pats[rng.Intn(len(o.pats))]
+			p := g.pats[rng.Intn(len(g.pats))]
 			tab.insert(tab.patternKey(p), o.decoy.Pattern().Clone(), patternSize(o.decoy.Pattern()))
 		} else {
-			a := o.mats[rng.Intn(len(o.mats))]
+			a := g.mats[rng.Intn(len(g.mats))]
 			tab.insert(tab.matrixKey(a), o.decoy.Clone(), matrixSize(o.decoy))
 		}
 	case 7: // an operand with an out-of-range column: refused as a bad frame

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -303,6 +304,76 @@ func TestMetricsEndpoints(t *testing.T) {
 	}
 	if err := c.Healthz(ctx); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPlanReuseMetrics: after warm-up, repeated Inner-planned requests
+// through a live server read B's transpose from the cached plan and skip
+// the sortedness re-check of the interned M and A; no transpose is built
+// after the first hit. Both /metrics forms carry the counters.
+func TestPlanReuseMetrics(t *testing.T) {
+	_, c := startLocal(t, Config{Threads: 2})
+	ctx := context.Background()
+	req := innerCornerReq(64, 7)
+	ref, err := masked.NewSession().Multiply(ctx, req.M, req.A, req.B,
+		masked.WithVariant(masked.Variant{Alg: masked.MSA, Phase: masked.OnePhase}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := (&wire.MultiplyRes{C: ref}).Encode(nil)
+	multiply := func() {
+		t.Helper()
+		res, err := c.Multiply(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal((&wire.MultiplyRes{C: res.C}).Encode(nil), want) {
+			t.Fatal("product differs from the in-process reference")
+		}
+	}
+	// Warm-up: a plan cache miss, a hit that re-checks and builds, and a
+	// hit that reuses both.
+	for i := 0; i < 3; i++ {
+		multiply()
+	}
+	before, err := c.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const repeats = 5
+	for i := 0; i < repeats; i++ {
+		multiply()
+	}
+	after, err := c.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, a := before.Session.Cache, after.Session.Cache
+	if b.TransposeBuilds != 1 || a.TransposeBuilds != b.TransposeBuilds {
+		t.Fatalf("transposes built: %d after warm-up, %d after repeats; want 1 and flat", b.TransposeBuilds, a.TransposeBuilds)
+	}
+	if a.TransposeReuses != b.TransposeReuses+repeats {
+		t.Fatalf("transposes reused %d -> %d, want +%d", b.TransposeReuses, a.TransposeReuses, repeats)
+	}
+	if a.SortRechecksSkipped != b.SortRechecksSkipped+repeats || a.SortRechecks != b.SortRechecks {
+		t.Fatalf("re-checks skipped %d -> %d (want +%d), run %d -> %d (want flat)",
+			b.SortRechecksSkipped, a.SortRechecksSkipped, repeats, b.SortRechecks, a.SortRechecks)
+	}
+	text, err := c.MetricsText(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		fmt.Sprintf("mspgemm_plan_transpose_total{event=\"built\"} %d\n", a.TransposeBuilds),
+		fmt.Sprintf("mspgemm_plan_transpose_total{event=\"reused\"} %d\n", a.TransposeReuses),
+		fmt.Sprintf("mspgemm_plan_sort_recheck_total{event=\"run\"} %d\n", a.SortRechecks),
+		fmt.Sprintf("mspgemm_plan_sort_recheck_total{event=\"skipped\"} %d\n", a.SortRechecksSkipped),
+		"# HELP mspgemm_plan_transpose_total ",
+		"# HELP mspgemm_plan_sort_recheck_total ",
+	} {
+		if !strings.Contains(text, want) {
+			t.Fatalf("metrics text missing %q:\n%s", want, text)
+		}
 	}
 }
 

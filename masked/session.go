@@ -48,6 +48,13 @@ import (
 // share is arbitrated from the planner's cost estimate (WithInflight bounds
 // concurrency, WithPlanCacheCapacity bounds the plan cache), and identical
 // concurrent requests are coalesced into one computation.
+//
+// Operands are read, never copied, and a session remembers them by
+// identity: the plan cache keys on B's storage and trusts its sorted rows,
+// a cached plan keeps B's transpose and the M and A arrays it last found
+// sorted and reuses them while the same arrays come back, and coalescing
+// keys on operand identity. So an operand must not be mutated while the
+// session may see it again; pass a fresh matrix (Clone) instead.
 type Session struct {
 	def   opSpec
 	ws    *core.Workspaces
