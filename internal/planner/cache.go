@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/matrix"
@@ -39,6 +40,15 @@ import (
 // beyond its key. The entry holds the arrays it compares against, so they
 // cannot be freed and their addresses reused while it lives. Callers must
 // not mutate an operand the cache may see again.
+//
+// That state keeps operands alive past their callers' use, so it is
+// bounded in bytes, not only by the entry count: the transposes and the
+// operand arrays they pin (all of B's but the RowPtr the key already pins,
+// and the sorted M and A arrays) are charged against DefaultRetainBytes.
+// A hit makes room by shedding the state of the entries whose state was
+// least recently used; state larger than the whole budget is used for its
+// own call and not kept, exactly as on a cold call. An entry that leaves
+// the cache (eviction, invalidation, Reset) releases its charge.
 type Cache struct {
 	shards []cacheShard
 	// perShard is the entry bound of each shard; the cache-wide capacity is
@@ -52,6 +62,15 @@ type Cache struct {
 	// The derived-state counters: transposes built and reused by hits'
 	// Inner blocks, and hits' sortedness re-checks run and skipped.
 	cscBuilds, cscReuses, sortChecks, sortSkips atomic.Int64
+	// retainMu guards storing and releasing derived state: holders is the
+	// set of entries holding some, retained their bytes (atomic so Stats
+	// reads it unlocked) and retainCap its bound. tick orders the states'
+	// uses for shedding (see keep). Lock order: a shard's mu, then retainMu.
+	retainMu  sync.Mutex
+	holders   map[*feedback]struct{}
+	retained  atomic.Int64
+	retainCap int64
+	tick      atomic.Int64
 	// model is the cost model misses analyze with; nil means DefaultModel.
 	// Atomic so SetModel is safe against concurrent analyses; the *Model it
 	// points to is immutable.
@@ -131,6 +150,11 @@ const (
 	defaultCacheCap = 256
 )
 
+// DefaultRetainBytes bounds the bytes a cache's entries keep alive for
+// reuse by later hits: B's transposes and the operand arrays they were
+// checked against (see Cache).
+const DefaultRetainBytes = 64 << 20
+
 // NewCache returns an empty plan cache with the default capacity
 // (DefaultCacheCapacity entries), safe for concurrent use. Caches are
 // session-scoped: masked.Session and apps.Session each own one, so
@@ -156,7 +180,8 @@ func NewCacheCapacity(capacity int) *Cache {
 	if per < 1 {
 		per = 1
 	}
-	c := &Cache{shards: make([]cacheShard, cacheShards), perShard: per}
+	c := &Cache{shards: make([]cacheShard, cacheShards), perShard: per,
+		holders: make(map[*feedback]struct{}), retainCap: DefaultRetainBytes}
 	for i := range c.shards {
 		c.shards[i].plans = make(map[cacheKey]*list.Element)
 	}
@@ -200,14 +225,18 @@ type CacheStats struct {
 	// Replans counts entries invalidated by the prediction-error feedback
 	// loop (sustained drift; the next Analyze of the product re-plans).
 	Replans int64
-	// TransposeBuilds counts transposes of B a cache hit built and stored
-	// on its entry for the plan's Inner blocks; TransposeReuses the hits
-	// that found the entry's transpose built from the same B arrays.
+	// TransposeBuilds counts transposes of B a cache hit built for the
+	// plan's Inner blocks (and kept on its entry when RetainedBytes had
+	// room); TransposeReuses the hits that found the entry's transpose
+	// built from the same B arrays.
 	TransposeBuilds, TransposeReuses int64
 	// SortRechecks counts hits whose plan needs sorted rows and that
 	// re-scanned M and A; SortRechecksSkipped the hits that skipped the
 	// scan because M and A were the arrays the entry last found sorted.
 	SortRechecks, SortRechecksSkipped int64
+	// RetainedBytes is the bytes the entries' transposes and remembered
+	// operand arrays hold at snapshot time, at most DefaultRetainBytes.
+	RetainedBytes int64
 	// Entries is the resident plan count at snapshot time.
 	Entries int
 	// Capacity is the cache-wide entry bound (perShard × Shards).
@@ -258,6 +287,7 @@ func (c *Cache) Analyze(m, a, b *matrix.Pattern, opt core.Options) *Plan {
 			tail := sh.lru.Back()
 			sh.lru.Remove(tail)
 			delete(sh.plans, tail.Value.(*cacheEntry).key)
+			tail.Value.(*cacheEntry).plan.fb.drop()
 			c.evictions.Add(1)
 		}
 		p.fb = &feedback{key: key, c: c}
@@ -312,6 +342,7 @@ func (c *Cache) Stats() CacheStats {
 		TransposeReuses:     c.cscReuses.Load(),
 		SortRechecks:        c.sortChecks.Load(),
 		SortRechecksSkipped: c.sortSkips.Load(),
+		RetainedBytes:       c.retained.Load(),
 
 		Capacity: c.perShard * len(c.shards),
 		Shards:   len(c.shards),
@@ -325,14 +356,17 @@ func (c *Cache) Stats() CacheStats {
 	return st
 }
 
-// Reset drops all cached plans. The hit/miss/eviction counters are *not*
-// reset: they are monotonic for the cache's lifetime so that stats
-// snapshots can always be differenced (a serving dashboard must never see a
-// counter run backwards).
+// Reset drops all cached plans and the state they retain. The
+// hit/miss/eviction counters are *not* reset: they are monotonic for the
+// cache's lifetime so that stats snapshots can always be differenced (a
+// serving dashboard must never see a counter run backwards).
 func (c *Cache) Reset() {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
+		for el := sh.lru.Front(); el != nil; el = el.Next() {
+			el.Value.(*cacheEntry).plan.fb.drop()
+		}
 		sh.plans = make(map[cacheKey]*list.Element)
 		sh.lru.Init()
 		sh.mu.Unlock()
@@ -340,15 +374,85 @@ func (c *Cache) Reset() {
 }
 
 // cscState is B's transpose with the B arrays it was built from. val is
-// B's Val slice and csc the *matrix.CSC of the same element type.
+// B's Val slice and csc the *matrix.CSC of the same element type; bytes is
+// what the state is charged (see keep).
 type cscState struct {
 	rowPtr, col []Index
 	val, csc    any
+	bytes       int64
 }
 
 // sortedState is the M and A arrays an entry's hit last found sorted.
 type sortedState struct {
 	mRowPtr, mCol, aRowPtr, aCol []Index
+	bytes                        int64
+}
+
+func (s *cscState) size() int64 {
+	if s == nil {
+		return 0
+	}
+	return s.bytes
+}
+
+func (s *sortedState) size() int64 {
+	if s == nil {
+		return 0
+	}
+	return s.bytes
+}
+
+// touch marks fb's state as used now.
+func (fb *feedback) touch() { fb.used.Store(fb.c.tick.Add(1)) }
+
+// release drops fb's derived state and returns its charge. Callers hold
+// retainMu.
+func (c *Cache) release(fb *feedback) {
+	c.retained.Add(-fb.csc.Swap(nil).size() - fb.sorted.Swap(nil).size())
+	delete(c.holders, fb)
+}
+
+// drop releases the derived state of an entry the cache unlinks. A copy of
+// its plan may still execute, but keeps nothing more (see keep).
+func (fb *feedback) drop() {
+	c := fb.c
+	c.retainMu.Lock()
+	fb.dropped = true
+	c.release(fb)
+	c.retainMu.Unlock()
+}
+
+// keep stores s in slot, one of fb's state pointers, replacing what it
+// holds, if s fits the budget. To make room it sheds the state of other
+// entries, least recently used first. It keeps nothing for an entry the
+// cache has unlinked or for state larger than the budget.
+func keep[S any, P interface {
+	*S
+	size() int64
+}](fb *feedback, slot *atomic.Pointer[S], s P) {
+	c := fb.c
+	c.retainMu.Lock()
+	defer c.retainMu.Unlock()
+	n, old := s.size(), P(slot.Load()).size()
+	if fb.dropped || n > c.retainCap {
+		return
+	}
+	for c.retained.Load()-old+n > c.retainCap {
+		var lru *feedback
+		for h := range c.holders {
+			if h != fb && (lru == nil || h.used.Load() < lru.used.Load()) {
+				lru = h
+			}
+		}
+		if lru == nil {
+			return
+		}
+		c.release(lru)
+	}
+	slot.Store((*S)(s))
+	c.retained.Add(n - old)
+	c.holders[fb] = struct{}{}
+	fb.touch()
 }
 
 // sameArray reports whether x and y are the same array: the same data
@@ -360,34 +464,45 @@ func sameArray[E any](x, y []E) bool {
 // rowsSorted reports whether m and a have sorted rows, for a hit on the
 // entry fb belongs to. When they are the arrays this entry last found
 // sorted the scan is skipped; otherwise it runs, and arrays found sorted
-// replace the entry's.
+// replace the entry's (see keep).
 func (fb *feedback) rowsSorted(m, a *matrix.Pattern, threads int) bool {
 	if s := fb.sorted.Load(); s != nil && sameArray(s.mRowPtr, m.RowPtr) && sameArray(s.mCol, m.Col) &&
 		sameArray(s.aRowPtr, a.RowPtr) && sameArray(s.aCol, a.Col) {
 		fb.c.sortSkips.Add(1)
+		fb.touch()
 		return true
 	}
 	fb.c.sortChecks.Add(1)
 	if !sortedRows(m, threads) || !sortedRows(a, threads) {
 		return false
 	}
-	fb.sorted.Store(&sortedState{mRowPtr: m.RowPtr, mCol: m.Col, aRowPtr: a.RowPtr, aCol: a.Col})
+	s := &sortedState{mRowPtr: m.RowPtr, mCol: m.Col, aRowPtr: a.RowPtr, aCol: a.Col,
+		bytes: int64(unsafe.Sizeof(Index(0))) * int64(len(m.RowPtr)+len(m.Col)+len(a.RowPtr)+len(a.Col))}
+	keep(fb, &fb.sorted, s)
 	return true
 }
 
 // cachedCSC returns B's transpose for a hit on the entry fb belongs to:
 // the entry's own when it was built from the same B arrays, otherwise a
-// new one, which replaces the entry's. Two concurrent first hits may both
-// build; the later store wins, and neither waits for the other.
+// new one, which replaces the entry's (see keep). Two concurrent first
+// hits may both build; the later store wins, and neither waits for the
+// other to build.
 func cachedCSC[T any](fb *feedback, b *matrix.CSR[T]) *matrix.CSC[T] {
 	if s := fb.csc.Load(); s != nil && sameArray(s.rowPtr, b.RowPtr) && sameArray(s.col, b.Col) {
 		if val, ok := s.val.([]T); ok && sameArray(val, b.Val) {
 			fb.c.cscReuses.Add(1)
+			fb.touch()
 			return s.csc.(*matrix.CSC[T])
 		}
 	}
 	csc := matrix.ToCSC(b)
-	fb.csc.Store(&cscState{rowPtr: b.RowPtr, col: b.Col, val: b.Val, csc: csc})
 	fb.c.cscBuilds.Add(1)
+	// Charged: the transpose and B's Col and Val, which it pins (the key
+	// already pins B's RowPtr).
+	var zero T
+	idx, elem := int64(unsafe.Sizeof(Index(0))), int64(unsafe.Sizeof(zero))
+	s := &cscState{rowPtr: b.RowPtr, col: b.Col, val: b.Val, csc: csc,
+		bytes: idx*int64(len(csc.ColPtr)+len(csc.Row)+len(b.Col)) + elem*int64(len(csc.Val)+len(b.Val))}
+	keep(fb, &fb.csc, s)
 	return csc
 }

@@ -66,6 +66,11 @@ type feedback struct {
 	// rowsSorted). Both are nil until a cache hit stores them.
 	csc    atomic.Pointer[cscState]
 	sorted atomic.Pointer[sortedState]
+	// used is the cache tick of the state's last use, for shedding;
+	// dropped, guarded by the cache's retainMu, is set once the cache
+	// unlinks the entry, which keeps no derived state after (see drop).
+	used    atomic.Int64
+	dropped bool
 }
 
 // FeedbackState is a snapshot of one plan's prediction-error feedback, as
@@ -185,6 +190,7 @@ func (c *Cache) invalidate(fb *feedback) {
 	if el, ok := sh.plans[fb.key]; ok && el.Value.(*cacheEntry).plan.fb == fb {
 		sh.lru.Remove(el)
 		delete(sh.plans, fb.key)
+		fb.drop()
 	}
 	sh.mu.Unlock()
 }

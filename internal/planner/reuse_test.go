@@ -273,6 +273,15 @@ func TestPlanReuseConcurrent(t *testing.T) {
 	c := NewCache()
 	cachedRun(t, c, m, a, b, sr, core.Options{})
 	var wg sync.WaitGroup
+	// Resets race with the hits' stores: every state an unlinked entry
+	// held, or a hit on it stores later, must be released.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 10; i++ {
+			c.Reset()
+		}
+	}()
 	for w := 0; w < 6; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -296,6 +305,7 @@ func TestPlanReuseConcurrent(t *testing.T) {
 	if st := c.Stats(); st.TransposeBuilds == 0 {
 		t.Fatalf("concurrent hits built no transpose: %+v", st)
 	}
+	checkRetained(t, c)
 	// Quiescent again: the entry settles on the operands it last saw.
 	for i := 0; i < 2; i++ {
 		cachedRun(t, c, m, a, b, sr, core.Options{})
@@ -307,4 +317,140 @@ func TestPlanReuseConcurrent(t *testing.T) {
 		t.Fatalf("after the concurrent hits: identical %v, reuses %d -> %d, skips %d -> %d",
 			sameBits(got, want[0]), before.TransposeReuses, after.TransposeReuses, before.SortRechecksSkipped, after.SortRechecksSkipped)
 	}
+}
+
+// checkRetained: the cache's retained-bytes gauge equals the state its
+// resident entries hold. Call it only while no hit is in flight.
+func checkRetained(t *testing.T, c *Cache) {
+	t.Helper()
+	var held int64
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.Lock()
+		for el := sh.lru.Front(); el != nil; el = el.Next() {
+			fb := el.Value.(*cacheEntry).plan.fb
+			held += fb.csc.Load().size() + fb.sorted.Load().size()
+		}
+		sh.mu.Unlock()
+	}
+	if got := c.Stats().RetainedBytes; got != held {
+		t.Fatalf("RetainedBytes %d, resident entries hold %d", got, held)
+	}
+}
+
+// TestRetainedBytesBounded: the derived state a cache keeps never exceeds
+// its byte budget. A hot product makes room by shedding the least
+// recently used state; state larger than the budget is not kept; products
+// stay identical to a cold cache's throughout. Evicted entries and Reset
+// return their bytes, and a plan copy that outlives its entry stores
+// nothing more.
+func TestRetainedBytesBounded(t *testing.T) {
+	sr := semiring.Arithmetic()
+	opt := core.Options{Threads: 2}
+	type product struct {
+		m    *matrix.Pattern
+		a, b *matrix.CSR[float64]
+		want *matrix.CSR[float64]
+	}
+	var ps []product
+	for i := uint64(0); i < 6; i++ {
+		m, a, b := innerCorner(t, 64, 71+10*i)
+		want, _ := cachedRun(t, NewCache(), m, a, b, sr, opt)
+		ps = append(ps, product{m, a, b, want})
+	}
+	// One product's state: a miss, then a hit that keeps both pieces.
+	probe := NewCache()
+	for i := 0; i < 2; i++ {
+		cachedRun(t, probe, ps[0].m, ps[0].a, ps[0].b, sr, opt)
+	}
+	one := probe.Stats().RetainedBytes
+	if one == 0 {
+		t.Fatal("a hot Inner product retained nothing")
+	}
+
+	run := func(c *Cache, i, calls int) {
+		t.Helper()
+		for k := 0; k < calls; k++ {
+			if got, _ := cachedRun(t, c, ps[i].m, ps[i].a, ps[i].b, sr, opt); !sameBits(got, ps[i].want) {
+				t.Fatalf("product %d call %d differs from a cold cache's", i, k)
+			}
+			if r := c.Stats().RetainedBytes; r > c.retainCap {
+				t.Fatalf("product %d call %d: retained %d bytes, budget %d", i, k, r, c.retainCap)
+			}
+		}
+	}
+	holders := func(c *Cache) int {
+		c.retainMu.Lock()
+		defer c.retainMu.Unlock()
+		return len(c.holders)
+	}
+
+	// Room for one product's state: each hot product sheds the previous
+	// one's, so each builds once and reuses once.
+	c := NewCache()
+	c.retainCap = one + one/2
+	for i := range ps {
+		run(c, i, 3)
+	}
+	checkRetained(t, c)
+	if st := c.Stats(); st.TransposeBuilds != int64(len(ps)) || st.TransposeReuses != int64(len(ps)) || holders(c) != 1 {
+		t.Fatalf("builds %d, reuses %d, %d entries holding state; want %d, %d, 1",
+			st.TransposeBuilds, st.TransposeReuses, holders(c), len(ps), len(ps))
+	}
+
+	// Room for two: the state shed is the least recently used.
+	c = NewCache()
+	c.retainCap = 2*one + one/2
+	run(c, 0, 3)
+	run(c, 1, 3)
+	run(c, 0, 1) // product 0 is now the more recent
+	run(c, 2, 3) // sheds product 1's state
+	before := c.Stats()
+	run(c, 0, 1)
+	if st := c.Stats(); st.TransposeBuilds != before.TransposeBuilds {
+		t.Fatal("the recently used state was shed")
+	}
+	run(c, 1, 1)
+	if st := c.Stats(); st.TransposeBuilds != before.TransposeBuilds+1 {
+		t.Fatal("the least recently used state was kept")
+	}
+	checkRetained(t, c)
+
+	// A transpose larger than the whole budget is built per hit, never kept.
+	c = NewCache()
+	c.retainCap = one / 2
+	run(c, 0, 4)
+	if st := c.Stats(); st.TransposeReuses != 0 || st.TransposeBuilds != 3 {
+		t.Fatalf("over-budget transpose: builds %d, reuses %d; want 3 and 0", st.TransposeBuilds, st.TransposeReuses)
+	}
+	checkRetained(t, c)
+
+	c = NewCache()
+	run(c, 0, 2)
+	_, held := cachedRun(t, c, ps[0].m, ps[0].a, ps[0].b, sr, opt)
+	c.Reset()
+	if r := c.Stats().RetainedBytes; r != 0 {
+		t.Fatalf("retained %d bytes after Reset", r)
+	}
+	if got, err := Execute(held, ps[0].m, ps[0].a, ps[0].b, sr, opt, nil); err != nil || !sameBits(got, ps[0].want) {
+		t.Fatalf("plan executed after Reset: %v", err)
+	}
+	if r := c.Stats().RetainedBytes; r != 0 {
+		t.Fatalf("a plan outliving its entry retained %d bytes", r)
+	}
+
+	// One entry per shard: products that share a shard evict each other,
+	// and every eviction returns the evicted entry's bytes.
+	c = NewCacheCapacity(cacheShards)
+	for round := 0; round < 2; round++ {
+		for _, p := range ps {
+			for k := 0; k < 3; k++ {
+				cachedRun(t, c, p.m, p.a, p.b, sr, opt)
+			}
+		}
+	}
+	if c.Stats().Evictions == 0 {
+		t.Fatal("no product evicted another; the check below proves nothing")
+	}
+	checkRetained(t, c)
 }

@@ -157,6 +157,7 @@ func writeProm(w io.Writer, m MetricsSnapshot) {
 	fmt.Fprintf(w, "# HELP mspgemm_plan_sort_recheck_total Sortedness re-checks of M and A on plan cache hits: run, or skipped because the arrays were the ones the entry last found sorted.\n# TYPE mspgemm_plan_sort_recheck_total counter\n")
 	fmt.Fprintf(w, "mspgemm_plan_sort_recheck_total{event=\"run\"} %d\n", c.SortRechecks)
 	fmt.Fprintf(w, "mspgemm_plan_sort_recheck_total{event=\"skipped\"} %d\n", c.SortRechecksSkipped)
+	gauge("mspgemm_plan_retained_bytes", "Bytes cached plans keep alive for later hits: transposes of B and the operand arrays they were checked against (bounded by the plan cache's retain budget).", float64(c.RetainedBytes))
 
 	a := m.Session.Arbiter
 	gauge("mspgemm_arbiter_budget_workers", "Total session worker budget.", float64(a.Budget))

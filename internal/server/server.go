@@ -79,7 +79,10 @@ type Config struct {
 	// InternMaxBytes bounds the total operand bytes the intern table
 	// retains (0 = 1 GiB, negative = entry bound only). Entries are
 	// private copies sized by their own CSR arrays, so this caps the
-	// table's heap footprint directly.
+	// table's heap footprint directly. It does not cap the session's
+	// plan cache, which keeps hot operands alive, also after the table
+	// evicts them, together with their transposes, up to
+	// planner.DefaultRetainBytes.
 	InternMaxBytes int64
 	// MaxBodyBytes caps a request body; larger bodies get 413
 	// (0 = 256 MiB).
@@ -280,9 +283,12 @@ func (l *Local) Close() error {
 
 // readBody reads the request body into a pooled buffer, answering 413/400
 // itself on failure. The returned release func recycles the buffer; the
-// handler defers it past the last use of any decoded view of the body
-// (the intern table stores copies, never views, so interning does not
-// extend the buffer's lifetime).
+// handler defers it past the last use of any decoded view of the body.
+// No view may outlive the request through the session either: the session
+// does not copy its operands (its plan cache holds them and matches them
+// by address), and a recycled buffer puts another request's operands at
+// the same addresses. So operands reach the session only as copies, the
+// intern table's or, with interning off, a fresh one (see internPattern).
 func (sv *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, func(), bool) {
 	bp, _ := sv.bodies.Get().(*[]byte)
 	if bp == nil {
@@ -404,13 +410,16 @@ func validateMatrix(a *matrix.CSR[float64]) error {
 // intern hit skips the O(nnz) validation, which ran when the canonical
 // copy was first admitted; a miss validates and stores a deep copy,
 // because p aliases the request's pooled body buffer and the table must
-// outlive it.
+// outlive it. With interning off the session still gets a deep copy: its
+// plan cache keys on operand identity and keeps hot operands' arrays, and
+// a view would let the next request's bytes reappear at the same
+// addresses (see readBody).
 func (sv *Server) internPattern(p *matrix.Pattern, what string) (*matrix.Pattern, uint64, error) {
 	if sv.intern == nil {
 		if err := validatePattern(p); err != nil {
 			return nil, 0, fmt.Errorf("%s: %w", what, err)
 		}
-		return p, 0, nil
+		return p.Clone(), 0, nil
 	}
 	key := sv.intern.patternKey(p)
 	// Chaos point: a forced miss sends an operand the table already holds
@@ -431,7 +440,7 @@ func (sv *Server) internMatrix(a *matrix.CSR[float64], what string) (*matrix.CSR
 		if err := validateMatrix(a); err != nil {
 			return nil, 0, fmt.Errorf("%s: %w", what, err)
 		}
-		return a, 0, nil
+		return a.Clone(), 0, nil
 	}
 	key := sv.intern.matrixKey(a)
 	if v, ref, ok := sv.intern.lookup(key, a); ok && !faultinject.Fire(faultinject.PointInternMiss) {

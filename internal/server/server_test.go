@@ -355,6 +355,9 @@ func TestPlanReuseMetrics(t *testing.T) {
 	if a.TransposeReuses != b.TransposeReuses+repeats {
 		t.Fatalf("transposes reused %d -> %d, want +%d", b.TransposeReuses, a.TransposeReuses, repeats)
 	}
+	if a.RetainedBytes == 0 {
+		t.Fatal("a hot Inner product retained no bytes")
+	}
 	if a.SortRechecksSkipped != b.SortRechecksSkipped+repeats || a.SortRechecks != b.SortRechecks {
 		t.Fatalf("re-checks skipped %d -> %d (want +%d), run %d -> %d (want flat)",
 			b.SortRechecksSkipped, a.SortRechecksSkipped, repeats, b.SortRechecks, a.SortRechecks)
@@ -370,10 +373,48 @@ func TestPlanReuseMetrics(t *testing.T) {
 		fmt.Sprintf("mspgemm_plan_sort_recheck_total{event=\"skipped\"} %d\n", a.SortRechecksSkipped),
 		"# HELP mspgemm_plan_transpose_total ",
 		"# HELP mspgemm_plan_sort_recheck_total ",
+		fmt.Sprintf("mspgemm_plan_retained_bytes %d\n", a.RetainedBytes),
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("metrics text missing %q:\n%s", want, text)
 		}
+	}
+}
+
+// TestPlanReuseInternOff: with interning off, operands still reach the
+// session as copies. Decoded operands are views of a pooled body buffer,
+// so a B2 with B1's shape and nnz, sent after B1 is hot, would otherwise
+// sit at B1's addresses, hit B1's plan-cache entry and take B1's
+// transpose. Every product must match the in-process one byte for byte.
+func TestPlanReuseInternOff(t *testing.T) {
+	_, c := startLocal(t, Config{Threads: 2, InternCapacity: -1})
+	ctx := context.Background()
+	req1 := innerCornerReq(64, 7)
+	req2 := &wire.MultiplyReq{M: req1.M, A: req1.A, B: req1.B.Clone()}
+	for i := range req2.B.Val {
+		req2.B.Val[i] = 2*req2.B.Val[i] + 1
+	}
+	ref := masked.NewSession()
+	check := func(req *wire.MultiplyReq) {
+		t.Helper()
+		want, err := ref.Multiply(ctx, req.M, req.A, req.B,
+			masked.WithVariant(masked.Variant{Alg: masked.MSA, Phase: masked.OnePhase}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := c.Multiply(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal((&wire.MultiplyRes{C: res.C}).Encode(nil), (&wire.MultiplyRes{C: want}).Encode(nil)) {
+			t.Fatal("product differs from the in-process reference")
+		}
+	}
+	for round := 0; round < 4; round++ {
+		for i := 0; i < 3; i++ {
+			check(req1)
+		}
+		check(req2)
 	}
 }
 

@@ -54,7 +54,11 @@ import (
 // a cached plan keeps B's transpose and the M and A arrays it last found
 // sorted and reuses them while the same arrays come back, and coalescing
 // keys on operand identity. So an operand must not be mutated while the
-// session may see it again; pass a fresh matrix (Clone) instead.
+// session may see it again; pass a fresh matrix (Clone) instead. Nor may
+// its memory be reused for another matrix (a pooled buffer, say) while the
+// session may see that one: the cache would take it for the old operand.
+// The cache keeps hot operands alive for reuse, bounded in bytes by
+// planner.DefaultRetainBytes.
 type Session struct {
 	def   opSpec
 	ws    *core.Workspaces
