@@ -196,6 +196,7 @@ func BenchmarkFig12KTruss(b *testing.B) {
 		apps.NewSession(core.Options{}).EngineVariant(core.Variant{Alg: core.Hash, Phase: core.OnePhase}),
 		apps.NewSession(core.Options{}).EngineVariant(core.Variant{Alg: core.MCA, Phase: core.OnePhase}),
 		apps.NewSession(core.Options{}).EngineVariant(core.Variant{Alg: core.Inner, Phase: core.OnePhase}),
+		apps.NewSession(core.Options{}).EngineAuto(),
 		apps.NewSession(baseline.Options{}).EngineSSSaxpy(),
 		apps.NewSession(baseline.Options{}).EngineSSDot(),
 	}
@@ -238,6 +239,7 @@ func BenchmarkFig15BC(b *testing.B) {
 		apps.NewSession(core.Options{}).EngineVariant(core.Variant{Alg: core.Hash, Phase: core.OnePhase}),
 		apps.NewSession(core.Options{}).EngineVariant(core.Variant{Alg: core.MSA, Phase: core.TwoPhase}),
 		apps.NewSession(core.Options{}).EngineVariant(core.Variant{Alg: core.Hash, Phase: core.TwoPhase}),
+		apps.NewSession(core.Options{}).EngineAuto(),
 		apps.NewSession(baseline.Options{}).EngineSSSaxpy(),
 	}
 	for _, eng := range engines {

@@ -64,7 +64,9 @@ func (w *workerKernels[T]) at(i Index) kernel[T] {
 // recycle returns every created kernel's scratch to the arena (nil ws is a
 // no-op inside each kernel). Called once per worker when it runs out of
 // chunks — including on cancellation, where completed rows have already
-// left the accumulators fully reset.
+// left the accumulators fully reset — and never after a panic: a row that
+// panics mid-way leaves marks in its scratch, so the worker's kernels are
+// dropped rather than pooled dirty for the session's next call.
 func (w *workerKernels[T]) recycle(ws *Workspaces) {
 	for _, k := range w.kerns {
 		if k != nil {
@@ -209,10 +211,10 @@ func driver2P[T any](nrows, ncols Index, segs []execSeg[T], opt Options, timer *
 	counts := cb.s
 	err := forRows(opt, nrows, timer, func(_ int, claim func() (int, int, bool)) {
 		k := newWorkerKernels(segs)
-		defer k.recycle(opt.Workspaces)
 		for {
 			lo, hi, ok := claim()
 			if !ok {
+				k.recycle(opt.Workspaces)
 				return
 			}
 			for i := lo; i < hi; i++ {
@@ -236,10 +238,10 @@ func driver2P[T any](nrows, ncols Index, segs []execSeg[T], opt Options, timer *
 	wsPutI64(opt.Workspaces, cb)
 	err = forRows(opt, nrows, timer, func(_ int, claim func() (int, int, bool)) {
 		k := newWorkerKernels(segs)
-		defer k.recycle(opt.Workspaces)
 		for {
 			lo, hi, ok := claim()
 			if !ok {
+				k.recycle(opt.Workspaces)
 				return
 			}
 			for i := lo; i < hi; i++ {
@@ -293,10 +295,10 @@ func driver1P[T any](nrows, ncols Index, bound func(Index) int64, segs []execSeg
 	}
 	err = forRows(opt, nrows, timer, func(_ int, claim func() (int, int, bool)) {
 		k := newWorkerKernels(segs)
-		defer k.recycle(ws)
 		for {
 			lo, hi, ok := claim()
 			if !ok {
+				k.recycle(ws)
 				return
 			}
 			for i := lo; i < hi; i++ {

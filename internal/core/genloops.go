@@ -1,6 +1,6 @@
 //go:build ignore
 
-// genloops.go emits loops_gen.go: one copy of each hot scatter/dot loop per
+// genloops.go emits loops_gen.go: one copy of each hot scatter/probe loop per
 // named operator, with the semiring's Add/Mul spelled out as direct
 // expressions on a numeric- (or bool-) constrained element type parameter.
 // That is the only form the Go compiler monomorphizes: interface-method
@@ -17,13 +17,15 @@
 // Operators that ignore an operand skip its load entirely (plus-pair loops
 // never touch a.Val/b.Val), which is part of the speedup being generated.
 //
-// One loop departs from the generic structure: the plus-pair MSA numeric
-// row (msaCountLoopPlusPair) is a branch-free counting scatter,
-// value[j] += T(state[j]), instead of the three-way state switch (see the
-// counting mode in accum.MSA). Its output is still bit-identical: T is
+// Two plus-pair loops depart from the generic structure, both through the
+// counting mode of accum.MSA (NotAllowed = 0, Allowed = 1). The MSA
+// numeric row (msaCountLoopPlusPair) is a branch-free counting scatter,
+// value[j] += T(state[j]), instead of the three-way state switch, and the
+// Inner probe (probeLoopPlusPair) sums acc += T(state[k]) over B's column
+// instead of testing each key. Their output is still bit-identical: T is
 // int64 or float64 and every count stays below 2^53, so each sum of ones
-// is exact and is non-zero exactly when the key received a contribution,
-// and the gather runs in mask order as before.
+// is exact and is non-zero exactly when a contribution arrived, and the
+// MSA gather runs in mask order as before.
 package main
 
 import (
@@ -82,9 +84,9 @@ import (
 
 // loopsTmpl emits the nine loop shapes plus the opLoops constructor for one
 // operator; a Counting operator gets the counting MSA row in place of the
-// MSA scatter. {{p}} is the B-column position variable: "_" when the
-// operator never reads B values, so the generated loop skips the value
-// loads.
+// MSA scatter, and a counting Inner probe. {{p}} is the B-column position
+// variable: "_" when the operator never reads B values, so the generated
+// loop skips the value loads.
 const loopsTmpl = `
 // ----- {{.Name}}: Add(x, y) = {{.AddDoc}}; Mul(x, y) = {{.MulDoc}} -----
 {{if .Counting}}
@@ -328,30 +330,43 @@ func mcaMergeLoop{{.Name}}[T {{.Constraint}}](acc *accum.MCA[T], a, b *matrix.CS
 	}
 }
 
-// dotLoop{{.Name}} is innerKernel.dot with {{.Name}} inlined.
-func dotLoop{{.Name}}[T {{.Constraint}}](aIdx []Index, aVal []T, bIdx []Index, bVal []T) (T, bool) {
+// probeLoop{{.Name}} is innerKernel.probeDot with {{.Name}} inlined.
+{{- if .Counting}} A
+// scattered key's state byte is Allowed = 1, so each match adds it without
+// a branch and the sum is the match count.
+{{- end}}
+func probeLoop{{.Name}}[T {{.Constraint}}](state []accum.State, value []T, amax Index, bIdx []Index, bVal []T) (T, bool) {
 	var acc T
+{{- if .Counting}}
+	for _, k := range bIdx {
+		if k > amax {
+			break
+		}
+		acc += T(state[k])
+	}
+	return acc, acc != 0
+{{- else}}
 	found := false
-	ai, bi := 0, 0
-	for ai < len(aIdx) && bi < len(bIdx) {
-		switch {
-		case aIdx[ai] == bIdx[bi]:
-			v := {{mul "aVal[ai]" "bVal[bi]"}}
-			if found {
-				acc = {{add "acc" "v"}}
-			} else {
-				acc = v
-				found = true
-			}
-			ai++
-			bi++
-		case aIdx[ai] < bIdx[bi]:
-			ai++
-		default:
-			bi++
+{{- if .UsesBV}}
+	bVal = bVal[:len(bIdx)]
+{{- end}}
+	for {{p}}, k := range bIdx {
+		if k > amax {
+			break
+		}
+		if state[k] != accum.Allowed {
+			continue
+		}
+		v := {{mul "value[k]" "bVal[p]"}}
+		if found {
+			acc = {{add "acc" "v"}}
+		} else {
+			acc = v
+			found = true
 		}
 	}
 	return acc, found
+{{- end}}
 }
 
 // opLoops{{.Name}} bundles the {{.Name}} loop set for element type T.
@@ -369,7 +384,8 @@ func opLoops{{.Name}}[T {{.Constraint}}]() opLoops[T] {
 		hashC:     hashCLoop{{.Name}}[T],
 		mcaProbe:  mcaProbeLoop{{.Name}}[T],
 		mcaMerge:  mcaMergeLoop{{.Name}}[T],
-		dot:       dotLoop{{.Name}}[T],
+		innerProbe:  probeLoop{{.Name}}[T],
+		innerNoAVal: {{not .UsesAV}},
 	}
 }
 `

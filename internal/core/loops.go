@@ -7,7 +7,7 @@ import (
 
 //go:generate go run genloops.go
 
-// opLoops bundles the monomorphized numeric scatter/dot loops for one
+// opLoops bundles the monomorphized numeric scatter/probe loops for one
 // (element type, operator) pair. The Go compiler's gcshape stenciling keeps
 // interface-method calls on an operator *type parameter* indirect (they go
 // through the instantiation dictionary, even when the shape is unique to one
@@ -18,11 +18,12 @@ import (
 // the kernels call the loop once per row — one amortized indirect call per
 // row instead of two per flop.
 //
-// A zero opLoops (all fields nil) makes the kernels run their generic ops
+// A zero opLoops (all fields zero) makes the kernels run their generic ops
 // loops instead: that is the funcptr fallback path for custom semirings.
 // The generated loops replicate the generic loops' operation order exactly,
-// so the two paths are bit-identical; msaCount departs from that structure
-// but its integer-valued counts are exact, so its output is too.
+// so the two paths are bit-identical; the plus-pair msaCount and
+// innerProbe loops depart from that structure, but their integer-valued
+// counts are exact, so their output is too.
 //
 // The Heap/HeapDot kernels have no loop entry here: their multiply-add sits
 // under a heap pop, so there is no inner sweep to batch, and the operator
@@ -43,7 +44,12 @@ type opLoops[T any] struct {
 	mcaProbe func(acc *accum.MCA[T], p *maskProbe, a, b *matrix.CSR[T], i Index)
 	mcaMerge func(acc *accum.MCA[T], a, b *matrix.CSR[T], i Index, mrow []Index)
 
-	dot func(aIdx []Index, aVal []T, bIdx []Index, bVal []T) (T, bool)
+	// innerProbe is the Inner kernel's dot product of B's column against
+	// A's row scattered into an MSA (see innerKernel). innerNoAVal marks an
+	// operator whose Mul ignores A's value: the row scatter then writes
+	// states only.
+	innerProbe  func(state []accum.State, value []T, amax Index, bIdx []Index, bVal []T) (T, bool)
+	innerNoAVal bool
 }
 
 // loopNumeric is the element-type constraint of the generated numeric

@@ -188,27 +188,24 @@ func mcaMergeLoopPlusTimes[T loopNumeric](acc *accum.MCA[T], a, b *matrix.CSR[T]
 	}
 }
 
-// dotLoopPlusTimes is innerKernel.dot with PlusTimes inlined.
-func dotLoopPlusTimes[T loopNumeric](aIdx []Index, aVal []T, bIdx []Index, bVal []T) (T, bool) {
+// probeLoopPlusTimes is innerKernel.probeDot with PlusTimes inlined.
+func probeLoopPlusTimes[T loopNumeric](state []accum.State, value []T, amax Index, bIdx []Index, bVal []T) (T, bool) {
 	var acc T
 	found := false
-	ai, bi := 0, 0
-	for ai < len(aIdx) && bi < len(bIdx) {
-		switch {
-		case aIdx[ai] == bIdx[bi]:
-			v := aVal[ai] * bVal[bi]
-			if found {
-				acc = acc + v
-			} else {
-				acc = v
-				found = true
-			}
-			ai++
-			bi++
-		case aIdx[ai] < bIdx[bi]:
-			ai++
-		default:
-			bi++
+	bVal = bVal[:len(bIdx)]
+	for p, k := range bIdx {
+		if k > amax {
+			break
+		}
+		if state[k] != accum.Allowed {
+			continue
+		}
+		v := value[k] * bVal[p]
+		if found {
+			acc = acc + v
+		} else {
+			acc = v
+			found = true
 		}
 	}
 	return acc, found
@@ -217,15 +214,16 @@ func dotLoopPlusTimes[T loopNumeric](aIdx []Index, aVal []T, bIdx []Index, bVal 
 // opLoopsPlusTimes bundles the PlusTimes loop set for element type T.
 func opLoopsPlusTimes[T loopNumeric]() opLoops[T] {
 	return opLoops[T]{
-		msa:       msaLoopPlusTimes[T],
-		msaRun:    msaRunLoopPlusTimes[T],
-		msaC:      msaCLoopPlusTimes[T],
-		hash:      hashLoopPlusTimes[T],
-		hashProbe: hashProbeLoopPlusTimes[T],
-		hashC:     hashCLoopPlusTimes[T],
-		mcaProbe:  mcaProbeLoopPlusTimes[T],
-		mcaMerge:  mcaMergeLoopPlusTimes[T],
-		dot:       dotLoopPlusTimes[T],
+		msa:         msaLoopPlusTimes[T],
+		msaRun:      msaRunLoopPlusTimes[T],
+		msaC:        msaCLoopPlusTimes[T],
+		hash:        hashLoopPlusTimes[T],
+		hashProbe:   hashProbeLoopPlusTimes[T],
+		hashC:       hashCLoopPlusTimes[T],
+		mcaProbe:    mcaProbeLoopPlusTimes[T],
+		mcaMerge:    mcaMergeLoopPlusTimes[T],
+		innerProbe:  probeLoopPlusTimes[T],
+		innerNoAVal: false,
 	}
 }
 
@@ -400,44 +398,33 @@ func mcaMergeLoopPlusPair[T loopNumeric](acc *accum.MCA[T], a, b *matrix.CSR[T],
 	}
 }
 
-// dotLoopPlusPair is innerKernel.dot with PlusPair inlined.
-func dotLoopPlusPair[T loopNumeric](aIdx []Index, aVal []T, bIdx []Index, bVal []T) (T, bool) {
+// probeLoopPlusPair is innerKernel.probeDot with PlusPair inlined. A
+// scattered key's state byte is Allowed = 1, so each match adds it without
+// a branch and the sum is the match count.
+func probeLoopPlusPair[T loopNumeric](state []accum.State, value []T, amax Index, bIdx []Index, bVal []T) (T, bool) {
 	var acc T
-	found := false
-	ai, bi := 0, 0
-	for ai < len(aIdx) && bi < len(bIdx) {
-		switch {
-		case aIdx[ai] == bIdx[bi]:
-			v := T(1)
-			if found {
-				acc = acc + v
-			} else {
-				acc = v
-				found = true
-			}
-			ai++
-			bi++
-		case aIdx[ai] < bIdx[bi]:
-			ai++
-		default:
-			bi++
+	for _, k := range bIdx {
+		if k > amax {
+			break
 		}
+		acc += T(state[k])
 	}
-	return acc, found
+	return acc, acc != 0
 }
 
 // opLoopsPlusPair bundles the PlusPair loop set for element type T.
 func opLoopsPlusPair[T loopNumeric]() opLoops[T] {
 	return opLoops[T]{
-		msaCount:  msaCountLoopPlusPair[T],
-		msaRun:    msaRunLoopPlusPair[T],
-		msaC:      msaCLoopPlusPair[T],
-		hash:      hashLoopPlusPair[T],
-		hashProbe: hashProbeLoopPlusPair[T],
-		hashC:     hashCLoopPlusPair[T],
-		mcaProbe:  mcaProbeLoopPlusPair[T],
-		mcaMerge:  mcaMergeLoopPlusPair[T],
-		dot:       dotLoopPlusPair[T],
+		msaCount:    msaCountLoopPlusPair[T],
+		msaRun:      msaRunLoopPlusPair[T],
+		msaC:        msaCLoopPlusPair[T],
+		hash:        hashLoopPlusPair[T],
+		hashProbe:   hashProbeLoopPlusPair[T],
+		hashC:       hashCLoopPlusPair[T],
+		mcaProbe:    mcaProbeLoopPlusPair[T],
+		mcaMerge:    mcaMergeLoopPlusPair[T],
+		innerProbe:  probeLoopPlusPair[T],
+		innerNoAVal: true,
 	}
 }
 
@@ -608,27 +595,23 @@ func mcaMergeLoopPlusFirst[T loopNumeric](acc *accum.MCA[T], a, b *matrix.CSR[T]
 	}
 }
 
-// dotLoopPlusFirst is innerKernel.dot with PlusFirst inlined.
-func dotLoopPlusFirst[T loopNumeric](aIdx []Index, aVal []T, bIdx []Index, bVal []T) (T, bool) {
+// probeLoopPlusFirst is innerKernel.probeDot with PlusFirst inlined.
+func probeLoopPlusFirst[T loopNumeric](state []accum.State, value []T, amax Index, bIdx []Index, bVal []T) (T, bool) {
 	var acc T
 	found := false
-	ai, bi := 0, 0
-	for ai < len(aIdx) && bi < len(bIdx) {
-		switch {
-		case aIdx[ai] == bIdx[bi]:
-			v := aVal[ai]
-			if found {
-				acc = acc + v
-			} else {
-				acc = v
-				found = true
-			}
-			ai++
-			bi++
-		case aIdx[ai] < bIdx[bi]:
-			ai++
-		default:
-			bi++
+	for _, k := range bIdx {
+		if k > amax {
+			break
+		}
+		if state[k] != accum.Allowed {
+			continue
+		}
+		v := value[k]
+		if found {
+			acc = acc + v
+		} else {
+			acc = v
+			found = true
 		}
 	}
 	return acc, found
@@ -637,15 +620,16 @@ func dotLoopPlusFirst[T loopNumeric](aIdx []Index, aVal []T, bIdx []Index, bVal 
 // opLoopsPlusFirst bundles the PlusFirst loop set for element type T.
 func opLoopsPlusFirst[T loopNumeric]() opLoops[T] {
 	return opLoops[T]{
-		msa:       msaLoopPlusFirst[T],
-		msaRun:    msaRunLoopPlusFirst[T],
-		msaC:      msaCLoopPlusFirst[T],
-		hash:      hashLoopPlusFirst[T],
-		hashProbe: hashProbeLoopPlusFirst[T],
-		hashC:     hashCLoopPlusFirst[T],
-		mcaProbe:  mcaProbeLoopPlusFirst[T],
-		mcaMerge:  mcaMergeLoopPlusFirst[T],
-		dot:       dotLoopPlusFirst[T],
+		msa:         msaLoopPlusFirst[T],
+		msaRun:      msaRunLoopPlusFirst[T],
+		msaC:        msaCLoopPlusFirst[T],
+		hash:        hashLoopPlusFirst[T],
+		hashProbe:   hashProbeLoopPlusFirst[T],
+		hashC:       hashCLoopPlusFirst[T],
+		mcaProbe:    mcaProbeLoopPlusFirst[T],
+		mcaMerge:    mcaMergeLoopPlusFirst[T],
+		innerProbe:  probeLoopPlusFirst[T],
+		innerNoAVal: false,
 	}
 }
 
@@ -822,27 +806,24 @@ func mcaMergeLoopPlusSecond[T loopNumeric](acc *accum.MCA[T], a, b *matrix.CSR[T
 	}
 }
 
-// dotLoopPlusSecond is innerKernel.dot with PlusSecond inlined.
-func dotLoopPlusSecond[T loopNumeric](aIdx []Index, aVal []T, bIdx []Index, bVal []T) (T, bool) {
+// probeLoopPlusSecond is innerKernel.probeDot with PlusSecond inlined.
+func probeLoopPlusSecond[T loopNumeric](state []accum.State, value []T, amax Index, bIdx []Index, bVal []T) (T, bool) {
 	var acc T
 	found := false
-	ai, bi := 0, 0
-	for ai < len(aIdx) && bi < len(bIdx) {
-		switch {
-		case aIdx[ai] == bIdx[bi]:
-			v := bVal[bi]
-			if found {
-				acc = acc + v
-			} else {
-				acc = v
-				found = true
-			}
-			ai++
-			bi++
-		case aIdx[ai] < bIdx[bi]:
-			ai++
-		default:
-			bi++
+	bVal = bVal[:len(bIdx)]
+	for p, k := range bIdx {
+		if k > amax {
+			break
+		}
+		if state[k] != accum.Allowed {
+			continue
+		}
+		v := bVal[p]
+		if found {
+			acc = acc + v
+		} else {
+			acc = v
+			found = true
 		}
 	}
 	return acc, found
@@ -851,15 +832,16 @@ func dotLoopPlusSecond[T loopNumeric](aIdx []Index, aVal []T, bIdx []Index, bVal
 // opLoopsPlusSecond bundles the PlusSecond loop set for element type T.
 func opLoopsPlusSecond[T loopNumeric]() opLoops[T] {
 	return opLoops[T]{
-		msa:       msaLoopPlusSecond[T],
-		msaRun:    msaRunLoopPlusSecond[T],
-		msaC:      msaCLoopPlusSecond[T],
-		hash:      hashLoopPlusSecond[T],
-		hashProbe: hashProbeLoopPlusSecond[T],
-		hashC:     hashCLoopPlusSecond[T],
-		mcaProbe:  mcaProbeLoopPlusSecond[T],
-		mcaMerge:  mcaMergeLoopPlusSecond[T],
-		dot:       dotLoopPlusSecond[T],
+		msa:         msaLoopPlusSecond[T],
+		msaRun:      msaRunLoopPlusSecond[T],
+		msaC:        msaCLoopPlusSecond[T],
+		hash:        hashLoopPlusSecond[T],
+		hashProbe:   hashProbeLoopPlusSecond[T],
+		hashC:       hashCLoopPlusSecond[T],
+		mcaProbe:    mcaProbeLoopPlusSecond[T],
+		mcaMerge:    mcaMergeLoopPlusSecond[T],
+		innerProbe:  probeLoopPlusSecond[T],
+		innerNoAVal: true,
 	}
 }
 
@@ -1044,27 +1026,24 @@ func mcaMergeLoopMinPlus[T loopNumeric](acc *accum.MCA[T], a, b *matrix.CSR[T], 
 	}
 }
 
-// dotLoopMinPlus is innerKernel.dot with MinPlus inlined.
-func dotLoopMinPlus[T loopNumeric](aIdx []Index, aVal []T, bIdx []Index, bVal []T) (T, bool) {
+// probeLoopMinPlus is innerKernel.probeDot with MinPlus inlined.
+func probeLoopMinPlus[T loopNumeric](state []accum.State, value []T, amax Index, bIdx []Index, bVal []T) (T, bool) {
 	var acc T
 	found := false
-	ai, bi := 0, 0
-	for ai < len(aIdx) && bi < len(bIdx) {
-		switch {
-		case aIdx[ai] == bIdx[bi]:
-			v := aVal[ai] + bVal[bi]
-			if found {
-				acc = addMin(acc, v)
-			} else {
-				acc = v
-				found = true
-			}
-			ai++
-			bi++
-		case aIdx[ai] < bIdx[bi]:
-			ai++
-		default:
-			bi++
+	bVal = bVal[:len(bIdx)]
+	for p, k := range bIdx {
+		if k > amax {
+			break
+		}
+		if state[k] != accum.Allowed {
+			continue
+		}
+		v := value[k] + bVal[p]
+		if found {
+			acc = addMin(acc, v)
+		} else {
+			acc = v
+			found = true
 		}
 	}
 	return acc, found
@@ -1073,15 +1052,16 @@ func dotLoopMinPlus[T loopNumeric](aIdx []Index, aVal []T, bIdx []Index, bVal []
 // opLoopsMinPlus bundles the MinPlus loop set for element type T.
 func opLoopsMinPlus[T loopNumeric]() opLoops[T] {
 	return opLoops[T]{
-		msa:       msaLoopMinPlus[T],
-		msaRun:    msaRunLoopMinPlus[T],
-		msaC:      msaCLoopMinPlus[T],
-		hash:      hashLoopMinPlus[T],
-		hashProbe: hashProbeLoopMinPlus[T],
-		hashC:     hashCLoopMinPlus[T],
-		mcaProbe:  mcaProbeLoopMinPlus[T],
-		mcaMerge:  mcaMergeLoopMinPlus[T],
-		dot:       dotLoopMinPlus[T],
+		msa:         msaLoopMinPlus[T],
+		msaRun:      msaRunLoopMinPlus[T],
+		msaC:        msaCLoopMinPlus[T],
+		hash:        hashLoopMinPlus[T],
+		hashProbe:   hashProbeLoopMinPlus[T],
+		hashC:       hashCLoopMinPlus[T],
+		mcaProbe:    mcaProbeLoopMinPlus[T],
+		mcaMerge:    mcaMergeLoopMinPlus[T],
+		innerProbe:  probeLoopMinPlus[T],
+		innerNoAVal: false,
 	}
 }
 
@@ -1266,27 +1246,24 @@ func mcaMergeLoopMaxTimes[T loopNumeric](acc *accum.MCA[T], a, b *matrix.CSR[T],
 	}
 }
 
-// dotLoopMaxTimes is innerKernel.dot with MaxTimes inlined.
-func dotLoopMaxTimes[T loopNumeric](aIdx []Index, aVal []T, bIdx []Index, bVal []T) (T, bool) {
+// probeLoopMaxTimes is innerKernel.probeDot with MaxTimes inlined.
+func probeLoopMaxTimes[T loopNumeric](state []accum.State, value []T, amax Index, bIdx []Index, bVal []T) (T, bool) {
 	var acc T
 	found := false
-	ai, bi := 0, 0
-	for ai < len(aIdx) && bi < len(bIdx) {
-		switch {
-		case aIdx[ai] == bIdx[bi]:
-			v := aVal[ai] * bVal[bi]
-			if found {
-				acc = addMax(acc, v)
-			} else {
-				acc = v
-				found = true
-			}
-			ai++
-			bi++
-		case aIdx[ai] < bIdx[bi]:
-			ai++
-		default:
-			bi++
+	bVal = bVal[:len(bIdx)]
+	for p, k := range bIdx {
+		if k > amax {
+			break
+		}
+		if state[k] != accum.Allowed {
+			continue
+		}
+		v := value[k] * bVal[p]
+		if found {
+			acc = addMax(acc, v)
+		} else {
+			acc = v
+			found = true
 		}
 	}
 	return acc, found
@@ -1295,15 +1272,16 @@ func dotLoopMaxTimes[T loopNumeric](aIdx []Index, aVal []T, bIdx []Index, bVal [
 // opLoopsMaxTimes bundles the MaxTimes loop set for element type T.
 func opLoopsMaxTimes[T loopNumeric]() opLoops[T] {
 	return opLoops[T]{
-		msa:       msaLoopMaxTimes[T],
-		msaRun:    msaRunLoopMaxTimes[T],
-		msaC:      msaCLoopMaxTimes[T],
-		hash:      hashLoopMaxTimes[T],
-		hashProbe: hashProbeLoopMaxTimes[T],
-		hashC:     hashCLoopMaxTimes[T],
-		mcaProbe:  mcaProbeLoopMaxTimes[T],
-		mcaMerge:  mcaMergeLoopMaxTimes[T],
-		dot:       dotLoopMaxTimes[T],
+		msa:         msaLoopMaxTimes[T],
+		msaRun:      msaRunLoopMaxTimes[T],
+		msaC:        msaCLoopMaxTimes[T],
+		hash:        hashLoopMaxTimes[T],
+		hashProbe:   hashProbeLoopMaxTimes[T],
+		hashC:       hashCLoopMaxTimes[T],
+		mcaProbe:    mcaProbeLoopMaxTimes[T],
+		mcaMerge:    mcaMergeLoopMaxTimes[T],
+		innerProbe:  probeLoopMaxTimes[T],
+		innerNoAVal: false,
 	}
 }
 
@@ -1488,27 +1466,24 @@ func mcaMergeLoopOrAnd[T loopBool](acc *accum.MCA[T], a, b *matrix.CSR[T], i Ind
 	}
 }
 
-// dotLoopOrAnd is innerKernel.dot with OrAnd inlined.
-func dotLoopOrAnd[T loopBool](aIdx []Index, aVal []T, bIdx []Index, bVal []T) (T, bool) {
+// probeLoopOrAnd is innerKernel.probeDot with OrAnd inlined.
+func probeLoopOrAnd[T loopBool](state []accum.State, value []T, amax Index, bIdx []Index, bVal []T) (T, bool) {
 	var acc T
 	found := false
-	ai, bi := 0, 0
-	for ai < len(aIdx) && bi < len(bIdx) {
-		switch {
-		case aIdx[ai] == bIdx[bi]:
-			v := aVal[ai] && bVal[bi]
-			if found {
-				acc = acc || v
-			} else {
-				acc = v
-				found = true
-			}
-			ai++
-			bi++
-		case aIdx[ai] < bIdx[bi]:
-			ai++
-		default:
-			bi++
+	bVal = bVal[:len(bIdx)]
+	for p, k := range bIdx {
+		if k > amax {
+			break
+		}
+		if state[k] != accum.Allowed {
+			continue
+		}
+		v := value[k] && bVal[p]
+		if found {
+			acc = acc || v
+		} else {
+			acc = v
+			found = true
 		}
 	}
 	return acc, found
@@ -1517,14 +1492,15 @@ func dotLoopOrAnd[T loopBool](aIdx []Index, aVal []T, bIdx []Index, bVal []T) (T
 // opLoopsOrAnd bundles the OrAnd loop set for element type T.
 func opLoopsOrAnd[T loopBool]() opLoops[T] {
 	return opLoops[T]{
-		msa:       msaLoopOrAnd[T],
-		msaRun:    msaRunLoopOrAnd[T],
-		msaC:      msaCLoopOrAnd[T],
-		hash:      hashLoopOrAnd[T],
-		hashProbe: hashProbeLoopOrAnd[T],
-		hashC:     hashCLoopOrAnd[T],
-		mcaProbe:  mcaProbeLoopOrAnd[T],
-		mcaMerge:  mcaMergeLoopOrAnd[T],
-		dot:       dotLoopOrAnd[T],
+		msa:         msaLoopOrAnd[T],
+		msaRun:      msaRunLoopOrAnd[T],
+		msaC:        msaCLoopOrAnd[T],
+		hash:        hashLoopOrAnd[T],
+		hashProbe:   hashProbeLoopOrAnd[T],
+		hashC:       hashCLoopOrAnd[T],
+		mcaProbe:    mcaProbeLoopOrAnd[T],
+		mcaMerge:    mcaMergeLoopOrAnd[T],
+		innerProbe:  probeLoopOrAnd[T],
+		innerNoAVal: false,
 	}
 }

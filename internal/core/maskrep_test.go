@@ -41,6 +41,33 @@ func runMask(r *rand.Rand, m, n Index) *matrix.Pattern {
 	return matrix.NewCSRFromCOO(coo, func(a, b float64) float64 { return 1 }).Pattern()
 }
 
+// bandA empties every fifth row of a and confines every third row to the
+// lowest quarter of the inner dimension, so Inner's probes of those rows
+// stop early on B columns that start above it.
+func bandA(a *matrix.CSR[float64]) *matrix.CSR[float64] {
+	return matrix.FilterEntries(a, func(i, c Index, _ float64) bool {
+		return i%5 != 0 && (i%3 != 0 || c < a.NCols/4)
+	})
+}
+
+// bandB empties every seventh column of b, puts every third column wholly
+// in the upper half of the inner dimension (past the low A rows' largest
+// column) and every third-plus-one column in its lowest eighth (below most
+// A rows' span), so mask entries land on B columns outside A's span.
+func bandB(b *matrix.CSR[float64]) *matrix.CSR[float64] {
+	return matrix.FilterEntries(b, func(c, j Index, _ float64) bool {
+		switch {
+		case j%7 == 3:
+			return false
+		case j%3 == 0:
+			return c >= b.NRows/2
+		case j%3 == 1:
+			return c < b.NRows/8
+		}
+		return true
+	})
+}
+
 // TestMaskRepEquivalence is the representation-equivalence property test:
 // for every variant, phase, mask mode and mask shape, the bitmap and dense
 // representations must produce output bit-identical to the CSR probe (same
@@ -60,11 +87,14 @@ func TestMaskRepEquivalence(t *testing.T) {
 		name    string
 		m, k, n Index
 		mask    maskGen
+		band    bool // banded operands (see bandA, bandB)
 	}{
-		{"sparse", 40, 30, 50, sparseMask},
-		{"dense", 32, 24, 48, denseMask},
-		{"runs", 33, 29, 41, runMask},
-		{"tiny", 3, 2, 2, denseMask},
+		{"sparse", 40, 30, 50, sparseMask, false},
+		{"dense", 32, 24, 48, denseMask, false},
+		{"runs", 33, 29, 41, runMask, false},
+		{"tiny", 3, 2, 2, denseMask, false},
+		{"banded", 36, 40, 44, denseMask, true},
+		{"banded-runs", 35, 40, 45, runMask, true},
 	}
 	reps := []MaskRep{RepCSR, RepBitmap, RepDense}
 	for _, sh := range shapes {
@@ -73,6 +103,10 @@ func TestMaskRepEquivalence(t *testing.T) {
 		mask := sh.mask(r, sh.m, sh.n)
 		aInt := randCSR(r, sh.m, sh.k, 0.25)
 		bInt := randCSR(r, sh.k, sh.n, 0.25)
+		if sh.band {
+			a, aInt = bandA(a), bandA(aInt)
+			b, bInt = bandB(b), bandB(bInt)
+		}
 		for _, v := range AllVariants() {
 			for _, comp := range []bool{false, true} {
 				if comp && !v.SupportsComplement() {

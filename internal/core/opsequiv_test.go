@@ -17,11 +17,21 @@ import (
 // exactly, so inlining must never change result bits.
 func opsEquivCase[T any](t *testing.T, sr semiring.Semiring[T], mask *matrix.Pattern, a, b *matrix.CSR[T], eq func(T, T) bool) {
 	t.Helper()
+	fp := sr
+	fp.Ops = nil
+	opsEquivPair(t, sr, fp, mask, a, b, eq)
+}
+
+// opsEquivPair is opsEquivCase against a given funcptr semiring fp, which
+// must compute what the named sr computes.
+func opsEquivPair[T any](t *testing.T, sr, fp semiring.Semiring[T], mask *matrix.Pattern, a, b *matrix.CSR[T], eq func(T, T) bool) {
+	t.Helper()
 	if sr.Ops == nil {
 		t.Fatalf("%s: named semiring carries no operator type", sr.Name)
 	}
-	fp := sr
-	fp.Ops = nil
+	if fp.Ops != nil {
+		t.Fatalf("%s: funcptr semiring carries an operator type", fp.Name)
+	}
 	for _, v := range AllVariants() {
 		for _, comp := range []bool{false, true} {
 			if comp && !v.SupportsComplement() {
@@ -65,6 +75,27 @@ func TestOpsEquivalence(t *testing.T) {
 		semiring.PlusSecond(), semiring.PlusFirst(), semiring.MaxTimes(),
 	} {
 		t.Run(sr.Name, func(t *testing.T) { opsEquivCase(t, sr, mask, af, bf, eqBitsF) })
+	}
+
+	// Custom semirings built from func literals (no operator type, and not
+	// the named operators' method values) run the generic kernel loops,
+	// Inner's probeDot among them; they must match the generated loops on
+	// the random operands and on banded ones, whose empty rows and columns
+	// and out-of-span B columns drive Inner's probe to its early exit.
+	plusTimes := semiring.Semiring[float64]{Name: "custom-plus-times",
+		Add: func(x, y float64) float64 { return x + y },
+		Mul: func(x, y float64) float64 { return x * y }}
+	plusPair := semiring.Semiring[float64]{Name: "custom-plus-pair",
+		Add: func(x, y float64) float64 { return x + y },
+		Mul: func(x, y float64) float64 { return 1 }}
+	for _, c := range []struct{ named, custom semiring.Semiring[float64] }{
+		{semiring.Arithmetic(), plusTimes},
+		{semiring.PlusPairF(), plusPair},
+	} {
+		t.Run(c.custom.Name, func(t *testing.T) {
+			opsEquivPair(t, c.named, c.custom, mask, af, bf, eqBitsF)
+			opsEquivPair(t, c.named, c.custom, mask, bandA(af), bandB(bf), eqBitsF)
+		})
 	}
 
 	toI64 := func(v float64) int64 { return int64(v) }

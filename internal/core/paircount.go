@@ -39,7 +39,6 @@ func MaskedPairCount(m, a, b *matrix.Pattern, opt Options) (int64, error) {
 	var total atomic.Int64
 	err := forRows(opt, m.NRows, nil, func(_ int, claim func() (int, int, bool)) {
 		acc := wsGetMSA[float64](opt.Workspaces, int(b.NCols))
-		defer wsPutMSA(opt.Workspaces, acc)
 		state, _ := acc.Arrays()
 		var sum int64
 		for {
@@ -65,6 +64,7 @@ func MaskedPairCount(m, a, b *matrix.Pattern, opt Options) (int64, error) {
 				}
 			}
 		}
+		wsPutMSA(opt.Workspaces, acc) // skipped if a row panics with its keys marked
 		total.Add(sum)
 	})
 	if err != nil {

@@ -24,7 +24,9 @@ type Model struct {
 	// HeapUnit is the heap pop/push cost per flop × log2(merge width),
 	// relative to the MSA scatter.
 	HeapUnit float64
-	// InnerUnit is the pull-side merge cost per touched entry. Inner's safety
+	// InnerUnit is the pull-side cost per touched entry: each A entry
+	// scattered and reset once per row, each mask entry's probe, each B
+	// entry a probe walks. Inner's safety
 	// margin is PullMargin; InnerUnit exists so tests can skew the pull
 	// decision.
 	InnerUnit float64
@@ -80,6 +82,9 @@ func (m *Model) predictBlockUnits(st Stats, b Block) float64 {
 		logU := ceilLog2(b.ANNZ/rows + 2)
 		return m.MaskUnit*float64(b.MaskNNZ>>heapMaskDiscountShift) + m.HeapUnit*float64(logU)*float64(b.Flops)
 	case core.Inner:
+		// nnz(A) is the kernel's real cost: each A row is scattered once
+		// for all its mask entries. The B term assumes every probe walks
+		// an average column; skewed column degrees are not modelled.
 		return m.InnerUnit * (float64(b.ANNZ+b.MaskNNZ) + float64(b.MaskNNZ)*st.AvgColDegB)
 	case core.Hash:
 		return m.MaskUnit*float64(b.MaskNNZ) + m.HashUnit*float64(b.Flops)

@@ -618,8 +618,11 @@ func decide(st Stats, push core.Algorithm, rows, maskNNZ, aNNZ, flops int64, mdl
 	}
 	// Abstract per-entry cost estimates (§4.3, §5): push gathers the whole
 	// mask row and touches every flop; heap replaces the gather with a
-	// cheap merge but pays a log factor on flops; inner merges A rows with
-	// B columns under the mask.
+	// cheap merge but pays a log factor on flops; inner scatters each A row
+	// once and probes the B column of every mask entry. Its nnz(A) term is
+	// the kernel's real cost, one scatter per A entry; the nnz(M)·AvgColDegB
+	// term charges the B entries the probes walk, at the average column
+	// degree.
 	pu := mdl.PushUnit
 	if push == core.Hash {
 		pu = mdl.HashUnit

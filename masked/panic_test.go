@@ -3,6 +3,8 @@ package masked
 import (
 	"context"
 	"errors"
+	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/faultinject"
@@ -111,5 +113,52 @@ func TestWorkerPanicCrossesParallelBoundary(t *testing.T) {
 	faultinject.Set(nil)
 	if res := s.TryMultiply(ctx, g.Pattern(), g, g); res.Err != nil {
 		t.Fatalf("session unusable after worker panic: %v", res.Err)
+	}
+}
+
+// TestPanicDropsDirtyScratch: a custom semiring whose Mul panics mid-row
+// leaves the worker's accumulator holding that row's state (Excluded marks,
+// the complement insertion log, scattered A keys). The recovered panic must
+// not return that scratch to the session's pool: every later complemented
+// product on the same session must be byte-identical to a fresh session's.
+func TestPanicDropsDirtyScratch(t *testing.T) {
+	ctx := context.Background()
+	a := ErdosRenyi(96, 8, 11)
+	m := ErdosRenyi(96, 12, 12).Pattern()
+	for _, name := range []string{"MSA-1P", "Inner-1P", "Inner-2P"} {
+		t.Run(name, func(t *testing.T) {
+			v, err := VariantByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plain := []Op{WithVariant(v), WithComplement()}
+			want, err := NewSession(WithThreads(1)).Multiply(ctx, m, a, a, plain...)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			var calls atomic.Int64
+			boom := Arithmetic()
+			boom.Name, boom.Ops = "boom", nil
+			mul := boom.Mul
+			boom.Mul = func(x, y float64) float64 {
+				if calls.Add(1) == 500 { // mid-row, a few rows in
+					panic("boom: Mul")
+				}
+				return mul(x, y)
+			}
+			s := NewSession(WithThreads(1))
+			r := s.TryMultiply(ctx, m, a, a, append(plain, WithAccumulate(boom))...)
+			if !errors.Is(r.Err, ErrPanic) {
+				t.Fatalf("panicking semiring: err %v, want ErrPanic", r.Err)
+			}
+			for rep := 0; rep < 4; rep++ {
+				r := s.TryMultiply(ctx, m, a, a, plain...)
+				if r.Err != nil {
+					t.Fatalf("product %d after the panic: %v", rep, r.Err)
+				}
+				sameCSR(t, fmt.Sprintf("product %d after the panic", rep), r.C, want)
+			}
+		})
 	}
 }
