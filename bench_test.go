@@ -385,17 +385,18 @@ func BenchmarkSpGEVM(b *testing.B) {
 	sr := semiring.Arithmetic()
 	u := matrix.RowToVec(erA, 7)
 	m := matrix.RowToVec(matrix.FromPattern(erMaskEq, 1.0), 7)
+	mp, ur := m.VecPattern(), u.AsRowMatrix()
 	bcsc := matrix.ToCSC(erB)
 	b.Run("MSA", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.MaskedSpGEVM(core.MSA, m, u, erB, sr, core.Options{Threads: 1}); err != nil {
+			if _, err := core.MaskedSpGEMM(core.Variant{Alg: core.MSA, Phase: core.OnePhase}, mp, ur, erB, sr, core.Options{Threads: 1}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("Inner", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.MaskedSpGEVM(core.Inner, m, u, erB, sr, core.Options{Threads: 1}); err != nil {
+			if _, err := core.MaskedSpGEMM(core.Variant{Alg: core.Inner, Phase: core.OnePhase}, mp, ur, erB, sr, core.Options{Threads: 1}); err != nil {
 				b.Fatal(err)
 			}
 		}

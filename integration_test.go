@@ -55,34 +55,6 @@ func TestPipelineGenerateWriteReadCount(t *testing.T) {
 	}
 }
 
-// TestPipelineColumnsMatchRowsOnCorpusShapes: the column-major driver must
-// agree with the row-major MSA kernel on structurally diverse graphs.
-func TestPipelineColumnsMatchRowsOnCorpusShapes(t *testing.T) {
-	graphs := []*matrix.CSR[float64]{
-		grgen.WattsStrogatz(400, 6, 0.1, 1),
-		grgen.BarabasiAlbert(400, 3, 2),
-		grgen.Grid2D(20, 20),
-		grgen.RMAT(8, 8, 3),
-	}
-	sr := semiring.PlusPairF()
-	for gi, g := range graphs {
-		l := matrix.Tril(g)
-		want, err := core.MaskedSpGEMM(core.Variant{Alg: core.MSA, Phase: core.OnePhase},
-			l.Pattern(), l, l, sr, core.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cols, err := core.MaskedSpGEMMColumns(core.Variant{Alg: core.Hash, Phase: core.TwoPhase},
-			l.Pattern(), l, l, sr, core.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !matrix.Equal(cols, want, func(a, b float64) bool { return a == b }) {
-			t.Fatalf("graph %d: column-major disagrees", gi)
-		}
-	}
-}
-
 // TestPipelineBFSAcrossAPIs: single-source facade BFS and the
 // multi-source batch BFS agree with the queue reference on every model.
 func TestPipelineBFSAcrossAPIs(t *testing.T) {

@@ -22,7 +22,11 @@
 // for MSA.
 package accum
 
-import "repro/internal/matrix"
+import (
+	"unsafe"
+
+	"repro/internal/matrix"
+)
 
 // Index mirrors matrix.Index for brevity within this package.
 type Index = matrix.Index
@@ -57,4 +61,10 @@ type Interface[T any] interface {
 	// Remove returns the accumulated value for key (if any was inserted)
 	// and resets the key to its default state.
 	Remove(key Index) (T, bool)
+}
+
+// sliceBytes is the capacity of s in bytes.
+func sliceBytes[E any](s []E) int64 {
+	var e E
+	return int64(cap(s)) * int64(unsafe.Sizeof(e))
 }

@@ -123,23 +123,15 @@ func (h *Hash[T]) StoreAt(s uint32, v T) {
 	h.value[s] = v
 }
 
-// AddAt accumulates v into slot s (state Set).
-func (h *Hash[T]) AddAt(s uint32, v T, add func(T, T) T) {
-	h.value[s] = add(h.value[s], v)
-}
-
 // ValueAt returns the value stored in slot s.
 func (h *Hash[T]) ValueAt(s uint32) T { return h.value[s] }
 
 // SetValueAt overwrites the value in slot s (state Set) without touching
-// its state; the inlined-operator counterpart of AddAt.
+// its state; kernels accumulate with SetValueAt(s, add(ValueAt(s), v)).
 func (h *Hash[T]) SetValueAt(s uint32, v T) { h.value[s] = v }
 
 // MarkAt sets slot s to Set without writing a value (symbolic phases).
 func (h *Hash[T]) MarkAt(s uint32) { h.state[s] = Set }
-
-// StateAt returns the state of slot s.
-func (h *Hash[T]) StateAt(s uint32) State { return h.state[s] }
 
 // ProbeC prepares a complement-mode probe: it grows the table if needed
 // (so the returned slot stays valid for an immediate insert) and then
@@ -317,5 +309,10 @@ func (h *Hash[T]) Used() int { return len(h.used) }
 
 // Cap returns the current table capacity (diagnostics and tests).
 func (h *Hash[T]) Cap() int { return len(h.keys) }
+
+// Bytes returns the capacity the table holds, in bytes.
+func (h *Hash[T]) Bytes() int64 {
+	return sliceBytes(h.keys) + sliceBytes(h.state) + sliceBytes(h.value) + sliceBytes(h.used)
+}
 
 var _ Interface[float64] = (*Hash[float64])(nil)

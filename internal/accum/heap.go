@@ -41,6 +41,9 @@ func (ih *IterHeap) Reset() { ih.h = ih.h[:0] }
 // Len returns the number of iterators in the heap.
 func (ih *IterHeap) Len() int { return len(ih.h) }
 
+// Bytes returns the capacity the heap holds, in bytes.
+func (ih *IterHeap) Bytes() int64 { return sliceBytes(ih.h) }
+
 // Push adds an iterator. The caller must ensure it is valid and its Col
 // field is loaded.
 func (ih *IterHeap) Push(it RowIterator) {

@@ -97,6 +97,9 @@ func (c *MCA[T]) Remove(idx Index) (T, bool) {
 	return c.value[idx], true
 }
 
+// Bytes returns the capacity the accumulator holds, in bytes.
+func (c *MCA[T]) Bytes() int64 { return sliceBytes(c.state) + sliceBytes(c.value) }
+
 // SetAllowed is a no-op: every mask position is allowed by construction.
 // Present to satisfy the generic accumulator interface.
 func (c *MCA[T]) SetAllowed(Index) {}

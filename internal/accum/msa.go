@@ -51,6 +51,11 @@ func (s *MSA[T]) Resize(ncols int) {
 // Len returns the column capacity.
 func (s *MSA[T]) Len() int { return len(s.state) }
 
+// Bytes returns the capacity the accumulator holds, in bytes.
+func (s *MSA[T]) Bytes() int64 {
+	return sliceBytes(s.state) + sliceBytes(s.value) + sliceBytes(s.inserted)
+}
+
 // SetAllowed marks key as allowed. Valid only from NotAllowed (the mask has
 // no duplicate entries, so a key is set allowed at most once per row).
 func (s *MSA[T]) SetAllowed(key Index) {

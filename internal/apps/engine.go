@@ -77,14 +77,6 @@ func NewSession(opt core.Options) *Session {
 	return &Session{Opt: opt, Cache: planner.NewCache()}
 }
 
-// WithOptions returns a derived session that runs with opt but shares the
-// receiver's plan cache — the way a per-operation context or thread
-// override is threaded into engine construction without losing cached
-// plans.
-func (s *Session) WithOptions(opt core.Options) *Session {
-	return &Session{Opt: opt, Cache: s.Cache}
-}
-
 // EngineVariant wraps one of the paper's algorithm variants. With
 // s.Opt.Auto set, the pinned variant is ignored and the call is routed
 // through the adaptive planner instead (see EngineAuto).
@@ -207,23 +199,4 @@ func (s *Session) AllEngines() []Engine {
 		out = append(out, s.EngineVariant(v))
 	}
 	return append(out, s.EngineSSDot(), s.EngineSSSaxpy())
-}
-
-// EngineByName resolves a scheme label: "Auto", a variant name such as
-// "MSA-1P", or a baseline ("SS:DOT", "SS:SAXPY"). Repeated resolutions of
-// "Auto" from one session share the session's plan cache.
-func (s *Session) EngineByName(name string) (Engine, error) {
-	switch name {
-	case "Auto", "auto":
-		return s.EngineAuto(), nil
-	case "SS:DOT":
-		return s.EngineSSDot(), nil
-	case "SS:SAXPY":
-		return s.EngineSSSaxpy(), nil
-	}
-	v, err := core.VariantByName(name)
-	if err != nil {
-		return Engine{}, err
-	}
-	return s.EngineVariant(v), nil
 }

@@ -18,14 +18,7 @@ func TestSessionEnginesSharePlanCache(t *testing.T) {
 	g := grgen.RMAT(8, 8, 5)
 	l := matrix.Tril(g)
 	s := NewSession(core.Options{Threads: 1})
-	e1, err := s.EngineByName("Auto")
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2, err := s.EngineByName("Auto")
-	if err != nil {
-		t.Fatal(err)
-	}
+	e1, e2 := s.EngineAuto(), s.EngineAuto()
 	want, err := e1.Mult(l.Pattern(), l, l, semiring.PlusPairF(), false)
 	if err != nil {
 		t.Fatal(err)

@@ -85,11 +85,10 @@ func NewDeltaProduct[T any](m, a, b *matrix.DeltaCSR[T]) *DeltaProduct[T] {
 // NewDeltaProductSeeded tracks C = M .* (A·B), or C = ¬M .* (A·B) when
 // complement is set, and takes c as a known-valid output for the
 // overlays' current content, so the first Refresh is incremental instead
-// of from scratch. The incremental k-truss peel seeds its speculative
-// per-batch product with the maintained support matrix this way. A nil c
-// leaves the first Refresh to compute the full product. The caller owns
-// the claim that c equals the product of the current operands, and
-// complement must match the descriptor every Refresh multiplies with.
+// of from scratch. A nil c leaves the first Refresh to compute the full
+// product. The caller owns the claim that c equals the product of the
+// current operands, and complement must match the descriptor every
+// Refresh multiplies with.
 func NewDeltaProductSeeded[T any](m, a, b *matrix.DeltaCSR[T], complement bool, c *matrix.CSR[T]) *DeltaProduct[T] {
 	return &DeltaProduct[T]{
 		m: m, a: a, b: b,
@@ -288,7 +287,7 @@ type DeltaMult[T any] func(msub *matrix.Pattern, asub, b *matrix.CSR[T]) (*matri
 // dirty-row frontier and splice it into the previous output. It returns
 // the full current output and the recomputed rows (every row on the first
 // call, empty when already clean) — the recomputed-row list is what lets
-// iterative consumers like the k-truss peel bound their own scans. On
+// iterative consumers bound their own scans. On
 // error the dirty frontier is retained, so a failed or panicked refresh
 // can be retried.
 func (p *DeltaProduct[T]) Refresh(mult DeltaMult[T]) (*matrix.CSR[T], []Index, error) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -11,7 +12,7 @@ import (
 
 // kernel is the per-worker row engine every algorithm implements. A worker
 // creates one kernel via the factory and reuses it for all rows it claims,
-// so accumulator scratch is allocated once per worker.
+// so accumulator scratch is fetched once per worker.
 type kernel[T any] interface {
 	// symbolicRow returns the number of output entries row i will produce.
 	symbolicRow(i Index) Index
@@ -19,9 +20,8 @@ type kernel[T any] interface {
 	// number of entries written. Entries are written in sorted column order.
 	numericRow(i Index, col []Index, val []T) Index
 	// recycle returns the kernel's reusable scratch (accumulators, heap
-	// storage) to the arena after the worker's last row. ws may be nil, in
-	// which case the scratch is simply dropped. The kernel must not be used
-	// after recycle.
+	// storage) to the arena after the pass. ws may be nil, in which case the
+	// scratch is simply dropped. The kernel must not be used after recycle.
 	recycle(ws *Workspaces)
 }
 
@@ -32,9 +32,8 @@ type execSeg[T any] struct {
 	factory func() kernel[T]
 }
 
-// workerKernels is the per-worker lazily-built kernel set of a blocked
-// execution: one kernel per segment, created on first use so a worker that
-// never claims rows of a segment pays nothing for its scratch.
+// workerKernels is the per-worker kernel set of a blocked execution: one
+// kernel per segment, built when the worker starts.
 type workerKernels[T any] struct {
 	segs  []execSeg[T]
 	kerns []kernel[T]
@@ -42,7 +41,30 @@ type workerKernels[T any] struct {
 }
 
 func newWorkerKernels[T any](segs []execSeg[T]) *workerKernels[T] {
-	return &workerKernels[T]{segs: segs, kerns: make([]kernel[T], len(segs))}
+	w := &workerKernels[T]{segs: segs, kerns: make([]kernel[T], len(segs))}
+	for s := range segs {
+		w.kerns[s] = segs[s].factory()
+	}
+	return w
+}
+
+// passScratch collects the scratch the workers of one parallel pass take
+// from the arena. Every worker takes its scratch when it starts, whether or
+// not it claims rows, and the coordinator returns all of it after the pass.
+// So a call holds the same number of objects at once on every run, and a
+// warmed arena serves every fetch whichever worker runs when. A worker
+// panic re-panics on the coordinator, so nothing is returned and scratch a
+// row left dirty is dropped.
+type passScratch[S any] struct {
+	mu  sync.Mutex
+	all []S
+}
+
+func (p *passScratch[S]) add(s S) S {
+	p.mu.Lock()
+	p.all = append(p.all, s)
+	p.mu.Unlock()
+	return s
 }
 
 // at returns the kernel owning row i. Rows inside a claimed chunk are
@@ -55,21 +77,15 @@ func (w *workerKernels[T]) at(i Index) kernel[T] {
 	for i >= w.segs[w.cur].hi {
 		w.cur++
 	}
-	if w.kerns[w.cur] == nil {
-		w.kerns[w.cur] = w.segs[w.cur].factory()
-	}
 	return w.kerns[w.cur]
 }
 
-// recycle returns every created kernel's scratch to the arena (nil ws is a
-// no-op inside each kernel). Called once per worker when it runs out of
-// chunks — including on cancellation, where completed rows have already
-// left the accumulators fully reset — and never after a panic: a row that
-// panics mid-way leaves marks in its scratch, so the worker's kernels are
-// dropped rather than pooled dirty for the session's next call.
-func (w *workerKernels[T]) recycle(ws *Workspaces) {
-	for _, k := range w.kerns {
-		if k != nil {
+// recyclePass returns every kernel's scratch of a finished pass to the
+// arena (nil ws is a no-op inside each kernel). Cancellation stops workers
+// only between rows, which leave the accumulators fully reset.
+func recyclePass[T any](p *passScratch[*workerKernels[T]], ws *Workspaces) {
+	for _, w := range p.all {
+		for _, k := range w.kerns {
 			k.recycle(ws)
 		}
 	}
@@ -209,12 +225,12 @@ func fillRowPtr(opt Options, rowPtr []Index, offs []int64, total int64) {
 func driver2P[T any](nrows, ncols Index, segs []execSeg[T], opt Options, timer *segTimer) (*matrix.CSR[T], error) {
 	cb := wsGetI64(opt.Workspaces, int(nrows))
 	counts := cb.s
+	var sym passScratch[*workerKernels[T]]
 	err := forRows(opt, nrows, timer, func(_ int, claim func() (int, int, bool)) {
-		k := newWorkerKernels(segs)
+		k := sym.add(newWorkerKernels(segs))
 		for {
 			lo, hi, ok := claim()
 			if !ok {
-				k.recycle(opt.Workspaces)
 				return
 			}
 			for i := lo; i < hi; i++ {
@@ -222,6 +238,7 @@ func driver2P[T any](nrows, ncols Index, segs []execSeg[T], opt Options, timer *
 			}
 		}
 	})
+	recyclePass(&sym, opt.Workspaces)
 	if err != nil {
 		wsPutI64(opt.Workspaces, cb)
 		return nil, err
@@ -236,12 +253,12 @@ func driver2P[T any](nrows, ncols Index, segs []execSeg[T], opt Options, timer *
 	}
 	fillRowPtr(opt, out.RowPtr, counts, total)
 	wsPutI64(opt.Workspaces, cb)
+	var num passScratch[*workerKernels[T]]
 	err = forRows(opt, nrows, timer, func(_ int, claim func() (int, int, bool)) {
-		k := newWorkerKernels(segs)
+		k := num.add(newWorkerKernels(segs))
 		for {
 			lo, hi, ok := claim()
 			if !ok {
-				k.recycle(opt.Workspaces)
 				return
 			}
 			for i := lo; i < hi; i++ {
@@ -250,6 +267,7 @@ func driver2P[T any](nrows, ncols Index, segs []execSeg[T], opt Options, timer *
 			}
 		}
 	})
+	recyclePass(&num, opt.Workspaces)
 	if err != nil {
 		return nil, err
 	}
@@ -293,12 +311,12 @@ func driver1P[T any](nrows, ncols Index, bound func(Index) int64, segs []execSeg
 		wsPutIdx(ws, binCol)
 		wsPutVal(ws, binVal)
 	}
+	var kerns passScratch[*workerKernels[T]]
 	err = forRows(opt, nrows, timer, func(_ int, claim func() (int, int, bool)) {
-		k := newWorkerKernels(segs)
+		k := kerns.add(newWorkerKernels(segs))
 		for {
 			lo, hi, ok := claim()
 			if !ok {
-				k.recycle(ws)
 				return
 			}
 			for i := lo; i < hi; i++ {
@@ -312,6 +330,7 @@ func driver1P[T any](nrows, ncols Index, bound func(Index) int64, segs []execSeg
 			}
 		}
 	})
+	recyclePass(&kerns, ws)
 	if err != nil {
 		recycle()
 		return nil, err

@@ -18,8 +18,8 @@ import (
 // Each row marks its mask keys Allowed in the state array of a pooled MSA
 // (opt.Workspaces), adds the state byte (Allowed = 1, NotAllowed = 0) for
 // every flop into a register, then resets the keys, so every state is
-// NotAllowed again when a worker returns its MSA. Each worker keeps its own
-// partial sum. Rows are scheduled like the drivers' passes (cost-balanced
+// NotAllowed again when the count returns the workers' MSAs. Each worker
+// keeps its own partial sum. Rows are scheduled like the drivers' passes (cost-balanced
 // spans over opt.RowCosts when engaged), and a cancelled opt.Ctx returns
 // its error. Rows must be duplicate-free; they need not be sorted.
 func MaskedPairCount(m, a, b *matrix.Pattern, opt Options) (int64, error) {
@@ -37,8 +37,9 @@ func MaskedPairCount(m, a, b *matrix.Pattern, opt Options) (int64, error) {
 		return 0, nil
 	}
 	var total atomic.Int64
+	var accs passScratch[*accum.MSA[float64]]
 	err := forRows(opt, m.NRows, nil, func(_ int, claim func() (int, int, bool)) {
-		acc := wsGetMSA[float64](opt.Workspaces, int(b.NCols))
+		acc := accs.add(wsGetMSA[float64](opt.Workspaces, int(b.NCols)))
 		state, _ := acc.Arrays()
 		var sum int64
 		for {
@@ -64,9 +65,11 @@ func MaskedPairCount(m, a, b *matrix.Pattern, opt Options) (int64, error) {
 				}
 			}
 		}
-		wsPutMSA(opt.Workspaces, acc) // skipped if a row panics with its keys marked
 		total.Add(sum)
 	})
+	for _, acc := range accs.all { // not reached if a row panics with its keys marked
+		wsPutMSA(opt.Workspaces, acc)
+	}
 	if err != nil {
 		return 0, err
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/accum"
 	"repro/internal/grgen"
 	"repro/internal/matrix"
 	"repro/internal/semiring"
@@ -180,42 +181,56 @@ func TestSchedCancellationMidFlight(t *testing.T) {
 }
 
 // TestDriverPoolsWarmZeroMisses: after one warming call, the drivers take
-// every scratch buffer (counts, offsets, bound bins) from the session
-// arena — zero driver-layer allocations in steady state, for both phases
-// and both schedules.
+// every scratch buffer (counts, offsets, bound bins) and the kernels every
+// accumulator and mask-probe bitmap from the session arena — zero
+// allocating fetches in steady state, for both phases, both schedules,
+// every accumulator and a complemented bitmap mask.
 func TestDriverPoolsWarmZeroMisses(t *testing.T) {
 	g := grgen.RMAT(9, 8, 29)
 	l := matrix.RelabelTril(g)
 	m := l.Pattern()
 	sr := semiring.Arithmetic()
 	costs := ComputeRowCosts(m, l.Pattern(), l.Pattern(), 0)
-	for _, phase := range []Phase{OnePhase, TwoPhase} {
+	cases := []struct {
+		v    Variant
+		comp bool
+		rep  MaskRep
+	}{
+		{v: Variant{Alg: MSA, Phase: OnePhase}},
+		{v: Variant{Alg: MSA, Phase: TwoPhase}},
+		{v: Variant{Alg: Hash, Phase: OnePhase}},
+		{v: Variant{Alg: MCA, Phase: OnePhase}},
+		{v: Variant{Alg: Heap, Phase: OnePhase}},
+		{v: Variant{Alg: Inner, Phase: OnePhase}},
+		{v: Variant{Alg: Hash, Phase: OnePhase}, comp: true, rep: RepBitmap},
+	}
+	for _, c := range cases {
 		for _, sched := range []Sched{SchedEqualRow, SchedCost} {
 			ws := NewWorkspaces()
-			opt := Options{Threads: 2, Sched: sched, RowCosts: costs, Workspaces: ws}
-			v := Variant{Alg: MSA, Phase: phase}
-			if _, err := MaskedSpGEMM(v, m, l, l, sr, opt); err != nil { // warm the pools
+			opt := Options{Threads: 2, Sched: sched, RowCosts: costs, Workspaces: ws, Complement: c.comp, MaskRep: c.rep}
+			if _, err := MaskedSpGEMM(c.v, m, l, l, sr, opt); err != nil { // warm the pools
 				t.Fatal(err)
 			}
 			missesBefore := ws.PoolStatsSnapshot().Misses
 			for rep := 0; rep < 3; rep++ {
-				if _, err := MaskedSpGEMM(v, m, l, l, sr, opt); err != nil {
+				if _, err := MaskedSpGEMM(c.v, m, l, l, sr, opt); err != nil {
 					t.Fatal(err)
 				}
 			}
 			after := ws.PoolStatsSnapshot()
 			if after.Misses != missesBefore {
-				t.Errorf("%s sched=%s: %d driver pool misses after warmup (gets %d); want 0",
-					v.Name(), sched, after.Misses-missesBefore, after.Gets)
+				t.Errorf("%s complement=%v rep=%s sched=%s: %d pool misses after warmup (gets %d); want 0",
+					c.v.Name(), c.comp, c.rep, sched, after.Misses-missesBefore, after.Gets)
 			}
 		}
 	}
 }
 
 // TestDriverPoolsRetainBounded: one multiply larger than the arena's
-// retain limit must not leave its buffers resident — the retained bytes
-// stay within the limit — and a small steady working set re-warms after it
-// and again takes zero misses.
+// retain limit must not leave its scratch resident — the retained bytes,
+// accumulators included, stay within the limit, and the MSAs it grew are
+// evicted — and a small steady working set re-warms after it and again
+// takes zero misses.
 func TestDriverPoolsRetainBounded(t *testing.T) {
 	sr := semiring.Arithmetic()
 	small := matrix.RelabelTril(grgen.RMAT(7, 8, 31))
@@ -230,10 +245,31 @@ func TestDriverPoolsRetainBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	retained := func() int64 {
+	// retained checks the byte count against the lists and returns it, the
+	// accumulators' share and the widest retained MSA.
+	retained := func() (total, acc int64, widest int) {
+		t.Helper()
 		ws.drvMu.Lock()
 		defer ws.drvMu.Unlock()
-		return ws.drvRetained
+		for _, lists := range [][]freeList{ws.i64[:], ws.idx[:], ws.val[:], ws.acc[:]} {
+			for _, l := range lists {
+				for _, r := range l.free {
+					total += r.bytes
+				}
+			}
+		}
+		for _, l := range ws.acc {
+			for _, r := range l.free {
+				acc += r.bytes
+			}
+		}
+		for _, r := range ws.acc[accMSA].free {
+			widest = max(widest, r.box.(*accum.MSA[float64]).Len())
+		}
+		if total != ws.drvRetained {
+			t.Fatalf("retained lists hold %d bytes, counter says %d", total, ws.drvRetained)
+		}
+		return total, acc, widest
 	}
 	steadyMisses := func() int64 {
 		multiply(small) // warm
@@ -246,14 +282,18 @@ func TestDriverPoolsRetainBounded(t *testing.T) {
 	if n := steadyMisses(); n != 0 {
 		t.Fatalf("small working set: %d misses after warmup; want 0", n)
 	}
+	if _, acc, _ := retained(); acc == 0 {
+		t.Fatal("small working set: no accumulator bytes retained")
+	}
 	multiply(large)
-	if r := retained(); r > ws.retainLimit {
-		t.Fatalf("after an oversized multiply the arena retains %d bytes; limit %d", r, ws.retainLimit)
+	if r, _, widest := retained(); r > ws.retainLimit || widest > int(small.NCols) {
+		t.Fatalf("after an oversized multiply the arena retains %d bytes (limit %d) and an MSA of %d columns (small has %d)",
+			r, ws.retainLimit, widest, small.NCols)
 	}
 	if n := steadyMisses(); n != 0 {
 		t.Fatalf("small working set after an oversized multiply: %d misses after rewarming; want 0", n)
 	}
-	if r := retained(); r > ws.retainLimit {
+	if r, _, _ := retained(); r > ws.retainLimit {
 		t.Fatalf("steady state retains %d bytes; limit %d", r, ws.retainLimit)
 	}
 }

@@ -8,28 +8,9 @@ import (
 )
 
 // Masked SpGEVM: v = m .* (uᵀB), the row-vector primitive the paper's §5
-// presents its algorithms in before lifting them to SpGEMM. Each call runs
-// the chosen algorithm's row kernel once on the given vector; traversal
-// algorithms (BFS, BC forward steps) use this directly.
-
-// MaskedSpGEVM computes v = m .* (uᵀB) (or the complement form) with the
-// chosen algorithm family. m and u are sparse vectors of length B.NRows
-// resp. matching B's shape: m has length B.NCols, u length B.NRows.
-func MaskedSpGEVM[T any](alg Algorithm, m *matrix.SparseVec[T], u *matrix.SparseVec[T], b *matrix.CSR[T], sr semiring.Semiring[T], opt Options) (*matrix.SparseVec[T], error) {
-	if u.N != b.NRows {
-		return nil, fmt.Errorf("core: SpGEVM length mismatch: u has %d, B has %d rows", u.N, b.NRows)
-	}
-	if m.N != b.NCols {
-		return nil, fmt.Errorf("core: SpGEVM mask length mismatch: m has %d, B has %d cols", m.N, b.NCols)
-	}
-	mp := m.VecPattern()
-	ur := u.AsRowMatrix()
-	out, err := MaskedSpGEMM(Variant{Alg: alg, Phase: OnePhase}, mp, ur, b, sr, opt)
-	if err != nil {
-		return nil, err
-	}
-	return matrix.RowToVec(out, 0), nil
-}
+// presents its algorithms in before lifting them to SpGEMM. BFS steps call
+// the direction-optimized form, which runs the push (MSA) or pull (Inner)
+// row kernel once on the given vector.
 
 // PushPullThreshold is the frontier-density ratio at which
 // MaskedSpGEVMAuto switches from the push (MSA) to the pull (Inner)

@@ -26,6 +26,15 @@ func refSpGEVM(m, u *matrix.SparseVec[float64], b *matrix.CSR[float64], sr semir
 	return matrix.RowToVec(out, 0)
 }
 
+// spgevm runs one algorithm's row kernel on the one-row form of v = m .* (uB).
+func spgevm(alg Algorithm, m, u *matrix.SparseVec[float64], b *matrix.CSR[float64], opt Options) (*matrix.SparseVec[float64], error) {
+	out, err := MaskedSpGEMM(Variant{Alg: alg, Phase: OnePhase}, m.VecPattern(), u.AsRowMatrix(), b, semiring.Arithmetic(), opt)
+	if err != nil {
+		return nil, err
+	}
+	return matrix.RowToVec(out, 0), nil
+}
+
 func TestMaskedSpGEVMAllAlgorithms(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	sr := semiring.Arithmetic()
@@ -37,7 +46,7 @@ func TestMaskedSpGEVMAllAlgorithms(t *testing.T) {
 		b := randCSR(r, k, n, 0.15)
 		want := refSpGEVM(m, u, b, sr, false)
 		for _, alg := range []Algorithm{MSA, Hash, MCA, Heap, HeapDot, Inner} {
-			got, err := MaskedSpGEVM(alg, m, u, b, sr, Options{Threads: 1})
+			got, err := spgevm(alg, m, u, b, Options{Threads: 1})
 			if err != nil {
 				t.Fatalf("%s: %v", alg, err)
 			}
@@ -48,7 +57,7 @@ func TestMaskedSpGEVMAllAlgorithms(t *testing.T) {
 		// Complement for the families that support it.
 		wantC := refSpGEVM(m, u, b, sr, true)
 		for _, alg := range []Algorithm{MSA, Hash, Heap, HeapDot, Inner} {
-			got, err := MaskedSpGEVM(alg, m, u, b, sr, Options{Threads: 1, Complement: true})
+			got, err := spgevm(alg, m, u, b, Options{Threads: 1, Complement: true})
 			if err != nil {
 				t.Fatalf("%s complement: %v", alg, err)
 			}
@@ -64,12 +73,13 @@ func TestMaskedSpGEVMDimChecks(t *testing.T) {
 	b := randCSR(r, 5, 6, 0.5)
 	u := randVec(r, 4, 0.5) // wrong length
 	m := randVec(r, 6, 0.5)
-	if _, err := MaskedSpGEVM(MSA, m, u, b, semiring.Arithmetic(), Options{}); err == nil {
+	bcsc := matrix.ToCSC(b)
+	if _, _, err := MaskedSpGEVMAuto(m, u, b, bcsc, semiring.Arithmetic(), Options{}); err == nil {
 		t.Fatal("expected u length error")
 	}
 	u2 := randVec(r, 5, 0.5)
 	m2 := randVec(r, 7, 0.5) // wrong length
-	if _, err := MaskedSpGEVM(MSA, m2, u2, b, semiring.Arithmetic(), Options{}); err == nil {
+	if _, _, err := MaskedSpGEVMAuto(m2, u2, b, bcsc, semiring.Arithmetic(), Options{}); err == nil {
 		t.Fatal("expected m length error")
 	}
 }

@@ -11,19 +11,19 @@ import (
 	"repro/internal/matrix"
 )
 
-// Workspaces is a session-scoped arena of reusable accumulator scratch.
-// The expensive per-worker state of the kernels — the MSA's two dense
-// length-ncols arrays, hash tables, MCA buffers and heap iterator storage —
-// is taken from the arena when a call starts and returned when its workers
-// finish, so iterative callers (BFS, BC, MCL, k-truss sweeps) stop paying
-// an O(ncols) allocation per worker per call.
+// Workspaces is a session-scoped arena of reusable kernel and driver
+// scratch. The expensive per-worker state of the kernels — the MSA's two
+// dense length-ncols arrays, hash tables, MCA buffers, heap iterator
+// storage and mask-probe bitmaps — and the phase drivers' per-call buffers
+// are taken from the arena when a call starts and returned when its
+// workers finish, so iterative callers (BFS, BC, MCL, k-truss sweeps) stop
+// paying an O(ncols) allocation per worker per call.
 //
-// Workspaces is safe for concurrent use (sync.Pool and mutex-guarded free
-// lists underneath) and a nil *Workspaces disables pooling entirely: every
-// helper falls back to a fresh allocation, which is the pre-session
-// behavior. Pooled entries hold no row state between calls — each kernel
-// leaves its accumulator fully reset (the per-row reset discipline the
-// kernels already follow), so reuse is bit-identical to fresh scratch.
+// Workspaces is safe for concurrent use and a nil *Workspaces disables
+// pooling entirely: every helper falls back to a fresh allocation. Pooled
+// entries hold no row state between calls — each kernel leaves its
+// accumulator fully reset (the per-row reset discipline the kernels already
+// follow), so reuse is bit-identical to fresh scratch.
 //
 // Overlapping calls — the serving layer admits several multiplies on one
 // session at once — are safe by ownership discipline: every pooled object
@@ -34,73 +34,72 @@ import (
 // through the pool. The masked serving stress test runs mixed concurrent
 // workloads under -race to enforce this.
 //
-// The pools store concrete *accum.MSA[T] etc. values for whatever element
-// type the calls use; a stored entry of a different T than the requester's
-// is discarded and replaced by a fresh allocation (sessions are in practice
-// monomorphic in T, so this never happens on the hot path).
+// Accumulators are stored as concrete *accum.MSA[T] etc. values for
+// whatever element type the calls use; a retained entry of a different T
+// than the requester's is discarded and replaced by a fresh allocation
+// (sessions are in practice monomorphic in T, so this never happens on the
+// hot path).
 type Workspaces struct {
-	msa    sync.Pool // *accum.MSA[T]
-	hash   sync.Pool // *accum.Hash[T]
-	mca    sync.Pool // *accum.MCA[T]
-	heap   sync.Pool // *accum.IterHeap
-	bitmap sync.Pool // *matrix.Bitmap (mask-probe words, element-type free)
-
-	// Size-classed driver buffer pools. The phase drivers take their whole
-	// scratch — per-row counts and offsets (int64), the one-phase
-	// bound-binned column buffer (Index) and value buffer (T) — from these
-	// pools, so a warmed session's multiplies allocate nothing at the driver
-	// layer beyond the returned output. Class c holds buffers with capacity
-	// in [2^c, 2^(c+1)); buffers are allocated with capacity rounded up to
+	// All scratch sits on LIFO free lists under one mutex, drvMu. The
+	// driver buffers — per-row counts and offsets (int64), the one-phase
+	// bound-binned column buffer (Index) and value buffer (T) — sit on
+	// size-classed ladders: class c holds buffers with capacity in
+	// [2^c, 2^(c+1)), and buffers are allocated with capacity rounded up to
 	// the class boundary, so a stable working size always lands back in the
-	// class it is fetched from.
+	// class it is fetched from. Accumulators sit on one list per kind and
+	// grow in place when a call needs more columns. Calls fetch a handful
+	// of objects each (per worker, not per row), so the mutex is off the
+	// hot path, and every retained Put is seen by the next Get whichever
+	// goroutine or P made it, across garbage collections.
 	//
-	// These are free lists rather than sync.Pools: a sync.Pool parks a Put
-	// in the putting P's private slot, where a Get running on another P
-	// cannot see it, and drops it on GC, so the "warmed calls take zero
-	// misses" contract would depend on goroutine placement. One mutex,
-	// drvMu, guards all three ladders; drivers fetch a handful of buffers
-	// per call (not per row), so it is off the hot path.
-	//
-	// What the lists retain is bounded two ways. A class never holds more
-	// buffers than were outstanding from it at once, since a buffer is only
-	// allocated when its class's list is empty; one driver call holds at
-	// most three per class (driver1P's offsets, counts and final row
-	// pointers), so a class holds at most three per overlapping call. And
-	// the retained bytes never exceed retainLimit: a Put that would pass it
-	// first evicts the buffers returned longest ago, and a buffer larger
-	// than the limit is left to the garbage collector. So one oversized
-	// multiply cannot make a long-lived session keep its peak footprint,
-	// while a steady working set within the limit stays resident and takes
-	// zero misses.
+	// What the lists retain is bounded two ways. A list never holds more
+	// objects than were outstanding from it at once, since an object is
+	// only allocated when its list is empty. And the retained bytes, each
+	// object charged by its capacity, never exceed retainLimit: a Put that
+	// would pass it first evicts the objects returned longest ago, and an
+	// object larger than the limit is left to the garbage collector. So one
+	// oversized multiply cannot make a long-lived session keep its peak
+	// footprint, while a steady working set within the limit stays resident
+	// and takes zero misses.
 	drvMu       sync.Mutex
 	i64         [poolClasses]freeList // *bufI64
 	idx         [poolClasses]freeList // *bufIdx
 	val         [poolClasses]freeList // *bufVal[T]
-	drvSeq      uint64                // Put counter, orders retained buffers by age
-	drvRetained int64                 // bytes held across all three ladders
+	acc         [accKinds]freeList    // accumulators, indexed by accMSA etc.
+	drvSeq      uint64                // Put counter, orders retained objects by age
+	drvRetained int64                 // bytes held across all lists
 	retainLimit int64                 // bound on drvRetained; NewWorkspaces sets driverRetainBytes
 
-	// drvGets/drvMisses instrument the driver pools: a "miss" is a Get that
-	// had to allocate. Warmed steady state shows zero new misses; the alloc
+	// drvGets/drvMisses instrument the lists: a "miss" is a Get that had
+	// to allocate. Warmed steady state shows zero new misses; the alloc
 	// tests and the schedule bench study assert exactly that.
 	drvGets, drvMisses atomic.Int64
 }
 
+// Accumulator kinds, one free list each.
+const (
+	accMSA = iota
+	accHash
+	accMCA
+	accHeap
+	accBitmap
+	accKinds
+)
+
 // poolClasses bounds the size-class ladder (2^47 elements ≫ any host).
 const poolClasses = 48
 
-// driverRetainBytes bounds the driver buffer bytes a session retains
-// between calls. The steady working sets of perfbench's workloads (1.7 to
-// 5.8 MiB of driver buffers) stay under a fifth of it, so they run with
-// zero driver pool misses.
+// driverRetainBytes bounds the scratch bytes a session retains between
+// calls. The steady working sets of perfbench's workloads (1.7 to 5.8 MiB
+// of driver buffers, plus a few accumulators) stay under a fifth of it, so
+// they run with zero pool misses.
 const driverRetainBytes = 32 << 20
 
-// freeList is a LIFO stack of retired driver buffers of one size class,
-// guarded by Workspaces.drvMu. Every retained Put is seen by the next Get,
-// whichever goroutine or P made it.
+// freeList is a LIFO stack of retired scratch objects of one size class
+// or accumulator kind, guarded by Workspaces.drvMu.
 type freeList struct{ free []retainedBuf }
 
-// retainedBuf is one buffer on a free list: its box, its capacity in
+// retainedBuf is one object on a free list: its box, its capacity in
 // bytes, and the Put that retained it (its age, for eviction).
 type retainedBuf struct {
 	box   any
@@ -108,7 +107,7 @@ type retainedBuf struct {
 	seq   uint64
 }
 
-// getBuf pops the most recently returned buffer of l, or nil.
+// getBuf pops the most recently returned object of l, or nil.
 func (ws *Workspaces) getBuf(l *freeList) any {
 	ws.drvMu.Lock()
 	defer ws.drvMu.Unlock()
@@ -124,7 +123,7 @@ func (ws *Workspaces) getBuf(l *freeList) any {
 }
 
 // putBuf retains box (bytes of capacity) on l, first evicting the oldest
-// retained buffers until it fits under retainLimit. A buffer larger than
+// retained objects until it fits under retainLimit. An object larger than
 // the limit is not retained.
 func (ws *Workspaces) putBuf(l *freeList, box any, bytes int64) {
 	ws.drvMu.Lock()
@@ -140,14 +139,14 @@ func (ws *Workspaces) putBuf(l *freeList, box any, bytes int64) {
 	ws.drvRetained += bytes
 }
 
-// evictOldest drops the buffer returned longest ago. Each list is a stack,
-// so its oldest buffer is at the bottom; the oldest overall is the bottom
-// with the smallest seq. Callers hold drvMu and retain at least one buffer.
+// evictOldest drops the object returned longest ago. Each list is a stack,
+// so its oldest object is at the bottom; the oldest overall is the bottom
+// with the smallest seq. Callers hold drvMu and retain at least one object.
 func (ws *Workspaces) evictOldest() {
 	var oldest *freeList
-	for _, ladder := range []*[poolClasses]freeList{&ws.i64, &ws.idx, &ws.val} {
-		for c := range ladder {
-			if l := &ladder[c]; len(l.free) > 0 && (oldest == nil || l.free[0].seq < oldest.free[0].seq) {
+	for _, lists := range [][]freeList{ws.i64[:], ws.idx[:], ws.val[:], ws.acc[:]} {
+		for c := range lists {
+			if l := &lists[c]; len(l.free) > 0 && (oldest == nil || l.free[0].seq < oldest.free[0].seq) {
 				oldest = l
 			}
 		}
@@ -185,18 +184,18 @@ func classCap(c, n int) int {
 	return n
 }
 
-// PoolStats reports the driver buffer pools' Get calls and the subset that
-// had to allocate. Misses stop growing once a session is warm; the
-// difference across a warmed call is the "driver-layer allocations" the
-// alloc tests pin to zero. It travels through the unified session stats and
-// the /metrics exporter.
+// PoolStats reports the arena's Get calls, driver buffers and accumulators
+// alike, and the subset that had to allocate. Misses stop growing once a
+// session is warm; the difference across a warmed call is the scratch
+// allocations the alloc tests pin to zero. It travels through the unified
+// session stats and the /metrics exporter.
 type PoolStats struct {
-	// Gets counts driver buffer fetches; Misses the subset that had to
+	// Gets counts scratch fetches; Misses the subset that had to
 	// allocate. Both are monotonic over the workspace's lifetime.
 	Gets, Misses int64
 }
 
-// PoolStatsSnapshot returns the driver pool counters.
+// PoolStatsSnapshot returns the arena's pool counters.
 func (ws *Workspaces) PoolStatsSnapshot() PoolStats {
 	return PoolStats{Gets: ws.drvGets.Load(), Misses: ws.drvMisses.Load()}
 }
@@ -264,81 +263,89 @@ func wsPutVal[T any](ws *Workspaces, b *bufVal[T]) {
 // NewWorkspaces returns an empty arena.
 func NewWorkspaces() *Workspaces { return &Workspaces{retainLimit: driverRetainBytes} }
 
-func wsGetMSA[T any](ws *Workspaces, ncols int) *accum.MSA[T] {
-	if ws != nil {
-		if v, ok := ws.msa.Get().(*accum.MSA[T]); ok {
-			v.Resize(ncols)
-			return v
-		}
+// getAcc pops the most recently returned accumulator of kind k, counting
+// the fetch. ok is false when the list is empty or its top entry has
+// another element type, which is dropped; the caller then allocates and
+// counts a miss.
+func getAcc[A any](ws *Workspaces, k int) (a A, ok bool) {
+	if ws == nil {
+		return a, false
 	}
+	ws.drvGets.Add(1)
+	a, ok = ws.getBuf(&ws.acc[k]).(A)
+	return a, ok
+}
+
+// miss counts a fetch that had to allocate.
+func (ws *Workspaces) miss() {
+	if ws != nil {
+		ws.drvMisses.Add(1)
+	}
+}
+
+// putAcc retains accumulator a of kind k, charged by its capacity.
+func putAcc(ws *Workspaces, k int, a interface{ Bytes() int64 }) {
+	if ws != nil {
+		ws.putBuf(&ws.acc[k], a, a.Bytes())
+	}
+}
+
+func wsGetMSA[T any](ws *Workspaces, ncols int) *accum.MSA[T] {
+	if v, ok := getAcc[*accum.MSA[T]](ws, accMSA); ok {
+		if v.Len() < ncols {
+			ws.miss()
+			v.Resize(ncols)
+		}
+		return v
+	}
+	ws.miss()
 	return accum.NewMSA[T](ncols)
 }
 
-func wsPutMSA[T any](ws *Workspaces, a *accum.MSA[T]) {
-	if ws != nil && a != nil {
-		ws.msa.Put(a)
-	}
-}
+func wsPutMSA[T any](ws *Workspaces, a *accum.MSA[T]) { putAcc(ws, accMSA, a) }
 
 func wsGetHash[T any](ws *Workspaces, capHint int) *accum.Hash[T] {
-	if ws != nil {
-		if v, ok := ws.hash.Get().(*accum.Hash[T]); ok {
-			v.SetLoadFactor(1, 4) // restore the paper's default sizing
-			return v
-		}
+	if v, ok := getAcc[*accum.Hash[T]](ws, accHash); ok {
+		v.SetLoadFactor(1, 4) // restore the paper's default sizing
+		return v
 	}
+	ws.miss()
 	return accum.NewHash[T](capHint)
 }
 
-func wsPutHash[T any](ws *Workspaces, h *accum.Hash[T]) {
-	if ws != nil && h != nil {
-		ws.hash.Put(h)
-	}
-}
+func wsPutHash[T any](ws *Workspaces, h *accum.Hash[T]) { putAcc(ws, accHash, h) }
 
 func wsGetMCA[T any](ws *Workspaces, capHint int) *accum.MCA[T] {
-	if ws != nil {
-		if v, ok := ws.mca.Get().(*accum.MCA[T]); ok {
-			return v
-		}
+	if v, ok := getAcc[*accum.MCA[T]](ws, accMCA); ok {
+		return v
 	}
+	ws.miss()
 	return accum.NewMCA[T](capHint)
 }
 
-func wsPutMCA[T any](ws *Workspaces, c *accum.MCA[T]) {
-	if ws != nil && c != nil {
-		ws.mca.Put(c)
-	}
-}
+func wsPutMCA[T any](ws *Workspaces, c *accum.MCA[T]) { putAcc(ws, accMCA, c) }
 
 func wsGetHeap(ws *Workspaces) *accum.IterHeap {
-	if ws != nil {
-		if v, ok := ws.heap.Get().(*accum.IterHeap); ok {
-			v.Reset()
-			return v
-		}
+	if v, ok := getAcc[*accum.IterHeap](ws, accHeap); ok {
+		v.Reset()
+		return v
 	}
+	ws.miss()
 	return &accum.IterHeap{}
 }
 
-func wsPutHeap(ws *Workspaces, h *accum.IterHeap) {
-	if ws != nil && h != nil {
-		ws.heap.Put(h)
-	}
-}
+func wsPutHeap(ws *Workspaces, h *accum.IterHeap) { putAcc(ws, accHeap, h) }
 
 func wsGetBitmap(ws *Workspaces, nbits int) *matrix.Bitmap {
-	if ws != nil {
-		if v, ok := ws.bitmap.Get().(*matrix.Bitmap); ok {
+	if v, ok := getAcc[*matrix.Bitmap](ws, accBitmap); ok {
+		if v.Bits() < nbits {
+			ws.miss()
 			v.Resize(nbits)
-			return v
 		}
+		return v
 	}
+	ws.miss()
 	return matrix.NewBitmap(nbits)
 }
 
-func wsPutBitmap(ws *Workspaces, b *matrix.Bitmap) {
-	if ws != nil && b != nil {
-		ws.bitmap.Put(b)
-	}
-}
+func wsPutBitmap(ws *Workspaces, b *matrix.Bitmap) { putAcc(ws, accBitmap, b) }

@@ -14,10 +14,9 @@ import (
 // public API surface, the planner (whose Plan/Stats/Cache types render
 // on pkg.go.dev through the masked re-exports), the network serving
 // surface (the wire protocol other implementations must interoperate
-// with, and the server/client embedders build on), and — since the
-// PR 10 delta/streaming surface (matrix.DeltaCSR, core.DeltaProduct,
-// apps.TCStream/KTrussStream) — the storage, kernel and application
-// layers it spans. Every exported identifier in them — functions,
+// with, and the server/client embedders build on), and the storage,
+// kernel and application layers the delta/streaming surface
+// (matrix.DeltaCSR, core.DeltaProduct) spans. Every exported identifier in them — functions,
 // methods on exported types, types, and package-level const/var specs
 // — must carry a doc comment.
 var godocPackages = []string{

@@ -32,6 +32,9 @@ func (b *Bitmap) Resize(nbits int) {
 // Bits returns the bit capacity.
 func (b *Bitmap) Bits() int { return len(b.words) * 64 }
 
+// Bytes returns the capacity the bitmap holds, in bytes.
+func (b *Bitmap) Bytes() int64 { return int64(cap(b.words)) * 8 }
+
 // Set sets bit j.
 func (b *Bitmap) Set(j Index) {
 	b.words[uint32(j)>>6] |= 1 << (uint32(j) & 63)

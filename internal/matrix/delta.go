@@ -114,12 +114,6 @@ func (d *DeltaCSR[T]) Gen() uint64 { return d.gen }
 // Callers must not mutate it.
 func (d *DeltaCSR[T]) Base() *CSR[T] { return d.base }
 
-// RowDirty reports whether row i has pending log entries.
-func (d *DeltaCSR[T]) RowDirty(i Index) bool {
-	_, ok := d.logs[i]
-	return ok
-}
-
 // searchIndex is sort.Search over a sorted Index slice.
 func searchIndex(s []Index, j Index) int {
 	return sort.Search(len(s), func(k int) bool { return s[k] >= j })

@@ -69,30 +69,6 @@ func costClaimer(n, p int, prefix []int64) func() (int, int, bool) {
 	}
 }
 
-// CostSpans returns the span sequence a sequential claimer produces for the
-// given worker count: the deterministic claim-order schedule of ForCostWorkers
-// (claims interleave across workers at run time, but the span boundaries
-// depend only on claim order, which is what this exposes). The bench harness
-// uses it to model load balance without timing noise.
-func CostSpans(n, workers int, prefix []int64) [][2]int {
-	if n <= 0 {
-		return nil
-	}
-	if len(prefix) != n+1 {
-		panic("parallel: cost prefix must have length n+1")
-	}
-	p := costWorkerCount(n, workers)
-	claim := costClaimer(n, p, prefix)
-	var spans [][2]int
-	for {
-		lo, hi, ok := claim()
-		if !ok {
-			return spans
-		}
-		spans = append(spans, [2]int{lo, hi})
-	}
-}
-
 // ForCostWorkers runs p worker goroutines over [0, n) like ForWorkers, but
 // workers claim equal-cost spans instead of equal-row chunks: prefix is the
 // monotone prefix sum of per-row costs (length n+1), and each claim's span

@@ -132,7 +132,7 @@ func (c Config) withDefaults() Config {
 }
 
 // Server is the HTTP front end. Create with New, expose with Handler or
-// run with Serve/ListenAndServe.
+// run with Serve on a listener the caller opens.
 type Server struct {
 	cfg    Config
 	sess   *masked.Session
@@ -233,15 +233,6 @@ func (sv *Server) Serve(ctx context.Context, ln net.Listener) error {
 	err := hs.Shutdown(sctx) // stops accepting, waits for in-flight handlers
 	<-exited                 // Serve has returned ErrServerClosed
 	return err
-}
-
-// ListenAndServe listens on addr and calls Serve.
-func (sv *Server) ListenAndServe(ctx context.Context, addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return sv.Serve(ctx, ln)
 }
 
 // Local is an in-process server on an ephemeral localhost port, for tests

@@ -5,35 +5,6 @@ import (
 	"testing"
 )
 
-func TestVxMThroughFacade(t *testing.T) {
-	b := FromCOO(&COO{
-		NRows: 3, NCols: 3,
-		Row: []Index{0, 1, 2}, Col: []Index{1, 2, 0}, Val: []float64{2, 3, 4},
-	})
-	u := NewVector(3, []Index{0, 1}, []float64{10, 100})
-	m := NewVector(3, []Index{1, 2}, []float64{1, 1})
-	v, err := VxM(MSA, m, u, b, Arithmetic(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// uB = [0, 20, 300]; mask keeps cols 1 and 2.
-	if v.NNZ() != 2 || v.Idx[0] != 1 || v.Val[0] != 20 || v.Idx[1] != 2 || v.Val[1] != 300 {
-		t.Fatalf("VxM = %v %v", v.Idx, v.Val)
-	}
-	// Auto variant agrees.
-	bcsc := ToCSC(b)
-	va, dir, err := VxMAuto(m, u, b, bcsc, Arithmetic(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dir != Push && dir != Pull {
-		t.Fatal("direction must be one of push/pull")
-	}
-	if va.NNZ() != v.NNZ() || va.Val[0] != v.Val[0] {
-		t.Fatal("auto disagrees")
-	}
-}
-
 func TestBFSFacade(t *testing.T) {
 	g := ErdosRenyi(200, 5, 41)
 	ctx, s := context.Background(), NewSession()
@@ -78,24 +49,5 @@ func TestCosineSimilarityFacade(t *testing.T) {
 	cols, vals := res.Scores.Row(0)
 	if len(cols) != 1 || cols[0] != 1 || vals[0] != 1 {
 		t.Fatalf("cosine(0,1) = %v %v", cols, vals)
-	}
-}
-
-func TestCountOpsFacade(t *testing.T) {
-	g := ErdosRenyi(100, 5, 43)
-	l := Tril(g)
-	c, ops, err := CountOps(MSA, l.Pattern(), l, l, PlusPair())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := NewSession().Multiply(context.Background(), l.Pattern(), l, l, WithAccumulate(PlusPair()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.NNZ() != ref.NNZ() {
-		t.Fatal("instrumented result differs")
-	}
-	if ops.Total() == 0 && ref.NNZ() > 0 {
-		t.Fatal("no ops counted")
 	}
 }

@@ -70,8 +70,3 @@ func (s *Session) protect(run func() BatchRes) (res BatchRes) {
 	}()
 	return run()
 }
-
-// Panics returns how many request-boundary panics this session has
-// recovered (monotonic). Nonzero values outside chaos tests mean a kernel
-// or planner bug that panic isolation is papering over — investigate.
-func (s *Session) Panics() int64 { return s.panics.Load() }

@@ -45,7 +45,7 @@ func TestPanicIsolatedToRequest(t *testing.T) {
 	if st := s.Stats().Arbiter; st.Inflight != 0 || st.Free != st.Budget {
 		t.Fatalf("panicked request leaked arbiter budget: %+v", st)
 	}
-	if got := s.Panics(); got != 1 {
+	if got := s.Stats().Panics; got != 1 {
 		t.Fatalf("session counted %d panics, want 1", got)
 	}
 
@@ -80,7 +80,7 @@ func TestPanicSharedWithFollowers(t *testing.T) {
 		}
 	}
 	// One panic, shared: the leader recovered once, followers reused it.
-	if got := s.Panics(); got != 1 {
+	if got := s.Stats().Panics; got != 1 {
 		t.Fatalf("session counted %d panics for one coalesced group, want 1", got)
 	}
 	if st := s.Stats().Arbiter; st.Inflight != 0 || st.Free != st.Budget {

@@ -71,7 +71,7 @@ type Session struct {
 	flight   map[flightKey]*flightCall
 	flightMu sync.Mutex
 	// panics counts request-boundary panics the serving layer recovered
-	// (Session.Panics, Stats.Panics).
+	// (Stats.Panics).
 	panics atomic.Int64
 }
 

@@ -303,6 +303,49 @@ func TestWarmedSessionZeroDriverAllocs(t *testing.T) {
 	}
 }
 
+// TestWarmedScratchSurvivesGC: the session arena keeps kernel scratch
+// across garbage collections, so a warmed multiply allocates as much right
+// after two collections as it does warm — for every accumulator and for a
+// complemented mask's bitmap probe. One thread and GOMAXPROCS 1 keep the
+// counts exact.
+func TestWarmedScratchSurvivesGC(t *testing.T) {
+	ctx := context.Background()
+	lp, l := tcOperands(10, 8, 9)
+	pin := func(alg core.Algorithm) Op { return WithVariant(Variant{Alg: alg, Phase: OnePhase}) }
+	cases := []struct {
+		name string
+		ops  []Op
+	}{
+		{"MSA-1P", []Op{pin(MSA)}},
+		{"Hash-1P", []Op{pin(Hash)}},
+		{"MCA-1P", []Op{pin(MCA)}},
+		{"Heap-1P", []Op{pin(Heap)}},
+		{"Inner-1P", []Op{pin(Inner)}},
+		{"Hash-1P/complement/bitmap", []Op{pin(Hash), WithComplement(), WithMaskRep(RepBitmap)}},
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, c := range cases {
+		s := NewSession(append([]Op{WithThreads(1), WithAccumulate(PlusPair())}, c.ops...)...)
+		mallocs := func() uint64 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := s.Multiply(ctx, lp, l, l); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			return after.Mallocs - before.Mallocs
+		}
+		mallocs() // cold: plan cache and arena
+		mallocs()
+		warm := mallocs()
+		runtime.GC()
+		runtime.GC()
+		if got := mallocs(); got != warm {
+			t.Errorf("%s: %d allocations per multiply after two GCs, %d warm; want equal", c.name, got, warm)
+		}
+	}
+}
+
 // TestSessionSchedEquivalence: WithSched never changes results — the auto,
 // pinned-equal and pinned-cost schedules all produce bit-identical output,
 // on both the planner and pinned-variant paths.

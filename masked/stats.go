@@ -33,7 +33,8 @@ type Stats struct {
 	// DriverPool is the driver buffer pool snapshot.
 	DriverPool DriverPoolStats
 	// Panics counts request-boundary panics the serving layer recovered
-	// (monotonic; see Session.Panics).
+	// (monotonic). Nonzero values outside chaos tests mean a kernel or
+	// planner bug that panic isolation is papering over — investigate.
 	Panics int64
 }
 

@@ -305,7 +305,7 @@ func TestStreamPanicRecoveryMidUpdate(t *testing.T) {
 	if !errors.As(err, &pe) || len(pe.Stack) == 0 {
 		t.Fatalf("panic error carries no stack: %#v", err)
 	}
-	if got := s.Panics(); got != 1 {
+	if got := s.Stats().Panics; got != 1 {
 		t.Fatalf("session counted %d panics, want 1", got)
 	}
 	if st := s.Stats().Arbiter; st.Inflight != 0 || st.Free != st.Budget {
@@ -418,7 +418,7 @@ func TestStreamConcurrentUpdateMultiplyServe(t *testing.T) {
 	if st := s.Stats().Arbiter; st.Inflight != 0 || st.Free != st.Budget {
 		t.Fatalf("arbiter budget leaked: %+v", st)
 	}
-	if n := s.Panics(); n != 0 {
+	if n := s.Stats().Panics; n != 0 {
 		t.Fatalf("unexpected recovered panics: %d", n)
 	}
 	waitGoroutines(t, base, 2)
