@@ -41,7 +41,7 @@ var (
 func loadInputs() {
 	onceInputs.Do(func() {
 		rmatG = grgen.RMAT(11, 16, 1)
-		rmatL = matrix.RelabelTril(rmatG)
+		rmatL = matrix.RelabelTril(rmatG, 0)
 		const n = 1 << 12
 		erA = grgen.ErdosRenyi(n, 16, 11)
 		erB = grgen.ErdosRenyi(n, 16, 12)
@@ -111,7 +111,8 @@ func BenchmarkFig08TriangleCount(b *testing.B) {
 // graph: the three-step chain (degree permutation, permuted copy, lower
 // triangle) against the fused RelabelTril, which yields the same L, and
 // RelabelTriu, which yields the pattern of Lᵀ that the Auto engine's
-// triangle count runs on.
+// triangle count runs on. The fused forms run at 1 and 2 workers; their
+// output is the same at both.
 func BenchmarkRelabel(b *testing.B) {
 	loadInputs()
 	b.Run("chain", func(b *testing.B) {
@@ -120,18 +121,20 @@ func BenchmarkRelabel(b *testing.B) {
 			matrix.Tril(matrix.Permute(rmatG, matrix.DegreeDescPerm(rmatG)))
 		}
 	})
-	b.Run("fused", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			matrix.RelabelTril(rmatG)
-		}
-	})
-	b.Run("triu", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			matrix.RelabelTriu(rmatG)
-		}
-	})
+	for _, w := range []int{1, 2} {
+		b.Run("fused/workers"+itoa(w), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				matrix.RelabelTril(rmatG, w)
+			}
+		})
+		b.Run("triu/workers"+itoa(w), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				matrix.RelabelTriu(rmatG, w)
+			}
+		})
+	}
 }
 
 // BenchmarkFig09Baselines times the SS:GB-style baselines on the same

@@ -70,7 +70,7 @@ func TestTriangleCountCountPath(t *testing.T) {
 	reps := []core.MaskRep{core.RepAuto, core.RepCSR, core.RepBitmap, core.RepDense}
 	scheds := []core.Sched{core.SchedAuto, core.SchedEqualRow, core.SchedCost}
 	for _, tc := range countPathCorpus() {
-		l := matrix.RelabelTril(tc.g)
+		l := matrix.RelabelTril(tc.g, 1)
 		wantFlops := core.Flops(l, l, 0)
 		ref, err := TriangleCount(tc.g, NewSession(core.Options{Threads: 1}).EngineSSSaxpy())
 		if err != nil {

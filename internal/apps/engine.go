@@ -47,6 +47,11 @@ type Engine struct {
 	// uses it when present and Mult otherwise, so the fixed variants and
 	// the baselines still time the kernels they name.
 	PairCount func(m, a, b *matrix.Pattern) (count, flops int64, err error)
+	// workers returns the worker count the engine's options allow at the
+	// moment of the call (core.Options.Workers, so an arbiter grant bounds
+	// it), for the steps an application runs beside the engine's products,
+	// such as TriangleCount's relabel. Nil means one worker.
+	workers func() int
 }
 
 // mult runs the engine with a mask-representation hint, falling back to the
@@ -86,7 +91,8 @@ func (s *Session) EngineVariant(v core.Variant) Engine {
 	}
 	opt := s.Opt
 	return Engine{
-		Name: v.Name(),
+		Name:    v.Name(),
+		workers: opt.Workers,
 		Mult: func(m *matrix.Pattern, a, b *matrix.CSR[float64], sr semiring.Semiring[float64], complement bool) (*matrix.CSR[float64], error) {
 			o := opt
 			o.Complement = complement
@@ -117,7 +123,8 @@ func (s *Session) EngineVariant(v core.Variant) Engine {
 func (s *Session) EngineAuto() Engine {
 	opt, cache := s.Opt, s.Cache
 	return Engine{
-		Name: "Auto",
+		Name:    "Auto",
+		workers: opt.Workers,
 		Mult: func(m *matrix.Pattern, a, b *matrix.CSR[float64], sr semiring.Semiring[float64], complement bool) (*matrix.CSR[float64], error) {
 			o := opt
 			o.Complement = complement
@@ -141,7 +148,8 @@ func (s *Session) EngineAuto() Engine {
 func (s *Session) EngineSSDot() Engine {
 	opt := s.Opt
 	return Engine{
-		Name: "SS:DOT",
+		Name:    "SS:DOT",
+		workers: opt.Workers,
 		Mult: func(m *matrix.Pattern, a, b *matrix.CSR[float64], sr semiring.Semiring[float64], complement bool) (*matrix.CSR[float64], error) {
 			if complement {
 				return nil, fmt.Errorf("apps: SS:DOT does not support complemented masks")
@@ -159,7 +167,8 @@ func (s *Session) EngineSSDot() Engine {
 func (s *Session) EngineSSSaxpy() Engine {
 	opt := s.Opt
 	return Engine{
-		Name: "SS:SAXPY",
+		Name:    "SS:SAXPY",
+		workers: opt.Workers,
 		Mult: func(m *matrix.Pattern, a, b *matrix.CSR[float64], sr semiring.Semiring[float64], complement bool) (*matrix.CSR[float64], error) {
 			o := opt
 			o.Complement = complement
@@ -177,7 +186,8 @@ func (s *Session) EngineSSSaxpy() Engine {
 func (s *Session) EnginePlainThenMask() Engine {
 	opt := s.Opt
 	return Engine{
-		Name: "PlainThenMask",
+		Name:    "PlainThenMask",
+		workers: opt.Workers,
 		Mult: func(m *matrix.Pattern, a, b *matrix.CSR[float64], sr semiring.Semiring[float64], complement bool) (*matrix.CSR[float64], error) {
 			o := opt
 			o.Complement = complement

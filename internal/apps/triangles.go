@@ -49,17 +49,27 @@ func (r TCResult) GFLOPS() float64 {
 // Mult on the plus-pair semiring over L from matrix.RelabelTril, the
 // paper's operand, and sums the product, with the flops counted by
 // core.Flops.
+//
+// The relabel runs on as many workers as the engine's options allow when
+// the call starts (core.Options.Workers, which an arbiter grant bounds),
+// one worker for an engine built without options. Its output, and so the
+// count, is the same for every worker count. A worker panic is re-raised
+// on the caller as a parallel.WorkerPanic.
 func TriangleCount(g *matrix.CSR[float64], eng Engine) (TCResult, error) {
 	start := time.Now()
 	var res TCResult
 	var err error
+	w := 1
+	if eng.workers != nil {
+		w = eng.workers()
+	}
 	if eng.PairCount != nil {
-		u := matrix.RelabelTriu(g)
+		u := matrix.RelabelTriu(g, w)
 		t0 := time.Now()
 		res.Triangles, res.Flops, err = eng.PairCount(u, u, u)
 		res.MaskedTime = time.Since(t0)
 	} else {
-		l := matrix.RelabelTril(g)
+		l := matrix.RelabelTril(g, w)
 		res.Flops = core.Flops(l, l, 0)
 		t0 := time.Now()
 		var c *matrix.CSR[float64]

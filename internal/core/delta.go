@@ -79,21 +79,16 @@ type DeltaProduct[T any] struct {
 // the given overlays (which may alias each other). The first Refresh
 // computes the full product.
 func NewDeltaProduct[T any](m, a, b *matrix.DeltaCSR[T]) *DeltaProduct[T] {
-	return NewDeltaProductSeeded(m, a, b, false, nil)
+	return NewDeltaProductComplement(m, a, b, false)
 }
 
-// NewDeltaProductSeeded tracks C = M .* (A·B), or C = ¬M .* (A·B) when
-// complement is set, and takes c as a known-valid output for the
-// overlays' current content, so the first Refresh is incremental instead
-// of from scratch. A nil c leaves the first Refresh to compute the full
-// product. The caller owns the claim that c equals the product of the
-// current operands, and complement must match the descriptor every
+// NewDeltaProductComplement is NewDeltaProduct tracking C = ¬M .* (A·B)
+// when complement is set. complement must match the descriptor every
 // Refresh multiplies with.
-func NewDeltaProductSeeded[T any](m, a, b *matrix.DeltaCSR[T], complement bool, c *matrix.CSR[T]) *DeltaProduct[T] {
+func NewDeltaProductComplement[T any](m, a, b *matrix.DeltaCSR[T], complement bool) *DeltaProduct[T] {
 	return &DeltaProduct[T]{
 		m: m, a: a, b: b,
 		complement: complement,
-		c:          c,
 		dirtyAM:    make(map[Index]struct{}),
 		dirtyB:     make(map[Index][]Index),
 	}

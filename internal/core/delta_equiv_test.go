@@ -120,7 +120,7 @@ func deltaEquivConfig(t *testing.T, v Variant, comp bool, rep MaskRep, sched Sch
 		return d
 	}
 	dm, da, db := newOverlay(baseM), newOverlay(baseA), newOverlay(baseB)
-	p := NewDeltaProductSeeded(dm, da, db, comp, nil)
+	p := NewDeltaProductComplement(dm, da, db, comp)
 	opt := func(m *matrix.Pattern, a, b *matrix.CSR[float64]) Options {
 		o := Options{Threads: 2, Grain: 3, Complement: comp, MaskRep: rep, Sched: sched}
 		if sched == SchedCost {
@@ -305,7 +305,7 @@ func TestDirtyFrontierDerivation(t *testing.T) {
 			}
 			ov[k] = d
 		}
-		p := NewDeltaProductSeeded(ov[0], ov[1], ov[2], comp, nil)
+		p := NewDeltaProductComplement(ov[0], ov[1], ov[2], comp)
 		mult := func(msub *matrix.Pattern, asub, b *matrix.CSR[float64]) (*matrix.CSR[float64], error) {
 			return MaskedSpGEMM(v, msub, asub, b, sr, Options{Threads: 1, Complement: comp})
 		}
@@ -448,44 +448,5 @@ func TestDirtyFrontierColumnIndex(t *testing.T) {
 	}
 	if preCompact == nil || preAuto == nil || da.Base() == preAuto {
 		t.Fatal("A was not compacted as the steps require")
-	}
-}
-
-// TestDeltaSeededProduct: a product seeded with a known-valid output skips
-// the full first compute and still refreshes incrementally to the right
-// bits.
-func TestDeltaSeededProduct(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	const n = 24
-	base := randFloatCSR(rng, n, n, 0.25)
-	sr := semiring.PlusPairF()
-	v := Variant{Alg: MSA, Phase: OnePhase}
-	seed, err := MaskedSpGEMM(v, base.Pattern(), base, base, sr, Options{Threads: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, _ := matrix.NewDeltaCSR(base)
-	p := NewDeltaProductSeeded(g, g, g, false, seed)
-	mult := func(msub *matrix.Pattern, asub, b *matrix.CSR[float64]) (*matrix.CSR[float64], error) {
-		return MaskedSpGEMM(v, msub, asub, b, sr, Options{Threads: 2})
-	}
-	if c, rows, err := p.Refresh(mult); err != nil || len(rows) != 0 || c != seed {
-		t.Fatalf("seeded refresh recomputed rows=%d err=%v", len(rows), err)
-	}
-	if err := p.Apply(DeltaAll, []matrix.Update[float64]{{Row: 3, Col: 7, Val: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := p.Refresh(mult)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur := g.Current()
-	want, err := MaskedSpGEMM(v, cur.Pattern(), cur, cur, sr, Options{Threads: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eqBits := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
-	if !matrix.Equal(got, want, eqBits) {
-		t.Fatal("seeded incremental output diverged from rebuild")
 	}
 }

@@ -71,7 +71,7 @@ func fuzzDeltaRefresh(t *testing.T, data []byte, comp bool) {
 	if next()%3 == 0 {
 		ov[1] = ov[0] // M and A one overlay
 	}
-	p := NewDeltaProductSeeded(ov[0], ov[1], ov[2], comp, nil)
+	p := NewDeltaProductComplement(ov[0], ov[1], ov[2], comp)
 	sr := semiring.Arithmetic()
 	opt := Options{Threads: 2, Grain: 2, Complement: comp}
 	mult := func(msub *matrix.Pattern, asub, b *matrix.CSR[float64]) (*matrix.CSR[float64], error) {

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 
 	"repro/internal/matrix"
 	"repro/internal/parallel"
@@ -112,46 +114,56 @@ func schedPrefix(opt Options, nrows Index) []int64 {
 // The planner computes the same profile as a by-product of its analysis;
 // this entry point serves callers that pin a variant (bypassing the planner)
 // but still want cost-balanced scheduling. Returns nil for degenerate
-// operands.
+// operands. The profile is the same for every thread count.
+//
+// Workers claim spans of about equal nnz(A) plus rows, found by binary
+// search on A's row pointers, since the sweep costs a row its entries of A.
+// Equal-row claims would hand one worker nearly all of a degree-relabeled
+// U, whose first rows hold the hubs.
 func ComputeRowCosts(m, a, b *matrix.Pattern, threads int) *RowCosts {
-	nrows := m.NRows
+	nrows := int(m.NRows)
 	if nrows == 0 || len(m.RowPtr) == 0 || len(a.RowPtr) == 0 || len(b.RowPtr) == 0 {
 		return nil
 	}
 	prefix := make([]int64, nrows+1)
 	p := parallel.Threads(threads)
 	maxPer := make([]int64, p)
-	parallel.ForWorkers(int(nrows), threads, 1024, func(id int, claim func() (lo, hi int, ok bool)) {
+	// Span s is [first(s), first(s+1)). A few spans per worker even out
+	// what the entry count misses; a small product stays on one span.
+	weight := func(i int) int64 { return int64(a.RowPtr[i]) + int64(i) }
+	base, total := weight(0), weight(nrows)-weight(0)
+	spans := int(max(1, min(int64(rowCostSpansPerWorker*p), total/rowCostMinSpan)))
+	first := func(s int) int {
+		target := base + total*int64(s)/int64(spans)
+		return sort.Search(nrows, func(i int) bool { return weight(i) >= target })
+	}
+	parallel.ForWorkers(spans, min(p, spans), 1, func(id int, claim func() (lo, hi int, ok bool)) {
 		maxRow := int64(0)
 		for {
-			lo, hi, ok := claim()
+			s, _, ok := claim()
 			if !ok {
 				break
 			}
-			for i := lo; i < hi; i++ {
+			for i, end := first(s), first(s+1); i < end; i++ {
 				var fl int64
-				for kk := a.RowPtr[i]; kk < a.RowPtr[i+1]; kk++ {
-					k := a.Col[kk]
+				for _, k := range a.Col[a.RowPtr[i]:a.RowPtr[i+1]] {
 					fl += int64(b.RowPtr[k+1] - b.RowPtr[k])
 				}
 				c := fl + int64(m.RowPtr[i+1]-m.RowPtr[i]) + 1
 				prefix[i] = c
-				if c > maxRow {
-					maxRow = c
-				}
+				maxRow = max(maxRow, c)
 			}
 		}
-		if maxRow > maxPer[id] {
-			maxPer[id] = maxRow
-		}
+		maxPer[id] = max(maxPer[id], maxRow)
 	})
-	var maxRow int64
-	for _, v := range maxPer {
-		if v > maxRow {
-			maxRow = v
-		}
-	}
 	prefix[nrows] = 0
 	parallel.ExclusiveScanParallel(prefix, threads)
-	return NewRowCosts(prefix, maxRow)
+	return NewRowCosts(prefix, slices.Max(maxPer))
 }
+
+// ComputeRowCosts' sweep has up to rowCostSpansPerWorker spans per worker,
+// each of at least rowCostMinSpan entries of A plus rows.
+const (
+	rowCostSpansPerWorker = 4
+	rowCostMinSpan        = 4096
+)

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -39,6 +40,28 @@ func TestComputeRowCosts(t *testing.T) {
 	// Degenerate operands yield no profile.
 	if rc := ComputeRowCosts(&matrix.Pattern{}, a.Pattern(), b.Pattern(), 1); rc != nil {
 		t.Fatal("degenerate mask should produce a nil profile")
+	}
+}
+
+// TestComputeRowCostsSameAcrossThreads: the nnz-balanced spans change who
+// sweeps which rows, never the profile. On a degree-relabeled U, whose first
+// rows hold most entries, and on a uniform graph, Prefix and MaxRow must
+// match the one-thread sweep at 2 and 3 threads.
+func TestComputeRowCostsSameAcrossThreads(t *testing.T) {
+	u := matrix.RelabelTriu(grgen.RMAT(12, 16, 3), 1)
+	er := grgen.ErdosRenyi(3000, 12, 4).Pattern()
+	for _, tc := range []struct {
+		name string
+		g    *matrix.Pattern
+	}{{"rmat-triu", u}, {"er", er}} {
+		want := ComputeRowCosts(tc.g, tc.g, tc.g, 1)
+		for _, threads := range []int{2, 3} {
+			got := ComputeRowCosts(tc.g, tc.g, tc.g, threads)
+			if !slices.Equal(got.Prefix, want.Prefix) || got.MaxRow != want.MaxRow {
+				t.Fatalf("%s at %d threads: profile differs from one thread (MaxRow %d, want %d)",
+					tc.name, threads, got.MaxRow, want.MaxRow)
+			}
+		}
 	}
 }
 
@@ -97,7 +120,7 @@ func TestNewRowCostsSkew(t *testing.T) {
 // decides who computes which rows when, never what is computed.
 func TestSchedEquivalence(t *testing.T) {
 	g := grgen.RMAT(8, 8, 17) // power-law rows: the profile cost scheduling targets
-	l := matrix.RelabelTril(g)
+	l := matrix.RelabelTril(g, 1)
 	m, a, b := l.Pattern(), l, l
 	sr := semiring.Arithmetic()
 	costs := ComputeRowCosts(m, a.Pattern(), b.Pattern(), 0)
@@ -187,7 +210,7 @@ func TestSchedCancellationMidFlight(t *testing.T) {
 // every accumulator and a complemented bitmap mask.
 func TestDriverPoolsWarmZeroMisses(t *testing.T) {
 	g := grgen.RMAT(9, 8, 29)
-	l := matrix.RelabelTril(g)
+	l := matrix.RelabelTril(g, 1)
 	m := l.Pattern()
 	sr := semiring.Arithmetic()
 	costs := ComputeRowCosts(m, l.Pattern(), l.Pattern(), 0)
@@ -233,8 +256,8 @@ func TestDriverPoolsWarmZeroMisses(t *testing.T) {
 // takes zero misses.
 func TestDriverPoolsRetainBounded(t *testing.T) {
 	sr := semiring.Arithmetic()
-	small := matrix.RelabelTril(grgen.RMAT(7, 8, 31))
-	large := matrix.RelabelTril(grgen.RMAT(12, 8, 37))
+	small := matrix.RelabelTril(grgen.RMAT(7, 8, 31), 1)
+	large := matrix.RelabelTril(grgen.RMAT(12, 8, 37), 1)
 	v := Variant{Alg: MSA, Phase: OnePhase}
 	ws := NewWorkspaces()
 	ws.retainLimit = 128 << 10 // above small's working set, below large's

@@ -1,5 +1,7 @@
 package matrix
 
+import "repro/internal/parallel"
+
 // Builders and format conversions: COO→CSR with duplicate folding, CSR↔CSC,
 // transpose, and construction from dense row data (for tests).
 
@@ -236,9 +238,10 @@ func inversePerm(order []Index) []Index {
 // building the permuted copy or sorting any row. a must be square with
 // duplicate-free rows; its rows need not be sorted, and it need not be
 // symmetric. It is the counting-sort Transpose of the valued Lᵀ that
-// relabelUpper builds.
-func RelabelTril[T any](a *CSR[T]) *CSR[T] {
-	return Transpose(relabelUpper(a, true))
+// relabelUpper builds on up to workers goroutines (0 means GOMAXPROCS);
+// the result is the same for every worker count.
+func RelabelTril[T any](a *CSR[T], workers int) *CSR[T] {
+	return Transpose(relabelUpper(a, true, relabelRanges(a.NNZ(), workers)))
 }
 
 // RelabelTriu returns the pattern of U = Lᵀ for the L of RelabelTril: the
@@ -249,48 +252,128 @@ func RelabelTril[T any](a *CSR[T]) *CSR[T] {
 // high-degree vertices, where L's stay short, so the paper's kernels run
 // slower on U than on L; only a count that never builds the product gains.
 // a has the same requirements as for RelabelTril.
-func RelabelTriu[T any](a *CSR[T]) *Pattern {
-	return relabelUpper(a, false).Pattern()
+//
+// The transpose runs on up to workers goroutines (0 means GOMAXPROCS), one
+// per range of about relabelMinRangeNNZ entries or more, and its output is
+// byte-identical for every worker count.
+func RelabelTriu[T any](a *CSR[T], workers int) *Pattern {
+	return relabelUpper(a, false, relabelRanges(a.NNZ(), workers)).Pattern()
 }
 
-// relabelUpper builds Lᵀ for L = Tril(Permute(a, DegreeDescPerm(a))) in two
-// counting passes: one counts the strictly lower entries of P·A·Pᵀ per new
-// column, the other scatters them while walking the new rows in ascending
-// order, so each row of Lᵀ comes out sorted. It copies a's values only
-// when withVal is set; Val is nil otherwise.
-func relabelUpper[T any](a *CSR[T], withVal bool) *CSR[T] {
+// relabelMinRangeNNZ is the fewest entries of a that a relabel range
+// covers. A smaller graph relabels on one range, on the caller's
+// goroutine: the goroutine start and the extra histogram would cost more
+// than the split saves.
+const relabelMinRangeNNZ = 1 << 14
+
+// relabelRanges is the number of ranges relabelUpper splits a graph with
+// nnz entries into on up to workers goroutines.
+func relabelRanges(nnz, workers int) int {
+	return max(1, min(parallel.Threads(workers), nnz/relabelMinRangeNNZ))
+}
+
+// relabelUpper builds Lᵀ for L = Tril(Permute(a, DegreeDescPerm(a))) as a
+// two-pass counting transpose over p contiguous ranges of the new labels r,
+// split by nnzRanges, one range per worker. Pass 1 counts each range's
+// strictly lower entries of P·A·Pᵀ per new column c into the range's own
+// histogram. One O(n·p) sweep turns the histograms into RowPtr and into
+// each range's first slot in every column. Pass 2 scatters each range from
+// those slots. The ranges follow each other in ascending r, and each walks
+// its rows in ascending r, so every row of Lᵀ comes out sorted and the
+// output is byte-identical for any p. It copies a's values only when
+// withVal is set; Val is nil otherwise. A worker panic is re-raised on the
+// caller as a parallel.WorkerPanic.
+func relabelUpper[T any](a *CSR[T], withVal bool, p int) *CSR[T] {
 	n := a.NRows
 	order := degreeDescOrder(a)
 	perm := inversePerm(order)
-	ptr := make([]Index, n+1)
-	for i := Index(0); i < n; i++ {
-		r := perm[i]
-		for _, j := range a.Col[a.RowPtr[i]:a.RowPtr[i+1]] {
-			c := perm[j]
-			ptr[c+1] += b2i(c < r) // branch-free: c < r is close to a coin flip
+	bounds := nnzRanges(a, order, p)
+	hist := make([][]Index, p)
+	parallel.ForChunks(p, p, 1, func(lo, hi int) {
+		for t := lo; t < hi; t++ {
+			h := make([]Index, n)
+			for r := bounds[t]; r < bounds[t+1]; r++ {
+				i := order[r]
+				for _, j := range a.Col[a.RowPtr[i]:a.RowPtr[i+1]] {
+					c := perm[j]
+					h[c] += b2i(c < r) // branch-free: c < r is close to a coin flip
+				}
+			}
+			hist[t] = h
 		}
+	})
+	// hist[t][c] becomes the slot of range t's first entry in column c.
+	ptr := make([]Index, n+1)
+	for c := range n {
+		pos := ptr[c]
+		for _, h := range hist {
+			h[c], pos = pos, pos+h[c]
+		}
+		ptr[c+1] = pos
 	}
-	for c := Index(0); c < n; c++ {
-		ptr[c+1] += ptr[c]
-	}
-	next := append([]Index(nil), ptr[:n]...)
-	row := make([]Index, ptr[n])
+	// Pass 2 writes an entry that is not strictly lower to its range's own
+	// sink slot past the end instead of branching on c < r, which is close
+	// to a coin flip. The sinks sit a cache line apart.
+	const sinkStride = 16
+	nnz := ptr[n]
+	row := make([]Index, int(nnz)+sinkStride*p)
 	var val []T
 	if withVal {
-		val = make([]T, ptr[n])
+		val = make([]T, len(row))
 	}
-	for r, i := range order {
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			if c := perm[a.Col[k]]; c < Index(r) {
-				row[next[c]] = Index(r)
-				if withVal {
-					val[next[c]] = a.Val[k]
+	parallel.ForChunks(p, p, 1, func(lo, hi int) {
+		for t := lo; t < hi; t++ {
+			next := hist[t]
+			sink := nnz + Index(sinkStride*t)
+			for r := bounds[t]; r < bounds[t+1]; r++ {
+				i := order[r]
+				first := a.RowPtr[i]
+				for k, j := range a.Col[first:a.RowPtr[i+1]] {
+					c := perm[j]
+					lt := b2i(c < r)
+					dst := sink ^ ((next[c] ^ sink) & -lt) // next[c] if c < r, else sink
+					row[dst] = r
+					if withVal {
+						val[dst] = a.Val[int(first)+k]
+					}
+					next[c] += lt
 				}
-				next[c]++
 			}
 		}
+	})
+	row = row[:nnz:nnz]
+	if withVal {
+		val = val[:nnz:nnz]
 	}
 	return &CSR[T]{NRows: n, NCols: n, RowPtr: ptr, Col: row, Val: val}
+}
+
+// nnzRanges splits the new labels [0, n) into p contiguous ranges of about
+// equal weight, a row weighing its entries plus one. Splitting by rows
+// instead would put most entries on the first range, because
+// degreeDescOrder puts the hubs first. Range t is [bounds[t], bounds[t+1]);
+// ranges are empty where p exceeds the rows.
+func nnzRanges[T any](a *CSR[T], order []Index, p int) []Index {
+	n := Index(len(order))
+	bounds := make([]Index, p+1)
+	bounds[p] = n
+	if p == 1 {
+		return bounds
+	}
+	total := int64(a.NNZ()) + int64(n)
+	var acc int64
+	t := 1
+	for r, i := range order {
+		for t < p && acc >= total*int64(t)/int64(p) {
+			bounds[t] = Index(r)
+			t++
+		}
+		acc += int64(a.RowNNZ(i)) + 1
+	}
+	for ; t < p; t++ {
+		bounds[t] = n
+	}
+	return bounds
 }
 
 // b2i is 1 for true and 0 for false; the compiler emits it without a

@@ -101,20 +101,71 @@ func TestRelabelTrilMatchesChain(t *testing.T) {
 		{"single-1x1-loop", fromEdges(1, [][2]Index{{0, 0}})},
 		{"isolated-vertices", isolated},
 		{"equal-degrees", fromEdges(50, cycle)},
+		// Large enough that the exported calls split it on their own.
+		{"rmat-scale12", grgen.RMAT(12, 16, 6)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := matrix.RelabelTril(tc.g)
-			if err := got.Validate(); err != nil {
-				t.Fatal(err)
-			}
-			if diff := sameBytes(got, relabelChain(tc.g)); diff != "" {
-				t.Fatal(diff)
-			}
-			if diff := samePattern(matrix.RelabelTriu(tc.g), matrix.Transpose(got).Pattern()); diff != "" {
-				t.Fatal("RelabelTriu: " + diff)
+			want := relabelChain(tc.g)
+			wantU := matrix.Transpose(want).Pattern()
+			for _, w := range relabelWorkers {
+				got := matrix.RelabelTril(tc.g, w)
+				if err := got.Validate(); err != nil {
+					t.Fatalf("%d workers: %v", w, err)
+				}
+				if diff := sameBytes(got, want); diff != "" {
+					t.Fatalf("%d workers: %s", w, diff)
+				}
+				if diff := samePattern(matrix.RelabelTriu(tc.g, w), wantU); diff != "" {
+					t.Fatalf("%d workers: RelabelTriu: %s", w, diff)
+				}
+				// The same number of ranges, however small the graph.
+				if diff := sameBytes(matrix.RelabelTrilRanges(tc.g, w), want); diff != "" {
+					t.Fatalf("%d ranges: %s", w, diff)
+				}
+				if diff := samePattern(matrix.RelabelTriuRanges(tc.g, w), wantU); diff != "" {
+					t.Fatalf("%d ranges: RelabelTriu: %s", w, diff)
+				}
 			}
 		})
+	}
+}
+
+// relabelWorkers are the worker counts the relabel tests run at; at 8 the
+// smallest cases have more ranges than rows.
+var relabelWorkers = []int{1, 2, 3, 8}
+
+// TestRelabelRangesBalanced: the relabel's ranges cover the new labels in
+// order, and on a skewed graph each carries its share of the entries to
+// within one row, although the hubs all come first.
+func TestRelabelRangesBalanced(t *testing.T) {
+	g := grgen.RMAT(12, 16, 7)
+	order := make([]Index, g.NRows) // new label -> old vertex
+	for old, r := range matrix.DegreeDescPerm(g) {
+		order[r] = Index(old)
+	}
+	maxRow := int64(0)
+	for i := Index(0); i < g.NRows; i++ {
+		maxRow = max(maxRow, int64(g.RowNNZ(i))+1)
+	}
+	total := int64(g.NNZ()) + int64(g.NRows)
+	for _, p := range []int{1, 2, 3, 8} {
+		b := matrix.RelabelBounds(g, p)
+		if len(b) != p+1 || b[0] != 0 || b[p] != g.NRows {
+			t.Fatalf("%d ranges: bounds %v", p, b)
+		}
+		for k := 0; k < p; k++ {
+			if b[k] > b[k+1] {
+				t.Fatalf("%d ranges: bounds %v not ascending", p, b)
+			}
+			var w int64
+			for _, i := range order[b[k]:b[k+1]] {
+				w += int64(g.RowNNZ(i)) + 1
+			}
+			if share := total / int64(p); w > share+maxRow || w < share-maxRow {
+				t.Fatalf("%d ranges: range %d weighs %d, share %d, max row %d", p, k, w, share, maxRow)
+			}
+		}
 	}
 }
 
@@ -180,6 +231,10 @@ func fuzzSquare(size uint8, reverse bool, data []byte) *matrix.CSR[float64] {
 	return g
 }
 
+// fuzzRanges is the range count a relabel fuzzer checks against the
+// one-worker call: 2 to 9, so that it can exceed the rows.
+func fuzzRanges(size uint8) int { return 2 + int(size)%8 }
+
 // addRelabelSeeds gives both relabel fuzzers the same seed corpus.
 func addRelabelSeeds(f *testing.F) {
 	f.Add(uint8(5), false, []byte{0, 1, 1, 0, 2, 3, 3, 2, 4, 4})
@@ -189,26 +244,37 @@ func addRelabelSeeds(f *testing.F) {
 }
 
 // FuzzRelabelTril requires RelabelTril to match the three-step chain byte
-// for byte on arbitrary small square inputs (see fuzzSquare).
+// for byte on arbitrary small square inputs (see fuzzSquare), and a split
+// into several ranges to match the one-worker call.
 func FuzzRelabelTril(f *testing.F) {
 	addRelabelSeeds(f)
 	f.Fuzz(func(t *testing.T, size uint8, reverse bool, data []byte) {
 		g := fuzzSquare(size, reverse, data)
-		if diff := sameBytes(matrix.RelabelTril(g), relabelChain(g)); diff != "" {
+		one := matrix.RelabelTril(g, 1)
+		if diff := sameBytes(one, relabelChain(g)); diff != "" {
 			t.Fatal(diff)
+		}
+		p := fuzzRanges(size)
+		if diff := sameBytes(matrix.RelabelTrilRanges(g, p), one); diff != "" {
+			t.Fatalf("%d ranges against one worker: %s", p, diff)
 		}
 	})
 }
 
 // FuzzRelabelTriu requires RelabelTriu to match the pattern of the
 // transposed three-step chain byte for byte on the inputs FuzzRelabelTril
-// draws.
+// draws, and a split into several ranges to match the one-worker call.
 func FuzzRelabelTriu(f *testing.F) {
 	addRelabelSeeds(f)
 	f.Fuzz(func(t *testing.T, size uint8, reverse bool, data []byte) {
 		g := fuzzSquare(size, reverse, data)
-		if diff := samePattern(matrix.RelabelTriu(g), matrix.Transpose(relabelChain(g)).Pattern()); diff != "" {
+		one := matrix.RelabelTriu(g, 1)
+		if diff := samePattern(one, matrix.Transpose(relabelChain(g)).Pattern()); diff != "" {
 			t.Fatal(diff)
+		}
+		p := fuzzRanges(size)
+		if diff := samePattern(matrix.RelabelTriuRanges(g, p), one); diff != "" {
+			t.Fatalf("%d ranges against one worker: %s", p, diff)
 		}
 	})
 }

@@ -42,10 +42,9 @@ func costWorkerCount(n, workers int) int {
 // prefix must be the monotone prefix sum of per-row costs with length n+1
 // (prefix[i+1]-prefix[i] is the cost of row i; prefix[0] is an arbitrary
 // base). Rows of zero cost are absorbed into their span for free.
-func costClaimer(n, p int, prefix []int64) func() (int, int, bool) {
+func costClaimer(n, p int, prefix []int64, next *atomic.Int64) func() (int, int, bool) {
 	total := prefix[n] - prefix[0]
 	floor := total/int64(p*costSpanFloorDivisor) + 1
-	var next atomic.Int64
 	return func() (int, int, bool) {
 		for {
 			lo := int(next.Load())
@@ -74,7 +73,8 @@ func costClaimer(n, p int, prefix []int64) func() (int, int, bool) {
 // monotone prefix sum of per-row costs (length n+1), and each claim's span
 // is sized so its summed cost matches a guided target that tapers as work
 // drains. Use when row costs are heavily skewed (power-law graphs) and a
-// cost profile is already available.
+// cost profile is already available. Worker panics are re-raised on the
+// calling goroutine as a WorkerPanic (see ForChunks).
 func ForCostWorkers(n, workers int, prefix []int64, worker func(id int, claim func() (lo, hi int, ok bool))) {
 	if n <= 0 {
 		return
@@ -83,20 +83,25 @@ func ForCostWorkers(n, workers int, prefix []int64, worker func(id int, claim fu
 		panic("parallel: cost prefix must have length n+1")
 	}
 	p := costWorkerCount(n, workers)
-	claim := costClaimer(n, p, prefix)
+	var next atomic.Int64
+	claim := costClaimer(n, p, prefix, &next)
 	if p == 1 {
 		worker(0, claim)
 		return
 	}
 	var wg sync.WaitGroup
+	var pan panicBox
 	wg.Add(p)
 	for w := 0; w < p; w++ {
 		go func(id int) {
 			defer wg.Done()
+			defer pan.capture(&next)
+			maybePanic()
 			worker(id, claim)
 		}(w)
 	}
 	wg.Wait()
+	pan.rethrow()
 }
 
 // ForCostWorkersCtx is ForCostWorkers with cooperative cancellation (the

@@ -93,3 +93,36 @@ func TestWorkerPanicFaultPoint(t *testing.T) {
 		t.Fatalf("goroutines leaked after worker panic: %d > %d", n, base)
 	}
 }
+
+// TestCostWorkerPanicRethrown: the cost-scheduled loops re-raise a worker
+// panic on the caller as a WorkerPanic, like the equal-row loops, both for
+// a panicking body and for the injected fault point.
+func TestCostWorkerPanicRethrown(t *testing.T) {
+	const n = 10_000
+	prefix := make([]int64, n+1)
+	for i := range n {
+		prefix[i+1] = prefix[i] + int64(i%7) + 1
+	}
+	run := func(body func(lo, hi int)) (v any) {
+		defer func() { v = recover() }()
+		ForCostChunks(n, 4, prefix, body)
+		return nil
+	}
+	caught := run(func(lo, hi int) {
+		if lo <= 500 && 500 < hi {
+			panic("boom at 500")
+		}
+	})
+	if wp, ok := caught.(WorkerPanic); !ok || wp.Value != "boom at 500" {
+		t.Fatalf("panicking body: recovered %T %v, want WorkerPanic", caught, caught)
+	}
+
+	r := faultinject.New(1)
+	r.Add(faultinject.Rule{Point: faultinject.PointWorkerPanic, Every: 1, Limit: 1})
+	faultinject.Set(r)
+	defer faultinject.Set(nil)
+	caught = run(func(lo, hi int) {})
+	if wp, ok := caught.(WorkerPanic); !ok || !strings.Contains(wp.String(), faultinject.PointWorkerPanic) {
+		t.Fatalf("fault point: recovered %T %v, want injected WorkerPanic", caught, caught)
+	}
+}

@@ -230,7 +230,7 @@ func TestAppEndpoints(t *testing.T) {
 	}
 	// The response carries flops(L·L) of the relabeled graph, whichever
 	// path counted.
-	if l := matrix.RelabelTril(g); tc.Flops != masked.Flops(l, l) || tc.Flops != want.Flops {
+	if l := matrix.RelabelTril(g, 1); tc.Flops != masked.Flops(l, l) || tc.Flops != want.Flops {
 		t.Fatalf("flops %d, in-process %d, want flops(L·L) = %d", tc.Flops, want.Flops, masked.Flops(l, l))
 	}
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/faultinject"
+	"repro/internal/parallel"
 )
 
 // armKernelPanic installs a registry that panics the first n kernel
@@ -113,6 +114,50 @@ func TestWorkerPanicCrossesParallelBoundary(t *testing.T) {
 	faultinject.Set(nil)
 	if res := s.TryMultiply(ctx, g.Pattern(), g, g); res.Err != nil {
 		t.Fatalf("session unusable after worker panic: %v", res.Err)
+	}
+}
+
+// TestWorkerPanicDuringTriangleCount: a worker panic injected into each
+// parallel pass of an adaptive triangle count in turn (the relabel's two
+// passes, the row-cost sweep, the count) reaches the caller as a
+// parallel.WorkerPanic and leaves the session sound: the next count on the
+// same session is still exact.
+func TestWorkerPanicDuringTriangleCount(t *testing.T) {
+	ctx := context.Background()
+	g := RMAT(12, 16, 9) // large enough that the relabel splits in two
+	s := NewSession(WithThreads(2))
+	want, err := s.TriangleCount(ctx, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := func() (res TCResult, err error, caught any) {
+		defer func() { caught = recover() }()
+		res, err = s.TriangleCount(ctx, g)
+		return res, err, nil
+	}
+	panics := 0
+	for k := 1; ; k++ {
+		r := faultinject.New(1)
+		r.Add(faultinject.Rule{Point: faultinject.PointWorkerPanic, Every: k, Limit: 1})
+		faultinject.Set(r)
+		_, _, caught := count()
+		faultinject.Set(nil)
+		if caught == nil {
+			break // k is past the count's last worker start
+		}
+		if _, ok := caught.(parallel.WorkerPanic); !ok {
+			t.Fatalf("worker start %d: caught %T, want parallel.WorkerPanic", k, caught)
+		}
+		panics++
+		res, err, caught := count()
+		if caught != nil || err != nil || res.Triangles != want.Triangles {
+			t.Fatalf("count after a panic at worker start %d: %d triangles, err %v, panic %v; want %d",
+				k, res.Triangles, err, caught, want.Triangles)
+		}
+	}
+	// Two worker starts in each of the four passes.
+	if panics < 8 {
+		t.Fatalf("only %d worker starts panicked; the count ran fewer parallel passes than expected", panics)
 	}
 }
 

@@ -311,7 +311,9 @@ func (s *Session) Explain(m *Pattern, a, b *Matrix, opts ...Op) *Plan {
 // relabeling (§8.2). On the adaptive path the count comes from one
 // cost-scheduled pass over U = Lᵀ that sums mask hits without building the
 // product or a plan, so the plan cache is left alone; a pinned variant
-// (WithVariant) runs its product on L and sums it.
+// (WithVariant) runs its product on L and sums it. The relabel runs on the
+// call's thread budget (WithThreads) like the product, and its result does
+// not depend on it.
 func (s *Session) TriangleCount(ctx context.Context, g *Matrix, opts ...Op) (TCResult, error) {
 	d := s.def.apply(opts)
 	return apps.TriangleCount(g, s.engine(ctx, d))

@@ -94,7 +94,7 @@ func (s *Session) NewDeltaProduct(m, a, b *DeltaMatrix, opts ...Op) *DeltaProduc
 	return &DeltaProduct{
 		owner: s,
 		d:     d,
-		inner: core.NewDeltaProductSeeded(m, a, b, d.complement, nil),
+		inner: core.NewDeltaProductComplement(m, a, b, d.complement),
 		m:     m, a: a, b: b,
 	}
 }
@@ -145,7 +145,7 @@ func (s *Session) UpdateOperand(ctx context.Context, p *DeltaProduct, op DeltaOp
 // current content: the first call computes the full product through the
 // session's plan cache, later calls recompute only the accumulated dirty
 // frontier (no-op when clean). It is Update with an empty batch — use it
-// to (re)compute after a recovered mid-update panic or after seeding.
+// to (re)compute after a recovered mid-update panic.
 func (s *Session) MultiplyDelta(ctx context.Context, p *DeltaProduct) (*Matrix, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
