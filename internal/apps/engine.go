@@ -82,13 +82,8 @@ func NewSession(opt core.Options) *Session {
 	return &Session{Opt: opt, Cache: planner.NewCache()}
 }
 
-// EngineVariant wraps one of the paper's algorithm variants. With
-// s.Opt.Auto set, the pinned variant is ignored and the call is routed
-// through the adaptive planner instead (see EngineAuto).
+// EngineVariant wraps one of the paper's algorithm variants.
 func (s *Session) EngineVariant(v core.Variant) Engine {
-	if s.Opt.Auto {
-		return s.EngineAuto()
-	}
 	opt := s.Opt
 	return Engine{
 		Name:    v.Name(),

@@ -33,17 +33,6 @@ func TestSessionEnginesSharePlanCache(t *testing.T) {
 	if st := s.Cache.Stats(); st.Misses != 1 || st.Hits != 1 {
 		t.Errorf("plan cache: got %d hits / %d misses, want 1/1 (shared cache)", st.Hits, st.Misses)
 	}
-
-	// AllEngines-style sweeps under Auto share the cache, too.
-	s2 := NewSession(core.Options{Threads: 1, Auto: true})
-	for i, eng := range s2.AllEngines()[:12] { // the 12 variant slots, all Auto here
-		if _, err := eng.Mult(l.Pattern(), l, l, semiring.PlusPairF(), false); err != nil {
-			t.Fatalf("engine %d: %v", i, err)
-		}
-	}
-	if st := s2.Cache.Stats(); st.Misses != 1 || st.Hits != 11 {
-		t.Errorf("12-engine Auto sweep: got %d hits / %d misses, want 11/1", st.Hits, st.Misses)
-	}
 }
 
 // TestSessionEngineContext: a session constructed with a cancelled context

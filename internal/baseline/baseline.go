@@ -63,7 +63,7 @@ func SSDot[T any](m *matrix.Pattern, a, b *matrix.CSR[T], sr semiring.Semiring[T
 		val []T
 	}
 	bufs := make([]rowBuf, nrows)
-	parallel.ForChunksCtx(opt.Ctx, int(nrows), opt.Workers(), opt.Grain, func(lo, hi int) {
+	parallel.ForChunks(opt.Ctx, int(nrows), opt.Workers(), opt.Grain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			ii := Index(i)
 			aLo, aHi := a.RowPtr[ii], a.RowPtr[ii+1]
@@ -165,7 +165,7 @@ func SSSaxpy[T any](m *matrix.Pattern, a, b *matrix.CSR[T], sr semiring.Semiring
 		val []T
 	}
 	bufs := make([]rowBuf, nrows)
-	parallel.ForWorkersCtx(opt.Ctx, int(nrows), opt.Workers(), opt.Grain, func(_ int, claim func() (int, int, bool)) {
+	parallel.ForWorkers(opt.Ctx, int(nrows), opt.Workers(), opt.Grain, func(_ int, claim func() (int, int, bool)) {
 		val := make([]T, b.NCols)
 		occupied := make([]bool, b.NCols)
 		var touched []Index
@@ -252,7 +252,7 @@ func SpGEMM[T any](a, b *matrix.CSR[T], sr semiring.Semiring[T], opt Options) *m
 		val []T
 	}
 	bufs := make([]rowBuf, nrows)
-	parallel.ForWorkersCtx(opt.Ctx, int(nrows), opt.Workers(), opt.Grain, func(_ int, claim func() (int, int, bool)) {
+	parallel.ForWorkers(opt.Ctx, int(nrows), opt.Workers(), opt.Grain, func(_ int, claim func() (int, int, bool)) {
 		val := make([]T, b.NCols)
 		occupied := make([]bool, b.NCols)
 		var touched []Index
@@ -334,7 +334,7 @@ func assembleRows[T any](nrows, ncols Index, counts []int64, row func(Index) ([]
 		out.RowPtr[i] = Index(offs[i])
 	}
 	out.RowPtr[nrows] = Index(total)
-	parallel.ForChunksCtx(opt.Ctx, int(nrows), opt.Workers(), 512, func(lo, hi int) {
+	parallel.ForChunks(opt.Ctx, int(nrows), opt.Workers(), 512, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			cols, vals := row(Index(i))
 			copy(out.Col[offs[i]:], cols)

@@ -117,11 +117,6 @@ type Options struct {
 	// *out*. MCA does not support complemented masks (§8.4) and returns an
 	// error; Heap/HeapDot run with NInspect=0 under complement (§5.5).
 	Complement bool
-	// Auto asks the apps engines (apps.Session.EngineVariant) to route the
-	// call through the adaptive planner instead of a caller-pinned
-	// variant. The fixed-variant entry points in this package
-	// ignore it; see repro/internal/planner.
-	Auto bool
 	// MaskRep pins the mask representation kernels probe membership with
 	// (sorted-CSR, bitmap, or dense-run direct index). The zero value
 	// RepAuto lets the planner choose per row block — or, on the
@@ -480,7 +475,7 @@ func MaskedSpGEMMHashLoad[T any](phase Phase, m *matrix.Pattern, a, b *matrix.CS
 // GFLOPS double this count, matching the SpGEMM convention of 2·flops).
 func Flops[T any](a, b *matrix.CSR[T], threads int) int64 {
 	partial := make([]int64, parallel.Threads(threads))
-	parallel.ForWorkers(int(a.NRows), threads, 256, func(id int, claim func() (int, int, bool)) {
+	parallel.ForWorkers(nil, int(a.NRows), threads, 256, func(id int, claim func() (int, int, bool)) {
 		var sum int64
 		for {
 			lo, hi, ok := claim()

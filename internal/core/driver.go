@@ -181,9 +181,9 @@ func (t *segTimer) wrap(worker func(id int, claim func() (int, int, bool))) func
 func forRows(opt Options, nrows Index, timer *segTimer, worker func(id int, claim func() (lo, hi int, ok bool))) error {
 	worker = timer.wrap(worker)
 	if prefix := schedPrefix(opt, nrows); prefix != nil {
-		return parallel.ForCostWorkersCtx(opt.Ctx, int(nrows), opt.Workers(), prefix, worker)
+		return parallel.ForCostWorkers(opt.Ctx, int(nrows), opt.Workers(), prefix, worker)
 	}
-	return parallel.ForWorkersCtx(opt.Ctx, int(nrows), opt.Workers(), opt.Grain, worker)
+	return parallel.ForWorkers(opt.Ctx, int(nrows), opt.Workers(), opt.Grain, worker)
 }
 
 // runDriver executes the selected phase strategy with one kernel for the
@@ -209,7 +209,7 @@ func runDriverBlocked[T any](phase Phase, nrows, ncols Index, bound func(Index) 
 // fillRowPtr writes the Index row pointers from the scanned int64 offsets.
 func fillRowPtr(opt Options, rowPtr []Index, offs []int64, total int64) {
 	nrows := len(offs)
-	parallel.ForChunks(nrows, opt.Workers(), opt.sweepGrain(), func(lo, hi int) {
+	parallel.ForChunks(nil, nrows, opt.Workers(), opt.sweepGrain(), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			rowPtr[i] = Index(offs[i])
 		}
@@ -290,7 +290,7 @@ func driver1P[T any](nrows, ncols Index, bound func(Index) int64, segs []execSeg
 	ws := opt.Workspaces
 	ob := wsGetI64(ws, int(nrows))
 	offs := ob.s
-	err := parallel.ForChunksCtx(opt.Ctx, int(nrows), opt.Workers(), opt.sweepGrain(), func(lo, hi int) {
+	err := parallel.ForChunks(opt.Ctx, int(nrows), opt.Workers(), opt.sweepGrain(), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			offs[i] = bound(Index(i))
 		}
@@ -354,7 +354,7 @@ func driver1P[T any](nrows, ncols Index, bound func(Index) int64, segs []execSeg
 	}
 	out.Col = make([]Index, total)
 	out.Val = make([]T, total)
-	err = parallel.ForChunksCtx(opt.Ctx, int(nrows), opt.Workers(), opt.sweepGrain(), func(lo, hi int) {
+	err = parallel.ForChunks(opt.Ctx, int(nrows), opt.Workers(), opt.sweepGrain(), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			n := counts[i]
 			copy(out.Col[finalPtr[i]:finalPtr[i]+n], tmpCol[offs[i]:offs[i]+n])

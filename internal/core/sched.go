@@ -137,7 +137,7 @@ func ComputeRowCosts(m, a, b *matrix.Pattern, threads int) *RowCosts {
 		target := base + total*int64(s)/int64(spans)
 		return sort.Search(nrows, func(i int) bool { return weight(i) >= target })
 	}
-	parallel.ForWorkers(spans, min(p, spans), 1, func(id int, claim func() (lo, hi int, ok bool)) {
+	parallel.ForWorkers(nil, spans, min(p, spans), 1, func(id int, claim func() (lo, hi int, ok bool)) {
 		maxRow := int64(0)
 		for {
 			s, _, ok := claim()

@@ -289,7 +289,7 @@ func relabelUpper[T any](a *CSR[T], withVal bool, p int) *CSR[T] {
 	perm := inversePerm(order)
 	bounds := nnzRanges(a, order, p)
 	hist := make([][]Index, p)
-	parallel.ForChunks(p, p, 1, func(lo, hi int) {
+	parallel.ForChunks(nil, p, p, 1, func(lo, hi int) {
 		for t := lo; t < hi; t++ {
 			h := make([]Index, n)
 			for r := bounds[t]; r < bounds[t+1]; r++ {
@@ -321,7 +321,7 @@ func relabelUpper[T any](a *CSR[T], withVal bool, p int) *CSR[T] {
 	if withVal {
 		val = make([]T, len(row))
 	}
-	parallel.ForChunks(p, p, 1, func(lo, hi int) {
+	parallel.ForChunks(nil, p, p, 1, func(lo, hi int) {
 		for t := lo; t < hi; t++ {
 			next := hist[t]
 			sink := nnz + Index(sinkStride*t)

@@ -1,16 +1,12 @@
 package parallel
 
 import (
-	"context"
 	"math/rand"
-	"sort"
-	"sync"
 	"testing"
-	"time"
 )
 
-// buildPrefix turns per-row costs into the prefix array the ForCost* loops
-// consume.
+// buildPrefix turns per-row costs into the prefix array ForCostWorkers
+// consumes.
 func buildPrefix(costs []int64) []int64 {
 	prefix := make([]int64, len(costs)+1)
 	for i, c := range costs {
@@ -35,65 +31,6 @@ func randomCosts(r *rand.Rand, n int) []int64 {
 	return costs
 }
 
-// TestForCostChunksCoverage: spans must tile [0, n) exactly — disjoint,
-// ascending, no row missed — for every worker count and cost profile.
-func TestForCostChunksCoverage(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
-	for _, n := range []int{1, 2, 7, 100, 4096} {
-		for _, workers := range []int{1, 2, 4, 13} {
-			for trial := 0; trial < 3; trial++ {
-				prefix := buildPrefix(randomCosts(r, n))
-				var mu sync.Mutex
-				var spans [][2]int
-				ForCostChunks(n, workers, prefix, func(lo, hi int) {
-					mu.Lock()
-					spans = append(spans, [2]int{lo, hi})
-					mu.Unlock()
-				})
-				sort.Slice(spans, func(i, j int) bool { return spans[i][0] < spans[j][0] })
-				next := 0
-				for _, s := range spans {
-					if s[0] != next || s[1] <= s[0] {
-						t.Fatalf("n=%d workers=%d: spans do not tile: %v", n, workers, spans)
-					}
-					next = s[1]
-				}
-				if next != n {
-					t.Fatalf("n=%d workers=%d: spans cover [0,%d), want [0,%d)", n, workers, next, n)
-				}
-			}
-		}
-	}
-}
-
-// TestForCostWorkersSum: every row runs exactly once (the per-row
-// accumulation matches a sequential sum) even under zero-cost tails.
-func TestForCostWorkersSum(t *testing.T) {
-	n := 1000
-	costs := make([]int64, n)
-	for i := range costs {
-		costs[i] = int64(i % 7) // includes zero-cost rows
-	}
-	prefix := buildPrefix(costs)
-	hits := make([]int32, n)
-	ForCostWorkers(n, 4, prefix, func(_ int, claim func() (int, int, bool)) {
-		for {
-			lo, hi, ok := claim()
-			if !ok {
-				return
-			}
-			for i := lo; i < hi; i++ {
-				hits[i]++
-			}
-		}
-	})
-	for i, h := range hits {
-		if h != 1 {
-			t.Fatalf("row %d ran %d times", i, h)
-		}
-	}
-}
-
 // TestForCostChunksTaper: with one worker the claims are deterministic;
 // the guided taper must hand out a large first span and only O(log) + floor
 // claims overall, and span costs must never grow.
@@ -105,7 +42,7 @@ func TestForCostChunksTaper(t *testing.T) {
 	}
 	prefix := buildPrefix(costs)
 	var spans [][2]int
-	ForCostChunks(n, 1, prefix, func(lo, hi int) { spans = append(spans, [2]int{lo, hi}) })
+	ForCostWorkers(nil, n, 1, prefix, drain(func(lo, hi int) { spans = append(spans, [2]int{lo, hi}) }))
 	if len(spans) == 0 || len(spans) > 64 {
 		t.Fatalf("taper produced %d claims; want a handful", len(spans))
 	}
@@ -123,11 +60,11 @@ func TestForCostChunksTaper(t *testing.T) {
 // TestForCostDegenerate: empty iteration spaces and malformed prefixes.
 func TestForCostDegenerate(t *testing.T) {
 	ran := false
-	ForCostChunks(0, 4, []int64{0}, func(lo, hi int) { ran = true })
+	ForCostWorkers(nil, 0, 4, []int64{0}, drain(func(lo, hi int) { ran = true }))
 	if ran {
 		t.Error("n=0 must not invoke the body")
 	}
-	ForCostChunks(-3, 4, nil, func(lo, hi int) { ran = true })
+	ForCostWorkers(nil, -3, 4, nil, drain(func(lo, hi int) { ran = true }))
 	if ran {
 		t.Error("negative n must not invoke the body")
 	}
@@ -136,53 +73,7 @@ func TestForCostDegenerate(t *testing.T) {
 			t.Error("short prefix must panic")
 		}
 	}()
-	ForCostChunks(5, 2, []int64{0, 1, 2}, func(lo, hi int) {})
-}
-
-// TestForCostWorkersCtx: pre-cancelled contexts return immediately; a
-// cancellation mid-flight stops claims and reports ctx.Err(); nil and
-// never-cancelled contexts add nothing.
-func TestForCostWorkersCtx(t *testing.T) {
-	n := 1 << 14
-	costs := make([]int64, n)
-	for i := range costs {
-		costs[i] = 1
-	}
-	prefix := buildPrefix(costs)
-
-	if err := ForCostChunksCtx(nil, n, 2, prefix, func(lo, hi int) {}); err != nil {
-		t.Fatalf("nil ctx: %v", err)
-	}
-	if err := ForCostChunksCtx(context.Background(), n, 2, prefix, func(lo, hi int) {}); err != nil {
-		t.Fatalf("background ctx: %v", err)
-	}
-
-	pre, cancel := context.WithCancel(context.Background())
-	cancel()
-	ran := false
-	if err := ForCostChunksCtx(pre, n, 2, prefix, func(lo, hi int) { ran = true }); err != context.Canceled {
-		t.Fatalf("pre-cancelled: got %v, want context.Canceled", err)
-	}
-	if ran {
-		t.Error("pre-cancelled context must not run the body")
-	}
-
-	ctx, cancelMid := context.WithCancel(context.Background())
-	var rows int64
-	var mu sync.Mutex
-	err := ForCostChunksCtx(ctx, n, 2, prefix, func(lo, hi int) {
-		mu.Lock()
-		rows += int64(hi - lo)
-		mu.Unlock()
-		cancelMid()
-		time.Sleep(time.Millisecond)
-	})
-	if err != context.Canceled {
-		t.Fatalf("mid-flight cancel: got %v, want context.Canceled", err)
-	}
-	if rows == 0 || rows >= int64(n) {
-		t.Errorf("mid-flight cancel ran %d of %d rows; want a strict prefix of the claims", rows, n)
-	}
+	ForCostWorkers(nil, 5, 2, []int64{0, 1, 2}, drain(func(lo, hi int) {}))
 }
 
 // TestExclusiveScanParallel: the parallel scan must agree with the

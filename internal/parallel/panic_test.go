@@ -27,12 +27,12 @@ func TestWorkerPanicRethrown(t *testing.T) {
 			t.Fatalf("WorkerPanic string misses value or stack:\n%s", wp)
 		}
 	}()
-	ForGrain(10_000, 4, 1, func(i int) {
-		if i == 500 {
+	ForChunks(nil, 10_000, 4, 1, func(lo, hi int) {
+		if lo == 500 {
 			panic("boom at 500")
 		}
 	})
-	t.Fatal("ForGrain returned normally past a panicking body")
+	t.Fatal("ForChunks returned normally past a panicking body")
 }
 
 // TestWorkerPanicPoisonsClaims checks that after one worker panics, the
@@ -47,7 +47,7 @@ func TestWorkerPanicPoisonsClaims(t *testing.T) {
 	panicking := make(chan struct{})
 	func() {
 		defer func() { recover() }()
-		ForWorkers(1_000_000, 4, 1, func(id int, claim func() (int, int, bool)) {
+		ForWorkers(nil, 1_000_000, 4, 1, func(id int, claim func() (int, int, bool)) {
 			if id == 0 {
 				close(panicking)
 				panic("die early")
@@ -67,22 +67,23 @@ func TestWorkerPanicPoisonsClaims(t *testing.T) {
 }
 
 // TestWorkerPanicFaultPoint checks the parallel.worker.panic injection point
-// fires on a worker goroutine and arrives as a WorkerPanic, with no
-// goroutines left behind.
+// fires on a worker goroutine of every loop and arrives as a WorkerPanic,
+// with no goroutines left behind.
 func TestWorkerPanicFaultPoint(t *testing.T) {
 	base := runtime.NumGoroutine()
-	r := faultinject.New(1)
-	r.Add(faultinject.Rule{Point: faultinject.PointWorkerPanic, Every: 1, Limit: 1})
-	faultinject.Set(r)
-	defer faultinject.Set(nil)
-
-	caught := func() (v any) {
-		defer func() { v = recover() }()
-		For(4096, 4, func(i int) {})
-		return nil
-	}()
-	if wp, ok := caught.(WorkerPanic); !ok || !strings.Contains(wp.String(), faultinject.PointWorkerPanic) {
-		t.Fatalf("recovered %T %v, want injected WorkerPanic", caught, caught)
+	for _, loop := range loops {
+		r := faultinject.New(1)
+		r.Add(faultinject.Rule{Point: faultinject.PointWorkerPanic, Every: 1, Limit: 1})
+		faultinject.Set(r)
+		caught := func() (v any) {
+			defer func() { v = recover() }()
+			loop.run(nil, 4096, 4, func(lo, hi int) {})
+			return nil
+		}()
+		faultinject.Set(nil)
+		if wp, ok := caught.(WorkerPanic); !ok || !strings.Contains(wp.String(), faultinject.PointWorkerPanic) {
+			t.Fatalf("%s: recovered %T %v, want injected WorkerPanic", loop.name, caught, caught)
+		}
 	}
 
 	deadline := time.Now().Add(2 * time.Second)
@@ -94,35 +95,20 @@ func TestWorkerPanicFaultPoint(t *testing.T) {
 	}
 }
 
-// TestCostWorkerPanicRethrown: the cost-scheduled loops re-raise a worker
-// panic on the caller as a WorkerPanic, like the equal-row loops, both for
-// a panicking body and for the injected fault point.
-func TestCostWorkerPanicRethrown(t *testing.T) {
-	const n = 10_000
-	prefix := make([]int64, n+1)
-	for i := range n {
-		prefix[i+1] = prefix[i] + int64(i%7) + 1
-	}
-	run := func(body func(lo, hi int)) (v any) {
-		defer func() { v = recover() }()
-		ForCostChunks(n, 4, prefix, body)
-		return nil
-	}
-	caught := run(func(lo, hi int) {
-		if lo <= 500 && 500 < hi {
-			panic("boom at 500")
-		}
-	})
-	if wp, ok := caught.(WorkerPanic); !ok || wp.Value != "boom at 500" {
-		t.Fatalf("panicking body: recovered %T %v, want WorkerPanic", caught, caught)
-	}
-
+// TestExclusiveScanParallelWorkerPanic: the parallel scan's block passes
+// run on the package's workers, so an injected worker panic reaches the
+// caller as a WorkerPanic like any other pass.
+func TestExclusiveScanParallelWorkerPanic(t *testing.T) {
 	r := faultinject.New(1)
 	r.Add(faultinject.Rule{Point: faultinject.PointWorkerPanic, Every: 1, Limit: 1})
 	faultinject.Set(r)
 	defer faultinject.Set(nil)
-	caught = run(func(lo, hi int) {})
+	caught := func() (v any) {
+		defer func() { v = recover() }()
+		ExclusiveScanParallel(make([]int64, 4*minScanBlock), 4)
+		return nil
+	}()
 	if wp, ok := caught.(WorkerPanic); !ok || !strings.Contains(wp.String(), faultinject.PointWorkerPanic) {
-		t.Fatalf("fault point: recovered %T %v, want injected WorkerPanic", caught, caught)
+		t.Fatalf("recovered %T %v, want injected WorkerPanic", caught, caught)
 	}
 }

@@ -424,7 +424,7 @@ func AnalyzeModel(m, a, b *matrix.Pattern, opt core.Options, mdl *Model) *Plan {
 	// total. This is the per-row flops data the sweep previously discarded
 	// after aggregating it into flopsPerBlock.
 	rowCosts := make([]int64, int64(nrows)+1)
-	parallel.ForChunks(nblocks, opt.Workers(), 1, func(blo, bhi int) {
+	parallel.ForChunks(nil, nblocks, opt.Workers(), 1, func(blo, bhi int) {
 		for bi := blo; bi < bhi; bi++ {
 			lo := Index(int64(bi) * blockRows)
 			hi := Index(int64(bi+1) * blockRows)
@@ -565,7 +565,7 @@ func blockRep(st Stats, b Block, mdl *Model) core.MaskRep {
 // per cache miss.
 func sortedRows(p *matrix.Pattern, threads int) bool {
 	var unsorted atomic.Bool
-	parallel.ForChunks(int(p.NRows), threads, 2048, func(lo, hi int) {
+	parallel.ForChunks(nil, int(p.NRows), threads, 2048, func(lo, hi int) {
 		if unsorted.Load() {
 			return
 		}

@@ -1,12 +1,12 @@
 package masked
 
-// The serving layer: batch and streaming entry points that admit several
-// masked multiplies on one Session concurrently. Three mechanisms keep K
-// in-flight requests from destroying each other's efficiency:
+// The serving layer: entry points that admit several masked multiplies on
+// one Session concurrently. Three mechanisms keep K in-flight requests from
+// destroying each other's efficiency:
 //
 //   - admission: at most WithInflight (default: one per budgeted worker)
 //     requests run at once, arbitrated session-wide so overlapping
-//     MultiplyBatch and Serve calls share one thread budget;
+//     MultiplyBatch and TryMultiply calls share one thread budget;
 //   - arbitration: each admitted request gets a worker share proportional
 //     to its planner cost estimate (small queries one goroutine, big
 //     products the spare budget), and budget released by finishing
@@ -32,7 +32,7 @@ import (
 	"repro/internal/parallel"
 )
 
-// BatchReq is one masked multiply of a batch or serving stream:
+// BatchReq is one masked multiply of a batch:
 // C = M .* (A·B) (or the complement form) under the session defaults
 // overridden by Opts.
 type BatchReq struct {
@@ -44,9 +44,7 @@ type BatchReq struct {
 	// WithAccumulate, WithVariant, ...), applied after the call-level and
 	// session-level options.
 	Opts []Op
-	// Tag is an opaque correlation value echoed on the response — the way
-	// to match streaming responses to requests, since Serve does not
-	// preserve order.
+	// Tag is an opaque correlation value echoed on the response.
 	Tag any
 }
 
@@ -156,7 +154,7 @@ func (s *Session) reqCost(d opSpec, o Options, m *Pattern, a, b *Matrix) int64 {
 // by the drivers as everywhere else.
 //
 // queue selects the admission discipline: true waits FIFO for a slot
-// (MultiplyBatch, Serve), false refuses with ErrSaturated when the
+// (MultiplyBatch), false refuses with ErrSaturated when the
 // admission cap is full (TryMultiply, the network front end). Either way a
 // request that coalesces onto an identical in-flight leader consumes no
 // admission slot — a saturated server still answers duplicates of what it
@@ -285,7 +283,7 @@ func (s *Session) TryMultiply(ctx context.Context, m *Pattern, a, b *Matrix, opt
 // cannot change the cap, since it governs the whole call) run
 // concurrently, each on an arbitrated share of the session thread budget;
 // duplicate requests inside the batch — and concurrent with other batch or
-// Serve traffic — are computed once and share the result (Coalesced
+// single-request traffic — are computed once and share the result (Coalesced
 // reports it). Responses are bit-identical to running the requests
 // sequentially one at a time.
 //
@@ -298,7 +296,8 @@ func (s *Session) MultiplyBatch(ctx context.Context, reqs []BatchReq, opts ...Op
 	// Batch-level dedup: group the requests by coalescing key so a hot
 	// query repeated across the batch is computed exactly once, whether or
 	// not its duplicates overlap in time (the in-flight single-flight in
-	// doOne additionally coalesces against concurrent batches and streams).
+	// doOne additionally coalesces against concurrent batches and single
+	// requests).
 	specs := make([]opSpec, len(reqs))
 	groups := make(map[flightKey][]int, len(reqs))
 	order := make([]flightKey, 0, len(reqs))
@@ -337,69 +336,7 @@ func (s *Session) MultiplyBatch(ctx context.Context, reqs []BatchReq, opts ...Op
 	return res
 }
 
-// Serve consumes requests from reqs and emits one response per request on
-// the returned channel, in completion order (use Tag to correlate). A pool
-// of WithInflight workers (0 = one per budgeted worker) serves the stream,
-// each request admitted and arbitrated exactly like MultiplyBatch — the
-// streaming form of the same serving layer, for callers whose requests
-// arrive over time rather than as a slice.
-//
-// The response channel closes after the request channel is closed and
-// every accepted request has been answered, or after ctx is cancelled.
-// Cancellation ends the stream early: requests not yet read from reqs are
-// never consumed, and responses to requests already in flight are
-// delivered best-effort (a worker finding the channel's buffer full once
-// ctx is done stops sending rather than block on a consumer that may be
-// gone) — treat a closed channel after cancellation as the end of the
-// stream and correlate what did arrive by Tag.
-func (s *Session) Serve(ctx context.Context, reqs <-chan BatchReq, opts ...Op) <-chan BatchRes {
-	call := s.def.apply(opts)
-	k := s.inflightCap(call)
-	out := make(chan BatchRes, k)
-	var wg sync.WaitGroup
-	for w := 0; w < k; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case req, ok := <-reqs:
-					if !ok {
-						return
-					}
-					d := call.apply(req.Opts)
-					r := s.protect(func() BatchRes {
-						return s.doOne(ctx, d, req.M, req.A, req.B, true)
-					})
-					r.Tag = req.Tag
-					// Prefer delivering the response even when ctx is already
-					// done (an accepted request owes its caller an answer);
-					// give up only when the buffer is full at that moment —
-					// the consumer may be gone, and blocking would leak the
-					// worker. See the best-effort note in the Serve doc.
-					select {
-					case out <- r:
-					default:
-						select {
-						case out <- r:
-						case <-ctx.Done():
-							return
-						}
-					}
-				}
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(out)
-	}()
-	return out
-}
-
-// inflightCap resolves one batch/serve call's concurrency bound: the
+// inflightCap resolves one batch call's concurrency bound: the
 // call's WithInflight when set, clamped to the arbiter's session-wide
 // admission cap (more local concurrency than the session admits is
 // unreachable anyway).

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -208,62 +209,6 @@ func TestBatchCancelled(t *testing.T) {
 	}
 }
 
-// TestServeMatchesSequential: the streaming form answers every request of
-// the stream with the sequential result, correlated by Tag.
-func TestServeMatchesSequential(t *testing.T) {
-	ctx := context.Background()
-	reqs := mixedBatch()
-	seq := NewSession(WithThreads(2))
-	want := make(map[any]*Matrix, len(reqs))
-	for _, r := range reqs {
-		c, err := seq.Multiply(ctx, r.M, r.A, r.B, r.Opts...)
-		if err != nil {
-			t.Fatalf("sequential %v: %v", r.Tag, err)
-		}
-		want[r.Tag] = c
-	}
-	s := NewSession(WithThreads(4), WithInflight(3))
-	in := make(chan BatchReq)
-	out := s.Serve(ctx, in)
-	go func() {
-		for rep := 0; rep < 3; rep++ { // re-submit the stream: hot traffic
-			for _, r := range reqs {
-				in <- r
-			}
-		}
-		close(in)
-	}()
-	got := 0
-	for r := range out {
-		if r.Err != nil {
-			t.Fatalf("stream response %v: %v", r.Tag, r.Err)
-		}
-		sameCSR(t, fmt.Sprint(r.Tag), r.C, want[r.Tag])
-		got++
-	}
-	if wantN := 3 * len(reqs); got != wantN {
-		t.Fatalf("stream answered %d of %d requests", got, wantN)
-	}
-}
-
-// TestServeCancel: cancelling the context closes the response stream
-// without answering unread requests, and the session stays usable.
-func TestServeCancel(t *testing.T) {
-	lp, l := tcOperands(7, 4, 108)
-	ctx, cancel := context.WithCancel(context.Background())
-	s := NewSession(WithThreads(2))
-	in := make(chan BatchReq) // unbuffered: the feeder blocks after cancel
-	out := s.Serve(ctx, in, WithInflight(2))
-	in <- BatchReq{M: lp, A: l, B: l, Tag: 0}
-	<-out
-	cancel()
-	for range out { // drains whatever raced with the cancel, then closes
-	}
-	if c, err := s.Multiply(context.Background(), lp, l, l); err != nil || c == nil {
-		t.Fatalf("session unusable after cancelled Serve: %v", err)
-	}
-}
-
 // TestCoalescedFollowerRetriesAfterLeaderCancel: a leader cancelled by its
 // own context must not poison healthy followers — a follower that finds a
 // context error on the shared flight retries and computes the product
@@ -299,8 +244,9 @@ func TestCoalescedFollowerRetriesAfterLeaderCancel(t *testing.T) {
 }
 
 // TestServingStress is the -race serving smoke: many goroutines drive mixed
-// workloads — single multiplies, batches with duplicates, streaming serves
-// and an iterative application — through ONE session concurrently, and
+// workloads — single multiplies, batches with duplicates, concurrent
+// admission-or-refuse requests and an iterative application — through ONE
+// session concurrently, and
 // every result must be bit-identical to the sequential reference. Run with
 // -race in CI.
 func TestServingStress(t *testing.T) {
@@ -368,19 +314,24 @@ func TestServingStress(t *testing.T) {
 					sameCSR(t, "stress batch sq", res[1].C, wantSq)
 					sameCSR(t, "stress batch dup", res[2].C, wantSq)
 					sameCSR(t, "stress batch comp", res[3].C, wantComp)
-				case 2: // streaming
-					in := make(chan BatchReq, 4)
+				case 2: // concurrent single requests, refused at the admission cap
+					var tw sync.WaitGroup
 					for j := 0; j < 4; j++ {
-						in <- BatchReq{M: lp1, A: l1, B: l1, Opts: []Op{WithAccumulate(PlusPair())}, Tag: j}
+						tw.Add(1)
+						go func() {
+							defer tw.Done()
+							r := s.TryMultiply(ctx, lp1, l1, l1, WithAccumulate(PlusPair()))
+							if errors.Is(r.Err, ErrSaturated) {
+								return
+							}
+							if r.Err != nil {
+								t.Errorf("try multiply: %v", r.Err)
+								return
+							}
+							sameCSR(t, "stress try multiply", r.C, wantTC1)
+						}()
 					}
-					close(in)
-					for r := range s.Serve(ctx, in, WithInflight(2)) {
-						if r.Err != nil {
-							t.Errorf("serve: %v", r.Err)
-							return
-						}
-						sameCSR(t, "stress serve", r.C, wantTC1)
-					}
+					tw.Wait()
 				case 3: // an application sharing the same session
 					res, err := s.TriangleCount(ctx, l1)
 					if err != nil {
@@ -441,5 +392,85 @@ func TestBatchNamedSemiringsCoalesce(t *testing.T) {
 	}
 	if !strings.Contains(s.Explain(lp, l, l, WithAccumulate(sr1)).Explain(), "ops=inlined") {
 		t.Fatal("Explain output does not render the ops= label")
+	}
+}
+
+// TestTryMultiplySaturation exercises the non-queuing admission path: a
+// full admission cap refuses with ErrSaturated instead of queuing, an
+// identical in-flight request coalesces and succeeds despite saturation,
+// and a freed slot admits again.
+func TestTryMultiplySaturation(t *testing.T) {
+	s := NewSession(WithThreads(2), WithInflight(1))
+	ctx := context.Background()
+	g := ErdosRenyi(64, 8, 3)
+	other := ErdosRenyi(64, 8, 4)
+	// Coalescing keys on operand identity: share one Pattern view, since
+	// every g.Pattern() call builds a distinct header.
+	gp, otherp := g.Pattern(), other.Pattern()
+
+	// A slow custom semiring gates the leader mid-multiply so saturation
+	// is a state we control, not a race we hope to win.
+	gate := make(chan struct{})
+	var once atomic.Bool
+	slow := Semiring{
+		Name: "slow-test",
+		Zero: 0,
+		Add:  func(a, b float64) float64 { return a + b },
+		Mul: func(a, b float64) float64 {
+			if once.CompareAndSwap(false, true) {
+				<-gate
+			}
+			return a * b
+		},
+	}
+
+	leaderDone := make(chan BatchRes, 1)
+	go func() {
+		res := s.MultiplyBatch(ctx, []BatchReq{{M: gp, A: g, B: g,
+			Opts: []Op{WithAccumulate(slow)}}})
+		leaderDone <- res[0]
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for s.Stats().Arbiter.Inflight == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("leader never reached in-flight state")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	// Distinct request against a saturated cap: refused, not queued.
+	if r := s.TryMultiply(ctx, otherp, other, other); !errors.Is(r.Err, ErrSaturated) {
+		t.Fatalf("distinct request under saturation: err %v, want ErrSaturated", r.Err)
+	}
+	if st := s.Stats().Arbiter; st.Rejected == 0 {
+		t.Fatalf("rejection not counted: %+v", st)
+	}
+
+	// Identical request: coalesces onto the leader, no slot needed.
+	followerDone := make(chan BatchRes, 1)
+	go func() {
+		followerDone <- s.TryMultiply(ctx, gp, g, g, WithAccumulate(slow))
+	}()
+	select {
+	case r := <-followerDone:
+		t.Fatalf("follower finished before the leader: %+v", r)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(gate)
+	leader := <-leaderDone
+	follower := <-followerDone
+	if leader.Err != nil || follower.Err != nil {
+		t.Fatalf("leader err %v, follower err %v", leader.Err, follower.Err)
+	}
+	if !follower.Coalesced {
+		t.Fatal("identical request under saturation did not coalesce")
+	}
+	if follower.C != leader.C {
+		t.Fatal("coalesced follower received a different result object")
+	}
+
+	// Cap free again: a fresh distinct request is admitted.
+	if r := s.TryMultiply(ctx, otherp, other, other); r.Err != nil {
+		t.Fatalf("request after release: %v", r.Err)
 	}
 }

@@ -57,8 +57,8 @@
 // # Serving concurrent requests
 //
 // Sessions are multi-tenant serving objects: Session.MultiplyBatch
-// answers a batch of products concurrently (responses in request order)
-// and Session.Serve runs a worker pool over a request channel. At most
+// answers a batch of products concurrently (responses in request order),
+// and concurrent Session.TryMultiply calls share the same admission. At most
 // WithInflight requests run at once; each gets a worker share of the
 // session thread budget proportional to its planner cost estimate (small
 // queries one goroutine, heavy products the spare budget, released budget

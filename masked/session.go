@@ -43,7 +43,7 @@ import (
 // A Session is safe for concurrent use by multiple goroutines and needs no
 // Close: its workspaces are reclaimed by the garbage collector when the
 // session becomes unreachable. Beyond plain concurrent method calls, the
-// serving layer (MultiplyBatch, Serve) admits several multiplies at once
+// serving layer (MultiplyBatch, TryMultiply) admits several multiplies at once
 // and splits the session's thread budget across them: each request's worker
 // share is arbitrated from the planner's cost estimate (WithInflight bounds
 // concurrency, WithPlanCacheCapacity bounds the plan cache), and identical
@@ -63,9 +63,9 @@ type Session struct {
 	def   opSpec
 	ws    *core.Workspaces
 	cache *planner.Cache
-	// arb splits the session thread budget across concurrent batch/serve
+	// arb splits the session thread budget across concurrent serving
 	// requests; one arbiter per session, so overlapping MultiplyBatch and
-	// Serve calls share one budget instead of multiplying it.
+	// TryMultiply calls share one budget instead of multiplying it.
 	arb *parallel.Arbiter
 	// flight coalesces identical in-flight requests (single-flight).
 	flight   map[flightKey]*flightCall
@@ -169,11 +169,11 @@ func WithAccumulate(sr Semiring) Op {
 	return func(d *opSpec) { d.hasSR, d.sr = true, sr }
 }
 
-// WithInflight bounds how many requests MultiplyBatch and Serve run
+// WithInflight bounds how many requests MultiplyBatch and TryMultiply run
 // concurrently. On NewSession it sets the session-wide admission cap (the
 // arbiter refuses to start more multiplies than this at once, whatever mix
-// of batch and streaming calls is active); on a MultiplyBatch or Serve call
-// it additionally bounds that call's own concurrency. 0 (the default)
+// of batch and single calls is active); on a MultiplyBatch call it
+// additionally bounds that call's own concurrency. 0 (the default)
 // admits one request per budgeted worker thread — more in-flight CPU-bound
 // requests than workers cannot raise throughput. Single multiplies ignore
 // it.

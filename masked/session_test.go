@@ -402,3 +402,50 @@ func TestTriangleCountLeavesPlanCache(t *testing.T) {
 		t.Fatalf("hot Multiply after the counts: hits %d → %d, want one hit", after.Hits, hits)
 	}
 }
+
+// TestSessionStats checks the unified snapshot agrees with the three
+// components it reads and that its monotonic counters move under load.
+func TestSessionStats(t *testing.T) {
+	s := NewSession(WithThreads(2))
+	ctx := context.Background()
+	g := ErdosRenyi(128, 6, 5)
+	gp := g.Pattern()
+	if _, err := s.Multiply(ctx, gp, g, g); err != nil {
+		t.Fatal(err)
+	}
+	if r := s.TryMultiply(ctx, gp, g, g); r.Err != nil {
+		t.Fatal(r.Err)
+	}
+	st := s.Stats()
+	if c := s.cache.Stats(); st.Cache != c {
+		t.Fatalf("Stats.Cache %+v != plan cache %+v", st.Cache, c)
+	}
+	if a := s.arb.Stats(); st.Arbiter != a {
+		t.Fatalf("Stats.Arbiter %+v != arbiter %+v", st.Arbiter, a)
+	}
+	if p := s.ws.PoolStatsSnapshot(); st.DriverPool != p {
+		t.Fatalf("Stats.DriverPool %+v != workspace pools %+v", st.DriverPool, p)
+	}
+	if st.Cache.Hits+st.Cache.Misses == 0 {
+		t.Fatal("plan cache counters did not move")
+	}
+	if st.Arbiter.Admitted == 0 {
+		t.Fatal("arbiter admitted counter did not move")
+	}
+	if st.DriverPool.Gets == 0 {
+		t.Fatal("driver pool counters did not move")
+	}
+}
+
+// TestSemiringByName checks the wire-protocol semiring vocabulary.
+func TestSemiringByName(t *testing.T) {
+	for _, name := range []string{"", "arithmetic", "plus-pair", "plus-pair-f64",
+		"min-plus", "plus-second", "plus-first", "max-times"} {
+		if _, err := SemiringByName(name); err != nil {
+			t.Errorf("%q: %v", name, err)
+		}
+	}
+	if _, err := SemiringByName("nope"); err == nil {
+		t.Error("unknown name resolved")
+	}
+}

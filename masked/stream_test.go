@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/faultinject"
 	"repro/internal/matrix"
@@ -327,8 +328,8 @@ func TestStreamPanicRecoveryMidUpdate(t *testing.T) {
 
 // TestStreamConcurrentUpdateMultiplyServe mirrors the PR 9 chaos-test
 // style for the streaming path: one goroutine streams Updates on a
-// DeltaProduct while others run one-shot Multiplies and a Serve stream on
-// the same session, under -race in CI. Afterwards the incremental output
+// DeltaProduct while others run one-shot Multiplies and MultiplyBatch calls
+// on the same session, under -race in CI. Afterwards the incremental output
 // must be bit-identical to a rebuild, every goroutine must exit (leak
 // check), and the arbiter budget must drain fully.
 func TestStreamConcurrentUpdateMultiplyServe(t *testing.T) {
@@ -379,23 +380,20 @@ func TestStreamConcurrentUpdateMultiplyServe(t *testing.T) {
 			}
 		}
 	}()
-	reqs := make(chan BatchReq)
-	resc := s.Serve(ctx, reqs)
+	served := 0
 	wg.Add(1)
-	go func() { // serve stream on the same session
+	go func() { // batched requests on the same session
 		defer wg.Done()
-		defer close(reqs)
 		for i := 0; i < rounds; i++ {
-			reqs <- BatchReq{M: lp2, A: l2, B: l2, Opts: []Op{WithAccumulate(PlusPair())}, Tag: i}
+			for _, res := range s.MultiplyBatch(ctx, []BatchReq{{M: lp2, A: l2, B: l2, Opts: []Op{WithAccumulate(PlusPair())}, Tag: i}}) {
+				if res.Err != nil {
+					errc <- fmt.Errorf("batch response %v: %w", res.Tag, res.Err)
+					return
+				}
+				served++
+			}
 		}
 	}()
-	served := 0
-	for res := range resc {
-		if res.Err != nil {
-			t.Fatalf("serve response %v: %v", res.Tag, res.Err)
-		}
-		served++
-	}
 	wg.Wait()
 	close(errc)
 	for err := range errc {
@@ -422,4 +420,25 @@ func TestStreamConcurrentUpdateMultiplyServe(t *testing.T) {
 		t.Fatalf("unexpected recovered panics: %d", n)
 	}
 	waitGoroutines(t, base, 2)
+}
+
+// waitGoroutines polls until the goroutine count settles back to at most
+// base+slack, failing the test when it does not within the deadline — the
+// leak check of the serving teardown tests.
+func waitGoroutines(t *testing.T, base, slack int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		runtime.GC() // flush pooled finalizer work so counts settle
+		n := runtime.NumGoroutine()
+		if n <= base+slack {
+			return
+		}
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("goroutine leak after concurrent serving: %d live, started with %d\n%s",
+				n, base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }
