@@ -176,7 +176,7 @@ func runBatch(ctx context.Context, mask *matrix.Pattern, a, b *matrix.CSR[float6
 	s := masked.NewSession(masked.WithThreads(threads), masked.WithInflight(inflight))
 	reqs := make([]masked.BatchReq, n)
 	for i := range reqs {
-		reqs[i] = masked.BatchReq{M: mask, A: a, B: b, Opts: ops, Tag: i}
+		reqs[i] = masked.BatchReq{M: mask, A: a, B: b, Opts: ops}
 	}
 	t0 := time.Now()
 	res := s.MultiplyBatch(ctx, reqs)

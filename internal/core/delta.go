@@ -10,15 +10,16 @@ import (
 // Incremental (delta) execution — the operand view the blocked drivers
 // read when operands change under an edge stream. The overlays
 // (matrix.DeltaCSR) never mutate their base; each refresh takes the
-// current operands as plain sorted CSR snapshots (patched from the
-// previous ones), derives the mask-aware dirty-row frontier through a
-// column index of A, extracts the frontier rows of the mask and A into
-// small sub-operands, runs the ordinary masked product on them, and
-// splices the recomputed rows over the previous output. Because every
-// kernel in this repository produces bit-identical rows for identical
-// (mask row, A row, B) inputs, the spliced output is bit-identical to a
-// from-scratch multiply on the compacted operands — the property
-// delta_equiv_test.go asserts.
+// current operands as plain sorted CSR snapshots (the overlays' private
+// snapshots, patched at the touched rows into recycled arrays), derives
+// the mask-aware dirty-row frontier through a column index of A, extracts
+// the frontier rows of the mask and A into small sub-operands (reused
+// buffers), runs the ordinary masked product on them, and splices the
+// recomputed rows over a copy of the previous output. Because every kernel
+// in this repository produces bit-identical rows for identical (mask row,
+// A row, B) inputs, the spliced output is bit-identical to a from-scratch
+// multiply on the compacted operands — the property delta_equiv_test.go
+// asserts.
 
 // DeltaOperand selects which operand of a DeltaProduct an update batch
 // targets.
@@ -50,11 +51,15 @@ type DeltaProduct[T any] struct {
 	complement bool
 	// c is the last full output (nil before the first Refresh).
 	c *matrix.CSR[T]
-	// dirtyAM collects rows of M or A whose content changed since the last
-	// refresh; dirtyB maps each changed row k of B (a column of A) to the
-	// columns J_k its updates named, sorted and duplicate-free.
-	dirtyAM map[Index]struct{}
-	dirtyB  map[Index][]Index
+	// amRows lists the rows of M or A whose content changed since the
+	// last refresh, and amMark flags them. bRows lists the changed rows k
+	// of B (columns of A), and bCols[k] holds the columns J_k their
+	// updates named, sorted and duplicate-free; it is empty for a row not
+	// in bRows, and keeps its storage between refreshes.
+	amRows []Index
+	amMark []bool
+	bRows  []Index
+	bCols  [][]Index
 	// at is the transposed pattern of A (row k lists the rows i with
 	// A(i,k) != 0), built from A's snapshot at the first refresh with B
 	// changes, and atBase is A's base at that build. The inserts into A
@@ -73,6 +78,10 @@ type DeltaProduct[T any] struct {
 	// inFlight is the frontier of the sub-product being computed, nil
 	// outside Refresh and during a full product.
 	inFlight []Index
+	// asub and msub are the frontier sub-operands, rebuilt in place by
+	// every incremental refresh.
+	asub *matrix.CSR[T]
+	msub *matrix.Pattern
 }
 
 // NewDeltaProduct tracks C = M .* (A·B), with an uncomplemented mask, over
@@ -86,11 +95,14 @@ func NewDeltaProduct[T any](m, a, b *matrix.DeltaCSR[T]) *DeltaProduct[T] {
 // when complement is set. complement must match the descriptor every
 // Refresh multiplies with.
 func NewDeltaProductComplement[T any](m, a, b *matrix.DeltaCSR[T], complement bool) *DeltaProduct[T] {
+	mr, _ := m.Dims()
+	ar, _ := a.Dims()
+	br, _ := b.Dims()
 	return &DeltaProduct[T]{
 		m: m, a: a, b: b,
 		complement: complement,
-		dirtyAM:    make(map[Index]struct{}),
-		dirtyB:     make(map[Index][]Index),
+		amMark:     make([]bool, max(mr, ar)),
+		bCols:      make([][]Index, br),
 	}
 }
 
@@ -150,7 +162,10 @@ func (p *DeltaProduct[T]) Apply(op DeltaOperand, batch []matrix.Update[T]) error
 		}
 		if d == p.m || d == p.a {
 			for _, i := range touched {
-				p.dirtyAM[i] = struct{}{}
+				if !p.amMark[i] {
+					p.amMark[i] = true
+					p.amRows = append(p.amRows, i)
+				}
 			}
 		}
 		if d == p.a {
@@ -158,9 +173,12 @@ func (p *DeltaProduct[T]) Apply(op DeltaOperand, batch []matrix.Update[T]) error
 		}
 		if d == p.b {
 			for _, u := range batch {
-				cols := p.dirtyB[u.Row]
+				cols := p.bCols[u.Row]
+				if len(cols) == 0 {
+					p.bRows = append(p.bRows, u.Row)
+				}
 				if k, found := slices.BinarySearch(cols, u.Col); !found {
-					p.dirtyB[u.Row] = slices.Insert(cols, k, u.Col)
+					p.bCols[u.Row] = slices.Insert(cols, k, u.Col)
 				}
 			}
 		}
@@ -183,7 +201,7 @@ func (p *DeltaProduct[T]) Output() *matrix.CSR[T] { return p.c }
 
 // Dirty reports the number of accumulated dirty rows (M/A rows plus B
 // rows) awaiting the next Refresh.
-func (p *DeltaProduct[T]) Dirty() int { return len(p.dirtyAM) + len(p.dirtyB) }
+func (p *DeltaProduct[T]) Dirty() int { return len(p.amRows) + len(p.bRows) }
 
 // indexInserts adds the inserts of a batch just applied to A to their
 // columns' insert lists, so the column index keeps covering A.
@@ -201,8 +219,8 @@ func (p *DeltaProduct[T]) indexInserts(batch []matrix.Update[T]) {
 }
 
 // frontier derives the output rows the pending batches require Refresh to
-// recompute: the changed rows of M and A (dirtyAM), plus every other row i
-// that has some k in A(i,:) with a changed column j in J_k = dirtyB[k]
+// recompute: the changed rows of M and A (amRows), plus every other row i
+// that has some k in A(i,:) with a changed column j in J_k = bCols[k]
 // that the mask admits, where admits means (j ∈ M(i,:)) != complement. No
 // other row can change: an admitted C(i,j) is a sum over k in A(i,:)
 // order whose terms change only with B(k,j). m and a are the current mask
@@ -215,12 +233,12 @@ func (p *DeltaProduct[T]) frontier(m, a *matrix.Pattern) []Index {
 	if p.mark == nil {
 		p.mark = make([]bool, a.NRows)
 	}
-	frontier := make([]Index, 0, len(p.dirtyAM))
-	for i := range p.dirtyAM {
+	frontier := make([]Index, 0, len(p.amRows))
+	for _, i := range p.amRows {
 		p.mark[i] = true
 		frontier = append(frontier, i)
 	}
-	if len(p.dirtyB) > 0 {
+	if len(p.bRows) > 0 {
 		if p.at == nil || p.a.Base() != p.atBase {
 			// First use, or A was compacted (by a batch, by the product or
 			// directly): index the current A afresh.
@@ -233,7 +251,8 @@ func (p *DeltaProduct[T]) frontier(m, a *matrix.Pattern) []Index {
 			}
 			p.atNext, p.atRow = p.atNext[:0], p.atRow[:0]
 		}
-		for k, cols := range p.dirtyB {
+		for _, k := range p.bRows {
+			cols := p.bCols[k]
 			// The mask test rejects most rows, so the check that A(i,k)
 			// was not deleted since it was indexed comes last.
 			visit := func(i Index) {
@@ -273,23 +292,31 @@ func admitsChange(mRow, changed []Index, complement bool) bool {
 // DeltaMult is the multiply callback Refresh recomputes frontier rows
 // with: it computes msub .* (asub · b) where msub and asub hold only the
 // frontier rows (b is the full current B); DeltaProduct.Frontier names
-// them. masked.Session supplies its planner path; the apps layer supplies
-// an Engine.
+// them. On the first refresh the operands are the overlays' fresh Current
+// snapshots, which the callback may keep (a plan cache keys on them). On
+// later refreshes msub, asub and b live in recycled arrays that later
+// refreshes overwrite, so the callback must not keep them or hand them to
+// anything that keys on array identity. masked.Session supplies its
+// planner path; the apps layer supplies an Engine.
 type DeltaMult[T any] func(msub *matrix.Pattern, asub, b *matrix.CSR[T]) (*matrix.CSR[T], error)
 
 // Refresh brings the output up to date with the overlays' current content:
-// the first call computes the full product, later calls recompute only the
-// dirty-row frontier and splice it into the previous output. It returns
-// the full current output and the recomputed rows (every row on the first
-// call, empty when already clean) — the recomputed-row list is what lets
-// iterative consumers bound their own scans. On
+// the first call computes the full product on the overlays' Current
+// snapshots, later calls recompute only the dirty-row frontier and splice
+// it into a fresh copy of the previous output. The later calls read the
+// operands through matrix.RecycledSnapshot and build the sub-operands in
+// reused buffers, so apart from the output they allocate about what the
+// batch and its frontier need, not the graph. It returns the full current
+// output and the recomputed rows (every row on the first call, empty when
+// already clean) — the recomputed-row list is what lets iterative
+// consumers bound their own scans. Neither is ever overwritten later. On
 // error the dirty frontier is retained, so a failed or panicked refresh
 // can be retried.
 func (p *DeltaProduct[T]) Refresh(mult DeltaMult[T]) (*matrix.CSR[T], []Index, error) {
 	defer func() { p.inFlight = nil }()
-	curM := p.m.Current().Pattern()
-	curA, curB := p.a.Current(), p.b.Current()
 	if p.c == nil {
+		curM := p.m.Current().Pattern()
+		curA, curB := p.a.Current(), p.b.Current()
 		c, err := mult(curM, curA, curB)
 		if err != nil {
 			return nil, nil, err
@@ -302,21 +329,24 @@ func (p *DeltaProduct[T]) Refresh(mult DeltaMult[T]) (*matrix.CSR[T], []Index, e
 		}
 		return c, all, nil
 	}
-	if len(p.dirtyAM) == 0 && len(p.dirtyB) == 0 {
+	if p.Dirty() == 0 {
 		return p.c, nil, nil
 	}
+	curM := matrix.RecycledSnapshot(p.m).Pattern()
+	curA, curB := matrix.RecycledSnapshot(p.a), matrix.RecycledSnapshot(p.b)
 	frontier := p.frontier(curM, curA.Pattern())
 	if len(frontier) == 0 {
 		p.resetDirty()
 		return p.c, nil, nil
 	}
-	asub := matrix.ExtractRows(curA, frontier)
-	msub := asub.Pattern()
+	p.asub = matrix.ExtractRows(p.asub, curA, frontier)
+	msub := p.asub.Pattern()
 	if p.m != p.a {
-		msub = matrix.ExtractRowsPattern(curM, frontier)
+		p.msub = matrix.ExtractRowsPattern(p.msub, curM, frontier)
+		msub = p.msub
 	}
 	p.inFlight = frontier
-	csub, err := mult(msub, asub, curB)
+	csub, err := mult(msub, p.asub, curB)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -332,6 +362,12 @@ func (p *DeltaProduct[T]) Refresh(mult DeltaMult[T]) (*matrix.CSR[T], []Index, e
 func (p *DeltaProduct[T]) Frontier() []Index { return p.inFlight }
 
 func (p *DeltaProduct[T]) resetDirty() {
-	clear(p.dirtyAM)
-	clear(p.dirtyB)
+	for _, i := range p.amRows {
+		p.amMark[i] = false
+	}
+	p.amRows = p.amRows[:0]
+	for _, k := range p.bRows {
+		p.bCols[k] = p.bCols[k][:0]
+	}
+	p.bRows = p.bRows[:0]
 }

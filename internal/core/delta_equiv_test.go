@@ -37,17 +37,17 @@ func genDeltaStream(rng *rand.Rand, rounds, per int, mr, mc, ar, ac, br, bc Inde
 }
 
 // dirtyFrontier is the reference frontier rule, derived by a full scan of
-// A: the changed rows of M and A (dirtyAM), plus every other row i that
-// has some k in A(i,:) with a changed column j in J_k = dirtyB[k] that
-// the mask admits, (j ∈ M(i,:)) != complement. m and a are the current
-// mask and A. The product derives the same set through its column index
-// of A; refreshExact holds it to this scan.
-func dirtyFrontier(m, a *matrix.Pattern, complement bool, dirtyAM map[Index]struct{}, dirtyB map[Index][]Index) []Index {
+// A: the changed rows of M and A (amMark), plus every other row i that
+// has some k in A(i,:) with a changed column j in J_k = bCols[k] that the
+// mask admits, (j ∈ M(i,:)) != complement. m and a are the current mask
+// and A. The product derives the same set through its column index of A;
+// refreshExact holds it to this scan.
+func dirtyFrontier(m, a *matrix.Pattern, complement bool, amMark []bool, bCols [][]Index) []Index {
 	var frontier []Index
 	for i := Index(0); i < a.NRows; i++ {
-		_, in := dirtyAM[i]
+		in := amMark[i]
 		for _, k := range a.Row(i) {
-			for _, j := range dirtyB[k] {
+			for _, j := range bCols[k] {
 				if _, inMask := slices.BinarySearch(m.Row(i), j); inMask != complement {
 					in = true
 				}
@@ -74,7 +74,7 @@ func refreshExact(t *testing.T, p *DeltaProduct[float64], mult DeltaMult[float64
 			want = append(want, i)
 		}
 	case p.Dirty() > 0:
-		want = dirtyFrontier(cm, ca, p.complement, p.dirtyAM, p.dirtyB)
+		want = dirtyFrontier(cm, ca, p.complement, p.amMark, p.bCols)
 	}
 	first := p.c == nil
 	var inFlight []Index

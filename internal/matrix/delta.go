@@ -3,7 +3,6 @@ package matrix
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"unsafe"
 )
 
@@ -13,11 +12,14 @@ import (
 // base; readers materialize rows on demand by merging a base row with its
 // log (MergedRow), or the whole matrix at once (Current), so the blocked
 // SpGEMM drivers always see a plain sorted CSR and the kernels stay
-// delta-oblivious. Current patches its previous snapshot: only the rows
+// delta-oblivious. A snapshot patches an earlier one: only the rows
 // touched since then are re-merged, and every other row moves with one
-// bulk copy (SpliceRows). When the pending-log volume crosses a bounded
-// merge threshold, the logs are folded into a fresh base (Compact),
-// keeping merge cost amortized O(1) per applied update.
+// bulk copy (SpliceRows). Current's snapshots are fresh CSRs; the one the
+// incremental refresh reads (RecycledSnapshot) is private and reuses the
+// arrays of the snapshot before last, so a steady stream of refreshes
+// stops allocating the graph. When the pending-log volume crosses a
+// bounded merge threshold, the logs are folded into a fresh base
+// (Compact), keeping merge cost amortized O(1) per applied update.
 
 // Update is one edge mutation applied to a DeltaCSR: set entry (Row, Col)
 // to Val — inserting it if absent, overwriting if present — or remove it
@@ -37,23 +39,70 @@ type rowLog[T any] struct {
 }
 
 // DeltaCSR is a dynamic sparse matrix: a base CSR (never mutated in place)
-// overlaid with per-row insert/delete logs. The zero value is not usable;
-// construct with NewDeltaCSR. DeltaCSR is not safe for concurrent
-// mutation; snapshots returned by Current and Compact are immutable CSRs
-// and may be read concurrently with later mutations.
+// overlaid with per-row insert/delete logs, indexed densely by row. The
+// zero value is not usable; construct with NewDeltaCSR. DeltaCSR is not
+// safe for concurrent mutation; snapshots returned by Current and Compact
+// are fresh, immutable CSRs and may be read concurrently with later
+// mutations. The private snapshot of RecycledSnapshot is not: its arrays
+// are overwritten by later refreshes.
 type DeltaCSR[T any] struct {
 	nrows, ncols Index
 	base         *CSR[T]
-	logs         map[Index]*rowLog[T]
-	pending      int // total log entries (inserts + deletes)
-	nnz          int // entry count of the merged matrix, maintained incrementally
-	gen          uint64
-	threshold    float64
-	// snap is the last merged snapshot (nil: the base is the reference),
-	// and stale lists the rows touched since it was taken — the only rows
-	// whose merged content may differ from it (unsorted, may repeat).
+	// logs[i] holds row i's pending mutations, nil exactly when it has
+	// none; logged counts the non-nil entries.
+	logs      []*rowLog[T]
+	logged    int
+	pending   int // total log entries (inserts + deletes)
+	nnz       int // entry count of the merged matrix, maintained incrementally
+	gen       uint64
+	threshold float64
+	// snap is Current's last snapshot (nil: the base is the reference),
+	// and stale holds the rows touched since it was taken — the only rows
+	// whose merged content may differ from it.
 	snap  *CSR[T]
-	stale []Index
+	stale rowSet
+	// own is RecycledSnapshot's last result (nil before the first), and
+	// ownStale the rows touched since it was taken; spare is the one
+	// before it, whose arrays the next patch overwrites. Current, Compact
+	// and Base never return either.
+	own, spare *CSR[T]
+	ownStale   rowSet
+	// sub stages the re-merged rows of a patch; its arrays are reused.
+	sub CSR[T]
+}
+
+// rowSet is a duplicate-free set of rows: a list in insertion order and a
+// dense membership mark, allocated by the first add.
+type rowSet struct {
+	rows []Index
+	mark []bool
+}
+
+// add inserts rows into s; n is the row count of the matrix.
+func (s *rowSet) add(n Index, rows []Index) {
+	if s.mark == nil {
+		s.mark = make([]bool, n)
+	}
+	for _, i := range rows {
+		if !s.mark[i] {
+			s.mark[i] = true
+			s.rows = append(s.rows, i)
+		}
+	}
+}
+
+// sorted sorts s's rows ascending in place and returns them.
+func (s *rowSet) sorted() []Index {
+	slices.Sort(s.rows)
+	return s.rows
+}
+
+// reset empties s, keeping its storage.
+func (s *rowSet) reset() {
+	for _, i := range s.rows {
+		s.mark[i] = false
+	}
+	s.rows = s.rows[:0]
 }
 
 // DefaultMergeThreshold is the default bound on pending log volume: when
@@ -77,7 +126,7 @@ func NewDeltaCSR[T any](base *CSR[T]) (*DeltaCSR[T], error) {
 		nrows:     base.NRows,
 		ncols:     base.NCols,
 		base:      base,
-		logs:      make(map[Index]*rowLog[T]),
+		logs:      make([]*rowLog[T], base.NRows),
 		nnz:       base.NNZ(),
 		threshold: DefaultMergeThreshold,
 	}, nil
@@ -114,17 +163,11 @@ func (d *DeltaCSR[T]) Gen() uint64 { return d.gen }
 // Callers must not mutate it.
 func (d *DeltaCSR[T]) Base() *CSR[T] { return d.base }
 
-// searchIndex is sort.Search over a sorted Index slice.
-func searchIndex(s []Index, j Index) int {
-	return sort.Search(len(s), func(k int) bool { return s[k] >= j })
-}
-
 // baseHas reports whether base row i stores column j (binary search; base
 // rows are sorted).
 func (d *DeltaCSR[T]) baseHas(i, j Index) bool {
-	cols := d.base.Col[d.base.RowPtr[i]:d.base.RowPtr[i+1]]
-	k := searchIndex(cols, j)
-	return k < len(cols) && cols[k] == j
+	_, ok := slices.BinarySearch(d.base.Col[d.base.RowPtr[i]:d.base.RowPtr[i+1]], j)
+	return ok
 }
 
 // ApplyBatch applies a batch of updates in order. Updates are validated
@@ -156,7 +199,10 @@ func (d *DeltaCSR[T]) ApplyBatch(batch []Update[T]) ([]Index, error) {
 	}
 	slices.Sort(rows)
 	rows = slices.Compact(rows)
-	d.stale = append(d.stale, rows...)
+	d.stale.add(d.nrows, rows)
+	if d.own != nil {
+		d.ownStale.add(d.nrows, rows)
+	}
 	d.gen++
 	if float64(d.pending) > d.threshold*float64(max(d.base.NNZ(), 1)) {
 		d.Compact()
@@ -170,6 +216,7 @@ func (d *DeltaCSR[T]) log(i Index) *rowLog[T] {
 	if l == nil {
 		l = &rowLog[T]{}
 		d.logs[i] = l
+		d.logged++
 	}
 	return l
 }
@@ -177,7 +224,18 @@ func (d *DeltaCSR[T]) log(i Index) *rowLog[T] {
 // dropEmptyLog removes row i's log if it no longer holds entries.
 func (d *DeltaCSR[T]) dropEmptyLog(i Index, l *rowLog[T]) {
 	if len(l.insCol) == 0 && len(l.del) == 0 {
-		delete(d.logs, i)
+		d.logs[i] = nil
+		d.logged--
+	}
+}
+
+// addDelete records the deletion of base entry (i, j) in l unless it is
+// already recorded.
+func (d *DeltaCSR[T]) addDelete(l *rowLog[T], j Index) {
+	if k, found := slices.BinarySearch(l.del, j); !found {
+		l.del = slices.Insert(l.del, k, j)
+		d.pending++
+		d.nnz--
 	}
 }
 
@@ -185,21 +243,16 @@ func (d *DeltaCSR[T]) applyInsert(i, j Index, v T) {
 	l := d.log(i)
 	// Un-delete: a pending delete of (i, j) flips back to presence with
 	// the new value (recorded as an overwrite insert).
-	if k := searchIndex(l.del, j); k < len(l.del) && l.del[k] == j {
-		l.del = append(l.del[:k], l.del[k+1:]...)
+	if k, found := slices.BinarySearch(l.del, j); found {
+		l.del = slices.Delete(l.del, k, k+1)
 		d.pending--
 		d.nnz++
 	}
-	if k := searchIndex(l.insCol, j); k < len(l.insCol) && l.insCol[k] == j {
+	if k, found := slices.BinarySearch(l.insCol, j); found {
 		l.insVal[k] = v // duplicate insert: last writer wins
 	} else {
-		l.insCol = append(l.insCol, 0)
-		copy(l.insCol[k+1:], l.insCol[k:])
-		l.insCol[k] = j
-		var zero T
-		l.insVal = append(l.insVal, zero)
-		copy(l.insVal[k+1:], l.insVal[k:])
-		l.insVal[k] = v
+		l.insCol = slices.Insert(l.insCol, k, j)
+		l.insVal = slices.Insert(l.insVal, k, v)
 		d.pending++
 		if !d.baseHas(i, j) {
 			d.nnz++ // true insert; overwrite of a base entry keeps nnz
@@ -209,37 +262,26 @@ func (d *DeltaCSR[T]) applyInsert(i, j Index, v T) {
 }
 
 func (d *DeltaCSR[T]) applyDelete(i, j Index) {
-	l := d.log(i)
-	if k := searchIndex(l.insCol, j); k < len(l.insCol) && l.insCol[k] == j {
-		l.insCol = append(l.insCol[:k], l.insCol[k+1:]...)
-		l.insVal = append(l.insVal[:k], l.insVal[k+1:]...)
-		d.pending--
-		if !d.baseHas(i, j) {
-			d.nnz-- // the insert was the only source of this entry
-		} else {
-			// The insert was an overwrite; the base entry remains and must
-			// now be deleted below.
-			if k := searchIndex(l.del, j); !(k < len(l.del) && l.del[k] == j) {
-				l.del = append(l.del, 0)
-				copy(l.del[k+1:], l.del[k:])
-				l.del[k] = j
-				d.pending++
-				d.nnz--
+	l := d.logs[i]
+	if l != nil {
+		if k, found := slices.BinarySearch(l.insCol, j); found {
+			l.insCol = slices.Delete(l.insCol, k, k+1)
+			l.insVal = slices.Delete(l.insVal, k, k+1)
+			d.pending--
+			if !d.baseHas(i, j) {
+				d.nnz-- // the insert was the only source of this entry
+			} else {
+				// The insert was an overwrite; the base entry remains and
+				// must now be deleted too.
+				d.addDelete(l, j)
 			}
+			d.dropEmptyLog(i, l)
+			return
 		}
-		d.dropEmptyLog(i, l)
-		return
 	}
 	if d.baseHas(i, j) {
-		if k := searchIndex(l.del, j); !(k < len(l.del) && l.del[k] == j) {
-			l.del = append(l.del, 0)
-			copy(l.del[k+1:], l.del[k:])
-			l.del[k] = j
-			d.pending++
-			d.nnz--
-		}
+		d.addDelete(d.log(i), j)
 	}
-	d.dropEmptyLog(i, l)
 }
 
 // MergedRow appends row i of the merged matrix (base row with its log
@@ -308,65 +350,120 @@ func (d *DeltaCSR[T]) merged() *CSR[T] {
 // mutating the base or consuming the logs. The snapshot is cached per
 // generation: repeated calls between batches return the same CSR, and the
 // base itself is returned when no updates are pending. A new snapshot
-// patches the previous one (or the base): it re-merges only the rows
-// touched since then and splices them in, so its cost is one bulk copy
-// plus O(touched rows) merges. Snapshots are fresh CSRs, never patched in
-// place, so a reader holding an older one is unaffected. Callers must not
-// mutate the result.
+// patches an earlier one (its own previous snapshot, the base, or the
+// refresh's private snapshot, whichever has fewer rows touched since):
+// it re-merges only those rows and splices them in, so its cost is one
+// bulk copy plus O(touched rows) merges. Current's snapshots are fresh
+// CSRs that nothing ever patches in place, so a reader holding an older
+// one is unaffected, and they may be handed to anything that keys on
+// array identity, such as a plan cache. Callers must not mutate the
+// result.
 func (d *DeltaCSR[T]) Current() *CSR[T] {
 	if d.pending == 0 {
-		d.snap, d.stale = nil, d.stale[:0]
+		d.snap = nil
+		d.stale.reset()
 		return d.base
 	}
-	if d.snap != nil && len(d.stale) == 0 {
+	if d.snap != nil && len(d.stale.rows) == 0 {
 		return d.snap
 	}
-	prev := d.snap
-	if prev == nil {
-		prev = d.base
+	src, stale := d.snap, &d.stale
+	if src == nil {
+		src = d.base
 	}
-	slices.Sort(d.stale)
-	rows := slices.Compact(d.stale)
-	// The staging slices start non-nil so MergedRow always appends a copy
-	// rather than returning a view of the base.
-	sub := &CSR[T]{
-		NRows:  Index(len(rows)),
-		NCols:  d.ncols,
-		RowPtr: make([]Index, len(rows)+1),
-		Col:    make([]Index, 0, len(rows)),
-		Val:    make([]T, 0, len(rows)),
+	if d.own != nil && len(d.ownStale.rows) < len(d.stale.rows) {
+		// Reading the private snapshot is safe; only the result must be
+		// fresh storage.
+		src, stale = d.own, &d.ownStale
 	}
-	for r, i := range rows {
-		sub.Col, sub.Val = d.MergedRow(i, sub.Col, sub.Val)
-		sub.RowPtr[r+1] = Index(len(sub.Col))
-	}
-	d.snap = SpliceRows(prev, rows, sub)
-	d.stale = d.stale[:0]
+	d.snap = d.patch(nil, src, stale.sorted())
+	d.stale.reset()
 	return d.snap
+}
+
+// RecycledSnapshot returns d's merged matrix like d.Current, but in
+// storage private to d's one incremental reader: a call that finds rows
+// touched since the previous one re-merges just those rows and splices
+// them, over the previous result, into the arrays of the result before
+// it, so a steady stream of refreshes allocates nothing per call once
+// the arrays have grown to the matrix. It returns the previous result
+// when nothing was touched since, and the base when no updates are
+// pending. A result stays valid until the second later call that
+// patches: callers must not keep it, mutate it, or hand it to anything
+// that keys on array identity (the plan cache). DeltaProduct.Refresh
+// reads its incremental operands through it; everything else takes
+// Current. It is a function, not a method, so that it stays off the
+// masked.DeltaMatrix API.
+func RecycledSnapshot[T any](d *DeltaCSR[T]) *CSR[T] {
+	if d.pending == 0 {
+		return d.base
+	}
+	if d.own != nil && len(d.ownStale.rows) == 0 {
+		return d.own
+	}
+	if d.own == nil {
+		// The first call starts from Current's reference, whose touched
+		// rows stay tracked for Current.
+		src := d.snap
+		if src == nil {
+			src = d.base
+		}
+		d.own = d.patch(nil, src, d.stale.sorted())
+		return d.own
+	}
+	out := d.patch(d.spare, d.own, d.ownStale.sorted())
+	d.ownStale.reset()
+	d.own, d.spare = out, d.own
+	return out
+}
+
+// patch returns the merged matrix built from src, a snapshot whose
+// content differs from the merged matrix only at rows (ascending): those
+// rows are re-merged and spliced over src into dst's arrays (nil: fresh,
+// exactly sized ones).
+func (d *DeltaCSR[T]) patch(dst, src *CSR[T], rows []Index) *CSR[T] {
+	sub := &d.sub
+	sub.NRows, sub.NCols = Index(len(rows)), d.ncols
+	sub.RowPtr = append(sub.RowPtr[:0], 0)
+	// The staging slices are non-nil so MergedRow always appends a copy
+	// rather than returning a view of the base.
+	if sub.Col == nil {
+		sub.Col, sub.Val = make([]Index, 0, len(rows)), make([]T, 0, len(rows))
+	}
+	sub.Col, sub.Val = sub.Col[:0], sub.Val[:0]
+	for _, i := range rows {
+		sub.Col, sub.Val = d.MergedRow(i, sub.Col, sub.Val)
+		sub.RowPtr = append(sub.RowPtr, Index(len(sub.Col)))
+	}
+	return spliceRows(dst, src, rows, sub)
 }
 
 // Compact folds the pending logs into a fresh base CSR and clears them:
 // the new base is the Current snapshot, which costs nothing more when it
 // is already up to date. The matrix content is unchanged (Gen does not
-// advance); only the storage identity of Base/Current moves. Returns the
-// new base.
+// advance); only the storage identity of Base/Current moves. The
+// refresh's private snapshot survives: it still differs from the content
+// only at the rows touched since it was taken. Returns the new base.
 func (d *DeltaCSR[T]) Compact() *CSR[T] {
 	if d.pending == 0 {
 		return d.base
 	}
 	d.base = d.Current()
-	d.logs = make(map[Index]*rowLog[T])
+	clear(d.logs)
+	d.logged = 0
 	d.pending = 0
 	d.snap = nil
 	return d.base
 }
 
-// Validate checks the overlay invariants: a valid sorted base, sorted
-// duplicate-free logs whose deletes all name base entries, consistent
-// pending and nnz accounting, and a valid merged matrix whose patched
-// snapshot (Current) matches an independent full merge bit for bit. It
-// reports the first violation; tests and the fuzzer use it as the
-// corruption oracle.
+// Validate checks the overlay invariants: a valid sorted base, a log index
+// with one slot per row whose non-nil logs are exactly the non-empty ones
+// and match the tracked count, sorted duplicate-free logs whose deletes
+// all name base entries, consistent pending and nnz accounting, and a
+// valid merged matrix whose patched snapshots (Current, and the private
+// one of RecycledSnapshot once taken) match an independent full merge bit
+// for bit. It reports the first violation; tests and the fuzzer use it as
+// the corruption oracle.
 func (d *DeltaCSR[T]) Validate() error {
 	if err := d.base.Validate(); err != nil {
 		return fmt.Errorf("matrix: delta base: %w", err)
@@ -374,11 +471,15 @@ func (d *DeltaCSR[T]) Validate() error {
 	if !d.base.IsSortedRows() {
 		return fmt.Errorf("matrix: delta base rows unsorted")
 	}
-	pending, nnz := 0, d.base.NNZ()
+	if len(d.logs) != int(d.nrows) {
+		return fmt.Errorf("matrix: delta log index has %d rows, want %d", len(d.logs), d.nrows)
+	}
+	pending, nnz, logged := 0, d.base.NNZ(), 0
 	for i, l := range d.logs {
-		if i < 0 || i >= d.nrows {
-			return fmt.Errorf("matrix: delta log for out-of-range row %d", i)
+		if l == nil {
+			continue
 		}
+		logged++
 		if len(l.insCol) == 0 && len(l.del) == 0 {
 			return fmt.Errorf("matrix: delta row %d holds an empty log", i)
 		}
@@ -393,7 +494,7 @@ func (d *DeltaCSR[T]) Validate() error {
 			if k > 0 && l.insCol[k-1] >= j {
 				return fmt.Errorf("matrix: delta row %d insert log unsorted", i)
 			}
-			if !d.baseHas(i, j) {
+			if !d.baseHas(Index(i), j) {
 				nnz++
 			}
 		}
@@ -401,15 +502,18 @@ func (d *DeltaCSR[T]) Validate() error {
 			if k > 0 && l.del[k-1] >= j {
 				return fmt.Errorf("matrix: delta row %d delete log unsorted", i)
 			}
-			if !d.baseHas(i, j) {
+			if !d.baseHas(Index(i), j) {
 				return fmt.Errorf("matrix: delta row %d deletes absent column %d", i, j)
 			}
-			if p := searchIndex(l.insCol, j); p < len(l.insCol) && l.insCol[p] == j {
+			if _, found := slices.BinarySearch(l.insCol, j); found {
 				return fmt.Errorf("matrix: delta row %d column %d both inserted and deleted", i, j)
 			}
 			nnz--
 		}
 		pending += len(l.insCol) + len(l.del)
+	}
+	if logged != d.logged {
+		return fmt.Errorf("matrix: delta logged rows: counted %d, tracked %d", logged, d.logged)
 	}
 	if pending != d.pending {
 		return fmt.Errorf("matrix: delta pending accounting: counted %d, tracked %d", pending, d.pending)
@@ -428,11 +532,20 @@ func (d *DeltaCSR[T]) Validate() error {
 		return fmt.Errorf("matrix: delta merged nnz %d, tracked %d", cur.NNZ(), d.nnz)
 	}
 	full := d.merged()
-	if !slices.Equal(cur.RowPtr, full.RowPtr) || !slices.Equal(cur.Col, full.Col) ||
-		!sameBits(cur.Val, full.Val) {
+	if !sameCSR(cur, full) {
 		return fmt.Errorf("matrix: delta snapshot differs from a full merge")
 	}
+	if d.own != nil && !sameCSR(RecycledSnapshot(d), full) {
+		return fmt.Errorf("matrix: delta private snapshot differs from a full merge")
+	}
 	return nil
+}
+
+// sameCSR reports whether x and y hold the same arrays' contents, values
+// bit for bit.
+func sameCSR[T any](x, y *CSR[T]) bool {
+	return x.NRows == y.NRows && x.NCols == y.NCols && slices.Equal(x.RowPtr, y.RowPtr) &&
+		slices.Equal(x.Col, y.Col) && sameBits(x.Val, y.Val)
 }
 
 // sameBits reports whether x and y hold the same values bit for bit

@@ -9,9 +9,11 @@ import (
 // duplicate edges, deletes of absent edges and out-of-range indices — and
 // asserts the overlay never corrupts the CSR invariants: sorted
 // duplicate-free rows, monotone row pointers, and exact nnz/pending
-// accounting, and a patched Current snapshot equal to a full merge
-// (DeltaCSR.Validate is the oracle). A shadow map replays the accepted
-// updates to cross-check the merged content.
+// accounting, a dense log index whose nil slots are exactly the empty
+// logs, and patched snapshots (Current, and the recycled private one once
+// taken) equal to a full merge (DeltaCSR.Validate is the oracle). A
+// shadow map replays the accepted updates to cross-check the merged
+// content.
 func FuzzDeltaApply(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 0x80, 9, 9, 4})
 	f.Add([]byte{2, 0xff, 0x03, 1, 1, 1, 1, 1, 1, 1, 1, 3})
@@ -64,8 +66,12 @@ func FuzzDeltaApply(f *testing.F) {
 				d.Compact()
 			case 3:
 				d.SetMergeThreshold(float64(next()) / 16)
-			case 4:
-				_ = d.Current()
+			case 4: // a public snapshot, or the refresh's recycled one
+				if next()%2 == 0 {
+					_ = d.Current()
+				} else {
+					_ = RecycledSnapshot(d)
+				}
 			}
 			if err := d.Validate(); err != nil {
 				t.Fatalf("invariants corrupted: %v", err)

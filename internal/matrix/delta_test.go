@@ -227,11 +227,11 @@ func TestExtractAndSpliceRows(t *testing.T) {
 		Val: []float64{1, 2, 3, 4, 5}}
 	a := NewCSRFromCOO(coo, func(x, y float64) float64 { return x + y })
 	rows := []Index{0, 3}
-	sub := ExtractRows(a, rows)
+	sub := ExtractRows(nil, a, rows)
 	if sub.NRows != 2 || sub.NNZ() != 3 {
 		t.Fatalf("extracted %dx nnz=%d, want 2 rows nnz=3", sub.NRows, sub.NNZ())
 	}
-	if p := ExtractRowsPattern(a.Pattern(), rows); p.NNZ() != 3 || p.Validate() != nil {
+	if p := ExtractRowsPattern(nil, a.Pattern(), rows); p.NNZ() != 3 || p.Validate() != nil {
 		t.Fatalf("pattern extraction inconsistent: nnz=%d", p.NNZ())
 	}
 	// Replace the extracted rows with new content and splice back.
@@ -372,6 +372,83 @@ func TestDeltaSnapshotPatching(t *testing.T) {
 		if !Equal(held[k], frozen[k], func(x, y float64) bool { return x == y }) {
 			t.Fatalf("snapshot %d changed after later batches", k)
 		}
+	}
+}
+
+// TestRecycledSnapshot: the private snapshot matches Current's content
+// after every batch and across compactions, stays intact through the next
+// patching call, reuses the arrays of the snapshot before last once both
+// buffers exist, and never shares storage with a Current snapshot or the
+// base.
+func TestRecycledSnapshot(t *testing.T) {
+	const n = 24
+	rng := rand.New(rand.NewSource(5))
+	d := deltaFromCOO(t, n, []Index{0, 5, 9, 17}, []Index{3, 5, 1, 2}, []float64{1, 2, 3, 4})
+	d.SetMergeThreshold(1e9)
+	if RecycledSnapshot(d) != d.Base() {
+		t.Fatal("with no pending logs the private snapshot should be the base")
+	}
+	eq := func(x, y float64) bool { return x == y }
+	var prev, prevFrozen *CSR[float64]
+	var owned [][]Index // the Col arrays of the private snapshots, in order
+	var batch []Update[float64]
+	for step := 0; step < 40; step++ {
+		// Even steps insert three random entries (or overwrite), odd steps
+		// delete them again, so the size stays bounded and the arrays
+		// stop growing.
+		if step%2 == 0 {
+			batch = batch[:0]
+			for range 3 {
+				batch = append(batch, Update[float64]{Row: Index(rng.Intn(n)), Col: Index(rng.Intn(n)), Val: float64(step)})
+			}
+		} else {
+			for k := range batch {
+				batch[k].Delete = true
+			}
+		}
+		if _, err := d.ApplyBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		if step%13 == 12 {
+			d.Compact()
+		}
+		got := RecycledSnapshot(d)
+		if prev != nil && !Equal(prev, prevFrozen, eq) {
+			t.Fatalf("step %d: the previous private snapshot changed before the second later patch", step)
+		}
+		if again := RecycledSnapshot(d); again != got {
+			t.Fatalf("step %d: a second call without a batch patched again", step)
+		}
+		cur := d.Current()
+		if !Equal(got, cur, eq) {
+			t.Fatalf("step %d: private snapshot differs from Current", step)
+		}
+		if err := d.Validate(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		if got == d.Base() {
+			prev = nil
+			continue
+		}
+		if len(got.Col) == 0 {
+			t.Fatalf("step %d: the fixture emptied the matrix", step)
+		}
+		for _, other := range []*CSR[float64]{cur, d.Base()} {
+			if len(other.Col) > 0 && &got.Col[0] == &other.Col[0] {
+				t.Fatalf("step %d: private snapshot shares storage with a public one", step)
+			}
+		}
+		owned = append(owned, got.Col)
+		prev, prevFrozen = got, got.Clone()
+	}
+	reused := 0
+	for k := 2; k < len(owned); k++ {
+		if &owned[k][0] == &owned[k-2][0] {
+			reused++
+		}
+	}
+	if reused < len(owned)/2 {
+		t.Fatalf("only %d of %d private snapshots reused the arrays of the one before last", reused, len(owned)-2)
 	}
 }
 

@@ -309,12 +309,12 @@ func TestPlanRestrict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Execute(q, matrix.ExtractRowsPattern(mask, rows), matrix.ExtractRows(a, rows), b, sr, core.Options{}, nil)
+	got, err := Execute(q, matrix.ExtractRowsPattern(nil, mask, rows), matrix.ExtractRows(nil, a, rows), b, sr, core.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	eqBits := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
-	if !matrix.Equal(got, matrix.ExtractRows(full, rows), eqBits) {
+	if !matrix.Equal(got, matrix.ExtractRows(nil, full, rows), eqBits) {
 		t.Fatal("restricted plan's rows differ from the full product's")
 	}
 	if e := p.Restrict(nil); len(e.Blocks) != 1 || e.Blocks[0].Lo != 0 || e.Blocks[0].Hi != 0 {

@@ -601,7 +601,7 @@ func (sv *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		issued = out
-		batch[i] = masked.BatchReq{M: m, A: a, B: b, Opts: opts, Tag: i}
+		batch[i] = masked.BatchReq{M: m, A: a, B: b, Opts: opts}
 		if d := sv.deadlineFor(f.DeadlineMillis); d > deadline {
 			deadline = d
 		}

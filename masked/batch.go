@@ -44,8 +44,6 @@ type BatchReq struct {
 	// WithAccumulate, WithVariant, ...), applied after the call-level and
 	// session-level options.
 	Opts []Op
-	// Tag is an opaque correlation value echoed on the response.
-	Tag any
 }
 
 // BatchRes is the outcome of one BatchReq.
@@ -59,8 +57,6 @@ type BatchRes struct {
 	// cancellation, or a kernel error. Coalesced requests share the
 	// leader's outcome, error included.
 	Err error
-	// Tag echoes the request's Tag.
-	Tag any
 	// Workers is the arbitrated worker share the computation started with
 	// (it may have grown mid-request as other requests finished). 0 for
 	// requests that failed before admission.
@@ -148,10 +144,10 @@ func (s *Session) reqCost(d opSpec, o Options, m *Pattern, a, b *Matrix) int64 {
 	return int64(m.NNZ() + a.NNZ() + b.NNZ())
 }
 
-// doOne runs one admitted, arbitrated, coalesced multiply. It returns the
-// response sans Tag. ctx cancellation while waiting for admission or for a
-// coalesced leader returns ctx.Err(); cancellation mid-multiply is honored
-// by the drivers as everywhere else.
+// doOne runs one admitted, arbitrated, coalesced multiply. ctx
+// cancellation while waiting for admission or for a coalesced leader
+// returns ctx.Err(); cancellation mid-multiply is honored by the drivers
+// as everywhere else.
 //
 // queue selects the admission discipline: true waits FIFO for a slot
 // (MultiplyBatch), false refuses with ErrSaturated when the
@@ -269,9 +265,8 @@ var ErrSaturated = errors.New("masked: serving admission saturated")
 // response carries ErrSaturated immediately instead of waiting for one —
 // the load-shedding entry point of the network serving layer. A request
 // identical to one already in flight coalesces onto it and succeeds even
-// under saturation (it consumes no admission slot). The response's Tag is
-// never set; the serving metadata (Workers, Coalesced) is filled like a
-// batch member's.
+// under saturation (it consumes no admission slot). The serving metadata
+// (Workers, Coalesced) is filled like a batch member's.
 func (s *Session) TryMultiply(ctx context.Context, m *Pattern, a, b *Matrix, opts ...Op) BatchRes {
 	d := s.def.apply(opts)
 	return s.doOne(ctx, d, m, a, b, false)
@@ -322,11 +317,9 @@ func (s *Session) MultiplyBatch(ctx context.Context, reqs []BatchReq, opts ...Op
 			r := s.protect(func() BatchRes {
 				return s.doOne(ctx, specs[lead], reqs[lead].M, reqs[lead].A, reqs[lead].B, true)
 			})
-			r.Tag = reqs[lead].Tag
 			res[lead] = r
 			for _, i := range members[1:] {
 				rr := r
-				rr.Tag = reqs[i].Tag
 				rr.Coalesced = true
 				res[i] = rr
 			}

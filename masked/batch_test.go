@@ -14,32 +14,34 @@ import (
 )
 
 // mixedBatch builds a batch exercising different operands, mask modes,
-// semirings and a pinned variant.
-func mixedBatch() []BatchReq {
+// semirings and a pinned variant, with a label per request.
+func mixedBatch() ([]BatchReq, []string) {
 	lp1, l1 := tcOperands(7, 4, 101)
 	lp2, l2 := tcOperands(8, 8, 102)
 	g := ErdosRenyi(256, 4, 103)
 	return []BatchReq{
-		{M: lp1, A: l1, B: l1, Opts: []Op{WithAccumulate(PlusPair())}, Tag: "tc-small"},
-		{M: lp2, A: l2, B: l2, Opts: []Op{WithAccumulate(PlusPair())}, Tag: "tc-big"},
-		{M: g.Pattern(), A: g, B: g, Tag: "square"},
-		{M: g.Pattern(), A: g, B: g, Opts: []Op{WithComplement()}, Tag: "complement"},
-		{M: lp1, A: l1, B: l1, Opts: []Op{WithVariant(Variant{Alg: Hash, Phase: TwoPhase}), WithAccumulate(PlusPair())}, Tag: "pinned"},
-		{M: g.Pattern(), A: g, B: g, Opts: []Op{WithAccumulate(MinPlus())}, Tag: "minplus"},
-	}
+			{M: lp1, A: l1, B: l1, Opts: []Op{WithAccumulate(PlusPair())}},
+			{M: lp2, A: l2, B: l2, Opts: []Op{WithAccumulate(PlusPair())}},
+			{M: g.Pattern(), A: g, B: g},
+			{M: g.Pattern(), A: g, B: g, Opts: []Op{WithComplement()}},
+			{M: lp1, A: l1, B: l1, Opts: []Op{WithVariant(Variant{Alg: Hash, Phase: TwoPhase}), WithAccumulate(PlusPair())}},
+			{M: g.Pattern(), A: g, B: g, Opts: []Op{WithAccumulate(MinPlus())}},
+		},
+		[]string{"tc-small", "tc-big", "square", "complement", "pinned", "minplus"}
 }
 
 // TestMultiplyBatchMatchesSequential: the batch path returns, per request
-// and in request order, exactly what sequential Session.Multiply returns.
+// and in request order, exactly what sequential Session.Multiply returns:
+// response i must match the sequential product of request i.
 func TestMultiplyBatchMatchesSequential(t *testing.T) {
 	ctx := context.Background()
-	reqs := mixedBatch()
+	reqs, names := mixedBatch()
 	seq := NewSession(WithThreads(2))
 	want := make([]*Matrix, len(reqs))
 	for i, r := range reqs {
 		c, err := seq.Multiply(ctx, r.M, r.A, r.B, r.Opts...)
 		if err != nil {
-			t.Fatalf("sequential %v: %v", r.Tag, err)
+			t.Fatalf("sequential %s: %v", names[i], err)
 		}
 		want[i] = c
 	}
@@ -50,15 +52,12 @@ func TestMultiplyBatchMatchesSequential(t *testing.T) {
 	}
 	for i, r := range res {
 		if r.Err != nil {
-			t.Fatalf("request %v: %v", reqs[i].Tag, r.Err)
-		}
-		if r.Tag != reqs[i].Tag {
-			t.Fatalf("response %d carries tag %v, want %v (order must be preserved)", i, r.Tag, reqs[i].Tag)
+			t.Fatalf("request %d (%s): %v", i, names[i], r.Err)
 		}
 		if r.Workers < 1 {
-			t.Errorf("request %v ran with %d workers", r.Tag, r.Workers)
+			t.Errorf("request %d (%s) ran with %d workers", i, names[i], r.Workers)
 		}
-		sameCSR(t, fmt.Sprint(reqs[i].Tag), r.C, want[i])
+		sameCSR(t, fmt.Sprintf("response %d (%s; order must be preserved)", i, names[i]), r.C, want[i])
 	}
 	if st := s.Stats().Arbiter; st.Admitted == 0 || st.Inflight != 0 || st.Free != st.Budget {
 		t.Errorf("arbiter did not drain cleanly: %+v", st)
@@ -73,7 +72,6 @@ func TestMultiplyBatchCoalesces(t *testing.T) {
 	reqs := make([]BatchReq, 12)
 	for i := range reqs {
 		reqs[i] = req
-		reqs[i].Tag = i
 	}
 	s := NewSession(WithThreads(4))
 	res := s.MultiplyBatch(context.Background(), reqs, WithInflight(8))
@@ -120,8 +118,8 @@ func TestBatchDistinctOutcomesNotShared(t *testing.T) {
 	g := ErdosRenyi(128, 4, 105)
 	s := NewSession(WithThreads(2))
 	res := s.MultiplyBatch(context.Background(), []BatchReq{
-		{M: g.Pattern(), A: g, B: g, Opts: []Op{WithComplement()}, Tag: "auto"},
-		{M: g.Pattern(), A: g, B: g, Opts: []Op{WithComplement(), WithVariant(Variant{Alg: MCA, Phase: OnePhase})}, Tag: "mca"},
+		{M: g.Pattern(), A: g, B: g, Opts: []Op{WithComplement()}},
+		{M: g.Pattern(), A: g, B: g, Opts: []Op{WithComplement(), WithVariant(Variant{Alg: MCA, Phase: OnePhase})}},
 	})
 	if res[0].Err != nil {
 		t.Fatalf("auto complement failed: %v", res[0].Err)

@@ -72,7 +72,7 @@ func TestPanicSharedWithFollowers(t *testing.T) {
 
 	reqs := make([]BatchReq, 6)
 	for i := range reqs {
-		reqs[i] = BatchReq{M: lp, A: l, B: l, Opts: []Op{WithAccumulate(PlusPair())}, Tag: i}
+		reqs[i] = BatchReq{M: lp, A: l, B: l, Opts: []Op{WithAccumulate(PlusPair())}}
 	}
 	res := s.MultiplyBatch(ctx, reqs, WithInflight(4))
 	for i, r := range res {

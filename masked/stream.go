@@ -225,7 +225,9 @@ func (s *Session) deltaExecute(p *DeltaProduct, o Options, m *Pattern, a, b *Mat
 		return core.MaskedSpGEMM(d.variant, m, a, b, d.semiring(), o)
 	}
 	if p.plan == nil || p.bases != [3]*Matrix{p.m.Base(), p.a.Base(), p.b.Base()} {
-		p.keepPlan(planner.AnalyzeModel(p.m.Current().Pattern(), p.a.Current().Pattern(), b.Pattern(), o, s.cache.Model()))
+		// The re-analysis reads fresh snapshots: b is the refresh's
+		// recycled one, which must not outlive this call.
+		p.keepPlan(planner.AnalyzeModel(p.m.Current().Pattern(), p.a.Current().Pattern(), p.b.Current().Pattern(), o, s.cache.Model()))
 	}
 	return planner.Execute(p.plan.Restrict(p.inner.Frontier()), m, a, b, d.semiring(), o, nil)
 }

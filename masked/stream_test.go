@@ -385,9 +385,9 @@ func TestStreamConcurrentUpdateMultiplyServe(t *testing.T) {
 	go func() { // batched requests on the same session
 		defer wg.Done()
 		for i := 0; i < rounds; i++ {
-			for _, res := range s.MultiplyBatch(ctx, []BatchReq{{M: lp2, A: l2, B: l2, Opts: []Op{WithAccumulate(PlusPair())}, Tag: i}}) {
+			for k, res := range s.MultiplyBatch(ctx, []BatchReq{{M: lp2, A: l2, B: l2, Opts: []Op{WithAccumulate(PlusPair())}}}) {
 				if res.Err != nil {
-					errc <- fmt.Errorf("batch response %v: %w", res.Tag, res.Err)
+					errc <- fmt.Errorf("round %d batch response %d: %w", i, k, res.Err)
 					return
 				}
 				served++
