@@ -110,9 +110,9 @@ func BenchmarkFig08TriangleCount(b *testing.B) {
 // BenchmarkRelabel times building triangle counting's operand from the
 // graph: the three-step chain (degree permutation, permuted copy, lower
 // triangle) against the fused RelabelTril, which yields the same L, and
-// RelabelTriu, which yields the pattern of Lᵀ that the Auto engine's
-// triangle count runs on. The fused forms run at 1 and 2 workers; their
-// output is the same at both.
+// DegreeTril, which yields L's pattern in the graph's own labels, the
+// operand the Auto engine's triangle count runs on. The fused forms run at
+// 1 and 2 workers; their output is the same at both.
 func BenchmarkRelabel(b *testing.B) {
 	loadInputs()
 	b.Run("chain", func(b *testing.B) {
@@ -128,10 +128,10 @@ func BenchmarkRelabel(b *testing.B) {
 				matrix.RelabelTril(rmatG, w)
 			}
 		})
-		b.Run("triu/workers"+itoa(w), func(b *testing.B) {
+		b.Run("oriented/workers"+itoa(w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				matrix.RelabelTriu(rmatG, w)
+				matrix.DegreeTril(rmatG, w)
 			}
 		})
 	}

@@ -50,7 +50,7 @@ type Engine struct {
 	// workers returns the worker count the engine's options allow at the
 	// moment of the call (core.Options.Workers, so an arbiter grant bounds
 	// it), for the steps an application runs beside the engine's products,
-	// such as TriangleCount's relabel. Nil means one worker.
+	// such as building TriangleCount's operand. Nil means one worker.
 	workers func() int
 }
 
@@ -111,10 +111,10 @@ func (s *Session) EngineVariant(v core.Variant) Engine {
 // §8 cost model selects.
 //
 // Its PairCount is core.MaskedPairCount scheduled over the row-cost profile
-// of core.ComputeRowCosts, whose total also yields the flops. It neither
-// plans nor touches the plan cache: its caller (TriangleCount) builds fresh
-// operands on every call, so a cached plan could never hit and would only
-// pin them until evicted.
+// of core.ComputeRowCosts, whose total also yields the flops. Its rows need
+// not be sorted. It neither plans nor touches the plan cache: its caller
+// (TriangleCount) builds a fresh degree-oriented operand on every call, so
+// a cached plan could never hit and would only pin it until evicted.
 func (s *Session) EngineAuto() Engine {
 	opt, cache := s.Opt, s.Cache
 	return Engine{
@@ -174,34 +174,4 @@ func (s *Session) EngineSSSaxpy() Engine {
 			return c, nil
 		},
 	}
-}
-
-// EnginePlainThenMask wraps the unmasked-multiply-then-filter strawman of
-// Figure 1.
-func (s *Session) EnginePlainThenMask() Engine {
-	opt := s.Opt
-	return Engine{
-		Name:    "PlainThenMask",
-		workers: opt.Workers,
-		Mult: func(m *matrix.Pattern, a, b *matrix.CSR[float64], sr semiring.Semiring[float64], complement bool) (*matrix.CSR[float64], error) {
-			o := opt
-			o.Complement = complement
-			c := baseline.PlainThenMask(m, a, b, sr, o)
-			if err := o.Err(); err != nil {
-				return nil, err
-			}
-			return c, nil
-		},
-	}
-}
-
-// AllEngines returns the paper's 14 schemes (§8): the 12 proposed variants
-// plus the two SuiteSparse-style baselines, all sharing the session's
-// options and plan cache.
-func (s *Session) AllEngines() []Engine {
-	var out []Engine
-	for _, v := range core.AllVariants() {
-		out = append(out, s.EngineVariant(v))
-	}
-	return append(out, s.EngineSSDot(), s.EngineSSSaxpy())
 }

@@ -17,11 +17,13 @@ type TCResult struct {
 	// the paper reports for this benchmark (§8.2). On the count path it
 	// covers the whole count call, its row-cost sweep included.
 	MaskedTime time.Duration
-	// TotalTime includes relabeling and the reduction.
+	// TotalTime includes building the operand (the relabel, or the degree
+	// orientation on the count path) and the reduction.
 	TotalTime time.Duration
 	// Flops is flops(L·L), the work metric for GFLOPS plots (Fig. 10). The
-	// count path takes it as flops(U·U) for U = Lᵀ, which is equal: both
-	// are Σ_k nnz(L(k,:))·nnz(L(:,k)).
+	// count path takes it as flops(X·X) for X = matrix.DegreeTril(g), which
+	// is L in g's own labels and so has the same
+	// Σ_k nnz(L(k,:))·nnz(L(:,k)).
 	Flops int64
 }
 
@@ -41,18 +43,20 @@ func (r TCResult) GFLOPS() float64 {
 // only the entries that land strictly below the diagonal after relabeling
 // count.
 //
-// An engine with a PairCount (the Auto engine) counts on U = Lᵀ, built
-// pattern-only by matrix.RelabelTriu, without building the product:
-// sum(U .* (U·U)) = sum((L .* (L·L))ᵀ). Its flops come from the row-cost
-// sweep that schedules the count; it makes no plan and leaves the plan
-// cache alone, because U is rebuilt on every call. Any other engine runs
-// Mult on the plus-pair semiring over L from matrix.RelabelTril, the
-// paper's operand, and sums the product, with the flops counted by
-// core.Flops.
+// An engine with a PairCount (the Auto engine) relabels nothing. It counts
+// on X = matrix.DegreeTril(g), g's pattern with each edge oriented toward
+// its higher-degree end in g's own labels, without building the product.
+// X is Pᵀ·L·P for the relabel's permutation P, so sum(X .* (X·X)) =
+// sum(L .* (L·L)), and the count means the same for a non-symmetric g.
+// Its flops come from the row-cost sweep that schedules the count; it
+// makes no plan and leaves the plan cache alone, because X is rebuilt on
+// every call. Any other engine runs Mult on the plus-pair semiring over L
+// from matrix.RelabelTril, the paper's operand, and sums the product, with
+// the flops counted by core.Flops.
 //
-// The relabel runs on as many workers as the engine's options allow when
-// the call starts (core.Options.Workers, which an arbiter grant bounds),
-// one worker for an engine built without options. Its output, and so the
+// The operand is built on as many workers as the engine's options allow
+// when the call starts (core.Options.Workers, which an arbiter grant
+// bounds), one worker for an engine built without options. It, and so the
 // count, is the same for every worker count. A worker panic is re-raised
 // on the caller as a parallel.WorkerPanic.
 func TriangleCount(g *matrix.CSR[float64], eng Engine) (TCResult, error) {
@@ -64,9 +68,9 @@ func TriangleCount(g *matrix.CSR[float64], eng Engine) (TCResult, error) {
 		w = eng.workers()
 	}
 	if eng.PairCount != nil {
-		u := matrix.RelabelTriu(g, w)
+		x := matrix.DegreeTril(g, w)
 		t0 := time.Now()
-		res.Triangles, res.Flops, err = eng.PairCount(u, u, u)
+		res.Triangles, res.Flops, err = eng.PairCount(x, x, x)
 		res.MaskedTime = time.Since(t0)
 	} else {
 		l := matrix.RelabelTril(g, w)

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/matrix"
 	"repro/internal/parallel"
@@ -116,10 +115,9 @@ func schedPrefix(opt Options, nrows Index) []int64 {
 // but still want cost-balanced scheduling. Returns nil for degenerate
 // operands. The profile is the same for every thread count.
 //
-// Workers claim spans of about equal nnz(A) plus rows, found by binary
-// search on A's row pointers, since the sweep costs a row its entries of A.
-// Equal-row claims would hand one worker nearly all of a degree-relabeled
-// U, whose first rows hold the hubs.
+// Workers claim the spans of matrix.RowSpans over A's row pointers, of
+// about equal nnz(A) plus rows, since the sweep costs a row its entries of
+// A.
 func ComputeRowCosts(m, a, b *matrix.Pattern, threads int) *RowCosts {
 	nrows := int(m.NRows)
 	if nrows == 0 || len(m.RowPtr) == 0 || len(a.RowPtr) == 0 || len(b.RowPtr) == 0 {
@@ -128,15 +126,8 @@ func ComputeRowCosts(m, a, b *matrix.Pattern, threads int) *RowCosts {
 	prefix := make([]int64, nrows+1)
 	p := parallel.Threads(threads)
 	maxPer := make([]int64, p)
-	// Span s is [first(s), first(s+1)). A few spans per worker even out
-	// what the entry count misses; a small product stays on one span.
-	weight := func(i int) int64 { return int64(a.RowPtr[i]) + int64(i) }
-	base, total := weight(0), weight(nrows)-weight(0)
-	spans := int(max(1, min(int64(rowCostSpansPerWorker*p), total/rowCostMinSpan)))
-	first := func(s int) int {
-		target := base + total*int64(s)/int64(spans)
-		return sort.Search(nrows, func(i int) bool { return weight(i) >= target })
-	}
+	bounds := matrix.RowSpans(a.RowPtr[:nrows+1], threads)
+	spans := len(bounds) - 1
 	parallel.ForWorkers(nil, spans, min(p, spans), 1, func(id int, claim func() (lo, hi int, ok bool)) {
 		maxRow := int64(0)
 		for {
@@ -144,7 +135,7 @@ func ComputeRowCosts(m, a, b *matrix.Pattern, threads int) *RowCosts {
 			if !ok {
 				break
 			}
-			for i, end := first(s), first(s+1); i < end; i++ {
+			for i, end := bounds[s], bounds[s+1]; i < end; i++ {
 				var fl int64
 				for _, k := range a.Col[a.RowPtr[i]:a.RowPtr[i+1]] {
 					fl += int64(b.RowPtr[k+1] - b.RowPtr[k])
@@ -160,10 +151,3 @@ func ComputeRowCosts(m, a, b *matrix.Pattern, threads int) *RowCosts {
 	parallel.ExclusiveScanParallel(prefix, threads)
 	return NewRowCosts(prefix, slices.Max(maxPer))
 }
-
-// ComputeRowCosts' sweep has up to rowCostSpansPerWorker spans per worker,
-// each of at least rowCostMinSpan entries of A plus rows.
-const (
-	rowCostSpansPerWorker = 4
-	rowCostMinSpan        = 4096
-)

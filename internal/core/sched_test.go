@@ -44,16 +44,16 @@ func TestComputeRowCosts(t *testing.T) {
 }
 
 // TestComputeRowCostsSameAcrossThreads: the nnz-balanced spans change who
-// sweeps which rows, never the profile. On a degree-relabeled U, whose first
-// rows hold most entries, and on a uniform graph, Prefix and MaxRow must
-// match the one-thread sweep at 2 and 3 threads.
+// sweeps which rows, never the profile. On a degree-oriented R-MAT graph,
+// whose rows are skewed and out of degree order, and on a uniform graph,
+// Prefix and MaxRow must match the one-thread sweep at 2 and 3 threads.
 func TestComputeRowCostsSameAcrossThreads(t *testing.T) {
-	u := matrix.RelabelTriu(grgen.RMAT(12, 16, 3), 1)
+	x := matrix.DegreeTril(grgen.RMAT(12, 16, 3), 1)
 	er := grgen.ErdosRenyi(3000, 12, 4).Pattern()
 	for _, tc := range []struct {
 		name string
 		g    *matrix.Pattern
-	}{{"rmat-triu", u}, {"er", er}} {
+	}{{"rmat-oriented", x}, {"er", er}} {
 		want := ComputeRowCosts(tc.g, tc.g, tc.g, 1)
 		for _, threads := range []int{2, 3} {
 			got := ComputeRowCosts(tc.g, tc.g, tc.g, threads)

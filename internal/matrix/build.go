@@ -1,6 +1,10 @@
 package matrix
 
-import "repro/internal/parallel"
+import (
+	"sort"
+
+	"repro/internal/parallel"
+)
 
 // Builders and format conversions: COO→CSR with duplicate folding, CSR↔CSC,
 // transpose, and construction from dense row data (for tests).
@@ -237,27 +241,119 @@ func inversePerm(order []Index) []Index {
 // triangle counting (§8.2), identical in RowPtr, Col and Val, without
 // building the permuted copy or sorting any row. a must be square with
 // duplicate-free rows; its rows need not be sorted, and it need not be
-// symmetric. It is the counting-sort Transpose of the valued Lᵀ that
-// relabelUpper builds on up to workers goroutines (0 means GOMAXPROCS);
-// the result is the same for every worker count.
+// symmetric. It is the counting-sort Transpose of the Lᵀ that relabelUpper
+// builds on up to workers goroutines (0 means GOMAXPROCS); the result is
+// the same for every worker count. The pinned variants and the baselines
+// count triangles on it; the Auto engine counts on DegreeTril instead.
 func RelabelTril[T any](a *CSR[T], workers int) *CSR[T] {
-	return Transpose(relabelUpper(a, true, relabelRanges(a.NNZ(), workers)))
+	return Transpose(relabelUpper(a, relabelRanges(a.NNZ(), workers)))
 }
 
-// RelabelTriu returns the pattern of U = Lᵀ for the L of RelabelTril: the
-// strictly upper triangle of the relabeled graph, with sorted rows and no
-// values. Triangle counting can run on U instead of L, because
-// sum(U .* (U·U)) = sum((L .* (L·L))ᵀ) and flops(U·U) = flops(L·L); U skips
-// RelabelTril's final Transpose and its value array. U's rows are long for
-// high-degree vertices, where L's stay short, so the paper's kernels run
-// slower on U than on L; only a count that never builds the product gains.
-// a has the same requirements as for RelabelTril.
+// DegreeTril returns the pattern of a with each edge oriented toward its
+// higher-degree end, in a's own labels: row i keeps the j of a(i,:) that
+// DegreeDescPerm(a) numbers before i, that is those with rank(j) > rank(i)
+// for rank(v) = deg(v)·2³² − v, deg being the row nnz. Rows keep a's
+// column order, and self-loops are dropped; a must be square. With P the
+// permutation of DegreeDescPerm and L = RelabelTril(a), the result X is
+// Pᵀ·L·P entry for entry: row i, mapped through the permutation, is row
+// perm[i] of L. So sum(X .* (X·X)) and flops(X·X) equal those of L for
+// every square a with duplicate-free rows, symmetric or not, with no
+// vertex renumbered and nothing transposed. The ids are not degree-sorted,
+// which costs a count on X some locality against L.
 //
-// The transpose runs on up to workers goroutines (0 means GOMAXPROCS), one
-// per range of about relabelMinRangeNNZ entries or more, and its output is
-// byte-identical for every worker count.
-func RelabelTriu[T any](a *CSR[T], workers int) *Pattern {
-	return relabelUpper(a, false, relabelRanges(a.NNZ(), workers)).Pattern()
+// One branch-free pass over the RowSpans of a, on up to workers
+// goroutines (0 means GOMAXPROCS), compacts each span's kept columns in
+// place of its own entries; a serial move then closes the gaps between
+// spans. The output is byte-identical for every worker count, and its Col
+// is a prefix of an array of nnz(a) slots. A worker panic is re-raised on
+// the caller as a parallel.WorkerPanic.
+func DegreeTril[T any](a *CSR[T], workers int) *Pattern {
+	return degreeTril(a, RowSpans(a.RowPtr, workers), workers)
+}
+
+// degreeTril builds DegreeTril's pattern over the row spans of bounds (see
+// RowSpans) on up to workers goroutines.
+func degreeTril[T any](a *CSR[T], bounds []Index, workers int) *Pattern {
+	n := a.NRows
+	rp := a.RowPtr
+	spans := len(bounds) - 1
+	p := min(parallel.Threads(workers), spans)
+	// DegreeDescPerm numbers u before v exactly when rank[u] > rank[v]. One
+	// read of rank per entry is cheaper than two row-pointer reads and the
+	// arithmetic.
+	rank := make([]int64, n)
+	for v := range n {
+		rank[v] = int64(rp[v+1]-rp[v])<<32 - int64(v)
+	}
+	// Each span compacts its rows' kept columns into the slots of its own
+	// entries of a: every column is written and kept by advancing dst, so a
+	// write never passes the entry being read and never leaves the span.
+	ptr := make([]Index, n+1)
+	col := make([]Index, len(a.Col))
+	kept := make([]Index, spans)
+	parallel.ForChunks(nil, spans, p, 1, func(lo, hi int) {
+		for s := lo; s < hi; s++ {
+			first := rp[bounds[s]]
+			dst := first
+			for i := bounds[s]; i < bounds[s+1]; i++ {
+				ri := rank[i]
+				start := dst
+				for _, j := range a.Col[rp[i]:rp[i+1]] {
+					col[dst] = j
+					dst += b2i(rank[j] > ri) // branch-free: close to a coin flip
+				}
+				ptr[i+1] = dst - start
+			}
+			kept[s] = dst - first
+		}
+	})
+	for i := range n {
+		ptr[i+1] += ptr[i]
+	}
+	// The spans move down in order; a span never lands above its own
+	// slots, so copy's overlapping move keeps every later span intact.
+	for s := 1; s < spans; s++ {
+		from := rp[bounds[s]]
+		copy(col[ptr[bounds[s]]:], col[from:from+kept[s]])
+	}
+	nnz := ptr[n]
+	return &Pattern{NRows: n, NCols: n, RowPtr: ptr, Col: col[:nnz:nnz]}
+}
+
+// RowSpans splits the rows of a matrix with row pointers rowPtr into
+// contiguous spans of about equal weight for a row-parallel sweep on up to
+// workers goroutines (0 means GOMAXPROCS), a row weighing its entries plus
+// one. Span s is rows [bounds[s], bounds[s+1]). There are up to
+// rowSpansPerWorker spans per worker, each weighing at least
+// rowSpanMinWeight, and at least one. Equal-row spans would hand one
+// worker most of a matrix whose entries crowd into a few rows, such as a
+// skewed graph's hubs.
+func RowSpans(rowPtr []Index, workers int) []Index {
+	n := len(rowPtr) - 1
+	total := int64(rowPtr[n]-rowPtr[0]) + int64(n)
+	return rowSpans(rowPtr, int(max(1, min(int64(rowSpansPerWorker*parallel.Threads(workers)), total/rowSpanMinWeight))))
+}
+
+// A few spans per worker even out what the entry count misses, and a small
+// matrix stays on one span, on the caller.
+const (
+	rowSpansPerWorker = 4
+	rowSpanMinWeight  = 1 << 12
+)
+
+// rowSpans splits the rows of a matrix with row pointers rowPtr into
+// spans contiguous spans of about equal weight, a row weighing its entries
+// plus one. Spans are empty where there are more of them than rows.
+func rowSpans(rowPtr []Index, spans int) []Index {
+	n := len(rowPtr) - 1
+	weight := func(i int) int64 { return int64(rowPtr[i]) + int64(i) }
+	total := weight(n) - weight(0)
+	bounds := make([]Index, spans+1)
+	for s := 1; s <= spans; s++ {
+		target := weight(0) + total*int64(s)/int64(spans)
+		bounds[s] = Index(sort.Search(n, func(i int) bool { return weight(i) >= target }))
+	}
+	return bounds
 }
 
 // relabelMinRangeNNZ is the fewest entries of a that a relabel range
@@ -280,10 +376,9 @@ func relabelRanges(nnz, workers int) int {
 // each range's first slot in every column. Pass 2 scatters each range from
 // those slots. The ranges follow each other in ascending r, and each walks
 // its rows in ascending r, so every row of Lᵀ comes out sorted and the
-// output is byte-identical for any p. It copies a's values only when
-// withVal is set; Val is nil otherwise. A worker panic is re-raised on the
-// caller as a parallel.WorkerPanic.
-func relabelUpper[T any](a *CSR[T], withVal bool, p int) *CSR[T] {
+// output is byte-identical for any p. It carries a's values. A worker
+// panic is re-raised on the caller as a parallel.WorkerPanic.
+func relabelUpper[T any](a *CSR[T], p int) *CSR[T] {
 	n := a.NRows
 	order := degreeDescOrder(a)
 	perm := inversePerm(order)
@@ -317,10 +412,7 @@ func relabelUpper[T any](a *CSR[T], withVal bool, p int) *CSR[T] {
 	const sinkStride = 16
 	nnz := ptr[n]
 	row := make([]Index, int(nnz)+sinkStride*p)
-	var val []T
-	if withVal {
-		val = make([]T, len(row))
-	}
+	val := make([]T, len(row))
 	parallel.ForChunks(nil, p, p, 1, func(lo, hi int) {
 		for t := lo; t < hi; t++ {
 			next := hist[t]
@@ -333,19 +425,13 @@ func relabelUpper[T any](a *CSR[T], withVal bool, p int) *CSR[T] {
 					lt := b2i(c < r)
 					dst := sink ^ ((next[c] ^ sink) & -lt) // next[c] if c < r, else sink
 					row[dst] = r
-					if withVal {
-						val[dst] = a.Val[int(first)+k]
-					}
+					val[dst] = a.Val[int(first)+k]
 					next[c] += lt
 				}
 			}
 		}
 	})
-	row = row[:nnz:nnz]
-	if withVal {
-		val = val[:nnz:nnz]
-	}
-	return &CSR[T]{NRows: n, NCols: n, RowPtr: ptr, Col: row, Val: val}
+	return &CSR[T]{NRows: n, NCols: n, RowPtr: ptr, Col: row[:nnz:nnz], Val: val[:nnz:nnz]}
 }
 
 // nnzRanges splits the new labels [0, n) into p contiguous ranges of about

@@ -1,6 +1,7 @@
 package matrix_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -65,7 +66,14 @@ func fromEdges(n Index, edges [][2]Index) *matrix.CSR[float64] {
 	return matrix.NewCSRFromCOO(c, nil)
 }
 
-func TestRelabelTrilMatchesChain(t *testing.T) {
+// relabelCase is one graph of the relabel tests' corpus.
+type relabelCase struct {
+	name string
+	g    *matrix.CSR[float64]
+}
+
+// relabelCorpus is the graphs the relabel and orientation tests run on.
+func relabelCorpus() []relabelCase {
 	// A symmetric pattern whose values are not: entry (i,j) holds i·n+j.
 	asym := grgen.RMAT(7, 8, 4)
 	for i := Index(0); i < asym.NRows; i++ {
@@ -84,10 +92,26 @@ func TestRelabelTrilMatchesChain(t *testing.T) {
 		u, v := Index(order[k]), Index(order[(k+1)%len(order)])
 		cycle = append(cycle, [2]Index{u, v}, [2]Index{v, u})
 	}
-	cases := []struct {
-		name string
-		g    *matrix.CSR[float64]
-	}{
+	// Unsorted rows: an R-MAT graph with every row reversed.
+	unsorted := grgen.RMAT(9, 8, 8)
+	for i := Index(0); i < unsorted.NRows; i++ {
+		lo, hi := unsorted.RowPtr[i], unsorted.RowPtr[i+1]
+		slices.Reverse(unsorted.Col[lo:hi])
+		slices.Reverse(unsorted.Val[lo:hi])
+	}
+	// Self-loops on every vertex, between the other entries of its row.
+	var loops [][2]Index
+	withLoops := grgen.RMAT(8, 8, 9)
+	for i := Index(0); i < withLoops.NRows; i++ {
+		cols, _ := withLoops.Row(i)
+		for k, j := range cols {
+			if k == len(cols)/2 {
+				loops = append(loops, [2]Index{i, i})
+			}
+			loops = append(loops, [2]Index{i, j})
+		}
+	}
+	return []relabelCase{
 		{"rmat-seed1", grgen.RMAT(10, 16, 1)},
 		{"rmat-seed2", grgen.RMAT(10, 16, 2)},
 		{"rmat-seed3", grgen.RMAT(10, 16, 3)},
@@ -101,13 +125,17 @@ func TestRelabelTrilMatchesChain(t *testing.T) {
 		{"single-1x1-loop", fromEdges(1, [][2]Index{{0, 0}})},
 		{"isolated-vertices", isolated},
 		{"equal-degrees", fromEdges(50, cycle)},
+		{"unsorted-rows", unsorted},
+		{"self-loops", fromEdges(withLoops.NRows, loops)},
 		// Large enough that the exported calls split it on their own.
 		{"rmat-scale12", grgen.RMAT(12, 16, 6)},
 	}
-	for _, tc := range cases {
+}
+
+func TestRelabelTrilMatchesChain(t *testing.T) {
+	for _, tc := range relabelCorpus() {
 		t.Run(tc.name, func(t *testing.T) {
 			want := relabelChain(tc.g)
-			wantU := matrix.Transpose(want).Pattern()
 			for _, w := range relabelWorkers {
 				got := matrix.RelabelTril(tc.g, w)
 				if err := got.Validate(); err != nil {
@@ -116,15 +144,71 @@ func TestRelabelTrilMatchesChain(t *testing.T) {
 				if diff := sameBytes(got, want); diff != "" {
 					t.Fatalf("%d workers: %s", w, diff)
 				}
-				if diff := samePattern(matrix.RelabelTriu(tc.g, w), wantU); diff != "" {
-					t.Fatalf("%d workers: RelabelTriu: %s", w, diff)
-				}
 				// The same number of ranges, however small the graph.
 				if diff := sameBytes(matrix.RelabelTrilRanges(tc.g, w), want); diff != "" {
 					t.Fatalf("%d ranges: %s", w, diff)
 				}
-				if diff := samePattern(matrix.RelabelTriuRanges(tc.g, w), wantU); diff != "" {
-					t.Fatalf("%d ranges: RelabelTriu: %s", w, diff)
+			}
+		})
+	}
+}
+
+// orientedDiff reports how x departs from the degree orientation of g, or
+// "" if it does not: row i of x must be the entries of row i of g, in g's
+// order, that DegreeDescPerm maps into row perm[i] of L =
+// Tril(Permute(g, perm)), and all of them.
+func orientedDiff(x *matrix.Pattern, g *matrix.CSR[float64]) string {
+	if x.NRows != g.NRows || x.NCols != g.NCols {
+		return "shape differs"
+	}
+	if err := x.Validate(); err != nil {
+		return err.Error()
+	}
+	perm := matrix.DegreeDescPerm(g)
+	l := relabelChain(g)
+	for i := Index(0); i < g.NRows; i++ {
+		row := x.Row(i)
+		// A subsequence of g's row i: a's column order is kept.
+		gRow, _ := g.Row(i)
+		k := 0
+		for _, j := range gRow {
+			if k < len(row) && row[k] == j {
+				k++
+			}
+		}
+		if k != len(row) {
+			return fmt.Sprintf("row %d is not in g's column order", i)
+		}
+		mapped := make([]Index, len(row))
+		for k, j := range row {
+			mapped[k] = perm[j]
+		}
+		slices.Sort(mapped)
+		lRow, _ := l.Row(perm[i])
+		if !slices.Equal(mapped, lRow) {
+			return fmt.Sprintf("row %d maps to %v, want row %d of L %v", i, mapped, perm[i], lRow)
+		}
+	}
+	return ""
+}
+
+// TestDegreeTrilMatchesRelabel: on the relabel corpus DegreeTril is L in
+// the graph's own labels (see orientedDiff), byte-identical at every
+// worker count and every number of spans.
+func TestDegreeTrilMatchesRelabel(t *testing.T) {
+	for _, tc := range relabelCorpus() {
+		t.Run(tc.name, func(t *testing.T) {
+			one := matrix.DegreeTril(tc.g, 1)
+			if diff := orientedDiff(one, tc.g); diff != "" {
+				t.Fatal(diff)
+			}
+			for _, w := range relabelWorkers {
+				if diff := samePattern(matrix.DegreeTril(tc.g, w), one); diff != "" {
+					t.Fatalf("%d workers against one: %s", w, diff)
+				}
+				// The same number of spans, however small the graph.
+				if diff := samePattern(matrix.DegreeTrilSpans(tc.g, w), one); diff != "" {
+					t.Fatalf("%d spans against one worker: %s", w, diff)
 				}
 			}
 		})
@@ -231,11 +315,12 @@ func fuzzSquare(size uint8, reverse bool, data []byte) *matrix.CSR[float64] {
 	return g
 }
 
-// fuzzRanges is the range count a relabel fuzzer checks against the
-// one-worker call: 2 to 9, so that it can exceed the rows.
+// fuzzRanges is the range or span count a relabel fuzzer checks against
+// the one-worker call: 2 to 9, so that it can exceed the rows.
 func fuzzRanges(size uint8) int { return 2 + int(size)%8 }
 
-// addRelabelSeeds gives both relabel fuzzers the same seed corpus.
+// addRelabelSeeds gives FuzzRelabelTril and FuzzDegreeTril the same seed
+// corpus.
 func addRelabelSeeds(f *testing.F) {
 	f.Add(uint8(5), false, []byte{0, 1, 1, 0, 2, 3, 3, 2, 4, 4})
 	f.Add(uint8(1), true, []byte{0, 0})
@@ -261,20 +346,20 @@ func FuzzRelabelTril(f *testing.F) {
 	})
 }
 
-// FuzzRelabelTriu requires RelabelTriu to match the pattern of the
-// transposed three-step chain byte for byte on the inputs FuzzRelabelTril
-// draws, and a split into several ranges to match the one-worker call.
-func FuzzRelabelTriu(f *testing.F) {
+// FuzzDegreeTril requires DegreeTril to be L in the graph's own labels
+// (see orientedDiff) on the inputs FuzzRelabelTril draws, and a split into
+// several spans to match the one-worker call byte for byte.
+func FuzzDegreeTril(f *testing.F) {
 	addRelabelSeeds(f)
 	f.Fuzz(func(t *testing.T, size uint8, reverse bool, data []byte) {
 		g := fuzzSquare(size, reverse, data)
-		one := matrix.RelabelTriu(g, 1)
-		if diff := samePattern(one, matrix.Transpose(relabelChain(g)).Pattern()); diff != "" {
+		one := matrix.DegreeTril(g, 1)
+		if diff := orientedDiff(one, g); diff != "" {
 			t.Fatal(diff)
 		}
 		p := fuzzRanges(size)
-		if diff := samePattern(matrix.RelabelTriuRanges(g, p), one); diff != "" {
-			t.Fatalf("%d ranges against one worker: %s", p, diff)
+		if diff := samePattern(matrix.DegreeTrilSpans(g, p), one); diff != "" {
+			t.Fatalf("%d spans against one worker: %s", p, diff)
 		}
 	})
 }

@@ -118,13 +118,13 @@ func TestWorkerPanicCrossesParallelBoundary(t *testing.T) {
 }
 
 // TestWorkerPanicDuringTriangleCount: a worker panic injected into each
-// parallel pass of an adaptive triangle count in turn (the relabel's two
-// passes, the row-cost sweep, the count) reaches the caller as a
+// parallel pass of an adaptive triangle count in turn (the degree
+// orientation, the row-cost sweep, the count) reaches the caller as a
 // parallel.WorkerPanic and leaves the session sound: the next count on the
 // same session is still exact.
 func TestWorkerPanicDuringTriangleCount(t *testing.T) {
 	ctx := context.Background()
-	g := RMAT(12, 16, 9) // large enough that the relabel splits in two
+	g := RMAT(12, 16, 9) // large enough that every pass runs two workers
 	s := NewSession(WithThreads(2))
 	want, err := s.TriangleCount(ctx, g)
 	if err != nil {
@@ -155,8 +155,9 @@ func TestWorkerPanicDuringTriangleCount(t *testing.T) {
 				k, res.Triangles, err, caught, want.Triangles)
 		}
 	}
-	// Two worker starts in each of the four passes.
-	if panics < 8 {
+	// Two worker starts in each of the three passes: the orientation, the
+	// row-cost sweep and the count.
+	if panics < 6 {
 		t.Fatalf("only %d worker starts panicked; the count ran fewer parallel passes than expected", panics)
 	}
 }

@@ -308,12 +308,14 @@ func (s *Session) Explain(m *Pattern, a, b *Matrix, opts ...Op) *Plan {
 // --- Applications ---
 
 // TriangleCount counts triangles via sum(L .* (L·L)) with degree-descending
-// relabeling (§8.2). On the adaptive path the count comes from one
-// cost-scheduled pass over U = Lᵀ that sums mask hits without building the
-// product or a plan, so the plan cache is left alone; a pinned variant
-// (WithVariant) runs its product on L and sums it. The relabel runs on the
-// call's thread budget (WithThreads) like the product, and its result does
-// not depend on it.
+// relabeling (§8.2). On the adaptive path nothing is relabeled: the count
+// comes from one cost-scheduled pass over L in g's own labels, each edge
+// oriented toward its higher-degree end, that sums mask hits without
+// building the product or a plan, so the plan cache is left alone; a
+// pinned variant (WithVariant) runs its product on the relabeled L and sums
+// it. Both give the same count and flops. The operand is built on the
+// call's thread budget (WithThreads) like the product, and does not depend
+// on it.
 func (s *Session) TriangleCount(ctx context.Context, g *Matrix, opts ...Op) (TCResult, error) {
 	d := s.def.apply(opts)
 	return apps.TriangleCount(g, s.engine(ctx, d))
