@@ -487,11 +487,6 @@ func MapValues[T, U any](a *CSR[T], f func(T) U) *CSR[U] {
 	return out
 }
 
-// Spones returns a copy of a with every stored value replaced by one.
-func Spones(a *CSR[float64]) *CSR[float64] {
-	return MapValues(a, func(float64) float64 { return 1 })
-}
-
 // FromPattern materializes a CSR matrix from a pattern with all values set
 // to v.
 func FromPattern[T any](p *Pattern, v T) *CSR[T] {

@@ -102,27 +102,9 @@ func MaskPattern[T any](a *CSR[T], mask *Pattern) *CSR[T] {
 	return out
 }
 
-// Reduce folds all stored values with f starting from init.
-func Reduce[T, A any](a *CSR[T], init A, f func(A, T) A) A {
-	acc := init
-	for _, v := range a.Val {
-		acc = f(acc, v)
-	}
-	return acc
-}
-
 // Sum returns the sum of all stored float64 values.
 func Sum(a *CSR[float64]) float64 {
 	var s float64
-	for _, v := range a.Val {
-		s += v
-	}
-	return s
-}
-
-// SumInt returns the sum of all stored int64 values.
-func SumInt(a *CSR[int64]) int64 {
-	var s int64
 	for _, v := range a.Val {
 		s += v
 	}

@@ -26,32 +26,6 @@ func (v *SparseVec[T]) Clone() *SparseVec[T] {
 	}
 }
 
-// NewSparseVec builds a sparse vector from (possibly unsorted, possibly
-// duplicated) index/value pairs, combining duplicates with combine (nil:
-// last wins).
-func NewSparseVec[T any](n Index, idx []Index, val []T, combine func(T, T) T) *SparseVec[T] {
-	cols := append([]Index(nil), idx...)
-	vals := append([]T(nil), val...)
-	sortRowSegment(cols, vals)
-	out := &SparseVec[T]{N: n}
-	for k := 0; k < len(cols); {
-		j := cols[k]
-		v := vals[k]
-		k++
-		for k < len(cols) && cols[k] == j {
-			if combine != nil {
-				v = combine(v, vals[k])
-			} else {
-				v = vals[k]
-			}
-			k++
-		}
-		out.Idx = append(out.Idx, j)
-		out.Val = append(out.Val, v)
-	}
-	return out
-}
-
 // AsRowMatrix views v as a 1-by-N CSR matrix sharing storage (no copy).
 func (v *SparseVec[T]) AsRowMatrix() *CSR[T] {
 	return &CSR[T]{

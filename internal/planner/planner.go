@@ -691,8 +691,8 @@ func coalesce(blocks []Block) []Block {
 // Execute runs a plan. stats, if non-nil, receives per-block execution
 // results. The plan must have been analyzed for operands with the same row
 // count and mask mode (Cache guarantees this; core re-validates the tiling).
-// A plan from a cache hit with an Inner block reads B's transpose from its
-// cache entry, built on the first such hit and reused while b is the same
+// A plan from a cache hit with an Inner block reads B's transpose from the
+// cache's memo, built on the first such hit and reused while b is the same
 // arrays.
 func Execute[T any](p *Plan, m *matrix.Pattern, a, b *matrix.CSR[T], sr semiring.Semiring[T], opt core.Options, stats *[]core.BlockStat) (*matrix.CSR[T], error) {
 	if opt.Complement != p.Stats.Complement {
@@ -718,9 +718,9 @@ func Execute[T any](p *Plan, m *matrix.Pattern, a, b *matrix.CSR[T], sr semiring
 	}
 	var bcsc *matrix.CSC[T]
 	if p.CacheHit && p.fb != nil && p.hasInner() {
-		// Inner blocks read B by columns: a hit takes the entry's transpose
+		// Inner blocks read B by columns: a hit takes the memo's transpose
 		// (see cachedCSC); any other plan transposes B in core per call.
-		bcsc = cachedCSC(p.fb, b)
+		bcsc = cachedCSC(p.fb.c, b)
 	}
 	return core.MaskedSpGEMMBlocked(p.Phase, p.ExecBlocks(), m, a, b, bcsc, sr, opt, stats)
 }

@@ -1,9 +1,12 @@
 package planner
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/grgen"
@@ -94,7 +97,7 @@ func checkReuse[T any](t *testing.T, name string, m *matrix.Pattern, a, b *matri
 }
 
 // TestReusedTransposeBitIdentical: a product whose Inner blocks read the
-// cache entry's transpose is byte-identical to a cold cache's product, for
+// memo's transpose is byte-identical to a cold cache's product, for
 // every named semiring and both mask modes.
 func TestReusedTransposeBitIdentical(t *testing.T) {
 	m, a, b := innerCorner(t, 96, 11)
@@ -120,7 +123,7 @@ func TestReusedTransposeBitIdentical(t *testing.T) {
 	checkReuse(t, "boolean", m, ab, bb, semiring.Boolean())
 }
 
-// TestTransposeExactIdentity: a B in other storage never reuses the entry's
+// TestTransposeExactIdentity: a B in other storage never reuses the kept
 // transpose, even when it lands on the same entry (it shares B's RowPtr,
 // the cache key) with equal content or with equal shape and nnz but other
 // values, or has another element type. A deep copy is a new entry, whose
@@ -132,7 +135,7 @@ func TestTransposeExactIdentity(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		cachedRun(t, c, m, a, b, sr, core.Options{})
 	}
-	// The entry now holds the transpose of b's own arrays; each check below
+	// The memo now holds the transpose of b's own arrays; each check below
 	// differs from the previous operand in one array at least.
 	check := func(what string, bx *matrix.CSR[float64], wantHit bool) {
 		t.Helper()
@@ -163,7 +166,7 @@ func TestTransposeExactIdentity(t *testing.T) {
 	check("equal content in other Col and Val arrays", equal, true)
 	check("deep copy (a new entry)", b.Clone(), false)
 
-	// Another element type on the same RowPtr and Col: the entry's
+	// Another element type on the same RowPtr and Col: the kept
 	// transpose holds float64 values, so it must not serve int64.
 	bi := &matrix.CSR[int64]{NRows: b.NRows, NCols: b.NCols, RowPtr: b.RowPtr, Col: b.Col, Val: make([]int64, len(b.Val))}
 	for k := range bi.Val {
@@ -181,8 +184,8 @@ func TestTransposeExactIdentity(t *testing.T) {
 	}
 }
 
-// TestSortRecheckSkippedOnSameArrays: a hit on the M and A arrays the entry
-// last found sorted skips the scan; other arrays are re-scanned.
+// TestSortRecheckSkippedOnSameArrays: a hit on M and A arrays an earlier
+// hit found sorted skips the scan; other arrays are re-scanned.
 func TestSortRecheckSkippedOnSameArrays(t *testing.T) {
 	m, a, b := innerCorner(t, 64, 31)
 	c := NewCache()
@@ -202,7 +205,7 @@ func TestSortRecheckSkippedOnSameArrays(t *testing.T) {
 }
 
 // TestUnsortedFreshAReanalyzed: a hit that brings a fresh A with an
-// unsorted row, after the entry has stored the sorted A it last saw, is
+// unsorted row, after the memo has stored the sorted A it last saw, is
 // caught by the re-check and re-analyzed into a plan for unsorted rows.
 func TestUnsortedFreshAReanalyzed(t *testing.T) {
 	m, a, b := innerCorner(t, 64, 41)
@@ -254,8 +257,10 @@ func TestFreshBPerCallBuildsNoTranspose(t *testing.T) {
 
 // TestPlanReuseConcurrent: concurrent hits on one entry, some with the
 // operands the entry last saw and some with other A, B or B values sharing
-// its key, all produce the cold product of their own operands. Run under
-// -race, it checks that the entry's derived state is published safely.
+// its key, all produce the cold product of their own operands. Meanwhile
+// other copies of B under the same key are made hot, dropped and
+// collected, so the memo's cleanups run while hits read it. Run under
+// -race, it checks that the memo publishes and removes state safely.
 func TestPlanReuseConcurrent(t *testing.T) {
 	m, a, b := innerCorner(t, 64, 61)
 	sr := semiring.Arithmetic()
@@ -272,14 +277,29 @@ func TestPlanReuseConcurrent(t *testing.T) {
 	}
 	c := NewCache()
 	cachedRun(t, c, m, a, b, sr, core.Options{})
+	run := func(who string, i int, a, b *matrix.CSR[float64], want *matrix.CSR[float64]) bool {
+		p := c.Analyze(m, a.Pattern(), b.Pattern(), core.Options{Threads: 1})
+		got, err := Execute(p, m, a, b, sr, core.Options{Threads: 1}, nil)
+		if err != nil {
+			t.Error(err)
+			return false
+		}
+		if !sameBits(got, want) {
+			t.Errorf("%s call %d: product differs from the cold one", who, i)
+			return false
+		}
+		return true
+	}
 	var wg sync.WaitGroup
-	// Resets race with the hits' stores: every state an unlinked entry
-	// held, or a hit on it stores later, must be released.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 10; i++ {
-			c.Reset()
+			dropped := copyOfB(b)
+			if !run("dropped copy", 2*i, a, dropped, want[0]) || !run("dropped copy", 2*i+1, a, dropped, want[0]) {
+				return
+			}
+			runtime.GC()
 		}
 	}()
 	for w := 0; w < 6; w++ {
@@ -288,14 +308,7 @@ func TestPlanReuseConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				k := (w + i) % len(combos)
-				p := c.Analyze(m, combos[k].a.Pattern(), combos[k].b.Pattern(), core.Options{Threads: 1})
-				got, err := Execute(p, m, combos[k].a, combos[k].b, sr, core.Options{Threads: 1}, nil)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if !sameBits(got, want[k]) {
-					t.Errorf("worker %d call %d: product of combination %d differs from the cold one", w, i, k)
+				if !run(fmt.Sprintf("worker %d combination %d", w, k), i, combos[k].a, combos[k].b, want[k]) {
 					return
 				}
 			}
@@ -305,8 +318,7 @@ func TestPlanReuseConcurrent(t *testing.T) {
 	if st := c.Stats(); st.TransposeBuilds == 0 {
 		t.Fatalf("concurrent hits built no transpose: %+v", st)
 	}
-	checkRetained(t, c)
-	// Quiescent again: the entry settles on the operands it last saw.
+	// Quiescent again: the memo serves the operands still alive.
 	for i := 0; i < 2; i++ {
 		cachedRun(t, c, m, a, b, sr, core.Options{})
 	}
@@ -319,138 +331,94 @@ func TestPlanReuseConcurrent(t *testing.T) {
 	}
 }
 
-// checkRetained: the cache's retained-bytes gauge equals the state its
-// resident entries hold. Call it only while no hit is in flight.
-func checkRetained(t *testing.T, c *Cache) {
+// copyOfB returns a B that shares b's RowPtr, so it lands on b's plan
+// cache entry, with Col and Val arrays of its own.
+func copyOfB(b *matrix.CSR[float64]) *matrix.CSR[float64] {
+	return &matrix.CSR[float64]{NRows: b.NRows, NCols: b.NCols, RowPtr: b.RowPtr,
+		Col: append([]Index(nil), b.Col...), Val: append([]float64(nil), b.Val...)}
+}
+
+// waitReleased collects garbage until c keeps no transpose. Cleanups run
+// on their own goroutine after a collection, so the wait is bounded in
+// time rather than in collections.
+func waitReleased(t *testing.T, c *Cache) {
 	t.Helper()
-	var held int64
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		for el := sh.lru.Front(); el != nil; el = el.Next() {
-			fb := el.Value.(*cacheEntry).plan.fb
-			held += fb.csc.Load().size() + fb.sorted.Load().size()
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		runtime.GC()
+		if c.Stats().RetainedBytes == 0 {
+			return
 		}
-		sh.mu.Unlock()
 	}
-	if got := c.Stats().RetainedBytes; got != held {
-		t.Fatalf("RetainedBytes %d, resident entries hold %d", got, held)
+	t.Fatalf("a transpose outlived its B: %d bytes still retained", c.Stats().RetainedBytes)
+}
+
+// TestDerivedStateDiesWithOperand: the transpose a hot product keeps lives
+// exactly as long as its B. Once B's arrays are dropped and collected the
+// memo releases it (although the plan entry, which pins B's RowPtr, is
+// still resident), and a new B of the same shape on the same entry builds
+// its own instead of reusing it.
+func TestDerivedStateDiesWithOperand(t *testing.T) {
+	m, a, b := innerCorner(t, 96, 81)
+	sr := semiring.Arithmetic()
+	want, _ := cachedRun(t, NewCache(), m, a, b, sr, core.Options{})
+	c := NewCache()
+	func() {
+		hot := copyOfB(b)
+		for i := 0; i < 3; i++ {
+			cachedRun(t, c, m, a, hot, sr, core.Options{})
+		}
+	}()
+	if st := c.Stats(); st.TransposeBuilds != 1 || st.TransposeReuses != 1 || st.RetainedBytes == 0 {
+		t.Fatalf("hot product: %d transposes built, %d reused, %d bytes retained; want 1, 1 and some",
+			st.TransposeBuilds, st.TransposeReuses, st.RetainedBytes)
+	}
+	waitReleased(t, c)
+	before := c.Stats()
+	got, p := cachedRun(t, c, m, a, copyOfB(b), sr, core.Options{})
+	after := c.Stats()
+	if !p.CacheHit || after.TransposeBuilds != before.TransposeBuilds+1 || after.TransposeReuses != before.TransposeReuses {
+		t.Fatalf("new B after the old one died: hit %v, builds %d -> %d, reuses %d -> %d; want a hit that builds",
+			p.CacheHit, before.TransposeBuilds, after.TransposeBuilds, before.TransposeReuses, after.TransposeReuses)
+	}
+	if !sameBits(got, want) {
+		t.Fatal("new B: product differs from a cold cache's")
 	}
 }
 
-// TestRetainedBytesBounded: the derived state a cache keeps never exceeds
-// its byte budget. A hot product makes room by shedding the least
-// recently used state; state larger than the budget is not kept; products
-// stay identical to a cold cache's throughout. Evicted entries and Reset
-// return their bytes, and a plan copy that outlives its entry stores
-// nothing more.
+// staticRowPtr and staticCol are package-level data, outside the Go heap.
+var (
+	staticRowPtr = []Index{0, 2, 4, 6, 8}
+	staticCol    = []Index{0, 1, 1, 2, 2, 3, 0, 3}
+)
+
+// TestRetainedBytesBounded: a transpose larger than the memo's bound is
+// built per hit and never kept, and nothing is kept for a Col array too
+// small for its cleanup to be sure to run, or for arrays outside the Go
+// heap, which weak pointers cannot name. Products stay identical to a
+// cold cache's.
 func TestRetainedBytesBounded(t *testing.T) {
+	m, a, b := innerCorner(t, 64, 71)
 	sr := semiring.Arithmetic()
-	opt := core.Options{Threads: 2}
-	type product struct {
-		m    *matrix.Pattern
-		a, b *matrix.CSR[float64]
-		want *matrix.CSR[float64]
-	}
-	var ps []product
-	for i := uint64(0); i < 6; i++ {
-		m, a, b := innerCorner(t, 64, 71+10*i)
-		want, _ := cachedRun(t, NewCache(), m, a, b, sr, opt)
-		ps = append(ps, product{m, a, b, want})
-	}
-	// One product's state: a miss, then a hit that keeps both pieces.
-	probe := NewCache()
-	for i := 0; i < 2; i++ {
-		cachedRun(t, probe, ps[0].m, ps[0].a, ps[0].b, sr, opt)
-	}
-	one := probe.Stats().RetainedBytes
-	if one == 0 {
-		t.Fatal("a hot Inner product retained nothing")
-	}
-
-	run := func(c *Cache, i, calls int) {
-		t.Helper()
-		for k := 0; k < calls; k++ {
-			if got, _ := cachedRun(t, c, ps[i].m, ps[i].a, ps[i].b, sr, opt); !sameBits(got, ps[i].want) {
-				t.Fatalf("product %d call %d differs from a cold cache's", i, k)
-			}
-			if r := c.Stats().RetainedBytes; r > c.retainCap {
-				t.Fatalf("product %d call %d: retained %d bytes, budget %d", i, k, r, c.retainCap)
-			}
-		}
-	}
-	holders := func(c *Cache) int {
-		c.retainMu.Lock()
-		defer c.retainMu.Unlock()
-		return len(c.holders)
-	}
-
-	// Room for one product's state: each hot product sheds the previous
-	// one's, so each builds once and reuses once.
+	want, _ := cachedRun(t, NewCache(), m, a, b, sr, core.Options{})
 	c := NewCache()
-	c.retainCap = one + one/2
-	for i := range ps {
-		run(c, i, 3)
-	}
-	checkRetained(t, c)
-	if st := c.Stats(); st.TransposeBuilds != int64(len(ps)) || st.TransposeReuses != int64(len(ps)) || holders(c) != 1 {
-		t.Fatalf("builds %d, reuses %d, %d entries holding state; want %d, %d, 1",
-			st.TransposeBuilds, st.TransposeReuses, holders(c), len(ps), len(ps))
-	}
-
-	// Room for two: the state shed is the least recently used.
-	c = NewCache()
-	c.retainCap = 2*one + one/2
-	run(c, 0, 3)
-	run(c, 1, 3)
-	run(c, 0, 1) // product 0 is now the more recent
-	run(c, 2, 3) // sheds product 1's state
-	before := c.Stats()
-	run(c, 0, 1)
-	if st := c.Stats(); st.TransposeBuilds != before.TransposeBuilds {
-		t.Fatal("the recently used state was shed")
-	}
-	run(c, 1, 1)
-	if st := c.Stats(); st.TransposeBuilds != before.TransposeBuilds+1 {
-		t.Fatal("the least recently used state was kept")
-	}
-	checkRetained(t, c)
-
-	// A transpose larger than the whole budget is built per hit, never kept.
-	c = NewCache()
-	c.retainCap = one / 2
-	run(c, 0, 4)
-	if st := c.Stats(); st.TransposeReuses != 0 || st.TransposeBuilds != 3 {
-		t.Fatalf("over-budget transpose: builds %d, reuses %d; want 3 and 0", st.TransposeBuilds, st.TransposeReuses)
-	}
-	checkRetained(t, c)
-
-	c = NewCache()
-	run(c, 0, 2)
-	_, held := cachedRun(t, c, ps[0].m, ps[0].a, ps[0].b, sr, opt)
-	c.Reset()
-	if r := c.Stats().RetainedBytes; r != 0 {
-		t.Fatalf("retained %d bytes after Reset", r)
-	}
-	if got, err := Execute(held, ps[0].m, ps[0].a, ps[0].b, sr, opt, nil); err != nil || !sameBits(got, ps[0].want) {
-		t.Fatalf("plan executed after Reset: %v", err)
-	}
-	if r := c.Stats().RetainedBytes; r != 0 {
-		t.Fatalf("a plan outliving its entry retained %d bytes", r)
-	}
-
-	// One entry per shard: products that share a shard evict each other,
-	// and every eviction returns the evicted entry's bytes.
-	c = NewCacheCapacity(cacheShards)
-	for round := 0; round < 2; round++ {
-		for _, p := range ps {
-			for k := 0; k < 3; k++ {
-				cachedRun(t, c, p.m, p.a, p.b, sr, opt)
-			}
+	c.memo.maxBytes = 1
+	for i := 0; i < 4; i++ {
+		if got, _ := cachedRun(t, c, m, a, b, sr, core.Options{}); !sameBits(got, want) {
+			t.Fatalf("call %d differs from a cold cache's", i)
 		}
 	}
-	if c.Stats().Evictions == 0 {
-		t.Fatal("no product evicted another; the check below proves nothing")
+	if st := c.Stats(); st.TransposeReuses != 0 || st.TransposeBuilds != 3 || st.RetainedBytes != 0 {
+		t.Fatalf("over-bound transpose: builds %d, reuses %d, retained %d; want 3, 0 and 0",
+			st.TransposeBuilds, st.TransposeReuses, st.RetainedBytes)
 	}
-	checkRetained(t, c)
+
+	tiny := &matrix.Pattern{NRows: 2, NCols: 2, RowPtr: []Index{0, 2, 3}, Col: []Index{0, 1, 1}}
+	c.memo.update(patternOf(tiny.RowPtr, tiny.Col), func(e *memoEntry) { e.sorted = true })
+	if c.memo.lookup(patternOf(tiny.RowPtr, tiny.Col)) != nil {
+		t.Fatal("kept state for a 12-byte Col array")
+	}
+	c.memo.update(patternOf(staticRowPtr, staticCol), func(e *memoEntry) { e.sorted = true })
+	if c.memo.lookup(patternOf(staticRowPtr, staticCol)) != nil {
+		t.Fatal("kept state for package-level arrays")
+	}
 }

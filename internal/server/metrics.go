@@ -151,13 +151,13 @@ func writeProm(w io.Writer, m MetricsSnapshot) {
 	fmt.Fprintf(w, "mspgemm_plan_cache_total{event=\"record\"} %d\n", c.Records)
 	fmt.Fprintf(w, "mspgemm_plan_cache_total{event=\"replan\"} %d\n", c.Replans)
 	gauge("mspgemm_plan_cache_entries", "Resident cached plans.", float64(c.Entries))
-	fmt.Fprintf(w, "# HELP mspgemm_plan_transpose_total Transposes of B for the Inner blocks of cached plans: built on a cache hit and kept on its entry, or reused from the entry for the same B arrays.\n# TYPE mspgemm_plan_transpose_total counter\n")
+	fmt.Fprintf(w, "# HELP mspgemm_plan_transpose_total Transposes of B for the Inner blocks of cached plans: built on a cache hit and kept while B lives, or reused for the same B arrays.\n# TYPE mspgemm_plan_transpose_total counter\n")
 	fmt.Fprintf(w, "mspgemm_plan_transpose_total{event=\"built\"} %d\n", c.TransposeBuilds)
 	fmt.Fprintf(w, "mspgemm_plan_transpose_total{event=\"reused\"} %d\n", c.TransposeReuses)
-	fmt.Fprintf(w, "# HELP mspgemm_plan_sort_recheck_total Sortedness re-checks of M and A on plan cache hits: run, or skipped because the arrays were the ones the entry last found sorted.\n# TYPE mspgemm_plan_sort_recheck_total counter\n")
+	fmt.Fprintf(w, "# HELP mspgemm_plan_sort_recheck_total Sortedness re-checks of M and A on plan cache hits: run, or skipped because an earlier hit found the same arrays sorted.\n# TYPE mspgemm_plan_sort_recheck_total counter\n")
 	fmt.Fprintf(w, "mspgemm_plan_sort_recheck_total{event=\"run\"} %d\n", c.SortRechecks)
 	fmt.Fprintf(w, "mspgemm_plan_sort_recheck_total{event=\"skipped\"} %d\n", c.SortRechecksSkipped)
-	gauge("mspgemm_plan_retained_bytes", "Bytes cached plans keep alive for later hits: transposes of B and the operand arrays they were checked against (bounded by the plan cache's retain budget).", float64(c.RetainedBytes))
+	gauge("mspgemm_plan_retained_bytes", "Bytes of the transposes of B kept for later plan cache hits; each is released once the B it was built from is collected.", float64(c.RetainedBytes))
 
 	a := m.Session.Arbiter
 	gauge("mspgemm_arbiter_budget_workers", "Total session worker budget.", float64(a.Budget))

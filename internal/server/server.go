@@ -79,10 +79,10 @@ type Config struct {
 	// InternMaxBytes bounds the total operand bytes the intern table
 	// retains (0 = 1 GiB, negative = entry bound only). Entries are
 	// private copies sized by their own CSR arrays, so this caps the
-	// table's heap footprint directly. It does not cap the session's
-	// plan cache, which keeps hot operands alive, also after the table
-	// evicts them, together with their transposes, up to
-	// planner.DefaultRetainBytes.
+	// table's heap footprint directly. What the session derives from an
+	// operand (B's transpose) lives only as long as the operand, so once
+	// the table evicts an operand and no request still uses it, both go
+	// (except a B's RowPtr while its plan cache key pins it).
 	InternMaxBytes int64
 	// MaxBodyBytes caps a request body; larger bodies get 413
 	// (0 = 256 MiB).
@@ -276,10 +276,11 @@ func (l *Local) Close() error {
 // itself on failure. The returned release func recycles the buffer; the
 // handler defers it past the last use of any decoded view of the body.
 // No view may outlive the request through the session either: the session
-// does not copy its operands (its plan cache holds them and matches them
-// by address), and a recycled buffer puts another request's operands at
-// the same addresses. So operands reach the session only as copies, the
-// intern table's or, with interning off, a fresh one (see internPattern).
+// does not copy its operands (its plan cache and the state derived from
+// its operands match them by address while their arrays live), and a
+// recycled buffer stays alive and puts another request's operands at the
+// same addresses. So operands reach the session only as copies, the intern
+// table's or, with interning off, a fresh one (see internPattern).
 func (sv *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, func(), bool) {
 	bp, _ := sv.bodies.Get().(*[]byte)
 	if bp == nil {
@@ -402,9 +403,10 @@ func validateMatrix(a *matrix.CSR[float64]) error {
 // copy was first admitted; a miss validates and stores a deep copy,
 // because p aliases the request's pooled body buffer and the table must
 // outlive it. With interning off the session still gets a deep copy: its
-// plan cache keys on operand identity and keeps hot operands' arrays, and
-// a view would let the next request's bytes reappear at the same
-// addresses (see readBody).
+// plan cache keys on operand identity, its derived state (B's transpose,
+// rows found sorted) is matched to live arrays by address, and a view
+// would let the next request's bytes reappear at the same addresses of
+// the same live buffer (see readBody).
 func (sv *Server) internPattern(p *matrix.Pattern, what string) (*matrix.Pattern, uint64, error) {
 	if sv.intern == nil {
 		if err := validatePattern(p); err != nil {

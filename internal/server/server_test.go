@@ -381,6 +381,52 @@ func TestPlanReuseMetrics(t *testing.T) {
 	}
 }
 
+// TestEvictedOperandReleasesTranspose: the transpose a hot Inner product
+// keeps dies with its operands. Once the intern table evicts them and no
+// request still uses them, a collection releases it, although the plan
+// cache entry is still resident: the server's operand heap follows the
+// intern table alone.
+func TestEvictedOperandReleasesTranspose(t *testing.T) {
+	_, c := startLocal(t, Config{Threads: 2, InternCapacity: 3})
+	ctx := context.Background()
+	multiply := func(req *wire.MultiplyReq) {
+		t.Helper()
+		if _, err := c.Multiply(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	metrics := func() *MetricsSnapshot {
+		t.Helper()
+		m, err := c.Metrics(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	for i := 0; i < 3; i++ {
+		multiply(innerCornerReq(64, 7))
+	}
+	if m := metrics(); m.Session.Cache.TransposeBuilds != 1 || m.Session.Cache.RetainedBytes == 0 {
+		t.Fatalf("hot Inner product: %d transposes built, %d bytes retained; want 1 and some",
+			m.Session.Cache.TransposeBuilds, m.Session.Cache.RetainedBytes)
+	}
+	// Three other operands evict the hot product's three.
+	multiply(innerCornerReq(64, 17))
+	if m := metrics(); m.InternEvictions < 3 || m.Session.Cache.Entries < 2 {
+		t.Fatalf("%d intern evictions, %d plans resident; want the hot operands evicted and both plans resident",
+			m.InternEvictions, m.Session.Cache.Entries)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		runtime.GC()
+		if metrics().Session.Cache.RetainedBytes == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("an evicted operand's transpose is still retained (%d bytes)", metrics().Session.Cache.RetainedBytes)
+		}
+	}
+}
+
 // TestPlanReuseInternOff: with interning off, operands still reach the
 // session as copies. Decoded operands are views of a pooled body buffer,
 // so a B2 with B1's shape and nnz, sent after B1 is hot, would otherwise

@@ -51,14 +51,14 @@ import (
 //
 // Operands are read, never copied, and a session remembers them by
 // identity: the plan cache keys on B's storage and trusts its sorted rows,
-// a cached plan keeps B's transpose and the M and A arrays it last found
-// sorted and reuses them while the same arrays come back, and coalescing
+// plan cache hits keep B's transpose and the fact that M and A have sorted
+// rows and reuse them while the same arrays come back, and coalescing
 // keys on operand identity. So an operand must not be mutated while the
 // session may see it again; pass a fresh matrix (Clone) instead. Nor may
-// its memory be reused for another matrix (a pooled buffer, say) while the
-// session may see that one: the cache would take it for the old operand.
-// The cache keeps hot operands alive for reuse, bounded in bytes by
-// planner.DefaultRetainBytes.
+// its memory be reused for another matrix while the session may see that
+// one (a pooled buffer, say, which stays alive between uses): the session
+// would take it for the old operand. The derived state keeps no operand
+// alive and is released once the operand's arrays are collected.
 type Session struct {
 	def   opSpec
 	ws    *core.Workspaces
