@@ -471,9 +471,10 @@ func itoa(n int) string {
 	return string(buf[i:])
 }
 
-// BenchmarkSchedule contrasts equal-row chunking against cost-balanced
-// equal-flops spans (PR 4's scheduler) on the skewed triangle-counting
-// product, at ≥4 workers on a warmed workspace arena. On multi-core hosts
+// BenchmarkSchedule contrasts equal-row chunking (no cost profile) against
+// cost-balanced equal-flops spans (the profile, marked skewed) on the
+// skewed triangle-counting product, at ≥4 workers on a warmed workspace
+// arena. On multi-core hosts
 // the cost schedule wins wall-clock on the R-MAT input by shaving the
 // straggler tail (BENCH_PR4.json records the study's load-imbalance model).
 // -benchmem allocation counts are flat in the input size: the drivers take
@@ -481,14 +482,18 @@ func itoa(n int) string {
 func BenchmarkSchedule(b *testing.B) {
 	loadInputs()
 	lp := rmatL.Pattern()
-	costs := core.ComputeRowCosts(lp, lp, lp, 0)
+	skewed := core.ComputeRowCosts(lp, lp, lp, 0)
+	skewed.Skewed = true
 	sr := semiring.PlusPairF()
 	v := core.Variant{Alg: core.MSA, Phase: core.OnePhase}
 	for _, threads := range []int{4, 8} {
-		for _, sched := range []core.Sched{core.SchedEqualRow, core.SchedCost} {
-			b.Run("threads"+itoa(threads)+"/sched-"+sched.String(), func(b *testing.B) {
+		for _, profile := range []struct {
+			name string
+			rc   *core.RowCosts
+		}{{"nil", nil}, {"skewed", skewed}} {
+			b.Run("threads"+itoa(threads)+"/profile-"+profile.name, func(b *testing.B) {
 				ws := core.NewWorkspaces()
-				opt := core.Options{Threads: threads, Sched: sched, RowCosts: costs, Workspaces: ws}
+				opt := core.Options{Threads: threads, RowCosts: profile.rc, Workspaces: ws}
 				if _, err := core.MaskedSpGEMM(v, lp, rmatL, rmatL, sr, opt); err != nil { // warm the pools
 					b.Fatal(err)
 				}
@@ -514,7 +519,8 @@ func BenchmarkSchedule(b *testing.B) {
 // representation on the dense-mask shapes the representation subsystem
 // targets: the k-truss support product (mask = the graph itself, flat ER
 // degrees — MCA's per-A-entry merge regime) and the Hash kernel under a
-// dense mask. The planner's auto thresholds were chosen from this data.
+// dense mask. Each representation runs as a one-block plan. The planner's
+// auto thresholds were chosen from this data.
 func BenchmarkMaskRep(b *testing.B) {
 	loadInputs()
 	erK := grgen.ErdosRenyiSym(1<<11, 32, 21)
@@ -532,10 +538,10 @@ func BenchmarkMaskRep(b *testing.B) {
 		for _, rep := range []core.MaskRep{core.RepCSR, core.RepBitmap} {
 			b.Run(tc.name+"/"+rep.String(), func(b *testing.B) {
 				sr := semiring.PlusPairF()
-				v := core.Variant{Alg: tc.alg, Phase: core.OnePhase}
+				blocks := []core.ExecBlock{{Lo: 0, Hi: tc.m.NRows, Alg: tc.alg, Rep: rep}}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := core.MaskedSpGEMM(v, tc.m, tc.a, tc.c, sr, core.Options{MaskRep: rep}); err != nil {
+					if _, err := core.MaskedSpGEMMBlocked(core.OnePhase, blocks, tc.m, tc.a, tc.c, nil, sr, core.Options{}, nil); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -5,18 +5,16 @@
 // Usage:
 //
 //	mspgemm -a A.mtx -b B.mtx -mask M.mtx [-alg auto|MSA-1P..Inner-2P]
-//	        [-maskrep auto|csr|bitmap|dense] [-sched auto|equal|cost]
 //	        [-explain] [-complement] [-semiring arithmetic|plus-pair]
 //	        [-threads N] [-batch N] [-inflight K] [-timeout 30s] [-out C.mtx]
 //
 // Omitting -b squares A (B = A); omitting -mask uses A's pattern as the
 // mask (the triangle-counting shape). -alg auto selects the variant (or a
-// per-row-block mix) from the operands' density profile; -maskrep pins the
-// mask representation kernels probe membership with (default: chosen per
-// row block); -sched pins the row-scheduling policy (default: cost-balanced
-// equal-flops spans when the per-row cost profile is skewed, equal-row
-// chunks otherwise); -explain prints the plan the planner chooses for these
-// operands, including the representation and schedule per block.
+// per-row-block mix), the mask representation kernels probe membership
+// with, and the row schedule (cost-balanced equal-flops spans when the
+// per-row cost profile is skewed, equal-row chunks otherwise) from the
+// operands' density profile; -explain prints the plan the planner chooses
+// for these operands, including the representation and schedule per block.
 //
 // -batch N > 1 exercises the serving layer: the product is submitted N
 // times as one Session.MultiplyBatch call with an -inflight admission cap,
@@ -46,8 +44,6 @@ func main() {
 	bPath := flag.String("b", "", "Matrix Market file for B (default: A)")
 	mPath := flag.String("mask", "", "Matrix Market file for the mask (default: pattern of A)")
 	algName := flag.String("alg", "auto", "algorithm: 'auto' (planner) or a variant (MSA-1P..Inner-2P)")
-	maskRep := flag.String("maskrep", "auto", "mask representation: auto | csr | bitmap | dense")
-	schedName := flag.String("sched", "auto", "row-scheduling policy: auto | equal | cost")
 	explain := flag.Bool("explain", false, "print the adaptive plan for these operands to stderr")
 	complement := flag.Bool("complement", false, "use the complement of the mask")
 	srName := flag.String("semiring", "arithmetic", "semiring: arithmetic | plus-pair | min-plus")
@@ -97,24 +93,10 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	rep, err := core.MaskRepByName(*maskRep)
-	check(err)
-	sched, err := core.SchedByName(*schedName)
-	check(err)
-	opt := core.Options{Threads: *threads, Complement: *complement, MaskRep: rep, Sched: sched, Ctx: ctx}
+	opt := core.Options{Threads: *threads, Complement: *complement, Ctx: ctx}
 	var plan *planner.Plan
 	if *algName == "auto" || *explain {
 		plan = planner.Analyze(mask, a.Pattern(), b.Pattern(), opt)
-	}
-	if sched == core.SchedCost && *algName != "auto" {
-		// Pinned variants bypass the planner, so the cost profile the
-		// scheduler consumes comes from the explain plan when one was
-		// analyzed, or an explicit sweep otherwise.
-		if plan != nil {
-			opt.RowCosts = plan.Costs
-		} else {
-			opt.RowCosts = core.ComputeRowCosts(mask, a.Pattern(), b.Pattern(), *threads)
-		}
 	}
 	if *explain {
 		// Analyze returns a fresh plan (not a shared cache entry), so the
@@ -123,7 +105,7 @@ func main() {
 		fmt.Fprint(os.Stderr, plan.Explain())
 	}
 	if *batch > 1 {
-		runBatch(ctx, mask, a, b, sr, *algName, *threads, *batch, *inflight, rep, sched, *complement, *outPath)
+		runBatch(ctx, mask, a, b, sr, *algName, *threads, *batch, *inflight, *complement, *outPath)
 		return
 	}
 	t0 := time.Now()
@@ -163,8 +145,8 @@ func main() {
 // computation, so this measures the serving path's admission, arbitration
 // and single-flight machinery end to end on real operands.
 func runBatch(ctx context.Context, mask *matrix.Pattern, a, b *matrix.CSR[float64], sr semiring.Semiring[float64],
-	algName string, threads, n, inflight int, rep core.MaskRep, sched core.Sched, complement bool, outPath string) {
-	ops := []masked.Op{masked.WithAccumulate(sr), masked.WithMaskRep(rep), masked.WithSched(sched)}
+	algName string, threads, n, inflight int, complement bool, outPath string) {
+	ops := []masked.Op{masked.WithAccumulate(sr)}
 	if complement {
 		ops = append(ops, masked.WithComplement())
 	}

@@ -120,12 +120,8 @@ func MultiSourceBFS(a *matrix.CSR[float64], sources []Index, eng Engine) (MultiS
 	visited := frontier.Clone()
 	sr := semiring.PlusPairF()
 	for frontier.NNZ() > 0 {
-		// The mask is the visited set, whose density the traversal tracks
-		// exactly: as the search saturates, visited rows densify and the
-		// bitmap probe starts paying — hint the engine without a scan.
-		hint := core.HintMaskRep(int64(visited.NNZ()), int64(visited.NRows))
 		t0 := time.Now()
-		next, err := eng.mult(visited.Pattern(), frontier, a, sr, true, hint)
+		next, err := eng.Mult(visited.Pattern(), frontier, a, sr, true)
 		res.MaskedTime += time.Since(t0)
 		if err != nil {
 			return res, fmt.Errorf("apps: multi-source BFS with %s: %w", eng.Name, err)

@@ -62,16 +62,25 @@ func countPathCorpus() []tcCase {
 // TestTriangleCountCountPath: the Auto engine counts without building the
 // product, yet its count equals int64(Sum(C)) from every pinned variant and
 // both baselines, and TriangleCountExact on symmetric graphs, under every
-// mask representation and schedule pin at one and two threads. Flops equal
-// flops(L·L) for every engine, and the count path leaves the plan cache
-// untouched. A cache model under which MSA would not dominate the plan does
-// not change the count, and a cancelled context returns its error.
+// schedule at one and two threads: the pinned variants' products run on no
+// cost profile and an unskewed one (equal-row chunks) and on a skewed one
+// (equal-cost spans). Flops equal flops(L·L) for every engine, and the
+// count path leaves the plan cache untouched. A cache model under which
+// MSA would not dominate the plan does not change the count, and a
+// cancelled context returns its error.
 func TestTriangleCountCountPath(t *testing.T) {
-	reps := []core.MaskRep{core.RepAuto, core.RepCSR, core.RepBitmap, core.RepDense}
-	scheds := []core.Sched{core.SchedAuto, core.SchedEqualRow, core.SchedCost}
 	for _, tc := range countPathCorpus() {
 		l := matrix.RelabelTril(tc.g, 1)
 		wantFlops := core.Flops(l, l, 0)
+		// The profile of the pinned engines' product L .* (L·L).
+		var profiles []*core.RowCosts
+		if costs := core.ComputeRowCosts(l.Pattern(), l.Pattern(), l.Pattern(), 1); costs != nil {
+			flat, skewed := *costs, *costs
+			flat.Skewed, skewed.Skewed = false, true
+			profiles = []*core.RowCosts{nil, &flat, &skewed}
+		} else {
+			profiles = []*core.RowCosts{nil} // degenerate graphs have no profile
+		}
 		ref, err := TriangleCount(tc.g, NewSession(core.Options{Threads: 1}).EngineSSSaxpy())
 		if err != nil {
 			t.Fatalf("%s: reference: %v", tc.name, err)
@@ -91,21 +100,19 @@ func TestTriangleCountCountPath(t *testing.T) {
 					tc.name, label, eng.Name, got.Triangles, got.Flops, want, wantFlops)
 			}
 		}
-		for _, rep := range reps {
-			for _, sched := range scheds {
-				for _, threads := range []int{1, 2} {
-					label := fmt.Sprintf("%v/%v/%dt", rep, sched, threads)
-					s := NewSession(core.Options{Threads: threads, MaskRep: rep, Sched: sched})
-					check(label, s.EngineAuto())
-					if st := s.Cache.Stats(); st.Entries != 0 || st.Misses != 0 || st.Hits != 0 {
-						t.Errorf("%s/%s: count path touched the plan cache: %+v", tc.name, label, st)
+		for pi, rc := range profiles {
+			for _, threads := range []int{1, 2} {
+				label := fmt.Sprintf("profile%d/%dt", pi, threads)
+				s := NewSession(core.Options{Threads: threads, RowCosts: rc})
+				check(label, s.EngineAuto())
+				if st := s.Cache.Stats(); st.Entries != 0 || st.Misses != 0 || st.Hits != 0 {
+					t.Errorf("%s/%s: count path touched the plan cache: %+v", tc.name, label, st)
+				}
+				for _, eng := range s.AllEngines() {
+					if eng.PairCount != nil {
+						t.Fatalf("%s: only the Auto engine may count without the product", eng.Name)
 					}
-					for _, eng := range s.AllEngines() {
-						if eng.PairCount != nil {
-							t.Fatalf("%s: only the Auto engine may count without the product", eng.Name)
-						}
-						check(label, eng)
-					}
+					check(label, eng)
 				}
 			}
 		}

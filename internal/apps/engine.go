@@ -32,15 +32,6 @@ type Engine struct {
 	Name string
 	// Mult computes M .* (A·B) (or the complement form) over sr.
 	Mult func(m *matrix.Pattern, a, b *matrix.CSR[float64], sr semiring.Semiring[float64], complement bool) (*matrix.CSR[float64], error)
-	// MultRep, if non-nil, is Mult carrying a mask-representation hint from
-	// the application (k-truss and multi-source BFS know their mask's
-	// density without a scan). The hint only applies when the engine's
-	// session has not pinned a representation of its own, and kernels that
-	// cannot exploit it demote it. Only the fixed-variant engines take
-	// hints: the Auto engine's planner measures per-block density itself
-	// (better information than the coarse hint), and the baselines have no
-	// representation choice, so both leave MultRep nil.
-	MultRep func(m *matrix.Pattern, a, b *matrix.CSR[float64], sr semiring.Semiring[float64], complement bool, rep core.MaskRep) (*matrix.CSR[float64], error)
 	// PairCount, if non-nil, returns sum(M .* (A·B)) over the plus-pair
 	// semiring with a non-complemented mask, and flops(A·B), without
 	// materializing the product. Only the Auto engine sets it; TriangleCount
@@ -52,15 +43,6 @@ type Engine struct {
 	// it), for the steps an application runs beside the engine's products,
 	// such as building TriangleCount's operand. Nil means one worker.
 	workers func() int
-}
-
-// mult runs the engine with a mask-representation hint, falling back to the
-// plain path when the engine takes no hints or none is offered.
-func (e Engine) mult(m *matrix.Pattern, a, b *matrix.CSR[float64], sr semiring.Semiring[float64], complement bool, rep core.MaskRep) (*matrix.CSR[float64], error) {
-	if e.MultRep != nil && rep != core.RepAuto {
-		return e.MultRep(m, a, b, sr, complement, rep)
-	}
-	return e.Mult(m, a, b, sr, complement)
 }
 
 // Session scopes engine construction. Every engine built from one session
@@ -91,14 +73,6 @@ func (s *Session) EngineVariant(v core.Variant) Engine {
 		Mult: func(m *matrix.Pattern, a, b *matrix.CSR[float64], sr semiring.Semiring[float64], complement bool) (*matrix.CSR[float64], error) {
 			o := opt
 			o.Complement = complement
-			return core.MaskedSpGEMM(v, m, a, b, sr, o)
-		},
-		MultRep: func(m *matrix.Pattern, a, b *matrix.CSR[float64], sr semiring.Semiring[float64], complement bool, rep core.MaskRep) (*matrix.CSR[float64], error) {
-			o := opt
-			o.Complement = complement
-			if o.MaskRep == core.RepAuto { // a session pin wins over the app's hint
-				o.MaskRep = core.AdoptMaskRepHint(v.Alg, rep, complement)
-			}
 			return core.MaskedSpGEMM(v, m, a, b, sr, o)
 		},
 	}

@@ -52,12 +52,8 @@ func KTruss(g *matrix.CSR[float64], k int, eng Engine) (*matrix.CSR[float64], KT
 	for {
 		res.Iterations++
 		res.Flops += core.Flops(a, a, 0)
-		// The mask is the current graph itself, so its density is known
-		// without a scan — pass it to the engine as a representation hint
-		// (dense adjacency rows favor the bitmap probe).
-		hint := core.HintMaskRep(int64(a.NNZ()), int64(a.NRows))
 		t0 := time.Now()
-		s, err := eng.mult(a.Pattern(), a, a, semiring.PlusPairF(), false, hint)
+		s, err := eng.Mult(a.Pattern(), a, a, semiring.PlusPairF(), false)
 		res.MaskedTime += time.Since(t0)
 		if err != nil {
 			return nil, res, fmt.Errorf("apps: k-truss with %s: %w", eng.Name, err)

@@ -27,9 +27,10 @@
 //     (repro/internal/planner) emits such plans from the §8 cost model.
 //   - MaskRep selects how kernels probe mask-row membership: the sorted-CSR
 //     probe, a pooled per-worker bitmap, or direct indexing of contiguous
-//     dense rows — per block, chosen by the planner or pinned via
-//     Options.MaskRep. Complement is native to every representation, so no
-//     kernel materializes an explicit complement pattern.
+//     dense rows. The planner chooses it per block; MaskedSpGEMM resolves
+//     one from the aggregate mask shape. Complement is native to every
+//     representation, so no kernel materializes an explicit complement
+//     pattern.
 //
 // Requirements: all kernels assume duplicate-free rows. MCA, Heap, HeapDot
 // and Inner additionally require rows (and, for Inner, CSC columns) sorted
@@ -117,23 +118,13 @@ type Options struct {
 	// *out*. MCA does not support complemented masks (§8.4) and returns an
 	// error; Heap/HeapDot run with NInspect=0 under complement (§5.5).
 	Complement bool
-	// MaskRep pins the mask representation kernels probe membership with
-	// (sorted-CSR, bitmap, or dense-run direct index). The zero value
-	// RepAuto lets the planner choose per row block — or, on the
-	// fixed-variant entry points, resolves one representation from the
-	// aggregate mask shape. Kernels that cannot exploit the pinned
-	// representation demote it (see MaskRep).
-	MaskRep MaskRep
-	// Sched selects how the drivers distribute rows across workers:
-	// SchedAuto (cost-balanced spans when a skewed RowCosts profile is
-	// available, equal-row chunks otherwise), SchedEqualRow, or SchedCost.
+	// RowCosts, if non-nil, supplies the per-row cost profile that decides
+	// how the drivers distribute rows across workers: a profile marked
+	// Skewed is claimed in equal-cost spans, anything else (nil, unskewed,
+	// or stale — a length that does not match the row count) in equal-row
+	// chunks. The planner attaches the profile its analysis sweep gathers;
+	// callers pinning a variant can build one with ComputeRowCosts.
 	// Scheduling never changes results — only who computes which rows when.
-	Sched Sched
-	// RowCosts, if non-nil, supplies the per-row cost prefix cost-balanced
-	// scheduling claims equal-flops spans over. The planner attaches the
-	// profile its analysis sweep gathers; callers pinning a variant can
-	// build one with ComputeRowCosts. Nil (or a stale profile whose length
-	// does not match the row count) falls back to equal-row chunking.
 	RowCosts *RowCosts
 	// Ctx, if non-nil, carries a cancellation signal honored cooperatively
 	// by the parallel drivers: workers observe it between scheduling chunks
@@ -218,7 +209,7 @@ func MaskedSpGEMM[T any](v Variant, m *matrix.Pattern, a, b *matrix.CSR[T], sr s
 	if err := opt.Err(); err != nil {
 		return nil, err
 	}
-	rep := resolveRep(opt.MaskRep, v.Alg, m, a, 0, m.NRows, opt.Complement)
+	rep := resolveRep(v.Alg, m, a, 0, m.NRows, opt.Complement)
 	factory, err := algKernelFactory(v.Alg, rep, m, a, b, nil, sr, opt.Complement, opt.Workspaces)
 	if err != nil {
 		return nil, err
@@ -313,20 +304,14 @@ func MaskedSpGEMMBlocked[T any](phase Phase, blocks []ExecBlock, m *matrix.Patte
 		if blk.Alg == Inner && bcsc == nil {
 			bcsc = matrix.ToCSC(b)
 		}
-		// Representation resolution: a caller pin wins over the plan's and
-		// is fully verified (including the sortedness guard); a block rep
-		// set by the planner is trusted without re-scanning — Analyze only
-		// emits sortedness-requiring reps after verifying sortedness — and
-		// just demoted to what the algorithm supports; RepAuto blocks
-		// resolve from the block's local statistics.
-		var rep MaskRep
-		switch {
-		case opt.MaskRep != RepAuto:
-			rep = resolveRep(opt.MaskRep, blk.Alg, m, a, blk.Lo, blk.Hi, opt.Complement)
-		case blk.Rep != RepAuto:
-			rep = SupportedMaskRep(blk.Alg, blk.Rep, opt.Complement)
-		default:
-			rep = resolveRep(RepAuto, blk.Alg, m, a, blk.Lo, blk.Hi, opt.Complement)
+		// Representation resolution: a block rep set by the planner is
+		// trusted without re-scanning — Analyze only emits
+		// sortedness-requiring reps after verifying sortedness — and
+		// algKernelFactory demotes it to what the algorithm supports;
+		// RepAuto blocks resolve from the block's local statistics.
+		rep := blk.Rep
+		if rep == RepAuto {
+			rep = resolveRep(blk.Alg, m, a, blk.Lo, blk.Hi, opt.Complement)
 		}
 		factory, err := algKernelFactory(blk.Alg, rep, m, a, b, bcsc, sr, opt.Complement, opt.Workspaces)
 		if err != nil {
@@ -381,11 +366,8 @@ func MaskedDotCSC[T any](phase Phase, m *matrix.Pattern, a *matrix.CSR[T], bcsc 
 	if err := opt.Err(); err != nil {
 		return nil, err
 	}
-	rep := SupportedMaskRep(Inner, opt.MaskRep, opt.Complement)
-	if rep == RepAuto {
-		rep = RepCSR // no planner here; the merge walk is the safe default
-	}
-	factory, err := algKernelFactory(Inner, rep, m, a, nil, bcsc, sr, opt.Complement, opt.Workspaces)
+	// No planner here; the CSR probe is the safe default.
+	factory, err := algKernelFactory(Inner, RepCSR, m, a, nil, bcsc, sr, opt.Complement, opt.Workspaces)
 	if err != nil {
 		return nil, err
 	}
@@ -439,14 +421,10 @@ func MaskedSpGEMMHeapNInspect[T any](phase Phase, m *matrix.Pattern, a, b *matri
 		return nil, err
 	}
 	// The NInspect knob only exists on the CSR merge path, so the ablation
-	// pins the CSR representation unless the caller explicitly overrides.
-	rep := opt.MaskRep
-	if rep == RepAuto {
-		rep = RepCSR
-	}
-	// Ablation entry point: always the FuncOps instantiation, so NInspect
-	// comparisons are not confounded by operator dispatch differences.
-	factory := newHeapKernelFactory(m, a, b, funcOps(sr), opt.Complement, nInspect, rep, opt.Workspaces)
+	// runs the CSR representation. Ablation entry point: always the FuncOps
+	// instantiation, so NInspect comparisons are not confounded by operator
+	// dispatch differences.
+	factory := newHeapKernelFactory(m, a, b, funcOps(sr), opt.Complement, nInspect, RepCSR, opt.Workspaces)
 	bound := allocBound(m, a, b, opt.Complement)
 	return runDriver(phase, m, b.NCols, bound, factory, opt)
 }

@@ -104,11 +104,13 @@ func refreshExact(t *testing.T, p *DeltaProduct[float64], mult DeltaMult[float64
 }
 
 // deltaEquivConfig replays the stream under one (variant, complement, rep,
-// sched, semiring) configuration: after every prefix — including a
+// schedule, semiring) configuration — skewed runs every product on its
+// operands' cost profile marked skewed (equal-cost spans), otherwise no
+// profile (equal-row chunks): after every prefix — including a
 // mid-stream Compact — the incrementally refreshed output must be
 // bit-identical to a from-scratch multiply on the overlays' current
 // (compacted) content.
-func deltaEquivConfig(t *testing.T, v Variant, comp bool, rep MaskRep, sched Sched,
+func deltaEquivConfig(t *testing.T, v Variant, comp bool, rep MaskRep, skewed bool,
 	sr semiring.Semiring[float64], baseM, baseA, baseB *matrix.CSR[float64], stream deltaStream) {
 	t.Helper()
 	newOverlay := func(base *matrix.CSR[float64]) *matrix.DeltaCSR[float64] {
@@ -122,21 +124,24 @@ func deltaEquivConfig(t *testing.T, v Variant, comp bool, rep MaskRep, sched Sch
 	dm, da, db := newOverlay(baseM), newOverlay(baseA), newOverlay(baseB)
 	p := NewDeltaProductComplement(dm, da, db, comp)
 	opt := func(m *matrix.Pattern, a, b *matrix.CSR[float64]) Options {
-		o := Options{Threads: 2, Grain: 3, Complement: comp, MaskRep: rep, Sched: sched}
-		if sched == SchedCost {
+		o := Options{Threads: 2, Grain: 3, Complement: comp}
+		if skewed {
 			o.RowCosts = ComputeRowCosts(m, a.Pattern(), b.Pattern(), o.Workers())
+			if o.RowCosts != nil {
+				o.RowCosts.Skewed = true
+			}
 		}
 		return o
 	}
 	mult := func(msub *matrix.Pattern, asub, b *matrix.CSR[float64]) (*matrix.CSR[float64], error) {
-		return MaskedSpGEMM(v, msub, asub, b, sr, opt(msub, asub, b))
+		return runRep(v, rep, msub, asub, b, sr, opt(msub, asub, b))
 	}
 	eqBits := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
 	check := func(round int) {
 		t.Helper()
 		got, _ := refreshExact(t, p, mult)
 		cm, ca, cb := dm.Current().Pattern(), da.Current(), db.Current()
-		want, err := MaskedSpGEMM(v, cm, ca, cb, sr, opt(cm, ca, cb))
+		want, err := runRep(v, rep, cm, ca, cb, sr, opt(cm, ca, cb))
 		if err != nil {
 			t.Fatalf("round %d: rebuild: %v", round, err)
 		}
@@ -167,10 +172,10 @@ func deltaEquivConfig(t *testing.T, v Variant, comp bool, rep MaskRep, sched Sch
 
 // TestDeltaEquivalenceBattery is the incremental-vs-rebuild property test:
 // across all 12 variants × 3 mask representations × 3 named semirings ×
-// both schedulers, plus complemented masks and a mid-stream Compact, every
-// prefix of a seeded random insert/delete stream yields an incremental
-// output bit-identical to a from-scratch multiply on the compacted
-// operands.
+// both schedules (no cost profile, a skewed one), plus complemented masks
+// and a mid-stream Compact, every prefix of a seeded random insert/delete
+// stream yields an incremental output bit-identical to a from-scratch
+// multiply on the compacted operands.
 func TestDeltaEquivalenceBattery(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	const m, k, n = 29, 23, 31
@@ -190,8 +195,8 @@ func TestDeltaEquivalenceBattery(t *testing.T) {
 						continue
 					}
 					for _, rep := range []MaskRep{RepCSR, RepBitmap, RepDense} {
-						for _, sched := range []Sched{SchedEqualRow, SchedCost} {
-							deltaEquivConfig(t, v, comp, rep, sched, sr,
+						for _, skewed := range []bool{false, true} {
+							deltaEquivConfig(t, v, comp, rep, skewed, sr,
 								baseM, baseA, baseB, stream)
 						}
 					}

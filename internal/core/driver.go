@@ -172,11 +172,11 @@ func (t *segTimer) wrap(worker func(id int, claim func() (int, int, bool))) func
 	}
 }
 
-// forRows runs one kernel pass over all rows under the options' scheduling
-// policy: equal-cost spans over the row-cost prefix when one is available
-// and engaged (see schedPrefix), equal-row dynamic chunks otherwise. Both
+// forRows runs one kernel pass over all rows under the options' schedule:
+// equal-cost spans over the row-cost prefix when a skewed profile is
+// available (see schedPrefix), equal-row dynamic chunks otherwise. Both
 // forms are cancellation-aware and deliver rows to workers in disjoint
-// ascending spans, so kernel results never depend on the policy. A non-nil
+// ascending spans, so kernel results never depend on the schedule. A non-nil
 // timer observes each worker's per-chunk wall time.
 func forRows(opt Options, nrows Index, timer *segTimer, worker func(id int, claim func() (lo, hi int, ok bool))) error {
 	worker = timer.wrap(worker)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/matrix"
@@ -68,6 +69,14 @@ func bandB(b *matrix.CSR[float64]) *matrix.CSR[float64] {
 	})
 }
 
+// runRep runs variant v with every row probing the mask through rep: a
+// one-block plan through MaskedSpGEMMBlocked, which runs the same driver as
+// MaskedSpGEMM (runDriver is a one-segment runDriverBlocked). The block's
+// rep is trusted, so the mask must have sorted rows.
+func runRep[T any](v Variant, rep MaskRep, m *matrix.Pattern, a, b *matrix.CSR[T], sr semiring.Semiring[T], opt Options) (*matrix.CSR[T], error) {
+	return MaskedSpGEMMBlocked(v.Phase, []ExecBlock{{0, m.NRows, v.Alg, rep}}, m, a, b, nil, sr, opt, nil)
+}
+
 // TestMaskRepEquivalence is the representation-equivalence property test:
 // for every variant, phase, mask mode and mask shape, the bitmap and dense
 // representations must produce output bit-identical to the CSR probe (same
@@ -117,8 +126,8 @@ func TestMaskRepEquivalence(t *testing.T) {
 				wantInt := Reference(mask, aInt, bInt, intSR, comp)
 				var baseline *matrix.CSR[float64]
 				for _, rep := range reps {
-					opt := Options{Threads: 2, Grain: 3, Complement: comp, MaskRep: rep}
-					gotInt, err := MaskedSpGEMM(v, mask, aInt, bInt, intSR, opt)
+					opt := Options{Threads: 2, Grain: 3, Complement: comp}
+					gotInt, err := runRep(v, rep, mask, aInt, bInt, intSR, opt)
 					if err != nil {
 						t.Fatalf("%s %s comp=%v rep=%s: %v", sh.name, v.Name(), comp, rep, err)
 					}
@@ -126,7 +135,7 @@ func TestMaskRepEquivalence(t *testing.T) {
 						t.Fatalf("%s %s comp=%v rep=%s: mismatch vs reference", sh.name, v.Name(), comp, rep)
 					}
 					// Float-valued bit-identity across representations.
-					got, err := MaskedSpGEMM(v, mask, a, b, sr, opt)
+					got, err := runRep(v, rep, mask, a, b, sr, opt)
 					if err != nil {
 						t.Fatalf("%s %s comp=%v rep=%s: %v", sh.name, v.Name(), comp, rep, err)
 					}
@@ -158,13 +167,13 @@ func TestMaskRepPooledEquivalence(t *testing.T) {
 	mask := randFloatCSR(r, 48, 56, 0.7).Pattern()
 	ws := NewWorkspaces()
 	for _, v := range []Variant{{Hash, OnePhase}, {MCA, TwoPhase}, {Heap, OnePhase}} {
-		want, err := MaskedSpGEMM(v, mask, a, b, sr, Options{MaskRep: RepBitmap})
+		want, err := runRep(v, RepBitmap, mask, a, b, sr, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for rep := 0; rep < 3; rep++ {
-			got, err := MaskedSpGEMM(v, mask, a, b, sr,
-				Options{Threads: 3, MaskRep: RepBitmap, Workspaces: ws})
+			got, err := runRep(v, RepBitmap, mask, a, b, sr,
+				Options{Threads: 3, Workspaces: ws})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -175,15 +184,15 @@ func TestMaskRepPooledEquivalence(t *testing.T) {
 	}
 }
 
+// TestMaskRepNamesAndLookup: every representation has its own name, the
+// one Explain prints per block.
 func TestMaskRepNamesAndLookup(t *testing.T) {
+	seen := map[string]bool{}
 	for _, rep := range []MaskRep{RepAuto, RepCSR, RepBitmap, RepDense} {
-		got, err := MaskRepByName(rep.String())
-		if err != nil || got != rep {
-			t.Fatalf("MaskRepByName(%q) = %v, %v", rep.String(), got, err)
+		if name := rep.String(); name == "" || seen[name] {
+			t.Fatalf("%d: name %q empty or taken", rep, name)
 		}
-	}
-	if _, err := MaskRepByName("nope"); err == nil {
-		t.Fatal("expected error for unknown representation")
+		seen[rep.String()] = true
 	}
 	if MaskRep(200).String() == "" {
 		t.Fatal("fallback String must be non-empty")
@@ -209,6 +218,10 @@ func TestSupportedMaskRepDemotions(t *testing.T) {
 }
 
 func TestAutoMaskRepRules(t *testing.T) {
+	// The hand-tuned thresholds: cost ratios of 1.
+	AutoMaskRep := func(alg Algorithm, complement bool, rows, maskNNZ, aNNZ, runRows, nonEmptyRows int64) MaskRep {
+		return AutoMaskRepRatio(alg, complement, rows, maskNNZ, aNNZ, runRows, nonEmptyRows, 1, 1)
+	}
 	// Dense flat mask rows with multi-entry A rows: MCA takes the bitmap.
 	if got := AutoMaskRep(MCA, false, 100, 100*64, 100*8, 0, 0); got != RepBitmap {
 		t.Fatalf("MCA dense = %s, want bitmap", got)
@@ -235,53 +248,42 @@ func TestAutoMaskRepRules(t *testing.T) {
 	}
 }
 
-func TestAdoptMaskRepHint(t *testing.T) {
-	if got := AdoptMaskRepHint(Hash, RepBitmap, false); got != RepBitmap {
-		t.Fatalf("Hash hint = %s, want bitmap", got)
-	}
-	if got := AdoptMaskRepHint(Heap, RepBitmap, false); got != RepAuto {
-		t.Fatalf("Heap hint = %s, want auto", got)
-	}
-	if got := AdoptMaskRepHint(Inner, RepBitmap, true); got != RepBitmap {
-		t.Fatalf("Inner complement hint = %s, want bitmap", got)
-	}
-	if got := AdoptMaskRepHint(MCA, RepAuto, false); got != RepAuto {
-		t.Fatalf("pass-through = %s, want auto", got)
-	}
-}
-
-// TestDensePinOnUnsortedMask: MSA and Hash legally accept unsorted mask
-// rows, so a pinned RepDense must be demoted there (its O(1) contiguity
-// check and sorted-row fallback probe would silently corrupt output) and
-// results must match the CSR probe exactly.
-func TestDensePinOnUnsortedMask(t *testing.T) {
-	// Hand-built mask with an unsorted row [5,2,9] that RowRun would treat
-	// as a non-run and the sorted fallback would probe incorrectly.
-	mask := &matrix.Pattern{
-		NRows: 2, NCols: 12,
-		RowPtr: []Index{0, 3, 5},
-		Col:    []Index{5, 2, 9, 1, 3},
-	}
+// TestHashBitmapGuardOnUnsortedMask: MSA and Hash legally accept unsorted
+// mask rows. On rows of at least 64 entries the fixed-variant path chooses
+// the bitmap for Hash, whose sort-based gather would emit rows in another
+// order than the CSR path's mask-order gather, so resolveRep's sortedness
+// scan must demote it: the result must equal a CSR run bit for bit.
+func TestHashBitmapGuardOnUnsortedMask(t *testing.T) {
+	const rows, cols = 6, 200
 	r := rand.New(rand.NewSource(3))
-	a := randCSR(r, 2, 4, 0.9)
-	b := randCSR(r, 4, 12, 0.9)
+	// Every row holds 80 distinct columns, reversed so no row is sorted.
+	mask := &matrix.Pattern{NRows: rows, NCols: cols, RowPtr: make([]Index, rows+1)}
+	for i := 0; i < rows; i++ {
+		perm := r.Perm(cols)[:80]
+		slices.Sort(perm)
+		for k := len(perm) - 1; k >= 0; k-- {
+			mask.Col = append(mask.Col, Index(perm[k]))
+		}
+		mask.RowPtr[i+1] = Index(len(mask.Col))
+	}
+	if AutoMaskRepRatio(Hash, false, rows, int64(mask.NNZ()), 0, 0, 0, 1, 1) != RepBitmap {
+		t.Fatal("test premise broken: the mask does not select the Hash bitmap")
+	}
+	a := randFloatCSR(r, rows, 30, 0.5)
+	b := randFloatCSR(r, 30, cols, 0.3)
 	sr := semiring.Arithmetic()
-	for _, alg := range []Algorithm{MSA, Hash} {
-		v := Variant{alg, OnePhase}
-		want, err := MaskedSpGEMM(v, mask, a, b, sr, Options{MaskRep: RepCSR})
+	for _, phase := range []Phase{OnePhase, TwoPhase} {
+		v := Variant{Hash, phase}
+		want, err := runRep(v, RepCSR, mask, a, b, sr, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		// RepBitmap matters for Hash: its sort-based gather would reorder
-		// rows relative to the CSR path's mask-order gather.
-		for _, pin := range []MaskRep{RepDense, RepBitmap} {
-			got, err := MaskedSpGEMM(v, mask, a, b, sr, Options{MaskRep: pin})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !matrix.Equal(got, want, eqF) {
-				t.Fatalf("%s: %s pin on unsorted mask differs from CSR probe", v.Name(), pin)
-			}
+		got, err := MaskedSpGEMM(v, mask, a, b, sr, Options{Threads: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !matrix.Equal(got, want, eqF) {
+			t.Errorf("%s on an unsorted mask differs from the CSR probe", v.Name())
 		}
 	}
 }

@@ -56,17 +56,6 @@ func (r MaskRep) String() string {
 	return fmt.Sprintf("MaskRep(%d)", uint8(r))
 }
 
-// MaskRepByName resolves a representation name ("auto", "csr", "bitmap",
-// "dense").
-func MaskRepByName(name string) (MaskRep, error) {
-	for _, r := range []MaskRep{RepAuto, RepCSR, RepBitmap, RepDense} {
-		if r.String() == name {
-			return r, nil
-		}
-	}
-	return RepAuto, fmt.Errorf("core: unknown mask representation %q", name)
-}
-
 // Representation-selection thresholds. The bitmap's O(nnz(mask row)) scatter
 // and clear only repay themselves when the CSR probe would be repeated or
 // deep; the dense direct-index path needs rows that actually are runs. The
@@ -78,9 +67,9 @@ func MaskRepByName(name string) (MaskRep, error) {
 // early exits), so Heap is excluded from automatic bitmap selection
 // entirely.
 const (
-	// bitmapMinMaskRow is the minimum average mask-row size for a bitmap
-	// hint or the MCA bitmap: below it, merges are short and the scatter
-	// overhead wins nothing.
+	// bitmapMinMaskRow is the minimum average mask-row size for the MCA
+	// bitmap: below it, merges are short and the scatter overhead wins
+	// nothing.
 	bitmapMinMaskRow = 32
 	// bitmapMinARow is the minimum average A-row size for MCA, whose CSR
 	// probe is a per-A-entry merge of the whole mask row: the bitmap's
@@ -106,8 +95,8 @@ const (
 //     entries rather than probing them — so representations only matter to
 //     its complemented form.
 //
-// Keeping the demotion here (rather than erroring) lets callers pin a
-// representation globally and have each block's kernel take what it can use.
+// Keeping the demotion here (rather than erroring) lets a block carry any
+// representation and have its kernel take what it can use.
 func SupportedMaskRep(alg Algorithm, rep MaskRep, complement bool) MaskRep {
 	switch alg {
 	case MSA:
@@ -122,24 +111,22 @@ func SupportedMaskRep(alg Algorithm, rep MaskRep, complement bool) MaskRep {
 	return rep
 }
 
-// AutoMaskRep picks the representation for one row range from its density
-// statistics: rows and maskNNZ/aNNZ are the range's row count and entry
-// counts, runRows/nonEmptyRows the number of mask rows that are contiguous
-// runs and non-empty (pass 0/0 when row sortedness is unknown — the run
-// check is only exact on sorted rows). The planner calls this per block;
-// the fixed-variant entry points call it once for the whole row space.
-func AutoMaskRep(alg Algorithm, complement bool, rows, maskNNZ, aNNZ, runRows, nonEmptyRows int64) MaskRep {
-	return AutoMaskRepRatio(alg, complement, rows, maskNNZ, aNNZ, runRows, nonEmptyRows, 1, 1)
-}
-
-// AutoMaskRepRatio is AutoMaskRep with representation cost ratios scaling
-// the density thresholds (planner.Model's BitmapProbeRatio and DenseUnit):
-// bitmapRatio is the bitmap-vs-CSR probe cost ratio (above 1 the bitmap is
-// relatively expensive, so it needs proportionally denser mask rows
-// before it pays) and denseRatio the dense-direct-index-vs-CSR ratio,
-// scaling the dense-run path's minimum average row the same way. Ratios of
-// 1 (or anything non-positive) reproduce the hand-tuned thresholds exactly;
-// the planner passes its model's fitted ratios.
+// AutoMaskRepRatio picks the representation for one row range from its
+// density statistics: rows and maskNNZ/aNNZ are the range's row count and
+// entry counts, runRows/nonEmptyRows the number of mask rows that are
+// contiguous runs and non-empty (pass 0/0 when row sortedness is unknown —
+// the run check is only exact on sorted rows). The planner calls it per
+// block; the fixed-variant entry points call it once for the whole row
+// space, through resolveRep.
+//
+// Representation cost ratios scale the density thresholds
+// (planner.Model's BitmapProbeRatio and DenseUnit): bitmapRatio is the
+// bitmap-vs-CSR probe cost ratio (above 1 the bitmap is relatively
+// expensive, so it needs proportionally denser mask rows before it pays)
+// and denseRatio the dense-direct-index-vs-CSR ratio, scaling the dense-run
+// path's minimum average row the same way. Ratios of 1 (or anything
+// non-positive) reproduce the hand-tuned thresholds exactly; the planner
+// passes its model's fitted ratios.
 func AutoMaskRepRatio(alg Algorithm, complement bool, rows, maskNNZ, aNNZ, runRows, nonEmptyRows int64, bitmapRatio, denseRatio float64) MaskRep {
 	if rows <= 0 || maskNNZ == 0 {
 		return RepCSR
@@ -171,69 +158,27 @@ func AutoMaskRepRatio(alg Algorithm, complement bool, rows, maskNNZ, aNNZ, runRo
 	}
 	// Heap/HeapDot deliberately never auto-select the bitmap: measurements
 	// show the merge's frontier skipping beats O(1) probes with blind
-	// pushes. An explicit pin still runs it.
+	// pushes. A hand-built ExecBlock can still run it.
 	return RepCSR
 }
 
-// HintMaskRep suggests a representation from aggregate mask shape alone,
-// for applications that know their mask's density without a scan (k-truss
-// masks with the graph itself; multi-source BFS masks with the visited set).
-// The hint is coarse — no per-block statistics, no algorithm identity — so
-// it only proposes the bitmap for clearly dense masks and otherwise defers
-// to RepAuto; kernels that cannot exploit the proposal demote it.
-func HintMaskRep(maskNNZ, rows int64) MaskRep {
-	if rows > 0 && maskNNZ/rows >= bitmapMinMaskRow {
-		return RepBitmap
-	}
-	return RepAuto
-}
-
-// AdoptMaskRepHint gates an application's representation hint by algorithm
-// family: a bitmap hint is adopted only where measurements show it is
-// broadly safe — Hash (sheds its mask-preinserted table) and complemented
-// Inner. For the merge-based families the hint falls back to RepAuto so the
-// per-call statistics gating in AutoMaskRep decides instead (the coarse
-// hint cannot see the skew that makes the bitmap lose there).
-func AdoptMaskRepHint(alg Algorithm, hint MaskRep, complement bool) MaskRep {
-	if hint != RepBitmap {
-		return hint
-	}
-	switch alg {
-	case Hash:
-		return RepBitmap
-	case Inner:
-		if complement {
-			return RepBitmap
-		}
-	}
-	return RepAuto
-}
-
-// resolveRep turns a possibly-RepAuto representation into a concrete one for
-// the row range [lo, hi), consulting the mask and A row pointers for local
-// entry counts. Run detection is skipped (runRows=0) because sortedness is
-// not established here; the planner, which verifies sortedness, passes
-// explicit per-block run counts instead via ExecBlock.Rep.
+// resolveRep chooses a concrete representation for the row range [lo, hi)
+// of the fixed-variant path, consulting the mask and A row pointers for
+// local entry counts. Run detection is skipped (runRows=0) because
+// sortedness is not established here; the planner, which verifies
+// sortedness, passes its per-block choice instead via ExecBlock.Rep.
 //
-// Sortedness guards. MSA and Hash legally accept unsorted mask rows (the
-// other kernels already carry a sorted-rows precondition), but two of their
-// representation paths silently depend on sortedness: RepDense's O(1)
-// contiguity check plus its sorted-row fallback probe would corrupt output,
-// and the Hash bitmap path's sort-based gather would emit rows in a
-// different order than the CSR path's mask-order gather, breaking the
-// bit-identity contract. resolveRep therefore verifies the range with an
-// O(nnz) Pattern.RowsSortedIn scan before honoring those representations
-// and demotes to RepCSR otherwise. Planner-emitted block reps skip this —
-// Analyze already verified sortedness for the whole plan (see
-// MaskedSpGEMMBlocked).
-func resolveRep[T any](rep MaskRep, alg Algorithm, m *matrix.Pattern, a *matrix.CSR[T], lo, hi Index, complement bool) MaskRep {
-	if rep != RepAuto {
-		rep = SupportedMaskRep(alg, rep, complement)
-		if needsSortedMask(alg, rep) && !m.RowsSortedIn(lo, hi) {
-			rep = RepCSR
-		}
-		return rep
-	}
+// Sortedness guard. Hash legally accepts unsorted mask rows (MCA, Heap,
+// HeapDot and Inner already carry a sorted-rows precondition), but its
+// bitmap path's sort-based gather would emit rows in a different order
+// than the CSR path's mask-order gather, breaking the bit-identity
+// contract. resolveRep therefore verifies the range with an O(nnz)
+// Pattern.RowsSortedIn scan before honoring the Hash bitmap and demotes to
+// RepCSR otherwise. (RepDense, whose contiguity check needs sorted rows
+// too, never comes out of here: it needs run counts.) Planner-emitted
+// block reps skip this — Analyze already verified sortedness for the whole
+// plan (see MaskedSpGEMMBlocked).
+func resolveRep[T any](alg Algorithm, m *matrix.Pattern, a *matrix.CSR[T], lo, hi Index, complement bool) MaskRep {
 	rows := int64(hi - lo)
 	var maskNNZ, aNNZ int64
 	if int(hi) < len(m.RowPtr) {
@@ -242,24 +187,11 @@ func resolveRep[T any](rep MaskRep, alg Algorithm, m *matrix.Pattern, a *matrix.
 	if int(hi) < len(a.RowPtr) {
 		aNNZ = int64(a.RowPtr[hi] - a.RowPtr[lo])
 	}
-	rep = SupportedMaskRep(alg, AutoMaskRep(alg, complement, rows, maskNNZ, aNNZ, 0, 0), complement)
-	if needsSortedMask(alg, rep) && !m.RowsSortedIn(lo, hi) {
+	rep := AutoMaskRepRatio(alg, complement, rows, maskNNZ, aNNZ, 0, 0, 1, 1)
+	if alg == Hash && rep == RepBitmap && !m.RowsSortedIn(lo, hi) {
 		rep = RepCSR
 	}
 	return rep
-}
-
-// needsSortedMask reports whether the (algorithm, representation) pair adds
-// a mask-sortedness requirement beyond the algorithm's own preconditions —
-// exactly the MSA/Hash cases resolveRep must verify before honoring.
-func needsSortedMask(alg Algorithm, rep MaskRep) bool {
-	switch alg {
-	case MSA:
-		return rep == RepDense
-	case Hash:
-		return rep == RepDense || rep == RepBitmap
-	}
-	return false
 }
 
 // maskProbe is the per-worker MaskView: it materializes one mask row at a

@@ -95,14 +95,14 @@ func TestMSACountingContract(t *testing.T) {
 		v := Variant{MSA, phase}
 		for _, rep := range []MaskRep{RepCSR, RepBitmap} {
 			for _, threads := range []int{1, 2} {
-				opt := Options{Threads: threads, Grain: 1, MaskRep: rep}
+				opt := Options{Threads: threads, Grain: 1}
 				label := v.Name() + "/" + rep.String()
-				cf, err := MaskedSpGEMM(v, mask, af, bf, semiring.PlusPairF(), opt)
+				cf, err := runRep(v, rep, mask, af, bf, semiring.PlusPairF(), opt)
 				if err != nil {
 					t.Fatalf("%s PlusPairF: %v", label, err)
 				}
 				checkCounts(t, label+"/PlusPairF", cf, want)
-				ci, err := MaskedSpGEMM(v, mask, ai, bi, semiring.PlusPair(), opt)
+				ci, err := runRep(v, rep, mask, ai, bi, semiring.PlusPair(), opt)
 				if err != nil {
 					t.Fatalf("%s PlusPair: %v", label, err)
 				}
@@ -189,13 +189,13 @@ func TestMSACountingWorkspaceReuse(t *testing.T) {
 		v := Variant{MSA, phase}
 		ws := NewWorkspaces()
 		for _, st := range steps {
-			opt := Options{Threads: 1, MaskRep: RepCSR}
-			want, err := MaskedSpGEMM(v, st.mask, a, b, st.sr, opt)
+			opt := Options{Threads: 1}
+			want, err := runRep(v, RepCSR, st.mask, a, b, st.sr, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
 			opt.Workspaces = ws
-			got, err := MaskedSpGEMM(v, st.mask, a, b, st.sr, opt)
+			got, err := runRep(v, RepCSR, st.mask, a, b, st.sr, opt)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -9,8 +9,8 @@ import (
 	"repro/internal/semiring"
 )
 
-// opsEquivCase runs one semiring through every variant × mask rep × sched
-// twice — once with the named operator type (monomorphized loops) and once
+// opsEquivCase runs one semiring through every variant × mask rep ×
+// schedule (no cost profile, a skewed one) twice — once with the named operator type (monomorphized loops) and once
 // with the funcptr fallback (Ops stripped) — and requires bit-identical
 // output. This is the contract loops_gen.go is generated under: the
 // specialized loops replicate the generic ops loops' operation order
@@ -32,24 +32,25 @@ func opsEquivPair[T any](t *testing.T, sr, fp semiring.Semiring[T], mask *matrix
 	if fp.Ops != nil {
 		t.Fatalf("%s: funcptr semiring carries an operator type", fp.Name)
 	}
+	scheds := schedCases(ComputeRowCosts(mask, a.Pattern(), b.Pattern(), 0), false)
 	for _, v := range AllVariants() {
 		for _, comp := range []bool{false, true} {
 			if comp && !v.SupportsComplement() {
 				continue
 			}
 			for _, rep := range []MaskRep{RepCSR, RepBitmap, RepDense} {
-				for _, sched := range []Sched{SchedEqualRow, SchedCost} {
-					opt := Options{Threads: 2, Grain: 3, Complement: comp, MaskRep: rep, Sched: sched}
-					want, err := MaskedSpGEMM(v, mask, a, b, fp, opt)
+				for _, sc := range scheds {
+					opt := Options{Threads: 2, Grain: 3, Complement: comp, RowCosts: sc.rc}
+					want, err := runRep(v, rep, mask, a, b, fp, opt)
 					if err != nil {
-						t.Fatalf("%s %s comp=%v rep=%s sched=%s funcptr: %v", sr.Name, v.Name(), comp, rep, sched, err)
+						t.Fatalf("%s %s comp=%v rep=%s profile=%s funcptr: %v", sr.Name, v.Name(), comp, rep, sc.name, err)
 					}
-					got, err := MaskedSpGEMM(v, mask, a, b, sr, opt)
+					got, err := runRep(v, rep, mask, a, b, sr, opt)
 					if err != nil {
-						t.Fatalf("%s %s comp=%v rep=%s sched=%s inlined: %v", sr.Name, v.Name(), comp, rep, sched, err)
+						t.Fatalf("%s %s comp=%v rep=%s profile=%s inlined: %v", sr.Name, v.Name(), comp, rep, sc.name, err)
 					}
 					if !matrix.Equal(got, want, eq) {
-						t.Fatalf("%s %s comp=%v rep=%s sched=%s: inlined result not bit-identical to funcptr", sr.Name, v.Name(), comp, rep, sched)
+						t.Fatalf("%s %s comp=%v rep=%s profile=%s: inlined result not bit-identical to funcptr", sr.Name, v.Name(), comp, rep, sc.name)
 					}
 				}
 			}

@@ -19,9 +19,10 @@ import (
 // (opt.Workspaces), adds the state byte (Allowed = 1, NotAllowed = 0) for
 // every flop into a register, then resets the keys, so every state is
 // NotAllowed again when the count returns the workers' MSAs. Each worker
-// keeps its own partial sum. Rows are scheduled like the drivers' passes (cost-balanced
-// spans over opt.RowCosts when engaged), and a cancelled opt.Ctx returns
-// its error. Rows must be duplicate-free; they need not be sorted.
+// keeps its own partial sum. Rows are scheduled like the drivers' passes
+// (cost-balanced spans over opt.RowCosts when it is skewed), and a
+// cancelled opt.Ctx returns its error. Rows must be duplicate-free; they
+// need not be sorted.
 func MaskedPairCount(m, a, b *matrix.Pattern, opt Options) (int64, error) {
 	if m.NRows != a.NRows || m.NCols != b.NCols || a.NCols != b.NRows {
 		return 0, fmt.Errorf("core: dimension mismatch M(%dx%d) A(%dx%d) B(%dx%d)",

@@ -12,7 +12,8 @@ import (
 )
 
 // TestMaskedPairCountMatchesSum: the count equals int64(Sum(C)) of the
-// plus-pair product from every variant × mask representation × schedule,
+// plus-pair product from every variant × mask representation × schedule
+// (no cost profile, an unskewed and a skewed one),
 // on the counting contract's case (1208 contributions, empty mask and A
 // rows) and on rectangular random operands, at one and two threads.
 func TestMaskedPairCountMatchesSum(t *testing.T) {
@@ -28,23 +29,21 @@ func TestMaskedPairCountMatchesSum(t *testing.T) {
 	}
 	for _, tc := range cases {
 		costs := ComputeRowCosts(tc.m, tc.a.Pattern(), tc.b.Pattern(), 1)
-		for _, sched := range []Sched{SchedAuto, SchedEqualRow, SchedCost} {
+		for _, sc := range schedCases(costs, true) {
 			for _, threads := range []int{1, 2} {
-				opt := Options{Threads: threads, Grain: 3, Sched: sched, RowCosts: costs}
+				opt := Options{Threads: threads, Grain: 3, RowCosts: sc.rc}
 				got, err := MaskedPairCount(tc.m, tc.a.Pattern(), tc.b.Pattern(), opt)
 				if err != nil {
 					t.Fatalf("%s: %v", tc.name, err)
 				}
 				for _, v := range AllVariants() {
 					for _, rep := range []MaskRep{RepCSR, RepBitmap, RepDense} {
-						o := opt
-						o.MaskRep = rep
-						c, err := MaskedSpGEMM(v, tc.m, tc.a, tc.b, semiring.PlusPairF(), o)
+						c, err := runRep(v, rep, tc.m, tc.a, tc.b, semiring.PlusPairF(), opt)
 						if err != nil {
 							t.Fatalf("%s %s: %v", tc.name, v.Name(), err)
 						}
 						if want := int64(matrix.Sum(c)); got != want {
-							t.Fatalf("%s %s/%s/%s/%dt: count %d, Sum(C) %d", tc.name, v.Name(), rep, sched, threads, got, want)
+							t.Fatalf("%s %s/%s/%s/%dt: count %d, Sum(C) %d", tc.name, v.Name(), rep, sc.name, threads, got, want)
 						}
 					}
 				}

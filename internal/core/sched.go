@@ -1,54 +1,11 @@
 package core
 
 import (
-	"fmt"
 	"slices"
 
 	"repro/internal/matrix"
 	"repro/internal/parallel"
 )
-
-// Sched selects how the phase drivers distribute rows across workers.
-type Sched uint8
-
-const (
-	// SchedAuto (the zero value) schedules cost-balanced spans when a row
-	// cost profile is available and marked skewed, and equal-row dynamic
-	// chunks otherwise — the planner's analysis sweep supplies the profile
-	// and the skew verdict for free.
-	SchedAuto Sched = iota
-	// SchedEqualRow always uses equal-row dynamic chunks (the pre-cost
-	// scheduler), even when a cost profile exists. The baseline of the
-	// schedule bench study.
-	SchedEqualRow
-	// SchedCost uses cost-balanced spans whenever a cost profile is
-	// available, regardless of the skew verdict.
-	SchedCost
-)
-
-// String returns the CLI name of the policy.
-func (s Sched) String() string {
-	switch s {
-	case SchedEqualRow:
-		return "equal"
-	case SchedCost:
-		return "cost"
-	}
-	return "auto"
-}
-
-// SchedByName resolves a scheduling policy name ("auto", "equal", "cost").
-func SchedByName(name string) (Sched, error) {
-	switch name {
-	case "auto", "":
-		return SchedAuto, nil
-	case "equal", "equal-row":
-		return SchedEqualRow, nil
-	case "cost":
-		return SchedCost, nil
-	}
-	return SchedAuto, fmt.Errorf("core: unknown schedule %q (want auto, equal or cost)", name)
-}
 
 // Skew heuristic: a profile is worth cost-balancing when one row can hold a
 // whole equal-row chunk hostage — its cost exceeds schedSkewFactor× the mean
@@ -69,8 +26,8 @@ type RowCosts struct {
 	Prefix []int64
 	// MaxRow is the largest single-row cost, the skew diagnostic.
 	MaxRow int64
-	// Skewed reports the skew verdict: SchedAuto only engages cost-balanced
-	// spans when set (SchedCost ignores it).
+	// Skewed reports the skew verdict: the drivers claim equal-cost spans
+	// only when it is set, and equal-row chunks otherwise.
 	Skewed bool
 }
 
@@ -92,17 +49,13 @@ func (rc *RowCosts) Total() int64 {
 	return rc.Prefix[len(rc.Prefix)-1] - rc.Prefix[0]
 }
 
-// schedPrefix resolves the options' scheduling policy for an nrows-row pass:
-// the cost prefix to claim equal-cost spans over, or nil for equal-row
-// chunks. A profile of the wrong length (operands changed under a cached
-// plan) falls back to equal-row — scheduling is a hint, never a correctness
-// input.
+// schedPrefix resolves the schedule of an nrows-row pass from the options'
+// cost profile: its prefix to claim equal-cost spans over when the profile
+// is skewed, or nil for equal-row chunks. A profile of the wrong length
+// (operands changed under a cached plan) falls back to equal-row —
+// scheduling is a hint, never a correctness input.
 func schedPrefix(opt Options, nrows Index) []int64 {
-	rc := opt.RowCosts
-	if rc == nil || len(rc.Prefix) != int(nrows)+1 || opt.Sched == SchedEqualRow {
-		return nil
-	}
-	if opt.Sched == SchedCost || rc.Skewed {
+	if rc := opt.RowCosts; rc != nil && rc.Skewed && len(rc.Prefix) == int(nrows)+1 {
 		return rc.Prefix
 	}
 	return nil

@@ -65,27 +65,47 @@ func TestComputeRowCostsSameAcrossThreads(t *testing.T) {
 	}
 }
 
+// schedCase is one point of the batteries' schedule axis: the cost profile
+// a product runs with, which alone decides its schedule.
+type schedCase struct {
+	name string
+	rc   *RowCosts
+}
+
+// schedCases returns the schedule axis over the operands' profile costs:
+// no profile (equal-row chunks) and the profile marked skewed (equal-cost
+// spans), plus, with unskewed set, the profile marked unskewed (equal-row
+// chunks again).
+func schedCases(costs *RowCosts, unskewed bool) []schedCase {
+	skewed := *costs
+	skewed.Skewed = true
+	cases := []schedCase{{"nil", nil}, {"skewed", &skewed}}
+	if unskewed {
+		flat := *costs
+		flat.Skewed = false
+		cases = append(cases, schedCase{"unskewed", &flat})
+	}
+	return cases
+}
+
 // TestSchedPrefixResolution: the drivers must engage cost scheduling only
-// when the policy and the profile agree, and must fall back to equal-row
-// chunking on stale profiles (wrong length) rather than misschedule.
+// when the profile is skewed, and must fall back to equal-row chunking on
+// stale profiles (wrong length) rather than misschedule.
 func TestSchedPrefixResolution(t *testing.T) {
 	nrows := Index(8)
-	good := &RowCosts{Prefix: make([]int64, 9)}
-	stale := &RowCosts{Prefix: make([]int64, 5), Skewed: true}
+	prefix := make([]int64, nrows+1)
 	cases := []struct {
 		name string
-		opt  Options
+		rc   *RowCosts
 		want bool
 	}{
-		{"nil costs", Options{Sched: SchedCost}, false},
-		{"equal-row pin", Options{Sched: SchedEqualRow, RowCosts: &RowCosts{Prefix: good.Prefix, Skewed: true}}, false},
-		{"auto unskewed", Options{Sched: SchedAuto, RowCosts: good}, false},
-		{"auto skewed", Options{Sched: SchedAuto, RowCosts: &RowCosts{Prefix: good.Prefix, Skewed: true}}, true},
-		{"cost forced", Options{Sched: SchedCost, RowCosts: good}, true},
-		{"stale profile", Options{Sched: SchedCost, RowCosts: stale}, false},
+		{"nil profile", nil, false},
+		{"stale length", &RowCosts{Prefix: make([]int64, 5), Skewed: true}, false},
+		{"unskewed", &RowCosts{Prefix: prefix}, false},
+		{"skewed", &RowCosts{Prefix: prefix, Skewed: true}, true},
 	}
 	for _, tc := range cases {
-		if got := schedPrefix(tc.opt, nrows) != nil; got != tc.want {
+		if got := schedPrefix(Options{RowCosts: tc.rc}, nrows) != nil; got != tc.want {
 			t.Errorf("%s: cost scheduling engaged=%v, want %v", tc.name, got, tc.want)
 		}
 	}
@@ -116,8 +136,9 @@ func TestNewRowCostsSkew(t *testing.T) {
 }
 
 // TestSchedEquivalence: results must be bit-identical between equal-row and
-// cost-balanced scheduling for every variant, phase and grain — scheduling
-// decides who computes which rows when, never what is computed.
+// cost-balanced scheduling (no profile, an unskewed and a skewed one) for
+// every variant, phase and grain — scheduling decides who computes which
+// rows when, never what is computed.
 func TestSchedEquivalence(t *testing.T) {
 	g := grgen.RMAT(8, 8, 17) // power-law rows: the profile cost scheduling targets
 	l := matrix.RelabelTril(g, 1)
@@ -130,14 +151,14 @@ func TestSchedEquivalence(t *testing.T) {
 	want := Reference(m, a, b, sr, false)
 	for _, v := range AllVariants() {
 		for _, grain := range []int{1, 7, 64, 512} {
-			for _, sched := range []Sched{SchedEqualRow, SchedCost} {
-				opt := Options{Threads: 4, Grain: grain, Sched: sched, RowCosts: costs}
+			for _, sc := range schedCases(costs, true) {
+				opt := Options{Threads: 4, Grain: grain, RowCosts: sc.rc}
 				got, err := MaskedSpGEMM(v, m, a, b, sr, opt)
 				if err != nil {
-					t.Fatalf("%s grain=%d sched=%s: %v", v.Name(), grain, sched, err)
+					t.Fatalf("%s grain=%d profile=%s: %v", v.Name(), grain, sc.name, err)
 				}
 				if !matrix.Equal(got, want, eqF) {
-					t.Fatalf("%s grain=%d sched=%s: result differs from reference", v.Name(), grain, sched)
+					t.Fatalf("%s grain=%d profile=%s: result differs from reference", v.Name(), grain, sc.name)
 				}
 			}
 		}
@@ -158,14 +179,14 @@ func TestSchedEquivalenceComplement(t *testing.T) {
 		if v.Alg == MCA {
 			continue
 		}
-		for _, sched := range []Sched{SchedEqualRow, SchedCost} {
-			opt := Options{Threads: 3, Grain: 5, Complement: true, Sched: sched, RowCosts: costs}
+		for _, sc := range schedCases(costs, false) {
+			opt := Options{Threads: 3, Grain: 5, Complement: true, RowCosts: sc.rc}
 			got, err := MaskedSpGEMM(v, m, a, b, sr, opt)
 			if err != nil {
-				t.Fatalf("%s sched=%s: %v", v.Name(), sched, err)
+				t.Fatalf("%s profile=%s: %v", v.Name(), sc.name, err)
 			}
 			if !matrix.Equal(got, want, eqF) {
-				t.Fatalf("%s sched=%s: complement result differs from reference", v.Name(), sched)
+				t.Fatalf("%s profile=%s: complement result differs from reference", v.Name(), sc.name)
 			}
 		}
 	}
@@ -179,6 +200,7 @@ func TestSchedCancellationMidFlight(t *testing.T) {
 	l := matrix.Tril(g)
 	m := l.Pattern()
 	costs := ComputeRowCosts(m, l.Pattern(), l.Pattern(), 0)
+	costs.Skewed = true // claim equal-cost spans
 	started := make(chan struct{})
 	var once sync.Once
 	slow := semiring.Semiring[float64]{
@@ -196,7 +218,7 @@ func TestSchedCancellationMidFlight(t *testing.T) {
 		<-started
 		cancel()
 	}()
-	opt := Options{Threads: 4, Sched: SchedCost, RowCosts: costs, Ctx: ctx}
+	opt := Options{Threads: 4, RowCosts: costs, Ctx: ctx}
 	_, err := MaskedSpGEMM(Variant{Alg: MSA, Phase: OnePhase}, m, l, l, slow, opt)
 	if err != context.Canceled {
 		t.Fatalf("mid-flight cancel under cost scheduling: got %v, want context.Canceled", err)
@@ -206,8 +228,9 @@ func TestSchedCancellationMidFlight(t *testing.T) {
 // TestDriverPoolsWarmZeroMisses: after one warming call, the drivers take
 // every scratch buffer (counts, offsets, bound bins) and the kernels every
 // accumulator and mask-probe bitmap from the session arena — zero
-// allocating fetches in steady state, for both phases, both schedules,
-// every accumulator and a complemented bitmap mask.
+// allocating fetches in steady state, for both phases, both schedules
+// (no profile and a skewed one), every accumulator and a complemented
+// bitmap mask.
 func TestDriverPoolsWarmZeroMisses(t *testing.T) {
 	g := grgen.RMAT(9, 8, 29)
 	l := matrix.RelabelTril(g, 1)
@@ -228,22 +251,22 @@ func TestDriverPoolsWarmZeroMisses(t *testing.T) {
 		{v: Variant{Alg: Hash, Phase: OnePhase}, comp: true, rep: RepBitmap},
 	}
 	for _, c := range cases {
-		for _, sched := range []Sched{SchedEqualRow, SchedCost} {
+		for _, sc := range schedCases(costs, false) {
 			ws := NewWorkspaces()
-			opt := Options{Threads: 2, Sched: sched, RowCosts: costs, Workspaces: ws, Complement: c.comp, MaskRep: c.rep}
-			if _, err := MaskedSpGEMM(c.v, m, l, l, sr, opt); err != nil { // warm the pools
+			opt := Options{Threads: 2, RowCosts: sc.rc, Workspaces: ws, Complement: c.comp}
+			if _, err := runRep(c.v, c.rep, m, l, l, sr, opt); err != nil { // warm the pools
 				t.Fatal(err)
 			}
 			missesBefore := ws.PoolStatsSnapshot().Misses
 			for rep := 0; rep < 3; rep++ {
-				if _, err := MaskedSpGEMM(c.v, m, l, l, sr, opt); err != nil {
+				if _, err := runRep(c.v, c.rep, m, l, l, sr, opt); err != nil {
 					t.Fatal(err)
 				}
 			}
 			after := ws.PoolStatsSnapshot()
 			if after.Misses != missesBefore {
-				t.Errorf("%s complement=%v rep=%s sched=%s: %d pool misses after warmup (gets %d); want 0",
-					c.v.Name(), c.comp, c.rep, sched, after.Misses-missesBefore, after.Gets)
+				t.Errorf("%s complement=%v rep=%s profile=%s: %d pool misses after warmup (gets %d); want 0",
+					c.v.Name(), c.comp, c.rep, sc.name, after.Misses-missesBefore, after.Gets)
 			}
 		}
 	}

@@ -17,7 +17,7 @@ import (
 // even out the tail.
 const (
 	// costTaperDivisor: a claim targets remaining/(costTaperDivisor·p) cost,
-	// the classic guided self-scheduling taper.
+	// the classic guided self scheduling (GSS) taper.
 	costTaperDivisor = 2
 	// costSpanFloorDivisor floors the span cost at total/(p·floorDivisor)+1
 	// so the taper cannot degenerate into per-row claims on the tail.

@@ -93,10 +93,8 @@ type cacheKey struct {
 	b            fingerprint
 	mRows, mCols Index
 	complement   bool
-	rep          core.MaskRep // caller-pinned mask representation (RepAuto when unpinned)
-	sched        core.Sched   // caller-pinned scheduling policy (SchedAuto when unpinned)
-	mBucket      int8         // log2 bucket of nnz(M)
-	aBucket      int8         // log2 bucket of nnz(A)
+	mBucket      int8 // log2 bucket of nnz(M)
+	aBucket      int8 // log2 bucket of nnz(A)
 	aRows        Index
 }
 
@@ -111,8 +109,6 @@ func makeKey(m, a, b *matrix.Pattern, opt core.Options) cacheKey {
 		mRows:      m.NRows,
 		mCols:      m.NCols,
 		complement: opt.Complement,
-		rep:        opt.MaskRep,
-		sched:      opt.Sched,
 		mBucket:    bucket(m.NNZ()),
 		aBucket:    bucket(a.NNZ()),
 		aRows:      a.NRows,
@@ -176,7 +172,6 @@ func (c *Cache) shard(k cacheKey) *cacheShard {
 	if k.complement {
 		h ^= 0xabcd
 	}
-	h ^= uint64(k.rep)<<4 | uint64(k.sched)<<2
 	// Fibonacci fold so low-entropy inputs still spread across stripes.
 	h *= 0x9e3779b97f4a7c15
 	return &c.shards[h>>(64-4)] // top 4 bits: 16 shards

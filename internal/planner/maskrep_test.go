@@ -68,47 +68,18 @@ func TestDenseRunMaskSelectsDenseRep(t *testing.T) {
 	if !sawDense {
 		t.Fatalf("no block selected the dense representation:\n%s", p.Explain())
 	}
-	// The plan must execute and match the CSR-pinned result exactly.
+	// The plan must execute and match a one-block CSR run exactly.
 	sr := semiring.Arithmetic()
 	got, err := Execute(p, mask, a, b, sr, core.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.MaskedSpGEMM(p.Variant(), mask, a, b, sr, core.Options{MaskRep: core.RepCSR})
+	csr := []core.ExecBlock{{Lo: 0, Hi: n, Alg: p.Variant().Alg, Rep: core.RepCSR}}
+	want, err := core.MaskedSpGEMMBlocked(p.Phase, csr, mask, a, b, nil, sr, core.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !matrix.Equal(got, want, func(x, y float64) bool { return x == y }) {
-		t.Fatal("dense-rep plan result differs from CSR-pinned run")
-	}
-}
-
-// TestMaskRepPinFlowsThroughPlan: a pinned representation is recorded in
-// the stats, applied to the blocks, and key-separates the cache.
-func TestMaskRepPinFlowsThroughPlan(t *testing.T) {
-	g := grgen.ErdosRenyi(1<<11, 24, 7)
-	m, a, b := g.Pattern(), g.Pattern(), g.Pattern()
-	c := NewCache()
-	auto := c.Analyze(m, a, b, core.Options{})
-	pinned := c.Analyze(m, a, b, core.Options{MaskRep: core.RepBitmap})
-	if pinned.CacheHit {
-		t.Fatal("pinned analysis must not hit the auto plan's cache entry")
-	}
-	if pinned.Stats.MaskRepPin != core.RepBitmap {
-		t.Fatalf("MaskRepPin = %s, want bitmap", pinned.Stats.MaskRepPin)
-	}
-	for _, blk := range pinned.Blocks {
-		want := core.SupportedMaskRep(blk.Alg, core.RepBitmap, false)
-		if blk.Rep != want {
-			t.Fatalf("block [%d,%d) alg %s rep %s, want %s", blk.Lo, blk.Hi, blk.Alg, blk.Rep, want)
-		}
-	}
-	if auto.Stats.MaskRepPin != core.RepAuto {
-		t.Fatalf("auto plan recorded pin %s", auto.Stats.MaskRepPin)
-	}
-	// Executing a plan under a different pin is a mode mismatch.
-	sr := semiring.Arithmetic()
-	if _, err := Execute(auto, m, g, g, sr, core.Options{MaskRep: core.RepBitmap}, nil); err == nil {
-		t.Fatal("expected MaskRep mismatch error")
+		t.Fatal("dense-rep plan result differs from the CSR run")
 	}
 }

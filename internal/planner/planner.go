@@ -61,12 +61,6 @@ type Stats struct {
 	// MaxRowCost is the largest single-row cost (flops + mask entries + 1)
 	// seen by the analysis sweep — the scheduling skew diagnostic.
 	MaxRowCost int64
-	// MaskRepPin is the caller-pinned mask representation (RepAuto when the
-	// planner selects per block).
-	MaskRepPin core.MaskRep
-	// SchedPin is the caller-pinned row-scheduling policy (SchedAuto when
-	// the skew verdict decides); Schedule() and Explain honor it.
-	SchedPin core.Sched
 	// Sorted reports whether all operand rows are sorted, the precondition
 	// of the MCA/Heap/HeapDot/Inner kernels.
 	Sorted bool
@@ -82,7 +76,7 @@ type Block struct {
 	// Alg is the algorithm family assigned to the range.
 	Alg core.Algorithm
 	// Rep is the mask representation the range's kernels probe with, chosen
-	// from the block's local mask-density statistics (or the caller's pin).
+	// from the block's local mask-density statistics.
 	Rep core.MaskRep
 	// MaskNNZ, ANNZ and Flops are the range's mask entries, A entries and
 	// flop bound.
@@ -139,21 +133,11 @@ type Plan struct {
 	fb *feedback
 }
 
-// Schedule names the row schedule the drivers will run this plan with: the
-// caller's pin when one was given (SchedEqualRow / SchedCost), otherwise
-// the SchedAuto verdict — "cost-balanced" when the analysis found the
-// per-row cost profile heavily skewed (one row over ~8x the mean),
-// "equal-row" otherwise. Matches schedPrefix's resolution in core.
+// Schedule names the row schedule the drivers will run this plan with:
+// "cost-balanced" when the analysis found the per-row cost profile heavily
+// skewed (one row over ~8x the mean), "equal-row" otherwise. Matches
+// schedPrefix's resolution in core.
 func (p *Plan) Schedule() string {
-	switch p.Stats.SchedPin {
-	case core.SchedEqualRow:
-		return "equal-row"
-	case core.SchedCost:
-		if p.Costs != nil {
-			return "cost-balanced"
-		}
-		return "equal-row"
-	}
 	if p.Costs != nil && p.Costs.Skewed {
 		return "cost-balanced"
 	}
@@ -277,11 +261,7 @@ func (p *Plan) Explain() string {
 		fmt.Fprintf(&sb, "sched: %s (max row cost %d, mean %d)\n", p.Schedule(), s.MaxRowCost, mean)
 	}
 	if s.MaskNonEmptyRows > 0 {
-		fmt.Fprintf(&sb, "mask: %d non-empty rows, %d contiguous runs", s.MaskNonEmptyRows, s.MaskRunRows)
-		if s.MaskRepPin != core.RepAuto {
-			fmt.Fprintf(&sb, ", representation pinned to %s", s.MaskRepPin)
-		}
-		sb.WriteString("\n")
+		fmt.Fprintf(&sb, "mask: %d non-empty rows, %d contiguous runs\n", s.MaskNonEmptyRows, s.MaskRunRows)
 	}
 	if e := p.Exec; e != nil {
 		fmt.Fprintf(&sb, "feedback: predicted %s, actual %s", fmtNs(p.PredictedNs), fmtNs(float64(e.ActualNs)))
@@ -382,7 +362,7 @@ func AnalyzeModel(m, a, b *matrix.Pattern, opt core.Options, mdl *Model) *Plan {
 		// Degenerate (possibly zero-value) operands: nothing to analyze, and
 		// the scans below must not index empty row pointers.
 		return &Plan{
-			Stats:  Stats{NRows: nrows, NCols: ncols, Complement: opt.Complement, MaskRepPin: opt.MaskRep, SchedPin: opt.Sched, Sorted: true},
+			Stats:  Stats{NRows: nrows, NCols: ncols, Complement: opt.Complement, Sorted: true},
 			Phase:  core.OnePhase,
 			Blocks: []Block{{Lo: 0, Hi: nrows, Alg: core.MSA, Rep: core.RepCSR, Reason: "empty operands"}},
 		}
@@ -391,8 +371,6 @@ func AnalyzeModel(m, a, b *matrix.Pattern, opt core.Options, mdl *Model) *Plan {
 		NRows: nrows, NCols: ncols,
 		NNZM: int64(m.NNZ()), NNZA: int64(a.NNZ()), NNZB: int64(b.NNZ()),
 		Complement: opt.Complement,
-		MaskRepPin: opt.MaskRep,
-		SchedPin:   opt.Sched,
 		Sorted:     sortedRows(m, opt.Workers()) && sortedRows(a, opt.Workers()) && sortedRows(b, opt.Workers()),
 	}
 	if b.NRows > 0 {
@@ -533,23 +511,11 @@ func AnalyzeModel(m, a, b *matrix.Pattern, opt core.Options, mdl *Model) *Plan {
 	return p
 }
 
-// blockRep selects the mask representation for one decided block: the
-// caller's pin when given, otherwise the §5 density rules (dense direct
-// indexing for contiguous-run masks, the bitmap for dense mask rows probed
-// repeatedly, CSR elsewhere), demoted to what the block's algorithm can
-// exploit.
+// blockRep selects the mask representation for one decided block by the
+// §5 density rules (dense direct indexing for contiguous-run masks, the
+// bitmap for dense mask rows probed repeatedly, CSR elsewhere), demoted to
+// what the block's algorithm can exploit.
 func blockRep(st Stats, b Block, mdl *Model) core.MaskRep {
-	if st.MaskRepPin != core.RepAuto {
-		rep := core.SupportedMaskRep(b.Alg, st.MaskRepPin, st.Complement)
-		if !st.Sorted && (rep == core.RepDense || (b.Alg == core.Hash && rep == core.RepBitmap)) {
-			// The dense-run contiguity check (and its sorted-row fallback
-			// probe) and the Hash bitmap's sort-based gather are only
-			// correct on sorted mask rows; core's execution-side guard
-			// would demote anyway, so keep the plan truthful.
-			rep = core.RepCSR
-		}
-		return rep
-	}
 	if !st.Sorted {
 		// Core trusts planner-emitted reps without re-verifying, and both
 		// the dense-run check and the Hash bitmap's sort-based gather
@@ -698,14 +664,6 @@ func Execute[T any](p *Plan, m *matrix.Pattern, a, b *matrix.CSR[T], sr semiring
 	if opt.Complement != p.Stats.Complement {
 		return nil, fmt.Errorf("planner: plan analyzed with Complement=%v, executed with Complement=%v",
 			p.Stats.Complement, opt.Complement)
-	}
-	if opt.MaskRep != p.Stats.MaskRepPin {
-		return nil, fmt.Errorf("planner: plan analyzed with MaskRep=%v, executed with MaskRep=%v",
-			p.Stats.MaskRepPin, opt.MaskRep)
-	}
-	if opt.Sched != p.Stats.SchedPin {
-		return nil, fmt.Errorf("planner: plan analyzed with Sched=%v, executed with Sched=%v",
-			p.Stats.SchedPin, opt.Sched)
 	}
 	if opt.RowCosts == nil {
 		// Reuse the analysis sweep's per-row cost profile for scheduling.

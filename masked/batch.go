@@ -70,8 +70,9 @@ type BatchRes struct {
 // identity (pointer), not content: serving traffic re-submits the same
 // cached operand objects. Everything that can change the outcome — mask
 // mode, semiring, and a pinned variant's support errors — is part of the
-// key; pure performance knobs (threads, grain, representation, schedule)
-// are not, because results are bit-identical across them.
+// key; pure performance knobs (threads, and the representation and
+// schedule the planner picks) are not, because results are bit-identical
+// across them.
 //
 // The semiring contributes its Name, its Zero, and its operator identity.
 // Named semirings carry a comparable zero-size operator type (Semiring.Ops)

@@ -86,10 +86,12 @@ func ExampleSession_Explain() {
 
 	plan := s.Explain(l.Pattern(), l, l)
 	fmt.Println("blocks:", len(plan.Blocks))
-	fmt.Println("representation resolved:", plan.Blocks[0].Rep != masked.RepAuto)
+	fmt.Println("representation:", plan.Blocks[0].Rep)
+	fmt.Println("schedule:", plan.Schedule())
 	// Output:
 	// blocks: 1
-	// representation resolved: true
+	// representation: csr
+	// schedule: equal-row
 }
 
 // ExampleSession_MultiplyBatch serves a batch of masked products
@@ -125,31 +127,4 @@ func ExampleSession_MultiplyBatch() {
 	// Output:
 	// triangles: 2 (hot query computed 1 time(s) for 3 requests)
 	// cold result nnz: 10
-}
-
-// ExampleWithMaskRep pins the bitmap mask representation for one call;
-// results are bit-identical to every other representation, only the probe
-// strategy changes.
-func ExampleWithMaskRep() {
-	s := masked.NewSession()
-	ctx := context.Background()
-	g := diamond()
-	l := masked.Tril(g)
-
-	auto, err := s.Multiply(ctx, l.Pattern(), l, l,
-		masked.WithAccumulate(masked.PlusPair()))
-	if err != nil {
-		fmt.Println("multiply:", err)
-		return
-	}
-	bitmap, err := s.Multiply(ctx, l.Pattern(), l, l,
-		masked.WithAccumulate(masked.PlusPair()),
-		masked.WithMaskRep(masked.RepBitmap))
-	if err != nil {
-		fmt.Println("multiply:", err)
-		return
-	}
-	fmt.Println("bit-identical:", masked.Sum(auto) == masked.Sum(bitmap))
-	// Output:
-	// bit-identical: true
 }

@@ -44,8 +44,9 @@
 // representation* — how kernels answer "is column j in the mask row": the
 // sorted-CSR probe, a pooled per-worker bitmap (O(1) probes for dense mask
 // rows, the k-truss and multi-source-BFS regime), or direct indexing of
-// contiguous mask rows. WithMaskRep pins one globally; Explain reports the
-// choice per block. Complement is native to every representation, so
+// contiguous mask rows — and the row schedule: equal-cost spans when the
+// per-row cost profile is skewed, equal-row chunks otherwise. Explain
+// reports both. Complement is native to every representation, so
 // complemented masks never materialize an explicit complement pattern.
 //
 // The applications of the paper's evaluation are Session.TriangleCount,
@@ -102,42 +103,6 @@ type Options = core.Options
 
 // Variant names one of the paper's 12 algorithm variants.
 type Variant = core.Variant
-
-// MaskRep selects the mask representation kernels probe membership with;
-// see WithMaskRep.
-type MaskRep = core.MaskRep
-
-// Mask representations, re-exported from the core package: RepAuto (the
-// planner picks per row block), RepCSR (sorted-row search), RepBitmap
-// (per-worker bitmap, O(1) probes) and RepDense (direct indexing of
-// contiguous mask rows).
-const (
-	RepAuto   = core.RepAuto
-	RepCSR    = core.RepCSR
-	RepBitmap = core.RepBitmap
-	RepDense  = core.RepDense
-)
-
-// MaskRepByName resolves a representation name ("auto", "csr", "bitmap",
-// "dense").
-func MaskRepByName(name string) (MaskRep, error) { return core.MaskRepByName(name) }
-
-// Sched selects how the drivers distribute rows across workers; see
-// WithSched.
-type Sched = core.Sched
-
-// Row-scheduling policies, re-exported from the core package: SchedAuto
-// (cost-balanced spans when the planner's row-cost profile is skewed,
-// equal-row chunks otherwise), SchedEqualRow (always equal-row dynamic
-// chunks) and SchedCost (cost-balanced whenever a profile exists).
-const (
-	SchedAuto     = core.SchedAuto
-	SchedEqualRow = core.SchedEqualRow
-	SchedCost     = core.SchedCost
-)
-
-// SchedByName resolves a scheduling policy name ("auto", "equal", "cost").
-func SchedByName(name string) (Sched, error) { return core.SchedByName(name) }
 
 // Algorithm families, re-exported from the core package.
 const (

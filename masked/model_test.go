@@ -31,8 +31,8 @@ func modelOperands() (g *Matrix, masks map[string]*Pattern) {
 // skewed cost models — each one designed to flip the planner toward a
 // different family or phase — and requires every choice to produce the
 // bit-identical product. It first sweeps the auto path and all 12 pinned
-// variants × the named semirings under RepAuto, the representation every
-// unpinned session plans with.
+// variants × the named semirings, each with the representation its path
+// chooses.
 func TestSkewedModelsBitIdentical(t *testing.T) {
 	ctx := context.Background()
 	g, masks := modelOperands()
@@ -44,7 +44,7 @@ func TestSkewedModelsBitIdentical(t *testing.T) {
 		"min-plus":   MinPlus(),
 	}
 	for maskName, m := range masks {
-		s := NewSession(WithMaskRep(RepAuto))
+		s := NewSession()
 		for srName, sr := range semirings {
 			want, err := s.Multiply(ctx, m, g, g, WithAccumulate(sr))
 			if err != nil {

@@ -29,11 +29,10 @@ import (
 //
 // Operations are configured by descriptor options (Op): WithVariant pins
 // one of the paper's 12 variants, WithAuto (the default) routes through the
-// adaptive planner, WithComplement flips the mask, WithThreads/WithGrain
-// bound parallelism, WithMaskRep pins the mask representation (auto by
-// default), WithSched selects the row-scheduling policy (cost-balanced vs
-// equal-row, auto by default), WithAccumulate selects the semiring of
-// Multiply.
+// adaptive planner, WithComplement flips the mask, WithThreads bounds
+// parallelism, WithAccumulate selects the semiring of Multiply. The
+// planner (or, for a pinned variant, the mask's shape) chooses the mask
+// representation, and the row-cost profile's skew chooses the schedule.
 // Options passed to NewSession become the session's defaults; options
 // passed to an operation override them for that call. The same descriptor
 // vocabulary drives Multiply, the application methods (TriangleCount,
@@ -77,7 +76,8 @@ type Session struct {
 
 // Op configures a session or one operation. Ops are created by the With*
 // constructors (WithVariant, WithAuto, WithComplement, WithThreads,
-// WithGrain, WithAccumulate) and applied in order, so later options win.
+// WithAccumulate, WithInflight, WithPlanCacheCapacity) and applied in
+// order, so later options win.
 type Op func(*opSpec)
 
 // opSpec is the resolved descriptor an operation runs with.
@@ -86,11 +86,8 @@ type opSpec struct {
 	pinned     bool // WithVariant: run variant instead of planning
 	complement bool
 	threads    int
-	grain      int
 	inflight   int // WithInflight: serving admission cap
 	cacheCap   int // WithPlanCacheCapacity: plan cache bound (NewSession only)
-	maskRep    MaskRep
-	sched      Sched
 	sr         Semiring
 	hasSR      bool
 }
@@ -134,32 +131,6 @@ func WithComplement() Op {
 // One thread budget governs the paper's variants and the baselines alike.
 func WithThreads(n int) Op {
 	return func(d *opSpec) { d.threads = n }
-}
-
-// WithGrain sets the dynamic-scheduling chunk size in rows (0 = default).
-func WithGrain(n int) Op {
-	return func(d *opSpec) { d.grain = n }
-}
-
-// WithMaskRep pins the mask representation kernels probe membership with:
-// RepCSR (sorted-row search), RepBitmap (per-worker bitmap, O(1) probes for
-// dense masks) or RepDense (direct indexing of contiguous mask rows). The
-// default RepAuto lets the planner pick per row block from its density
-// statistics; kernels that cannot exploit a pinned representation demote it.
-// Results are bit-identical under every representation.
-func WithMaskRep(r MaskRep) Op {
-	return func(d *opSpec) { d.maskRep = r }
-}
-
-// WithSched selects the row-scheduling policy of the drivers: SchedAuto
-// (the default) claims equal-flops spans over the planner's per-row cost
-// profile when the profile is heavily skewed (power-law rows) and equal-row
-// dynamic chunks otherwise; SchedEqualRow pins the equal-row scheduler;
-// SchedCost forces cost-balanced spans whenever a profile exists. On the
-// pinned-variant path (WithVariant), SchedCost gathers the profile with one
-// extra O(nnz(A)) sweep per call. Scheduling never changes results.
-func WithSched(s Sched) Op {
-	return func(d *opSpec) { d.sched = s }
 }
 
 // WithAccumulate selects the semiring Multiply accumulates over (default
@@ -208,10 +179,7 @@ func NewSession(opts ...Op) *Session {
 func (s *Session) options(ctx context.Context, d opSpec) Options {
 	return Options{
 		Threads:    d.threads,
-		Grain:      d.grain,
 		Complement: d.complement,
-		MaskRep:    d.maskRep,
-		Sched:      d.sched,
 		Ctx:        ctx,
 		Workspaces: s.ws,
 	}
@@ -245,9 +213,7 @@ func (s *Session) MultiplyAuto(ctx context.Context, m *Pattern, a, b *Matrix, op
 }
 
 // execute runs one resolved multiply under the given options: the pinned
-// variant (gathering a cost profile explicitly when SchedCost asks for one,
-// since the pinned path bypasses the planner), or the planner path through
-// the session cache. The single-call entry points and the serving layer
+// variant, or the planner path through the session cache. The single-call entry points and the serving layer
 // both run through it, so the two paths cannot drift apart.
 func (s *Session) execute(d opSpec, o Options, m *Pattern, a, b *Matrix) (*Matrix, *Plan, error) {
 	// Chaos point: a panic on the kernel path, under the serving layer's
@@ -256,9 +222,6 @@ func (s *Session) execute(d opSpec, o Options, m *Pattern, a, b *Matrix) (*Matri
 		panic("faultinject: " + faultinject.PointKernelPanic)
 	}
 	if d.pinned {
-		if d.sched == SchedCost && o.RowCosts == nil {
-			o.RowCosts = core.ComputeRowCosts(m, a.Pattern(), b.Pattern(), o.Workers())
-		}
 		c, err := core.MaskedSpGEMM(d.variant, m, a, b, d.semiring(), o)
 		return c, nil, err
 	}
@@ -309,11 +272,11 @@ func (s *Session) Explain(m *Pattern, a, b *Matrix, opts ...Op) *Plan {
 
 // TriangleCount counts triangles via sum(L .* (L·L)) with degree-descending
 // relabeling (§8.2). On the adaptive path nothing is relabeled: the count
-// comes from one cost-scheduled pass over L in g's own labels, each edge
-// oriented toward its higher-degree end, that sums mask hits without
-// building the product or a plan, so the plan cache is left alone; a
-// pinned variant (WithVariant) runs its product on the relabeled L and sums
-// it. Both give the same count and flops. The operand is built on the
+// comes from one pass over L, scheduled by row cost, in g's own labels,
+// each edge oriented toward its higher-degree end, that sums mask hits
+// without building the product or a plan, so the plan cache is left alone;
+// a pinned variant (WithVariant) runs its product on the relabeled L and
+// sums it. Both give the same count and flops. The operand is built on the
 // call's thread budget (WithThreads) like the product, and does not depend
 // on it.
 func (s *Session) TriangleCount(ctx context.Context, g *Matrix, opts ...Op) (TCResult, error) {
@@ -342,8 +305,8 @@ func (s *Session) BC(ctx context.Context, g *Matrix, sources []Index, opts ...Op
 //
 // BFS is built on the vector primitive (SpGEVM), whose kernel is chosen
 // per step by the push/pull direction heuristic — WithVariant/WithAuto do
-// not apply here; WithThreads and WithGrain do. Use MultiSourceBFS to run
-// a traversal on a pinned SpGEMM variant.
+// not apply here; WithThreads does. Use MultiSourceBFS to run a traversal
+// on a pinned SpGEMM variant.
 func (s *Session) BFS(ctx context.Context, g *Matrix, source Index, opts ...Op) (BFSResult, error) {
 	d := s.def.apply(opts)
 	return apps.BFS(g, source, s.options(ctx, d))

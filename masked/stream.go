@@ -62,11 +62,11 @@ const (
 
 // DeltaProduct is an incrementally maintained masked product
 // C = M .* (A·B) over delta overlays, created by Session.NewDeltaProduct.
-// Its descriptor (variant or Auto, complement, semiring, mask rep,
-// scheduler, threads) is pinned at creation so every refresh of the
-// product computes the same function. Update, MultiplyDelta, Compact and
-// Output serialize on an internal lock, so a DeltaProduct is safe for
-// concurrent use alongside the session's other operations.
+// Its descriptor (variant or Auto, complement, semiring, threads) is
+// pinned at creation so every refresh of the product computes the same
+// function. Update, MultiplyDelta, Compact and Output serialize on an
+// internal lock, so a DeltaProduct is safe for concurrent use alongside the
+// session's other operations.
 type DeltaProduct struct {
 	mu      sync.Mutex
 	owner   *Session
@@ -219,9 +219,6 @@ func (s *Session) deltaExecute(p *DeltaProduct, o Options, m *Pattern, a, b *Mat
 	}
 	d := p.d
 	if d.pinned {
-		if d.sched == SchedCost && o.RowCosts == nil {
-			o.RowCosts = core.ComputeRowCosts(m, a.Pattern(), b.Pattern(), o.Workers())
-		}
 		return core.MaskedSpGEMM(d.variant, m, a, b, d.semiring(), o)
 	}
 	if p.plan == nil || p.bases != [3]*Matrix{p.m.Base(), p.a.Base(), p.b.Base()} {

@@ -11,8 +11,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/matrix"
+	"repro/internal/planner"
 )
 
 // sameBits asserts bit-identical matrices (pattern and Float64bits).
@@ -51,15 +53,26 @@ func graphStream(rng *rand.Rand, n Index, rounds, per int) [][]Update {
 
 // TestStreamEquivalence is the session-level half of the incremental-vs-
 // rebuild battery (internal/core/delta_equiv_test.go covers the full
-// pinned-variant × rep × semiring × sched matrix): the planner path and a
+// variant × rep × semiring × schedule matrix): the planner path and a
 // sample of pinned variants, under normal and complemented masks and all
 // three named semirings, must produce per-prefix output bit-identical to
 // a from-scratch Multiply on the compacted graph — including across a
-// mid-stream Compact.
+// mid-stream Compact. The graph's last row is a hub, so its row-cost
+// profile is skewed and the full Auto products claim equal-cost spans (the
+// frontier sub-products, far below 256 rows, take equal-row chunks); under
+// a model that prices hash probes and bitmaps low, Auto plans Hash on the
+// bitmap.
 func TestStreamEquivalence(t *testing.T) {
 	ctx := context.Background()
-	const n = 96
+	const n = 320
+	hub := &COO{NRows: n, NCols: n}
+	for j := Index(0); j < n-1; j++ {
+		hub.Row, hub.Col, hub.Val = append(hub.Row, n-1), append(hub.Col, j), append(hub.Val, 1)
+	}
 	base := Tril(ErdosRenyi(n, 6, 11))
+	base = matrix.EWiseAdd(base, FromCOO(hub), func(x, _ float64) float64 { return x })
+	cheapBitmap := planner.DefaultModel()
+	cheapBitmap.HashUnit, cheapBitmap.BitmapProbeRatio = 1e-6, 0.01
 	rng := rand.New(rand.NewSource(77))
 	stream := make([][]Update, 6)
 	for r := range stream {
@@ -73,14 +86,15 @@ func TestStreamEquivalence(t *testing.T) {
 		stream[r] = batch
 	}
 	configs := []struct {
-		name string
-		opts []Op
+		name  string
+		opts  []Op
+		model *planner.Model
 	}{
-		{"auto", nil},
-		{"auto-complement", []Op{WithComplement()}},
-		{"auto-bitmap-cost", []Op{WithMaskRep(RepBitmap), WithSched(SchedCost)}},
-		{"pinned-msa1p", []Op{WithVariant(Variant{Alg: MSA, Phase: OnePhase})}},
-		{"pinned-heap2p-dense", []Op{WithVariant(Variant{Alg: Heap, Phase: TwoPhase}), WithMaskRep(RepDense)}},
+		{"auto", nil, nil},
+		{"auto-complement", []Op{WithComplement()}, nil},
+		{"auto-bitmap-cost", nil, cheapBitmap},
+		{"pinned-msa1p", []Op{WithVariant(Variant{Alg: MSA, Phase: OnePhase})}, nil},
+		{"pinned-heap2p", []Op{WithVariant(Variant{Alg: Heap, Phase: TwoPhase})}, nil},
 	}
 	semirings := []struct {
 		name string
@@ -94,6 +108,13 @@ func TestStreamEquivalence(t *testing.T) {
 		for _, sr := range semirings {
 			t.Run(cfg.name+"/"+sr.name, func(t *testing.T) {
 				s := NewSession(WithThreads(2))
+				if cfg.model != nil {
+					s.cache.SetModel(cfg.model)
+					pl := s.Explain(base.Pattern(), base, base)
+					if pl.Schedule() != "cost-balanced" || pl.Blocks[0].Alg != Hash || pl.Blocks[0].Rep != core.RepBitmap {
+						t.Fatalf("test premise broken: the plan is not Hash on the bitmap, cost-balanced:\n%s", pl.Explain())
+					}
+				}
 				g, err := NewDeltaMatrix(base.Clone())
 				if err != nil {
 					t.Fatal(err)
