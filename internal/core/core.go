@@ -263,8 +263,9 @@ type BlockStat struct {
 	// ElapsedNs is the summed wall time workers spent in the block's kernel
 	// rows (both passes of a two-phase run; chunk time straddling a block
 	// boundary is split pro-rata by rows). It is measured with Options.NowNs
-	// when set, the real monotonic clock otherwise, and feeds the planner's
-	// prediction-error feedback loop.
+	// when set, the real monotonic clock otherwise, and the masked session
+	// stamps it on the returned plan (planner.ExecStats), where Explain sets
+	// it against the planner's prediction.
 	ElapsedNs int64
 }
 

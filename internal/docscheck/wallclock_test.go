@@ -1,4 +1,4 @@
-// The wall-clock gate: the feedback-loop and block-timing tests assert
+// The wall-clock gate: the execution-stamp and block-timing tests assert
 // exact nanosecond values driven entirely by injected clocks, and a single
 // time.Now() or time.Sleep() slipping into them would turn deterministic
 // assertions into machine-speed-dependent flakes. The gate parses each
@@ -19,7 +19,7 @@ import (
 // clockFreeTests are the test files whose timing assertions must come only
 // from injected clocks, relative to the repo root.
 var clockFreeTests = []string{
-	"internal/planner/feedback_test.go",
+	"internal/planner/exec_test.go",
 	"internal/core/timing_test.go",
 }
 

@@ -42,10 +42,8 @@ type Cache struct {
 	// perShard * len(shards).
 	perShard int
 	// hits, misses and evictions are cache-wide and monotonic for the
-	// lifetime of the cache; records and replans are the feedback loop's
-	// counters (Record observations and feedback-triggered invalidations —
-	// see Record).
-	hits, misses, evictions, records, replans atomic.Int64
+	// lifetime of the cache.
+	hits, misses, evictions atomic.Int64
 	// The derived-state counters: transposes built and reused by hits'
 	// Inner blocks, and hits' sortedness re-checks run and skipped.
 	cscBuilds, cscReuses, sortChecks, sortSkips atomic.Int64
@@ -188,12 +186,6 @@ type CacheStats struct {
 	Misses int64
 	// Evictions counts plans dropped to keep a shard under its bound.
 	Evictions int64
-	// Records counts feedback observations folded into cached entries
-	// (Cache.Record calls that were not ignored).
-	Records int64
-	// Replans counts entries invalidated by the prediction-error feedback
-	// loop (sustained drift; the next Analyze of the product re-plans).
-	Replans int64
 	// TransposeBuilds counts transposes of B a cache hit built for the
 	// plan's Inner blocks (and kept while B lives); TransposeReuses the
 	// hits that found a transpose built from the same B arrays.
@@ -239,15 +231,14 @@ func (c *Cache) Analyze(m, a, b *matrix.Pattern, opt core.Options) *Plan {
 		return &hit
 	}
 	p = AnalyzeModel(m, a, b, opt, c.Model())
+	p.cache = c
 	c.misses.Add(1)
 	sh.mu.Lock()
 	if el, ok := sh.plans[key]; ok {
 		// Another request analyzed the same product while we did: the plans
 		// are equivalent, so install ours in the resident entry (no pointer
 		// identity is promised between Analyze results) and refresh its
-		// recency. The entry's feedback state carries over — the plans
-		// describe the same product, so its prediction history stays valid.
-		p.fb = el.Value.(*cacheEntry).plan.fb
+		// recency.
 		el.Value.(*cacheEntry).plan = p
 		sh.lru.MoveToFront(el)
 	} else {
@@ -257,7 +248,6 @@ func (c *Cache) Analyze(m, a, b *matrix.Pattern, opt core.Options) *Plan {
 			delete(sh.plans, tail.Value.(*cacheEntry).key)
 			c.evictions.Add(1)
 		}
-		p.fb = &feedback{key: key, c: c}
 		sh.plans[key] = sh.lru.PushFront(&cacheEntry{key: key, plan: p})
 	}
 	sh.mu.Unlock()
@@ -266,9 +256,9 @@ func (c *Cache) Analyze(m, a, b *matrix.Pattern, opt core.Options) *Plan {
 
 // SetModel installs the cost model subsequent misses analyze with (nil
 // resets to DefaultModel). Resident plans are not re-analyzed — their
-// entries age out by LRU, bucket change or feedback invalidation — so a
-// model is best installed before the first products, though a serving
-// session can still swap models live without a stop-the-world.
+// entries age out by LRU or bucket change — so a model is best installed
+// before the first products, though a serving session can still swap
+// models live without a stop-the-world.
 func (c *Cache) SetModel(m *Model) { c.model.Store(m) }
 
 // Model returns the cost model cache misses analyze with (never nil).
@@ -281,9 +271,10 @@ func (c *Cache) Model() *Model {
 
 // Peek returns the cached plan for the operands without analyzing on a miss
 // and without touching the hit/miss counters or the LRU order. The serving
-// layer uses it to price a request (Plan.Stats.Flops feeds the worker-share
-// arbitration) before deciding how many workers the real Analyze+Execute
-// runs with.
+// layer uses it to price a request for the worker-share arbitration (the
+// plan's row-cost total, Plan.Costs.Total, or its flops plus nnz(M) when
+// the plan has no cost profile) before deciding how many workers the real
+// Analyze+Execute runs with.
 func (c *Cache) Peek(m, a, b *matrix.Pattern, opt core.Options) (*Plan, bool) {
 	key := makeKey(m, a, b, opt)
 	sh := c.shard(key)
@@ -302,8 +293,6 @@ func (c *Cache) Stats() CacheStats {
 		Hits:      c.hits.Load(),
 		Misses:    c.misses.Load(),
 		Evictions: c.evictions.Load(),
-		Records:   c.records.Load(),
-		Replans:   c.replans.Load(),
 
 		TransposeBuilds:     c.cscBuilds.Load(),
 		TransposeReuses:     c.cscReuses.Load(),

@@ -1,6 +1,7 @@
 package planner
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -109,6 +110,81 @@ func TestCacheStatsMonotonic(t *testing.T) {
 	check("hit")
 	fillDistinct(c, g, 40)
 	check("refill")
+}
+
+// TestCacheConcurrentInstall races cold Analyze calls of one product: the
+// serving shape where several requests miss on the same key at once and
+// each installs its own analysis over the resident entry. Interleavings are
+// nondeterministic, so only invariants are asserted: the counters never run
+// backwards while the race is on, every call counts once as a hit or a
+// miss, one entry stays resident, and every plan handed out carries the
+// cache whose memo a later hit's Execute reads. Run under -race.
+func TestCacheConcurrentInstall(t *testing.T) {
+	g := grgen.ErdosRenyi(64, 2, 1)
+	analyze := func(c *Cache) *Plan {
+		return c.Analyze(g.Pattern(), g.Pattern(), g.Pattern(), core.Options{})
+	}
+	const rounds, goroutines = 20, 8
+	raced := 0
+	for r := 0; r < rounds; r++ {
+		c := NewCache()
+		start, done, watched := make(chan struct{}), make(chan struct{}), make(chan struct{})
+		var backwards string
+		go func() {
+			defer close(watched)
+			prev := c.Stats()
+			for {
+				st := c.Stats()
+				if st.Hits < prev.Hits || st.Misses < prev.Misses || st.Evictions < prev.Evictions {
+					backwards = fmt.Sprintf("counters ran backwards: %+v after %+v", st, prev)
+					return
+				}
+				prev = st
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+		plans := make([]*Plan, goroutines)
+		var wg sync.WaitGroup
+		for gi := range plans {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				plans[gi] = analyze(c)
+			}()
+		}
+		close(start)
+		wg.Wait()
+		close(done)
+		<-watched
+		if backwards != "" {
+			t.Fatalf("round %d: %s", r, backwards)
+		}
+
+		st := c.Stats()
+		if st.Hits+st.Misses != goroutines || st.Misses < 1 {
+			t.Fatalf("round %d: %d hits + %d misses for %d calls", r, st.Hits, st.Misses, goroutines)
+		}
+		if st.Misses > 1 {
+			raced++
+		}
+		if st.Entries != 1 {
+			t.Fatalf("round %d: %d resident entries, want 1", r, st.Entries)
+		}
+		for gi, p := range plans {
+			if p.cache != c {
+				t.Fatalf("round %d: plan %d does not carry its cache", r, gi)
+			}
+		}
+		if hit := analyze(c); !hit.CacheHit || hit.cache != c {
+			t.Fatalf("round %d: later hit = %v, carries its cache = %v", r, hit.CacheHit, hit.cache == c)
+		}
+	}
+	t.Logf("%d of %d rounds installed over a concurrent miss", raced, rounds)
 }
 
 // TestEvictedPlanStillExecutes: eviction unlinks a plan from the cache but

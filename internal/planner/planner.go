@@ -86,8 +86,8 @@ type Block struct {
 	RunRows, NonEmptyRows int64
 	// PredictedNs is the cost model's serial-kernel-time estimate for the
 	// block in nanoseconds (Model.NsPerUnit × the block's cost units); 0 on
-	// degenerate plans. The drivers' measured per-block times are compared
-	// against it by the feedback loop.
+	// degenerate plans. Explain prints it beside the drivers' measured
+	// per-block time (ExecStats.BlockNs).
 	PredictedNs float64
 	// Reason is a one-line human explanation of the choice.
 	Reason string
@@ -121,16 +121,37 @@ type Plan struct {
 	Ops string
 	// PredictedNs is the cost model's end-to-end serial-kernel-time estimate
 	// in nanoseconds (the sum of the blocks' PredictedNs); 0 on degenerate
-	// plans. The feedback loop divides measured execution time by it.
+	// plans. Explain prints it beside the measured time (ExecStats.ActualNs).
 	PredictedNs float64
 	// Exec carries the observed timing of one execution, stamped by the
 	// masked session on the copy it hands out (like Ops) — nil on cached
 	// plans, which are shared across callers and stay immutable.
 	Exec *ExecStats
-	// fb is the prediction-error feedback state shared by every copy of a
-	// cached plan (shallow copies carry the pointer); nil on plans that
-	// never entered a Cache. See Cache.Record.
-	fb *feedback
+	// cache is the Cache the plan was installed in, whose memo a hit's
+	// Execute reads B's transpose from; nil on plans that never entered a
+	// Cache.
+	cache *Cache
+}
+
+// ExecStats describes one observed execution of a plan, stamped by the
+// masked session on the plan copy it returns (cached plans are shared and
+// never mutated — see TestExplainExecStampImmutable).
+type ExecStats struct {
+	// ActualNs is the execution's summed per-block worker kernel time.
+	ActualNs int64
+	// BlockNs is the per-plan-block split of ActualNs, index-aligned with
+	// Plan.Blocks.
+	BlockNs []int64
+}
+
+// WithExec returns a shallow copy of p stamped with the given execution
+// observation (like the session's ops stamp, the copy keeps the cached plan
+// immutable). The predicted-vs-actual times appear in the copy's Explain
+// output.
+func (p *Plan) WithExec(e ExecStats) *Plan {
+	q := *p
+	q.Exec = &e
+	return &q
 }
 
 // Schedule names the row schedule the drivers will run this plan with:
@@ -268,7 +289,7 @@ func (p *Plan) Explain() string {
 		if p.PredictedNs > 0 {
 			fmt.Fprintf(&sb, " (ratio %.2f)", float64(e.ActualNs)/p.PredictedNs)
 		}
-		fmt.Fprintf(&sb, ", ewma %.2f over %d exec(s)\n", e.Feedback.EWMA, e.Feedback.Execs)
+		sb.WriteString("\n")
 	}
 	for i, b := range p.Blocks {
 		fmt.Fprintf(&sb, "  rows [%d,%d) → %s mask=%s sched=%s: %s (mask nnz=%d, flops=%d)",
@@ -351,8 +372,8 @@ func Analyze(m, a, b *matrix.Pattern, opt core.Options) *Plan {
 // AnalyzeModel is Analyze selecting with the given cost-model coefficients
 // (nil means DefaultModel, which reproduces the hand-tuned constants
 // exactly). The model also prices the emitted plan: Plan.PredictedNs and
-// each block's PredictedNs carry the model's serial-time estimate, the
-// baseline the feedback loop compares measured execution times against.
+// each block's PredictedNs carry the model's serial-time estimate, which
+// Explain sets against the measured execution time.
 func AnalyzeModel(m, a, b *matrix.Pattern, opt core.Options, mdl *Model) *Plan {
 	if mdl == nil {
 		mdl = DefaultModel()
@@ -675,10 +696,10 @@ func Execute[T any](p *Plan, m *matrix.Pattern, a, b *matrix.CSR[T], sr semiring
 		opt.RowCosts = p.Costs
 	}
 	var bcsc *matrix.CSC[T]
-	if p.CacheHit && p.fb != nil && p.hasInner() {
+	if p.CacheHit && p.cache != nil && p.hasInner() {
 		// Inner blocks read B by columns: a hit takes the memo's transpose
 		// (see cachedCSC); any other plan transposes B in core per call.
-		bcsc = cachedCSC(p.fb.c, b)
+		bcsc = cachedCSC(p.cache, b)
 	}
 	return core.MaskedSpGEMMBlocked(p.Phase, p.ExecBlocks(), m, a, b, bcsc, sr, opt, stats)
 }

@@ -148,8 +148,6 @@ func writeProm(w io.Writer, m MetricsSnapshot) {
 	fmt.Fprintf(w, "mspgemm_plan_cache_total{event=\"hit\"} %d\n", c.Hits)
 	fmt.Fprintf(w, "mspgemm_plan_cache_total{event=\"miss\"} %d\n", c.Misses)
 	fmt.Fprintf(w, "mspgemm_plan_cache_total{event=\"eviction\"} %d\n", c.Evictions)
-	fmt.Fprintf(w, "mspgemm_plan_cache_total{event=\"record\"} %d\n", c.Records)
-	fmt.Fprintf(w, "mspgemm_plan_cache_total{event=\"replan\"} %d\n", c.Replans)
 	gauge("mspgemm_plan_cache_entries", "Resident cached plans.", float64(c.Entries))
 	fmt.Fprintf(w, "# HELP mspgemm_plan_transpose_total Transposes of B for the Inner blocks of cached plans: built on a cache hit and kept while B lives, or reused for the same B arrays.\n# TYPE mspgemm_plan_transpose_total counter\n")
 	fmt.Fprintf(w, "mspgemm_plan_transpose_total{event=\"built\"} %d\n", c.TransposeBuilds)

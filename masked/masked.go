@@ -166,14 +166,10 @@ type BlockStat = core.BlockStat
 // counters and occupancy; see Stats.Cache.
 type CacheStats = planner.CacheStats
 
-// ExecStats is one observed execution of a plan — measured kernel time and
-// the feedback state after recording it — stamped on the plan copies
-// MultiplyAuto returns; see planner.ExecStats.
+// ExecStats is one observed execution of a plan — its measured kernel
+// time, in total and per block — stamped on the plan copies MultiplyAuto
+// returns; see planner.ExecStats.
 type ExecStats = planner.ExecStats
-
-// FeedbackState is a snapshot of a cached plan's prediction-error feedback
-// loop; see planner.FeedbackState.
-type FeedbackState = planner.FeedbackState
 
 // Variants returns all 12 (algorithm, phase) combinations the paper
 // evaluates.

@@ -230,18 +230,16 @@ func (s *Session) execute(d opSpec, o Options, m *Pattern, a, b *Matrix) (*Matri
 	c, err := planner.Execute(p, m, a, b, d.semiring(), o, &stats)
 	q := stampOps(p, d.semiring())
 	if err == nil {
-		// Close the feedback loop: fold the drivers' measured per-block
-		// kernel time into the cached entry's prediction-error state, and
-		// stamp the observation on the returned copy (never the shared
-		// cached plan) so Explain can show predicted vs actual.
+		// Stamp the drivers' measured per-block kernel time on the returned
+		// copy (never the shared cached plan) so Explain can show predicted
+		// vs actual.
 		var actual int64
 		blockNs := make([]int64, len(stats))
 		for i, bs := range stats {
 			actual += bs.ElapsedNs
 			blockNs[i] = bs.ElapsedNs
 		}
-		fb, _ := s.cache.Record(p, actual)
-		q = q.WithExec(planner.ExecStats{ActualNs: actual, BlockNs: blockNs, Feedback: fb})
+		q = q.WithExec(planner.ExecStats{ActualNs: actual, BlockNs: blockNs})
 	}
 	return c, q, err
 }

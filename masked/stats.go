@@ -21,8 +21,8 @@ type DriverPoolStats = core.PoolStats
 
 // Stats is one unified snapshot of a session's observability counters:
 // the plan cache, the serving arbiter and the driver buffer pools. The
-// monotonic fields within each component (hits, misses, evictions, records,
-// replans, admitted, steals, top-ups, rejections, pool gets/misses) can be
+// monotonic fields within each component (hits, misses, evictions,
+// admitted, steals, top-ups, rejections, pool gets/misses) can be
 // differenced between two snapshots to rate a serving window; the rest
 // describe the moment of the snapshot.
 type Stats struct {

@@ -184,7 +184,7 @@ func (s *Session) refreshLocked(ctx context.Context, p *DeltaProduct) (c *Matrix
 		o := s.options(ctx, p.d)
 		if first {
 			// The full initial product goes through the ordinary session
-			// path: plan cache, feedback recording, chaos point.
+			// path: plan cache, execution stamp, chaos point.
 			c, pl, err := s.execute(p.d, o, msub, asub, b)
 			if err == nil {
 				p.keepPlan(pl)
