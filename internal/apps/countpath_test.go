@@ -144,6 +144,24 @@ func TestTriangleCountCountPath(t *testing.T) {
 	}
 }
 
+// fuzzGraph builds a symmetric graph without self-loops on size%33
+// vertices from the byte pairs of data.
+func fuzzGraph(size uint8, data []byte) *matrix.CSR[float64] {
+	n := Index(size % 33)
+	c := &matrix.COO[float64]{NRows: n, NCols: n}
+	if n > 0 {
+		for k := 0; k+1 < len(data); k += 2 {
+			u, v := Index(data[k])%n, Index(data[k+1])%n
+			if u != v {
+				c.Row = append(c.Row, u, v)
+				c.Col = append(c.Col, v, u)
+				c.Val = append(c.Val, 1, 1)
+			}
+		}
+	}
+	return matrix.NewCSRFromCOO(c, func(a, _ float64) float64 { return a })
+}
+
 // FuzzTriangleCount builds a small symmetric graph without self-loops from
 // arbitrary vertex pairs (rows optionally reversed, so they arrive
 // unsorted) and requires the Auto count path, the pinned MSA-1P product's
@@ -156,19 +174,7 @@ func FuzzTriangleCount(f *testing.F) {
 	auto := NewSession(core.Options{Threads: 2}).EngineAuto()
 	msa := NewSession(core.Options{Threads: 2}).EngineVariant(core.Variant{Alg: core.MSA, Phase: core.OnePhase})
 	f.Fuzz(func(t *testing.T, size uint8, reverse bool, data []byte) {
-		n := Index(size % 33)
-		c := &matrix.COO[float64]{NRows: n, NCols: n}
-		if n > 0 {
-			for k := 0; k+1 < len(data); k += 2 {
-				u, v := Index(data[k])%n, Index(data[k+1])%n
-				if u != v {
-					c.Row = append(c.Row, u, v)
-					c.Col = append(c.Col, v, u)
-					c.Val = append(c.Val, 1, 1)
-				}
-			}
-		}
-		g := matrix.NewCSRFromCOO(c, func(a, _ float64) float64 { return a })
+		g := fuzzGraph(size, data)
 		want := TriangleCountExact(g)
 		if reverse {
 			g = reversedRows(g)
@@ -186,4 +192,46 @@ func FuzzTriangleCount(f *testing.F) {
 				got.Triangles, got.Flops, pinned.Triangles, pinned.Flops, want)
 		}
 	})
+}
+
+// FuzzKTruss builds FuzzTriangleCount's graphs and requires the k-truss
+// from the Auto engine, the pinned MSA-1P engine and the SS:SAXPY baseline
+// to equal KTrussExact's, for k from 3 to 6.
+func FuzzKTruss(f *testing.F) {
+	f.Add(uint8(4), false, uint8(0), []byte{0, 1, 1, 2, 2, 0, 2, 3})
+	f.Add(uint8(0), false, uint8(1), []byte{})
+	f.Add(uint8(1), true, uint8(2), []byte{0, 0})
+	f.Add(uint8(12), true, uint8(1), []byte{0, 1, 0, 2, 0, 3, 1, 2, 1, 3, 2, 3, 4, 5, 5, 6, 6, 4, 7, 8})
+	f.Add(uint8(8), false, uint8(3), []byte{0, 1, 0, 2, 0, 3, 0, 4, 1, 2, 1, 3, 1, 4, 2, 3, 2, 4, 3, 4, 5, 6})
+	engines := []Engine{
+		NewSession(core.Options{Threads: 2}).EngineAuto(),
+		NewSession(core.Options{Threads: 2}).EngineVariant(core.Variant{Alg: core.MSA, Phase: core.OnePhase}),
+		NewSession(core.Options{Threads: 2}).EngineSSSaxpy(),
+	}
+	f.Fuzz(func(t *testing.T, size uint8, reverse bool, kk uint8, data []byte) {
+		g := fuzzGraph(size, data)
+		k := 3 + int(kk%4)
+		want := KTrussExact(g, k)
+		if reverse {
+			g = reversedRows(g)
+		}
+		for _, eng := range engines {
+			got, _, err := KTruss(g, k, eng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !matrix.EqualPatterns(sortedPattern(got), want.Pattern()) {
+				t.Fatalf("k=%d %s: %d edge slots, exact %d, or other edges", k, eng.Name, got.NNZ(), want.NNZ())
+			}
+		}
+	})
+}
+
+// sortedPattern returns the pattern of g with every row sorted.
+func sortedPattern(g *matrix.CSR[float64]) *matrix.Pattern {
+	p := g.Clone().Pattern()
+	for i := Index(0); i < p.NRows; i++ {
+		slices.Sort(p.Col[p.RowPtr[i]:p.RowPtr[i+1]])
+	}
+	return p
 }

@@ -298,7 +298,7 @@ func (c *Cache) Stats() CacheStats {
 		TransposeReuses:     c.cscReuses.Load(),
 		SortRechecks:        c.sortChecks.Load(),
 		SortRechecksSkipped: c.sortSkips.Load(),
-		RetainedBytes:       c.memo.bytes.Load(),
+		RetainedBytes:       c.memo.m.Bytes(),
 
 		Capacity: c.perShard * len(c.shards),
 		Shards:   len(c.shards),

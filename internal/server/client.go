@@ -394,9 +394,12 @@ func frameError(payload []byte) error {
 
 // Multiply runs one masked multiply on the server. An operand the server
 // already holds travels as the reference the server issued for it (see
-// refs.go): Multiply hashes each operand's content on every call, sends
-// the reference an earlier response reported for that content, and sends
-// the operand inline otherwise. When the server no longer holds a
+// refs.go): Multiply hashes each operand object's content once, sends the
+// reference an earlier response reported for that content, and sends the
+// operand inline otherwise. So, as with a masked.Session, an operand must
+// not be mutated, nor its memory reused for another operand, while the
+// client may see it again; pass a fresh matrix (Clone) instead. The client
+// keeps no operand alive. When the server no longer holds a
 // reference, Multiply drops the references it sent and resends the
 // request inline once, counted in ClientStats.RefResends.
 func (c *Client) Multiply(ctx context.Context, req *wire.MultiplyReq) (*wire.MultiplyRes, error) {

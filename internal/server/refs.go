@@ -3,10 +3,16 @@ package server
 // The client's side of operand references. A server issues a reference for
 // every operand its intern table holds (see intern.go), and Client.Multiply
 // sends that reference in place of the operand on later calls. The client
-// never trusts pointer identity — the caller may have changed an operand's
-// arrays since the last call — so it hashes every operand's content on
-// every call, with a seed of its own, and looks the reference up by kind,
-// dimensions, entry count and hash.
+// looks the reference up by the operand's kind, dimensions, entry count and
+// a hash of its content, with a seed of its own.
+//
+// The client hashes each operand object once: a weak memo (package
+// weakmemo) keeps the hash keyed on the operand's arrays — RowPtr and Col,
+// and Val for a matrix — for as long as they live, so a hot call hashes
+// nothing. That trusts the operand contract of masked.Session: an operand
+// is not mutated, nor its memory reused for another, while the client may
+// see it again. A caller that breaks it misroutes only its own request,
+// to an operand it sent earlier, exactly as a hash collision would.
 //
 // A collision of that hash can only misroute the colliding client's own
 // request: the server resolves nothing but references it issued, to
@@ -18,8 +24,10 @@ import (
 	"container/list"
 	"hash/maphash"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/matrix"
+	"repro/internal/weakmemo"
 	"repro/internal/wire"
 )
 
@@ -43,9 +51,13 @@ type refKey struct {
 // the server issued for it.
 type refTable struct {
 	seed maphash.Seed
-	mu   sync.Mutex
-	m    map[refKey]*list.Element
-	lru  *list.List // front = most recent; values are *refEntry
+	// known is each live operand's key, by its arrays; hashed counts the
+	// operands hashed.
+	known  *weakmemo.Memo[refKey]
+	hashed atomic.Int64
+	mu     sync.Mutex
+	m      map[refKey]*list.Element
+	lru    *list.List // front = most recent; values are *refEntry
 }
 
 type refEntry struct {
@@ -54,21 +66,35 @@ type refEntry struct {
 }
 
 func newRefTable() *refTable {
-	return &refTable{seed: maphash.MakeSeed(), m: make(map[refKey]*list.Element), lru: list.New()}
+	return &refTable{seed: maphash.MakeSeed(), known: weakmemo.New[refKey](nil),
+		m: make(map[refKey]*list.Element), lru: list.New()}
+}
+
+// key returns an operand's key: the one known for its arrays and header,
+// or else a hash of its content, which is then known.
+func (t *refTable) key(kind byte, nrows, ncols int32, rowPtr, col []int32, val []float64) refKey {
+	o := weakmemo.Pattern(rowPtr, col)
+	if kind == internKindMatrix {
+		o = weakmemo.Matrix(rowPtr, col, val)
+	}
+	if k := t.known.Lookup(o); k != nil && k.kind == kind && k.nrows == nrows && k.ncols == ncols {
+		return *k
+	}
+	k := refKey{kind, nrows, ncols, len(col), operandHash(t.seed, kind, nrows, ncols, rowPtr, col, val)}
+	t.hashed.Add(1)
+	t.known.Update(o, func(v *refKey) { *v = k })
+	return k
 }
 
 func (t *refTable) matrixKey(a *matrix.CSR[float64]) refKey {
-	return refKey{internKindMatrix, a.NRows, a.NCols, len(a.Col),
-		operandHash(t.seed, internKindMatrix, a.NRows, a.NCols, a.RowPtr, a.Col, a.Val)}
+	return t.key(internKindMatrix, a.NRows, a.NCols, a.RowPtr, a.Col, a.Val)
 }
 
-// keys hashes the operands of req, M, A and B in that order. When B is A —
-// the triangle-style products — its content is hashed once.
+// keys returns the keys of req's operands, M, A and B in that order.
 func (t *refTable) keys(req *wire.MultiplyReq) [3]refKey {
 	m := req.M
 	k := [3]refKey{
-		{internKindPattern, m.NRows, m.NCols, len(m.Col),
-			operandHash(t.seed, internKindPattern, m.NRows, m.NCols, m.RowPtr, m.Col, nil)},
+		t.key(internKindPattern, m.NRows, m.NCols, m.RowPtr, m.Col, nil),
 		t.matrixKey(req.A),
 	}
 	if req.B == req.A {

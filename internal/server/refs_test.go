@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/wire"
 	"repro/masked"
@@ -55,9 +57,77 @@ func TestMultiplySendsReferences(t *testing.T) {
 		t.Fatalf("reference hits %d, misses %d, intern misses %d; want 3, 0, 2", m.RefHits, m.RefMisses, m.InternMisses)
 	}
 	// A changed operand of the same shape is new content: it goes inline.
+	// (It is changed in a copy: the client may not see an operand mutated.)
+	h = h.Clone()
 	h.Val[0]++
 	if n := multiplyBytesIn(t, l, c, &wire.MultiplyReq{M: h.Pattern(), A: h, B: g}, productFrame(t, &wire.MultiplyReq{M: h.Pattern(), A: h, B: g})); n < 8<<10 {
 		t.Fatalf("a changed operand sent %d bytes; want it inline", n)
+	}
+}
+
+// TestHotMultiplyHashesOnce checks a hot loop hashes each operand object
+// once: later calls find its key by its arrays.
+func TestHotMultiplyHashesOnce(t *testing.T) {
+	l, c := startLocal(t, Config{Threads: 2})
+	g, h := masked.ErdosRenyi(256, 8, 46), masked.ErdosRenyi(256, 8, 47)
+	want := productFrame(t, &wire.MultiplyReq{M: g.Pattern(), A: g, B: h})
+	for i := 0; i < 10; i++ {
+		multiplyBytesIn(t, l, c, &wire.MultiplyReq{M: g.Pattern(), A: g, B: h}, want)
+	}
+	if n := c.refs.hashed.Load(); n != 3 {
+		t.Fatalf("10 calls over 3 operands hashed %d times; want 3", n)
+	}
+	if m := l.Server.Metrics(); m.RefHits != 27 || m.RefMisses != 0 {
+		t.Fatalf("reference hits %d, misses %d; want 27 and 0", m.RefHits, m.RefMisses)
+	}
+}
+
+// TestCloneHashedOnce checks a Clone, new arrays of equal content, is
+// hashed once, on its first call, and resolves to the original's
+// references.
+func TestCloneHashedOnce(t *testing.T) {
+	l, c := startLocal(t, Config{Threads: 2})
+	g := masked.ErdosRenyi(256, 8, 48)
+	req := &wire.MultiplyReq{M: g.Pattern(), A: g, B: g}
+	want := productFrame(t, req)
+	multiplyBytesIn(t, l, c, req, want)
+	h := g.Clone()
+	clone := &wire.MultiplyReq{M: h.Pattern(), A: h, B: h}
+	for i := 0; i < 3; i++ {
+		if n := multiplyBytesIn(t, l, c, clone, want); n > 128 {
+			t.Fatalf("clone call %d sent %d bytes; want only references", i, n)
+		}
+	}
+	if n := c.refs.hashed.Load(); n != 4 {
+		t.Fatalf("the original and its clone hashed %d times; want 4 (two operands each)", n)
+	}
+	orig, copied := c.refs.lookup(c.refs.keys(req)), c.refs.lookup(c.refs.keys(clone))
+	if orig != copied || orig[0] == 0 || orig[1] == 0 {
+		t.Fatalf("clone references %v, original's %v; want the same, all held", copied, orig)
+	}
+	if n := c.refs.hashed.Load(); n != 4 {
+		t.Fatalf("looking both up again hashed %d more times", n-4)
+	}
+}
+
+// TestCollectedOperandLeavesNoMemoEntry checks the client keeps no
+// operand alive: once the operands of a call are collected, their hashes
+// are forgotten.
+func TestCollectedOperandLeavesNoMemoEntry(t *testing.T) {
+	l, c := startLocal(t, Config{Threads: 2})
+	func() {
+		g := masked.ErdosRenyi(256, 8, 49)
+		req := &wire.MultiplyReq{M: g.Pattern(), A: g, B: g}
+		multiplyBytesIn(t, l, c, req, productFrame(t, req))
+		if n := c.refs.known.Len(); n != 2 {
+			t.Fatalf("%d operand hashes kept for a mask and a matrix; want 2", n)
+		}
+	}()
+	for deadline := time.Now().Add(10 * time.Second); c.refs.known.Len() > 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d operand hashes outlived their operands", c.refs.known.Len())
+		}
+		runtime.GC()
 	}
 }
 

@@ -143,6 +143,7 @@ type Server struct {
 	maxQueued    int64
 	queuedFrames atomic.Int64
 	bodies       sync.Pool // *[]byte request-body buffers
+	frames       sync.Pool // *[]byte multiply response buffers
 
 	nMultiply, nFrames, nTC, nBFS atomic.Int64
 	nRejected, nErrors            atomic.Int64
@@ -348,6 +349,19 @@ func (sv *Server) writeWire(w http.ResponseWriter, frames []byte) {
 	w.Header().Set("Content-Length", strconv.Itoa(len(frames)))
 	n, _ := w.Write(frames)
 	sv.bytesOut.Add(int64(n))
+}
+
+// writeEncoded writes the frames encode appends to a pooled buffer, as
+// writeWire does. The buffer goes back to the pool once Write has
+// returned, so no frame outlives the handler.
+func (sv *Server) writeEncoded(w http.ResponseWriter, encode func(dst []byte) []byte) {
+	bp, _ := sv.frames.Get().(*[]byte)
+	if bp == nil {
+		bp = new([]byte)
+	}
+	*bp = encode((*bp)[:0])
+	sv.writeWire(w, *bp)
+	sv.frames.Put(bp)
 }
 
 // deadlineFor maps a frame's DeadlineMillis onto the configured
@@ -596,7 +610,8 @@ func (sv *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 		var unknown *unknownRefError
 		switch {
 		case errors.As(err, &unknown):
-			sv.writeWire(w, (&wire.ErrorFrame{Code: wire.CodeUnknownRef, Message: err.Error()}).Encode(nil))
+			ef := &wire.ErrorFrame{Code: wire.CodeUnknownRef, Message: err.Error()}
+			sv.writeEncoded(w, ef.Encode)
 			return
 		case err != nil:
 			sv.httpError(w, http.StatusBadRequest, fmt.Sprintf("frame %d: %v", i, err))
@@ -622,9 +637,9 @@ func (sv *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 		case res.Err != nil:
 			sv.httpError(w, statusFor(res.Err), res.Err.Error())
 		case isRef:
-			sv.writeWire(w, (&wire.MultiplyRefRes{MultiplyRes: multiplyRes(res), Refs: issued}).Encode(nil))
+			sv.writeEncoded(w, (&wire.MultiplyRefRes{MultiplyRes: multiplyRes(res), Refs: issued}).Encode)
 		default:
-			sv.writeWire(w, encodeMultiplyRes(nil, res))
+			sv.writeEncoded(w, func(dst []byte) []byte { return encodeMultiplyRes(dst, res) })
 		}
 		return
 	}
@@ -638,18 +653,20 @@ func (sv *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer sv.queuedFrames.Add(-n)
-	var out []byte
-	for _, res := range sv.sess.MultiplyBatch(ctx, batch) {
-		if res.Err != nil {
-			out = (&wire.ErrorFrame{
-				Code:    uint16(statusFor(res.Err)),
-				Message: res.Err.Error(),
-			}).Encode(out)
-			continue
+	results := sv.sess.MultiplyBatch(ctx, batch)
+	sv.writeEncoded(w, func(out []byte) []byte {
+		for _, res := range results {
+			if res.Err != nil {
+				out = (&wire.ErrorFrame{
+					Code:    uint16(statusFor(res.Err)),
+					Message: res.Err.Error(),
+				}).Encode(out)
+				continue
+			}
+			out = encodeMultiplyRes(out, res)
 		}
-		out = encodeMultiplyRes(out, res)
-	}
-	sv.writeWire(w, out)
+		return out
+	})
 }
 
 // multiplyRes maps one multiply result onto its response message.
