@@ -267,6 +267,44 @@ func TestBetweennessMatchesBrandesOnRandomGraphs(t *testing.T) {
 	}
 }
 
+// FuzzBC builds FuzzTriangleCount's small symmetric graphs (fuzzGraph)
+// and takes 1 to 4 sources, one per byte of src (a source of 0 when src
+// is empty; repeats allowed): the Auto engine and the pinned MSA-1P
+// engine must each match BrandesExact within bcClose's tolerance.
+func FuzzBC(f *testing.F) {
+	f.Add(uint8(4), []byte{0}, []byte{0, 1, 1, 2, 2, 0, 2, 3})
+	f.Add(uint8(1), []byte{}, []byte{0, 0})
+	f.Add(uint8(12), []byte{0, 5, 9, 0}, []byte{0, 1, 0, 2, 0, 3, 1, 2, 1, 3, 2, 3, 4, 5, 5, 6, 6, 4, 7, 8})
+	f.Add(uint8(9), []byte{3, 8}, []byte{0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8, 0})
+	engines := []Engine{
+		NewSession(core.Options{Threads: 2}).EngineAuto(),
+		NewSession(core.Options{Threads: 2}).EngineVariant(core.Variant{Alg: core.MSA, Phase: core.OnePhase}),
+	}
+	f.Fuzz(func(t *testing.T, size uint8, src, data []byte) {
+		g := fuzzGraph(size, data)
+		if g.NRows == 0 {
+			return // no vertex to start from
+		}
+		sources := []Index{0}
+		if len(src) > 0 {
+			sources = sources[:0]
+			for _, b := range src[:min(len(src), 4)] {
+				sources = append(sources, Index(b)%g.NRows)
+			}
+		}
+		want := BrandesExact(g, sources)
+		for _, eng := range engines {
+			res, err := BetweennessCentrality(g, sources, eng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bcClose(res.Scores, want) {
+				t.Fatalf("%s, sources %v: scores %v, Brandes %v", eng.Name, sources, res.Scores, want)
+			}
+		}
+	})
+}
+
 func TestBetweennessRejectsComplementIncapable(t *testing.T) {
 	g := pathGraph(4)
 	if _, err := BetweennessCentrality(g, []Index{0}, NewSession(core.Options{}).EngineVariant(core.Variant{Alg: core.MCA, Phase: core.OnePhase})); err == nil {

@@ -60,13 +60,15 @@ func dirtyFrontier(m, a *matrix.Pattern, complement bool, amMark []bool, bCols [
 	return frontier
 }
 
-// refreshExact refreshes p and fails unless the recomputed rows are
-// exactly what the pending batches require: every row on the first
-// refresh, none when clean, and the dirtyFrontier scan otherwise. It also
-// checks that Frontier names the sub-operands' rows inside the callback.
+// refreshExact refreshes p and fails unless the renewed rows are exactly
+// what the pending batches require: every row on the first refresh, none
+// when clean, and the dirtyFrontier scan otherwise. It also checks that
+// Frontier names the sub-operands' rows inside the callback: the whole
+// rule, or on a plus-pair product, which patches the rows reached only
+// through B, the rule's changed rows of M and A.
 func refreshExact(t *testing.T, p *DeltaProduct[float64], mult DeltaMult[float64]) (*matrix.CSR[float64], []Index) {
 	t.Helper()
-	var want []Index
+	var want, wantMult []Index
 	cm, ca := p.m.Current().Pattern(), p.a.Current().Pattern()
 	switch {
 	case p.c == nil:
@@ -75,6 +77,15 @@ func refreshExact(t *testing.T, p *DeltaProduct[float64], mult DeltaMult[float64
 		}
 	case p.Dirty() > 0:
 		want = dirtyFrontier(cm, ca, p.complement, p.amMark, p.bCols)
+		wantMult = want
+		if p.bump != nil {
+			wantMult = nil
+			for _, i := range want {
+				if p.amMark[i] {
+					wantMult = append(wantMult, i)
+				}
+			}
+		}
 	}
 	first := p.c == nil
 	var inFlight []Index
@@ -89,13 +100,10 @@ func refreshExact(t *testing.T, p *DeltaProduct[float64], mult DeltaMult[float64
 		t.Fatalf("refresh: %v", err)
 	}
 	if !slices.Equal(rows, want) {
-		t.Fatalf("refresh recomputed rows %v, the frontier rule requires %v", rows, want)
+		t.Fatalf("refresh renewed rows %v, the frontier rule requires %v", rows, want)
 	}
-	if first {
-		rows = nil // a full product has no frontier
-	}
-	if !slices.Equal(inFlight, rows) {
-		t.Fatalf("Frontier in the callback = %v, want %v", inFlight, rows)
+	if !slices.Equal(inFlight, wantMult) {
+		t.Fatalf("Frontier in the callback = %v, want %v", inFlight, wantMult)
 	}
 	if p.Frontier() != nil {
 		t.Fatal("Frontier is set outside Refresh")
@@ -122,7 +130,7 @@ func deltaEquivConfig(t *testing.T, v Variant, comp bool, rep MaskRep, skewed bo
 		return d
 	}
 	dm, da, db := newOverlay(baseM), newOverlay(baseA), newOverlay(baseB)
-	p := NewDeltaProductComplement(dm, da, db, comp)
+	p := NewDeltaProductComplement(dm, da, db, comp, sr)
 	opt := func(m *matrix.Pattern, a, b *matrix.CSR[float64]) Options {
 		o := Options{Threads: 2, Grain: 3, Complement: comp}
 		if skewed {
@@ -208,20 +216,31 @@ func TestDeltaEquivalenceBattery(t *testing.T) {
 
 // TestDeltaAliasedOverlays runs the graph-stream shape — M, A and B are
 // one overlay — asserting per-prefix bit-identity and that DeltaAll
-// batches dirty both operand roles exactly once.
+// batches dirty both operand roles exactly once, on a product built
+// without a semiring (which recomputes the whole frontier) and on one
+// built with PlusPairF (which patches the rows reached only through B).
 func TestDeltaAliasedOverlays(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
 	const n = 31
-	base := randFloatCSR(rng, n, n, 0.2)
-	g, err := matrix.NewDeltaCSR(base)
-	if err != nil {
-		t.Fatal(err)
+	sr := semiring.PlusPairF()
+	for _, pair := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(9))
+		g, err := matrix.NewDeltaCSR(randFloatCSR(rng, n, n, 0.2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := NewDeltaProduct(g, g, g)
+		if pair {
+			p = NewDeltaProductComplement(g, g, g, false, sr)
+		}
+		deltaAliased(t, rng, g, p, sr)
 	}
-	p := NewDeltaProduct(g, g, g)
+}
+
+func deltaAliased(t *testing.T, rng *rand.Rand, g *matrix.DeltaCSR[float64], p *DeltaProduct[float64], sr semiring.Semiring[float64]) {
+	const n = 31
 	if len(p.Overlays()) != 1 {
 		t.Fatalf("aliased product tracks %d overlays, want 1", len(p.Overlays()))
 	}
-	sr := semiring.PlusPairF()
 	mult := func(msub *matrix.Pattern, asub, b *matrix.CSR[float64]) (*matrix.CSR[float64], error) {
 		return MaskedSpGEMM(Variant{Alg: Hash, Phase: TwoPhase}, msub, asub, b, sr,
 			Options{Threads: 2})
@@ -251,6 +270,53 @@ func TestDeltaAliasedOverlays(t *testing.T) {
 		}
 		if !matrix.Equal(got, want, eqBits) {
 			t.Fatalf("round %d: aliased incremental output diverged from rebuild", round)
+		}
+	}
+}
+
+// TestDeltaCountPathInt64 streams DeltaAll batches over one int64
+// overlay under PlusPair, the count path's other operator type: every
+// refresh must equal a rebuild.
+func TestDeltaCountPathInt64(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const n = 31
+	f := randFloatCSR(rng, n, n, 0.2)
+	g, err := matrix.NewDeltaCSR(&matrix.CSR[int64]{NRows: n, NCols: n,
+		RowPtr: f.RowPtr, Col: f.Col, Val: make([]int64, len(f.Col))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr := semiring.PlusPair()
+	p := NewDeltaProductComplement(g, g, g, false, sr)
+	if p.bump == nil {
+		t.Fatal("PlusPair over int64 is not on the count path")
+	}
+	v := Variant{Alg: MSA, Phase: OnePhase}
+	mult := func(msub *matrix.Pattern, asub, b *matrix.CSR[int64]) (*matrix.CSR[int64], error) {
+		return MaskedSpGEMM(v, msub, asub, b, sr, Options{Threads: 2})
+	}
+	for round := 0; round < 8; round++ {
+		if round > 0 {
+			batch := make([]matrix.Update[int64], 6)
+			for k := range batch {
+				batch[k] = matrix.Update[int64]{Row: Index(rng.Intn(n)), Col: Index(rng.Intn(n)),
+					Val: 1, Delete: rng.Intn(3) == 0}
+			}
+			if err := p.Apply(DeltaAll, batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, _, err := p.Refresh(mult)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur := g.Current()
+		want, err := MaskedSpGEMM(v, cur.Pattern(), cur, cur, sr, Options{Threads: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !matrix.Equal(got, want, func(x, y int64) bool { return x == y }) {
+			t.Fatalf("round %d: int64 count path diverged from rebuild", round)
 		}
 	}
 }
@@ -288,8 +354,9 @@ func TestDeltaApplyAtomicAcrossOverlays(t *testing.T) {
 // DeltaProduct.Apply and Refresh on overlays that are not aliased: a
 // changed B(k,j) pulls in row i only if A(i,k) != 0 and the mask admits j
 // in row i, while a changed M or A row is always recomputed. Every
-// refresh must recompute exactly the dirtyFrontier rows and still match
-// a rebuild.
+// refresh must renew exactly the dirtyFrontier rows and still match a
+// rebuild, on Arithmetic and on PlusPairF, whose product patches the rows
+// reached only through B.
 func TestDirtyFrontierDerivation(t *testing.T) {
 	// A(0,:) = {1}, A(1,:) = {1, 2}, A(2,:) = {}.
 	// M(0,:) = {0}, M(1,:) = {2}, M(2,:) = {0, 1, 2}.
@@ -298,9 +365,8 @@ func TestDirtyFrontierDerivation(t *testing.T) {
 	baseM := csr3([][]Index{{0}, {2}, {0, 1, 2}})
 	baseB := csr3([][]Index{{}, {1}, {2}})
 	v := Variant{Alg: MSA, Phase: OnePhase}
-	sr := semiring.Arithmetic()
 	eqBits := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
-	frontier := func(comp bool, op DeltaOperand, u matrix.Update[float64]) []Index {
+	frontier := func(sr semiring.Semiring[float64], comp bool, op DeltaOperand, u matrix.Update[float64]) []Index {
 		t.Helper()
 		var ov [3]*matrix.DeltaCSR[float64]
 		for k, base := range []*matrix.CSR[float64]{baseM, baseA, baseB} {
@@ -310,7 +376,7 @@ func TestDirtyFrontierDerivation(t *testing.T) {
 			}
 			ov[k] = d
 		}
-		p := NewDeltaProductComplement(ov[0], ov[1], ov[2], comp)
+		p := NewDeltaProductComplement(ov[0], ov[1], ov[2], comp, sr)
 		mult := func(msub *matrix.Pattern, asub, b *matrix.CSR[float64]) (*matrix.CSR[float64], error) {
 			return MaskedSpGEMM(v, msub, asub, b, sr, Options{Threads: 1, Complement: comp})
 		}
@@ -325,7 +391,7 @@ func TestDirtyFrontierDerivation(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !matrix.Equal(got, want, eqBits) {
-			t.Fatalf("complement=%v op=%d update %+v: refresh diverged from rebuild", comp, op, u)
+			t.Fatalf("%s complement=%v op=%d update %+v: refresh diverged from rebuild", sr.Name, comp, op, u)
 		}
 		return rows
 	}
@@ -350,10 +416,12 @@ func TestDirtyFrontierDerivation(t *testing.T) {
 		{"A row change", false, DeltaA, matrix.Update[float64]{Row: 2, Col: 0, Val: 3}, []Index{2}},
 		{"A row change under complement", true, DeltaA, matrix.Update[float64]{Row: 0, Col: 1, Delete: true}, []Index{0}},
 	}
-	for _, tc := range cases {
-		got := frontier(tc.comp, tc.op, tc.u)
-		if !slices.Equal(got, tc.want) {
-			t.Errorf("%s: frontier = %v, want %v", tc.name, got, tc.want)
+	for _, sr := range []semiring.Semiring[float64]{semiring.Arithmetic(), semiring.PlusPairF()} {
+		for _, tc := range cases {
+			got := frontier(sr, tc.comp, tc.op, tc.u)
+			if !slices.Equal(got, tc.want) {
+				t.Errorf("%s, %s: frontier = %v, want %v", sr.Name, tc.name, got, tc.want)
+			}
 		}
 	}
 }

@@ -14,12 +14,15 @@ import (
 // of DeltaM, DeltaA, DeltaB and DeltaAll batches, product compactions,
 // direct compactions of one overlay behind the product, and per-overlay
 // merge thresholds from auto-compacting at almost every batch to never,
-// under a plain and a complemented mask. It asserts that every refresh recomputes exactly the
-// rows of the full-scan dirtyFrontier reference, and that every refreshed
-// prefix is bit-identical to a from-scratch MaskedSpGEMM on the overlays'
-// current content. It is the gate of the mask-aware frontier and its
-// column index of A: a row wrongly left out keeps a stale output row, and
-// a row wrongly pulled in fails the exactness check.
+// under a plain and a complemented mask, on the Arithmetic semiring or on
+// PlusPairF, whose product patches the counts of the rows reached only
+// through B. It asserts that every refresh renews exactly the rows of the
+// full-scan dirtyFrontier reference, and that every refreshed prefix is
+// bit-identical to a from-scratch MaskedSpGEMM on the overlays' current
+// content. It is the gate of the mask-aware frontier, its column index
+// of A and the count patches: a row wrongly left out keeps a stale output
+// row, a row wrongly pulled in fails the exactness check, and a count
+// change applied twice or missed leaves a wrong count.
 func FuzzDeltaRefresh(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 2, 1, 2, 3, 1, 2, 3, 4, 5, 6, 3, 1, 0, 0})
 	f.Add([]byte{7, 3, 2, 0, 0, 1, 1, 1, 0, 2, 2, 4, 3, 3, 5, 6, 0, 1})
@@ -28,6 +31,17 @@ func FuzzDeltaRefresh(f *testing.F) {
 	// A insert that only the insert log covers.
 	f.Add([]byte("00107000121000000001112000000200"))
 	f.Add([]byte("0000000002000000001012"))
+	// Plus-pair, M and A apart, no compaction: M(1,3) and A(1,2) are
+	// inserted, a delete of B(2,3) builds the column index of A, A(1,2) is
+	// deleted and re-inserted, so row 1 is listed twice under column 2,
+	// and the re-insert of B(2,3) must raise C(1,3) by one, not two.
+	f.Add([]byte{1, 0, 0, 2, 0, 2, 0, 2, 4,
+		0, 0, 1, 3, 4, 1,
+		1, 0, 1, 2, 4, 1,
+		2, 0, 2, 3, 4, 0,
+		1, 0, 1, 2, 4, 0,
+		1, 0, 1, 2, 4, 1,
+		2, 0, 2, 3, 4, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, comp := range []bool{false, true} {
 			fuzzDeltaRefresh(t, data, comp)
@@ -68,11 +82,18 @@ func fuzzDeltaRefresh(t *testing.T, data []byte, comp bool) {
 		}
 		ov[k] = d
 	}
-	if next()%3 == 0 {
-		ov[1] = ov[0] // M and A one overlay
+	// One byte shapes the product: M and A one overlay at a multiple of
+	// 3, and the semiring Arithmetic or PlusPairF (the count path) by the
+	// parity of the byte over 3.
+	shape := next()
+	if shape%3 == 0 {
+		ov[1] = ov[0]
 	}
-	p := NewDeltaProductComplement(ov[0], ov[1], ov[2], comp)
 	sr := semiring.Arithmetic()
+	if shape/3%2 == 1 {
+		sr = semiring.PlusPairF()
+	}
+	p := NewDeltaProductComplement(ov[0], ov[1], ov[2], comp, sr)
 	opt := Options{Threads: 2, Grain: 2, Complement: comp}
 	mult := func(msub *matrix.Pattern, asub, b *matrix.CSR[float64]) (*matrix.CSR[float64], error) {
 		return MaskedSpGEMM(v, msub, asub, b, sr, opt)
@@ -87,7 +108,7 @@ func fuzzDeltaRefresh(t *testing.T, data []byte, comp bool) {
 			t.Fatalf("step %d: rebuild: %v", step, err)
 		}
 		if !matrix.Equal(got, want, eqBits) {
-			t.Fatalf("step %d (%s, complement=%v): refresh not bit-identical to rebuild", step, v.Name(), comp)
+			t.Fatalf("step %d (%s, %s, complement=%v): refresh not bit-identical to rebuild", step, v.Name(), sr.Name, comp)
 		}
 		if pos >= len(data) {
 			return

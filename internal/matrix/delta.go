@@ -170,6 +170,22 @@ func (d *DeltaCSR[T]) baseHas(i, j Index) bool {
 	return ok
 }
 
+// Has reports whether the merged matrix stores entry (i, j): a pending
+// insert or overwrite says yes, a pending delete says no, and otherwise
+// the base row decides. It costs a binary search of row i's log and of
+// its base row, and materializes nothing. i and j must be in range.
+func (d *DeltaCSR[T]) Has(i, j Index) bool {
+	if l := d.logs[i]; l != nil {
+		if _, found := slices.BinarySearch(l.insCol, j); found {
+			return true
+		}
+		if _, found := slices.BinarySearch(l.del, j); found {
+			return false
+		}
+	}
+	return d.baseHas(i, j)
+}
+
 // ApplyBatch applies a batch of updates in order. Updates are validated
 // first: any out-of-range row or column index rejects the whole batch with
 // an error and no mutation. Duplicate edges within a batch apply

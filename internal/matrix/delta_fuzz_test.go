@@ -13,7 +13,7 @@ import (
 // logs, and patched snapshots (Current, and the recycled private one once
 // taken) equal to a full merge (DeltaCSR.Validate is the oracle). A
 // shadow map replays the accepted updates to cross-check the merged
-// content.
+// content, and Has against it after every step.
 func FuzzDeltaApply(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 0x80, 9, 9, 4})
 	f.Add([]byte{2, 0xff, 0x03, 1, 1, 1, 1, 1, 1, 1, 1, 3})
@@ -75,6 +75,13 @@ func FuzzDeltaApply(f *testing.F) {
 			}
 			if err := d.Validate(); err != nil {
 				t.Fatalf("invariants corrupted: %v", err)
+			}
+			for i := Index(0); i < n; i++ {
+				for j := Index(0); j < n; j++ {
+					if _, want := ref[[2]Index{i, j}]; d.Has(i, j) != want {
+						t.Fatalf("Has(%d, %d) = %v, shadow present=%v", i, j, !want, want)
+					}
+				}
 			}
 		}
 		cur := d.Current()

@@ -17,14 +17,18 @@ import (
 // recompute only the dirty-row frontier of each batch — the rows of M or A
 // that changed plus each row i with A(i,k) != 0 for a changed B(k,j)
 // whose column j the (possibly complemented) mask row i admits —
-// splicing the recomputed rows into the cached output. Rows outside the
-// frontier reuse their previously computed output unchanged; the frontier
-// rows run with their share of the product's own plan (Plan.Restrict),
-// which is re-analyzed whenever an overlay's base moves. Because every
-// kernel produces bit-identical rows for identical inputs, the incremental
-// output is bit-identical to a from-scratch multiply on the compacted
-// operands (masked/stream_test.go and internal/core/delta_equiv_test.go
-// assert this per stream prefix).
+// splicing the renewed rows into the cached output. Rows outside the
+// frontier reuse their previously computed output unchanged; the
+// recomputed rows run with their share of the product's own plan
+// (Plan.Restrict), which is re-analyzed whenever an overlay's base moves.
+// Because every kernel produces bit-identical rows for identical inputs,
+// the incremental output is bit-identical to a from-scratch multiply on
+// the compacted operands (masked/stream_test.go and
+// internal/core/delta_equiv_test.go assert this per stream prefix). A
+// product pinned to PlusPair recomputes only the frontier's changed rows
+// of the mask and A: the rows reached only through B changes get their
+// counts patched by each changed B entry's net presence change, which is
+// exact for integer counts and so gives the same bits.
 
 // Update is one streamed edge mutation: set entry (Row, Col) to Val, or
 // remove it when Delete is true. Deletes of absent entries are no-ops.
@@ -94,7 +98,7 @@ func (s *Session) NewDeltaProduct(m, a, b *DeltaMatrix, opts ...Op) *DeltaProduc
 	return &DeltaProduct{
 		owner: s,
 		d:     d,
-		inner: core.NewDeltaProductComplement(m, a, b, d.complement),
+		inner: core.NewDeltaProductComplement(m, a, b, d.complement, d.semiring()),
 		m:     m, a: a, b: b,
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -345,6 +346,75 @@ func TestStreamPanicRecoveryMidUpdate(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameBits(t, "retry", got, want)
+}
+
+// TestStreamKernelPanicRetry: on a plus-pair product a refresh patches
+// the counts of the rows a batch reaches only through B changes and
+// recomputes the rest, and the kernel panic point fires in that recompute,
+// after the count changes were derived. The retried MultiplyDelta must
+// derive them afresh, applying none twice, and come out bit-identical to
+// a rebuild, batch after batch.
+func TestStreamKernelPanicRetry(t *testing.T) {
+	ctx := context.Background()
+	_, l := tcOperands(10, 8, 5)
+	s := NewSession(WithThreads(2))
+	g, err := NewDeltaMatrix(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := s.NewDeltaProduct(g, g, g, WithAccumulate(PlusPair()))
+	if _, err := s.MultiplyDelta(ctx, p); err != nil {
+		t.Fatal(err)
+	}
+	stream := newSlidingStream(l, 2, 16, 3)
+	for round := 0; round < 4; round++ {
+		batch := stream.next()
+		armKernelPanic(t, 1)
+		if _, err := s.Update(ctx, p, batch); !errors.Is(err, ErrPanic) {
+			t.Fatalf("round %d: faulted update: err %v, want ErrPanic", round, err)
+		}
+		cur := g.Current()
+		if n := patchedRows(cur, batch); n == 0 {
+			t.Fatalf("round %d: test premise broken: the batch reaches no row only through B", round)
+		}
+		got, err := s.MultiplyDelta(ctx, p)
+		if err != nil {
+			t.Fatalf("round %d: retry after recovered panic: %v", round, err)
+		}
+		want, err := s.Multiply(ctx, cur.Pattern(), cur, cur, WithAccumulate(PlusPair()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameBits(t, fmt.Sprintf("round %d retry", round), got, want)
+	}
+	if got := s.Stats().Panics; got != 4 {
+		t.Fatalf("session counted %d panics, want 4", got)
+	}
+}
+
+// patchedRows counts the rows of the triangle product on g whose counts a
+// graph-stream batch changes only through B: rows i the batch leaves
+// alone that hold g(i,k) and g(i,j) for an updated entry (k, j).
+func patchedRows(g *Matrix, batch []Update) int {
+	touched := map[Index]bool{}
+	for _, u := range batch {
+		touched[u.Row] = true
+	}
+	n := 0
+	for i := Index(0); i < g.NRows; i++ {
+		if touched[i] {
+			continue
+		}
+		cols, _ := g.Row(i)
+		for _, u := range batch {
+			_, hasK := slices.BinarySearch(cols, u.Row)
+			if _, hasJ := slices.BinarySearch(cols, u.Col); hasK && hasJ {
+				n++
+				break
+			}
+		}
+	}
+	return n
 }
 
 // TestStreamConcurrentUpdateMultiplyServe mirrors the PR 9 chaos-test
