@@ -60,7 +60,10 @@ const (
 	PointInternRefMiss = "server.intern.ref_miss"
 	// PointKernelPanic panics inside Session.execute, under the serving
 	// layer's recover barrier and the arbiter grant (tests leak-free panic
-	// recovery on the kernel path).
+	// recovery on the kernel path), inside a streamed product's frontier
+	// sub-product, and inside a plus-pair delta refresh between deriving
+	// its count patches and splicing them (tests that a retried refresh
+	// applies none twice).
 	PointKernelPanic = "masked.kernel.panic"
 	// PointArbiterStall sleeps the rule's delay before a serving request
 	// asks the arbiter for admission (exercises admission queue timing and

@@ -17,7 +17,8 @@ import (
 // bulk copy (SpliceRows). Current's snapshots are fresh CSRs; the one the
 // incremental refresh reads (RecycledSnapshot) is private and reuses the
 // arrays of the snapshot before last, so a steady stream of refreshes
-// stops allocating the graph. When the pending-log volume crosses a
+// stops allocating the graph, and a refresh that reads patterns alone
+// keeps it without values. When the pending-log volume crosses a
 // bounded merge threshold, the logs are folded into a fresh base
 // (Compact), keeping merge cost amortized O(1) per applied update.
 
@@ -63,10 +64,12 @@ type DeltaCSR[T any] struct {
 	stale rowSet
 	// own is RecycledSnapshot's last result (nil before the first), and
 	// ownStale the rows touched since it was taken; spare is the one
-	// before it, whose arrays the next patch overwrites. Current, Compact
-	// and Base never return either.
+	// before it, whose arrays the next patch overwrites. ownPattern
+	// records that own holds the pattern alone (its Val is nil). Current,
+	// Compact and Base never return either.
 	own, spare *CSR[T]
 	ownStale   rowSet
+	ownPattern bool
 	// sub stages the re-merged rows of a patch; its arrays are reused.
 	sub CSR[T]
 }
@@ -170,31 +173,18 @@ func (d *DeltaCSR[T]) baseHas(i, j Index) bool {
 	return ok
 }
 
-// Has reports whether the merged matrix stores entry (i, j): a pending
-// insert or overwrite says yes, a pending delete says no, and otherwise
-// the base row decides. It costs a binary search of row i's log and of
-// its base row, and materializes nothing. i and j must be in range.
-func (d *DeltaCSR[T]) Has(i, j Index) bool {
-	if l := d.logs[i]; l != nil {
-		if _, found := slices.BinarySearch(l.insCol, j); found {
-			return true
-		}
-		if _, found := slices.BinarySearch(l.del, j); found {
-			return false
-		}
-	}
-	return d.baseHas(i, j)
-}
-
 // ApplyBatch applies a batch of updates in order. Updates are validated
 // first: any out-of-range row or column index rejects the whole batch with
 // an error and no mutation. Duplicate edges within a batch apply
 // last-writer-wins; deletes of absent entries are no-ops. Returns the
 // distinct rows the batch touched (ascending), which is the batch's
-// dirty-row set even when an insert-then-delete pair nets out.
+// dirty-row set even when an insert-then-delete pair nets out. When was is
+// non-nil it must hold len(batch) slots: was[x] receives whether the
+// entry batch[x] names was stored just before that update applied, read
+// from the same log and base row lookups the update makes.
 // If the pending-log volume crosses the merge threshold after the batch,
 // the logs are folded into a fresh base before returning.
-func (d *DeltaCSR[T]) ApplyBatch(batch []Update[T]) ([]Index, error) {
+func (d *DeltaCSR[T]) ApplyBatch(batch []Update[T], was []bool) ([]Index, error) {
 	for k, u := range batch {
 		if u.Row < 0 || u.Row >= d.nrows || u.Col < 0 || u.Col >= d.ncols {
 			return nil, fmt.Errorf("matrix: delta update %d: index (%d, %d) out of range %dx%d",
@@ -205,12 +195,16 @@ func (d *DeltaCSR[T]) ApplyBatch(batch []Update[T]) ([]Index, error) {
 		return nil, nil
 	}
 	rows := make([]Index, 0, len(batch))
-	for _, u := range batch {
+	for x, u := range batch {
 		rows = append(rows, u.Row)
+		var had bool
 		if u.Delete {
-			d.applyDelete(u.Row, u.Col)
+			had = d.applyDelete(u.Row, u.Col)
 		} else {
-			d.applyInsert(u.Row, u.Col, u.Val)
+			had = d.applyInsert(u.Row, u.Col, u.Val)
+		}
+		if was != nil {
+			was[x] = had
 		}
 	}
 	slices.Sort(rows)
@@ -246,23 +240,29 @@ func (d *DeltaCSR[T]) dropEmptyLog(i Index, l *rowLog[T]) {
 }
 
 // addDelete records the deletion of base entry (i, j) in l unless it is
-// already recorded.
-func (d *DeltaCSR[T]) addDelete(l *rowLog[T], j Index) {
-	if k, found := slices.BinarySearch(l.del, j); !found {
+// already recorded, and reports whether it was not.
+func (d *DeltaCSR[T]) addDelete(l *rowLog[T], j Index) bool {
+	k, found := slices.BinarySearch(l.del, j)
+	if !found {
 		l.del = slices.Insert(l.del, k, j)
 		d.pending++
 		d.nnz--
 	}
+	return !found
 }
 
-func (d *DeltaCSR[T]) applyInsert(i, j Index, v T) {
+// applyInsert sets entry (i, j) to v and reports whether it was stored
+// before.
+func (d *DeltaCSR[T]) applyInsert(i, j Index, v T) bool {
 	l := d.log(i)
+	was := true
 	// Un-delete: a pending delete of (i, j) flips back to presence with
 	// the new value (recorded as an overwrite insert).
 	if k, found := slices.BinarySearch(l.del, j); found {
 		l.del = slices.Delete(l.del, k, k+1)
 		d.pending--
 		d.nnz++
+		was = false
 	}
 	if k, found := slices.BinarySearch(l.insCol, j); found {
 		l.insVal[k] = v // duplicate insert: last writer wins
@@ -272,12 +272,16 @@ func (d *DeltaCSR[T]) applyInsert(i, j Index, v T) {
 		d.pending++
 		if !d.baseHas(i, j) {
 			d.nnz++ // true insert; overwrite of a base entry keeps nnz
+			was = false
 		}
 	}
 	d.dropEmptyLog(i, l)
+	return was
 }
 
-func (d *DeltaCSR[T]) applyDelete(i, j Index) {
+// applyDelete removes entry (i, j) and reports whether it was stored
+// before.
+func (d *DeltaCSR[T]) applyDelete(i, j Index) bool {
 	l := d.logs[i]
 	if l != nil {
 		if k, found := slices.BinarySearch(l.insCol, j); found {
@@ -292,12 +296,10 @@ func (d *DeltaCSR[T]) applyDelete(i, j Index) {
 				d.addDelete(l, j)
 			}
 			d.dropEmptyLog(i, l)
-			return
+			return true
 		}
 	}
-	if d.baseHas(i, j) {
-		d.addDelete(d.log(i), j)
-	}
+	return d.baseHas(i, j) && d.addDelete(d.log(i), j)
 }
 
 // MergedRow appends row i of the merged matrix (base row with its log
@@ -367,7 +369,8 @@ func (d *DeltaCSR[T]) merged() *CSR[T] {
 // generation: repeated calls between batches return the same CSR, and the
 // base itself is returned when no updates are pending. A new snapshot
 // patches an earlier one (its own previous snapshot, the base, or the
-// refresh's private snapshot, whichever has fewer rows touched since):
+// refresh's private snapshot when it holds values, whichever has fewer
+// rows touched since):
 // it re-merges only those rows and splices them in, so its cost is one
 // bulk copy plus O(touched rows) merges. Current's snapshots are fresh
 // CSRs that nothing ever patches in place, so a reader holding an older
@@ -387,12 +390,12 @@ func (d *DeltaCSR[T]) Current() *CSR[T] {
 	if src == nil {
 		src = d.base
 	}
-	if d.own != nil && len(d.ownStale.rows) < len(d.stale.rows) {
-		// Reading the private snapshot is safe; only the result must be
-		// fresh storage.
+	if d.own != nil && !d.ownPattern && len(d.ownStale.rows) < len(d.stale.rows) {
+		// Reading the private snapshot is safe when it holds values; only
+		// the result must be fresh storage.
 		src, stale = d.own, &d.ownStale
 	}
-	d.snap = d.patch(nil, src, stale.sorted())
+	d.snap = d.patch(nil, src, stale.sorted(), true)
 	d.stale.reset()
 	return d.snap
 }
@@ -402,17 +405,25 @@ func (d *DeltaCSR[T]) Current() *CSR[T] {
 // touched since the previous one re-merges just those rows and splices
 // them, over the previous result, into the arrays of the result before
 // it, so a steady stream of refreshes allocates nothing per call once
-// the arrays have grown to the matrix. It returns the previous result
-// when nothing was touched since, and the base when no updates are
-// pending. A result stays valid until the second later call that
-// patches: callers must not keep it, mutate it, or hand it to anything
-// that keys on array identity (the plan cache). DeltaProduct.Refresh
-// reads its incremental operands through it; everything else takes
-// Current. It is a function, not a method, so that it stays off the
-// masked.DeltaMatrix API.
-func RecycledSnapshot[T any](d *DeltaCSR[T]) *CSR[T] {
+// the arrays have grown to the matrix. With values unset a patching call
+// moves the pattern alone and leaves the result's Val nil, which saves a
+// reader of patterns the value copy (two thirds of the bytes for float64
+// values); a call with values after one without builds the values
+// afresh, so a reader should keep to one mode. It
+// returns the previous result when nothing was touched since. A result
+// stays valid until the second later call that patches: callers must
+// not keep it, mutate it, or hand it to anything that keys on array
+// identity (the plan cache). DeltaProduct.Refresh reads its incremental
+// operands through it; everything else takes Current. It is a function,
+// not a method, so that it stays off the masked.DeltaMatrix API.
+func RecycledSnapshot[T any](d *DeltaCSR[T], values bool) *CSR[T] {
 	if d.pending == 0 {
 		return d.base
+	}
+	if values && d.ownPattern {
+		// The private snapshot lacks values: start it over.
+		d.own, d.spare, d.ownPattern = nil, nil, false
+		d.ownStale.reset()
 	}
 	if d.own != nil && len(d.ownStale.rows) == 0 {
 		return d.own
@@ -424,20 +435,21 @@ func RecycledSnapshot[T any](d *DeltaCSR[T]) *CSR[T] {
 		if src == nil {
 			src = d.base
 		}
-		d.own = d.patch(nil, src, d.stale.sorted())
+		d.own = d.patch(nil, src, d.stale.sorted(), true)
 		return d.own
 	}
-	out := d.patch(d.spare, d.own, d.ownStale.sorted())
+	out := d.patch(d.spare, d.own, d.ownStale.sorted(), values)
 	d.ownStale.reset()
-	d.own, d.spare = out, d.own
+	d.own, d.spare, d.ownPattern = out, d.own, !values
 	return out
 }
 
 // patch returns the merged matrix built from src, a snapshot whose
 // content differs from the merged matrix only at rows (ascending): those
 // rows are re-merged and spliced over src into dst's arrays (nil: fresh,
-// exactly sized ones).
-func (d *DeltaCSR[T]) patch(dst, src *CSR[T], rows []Index) *CSR[T] {
+// exactly sized ones), with their values unless values is unset (then
+// the result's Val is nil).
+func (d *DeltaCSR[T]) patch(dst, src *CSR[T], rows []Index, values bool) *CSR[T] {
 	sub := &d.sub
 	sub.NRows, sub.NCols = Index(len(rows)), d.ncols
 	sub.RowPtr = append(sub.RowPtr[:0], 0)
@@ -451,7 +463,7 @@ func (d *DeltaCSR[T]) patch(dst, src *CSR[T], rows []Index) *CSR[T] {
 		sub.Col, sub.Val = d.MergedRow(i, sub.Col, sub.Val)
 		sub.RowPtr = append(sub.RowPtr, Index(len(sub.Col)))
 	}
-	return spliceRows(dst, src, rows, sub)
+	return spliceRows(dst, src, rows, sub, values)
 }
 
 // Compact folds the pending logs into a fresh base CSR and clears them:
@@ -551,8 +563,14 @@ func (d *DeltaCSR[T]) Validate() error {
 	if !sameCSR(cur, full) {
 		return fmt.Errorf("matrix: delta snapshot differs from a full merge")
 	}
-	if d.own != nil && !sameCSR(RecycledSnapshot(d), full) {
-		return fmt.Errorf("matrix: delta private snapshot differs from a full merge")
+	if d.own != nil {
+		own := RecycledSnapshot(d, !d.ownPattern)
+		if d.ownPattern {
+			full.Val, own = nil, &CSR[T]{NRows: own.NRows, NCols: own.NCols, RowPtr: own.RowPtr, Col: own.Col}
+		}
+		if !sameCSR(own, full) {
+			return fmt.Errorf("matrix: delta private snapshot differs from a full merge")
+		}
 	}
 	return nil
 }

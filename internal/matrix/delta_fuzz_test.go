@@ -11,9 +11,10 @@ import (
 // duplicate-free rows, monotone row pointers, and exact nnz/pending
 // accounting, a dense log index whose nil slots are exactly the empty
 // logs, and patched snapshots (Current, and the recycled private one once
-// taken) equal to a full merge (DeltaCSR.Validate is the oracle). A
+// taken, by pattern when it holds no values) equal to a full merge
+// (DeltaCSR.Validate is the oracle). A
 // shadow map replays the accepted updates to cross-check the merged
-// content, and Has against it after every step.
+// content, and the prior presence ApplyBatch reports for each update.
 func FuzzDeltaApply(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 0x80, 9, 9, 4})
 	f.Add([]byte{2, 0xff, 0x03, 1, 1, 1, 1, 1, 1, 1, 1, 3})
@@ -53,8 +54,12 @@ func FuzzDeltaApply(f *testing.F) {
 						Delete: op == 1 && next()%2 == 0,
 					})
 				}
-				if _, err := d.ApplyBatch(batch); err == nil {
-					for _, u := range batch {
+				was := make([]bool, len(batch))
+				if _, err := d.ApplyBatch(batch, was); err == nil {
+					for x, u := range batch {
+						if _, had := ref[[2]Index{u.Row, u.Col}]; was[x] != had {
+							t.Fatalf("update %d %+v: reported prior presence %v, shadow %v", x, u, was[x], had)
+						}
 						if u.Delete {
 							delete(ref, [2]Index{u.Row, u.Col})
 						} else {
@@ -66,22 +71,18 @@ func FuzzDeltaApply(f *testing.F) {
 				d.Compact()
 			case 3:
 				d.SetMergeThreshold(float64(next()) / 16)
-			case 4: // a public snapshot, or the refresh's recycled one
-				if next()%2 == 0 {
+			case 4: // a public snapshot, or the refresh's recycled one with or without values
+				switch next() % 3 {
+				case 0:
 					_ = d.Current()
-				} else {
-					_ = RecycledSnapshot(d)
+				case 1:
+					_ = RecycledSnapshot(d, true)
+				case 2:
+					_ = RecycledSnapshot(d, false)
 				}
 			}
 			if err := d.Validate(); err != nil {
 				t.Fatalf("invariants corrupted: %v", err)
-			}
-			for i := Index(0); i < n; i++ {
-				for j := Index(0); j < n; j++ {
-					if _, want := ref[[2]Index{i, j}]; d.Has(i, j) != want {
-						t.Fatalf("Has(%d, %d) = %v, shadow present=%v", i, j, !want, want)
-					}
-				}
 			}
 		}
 		cur := d.Current()

@@ -26,15 +26,19 @@ func TestDeltaApplySemantics(t *testing.T) {
 	}
 	// Insert new, overwrite existing, delete existing, delete absent,
 	// duplicate insert (last wins) — all in one batch.
+	was := make([]bool, 6)
 	touched, err := d.ApplyBatch([]Update[float64]{
 		{Row: 3, Col: 3, Val: 9},                           // new entry
 		{Row: 0, Col: 1, Val: 7},                           // overwrite base entry
 		{Row: 1, Col: 2, Delete: true},                     // delete base entry
 		{Row: 2, Col: 3, Delete: true},                     // delete absent: no-op
 		{Row: 3, Col: 0, Val: 1}, {Row: 3, Col: 0, Val: 5}, // dup insert
-	})
+	}, was)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if want := []bool{false, true, true, false, false, true}; !slices.Equal(was, want) {
+		t.Fatalf("prior presence = %v, want %v", was, want)
 	}
 	if want := []Index{0, 1, 2, 3}; len(touched) != 4 || touched[0] != want[0] || touched[3] != want[3] {
 		t.Fatalf("touched = %v, want %v", touched, want)
@@ -64,7 +68,7 @@ func TestDeltaApplySemantics(t *testing.T) {
 	wantRow(3, []Index{0, 3}, []float64{5, 9})
 
 	// Re-inserting a deleted entry brings it back with the new value.
-	if _, err := d.ApplyBatch([]Update[float64]{{Row: 1, Col: 2, Val: 8}}); err != nil {
+	if _, err := d.ApplyBatch([]Update[float64]{{Row: 1, Col: 2, Val: 8}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	c, v := d.MergedRow(1, nil, nil)
@@ -82,7 +86,7 @@ func TestDeltaOutOfRangeRejectsWholeBatch(t *testing.T) {
 	_, err := d.ApplyBatch([]Update[float64]{
 		{Row: 1, Col: 1, Val: 2}, // valid
 		{Row: 3, Col: 0, Val: 1}, // out of range
-	})
+	}, nil)
 	if err == nil {
 		t.Fatal("out-of-range update accepted")
 	}
@@ -90,7 +94,7 @@ func TestDeltaOutOfRangeRejectsWholeBatch(t *testing.T) {
 		t.Fatalf("rejected batch mutated state: gen %d→%d pending=%d nnz=%d",
 			gen, d.Gen(), d.Pending(), d.NNZ())
 	}
-	if _, err := d.ApplyBatch([]Update[float64]{{Row: 1, Col: -1, Delete: true}}); err == nil {
+	if _, err := d.ApplyBatch([]Update[float64]{{Row: 1, Col: -1, Delete: true}}, nil); err == nil {
 		t.Fatal("negative column accepted")
 	}
 }
@@ -103,7 +107,7 @@ func TestDeltaCompactEquivalence(t *testing.T) {
 		{Row: 0, Col: 4, Val: 6},
 		{Row: 2, Col: 3, Delete: true},
 		{Row: 4, Col: 4, Val: 7},
-	}); err != nil {
+	}, nil); err != nil {
 		t.Fatal(err)
 	}
 	before := d.Current().Clone()
@@ -133,7 +137,7 @@ func TestDeltaAutoCompactThreshold(t *testing.T) {
 	d := deltaFromCOO(t, 8,
 		[]Index{0, 1, 2, 3}, []Index{1, 2, 3, 4}, []float64{1, 1, 1, 1})
 	d.SetMergeThreshold(0.5) // base nnz 4 → compact once pending > 2
-	if _, err := d.ApplyBatch([]Update[float64]{{Row: 5, Col: 5, Val: 1}}); err != nil {
+	if _, err := d.ApplyBatch([]Update[float64]{{Row: 5, Col: 5, Val: 1}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if d.Pending() != 1 {
@@ -141,7 +145,7 @@ func TestDeltaAutoCompactThreshold(t *testing.T) {
 	}
 	if _, err := d.ApplyBatch([]Update[float64]{
 		{Row: 6, Col: 6, Val: 1}, {Row: 7, Col: 7, Val: 1},
-	}); err != nil {
+	}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if d.Pending() != 0 {
@@ -161,7 +165,7 @@ func TestDeltaCurrentCachedPerGeneration(t *testing.T) {
 	if d.Current() != base {
 		t.Fatal("Current with no pending logs should return the base")
 	}
-	if _, err := d.ApplyBatch([]Update[float64]{{Row: 2, Col: 0, Val: 3}}); err != nil {
+	if _, err := d.ApplyBatch([]Update[float64]{{Row: 2, Col: 0, Val: 3}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	s1 := d.Current()
@@ -187,7 +191,7 @@ func TestDeltaMergedRowAgainstReference(t *testing.T) {
 			Row: Index(rng.Intn(n)), Col: Index(rng.Intn(n)),
 			Val: float64(step), Delete: rng.Intn(3) == 0,
 		}
-		if _, err := d.ApplyBatch([]Update[float64]{u}); err != nil {
+		if _, err := d.ApplyBatch([]Update[float64]{u}, nil); err != nil {
 			t.Fatal(err)
 		}
 		if u.Delete {
@@ -321,7 +325,7 @@ func TestDeltaMergedRowViewIsClipped(t *testing.T) {
 	d := deltaFromCOO(t, 3,
 		[]Index{0, 0, 1, 1, 2}, []Index{0, 2, 1, 2, 0}, []float64{1, 2, 3, 4, 5})
 	// A log on row 2 only, so rows 0 and 1 stay log-free views.
-	if _, err := d.ApplyBatch([]Update[float64]{{Row: 2, Col: 1, Val: 6}}); err != nil {
+	if _, err := d.ApplyBatch([]Update[float64]{{Row: 2, Col: 1, Val: 6}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	baseCol := slices.Clone(d.Base().Col)
@@ -356,7 +360,7 @@ func TestDeltaSnapshotPatching(t *testing.T) {
 			batch[k] = Update[float64]{Row: Index(rng.Intn(n)), Col: Index(rng.Intn(n)),
 				Val: float64(step), Delete: rng.Intn(3) == 0}
 		}
-		if _, err := d.ApplyBatch(batch); err != nil {
+		if _, err := d.ApplyBatch(batch, nil); err != nil {
 			t.Fatal(err)
 		}
 		if err := d.Validate(); err != nil {
@@ -379,16 +383,31 @@ func TestDeltaSnapshotPatching(t *testing.T) {
 // after every batch and across compactions, stays intact through the next
 // patching call, reuses the arrays of the snapshot before last once both
 // buffers exist, and never shares storage with a Current snapshot or the
-// base.
+// base — with values, and as a pattern alone (Val nil), after which a
+// call with values must build them afresh.
 func TestRecycledSnapshot(t *testing.T) {
+	for _, values := range []bool{true, false} {
+		recycledSnapshot(t, values)
+	}
+}
+
+func recycledSnapshot(t *testing.T, values bool) {
 	const n = 24
 	rng := rand.New(rand.NewSource(5))
 	d := deltaFromCOO(t, n, []Index{0, 5, 9, 17}, []Index{3, 5, 1, 2}, []float64{1, 2, 3, 4})
 	d.SetMergeThreshold(1e9)
-	if RecycledSnapshot(d) != d.Base() {
+	if RecycledSnapshot(d, values) != d.Base() {
 		t.Fatal("with no pending logs the private snapshot should be the base")
 	}
 	eq := func(x, y float64) bool { return x == y }
+	// same compares x with Current's y, by pattern alone when x has no
+	// values.
+	same := func(x, y *CSR[float64]) bool {
+		if x.Val == nil && len(x.Col) > 0 {
+			return slices.Equal(x.RowPtr, y.RowPtr) && slices.Equal(x.Col, y.Col)
+		}
+		return Equal(x, y, eq)
+	}
 	var prev, prevFrozen *CSR[float64]
 	var owned [][]Index // the Col arrays of the private snapshots, in order
 	var batch []Update[float64]
@@ -406,36 +425,36 @@ func TestRecycledSnapshot(t *testing.T) {
 				batch[k].Delete = true
 			}
 		}
-		if _, err := d.ApplyBatch(batch); err != nil {
+		if _, err := d.ApplyBatch(batch, nil); err != nil {
 			t.Fatal(err)
 		}
 		if step%13 == 12 {
 			d.Compact()
 		}
-		got := RecycledSnapshot(d)
-		if prev != nil && !Equal(prev, prevFrozen, eq) {
-			t.Fatalf("step %d: the previous private snapshot changed before the second later patch", step)
+		got := RecycledSnapshot(d, values)
+		if prev != nil && !same(prev, prevFrozen) {
+			t.Fatalf("values=%v step %d: the previous private snapshot changed before the second later patch", values, step)
 		}
-		if again := RecycledSnapshot(d); again != got {
-			t.Fatalf("step %d: a second call without a batch patched again", step)
+		if again := RecycledSnapshot(d, values); again != got {
+			t.Fatalf("values=%v step %d: a second call without a batch patched again", values, step)
 		}
 		cur := d.Current()
-		if !Equal(got, cur, eq) {
-			t.Fatalf("step %d: private snapshot differs from Current", step)
+		if !same(got, cur) {
+			t.Fatalf("values=%v step %d: private snapshot differs from Current", values, step)
 		}
 		if err := d.Validate(); err != nil {
-			t.Fatalf("step %d: %v", step, err)
+			t.Fatalf("values=%v step %d: %v", values, step, err)
 		}
 		if got == d.Base() {
 			prev = nil
 			continue
 		}
 		if len(got.Col) == 0 {
-			t.Fatalf("step %d: the fixture emptied the matrix", step)
+			t.Fatalf("values=%v step %d: the fixture emptied the matrix", values, step)
 		}
 		for _, other := range []*CSR[float64]{cur, d.Base()} {
 			if len(other.Col) > 0 && &got.Col[0] == &other.Col[0] {
-				t.Fatalf("step %d: private snapshot shares storage with a public one", step)
+				t.Fatalf("values=%v step %d: private snapshot shares storage with a public one", values, step)
 			}
 		}
 		owned = append(owned, got.Col)
@@ -448,7 +467,16 @@ func TestRecycledSnapshot(t *testing.T) {
 		}
 	}
 	if reused < len(owned)/2 {
-		t.Fatalf("only %d of %d private snapshots reused the arrays of the one before last", reused, len(owned)-2)
+		t.Fatalf("values=%v: only %d of %d private snapshots reused the arrays of the one before last", values, reused, len(owned)-2)
+	}
+	if _, err := d.ApplyBatch([]Update[float64]{{Row: 1, Col: 1, Val: 7}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if !values && RecycledSnapshot(d, false).Val != nil {
+		t.Fatal("a pattern-only private snapshot carries values")
+	}
+	if got := RecycledSnapshot(d, true); !Equal(got, d.Current(), eq) {
+		t.Fatalf("values=%v: a call with values after the stream differs from Current", values)
 	}
 }
 

@@ -71,13 +71,14 @@ func grow[E any](s []E, n int) []E {
 // DeltaCSR's private snapshot is patched the same way, into recycled
 // arrays (spliceRows); SpliceRows always returns fresh storage.
 func SpliceRows[T any](old *CSR[T], rows []Index, sub *CSR[T]) *CSR[T] {
-	return spliceRows(nil, old, rows, sub)
+	return spliceRows(nil, old, rows, sub, true)
 }
 
 // spliceRows is SpliceRows writing into dst's arrays, grown as needed
-// (nil: a fresh, exactly sized CSR). dst must not share storage with old
-// or sub.
-func spliceRows[T any](dst, old *CSR[T], rows []Index, sub *CSR[T]) *CSR[T] {
+// (nil: a fresh, exactly sized CSR), and moving the pattern alone when
+// values is unset (the result's Val is then nil). dst must not share
+// storage with old or sub.
+func spliceRows[T any](dst, old *CSR[T], rows []Index, sub *CSR[T], values bool) *CSR[T] {
 	nnz := Index(len(old.Col)) + Index(len(sub.Col))
 	for _, i := range rows {
 		nnz -= old.RowPtr[i+1] - old.RowPtr[i]
@@ -89,14 +90,20 @@ func spliceRows[T any](dst, old *CSR[T], rows []Index, sub *CSR[T]) *CSR[T] {
 	out.NRows, out.NCols = old.NRows, old.NCols
 	out.RowPtr = grow(out.RowPtr, int(old.NRows)+1)
 	out.Col = grow(out.Col, int(nnz))
-	out.Val = grow(out.Val, int(nnz))
+	if values {
+		out.Val = grow(out.Val, int(nnz))
+	} else {
+		out.Val = nil
+	}
 	out.RowPtr[0] = 0
 	pos := Index(0) // next free output position
 	// copyRun copies old's rows [from, to) to the output at pos.
 	copyRun := func(from, to Index) {
 		lo, hi := old.RowPtr[from], old.RowPtr[to]
 		copy(out.Col[pos:], old.Col[lo:hi])
-		copy(out.Val[pos:], old.Val[lo:hi])
+		if values {
+			copy(out.Val[pos:], old.Val[lo:hi])
+		}
 		shift := pos - lo
 		for i := from; i < to; i++ {
 			out.RowPtr[i+1] = old.RowPtr[i+1] + shift
@@ -108,7 +115,9 @@ func spliceRows[T any](dst, old *CSR[T], rows []Index, sub *CSR[T]) *CSR[T] {
 		copyRun(next, i)
 		lo, hi := sub.RowPtr[r], sub.RowPtr[r+1]
 		copy(out.Col[pos:], sub.Col[lo:hi])
-		copy(out.Val[pos:], sub.Val[lo:hi])
+		if values {
+			copy(out.Val[pos:], sub.Val[lo:hi])
+		}
 		pos += hi - lo
 		out.RowPtr[i+1] = pos
 		next = i + 1

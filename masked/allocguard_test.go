@@ -50,16 +50,55 @@ func TestSpecializedKernelsZeroAllocsPerRow(t *testing.T) {
 }
 
 // TestStreamingLoopDriverPoolWarm guards the streaming path's share of the
-// steady-state allocation contract: once a delta product has seen one full
-// insert/delete cycle of a fixed edge set (warming every driver buffer
-// size class the frontier sub-products use), further cycles must take zero
-// driver pool misses — the frontier extraction and splice allocate their
-// own small arrays, but the kernels' accumulator and output buffers all
-// come from the warmed pools.
+// steady-state allocation contract. On a semiring other than plus-pair the
+// frontier rows are recomputed by kernels: once a delta product has seen
+// one full insert/delete cycle of a fixed edge set (warming every driver
+// buffer size class the frontier sub-products use), further cycles must
+// take zero driver pool misses — the frontier extraction and splice
+// allocate their own small arrays, but the kernels' accumulator and output
+// buffers all come from the warmed pools. A plus-pair product patches its
+// frontier rows by count changes after its first product, so its updates
+// must take no driver pool buffer at all.
 func TestStreamingLoopDriverPoolWarm(t *testing.T) {
+	t.Run("Arithmetic", func(t *testing.T) {
+		s, cycle := streamingLoop(t, Arithmetic())
+		cycle() // warm the frontier-shaped pools
+		before := s.Stats().DriverPool
+		for i := 0; i < 8; i++ {
+			cycle()
+		}
+		after := s.Stats().DriverPool
+		if after.Gets == before.Gets {
+			t.Fatal("test premise broken: the arithmetic updates took no driver pool buffer")
+		}
+		if after.Misses != before.Misses {
+			t.Fatalf("warmed streaming loop performed %d driver pool misses over 16 updates (gets %d); want 0",
+				after.Misses-before.Misses, after.Gets-before.Gets)
+		}
+	})
+	t.Run("PlusPair", func(t *testing.T) {
+		s, cycle := streamingLoop(t, PlusPair())
+		before := s.Stats().DriverPool
+		for i := 0; i < 8; i++ {
+			cycle()
+		}
+		if after := s.Stats().DriverPool; after.Gets != before.Gets {
+			t.Fatalf("plus-pair streaming loop took %d driver pool buffers over 16 updates; want 0 (its refreshes patch counts)",
+				after.Gets-before.Gets)
+		}
+	})
+}
+
+// streamingLoop builds a session and a delta product on a small triangle
+// graph under sr, computes its first product, and returns the session and
+// a cycle that inserts a fixed edge set and deletes it again. Each cycle
+// returns the graph to its base content, so every iteration's frontier —
+// and therefore the driver buffer size classes — repeats exactly.
+func streamingLoop(t *testing.T, sr Semiring) (*Session, func()) {
+	t.Helper()
 	ctx := context.Background()
 	_, l := tcOperands(9, 8, 23)
-	s := NewSession(WithThreads(2), WithAccumulate(PlusPair()))
+	s := NewSession(WithThreads(2), WithAccumulate(sr))
 	g, err := NewDeltaMatrix(l)
 	if err != nil {
 		t.Fatal(err)
@@ -68,33 +107,19 @@ func TestStreamingLoopDriverPoolWarm(t *testing.T) {
 	if _, err := s.MultiplyDelta(ctx, p); err != nil {
 		t.Fatal(err)
 	}
-	// A fixed edge set toggled on and off: each cycle returns the graph to
-	// its base content, so every iteration's frontier — and therefore the
-	// driver buffer size classes — repeats exactly.
 	edges := []Update{
 		{Row: 40, Col: 3, Val: 1}, {Row: 41, Col: 7, Val: 1}, {Row: 42, Col: 11, Val: 1},
 	}
-	cycle := func() {
+	dels := make([]Update, len(edges))
+	for i, e := range edges {
+		dels[i] = Update{Row: e.Row, Col: e.Col, Delete: true}
+	}
+	return s, func() {
 		t.Helper()
-		if _, err := s.Update(ctx, p, edges); err != nil {
-			t.Fatal(err)
+		for _, b := range [][]Update{edges, dels} {
+			if _, err := s.Update(ctx, p, b); err != nil {
+				t.Fatal(err)
+			}
 		}
-		dels := make([]Update, len(edges))
-		for i, e := range edges {
-			dels[i] = Update{Row: e.Row, Col: e.Col, Delete: true}
-		}
-		if _, err := s.Update(ctx, p, dels); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cycle() // warm the frontier-shaped pools
-	missBefore := s.Stats().DriverPool.Misses
-	for i := 0; i < 8; i++ {
-		cycle()
-	}
-	after := s.Stats().DriverPool
-	if after.Misses != missBefore {
-		t.Fatalf("warmed streaming loop performed %d driver pool misses over 16 updates (gets %d); want 0",
-			after.Misses-missBefore, after.Gets)
 	}
 }

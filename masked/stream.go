@@ -14,21 +14,21 @@ import (
 // Streaming (incremental) execution. A DeltaMatrix overlays a base graph
 // with batched edge insert/delete logs; a DeltaProduct tracks one masked
 // product over such overlays and Session.Update / Session.MultiplyDelta
-// recompute only the dirty-row frontier of each batch — the rows of M or A
+// renew only the dirty-row frontier of each batch — the rows of M or A
 // that changed plus each row i with A(i,k) != 0 for a changed B(k,j)
 // whose column j the (possibly complemented) mask row i admits —
 // splicing the renewed rows into the cached output. Rows outside the
-// frontier reuse their previously computed output unchanged; the
-// recomputed rows run with their share of the product's own plan
-// (Plan.Restrict), which is re-analyzed whenever an overlay's base moves.
-// Because every kernel produces bit-identical rows for identical inputs,
-// the incremental output is bit-identical to a from-scratch multiply on
-// the compacted operands (masked/stream_test.go and
-// internal/core/delta_equiv_test.go assert this per stream prefix). A
-// product pinned to PlusPair recomputes only the frontier's changed rows
-// of the mask and A: the rows reached only through B changes get their
-// counts patched by each changed B entry's net presence change, which is
-// exact for integer counts and so gives the same bits.
+// frontier reuse their previously computed output unchanged. Off
+// plus-pair, the frontier rows are recomputed with their share of the
+// product's own plan (Plan.Restrict), which is re-analyzed whenever an
+// overlay's base moves; because every kernel produces bit-identical rows
+// for identical inputs, the incremental output is bit-identical to a
+// from-scratch multiply on the compacted operands (masked/stream_test.go
+// and internal/core/delta_equiv_test.go assert this per stream prefix). A
+// product pinned to PlusPair runs a kernel for its first product only:
+// every later frontier row is its previous output row plus the count
+// changes of the batches (core.DeltaProduct.Refresh), which is exact for
+// integer counts and so gives the same bits.
 
 // Update is one streamed edge mutation: set entry (Row, Col) to Val, or
 // remove it when Delete is true. Deletes of absent entries are no-ops.
@@ -89,8 +89,8 @@ type DeltaProduct struct {
 // alias each other (pass the same overlay three times for graph workloads
 // like streaming triangle counting). The options pin the product's
 // descriptor on top of the session defaults; the first Update or
-// MultiplyDelta computes the full product, later calls recompute only
-// dirty frontiers. All content mutations must flow through
+// MultiplyDelta computes the full product, later calls renew only dirty
+// frontiers (by count patches alone when the semiring is PlusPair). All content mutations must flow through
 // Update/UpdateOperand — mutating an overlay directly desynchronizes the
 // product's dirty-row tracking.
 func (s *Session) NewDeltaProduct(m, a, b *DeltaMatrix, opts ...Op) *DeltaProduct {
@@ -207,16 +207,19 @@ func (p *DeltaProduct) keepPlan(pl *Plan) {
 	p.bases = [3]*Matrix{p.m.Base(), p.a.Base(), p.b.Base()}
 }
 
-// deltaExecute runs one frontier sub-product. It mirrors Session.execute's
-// two paths. The Auto path neither analyzes the extracted sub-operands nor
-// touches the plan cache: it cuts the frontier rows out of the product's
-// own plan (Plan.Restrict), so each row runs with the algorithm and mask
-// representation its block of the full product chose, and is scheduled by
-// its cost from the full product's profile. Once an overlay's base has
-// moved (a compaction), the plan is first re-analyzed on the current full
-// operands, outside the cache, which keeps it within one merge threshold
-// of the content it plans. Unchanged rows never reach this path at all —
-// their cached output rows are reused as-is.
+// deltaExecute runs one frontier sub-product of a product that is not
+// pinned to PlusPair; a plus-pair product patches its frontier rows
+// inside core.DeltaProduct.Refresh and never gets here after its first
+// product. It mirrors Session.execute's two paths. The Auto path neither
+// analyzes the extracted sub-operands nor touches the plan cache: it
+// cuts the frontier rows out of the product's own plan (Plan.Restrict),
+// so each row runs with the algorithm and mask representation its block
+// of the full product chose, and is scheduled by its cost from the full
+// product's profile. Once an overlay's base has moved (a compaction), the
+// plan is first re-analyzed on the current full operands, outside the
+// cache, which keeps it within one merge threshold of the content it
+// plans. Unchanged rows never reach this path at all — their cached
+// output rows are reused as-is.
 func (s *Session) deltaExecute(p *DeltaProduct, o Options, m *Pattern, a, b *Matrix) (*Matrix, error) {
 	if faultinject.Fire(faultinject.PointKernelPanic) {
 		panic("faultinject: " + faultinject.PointKernelPanic)

@@ -349,11 +349,11 @@ func TestStreamPanicRecoveryMidUpdate(t *testing.T) {
 }
 
 // TestStreamKernelPanicRetry: on a plus-pair product a refresh patches
-// the counts of the rows a batch reaches only through B changes and
-// recomputes the rest, and the kernel panic point fires in that recompute,
-// after the count changes were derived. The retried MultiplyDelta must
-// derive them afresh, applying none twice, and come out bit-identical to
-// a rebuild, batch after batch.
+// every frontier row by count changes, and the kernel panic point fires
+// inside the refresh after those changes were derived for the rows the
+// batch changes and for the rows it reaches only through B, before the
+// splice. The retried MultiplyDelta must derive them afresh, applying none
+// twice, and come out bit-identical to a rebuild, batch after batch.
 func TestStreamKernelPanicRetry(t *testing.T) {
 	ctx := context.Background()
 	_, l := tcOperands(10, 8, 5)
