@@ -293,22 +293,6 @@ func BenchmarkAblationNInspect(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationHashLoad sweeps the hash accumulator load factor around
-// the paper's fixed 0.25.
-func BenchmarkAblationHashLoad(b *testing.B) {
-	loadInputs()
-	sr := semiring.Arithmetic()
-	for _, lf := range [][2]int{{1, 8}, {1, 4}, {1, 2}, {3, 4}} {
-		b.Run("load"+itoa(lf[0])+"over"+itoa(lf[1]), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.MaskedSpGEMMHashLoad(core.OnePhase, erMaskEq, erA, erB, sr, lf[0], lf[1], core.Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationGrain sweeps the dynamic scheduler's chunk size.
 func BenchmarkAblationGrain(b *testing.B) {
 	loadInputs()

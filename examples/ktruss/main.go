@@ -10,6 +10,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"slices"
 
 	"repro/masked"
 )
@@ -26,6 +27,7 @@ func main() {
 
 	ctx := context.Background()
 	s := masked.NewSession()
+	var want *masked.Matrix
 	for _, name := range []string{"MSA-1P", "Hash-1P", "Inner-1P", "MCA-1P"} {
 		v, err := masked.VariantByName(name)
 		if err != nil {
@@ -37,5 +39,10 @@ func main() {
 		}
 		fmt.Printf("  %-9s %2d iterations  %9d edges kept  %8.3f GFLOPS  masked %v\n",
 			name, res.Iterations, truss.NNZ(), res.GFLOPS(), res.MaskedTime.Round(1000))
+		if want == nil {
+			want = truss
+		} else if !slices.Equal(truss.RowPtr, want.RowPtr) || !slices.Equal(truss.Col, want.Col) {
+			log.Fatalf("%s kept a different edge set than MSA-1P", name)
+		}
 	}
 }

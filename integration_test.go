@@ -55,8 +55,8 @@ func TestPipelineGenerateWriteReadCount(t *testing.T) {
 	}
 }
 
-// TestPipelineBFSAcrossAPIs: single-source facade BFS and the
-// multi-source batch BFS agree with the queue reference on every model.
+// TestPipelineBFSAcrossAPIs: the facade BFS agrees with the queue
+// reference on every model.
 func TestPipelineBFSAcrossAPIs(t *testing.T) {
 	graphs := []*matrix.CSR[float64]{
 		grgen.WattsStrogatz(300, 4, 0.2, 9),
@@ -71,17 +71,9 @@ func TestPipelineBFSAcrossAPIs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, _ := masked.VariantByName("MSA-1P")
-		mres, err := s.MultiSourceBFS(ctx, g, []matrix.Index{0}, masked.WithVariant(v))
-		if err != nil {
-			t.Fatal(err)
-		}
 		for vtx := range want {
 			if fres.Level[vtx] != want[vtx] {
 				t.Fatalf("graph %d facade BFS: vertex %d", gi, vtx)
-			}
-			if mres.Levels[0][vtx] != want[vtx] {
-				t.Fatalf("graph %d multi-source BFS: vertex %d", gi, vtx)
 			}
 		}
 	}
@@ -139,41 +131,6 @@ func TestPipelineBCDeterminism(t *testing.T) {
 	}
 }
 
-// TestPipelineMCLOnGenerators: MCL splits a two-community small-world
-// graph into a small number of clusters, and the masked expansion agrees
-// with the full expansion on cluster count for a stable instance.
-func TestPipelineMCLOnGenerators(t *testing.T) {
-	// Two WS communities bridged by one edge.
-	a := grgen.WattsStrogatz(40, 6, 0.0, 1)
-	n := matrix.Index(80)
-	coo := &matrix.COO[float64]{NRows: n, NCols: n}
-	for i := matrix.Index(0); i < 40; i++ {
-		cols, _ := a.Row(i)
-		for _, j := range cols {
-			coo.Row = append(coo.Row, i, i+40)
-			coo.Col = append(coo.Col, j, j+40)
-			coo.Val = append(coo.Val, 1, 1)
-		}
-	}
-	coo.Row = append(coo.Row, 0, 40)
-	coo.Col = append(coo.Col, 40, 0)
-	coo.Val = append(coo.Val, 1, 1)
-	g := matrix.NewCSRFromCOO(coo, func(x, y float64) float64 { return 1 })
-	v, _ := masked.VariantByName("MSA-1P")
-	eng := apps.NewSession(core.Options{}).EngineVariant(core.Variant{Alg: v.Alg, Phase: v.Phase})
-	res, err := apps.MCL(g, apps.MCLOptions{}, eng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Clusters < 2 || res.Clusters > 10 {
-		t.Fatalf("clusters = %d, want a small community count", res.Clusters)
-	}
-	// The two halves should not share a single cluster wholesale.
-	if res.Cluster[5] == res.Cluster[45] {
-		t.Log("bridged communities merged — acceptable for MCL with default inflation, but unusual")
-	}
-}
-
 // TestPipelineAutoMatchesEveryVariant: the adaptive planner's product is
 // bit-identical to every fixed variant on the integration graph corpus, in
 // both mask modes, and the Auto engine completes every application.
@@ -228,9 +185,6 @@ func TestPipelineAutoMatchesEveryVariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := apps.BetweennessCentrality(g, []matrix.Index{0, 5, 9}, eng); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := apps.MultiSourceBFS(g, []matrix.Index{0, 1}, eng); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -13,8 +13,6 @@ type Hash[T any] struct {
 	value []T
 	mask  uint32  // len(keys)-1; len is a power of two
 	used  []int32 // occupied slot indexes, for O(used) clearing and gathering
-	// loadNum/loadDen is the target load factor for Prepare sizing.
-	loadNum, loadDen int
 }
 
 const emptyKey = Index(-1)
@@ -25,15 +23,9 @@ const hashMul = 2654435761
 // NewHash returns a hash accumulator with capacity for at least capHint
 // keys at the paper's 0.25 load factor.
 func NewHash[T any](capHint int) *Hash[T] {
-	h := &Hash[T]{loadNum: 1, loadDen: 4}
+	h := &Hash[T]{}
 	h.grow(tableSize(capHint, 1, 4))
 	return h
-}
-
-// SetLoadFactor overrides the sizing load factor (numerator/denominator),
-// used by the ablation bench. The paper fixes 1/4.
-func (h *Hash[T]) SetLoadFactor(num, den int) {
-	h.loadNum, h.loadDen = num, den
 }
 
 func tableSize(keys, num, den int) int {
@@ -59,10 +51,10 @@ func (h *Hash[T]) grow(size int) {
 }
 
 // Prepare clears the table and ensures capacity for expected keys at the
-// configured load factor. Clearing touches only previously used slots, so a
+// paper's 0.25 load factor. Clearing touches only previously used slots, so a
 // worker's table stays warm across rows.
 func (h *Hash[T]) Prepare(expected int) {
-	want := tableSize(expected, h.loadNum, h.loadDen)
+	want := tableSize(expected, 1, 4)
 	if want > len(h.keys) {
 		h.grow(want)
 		h.used = h.used[:0]
@@ -161,16 +153,6 @@ func (h *Hash[T]) MarkNewAtC(s uint32, key Index) {
 	h.keys[s] = key
 	h.state[s] = Set
 	h.used = append(h.used, int32(s))
-}
-
-// GatherKeysC appends every Set key to keys (unsorted).
-func (h *Hash[T]) GatherKeysC(keys []Index) []Index {
-	for _, s := range h.used {
-		if h.state[s] == Set {
-			keys = append(keys, h.keys[s])
-		}
-	}
-	return keys
 }
 
 // Insert accumulates v at key if the key was marked allowed.

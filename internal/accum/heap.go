@@ -51,10 +51,6 @@ func (ih *IterHeap) Push(it RowIterator) {
 	ih.siftUp(len(ih.h) - 1)
 }
 
-// Min returns the iterator with the smallest current column without
-// removing it.
-func (ih *IterHeap) Min() RowIterator { return ih.h[0] }
-
 // PopMin removes and returns the iterator with the smallest current column.
 func (ih *IterHeap) PopMin() RowIterator {
 	top := ih.h[0]
@@ -65,13 +61,6 @@ func (ih *IterHeap) PopMin() RowIterator {
 		ih.siftDown(0)
 	}
 	return top
-}
-
-// ReplaceMin replaces the minimum with it and restores heap order; it is
-// the pop-advance-push fast path.
-func (ih *IterHeap) ReplaceMin(it RowIterator) {
-	ih.h[0] = it
-	ih.siftDown(0)
 }
 
 func (ih *IterHeap) siftUp(i int) {

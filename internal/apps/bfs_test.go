@@ -93,50 +93,3 @@ func TestBFSIsolatedVertex(t *testing.T) {
 		}
 	}
 }
-
-func TestMultiSourceBFS(t *testing.T) {
-	r := rand.New(rand.NewSource(73))
-	g := grgen.ErdosRenyiSym(150, 4, 17)
-	sources := []Index{0, 7, 70, matrix.Index(r.Intn(150))}
-	for _, name := range []string{"MSA-1P", "Hash-2P", "Heap-1P"} {
-		v, err := core.VariantByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := MultiSourceBFS(g, sources, NewSession(core.Options{Threads: 2}).EngineVariant(v))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for s, src := range sources {
-			want := BFSExact(g, src)
-			for vtx := range want {
-				if res.Levels[s][vtx] != want[vtx] {
-					t.Fatalf("%s source %d: level[%d] = %d, want %d",
-						name, src, vtx, res.Levels[s][vtx], want[vtx])
-				}
-			}
-		}
-		if res.Depth < 1 {
-			t.Fatal("depth")
-		}
-	}
-}
-
-func TestMultiSourceBFSEdgeCases(t *testing.T) {
-	g := pathGraph(4)
-	eng := NewSession(core.Options{}).EngineVariant(core.Variant{Alg: core.MSA, Phase: core.OnePhase})
-	res, err := MultiSourceBFS(g, nil, eng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Depth != 0 || len(res.Levels) != 0 {
-		t.Fatal("empty batch")
-	}
-	if _, err := MultiSourceBFS(g, []Index{9}, eng); err == nil {
-		t.Fatal("out of range source")
-	}
-	// MCA cannot do complemented masks, so it must fail for BFS.
-	if _, err := MultiSourceBFS(g, []Index{0}, NewSession(core.Options{}).EngineVariant(core.Variant{Alg: core.MCA, Phase: core.OnePhase})); err == nil {
-		t.Fatal("MCA must be rejected")
-	}
-}

@@ -80,9 +80,8 @@ func (s *Session) EngineVariant(v core.Variant) Engine {
 
 // EngineAuto is the planner-backed engine: every masked product is analyzed
 // (or recalled from the session's plan cache — iterative applications like
-// BFS, BC, MCL and k-truss re-multiply against evolving masks over a static
-// graph) and executed with the variant, or per-row-block variant mix, the
-// §8 cost model selects.
+// BC re-multiply against evolving masks over a static graph) and executed
+// with the variant, or per-row-block variant mix, the §8 cost model selects.
 //
 // Its PairCount is core.MaskedPairCount scheduled over the row-cost profile
 // of core.ComputeRowCosts, whose total also yields the flops. Its rows need

@@ -430,24 +430,6 @@ func MaskedSpGEMMHeapNInspect[T any](phase Phase, m *matrix.Pattern, a, b *matri
 	return runDriver(phase, m, b.NCols, bound, factory, opt)
 }
 
-// MaskedSpGEMMHashLoad runs the Hash algorithm with an explicit table load
-// factor num/den (the paper fixes 1/4), for the ablation benchmark.
-func MaskedSpGEMMHashLoad[T any](phase Phase, m *matrix.Pattern, a, b *matrix.CSR[T], sr semiring.Semiring[T], num, den int, opt Options) (*matrix.CSR[T], error) {
-	if err := checkDims(m, a, b); err != nil {
-		return nil, err
-	}
-	// The load-factor ablation studies the mask-preinserted table, so it
-	// always runs the CSR representation.
-	inner := newHashKernelFactory(m, a, b, funcOps(sr), opLoops[T]{}, opt.Complement, RepCSR, nil)
-	factory := func() kernel[T] {
-		k := inner().(*hashKernel[T, semiring.FuncOps[T]])
-		k.acc.SetLoadFactor(num, den)
-		return k
-	}
-	bound := allocBound(m, a, b, opt.Complement)
-	return runDriver(phase, m, b.NCols, bound, factory, opt)
-}
-
 // Flops returns flops(A·B) = Σ_{A_ik ≠ 0} nnz(B_k*), the number of
 // multiply operations of the unmasked product — the work metric used by the
 // paper's GFLOPS plots (one multiply plus one add per unit, so reported

@@ -405,25 +405,6 @@ func TestHeapNInspectAblationCorrect(t *testing.T) {
 	}
 }
 
-func TestHashLoadFactorAblationCorrect(t *testing.T) {
-	r := rand.New(rand.NewSource(37))
-	sr := semiring.Arithmetic()
-	n := Index(50)
-	a := randCSR(r, n, n, 0.1)
-	b := randCSR(r, n, n, 0.1)
-	mask := randCSR(r, n, n, 0.2).Pattern()
-	want := Reference(mask, a, b, sr, false)
-	for _, lf := range [][2]int{{1, 8}, {1, 4}, {1, 2}, {3, 4}} {
-		got, err := MaskedSpGEMMHashLoad(OnePhase, mask, a, b, sr, lf[0], lf[1], Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !matrix.Equal(got, want, eqF) {
-			t.Errorf("Hash load %d/%d: mismatch", lf[0], lf[1])
-		}
-	}
-}
-
 func TestFlops(t *testing.T) {
 	// A = [1 1; 0 1], B = [1 0; 1 1]: flops = row0: nnz(B0)+nnz(B1)=1+2=3,
 	// row1: nnz(B1)=2 → 5.

@@ -16,7 +16,7 @@ import (
 // dense length-ncols arrays, hash tables, MCA buffers, heap iterator
 // storage and mask-probe bitmaps — and the phase drivers' per-call buffers
 // are taken from the arena when a call starts and returned when its
-// workers finish, so iterative callers (BFS, BC, MCL, k-truss sweeps) stop
+// workers finish, so iterative callers (BFS, BC, k-truss sweeps) stop
 // paying an O(ncols) allocation per worker per call.
 //
 // Workspaces is safe for concurrent use and a nil *Workspaces disables
@@ -306,7 +306,6 @@ func wsPutMSA[T any](ws *Workspaces, a *accum.MSA[T]) { putAcc(ws, accMSA, a) }
 
 func wsGetHash[T any](ws *Workspaces, capHint int) *accum.Hash[T] {
 	if v, ok := getAcc[*accum.Hash[T]](ws, accHash); ok {
-		v.SetLoadFactor(1, 4) // restore the paper's default sizing
 		return v
 	}
 	ws.miss()

@@ -10,9 +10,9 @@ import (
 	"repro/internal/matrix"
 )
 
-// Cache memoizes plans across calls. Iterative applications (BFS, BC, MCL,
-// k-truss) re-multiply against a mask and frontier that change every sweep
-// while the graph operand stays fixed; re-running the O(nnz(A)) analysis per
+// Cache memoizes plans across calls. Iterative applications (BC's sweeps)
+// re-multiply against a mask and frontier that change every sweep while the
+// graph operand stays fixed; re-running the O(nnz(A)) analysis per
 // sweep would waste exactly the overhead the planner is meant to hide.
 //
 // The key combines the *identity* of the static B operand (backing-array

@@ -18,7 +18,7 @@
 //	             which only happens under complemented masks
 //
 // Analysis costs O(nnz(A) + nrows) — negligible next to the multiply — and
-// Cache memoizes plans across the iterative sweeps of BFS, BC and MCL.
+// Cache memoizes plans across the iterative sweeps of BC.
 package planner
 
 import (

@@ -237,7 +237,7 @@ func TestUnsortedFreshAReanalyzed(t *testing.T) {
 }
 
 // TestFreshBPerCallBuildsNoTranspose: a loop that builds a new B for every
-// call (k-truss, MCL) never hits the cache, so it keeps no transpose and no
+// call (k-truss) never hits the cache, so it keeps no transpose and no
 // sorted arrays.
 func TestFreshBPerCallBuildsNoTranspose(t *testing.T) {
 	m, a, b := innerCorner(t, 64, 51)

@@ -23,7 +23,7 @@
 //	    masked.WithAccumulate(masked.PlusPair()))
 //	triangles := masked.Sum(c)
 //
-// Iterative applications — BFS, BC, MCL, k-truss, anything that
+// Iterative applications — BFS, BC, k-truss, anything that
 // re-multiplies against a static graph — should run all their products on
 // one session: plans are re-used instead of re-analyzed, and accumulator
 // workspaces are recycled instead of reallocated per call.
@@ -43,17 +43,16 @@
 // Orthogonally to the variant, the planner also selects a per-block *mask
 // representation* — how kernels answer "is column j in the mask row": the
 // sorted-CSR probe, a pooled per-worker bitmap (O(1) probes for dense mask
-// rows, the k-truss and multi-source-BFS regime), or direct indexing of
+// rows, the k-truss and BC regime), or direct indexing of
 // contiguous mask rows — and the row schedule: equal-cost spans when the
 // per-row cost profile is skewed, equal-row chunks otherwise. Explain
 // reports both. Complement is native to every representation, so
 // complemented masks never materialize an explicit complement pattern.
 //
 // The applications of the paper's evaluation are Session.TriangleCount,
-// Session.KTruss and Session.BC; the extensions add Session.BFS,
-// Session.MultiSourceBFS, Session.MCL and Session.CosineSimilarity, and
-// the SS:GB-style baselines run under the same descriptors via
-// Session.SSDot and Session.SSSaxpy.
+// Session.KTruss and Session.BC. Session.BFS runs the traversal that §4
+// traces masking to, and the SS:GB-style baselines run under the same
+// descriptors via Session.SSDot and Session.SSSaxpy.
 //
 // # Serving concurrent requests
 //
@@ -231,3 +230,6 @@ type KTrussResult = apps.KTrussResult
 
 // BCResult reports a BetweennessCentrality run.
 type BCResult = apps.BCResult
+
+// BFSResult reports a direction-optimized BFS.
+type BFSResult = apps.BFSResult

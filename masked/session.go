@@ -36,7 +36,7 @@ import (
 // Options passed to NewSession become the session's defaults; options
 // passed to an operation override them for that call. The same descriptor
 // vocabulary drives Multiply, the application methods (TriangleCount,
-// KTruss, BC, BFS, MCL, CosineSimilarity, ...) and the baseline engines
+// KTruss, BC, BFS) and the baseline engines
 // (SSDot, SSSaxpy).
 //
 // A Session is safe for concurrent use by multiple goroutines and needs no
@@ -303,36 +303,10 @@ func (s *Session) BC(ctx context.Context, g *Matrix, sources []Index, opts ...Op
 //
 // BFS is built on the vector primitive (SpGEVM), whose kernel is chosen
 // per step by the push/pull direction heuristic — WithVariant/WithAuto do
-// not apply here; WithThreads does. Use MultiSourceBFS to run a traversal
-// on a pinned SpGEMM variant.
+// not apply here; WithThreads does.
 func (s *Session) BFS(ctx context.Context, g *Matrix, source Index, opts ...Op) (BFSResult, error) {
 	d := s.def.apply(opts)
 	return apps.BFS(g, source, s.options(ctx, d))
-}
-
-// MultiSourceBFS runs BFS from every source simultaneously with
-// complement-masked SpGEMM.
-func (s *Session) MultiSourceBFS(ctx context.Context, g *Matrix, sources []Index, opts ...Op) (MultiSourceBFSResult, error) {
-	d := s.def.apply(opts)
-	return apps.MultiSourceBFS(g, sources, s.engine(ctx, d))
-}
-
-// MCL runs Markov clustering; the masked expansion (o.MaskedExpansion)
-// runs through the session. An unset o.Threads inherits the session's
-// thread budget.
-func (s *Session) MCL(ctx context.Context, g *Matrix, o MCLOptions, opts ...Op) (MCLResult, error) {
-	d := s.def.apply(opts)
-	if o.Threads == 0 {
-		o.Threads = d.threads
-	}
-	return apps.MCL(g, o, s.engine(ctx, d))
-}
-
-// CosineSimilarity scores the candidate item pairs of F·Fᵀ with cosine
-// normalization via masked SpGEMM.
-func (s *Session) CosineSimilarity(ctx context.Context, f *Matrix, candidates *Pattern, opts ...Op) (SimilarityResult, error) {
-	d := s.def.apply(opts)
-	return apps.CosineSimilarity(f, candidates, s.engine(ctx, d))
 }
 
 // --- Baseline engines ---

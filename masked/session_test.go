@@ -210,16 +210,16 @@ func TestSessionReusesWorkspaceAllocations(t *testing.T) {
 	}
 }
 
-// benchmarkIterativeApp runs the same iterative application (multi-source
-// BFS: one complement-masked SpGEMM per level) either on one long-lived
-// session or on fresh per-call state. Compare the two with -benchmem: the
+// benchmarkIterativeApp runs the same iterative application (batched BC,
+// whose forward sweep is one complement-masked SpGEMM per level) either on
+// one long-lived session or on fresh per-call state. Compare the two with -benchmem: the
 // session run allocates strictly less.
 func benchmarkIterativeApp(b *testing.B, fresh bool) {
 	g := RMAT(11, 8, 7)
 	sources := []Index{0, 1, 2, 3, 4, 5, 6, 7}
 	ctx := context.Background()
 	sess := NewSession()
-	if _, err := sess.MultiSourceBFS(ctx, g, sources); err != nil { // warm the arenas
+	if _, err := sess.BC(ctx, g, sources); err != nil { // warm the arenas
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
@@ -229,14 +229,14 @@ func benchmarkIterativeApp(b *testing.B, fresh bool) {
 		if fresh {
 			s = NewSession()
 		}
-		if _, err := s.MultiSourceBFS(ctx, g, sources); err != nil {
+		if _, err := s.BC(ctx, g, sources); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkMultiSourceBFSSession(b *testing.B)    { benchmarkIterativeApp(b, false) }
-func BenchmarkMultiSourceBFSFreshState(b *testing.B) { benchmarkIterativeApp(b, true) }
+func BenchmarkBCSession(b *testing.B)    { benchmarkIterativeApp(b, false) }
+func BenchmarkBCFreshState(b *testing.B) { benchmarkIterativeApp(b, true) }
 
 // benchmarkWarmedMultiplyDriverAllocs extends PR 2's session-vs-fresh alloc
 // comparison with PR 4's absolute guarantee: once a session is warm, the
@@ -430,5 +430,16 @@ func TestSemiringByName(t *testing.T) {
 	}
 	if _, err := SemiringByName("nope"); err == nil {
 		t.Error("unknown name resolved")
+	}
+}
+
+func TestBFSFacade(t *testing.T) {
+	g := ErdosRenyi(200, 5, 41)
+	res, err := NewSession().BFS(context.Background(), g, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Level) != 200 || res.Level[0] != 0 {
+		t.Fatal("BFS levels")
 	}
 }
