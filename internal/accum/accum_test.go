@@ -2,6 +2,7 @@ package accum
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -105,6 +106,92 @@ func TestMSAResize(t *testing.T) {
 	s.SetAllowed(99)
 	if !s.Insert(99, 1, add) {
 		t.Fatal("insert at new capacity")
+	}
+}
+
+// TestMSAOrderInserted: the complement insertion log comes out of the
+// two-level bitmap walk (or, for short rows over wide spans, the sort
+// fallback) in the order slices.Sort gives, and every row leaves each
+// bitmap and summary word zero and each state NotAllowed, also across a
+// Resize. Widths cover one word, one summary word and many of either.
+func TestMSAOrderInserted(t *testing.T) {
+	r := rand.New(rand.NewSource(40))
+	s := NewMSA[float64](1)
+	for _, ncols := range []int{1, 63, 64, 65, 4096, 4097, 5000, 70001} {
+		s.Resize(ncols)
+		assertMSAClean(t, s, ncols)
+		if want := sliceBytes(s.state) + sliceBytes(s.value) + sliceBytes(s.inserted) +
+			sliceBytes(s.bits) + sliceBytes(s.summary); s.Bytes() != want {
+			t.Fatalf("ncols=%d: Bytes() = %d, want %d with the bitmap and summary", ncols, s.Bytes(), want)
+		}
+		if len(s.bits)*64 < ncols || len(s.summary)*64 < len(s.bits) {
+			t.Fatalf("ncols=%d: %d bitmap and %d summary words cover too few columns", ncols, len(s.bits), len(s.summary))
+		}
+		for row := 0; row < 300; row++ {
+			// Keys within a random window: narrow windows take the bitmap
+			// walk, short rows over wide windows the fallback, and the
+			// first row of each width spreads orderSortMax+1 keys evenly,
+			// which takes the fallback from 41,000 columns on.
+			lo := r.Intn(ncols)
+			width := 1 + r.Intn(ncols-lo)
+			k := r.Intn(min(width, 100) + 1)
+			if row%2 == 1 {
+				k = r.Intn(min(width, 2*orderSortMax) + 1)
+			}
+			keys := r.Perm(width)[:k]
+			if row == 0 {
+				lo, k, keys = 0, min(ncols, orderSortMax+1), nil
+				for i := range k {
+					keys = append(keys, i*(ncols/k))
+				}
+			}
+			var mask []Index
+			for _, j := range keys {
+				s.StoreC(Index(lo+j), float64(j))
+			}
+			for range 3 {
+				if j := Index(r.Intn(ncols)); s.State(j) == NotAllowed {
+					s.SetNotAllowed(j)
+					mask = append(mask, j)
+				}
+			}
+			want := slices.Clone(s.Inserted())
+			slices.Sort(want)
+			if got := s.OrderInserted(); !slices.Equal(got, want) {
+				t.Fatalf("ncols=%d row %d: ordered log %v, want %v", ncols, row, got, want)
+			}
+			for _, j := range want {
+				if s.State(j) != Set || s.Value(j) != float64(int(j)-lo) {
+					t.Fatalf("ncols=%d row %d: key %d lost its state or value", ncols, row, j)
+				}
+			}
+			s.ResetC(mask)
+			assertMSAClean(t, s, ncols)
+		}
+	}
+}
+
+// assertMSAClean checks the between-rows invariant: no state set, no
+// logged key, every bitmap and summary word zero.
+func assertMSAClean(t *testing.T, s *MSA[float64], ncols int) {
+	t.Helper()
+	if len(s.Inserted()) != 0 {
+		t.Fatalf("ncols=%d: %d keys left in the log", ncols, len(s.Inserted()))
+	}
+	for j, st := range s.state {
+		if st != NotAllowed {
+			t.Fatalf("ncols=%d: state %d is %d, want NotAllowed", ncols, j, st)
+		}
+	}
+	for w, x := range s.bits {
+		if x != 0 {
+			t.Fatalf("ncols=%d: bitmap word %d is %#x, want 0", ncols, w, x)
+		}
+	}
+	for w, x := range s.summary {
+		if x != 0 {
+			t.Fatalf("ncols=%d: summary word %d is %#x, want 0", ncols, w, x)
+		}
 	}
 }
 

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"slices"
-
 	"repro/internal/accum"
 	"repro/internal/matrix"
 	"repro/internal/semiring"
@@ -13,7 +11,9 @@ import (
 // state machine, then gather in mask order (which keeps output rows sorted
 // because mask rows are sorted). Plus-pair rows on a non-complemented mask
 // run the generated counting row instead (opLoops.msaCount), which adds
-// the state byte per flop rather than switching on it.
+// the state byte per flop rather than switching on it. Complemented rows
+// have no mask order to gather in; they gather the insertion log, which
+// the MSA's two-level bitmap puts in column order (accum.MSA.OrderInserted).
 //
 // The MSA's dense state array is itself a direct-index mask representation,
 // so the bitmap adds nothing here; only the dense-run representation changes
@@ -53,7 +53,7 @@ func (k *msaKernel[T, O]) recycle(ws *Workspaces) {
 // numericRowRun is the dense-run numeric row: no mask scatter, membership by
 // range check. In normal mode the in-run default state NotAllowed plays the
 // role of Allowed; in complement mode in-run columns are skipped outright
-// and the insertion log drives the gather as usual.
+// and the ordered insertion log drives the gather as in numericRowC.
 func (k *msaKernel[T, O]) numericRowRun(i Index, lo, hi Index, col []Index, val []T) Index {
 	mrow := k.m.Row(i)
 	acc, a, b, ops := k.acc, k.a, k.b, k.ops
@@ -86,9 +86,7 @@ func (k *msaKernel[T, O]) numericRowRun(i Index, lo, hi Index, col []Index, val 
 	}
 	var cnt Index
 	if k.comp {
-		ins := acc.Inserted()
-		sortIndices(ins)
-		for _, j := range ins {
+		for _, j := range acc.OrderInserted() {
 			col[cnt] = j
 			val[cnt] = acc.Value(j)
 			cnt++
@@ -159,7 +157,8 @@ func (k *msaKernel[T, O]) numericRow(i Index, col []Index, val []T) Index {
 
 // numericRowC is the complemented-mask row (§5.2): mask entries are marked
 // Excluded, everything else is allowed by default, and an insertion log
-// drives the gather so the dense array is never scanned.
+// drives the gather so the dense array is never scanned. The log comes out
+// in column order from the MSA's bitmap walk, not from a comparison sort.
 func (k *msaKernel[T, O]) numericRowC(i Index, col []Index, val []T) Index {
 	mrow := k.m.Row(i)
 	acc, a, b, ops := k.acc, k.a, k.b, k.ops
@@ -186,10 +185,8 @@ func (k *msaKernel[T, O]) numericRowC(i Index, col []Index, val []T) Index {
 			}
 		}
 	}
-	ins := acc.Inserted()
-	sortIndices(ins)
 	var cnt Index
-	for _, j := range ins {
+	for _, j := range acc.OrderInserted() {
 		col[cnt] = j
 		val[cnt] = acc.Value(j)
 		cnt++
@@ -280,21 +277,4 @@ func (k *msaKernel[T, O]) symbolicRow(i Index) Index {
 		}
 	}
 	return cnt
-}
-
-// sortIndices sorts a small index slice ascending.
-func sortIndices(s []Index) {
-	if len(s) <= 32 {
-		for i := 1; i < len(s); i++ {
-			v := s[i]
-			j := i - 1
-			for j >= 0 && s[j] > v {
-				s[j+1] = s[j]
-				j--
-			}
-			s[j+1] = v
-		}
-		return
-	}
-	slices.Sort(s)
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/matrix"
 	"repro/internal/semiring"
 )
@@ -38,7 +40,7 @@ func Reference[T any](m *matrix.Pattern, a, b *matrix.CSR[T], sr semiring.Semiri
 				keep = append(keep, j)
 			}
 		}
-		sortIndices(keep)
+		slices.Sort(keep)
 		for _, j := range keep {
 			out.Col = append(out.Col, j)
 			out.Val = append(out.Val, row[j])

@@ -14,19 +14,27 @@ import (
 // allocation count is a small constant (session bookkeeping + result
 // headers) — it must not grow when the input gets 4x more rows. A per-row
 // allocation of even one object would show up as a ~1500-alloc delta here.
+// The complement arm covers the MSA's insertion log and the two-level
+// bitmap that orders it, both of which ride the pooled accumulator.
 func TestSpecializedKernelsZeroAllocsPerRow(t *testing.T) {
 	ctx := context.Background()
-	for _, v := range []Variant{
-		{Alg: MSA, Phase: OnePhase},
-		{Alg: Hash, Phase: OnePhase},
-		{Alg: MCA, Phase: OnePhase},
+	msa := Variant{Alg: MSA, Phase: OnePhase}
+	for _, c := range []struct {
+		name string
+		v    Variant
+		ops  []Op
+	}{
+		{"MSA-1P", msa, nil},
+		{"Hash-1P", Variant{Alg: Hash, Phase: OnePhase}, nil},
+		{"MCA-1P", Variant{Alg: MCA, Phase: OnePhase}, nil},
+		{"MSA-1P/complement", msa, []Op{WithComplement()}},
 	} {
-		t.Run(v.Name(), func(t *testing.T) {
+		t.Run(c.name, func(t *testing.T) {
 			perRun := func(scale int) float64 {
 				lp, l := tcOperands(scale, 8, 9)
-				s := NewSession(WithThreads(1), WithVariant(v), WithAccumulate(PlusPair()))
+				s := NewSession(append([]Op{WithThreads(1), WithVariant(c.v), WithAccumulate(PlusPair())}, c.ops...)...)
 				if p := s.Explain(lp, l, l); p == nil || p.Ops != core.OpsInlined {
-					t.Fatalf("expected the specialized (ops=inlined) path for %s + plus-pair", v.Name())
+					t.Fatalf("expected the specialized (ops=inlined) path for %s + plus-pair", c.name)
 				}
 				if _, err := s.Multiply(ctx, lp, l, l); err != nil { // warm pools + plan cache
 					t.Fatal(err)
@@ -43,7 +51,7 @@ func TestSpecializedKernelsZeroAllocsPerRow(t *testing.T) {
 			// allocations. A single per-row allocation would add ~1536 here
 			// (the row delta), three orders of magnitude above the slack.
 			if big > small+8 {
-				t.Errorf("%s: warmed allocs/op grew with rows: %.0f at 512 rows, %.0f at 2048 rows; specialized kernels must allocate zero per row", v.Name(), small, big)
+				t.Errorf("%s: warmed allocs/op grew with rows: %.0f at 512 rows, %.0f at 2048 rows; specialized kernels must allocate zero per row", c.name, small, big)
 			}
 		})
 	}

@@ -309,8 +309,10 @@ func TestWarmedSessionZeroDriverAllocs(t *testing.T) {
 // across garbage collections, so a warmed multiply allocates as much right
 // after two collections as it does warm — for every accumulator and for a
 // complemented mask's bitmap probe (Hash on a mask of about 77 entries per
-// row, which the fixed-variant path probes through the bitmap). One thread
-// and GOMAXPROCS 1 keep the counts exact.
+// row, which the fixed-variant path probes through the bitmap), and for
+// MSA's complement rows, whose insertion log and ordering bitmap live on
+// the pooled accumulator. One thread and GOMAXPROCS 1 keep the counts
+// exact.
 func TestWarmedScratchSurvivesGC(t *testing.T) {
 	ctx := context.Background()
 	lp, l := tcOperands(10, 8, 9)
@@ -330,6 +332,7 @@ func TestWarmedScratchSurvivesGC(t *testing.T) {
 		{"Heap-1P", lp, []Op{pin(Heap)}},
 		{"Inner-1P", lp, []Op{pin(Inner)}},
 		{"Hash-1P/complement/bitmap", dense, []Op{pin(Hash), WithComplement()}},
+		{"MSA-1P/complement", lp, []Op{pin(MSA), WithComplement()}},
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, c := range cases {
