@@ -175,6 +175,37 @@ func BenchmarkFig10Scaling(b *testing.B) {
 	}
 }
 
+// BenchmarkTriangleCountAuto times the Auto engine's triangle count on
+// tc-rmat's graph shape (R-MAT scale 13, edge factor 16) at two workers.
+// cold counts a fresh Clone each iteration, so the count operand is built
+// every time and never kept; warm counts one graph, whose operand the
+// session's plan cache keeps from the second count on. The Clone is not
+// timed.
+func BenchmarkTriangleCountAuto(b *testing.B) {
+	g := grgen.RMAT(13, 16, 1)
+	b.Run("cold", func(b *testing.B) {
+		eng := apps.NewSession(core.Options{Threads: 2}).EngineAuto()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			h := g.Clone()
+			b.StartTimer()
+			if _, err := apps.TriangleCount(h, eng); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("warm", func(b *testing.B) {
+		eng := apps.NewSession(core.Options{Threads: 2}).EngineAuto()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := apps.TriangleCount(g, eng); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // BenchmarkFig11Threads times triangle counting across worker counts
 // (Fig. 11's strong scaling; on a single-core host columns coincide).
 func BenchmarkFig11Threads(b *testing.B) {

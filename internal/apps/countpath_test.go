@@ -64,9 +64,11 @@ func countPathCorpus() []tcCase {
 // both baselines, and TriangleCountExact on symmetric graphs, under every
 // schedule at one and two threads: the pinned variants' products run on no
 // cost profile and an unskewed one (equal-row chunks) and on a skewed one
-// (equal-cost spans). Flops equal flops(L·L) for every engine, and the
-// count path leaves the plan cache untouched. A cache model under which
-// MSA would not dominate the plan does not change the count, and a
+// (equal-cost spans). Auto counts each graph three times on one session:
+// the first count, the second, which keeps the count operand, and a third
+// that reuses it. Flops equal flops(L·L) for every engine and count, and
+// the count path makes no plan entry, hit or miss. A cache model under
+// which MSA would not dominate the plan does not change the count, and a
 // cancelled context returns its error.
 func TestTriangleCountCountPath(t *testing.T) {
 	for _, tc := range countPathCorpus() {
@@ -104,9 +106,16 @@ func TestTriangleCountCountPath(t *testing.T) {
 			for _, threads := range []int{1, 2} {
 				label := fmt.Sprintf("profile%d/%dt", pi, threads)
 				s := NewSession(core.Options{Threads: threads, RowCosts: rc})
-				check(label, s.EngineAuto())
-				if st := s.Cache.Stats(); st.Entries != 0 || st.Misses != 0 || st.Hits != 0 {
+				for range 3 {
+					check(label, s.EngineAuto())
+				}
+				st := s.Cache.Stats()
+				if st.Entries != 0 || st.Misses != 0 || st.Hits != 0 {
 					t.Errorf("%s/%s: count path touched the plan cache: %+v", tc.name, label, st)
+				}
+				if st.CountOperandBuilds > 1 || st.CountOperandReuses != st.CountOperandBuilds {
+					t.Errorf("%s/%s: three counts built %d count operands and reused %d; want at most one, each reused once",
+						tc.name, label, st.CountOperandBuilds, st.CountOperandReuses)
 				}
 				for _, eng := range s.AllEngines() {
 					if eng.PairCount != nil {

@@ -15,6 +15,7 @@ package apps
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/baseline"
 	"repro/internal/core"
@@ -32,12 +33,14 @@ type Engine struct {
 	Name string
 	// Mult computes M .* (A·B) (or the complement form) over sr.
 	Mult func(m *matrix.Pattern, a, b *matrix.CSR[float64], sr semiring.Semiring[float64], complement bool) (*matrix.CSR[float64], error)
-	// PairCount, if non-nil, returns sum(M .* (A·B)) over the plus-pair
-	// semiring with a non-complemented mask, and flops(A·B), without
-	// materializing the product. Only the Auto engine sets it; TriangleCount
-	// uses it when present and Mult otherwise, so the fixed variants and
-	// the baselines still time the kernels they name.
-	PairCount func(m, a, b *matrix.Pattern) (count, flops int64, err error)
+	// PairCount, if non-nil, counts the triangles of the square graph g
+	// without materializing a product: core.MaskedPairCount(X, W, X) over
+	// g's count operand (planner.Cache.PairOperand), X being
+	// matrix.DegreeTril(g). It fills Triangles, Flops and MaskedTime. Only
+	// the Auto engine sets it; TriangleCount uses it when present and Mult
+	// otherwise, so the fixed variants and the baselines still time the
+	// kernels they name.
+	PairCount func(g *matrix.CSR[float64]) (TCResult, error)
 	// workers returns the worker count the engine's options allow at the
 	// moment of the call (core.Options.Workers, so an arbiter grant bounds
 	// it), for the steps an application runs beside the engine's products,
@@ -83,11 +86,13 @@ func (s *Session) EngineVariant(v core.Variant) Engine {
 // BC re-multiply against evolving masks over a static graph) and executed
 // with the variant, or per-row-block variant mix, the §8 cost model selects.
 //
-// Its PairCount is core.MaskedPairCount scheduled over the row-cost profile
-// of core.ComputeRowCosts, whose total also yields the flops. Its rows need
-// not be sorted. It neither plans nor touches the plan cache: its caller
-// (TriangleCount) builds a fresh degree-oriented operand on every call, so
-// a cached plan could never hit and would only pin it until evicted.
+// Its PairCount gets g's count operand from the session's plan cache
+// (planner.Cache.PairOperand): built on the call's workers, and kept from
+// the second count of the same graph arrays on, so a repeated count runs
+// only core.MaskedPairCount, scheduled over the operand's row-cost
+// profile, which also gave the flops. It makes no plan and so no plan
+// entry, hit or miss: the operand is all a count derives, and it lives in
+// the cache's operand memo, not among the plans.
 func (s *Session) EngineAuto() Engine {
 	opt, cache := s.Opt, s.Cache
 	return Engine{
@@ -99,14 +104,17 @@ func (s *Session) EngineAuto() Engine {
 			p := cache.Analyze(m, a.Pattern(), b.Pattern(), o)
 			return planner.Execute(p, m, a, b, sr, o, nil)
 		},
-		PairCount: func(m, a, b *matrix.Pattern) (int64, int64, error) {
+		PairCount: func(g *matrix.CSR[float64]) (TCResult, error) {
 			o := opt
 			o.Complement = false
-			o.RowCosts = core.ComputeRowCosts(m, a, b, o.Workers())
-			// cost_i = flops_i + nnz(M_i*) + 1
-			flops := o.RowCosts.Total() - int64(m.NNZ()) - int64(m.NRows)
-			n, err := core.MaskedPairCount(m, a, b, o)
-			return n, flops, err
+			if err := o.Err(); err != nil {
+				return TCResult{}, err
+			}
+			op := cache.PairOperand(g.Pattern(), o.Workers())
+			o.RowCosts = core.NewRowCosts(op.CostPrefix, op.MaxRowCost)
+			t0 := time.Now()
+			n, err := core.MaskedPairCount(op.X, op.W, op.X, o)
+			return TCResult{Triangles: n, Flops: op.Flops, MaskedTime: time.Since(t0)}, err
 		},
 	}
 }

@@ -40,10 +40,13 @@ func (r KTrussResult) GFLOPS() float64 {
 // supported by at least k-2 triangles. Each round computes edge supports
 // with one masked SpGEMM, S = A .* (A·A) on the plus-pair semiring, then
 // deletes under-supported edges; it stops when no edge is deleted (§8.3
-// uses k=5).
+// uses k=5). A k below 3 or a non-square g is an error.
 func KTruss(g *matrix.CSR[float64], k int, eng Engine) (*matrix.CSR[float64], KTrussResult, error) {
 	if k < 3 {
 		return nil, KTrussResult{}, fmt.Errorf("apps: k-truss requires k >= 3, got %d", k)
+	}
+	if g.NRows != g.NCols {
+		return nil, KTrussResult{}, fmt.Errorf("apps: k-truss needs a square graph, got %dx%d", g.NRows, g.NCols)
 	}
 	start := time.Now()
 	support := float64(k - 2)

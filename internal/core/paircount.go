@@ -15,11 +15,11 @@ import (
 // symbolic pass, no value array and no gather, and integer sums keep it
 // exact.
 //
-// Each row marks its mask keys Allowed in the state array of a pooled MSA
-// (opt.Workspaces), adds the state byte (Allowed = 1, NotAllowed = 0) for
-// every flop into a register, then resets the keys, so every state is
-// NotAllowed again when the count returns the workers' MSAs. Each worker
-// keeps its own partial sum. Rows are scheduled like the drivers' passes
+// Each row with flops marks its mask keys Allowed in the state array of a
+// pooled MSA (opt.Workspaces), adds the state byte (Allowed = 1,
+// NotAllowed = 0) for every flop into a register, then resets the keys,
+// so every state is NotAllowed again when the count returns the workers'
+// MSAs. Each worker keeps its own partial sum. Rows are scheduled like the drivers' passes
 // (cost-balanced spans over opt.RowCosts when it is skewed), and a
 // cancelled opt.Ctx returns its error. Rows must be duplicate-free; they
 // need not be sorted.
@@ -50,13 +50,14 @@ func MaskedPairCount(m, a, b *matrix.Pattern, opt Options) (int64, error) {
 			}
 			for i := lo; i < hi; i++ {
 				mrow := m.Col[m.RowPtr[i]:m.RowPtr[i+1]]
-				if len(mrow) == 0 {
+				arow := a.Col[a.RowPtr[i]:a.RowPtr[i+1]]
+				if len(mrow) == 0 || len(arow) == 0 {
 					continue
 				}
 				for _, j := range mrow {
 					state[j] = accum.Allowed
 				}
-				for _, k := range a.Col[a.RowPtr[i]:a.RowPtr[i+1]] {
+				for _, k := range arow {
 					for _, j := range b.Col[b.RowPtr[k]:b.RowPtr[k+1]] {
 						sum += int64(state[j])
 					}

@@ -268,12 +268,12 @@ func RelabelTril[T any](a *CSR[T], workers int) *CSR[T] {
 // is a prefix of an array of nnz(a) slots. A worker panic is re-raised on
 // the caller as a parallel.WorkerPanic.
 func DegreeTril[T any](a *CSR[T], workers int) *Pattern {
-	return degreeTril(a, RowSpans(a.RowPtr, workers), workers)
+	return degreeTril(a.Pattern(), RowSpans(a.RowPtr, workers), workers)
 }
 
-// degreeTril builds DegreeTril's pattern over the row spans of bounds (see
-// RowSpans) on up to workers goroutines.
-func degreeTril[T any](a *CSR[T], bounds []Index, workers int) *Pattern {
+// degreeTril builds DegreeTril's pattern of a over the row spans of bounds
+// (see RowSpans) on up to workers goroutines.
+func degreeTril(a *Pattern, bounds []Index, workers int) *Pattern {
 	n := a.NRows
 	rp := a.RowPtr
 	spans := len(bounds) - 1

@@ -32,10 +32,11 @@ import (
 // plan can keep Executing it (see TestEvictedPlanStillExecutes).
 //
 // A hit also reuses what earlier hits derived from the same operands (B's
-// transpose, the fact that M and A have sorted rows): the cache's memo
-// keeps that state for exactly as long as the operand arrays it was derived
-// from live (see memo). Callers must not mutate an operand the cache may
-// see again.
+// transpose, the fact that M and A have sorted rows), and a repeated
+// triangle count the operand an earlier count of the same graph built (see
+// PairOperand): the cache's memo keeps that state for exactly as long as
+// the operand arrays it was derived from live (see memo). Callers must not
+// mutate an operand the cache may see again.
 type Cache struct {
 	shards []cacheShard
 	// perShard is the entry bound of each shard; the cache-wide capacity is
@@ -47,6 +48,8 @@ type Cache struct {
 	// The derived-state counters: transposes built and reused by hits'
 	// Inner blocks, and hits' sortedness re-checks run and skipped.
 	cscBuilds, cscReuses, sortChecks, sortSkips atomic.Int64
+	// Count operands built by repeated counts and reused by later ones.
+	pairBuilds, pairReuses atomic.Int64
 	// memo holds the hits' derived operand state.
 	memo memo
 	// model is the cost model misses analyze with; nil means DefaultModel.
@@ -194,8 +197,14 @@ type CacheStats struct {
 	// scanned M or A; SortRechecksSkipped the hits that skipped the scan
 	// because both were arrays an earlier hit found sorted.
 	SortRechecks, SortRechecksSkipped int64
-	// RetainedBytes is the bytes of the transposes kept at snapshot time;
-	// it falls as the operands they were built from are collected.
+	// CountOperandBuilds counts triangle-count operands a repeated count
+	// of a graph built (and kept while the graph's arrays live);
+	// CountOperandReuses the counts that found one kept for the same
+	// arrays. See Cache.PairOperand.
+	CountOperandBuilds, CountOperandReuses int64
+	// RetainedBytes is the bytes of the transposes and count operands kept
+	// at snapshot time; it falls as the operands they were built from are
+	// collected.
 	RetainedBytes int64
 	// Entries is the resident plan count at snapshot time.
 	Entries int
@@ -298,6 +307,8 @@ func (c *Cache) Stats() CacheStats {
 		TransposeReuses:     c.cscReuses.Load(),
 		SortRechecks:        c.sortChecks.Load(),
 		SortRechecksSkipped: c.sortSkips.Load(),
+		CountOperandBuilds:  c.pairBuilds.Load(),
+		CountOperandReuses:  c.pairReuses.Load(),
 		RetainedBytes:       c.memo.m.Bytes(),
 
 		Capacity: c.perShard * len(c.shards),

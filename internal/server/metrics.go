@@ -155,7 +155,10 @@ func writeProm(w io.Writer, m MetricsSnapshot) {
 	fmt.Fprintf(w, "# HELP mspgemm_plan_sort_recheck_total Sortedness re-checks of M and A on plan cache hits: run, or skipped because an earlier hit found the same arrays sorted.\n# TYPE mspgemm_plan_sort_recheck_total counter\n")
 	fmt.Fprintf(w, "mspgemm_plan_sort_recheck_total{event=\"run\"} %d\n", c.SortRechecks)
 	fmt.Fprintf(w, "mspgemm_plan_sort_recheck_total{event=\"skipped\"} %d\n", c.SortRechecksSkipped)
-	gauge("mspgemm_plan_retained_bytes", "Bytes of the transposes of B kept for later plan cache hits; each is released once the B it was built from is collected.", float64(c.RetainedBytes))
+	fmt.Fprintf(w, "# HELP mspgemm_count_operand_total Triangle-count operands: built by a repeated count of a graph and kept while the graph lives, or reused for the same graph arrays.\n# TYPE mspgemm_count_operand_total counter\n")
+	fmt.Fprintf(w, "mspgemm_count_operand_total{event=\"built\"} %d\n", c.CountOperandBuilds)
+	fmt.Fprintf(w, "mspgemm_count_operand_total{event=\"reused\"} %d\n", c.CountOperandReuses)
+	gauge("mspgemm_plan_retained_bytes", "Bytes of the transposes of B kept for later plan cache hits and of the triangle-count operands kept for later counts; each is released once the operand it was built from is collected.", float64(c.RetainedBytes))
 
 	a := m.Session.Arbiter
 	gauge("mspgemm_arbiter_budget_workers", "Total session worker budget.", float64(a.Budget))

@@ -381,6 +381,72 @@ func TestPlanReuseMetrics(t *testing.T) {
 	}
 }
 
+// TestTriangleCountReusesOperand: repeated /v1/triangle-count requests
+// on one graph count on the operand the session keeps for the interned
+// graph: the first request marks the graph counted, the second builds the
+// count operand and keeps it, and every later request reuses it. No plan
+// is made, and both /metrics forms carry the counters.
+func TestTriangleCountReusesOperand(t *testing.T) {
+	_, c := startLocal(t, Config{Threads: 2})
+	ctx := context.Background()
+	g := masked.RMAT(9, 8, 23)
+	want, err := masked.NewSession(masked.WithThreads(2)).TriangleCount(ctx, g, masked.WithVariant(masked.Variant{Alg: masked.MSA, Phase: masked.OnePhase}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := func() {
+		t.Helper()
+		tc, err := c.TriangleCount(ctx, &wire.TriangleCountReq{G: g})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.Triangles != want.Triangles || tc.Flops != want.Flops {
+			t.Fatalf("triangles %d and flops %d, want %d and %d", tc.Triangles, tc.Flops, want.Triangles, want.Flops)
+		}
+	}
+	cache := func() masked.CacheStats {
+		t.Helper()
+		m, err := c.Metrics(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.Session.Cache
+	}
+	count()
+	count()
+	b := cache()
+	if b.CountOperandBuilds != 1 || b.CountOperandReuses != 0 || b.RetainedBytes == 0 {
+		t.Fatalf("two requests: %d count operands built, %d reused, %d bytes retained; want 1, 0 and some",
+			b.CountOperandBuilds, b.CountOperandReuses, b.RetainedBytes)
+	}
+	const repeats = 4
+	for i := 0; i < repeats; i++ {
+		count()
+	}
+	a := cache()
+	if a.CountOperandBuilds != b.CountOperandBuilds || a.CountOperandReuses != b.CountOperandReuses+repeats {
+		t.Fatalf("repeats: built %d -> %d (want flat), reused %d -> %d (want +%d)",
+			b.CountOperandBuilds, a.CountOperandBuilds, b.CountOperandReuses, a.CountOperandReuses, repeats)
+	}
+	if a.Entries != 0 || a.Hits != 0 || a.Misses != 0 {
+		t.Fatalf("triangle counts touched the plans: %+v", a)
+	}
+	text, err := c.MetricsText(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"# HELP mspgemm_count_operand_total ",
+		fmt.Sprintf("mspgemm_count_operand_total{event=\"built\"} %d\n", a.CountOperandBuilds),
+		fmt.Sprintf("mspgemm_count_operand_total{event=\"reused\"} %d\n", a.CountOperandReuses),
+		fmt.Sprintf("mspgemm_plan_retained_bytes %d\n", a.RetainedBytes),
+	} {
+		if !strings.Contains(text, want) {
+			t.Fatalf("metrics text missing %q:\n%s", want, text)
+		}
+	}
+}
+
 // TestEvictedOperandReleasesTranspose: the transpose a hot Inner product
 // keeps dies with its operands. Once the intern table evicts them and no
 // request still uses them, a collection releases it, although the plan

@@ -234,3 +234,43 @@ func TestOptionsAutoRoutesApplications(t *testing.T) {
 		}
 	}
 }
+
+// TestApplicationsRejectNonSquare: every application method returns an
+// error on a non-square graph, on the Auto engine and on a pinned variant
+// alike, and none panics.
+func TestApplicationsRejectNonSquare(t *testing.T) {
+	ctx := context.Background()
+	msa := Variant{Alg: MSA, Phase: OnePhase}
+	graphs := map[string]*Matrix{
+		"3x5": FromCOO(&COO{NRows: 3, NCols: 5, Row: []Index{0, 1, 2, 2}, Col: []Index{4, 3, 0, 1}, Val: []float64{1, 1, 1, 1}}),
+		"5x3": FromCOO(&COO{NRows: 5, NCols: 3, Row: []Index{4, 3, 0, 1}, Col: []Index{0, 1, 2, 2}, Val: []float64{1, 1, 1, 1}}),
+	}
+	apps := []struct {
+		name string
+		run  func(s *Session, g *Matrix) error
+	}{
+		{"TriangleCount", func(s *Session, g *Matrix) error { _, err := s.TriangleCount(ctx, g); return err }},
+		{"KTruss", func(s *Session, g *Matrix) error { _, _, err := s.KTruss(ctx, g, 3); return err }},
+		{"BC", func(s *Session, g *Matrix) error { _, err := s.BC(ctx, g, []Index{0}); return err }},
+		{"BFS", func(s *Session, g *Matrix) error { _, err := s.BFS(ctx, g, 0); return err }},
+	}
+	for shape, g := range graphs {
+		for _, engine := range []struct {
+			name string
+			opts []Op
+		}{{"Auto", nil}, {"MSA-1P", []Op{WithVariant(msa)}}} {
+			for _, app := range apps {
+				t.Run(shape+"/"+engine.name+"/"+app.name, func(t *testing.T) {
+					defer func() {
+						if v := recover(); v != nil {
+							t.Fatalf("panicked: %v", v)
+						}
+					}()
+					if err := app.run(NewSession(engine.opts...), g); err == nil {
+						t.Fatal("no error on a non-square graph")
+					}
+				})
+			}
+		}
+	}
+}

@@ -118,10 +118,13 @@ func TestWorkerPanicCrossesParallelBoundary(t *testing.T) {
 }
 
 // TestWorkerPanicDuringTriangleCount: a worker panic injected into each
-// parallel pass of an adaptive triangle count in turn (the degree
-// orientation, the row-cost sweep, the count) reaches the caller as a
-// parallel.WorkerPanic and leaves the session sound: the next count on the
-// same session is still exact.
+// parallel pass of an adaptive triangle count in turn reaches the caller
+// as a parallel.WorkerPanic and leaves the session sound: the next count
+// on the same session is still exact. A count of arrays the session has
+// not kept an operand for (a fresh Clone each time) runs four passes: the
+// degree orientation, the two that build W and its row-cost profile, and
+// the count. A count of a graph whose operand the session keeps runs the
+// count alone, and a panic there leaves the kept operand sound.
 func TestWorkerPanicDuringTriangleCount(t *testing.T) {
 	ctx := context.Background()
 	g := RMAT(12, 16, 9) // large enough that every pass runs two workers
@@ -130,35 +133,49 @@ func TestWorkerPanicDuringTriangleCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	count := func() (res TCResult, err error, caught any) {
+	count := func(g *Matrix) (res TCResult, err error, caught any) {
 		defer func() { caught = recover() }()
 		res, err = s.TriangleCount(ctx, g)
 		return res, err, nil
 	}
-	panics := 0
-	for k := 1; ; k++ {
-		r := faultinject.New(1)
-		r.Add(faultinject.Rule{Point: faultinject.PointWorkerPanic, Every: k, Limit: 1})
-		faultinject.Set(r)
-		_, _, caught := count()
-		faultinject.Set(nil)
-		if caught == nil {
-			break // k is past the count's last worker start
-		}
-		if _, ok := caught.(parallel.WorkerPanic); !ok {
-			t.Fatalf("worker start %d: caught %T, want parallel.WorkerPanic", k, caught)
-		}
-		panics++
-		res, err, caught := count()
-		if caught != nil || err != nil || res.Triangles != want.Triangles {
-			t.Fatalf("count after a panic at worker start %d: %d triangles, err %v, panic %v; want %d",
-				k, res.Triangles, err, caught, want.Triangles)
+	// inject panics at each worker start of a count of next() in turn,
+	// counting g after each, and returns how many panicked.
+	inject := func(label string, next func() *Matrix) int {
+		panics := 0
+		for k := 1; ; k++ {
+			r := faultinject.New(1)
+			r.Add(faultinject.Rule{Point: faultinject.PointWorkerPanic, Every: k, Limit: 1})
+			faultinject.Set(r)
+			_, _, caught := count(next())
+			faultinject.Set(nil)
+			if caught == nil {
+				return panics // k is past the count's last worker start
+			}
+			if _, ok := caught.(parallel.WorkerPanic); !ok {
+				t.Fatalf("%s: worker start %d: caught %T, want parallel.WorkerPanic", label, k, caught)
+			}
+			panics++
+			res, err, caught := count(g)
+			if caught != nil || err != nil || res.Triangles != want.Triangles {
+				t.Fatalf("%s: count after a panic at worker start %d: %d triangles, err %v, panic %v; want %d",
+					label, k, res.Triangles, err, caught, want.Triangles)
+			}
 		}
 	}
-	// Two worker starts in each of the three passes: the orientation, the
-	// row-cost sweep and the count.
-	if panics < 6 {
-		t.Fatalf("only %d worker starts panicked; the count ran fewer parallel passes than expected", panics)
+	// Two worker starts in each of the four passes.
+	if panics := inject("cold", g.Clone); panics < 8 {
+		t.Fatalf("cold: only %d worker starts panicked; the count ran fewer parallel passes than expected", panics)
+	}
+	before := s.Stats().Cache
+	if before.CountOperandBuilds == 0 {
+		t.Fatal("repeated counts of one graph kept no count operand")
+	}
+	if panics := inject("kept", func() *Matrix { return g }); panics < 2 {
+		t.Fatalf("kept: only %d worker starts panicked; want the count's two", panics)
+	}
+	if after := s.Stats().Cache; after.CountOperandBuilds != before.CountOperandBuilds || after.CountOperandReuses == before.CountOperandReuses {
+		t.Fatalf("kept: count operands built %d -> %d, reused %d -> %d; want reuses only",
+			before.CountOperandBuilds, after.CountOperandBuilds, before.CountOperandReuses, after.CountOperandReuses)
 	}
 }
 

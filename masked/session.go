@@ -51,9 +51,11 @@ import (
 // Operands are read, never copied, and a session remembers them by
 // identity: the plan cache keys on B's storage and trusts its sorted rows,
 // plan cache hits keep B's transpose and the fact that M and A have sorted
-// rows and reuse them while the same arrays come back, and coalescing
-// keys on operand identity. So an operand must not be mutated while the
-// session may see it again; pass a fresh matrix (Clone) instead. Nor may
+// rows and reuse them while the same arrays come back, a graph's second
+// adaptive TriangleCount keeps the graph's count operand (its
+// degree-oriented pattern and edge list) for every later count of the
+// same arrays, and coalescing keys on operand identity. So an operand
+// must not be mutated while the session may see it again; pass a fresh matrix (Clone) instead. Nor may
 // its memory be reused for another matrix while the session may see that
 // one (a pooled buffer, say, which stays alive between uses): the session
 // would take it for the old operand. The derived state keeps no operand
@@ -270,13 +272,17 @@ func (s *Session) Explain(m *Pattern, a, b *Matrix, opts ...Op) *Plan {
 
 // TriangleCount counts triangles via sum(L .* (L·L)) with degree-descending
 // relabeling (§8.2). On the adaptive path nothing is relabeled: the count
-// comes from one pass over L, scheduled by row cost, in g's own labels,
-// each edge oriented toward its higher-degree end, that sums mask hits
-// without building the product or a plan, so the plan cache is left alone;
-// a pinned variant (WithVariant) runs its product on the relabeled L and
-// sums it. Both give the same count and flops. The operand is built on the
-// call's thread budget (WithThreads) like the product, and does not depend
-// on it.
+// runs in g's own labels, each edge oriented toward its higher-degree end,
+// and for every edge walks the shorter of its endpoints' rows against the
+// longer one's marks, summing mask hits without building the product or a
+// plan. A count builds the operand it walks unless the session keeps one
+// for g's arrays, which it does from their second count on (see the
+// operand contract above), so a repeated count pays only the walk; no plan
+// cache entry, hit or miss is made. A pinned variant (WithVariant) runs
+// its product on the relabeled L and sums it. Both give the same count
+// and flops. The operand is built on the call's thread budget
+// (WithThreads) like the product, and does not depend on it. A non-square
+// g is an error.
 func (s *Session) TriangleCount(ctx context.Context, g *Matrix, opts ...Op) (TCResult, error) {
 	d := s.def.apply(opts)
 	return apps.TriangleCount(g, s.engine(ctx, d))
@@ -284,7 +290,8 @@ func (s *Session) TriangleCount(ctx context.Context, g *Matrix, opts ...Op) (TCR
 
 // KTruss computes the k-truss subgraph by iterated masked support counting
 // (§8.3). Each round's masked product runs on the session's workspaces and
-// plan cache; cancelling ctx aborts between or inside rounds.
+// plan cache; cancelling ctx aborts between or inside rounds. A
+// non-square g is an error.
 func (s *Session) KTruss(ctx context.Context, g *Matrix, k int, opts ...Op) (*Matrix, KTrussResult, error) {
 	d := s.def.apply(opts)
 	return apps.KTruss(g, k, s.engine(ctx, d))

@@ -358,10 +358,11 @@ func TestWarmedScratchSurvivesGC(t *testing.T) {
 }
 
 // TestTriangleCountLeavesPlanCache: the adaptive triangle count makes no
-// plan for its relabeled operand, which is rebuilt on every call, so it
-// never touches the plan cache. 300 counts on fresh graphs (more than the cache holds) leave the entry
-// and eviction counts unchanged, and a hot Multiply plan stays resident:
-// its next call is a hit.
+// plan: what it derives from a graph, the count operand, lives in the plan
+// cache's operand memo, not among its plans. 300 counts on fresh graphs
+// (more than the cache holds) leave the entry and eviction counts
+// unchanged, and a hot Multiply plan stays resident: its next call is a
+// hit.
 func TestTriangleCountLeavesPlanCache(t *testing.T) {
 	ctx := context.Background()
 	s := NewSession(WithThreads(2))
