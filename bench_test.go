@@ -342,8 +342,10 @@ func BenchmarkAblationGrain(b *testing.B) {
 
 // BenchmarkAdaptivePlanner races the planner's Auto path against every 1P
 // algorithm (and the old hardcoded MSA-1P default) at the three Fig. 7
-// regimes plus the triangle-counting product. The acceptance bar: Auto
-// within ~10% of the regime's best fixed variant and ahead of MSA-1P
+// regimes, the dense Fig. 7 mask over the comparable inputs (where pinned
+// MCA and Hash are slowest) and the triangle-counting product. The
+// acceptance bar: Auto within ~10% of the regime's best fixed variant and
+// ahead of MSA-1P
 // wherever MSA-1P is not the winner. Plan analysis (cache-cold every
 // iteration here, since the shared cache keys on operand identity and the
 // operands are fixed — so iterations after the first are cache-warm) is
@@ -359,6 +361,7 @@ func BenchmarkAdaptivePlanner(b *testing.B) {
 		{"sparseMask_d1", erMaskSp, erA, erB},
 		{"sparseInputs_d1", erMaskDn, erAsp, erBsp},
 		{"comparable_d16", erMaskEq, erA, erB},
+		{"denseMask_d256", erMaskDn, erA, erB},
 		{"rmatTC", rmatL.Pattern(), rmatL, rmatL},
 	}
 	for _, w := range workloads {
@@ -524,41 +527,6 @@ func BenchmarkSchedule(b *testing.B) {
 				if missAfter := ws.PoolStatsSnapshot().Misses; missAfter != missBefore {
 					b.Fatalf("warmed drivers performed %d pool-missing allocations over %d ops; want 0",
 						missAfter-missBefore, b.N)
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkMaskRep compares the CSR probe against the bitmap mask
-// representation on the dense-mask shapes the representation subsystem
-// targets: the k-truss support product (mask = the graph itself, flat ER
-// degrees — MCA's per-A-entry merge regime) and the Hash kernel under a
-// dense mask. Each representation runs as a one-block plan. The planner's
-// auto thresholds were chosen from this data.
-func BenchmarkMaskRep(b *testing.B) {
-	loadInputs()
-	erK := grgen.ErdosRenyiSym(1<<11, 32, 21)
-	cases := []struct {
-		name string
-		alg  core.Algorithm
-		m    *matrix.Pattern
-		a, c *matrix.CSR[float64]
-	}{
-		{"ktrussMCA", core.MCA, erK.Pattern(), erK, erK},
-		{"ktrussHash", core.Hash, erK.Pattern(), erK, erK},
-		{"denseMaskHash", core.Hash, erMaskDn, erA, erB},
-	}
-	for _, tc := range cases {
-		for _, rep := range []core.MaskRep{core.RepCSR, core.RepBitmap} {
-			b.Run(tc.name+"/"+rep.String(), func(b *testing.B) {
-				sr := semiring.PlusPairF()
-				blocks := []core.ExecBlock{{Lo: 0, Hi: tc.m.NRows, Alg: tc.alg, Rep: rep}}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := core.MaskedSpGEMMBlocked(core.OnePhase, blocks, tc.m, tc.a, tc.c, nil, sr, core.Options{}, nil); err != nil {
-						b.Fatal(err)
-					}
 				}
 			})
 		}

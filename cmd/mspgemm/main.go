@@ -10,11 +10,11 @@
 //
 // Omitting -b squares A (B = A); omitting -mask uses A's pattern as the
 // mask (the triangle-counting shape). -alg auto selects the variant (or a
-// per-row-block mix), the mask representation kernels probe membership
-// with, and the row schedule (cost-balanced equal-flops spans when the
-// per-row cost profile is skewed, equal-row chunks otherwise) from the
-// operands' density profile; -explain prints the plan the planner chooses
-// for these operands, including the representation and schedule per block.
+// per-row-block mix) and the row schedule (cost-balanced equal-flops spans
+// when the per-row cost profile is skewed, equal-row chunks otherwise) from
+// the operands' density profile; -explain prints the plan the planner
+// chooses for these operands, including the algorithm and schedule per
+// block.
 //
 // -batch N > 1 exercises the serving layer: the product is submitted N
 // times as one Session.MultiplyBatch call with an -inflight admission cap,
@@ -116,8 +116,8 @@ func main() {
 		c, err = planner.Execute(plan, mask, a, b, sr, opt, &stats)
 		check(err)
 		for _, bs := range stats {
-			fmt.Fprintf(os.Stderr, "auto: rows [%d,%d) %s mask=%s → %d entries\n",
-				bs.Block.Lo, bs.Block.Hi, bs.Block.Alg, bs.Block.Rep, bs.OutNNZ)
+			fmt.Fprintf(os.Stderr, "auto: rows [%d,%d) %s → %d entries\n",
+				bs.Block.Lo, bs.Block.Hi, bs.Block.Alg, bs.OutNNZ)
 		}
 	default:
 		v, err := core.VariantByName(*algName)

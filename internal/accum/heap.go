@@ -13,7 +13,7 @@ package accum
 // Ties on the column index are broken by APos, so entries of one output
 // column pop in A-entry order — the same per-column accumulation order the
 // scatter-based kernels use, which keeps heap results bit-identical to
-// theirs regardless of the push sequence (the mask representations push in
+// theirs regardless of the push sequence (NInspect settings push in
 // different orders).
 type IterHeap struct {
 	h []RowIterator

@@ -18,25 +18,21 @@
 // chunk scheduling; workers own reusable accumulator scratch so no per-row
 // allocation happens in steady state.
 //
-// Two orthogonal execution choices layer on top of the (algorithm, phase)
-// variant grid:
+// MaskedSpGEMMBlocked layers a *mixed* plan on top of the (algorithm,
+// phase) variant grid: each contiguous row block executes its own algorithm
+// family under one global phase, with bit-identical results to any
+// single-variant run. The adaptive planner (repro/internal/planner) emits
+// such plans from the §8 cost model.
 //
-//   - MaskedSpGEMMBlocked runs a *mixed* plan — each contiguous row block
-//     executes its own algorithm family under one global phase, with
-//     bit-identical results to any single-variant run. The adaptive planner
-//     (repro/internal/planner) emits such plans from the §8 cost model.
-//   - MaskRep selects how kernels probe mask-row membership: the sorted-CSR
-//     probe, a pooled per-worker bitmap, or direct indexing of contiguous
-//     dense rows. The planner chooses it per block; MaskedSpGEMM resolves
-//     one from the aggregate mask shape. Complement is native to every
-//     representation, so no kernel materializes an explicit complement
-//     pattern.
+// Each family tests mask membership the one way the paper gives it: MSA
+// and Hash mark the mask row into the accumulator, MCA and Heap merge
+// against the sorted mask row, and Inner walks it. Complement is native to
+// every family that supports it, so no kernel materializes an explicit
+// complement pattern.
 //
 // Requirements: all kernels assume duplicate-free rows. MCA, Heap, HeapDot
 // and Inner additionally require rows (and, for Inner, CSC columns) sorted
-// by index, which every builder in internal/matrix guarantees; the dense-run
-// mask representation's O(1) row-contiguity check is exact only on sorted
-// mask rows.
+// by index, which every builder in internal/matrix guarantees.
 package core
 
 import (
@@ -209,8 +205,7 @@ func MaskedSpGEMM[T any](v Variant, m *matrix.Pattern, a, b *matrix.CSR[T], sr s
 	if err := opt.Err(); err != nil {
 		return nil, err
 	}
-	rep := resolveRep(v.Alg, m, a, 0, m.NRows, opt.Complement)
-	factory, err := algKernelFactory(v.Alg, rep, m, a, b, nil, sr, opt.Complement, opt.Workspaces)
+	factory, err := algKernelFactory(v.Alg, m, a, b, nil, sr, opt.Complement, opt.Workspaces)
 	if err != nil {
 		return nil, err
 	}
@@ -219,35 +214,27 @@ func MaskedSpGEMM[T any](v Variant, m *matrix.Pattern, a, b *matrix.CSR[T], sr s
 }
 
 // algKernelFactory builds the per-worker kernel factory for one algorithm
-// family, probing the mask through the given resolved representation (not
-// RepAuto; kernels that cannot exploit it demote it). bcsc may be nil; it is
-// only consulted for Inner, where a non-nil value avoids re-transposing B
-// (blocked plans share one CSC across blocks). ws may be nil (no pooling).
+// family. bcsc may be nil; it is only consulted for Inner, where a
+// non-nil value avoids re-transposing B (blocked plans share one CSC
+// across blocks). ws may be nil (no pooling).
 //
 // Dispatch happens here: a semiring carrying a recognized named operator
 // gets the monomorphized kernel instantiation (Add/Mul inlined); any other
 // semiring runs the same kernels through the FuncOps fallback. See OpsMode.
-func algKernelFactory[T any](alg Algorithm, rep MaskRep, m *matrix.Pattern, a, b *matrix.CSR[T], bcsc *matrix.CSC[T], sr semiring.Semiring[T], complement bool, ws *Workspaces) (func() kernel[T], error) {
-	rep = SupportedMaskRep(alg, rep, complement)
-	if f := specializedFactory(alg, rep, m, a, b, bcsc, sr, complement, ws); f != nil {
+func algKernelFactory[T any](alg Algorithm, m *matrix.Pattern, a, b *matrix.CSR[T], bcsc *matrix.CSC[T], sr semiring.Semiring[T], complement bool, ws *Workspaces) (func() kernel[T], error) {
+	if f := specializedFactory(alg, m, a, b, bcsc, sr, complement, ws); f != nil {
 		return f, nil
 	}
-	return opsKernelFactory(alg, rep, m, a, b, bcsc, funcOps(sr), opLoops[T]{}, complement, ws)
+	return opsKernelFactory(alg, m, a, b, bcsc, funcOps(sr), opLoops[T]{}, complement, ws)
 }
 
-// ExecBlock assigns an algorithm variant and mask representation to the
-// contiguous row range [Lo, Hi) of a blocked (mixed-variant) execution
-// plan. The phase is global to the call — the drivers run all blocks under
-// one phase strategy — so a block carries only the algorithm family and the
-// representation its kernels probe the mask with (RepAuto resolves from the
-// block's local mask shape). A non-auto Rep is trusted as-is: callers
-// constructing blocks by hand (rather than through the planner, which
-// verifies this) must only set RepDense — or RepBitmap on Hash — when the
-// block's mask rows are sorted.
+// ExecBlock assigns an algorithm family to the contiguous row range
+// [Lo, Hi) of a blocked (mixed-variant) execution plan. The phase is global
+// to the call — the drivers run all blocks under one phase strategy — so a
+// block carries only the algorithm family.
 type ExecBlock struct {
 	Lo, Hi Index
 	Alg    Algorithm
-	Rep    MaskRep
 }
 
 // BlockStat reports what one block of a blocked execution actually did.
@@ -305,16 +292,7 @@ func MaskedSpGEMMBlocked[T any](phase Phase, blocks []ExecBlock, m *matrix.Patte
 		if blk.Alg == Inner && bcsc == nil {
 			bcsc = matrix.ToCSC(b)
 		}
-		// Representation resolution: a block rep set by the planner is
-		// trusted without re-scanning — Analyze only emits
-		// sortedness-requiring reps after verifying sortedness — and
-		// algKernelFactory demotes it to what the algorithm supports;
-		// RepAuto blocks resolve from the block's local statistics.
-		rep := blk.Rep
-		if rep == RepAuto {
-			rep = resolveRep(blk.Alg, m, a, blk.Lo, blk.Hi, opt.Complement)
-		}
-		factory, err := algKernelFactory(blk.Alg, rep, m, a, b, bcsc, sr, opt.Complement, opt.Workspaces)
+		factory, err := algKernelFactory(blk.Alg, m, a, b, bcsc, sr, opt.Complement, opt.Workspaces)
 		if err != nil {
 			return nil, err
 		}
@@ -367,8 +345,7 @@ func MaskedDotCSC[T any](phase Phase, m *matrix.Pattern, a *matrix.CSR[T], bcsc 
 	if err := opt.Err(); err != nil {
 		return nil, err
 	}
-	// No planner here; the CSR probe is the safe default.
-	factory, err := algKernelFactory(Inner, RepCSR, m, a, nil, bcsc, sr, opt.Complement, opt.Workspaces)
+	factory, err := algKernelFactory(Inner, m, a, nil, bcsc, sr, opt.Complement, opt.Workspaces)
 	if err != nil {
 		return nil, err
 	}
@@ -421,11 +398,9 @@ func MaskedSpGEMMHeapNInspect[T any](phase Phase, m *matrix.Pattern, a, b *matri
 	if err := checkDims(m, a, b); err != nil {
 		return nil, err
 	}
-	// The NInspect knob only exists on the CSR merge path, so the ablation
-	// runs the CSR representation. Ablation entry point: always the FuncOps
-	// instantiation, so NInspect comparisons are not confounded by operator
-	// dispatch differences.
-	factory := newHeapKernelFactory(m, a, b, funcOps(sr), opt.Complement, nInspect, RepCSR, opt.Workspaces)
+	// Ablation entry point: always the FuncOps instantiation, so NInspect
+	// comparisons are not confounded by operator dispatch differences.
+	factory := newHeapKernelFactory(m, a, b, funcOps(sr), opt.Complement, nInspect, opt.Workspaces)
 	bound := allocBound(m, a, b, opt.Complement)
 	return runDriver(phase, m, b.NCols, bound, factory, opt)
 }

@@ -116,14 +116,14 @@ func refreshExact(t *testing.T, p *DeltaProduct[float64], mult DeltaMult[float64
 	return got, want
 }
 
-// deltaEquivConfig replays the stream under one (variant, complement, rep,
+// deltaEquivConfig replays the stream under one (variant, complement,
 // schedule, semiring) configuration — skewed runs every product on its
 // operands' cost profile marked skewed (equal-cost spans), otherwise no
 // profile (equal-row chunks): after every prefix — including a
 // mid-stream Compact — the incrementally refreshed output must be
 // bit-identical to a from-scratch multiply on the overlays' current
 // (compacted) content.
-func deltaEquivConfig(t *testing.T, v Variant, comp bool, rep MaskRep, skewed bool,
+func deltaEquivConfig(t *testing.T, v Variant, comp bool, skewed bool,
 	sr semiring.Semiring[float64], baseM, baseA, baseB *matrix.CSR[float64], stream deltaStream) {
 	t.Helper()
 	newOverlay := func(base *matrix.CSR[float64]) *matrix.DeltaCSR[float64] {
@@ -147,14 +147,14 @@ func deltaEquivConfig(t *testing.T, v Variant, comp bool, rep MaskRep, skewed bo
 		return o
 	}
 	mult := func(msub *matrix.Pattern, asub, b *matrix.CSR[float64]) (*matrix.CSR[float64], error) {
-		return runRep(v, rep, msub, asub, b, sr, opt(msub, asub, b))
+		return runBlock(v, msub, asub, b, sr, opt(msub, asub, b))
 	}
 	eqBits := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
 	check := func(round int) {
 		t.Helper()
 		got, _ := refreshExact(t, p, mult)
 		cm, ca, cb := dm.Current().Pattern(), da.Current(), db.Current()
-		want, err := runRep(v, rep, cm, ca, cb, sr, opt(cm, ca, cb))
+		want, err := runBlock(v, cm, ca, cb, sr, opt(cm, ca, cb))
 		if err != nil {
 			t.Fatalf("round %d: rebuild: %v", round, err)
 		}
@@ -184,11 +184,11 @@ func deltaEquivConfig(t *testing.T, v Variant, comp bool, rep MaskRep, skewed bo
 }
 
 // TestDeltaEquivalenceBattery is the incremental-vs-rebuild property test:
-// across all 12 variants × 3 mask representations × 3 named semirings ×
-// both schedules (no cost profile, a skewed one), plus complemented masks
-// and a mid-stream Compact, every prefix of a seeded random insert/delete
-// stream yields an incremental output bit-identical to a from-scratch
-// multiply on the compacted operands.
+// across all 12 variants × 3 named semirings × both schedules (no cost
+// profile, a skewed one), plus complemented masks and a mid-stream
+// Compact, every prefix of a seeded random insert/delete stream yields an
+// incremental output bit-identical to a from-scratch multiply on the
+// compacted operands.
 func TestDeltaEquivalenceBattery(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	const m, k, n = 29, 23, 31
@@ -207,11 +207,9 @@ func TestDeltaEquivalenceBattery(t *testing.T) {
 					if comp && !v.SupportsComplement() {
 						continue
 					}
-					for _, rep := range []MaskRep{RepCSR, RepBitmap, RepDense} {
-						for _, skewed := range []bool{false, true} {
-							deltaEquivConfig(t, v, comp, rep, skewed, sr,
-								baseM, baseA, baseB, stream)
-						}
+					for _, skewed := range []bool{false, true} {
+						deltaEquivConfig(t, v, comp, skewed, sr,
+							baseM, baseA, baseB, stream)
 					}
 				}
 			}

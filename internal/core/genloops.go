@@ -82,7 +82,7 @@ import (
 )
 `
 
-// loopsTmpl emits the nine loop shapes plus the opLoops constructor for one
+// loopsTmpl emits the six loop shapes plus the opLoops constructor for one
 // operator; a Counting operator gets the counting MSA row in place of the
 // MSA scatter, and a counting Inner probe. {{p}} is the B-column position
 // variable: "_" when the operator never reads B values, so the generated
@@ -145,37 +145,6 @@ func msaLoop{{.Name}}[T {{.Constraint}}](acc *accum.MSA[T], a, b *matrix.CSR[T],
 }
 {{- end}}
 
-// msaRunLoop{{.Name}} is msaKernel.numericRowRun's scatter with {{.Name}} inlined.
-func msaRunLoop{{.Name}}[T {{.Constraint}}](acc *accum.MSA[T], a, b *matrix.CSR[T], i, lo, hi Index, comp bool) {
-	for kk := a.RowPtr[i]; kk < a.RowPtr[i+1]; kk++ {
-		kcol := a.Col[kk]
-{{- if .UsesAV}}
-		av := a.Val[kk]
-{{- end}}
-		bLo, bHi := b.RowPtr[kcol], b.RowPtr[kcol+1]
-		bCol := b.Col[bLo:bHi]
-{{- if .UsesBV}}
-		bVal := b.Val[bLo:bHi]
-		bVal = bVal[:len(bCol)]
-{{- end}}
-		for {{p}}, j := range bCol {
-			if (j >= lo && j < hi) == comp { // masked out
-				continue
-			}
-			switch acc.State(j) {
-			case accum.NotAllowed:
-				if comp {
-					acc.StoreC(j, {{mul "av" "bVal[p]"}})
-				} else {
-					acc.Store(j, {{mul "av" "bVal[p]"}})
-				}
-			case accum.Set:
-				acc.SetValue(j, {{add "acc.Value(j)" (mul "av" "bVal[p]")}})
-			}
-		}
-	}
-}
-
 // msaCLoop{{.Name}} is msaKernel.numericRowC's scatter with {{.Name}} inlined.
 func msaCLoop{{.Name}}[T {{.Constraint}}](acc *accum.MSA[T], a, b *matrix.CSR[T], i Index) {
 	for kk := a.RowPtr[i]; kk < a.RowPtr[i+1]; kk++ {
@@ -225,33 +194,6 @@ func hashLoop{{.Name}}[T {{.Constraint}}](acc *accum.Hash[T], a, b *matrix.CSR[T
 	}
 }
 
-// hashProbeLoop{{.Name}} is hashKernel.numericRowProbe's scatter with {{.Name}} inlined.
-func hashProbeLoop{{.Name}}[T {{.Constraint}}](acc *accum.Hash[T], mp *maskProbe, a, b *matrix.CSR[T], i Index, comp bool) {
-	for kk := a.RowPtr[i]; kk < a.RowPtr[i+1]; kk++ {
-		kcol := a.Col[kk]
-{{- if .UsesAV}}
-		av := a.Val[kk]
-{{- end}}
-		bLo, bHi := b.RowPtr[kcol], b.RowPtr[kcol+1]
-		bCol := b.Col[bLo:bHi]
-{{- if .UsesBV}}
-		bVal := b.Val[bLo:bHi]
-		bVal = bVal[:len(bCol)]
-{{- end}}
-		for {{p}}, j := range bCol {
-			if mp.contains(j) == comp { // masked out
-				continue
-			}
-			slot, st := acc.ProbeC(j)
-			if st == accum.NotAllowed {
-				acc.InsertNewAtC(slot, j, {{mul "av" "bVal[p]"}})
-			} else {
-				acc.SetValueAt(slot, {{add "acc.ValueAt(slot)" (mul "av" "bVal[p]")}})
-			}
-		}
-	}
-}
-
 // hashCLoop{{.Name}} is hashKernel.numericRowC's scatter with {{.Name}} inlined.
 func hashCLoop{{.Name}}[T {{.Constraint}}](acc *accum.Hash[T], a, b *matrix.CSR[T], i Index) {
 	for kk := a.RowPtr[i]; kk < a.RowPtr[i+1]; kk++ {
@@ -272,33 +214,6 @@ func hashCLoop{{.Name}}[T {{.Constraint}}](acc *accum.Hash[T], a, b *matrix.CSR[
 				acc.InsertNewAtC(slot, j, {{mul "av" "bVal[p]"}})
 			case accum.Set:
 				acc.SetValueAt(slot, {{add "acc.ValueAt(slot)" (mul "av" "bVal[p]")}})
-			}
-		}
-	}
-}
-
-// mcaProbeLoop{{.Name}} is mcaKernel.numericRow's probe scatter with {{.Name}} inlined.
-func mcaProbeLoop{{.Name}}[T {{.Constraint}}](acc *accum.MCA[T], mp *maskProbe, a, b *matrix.CSR[T], i Index) {
-	for kk := a.RowPtr[i]; kk < a.RowPtr[i+1]; kk++ {
-		kcol := a.Col[kk]
-{{- if .UsesAV}}
-		av := a.Val[kk]
-{{- end}}
-		bLo, bHi := b.RowPtr[kcol], b.RowPtr[kcol+1]
-		bCol := b.Col[bLo:bHi]
-{{- if .UsesBV}}
-		bVal := b.Val[bLo:bHi]
-		bVal = bVal[:len(bCol)]
-{{- end}}
-		for {{p}}, j := range bCol {
-			if !mp.contains(j) {
-				continue
-			}
-			idx := mp.pos(j)
-			if acc.State(idx) == accum.Set {
-				acc.SetValue(idx, {{add "acc.Value(idx)" (mul "av" "bVal[p]")}})
-			} else {
-				acc.Store(idx, {{mul "av" "bVal[p]"}})
 			}
 		}
 	}
@@ -377,12 +292,9 @@ func opLoops{{.Name}}[T {{.Constraint}}]() opLoops[T] {
 {{- else}}
 		msa:       msaLoop{{.Name}}[T],
 {{- end}}
-		msaRun:    msaRunLoop{{.Name}}[T],
 		msaC:      msaCLoop{{.Name}}[T],
 		hash:      hashLoop{{.Name}}[T],
-		hashProbe: hashProbeLoop{{.Name}}[T],
 		hashC:     hashCLoop{{.Name}}[T],
-		mcaProbe:  mcaProbeLoop{{.Name}}[T],
 		mcaMerge:  mcaMergeLoop{{.Name}}[T],
 		innerProbe:  probeLoop{{.Name}}[T],
 		innerNoAVal: {{not .UsesAV}},

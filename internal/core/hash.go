@@ -11,124 +11,38 @@ import (
 // entries are pre-inserted as Allowed, and the scatter probes instead of
 // indexing a dense array. Gather walks the mask row (stable, sorted output).
 //
-// Under the bitmap or dense-run mask representations the table holds *only
-// output* entries: membership is answered by the probe, so nothing is
-// pre-inserted and the table is sized by the row's actual output instead of
-// its mask row — on dense masks with sparse products this replaces a
-// 4·nnz(mask row) table build with an O(nnz(mask row)) bit scatter (or, for
-// contiguous rows, nothing at all). Normal and complemented masks share the
-// probe path: complement just flips the membership test, so no explicit
-// complement is ever materialized.
+// Under a complemented mask the mask entries are pre-inserted as
+// NotAllowed instead, every other product column enters the table as it
+// arrives, and the gather sorts the table's keys, so no explicit complement
+// is ever materialized.
 //
 // Generic over the operator type O: named operators inline ops.Mul/ops.Add
 // into the probe loops; semiring.FuncOps runs the identical loops through
 // the func fields (see msaKernel).
 type hashKernel[T any, O semiring.Ops[T]] struct {
-	m     *matrix.Pattern
-	a, b  *matrix.CSR[T]
-	ops   O
-	lp    opLoops[T] // monomorphized scatter loops; zero → generic ops loops
-	comp  bool
-	acc   *accum.Hash[T]
-	probe *maskProbe // nil for the CSR (mask-preinserted) path
-	keys  []Index    // probe/complement-mode gather scratch
-	vals  []T
+	m    *matrix.Pattern
+	a, b *matrix.CSR[T]
+	ops  O
+	lp   opLoops[T] // monomorphized scatter loops; zero → generic ops loops
+	comp bool
+	acc  *accum.Hash[T]
+	keys []Index // complement-mode gather scratch
+	vals []T
 }
 
-func newHashKernelFactory[T any, O semiring.Ops[T]](m *matrix.Pattern, a, b *matrix.CSR[T], ops O, lp opLoops[T], comp bool, rep MaskRep, ws *Workspaces) func() kernel[T] {
+func newHashKernelFactory[T any, O semiring.Ops[T]](m *matrix.Pattern, a, b *matrix.CSR[T], ops O, lp opLoops[T], comp bool, ws *Workspaces) func() kernel[T] {
 	return func() kernel[T] {
-		k := &hashKernel[T, O]{m: m, a: a, b: b, ops: ops, lp: lp, comp: comp,
+		return &hashKernel[T, O]{m: m, a: a, b: b, ops: ops, lp: lp, comp: comp,
 			acc: wsGetHash[T](ws, 16)}
-		if rep == RepBitmap || rep == RepDense {
-			k.probe = newMaskProbe(m, rep, ws)
-		}
-		return k
 	}
 }
 
 func (k *hashKernel[T, O]) recycle(ws *Workspaces) {
 	wsPutHash(ws, k.acc)
 	k.acc = nil
-	if k.probe != nil {
-		k.probe.recycle(ws)
-		k.probe = nil
-	}
-}
-
-// numericRowProbe serves both mask modes under a probe-based representation:
-// only entries that pass the membership test enter the table.
-func (k *hashKernel[T, O]) numericRowProbe(i Index, col []Index, val []T) Index {
-	if !k.comp && len(k.m.Row(i)) == 0 {
-		return 0
-	}
-	acc, a, b, ops := k.acc, k.a, k.b, k.ops
-	p := k.probe
-	p.begin(i)
-	acc.PrepareC(16)
-	if k.lp.hashProbe != nil {
-		k.lp.hashProbe(acc, p, a, b, i, k.comp)
-	} else {
-		for kk := a.RowPtr[i]; kk < a.RowPtr[i+1]; kk++ {
-			kcol := a.Col[kk]
-			av := a.Val[kk]
-			bLo, bHi := b.RowPtr[kcol], b.RowPtr[kcol+1]
-			bCol := b.Col[bLo:bHi]
-			bVal := b.Val[bLo:bHi]
-			bVal = bVal[:len(bCol)]
-			for bi, j := range bCol {
-				if p.contains(j) == k.comp { // masked out
-					continue
-				}
-				slot, st := acc.ProbeC(j)
-				if st == accum.NotAllowed {
-					acc.InsertNewAtC(slot, j, ops.Mul(av, bVal[bi]))
-				} else {
-					acc.SetValueAt(slot, ops.Add(acc.ValueAt(slot), ops.Mul(av, bVal[bi])))
-				}
-			}
-		}
-	}
-	p.end()
-	k.keys, k.vals = k.keys[:0], k.vals[:0]
-	k.keys, k.vals = acc.GatherC(k.keys, k.vals)
-	sortKeyVals(k.keys, k.vals)
-	copy(col, k.keys)
-	copy(val, k.vals)
-	return Index(len(k.keys))
-}
-
-// symbolicRowProbe is the symbolic twin of numericRowProbe.
-func (k *hashKernel[T, O]) symbolicRowProbe(i Index) Index {
-	if !k.comp && len(k.m.Row(i)) == 0 {
-		return 0
-	}
-	acc, a, b := k.acc, k.a, k.b
-	p := k.probe
-	p.begin(i)
-	acc.PrepareC(16)
-	var cnt Index
-	for kk := a.RowPtr[i]; kk < a.RowPtr[i+1]; kk++ {
-		kcol := a.Col[kk]
-		for bi := b.RowPtr[kcol]; bi < b.RowPtr[kcol+1]; bi++ {
-			j := b.Col[bi]
-			if p.contains(j) == k.comp {
-				continue
-			}
-			slot, st := acc.ProbeC(j)
-			if st == accum.NotAllowed {
-				acc.MarkNewAtC(slot, j)
-				cnt++
-			}
-		}
-	}
-	p.end()
-	return cnt
 }
 
 func (k *hashKernel[T, O]) numericRow(i Index, col []Index, val []T) Index {
-	if k.probe != nil {
-		return k.numericRowProbe(i, col, val)
-	}
 	if k.comp {
 		return k.numericRowC(i, col, val)
 	}
@@ -210,9 +124,6 @@ func (k *hashKernel[T, O]) numericRowC(i Index, col []Index, val []T) Index {
 }
 
 func (k *hashKernel[T, O]) symbolicRow(i Index) Index {
-	if k.probe != nil {
-		return k.symbolicRowProbe(i)
-	}
 	mrow := k.m.Row(i)
 	acc, a, b := k.acc, k.a, k.b
 	if k.comp {
@@ -256,17 +167,14 @@ func (k *hashKernel[T, O]) symbolicRow(i Index) Index {
 	return cnt
 }
 
-// sortKeyVals sorts parallel key/value slices by key ascending (insertion
-// sort for short rows, heapsort-style fallback via repeated sifting is not
-// needed: rows are short relative to n; use a simple binary-insertion /
-// shell hybrid for robustness).
+// sortKeyVals sorts parallel key/value slices by key ascending with a
+// Shell sort over Ciura's gaps: in place, no allocation, and fast on the
+// short rows a complemented Hash gather produces.
 func sortKeyVals[T any](keys []Index, vals []T) {
 	n := len(keys)
 	if n < 2 {
 		return
 	}
-	// Shell sort with Ciura-like gaps: in-place, no allocation, fine for the
-	// per-row sizes seen here.
 	gaps := [...]int{701, 301, 132, 57, 23, 10, 4, 1}
 	for _, gap := range gaps {
 		if gap >= n {

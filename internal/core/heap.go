@@ -27,12 +27,6 @@ const nInspectAll = math.MaxInt32
 // Under a complemented mask the kernel computes products for S \ m instead
 // of S ∩ m and always uses NInspect=0 (§5.5 last paragraph).
 //
-// The merge with the mask row is the CSR mask representation. Under the
-// bitmap or dense-run representations the kernel instead pushes iterators
-// blindly (NInspect is moot — there is no merge frontier to inspect) and
-// answers membership at each pop with an O(1) probe, which avoids the
-// repeated mask-row walks Insert performs on dense masks.
-//
 // Generic over the operator type O (see msaKernel).
 type heapKernel[T any, O semiring.Ops[T]] struct {
 	m        *matrix.Pattern
@@ -41,30 +35,21 @@ type heapKernel[T any, O semiring.Ops[T]] struct {
 	comp     bool
 	nInspect int32
 	pq       *accum.IterHeap
-	probe    *maskProbe // nil for the CSR merge path
 }
 
-func newHeapKernelFactory[T any, O semiring.Ops[T]](m *matrix.Pattern, a, b *matrix.CSR[T], ops O, comp bool, nInspect int32, rep MaskRep, ws *Workspaces) func() kernel[T] {
+func newHeapKernelFactory[T any, O semiring.Ops[T]](m *matrix.Pattern, a, b *matrix.CSR[T], ops O, comp bool, nInspect int32, ws *Workspaces) func() kernel[T] {
 	if comp {
 		nInspect = 0
 	}
 	return func() kernel[T] {
-		k := &heapKernel[T, O]{m: m, a: a, b: b, ops: ops, comp: comp, nInspect: nInspect,
+		return &heapKernel[T, O]{m: m, a: a, b: b, ops: ops, comp: comp, nInspect: nInspect,
 			pq: wsGetHeap(ws)}
-		if rep == RepBitmap || rep == RepDense {
-			k.probe = newMaskProbe(m, rep, ws)
-		}
-		return k
 	}
 }
 
 func (k *heapKernel[T, O]) recycle(ws *Workspaces) {
 	wsPutHeap(ws, k.pq)
 	k.pq = nil
-	if k.probe != nil {
-		k.probe.recycle(ws)
-		k.probe = nil
-	}
 }
 
 // insert is the Insert procedure of Algorithm 5. it must be valid.
@@ -101,54 +86,7 @@ func (k *heapKernel[T, O]) insert(it accum.RowIterator, mrow []Index, mPos int) 
 	// Row exhausted, or mask exhausted (nothing left to output): drop.
 }
 
-// numericRowProbe is numericRow under a probe-based mask representation:
-// blind pushes, O(1) membership at pop.
-func (k *heapKernel[T, O]) numericRowProbe(i Index, col []Index, val []T) Index {
-	if !k.comp && len(k.m.Row(i)) == 0 {
-		return 0
-	}
-	a, b, ops := k.a, k.b, k.ops
-	p := k.probe
-	p.begin(i)
-	k.pq.Reset()
-	for kk := a.RowPtr[i]; kk < a.RowPtr[i+1]; kk++ {
-		kcol := a.Col[kk]
-		it := accum.RowIterator{Pos: b.RowPtr[kcol], End: b.RowPtr[kcol+1], APos: kk}
-		if it.Valid() {
-			it.Col = b.Col[it.Pos]
-			k.pq.Push(it)
-		}
-	}
-	prevKey := Index(-1)
-	var cnt Index
-	for k.pq.Len() > 0 {
-		min := k.pq.PopMin()
-		if p.contains(min.Col) != k.comp { // keep: mask hit (normal) or miss (complement)
-			j := min.Col
-			v := ops.Mul(a.Val[min.APos], b.Val[min.Pos])
-			if prevKey == j {
-				val[cnt-1] = ops.Add(val[cnt-1], v)
-			} else {
-				col[cnt] = j
-				val[cnt] = v
-				cnt++
-				prevKey = j
-			}
-		}
-		min.Pos++
-		if min.Pos < min.End {
-			min.Col = b.Col[min.Pos]
-			k.pq.Push(min)
-		}
-	}
-	p.end()
-	return cnt
-}
-
 func (k *heapKernel[T, O]) numericRow(i Index, col []Index, val []T) Index {
-	if k.probe != nil {
-		return k.numericRowProbe(i, col, val)
-	}
 	mrow := k.m.Row(i)
 	if !k.comp && len(mrow) == 0 {
 		return 0
@@ -194,45 +132,7 @@ func (k *heapKernel[T, O]) numericRow(i Index, col []Index, val []T) Index {
 	return cnt
 }
 
-// symbolicRowProbe is symbolicRow under a probe-based mask representation.
-func (k *heapKernel[T, O]) symbolicRowProbe(i Index) Index {
-	if !k.comp && len(k.m.Row(i)) == 0 {
-		return 0
-	}
-	a, b := k.a, k.b
-	p := k.probe
-	p.begin(i)
-	k.pq.Reset()
-	for kk := a.RowPtr[i]; kk < a.RowPtr[i+1]; kk++ {
-		kcol := a.Col[kk]
-		it := accum.RowIterator{Pos: b.RowPtr[kcol], End: b.RowPtr[kcol+1], APos: kk}
-		if it.Valid() {
-			it.Col = b.Col[it.Pos]
-			k.pq.Push(it)
-		}
-	}
-	prevKey := Index(-1)
-	var cnt Index
-	for k.pq.Len() > 0 {
-		min := k.pq.PopMin()
-		if p.contains(min.Col) != k.comp && prevKey != min.Col {
-			cnt++
-			prevKey = min.Col
-		}
-		min.Pos++
-		if min.Pos < min.End {
-			min.Col = b.Col[min.Pos]
-			k.pq.Push(min)
-		}
-	}
-	p.end()
-	return cnt
-}
-
 func (k *heapKernel[T, O]) symbolicRow(i Index) Index {
-	if k.probe != nil {
-		return k.symbolicRowProbe(i)
-	}
 	mrow := k.m.Row(i)
 	if !k.comp && len(mrow) == 0 {
 		return 0

@@ -30,36 +30,28 @@ import (
 // column *not* present in the mask row — Θ(ncols) candidate positions per
 // row, which is why the paper excludes pull-based algorithms from the
 // betweenness centrality benchmark as prohibitively slow. Provided here for
-// completeness and correctness testing.
-//
-// Mask representations only matter to the complemented form (in normal mode
-// the mask *drives* the iteration; there is nothing to probe): the bitmap
-// replaces the mask-row walk with O(1) probes, and a dense-run row skips its
-// whole excluded range [lo,hi) in one jump.
+// completeness and correctness testing. The complemented row walks the
+// sorted mask row beside the column sweep and skips the columns it names.
 //
 // Generic over the operator type O (see msaKernel): lp.innerProbe is the
 // generated probe for a named operator, and probeDot runs the same loop
 // through ops.Mul/ops.Add for the funcptr fallback.
 type innerKernel[T any, O semiring.Ops[T]] struct {
-	m     *matrix.Pattern
-	a     *matrix.CSR[T]
-	bcsc  *matrix.CSC[T]
-	ops   O
-	lp    opLoops[T] // lp.innerProbe is the monomorphized probe; defaults to k.probeDot
-	comp  bool
-	acc   *accum.MSA[T] // A's row, scattered in counting-mode states
-	probe *maskProbe    // non-nil only for complemented probe representations
+	m    *matrix.Pattern
+	a    *matrix.CSR[T]
+	bcsc *matrix.CSC[T]
+	ops  O
+	lp   opLoops[T] // lp.innerProbe is the monomorphized probe; defaults to k.probeDot
+	comp bool
+	acc  *accum.MSA[T] // A's row, scattered in counting-mode states
 }
 
-func newInnerKernelFactory[T any, O semiring.Ops[T]](m *matrix.Pattern, a *matrix.CSR[T], bcsc *matrix.CSC[T], ops O, lp opLoops[T], comp bool, rep MaskRep, ws *Workspaces) func() kernel[T] {
+func newInnerKernelFactory[T any, O semiring.Ops[T]](m *matrix.Pattern, a *matrix.CSR[T], bcsc *matrix.CSC[T], ops O, lp opLoops[T], comp bool, ws *Workspaces) func() kernel[T] {
 	return func() kernel[T] {
 		k := &innerKernel[T, O]{m: m, a: a, bcsc: bcsc, ops: ops, lp: lp, comp: comp,
 			acc: wsGetMSA[T](ws, int(a.NCols))}
 		if k.lp.innerProbe == nil {
 			k.lp.innerProbe = k.probeDot // funcptr fallback: the generic probe below
-		}
-		if comp && (rep == RepBitmap || rep == RepDense) {
-			k.probe = newMaskProbe(m, rep, ws)
 		}
 		return k
 	}
@@ -68,10 +60,6 @@ func newInnerKernelFactory[T any, O semiring.Ops[T]](m *matrix.Pattern, a *matri
 func (k *innerKernel[T, O]) recycle(ws *Workspaces) {
 	wsPutMSA(ws, k.acc)
 	k.acc = nil
-	if k.probe != nil {
-		k.probe.recycle(ws)
-		k.probe = nil
-	}
 }
 
 // scatter marks row i's columns Allowed in the scratch, storing their values
@@ -171,26 +159,6 @@ func (k *innerKernel[T, O]) numericProbes(i, amax Index, col []Index, val []T) I
 		}
 		return cnt
 	}
-	if p := k.probe; p != nil {
-		p.begin(i)
-		for j := Index(0); j < k.bcsc.NCols; j++ {
-			if p.rep == RepDense && p.runOK && j == p.lo {
-				j = p.hi - 1 // skip the whole excluded run
-				continue
-			}
-			if p.contains(j) {
-				continue
-			}
-			bIdx, bVal := k.bcsc.Column(j)
-			if v, ok := k.lp.innerProbe(state, value, amax, bIdx, bVal); ok {
-				col[cnt] = j
-				val[cnt] = v
-				cnt++
-			}
-		}
-		p.end()
-		return cnt
-	}
 	mi := 0
 	for j := Index(0); j < k.bcsc.NCols; j++ {
 		if mi < len(mrow) && mrow[mi] == j {
@@ -230,24 +198,6 @@ func (k *innerKernel[T, O]) symbolicProbes(i, amax Index) Index {
 				cnt++
 			}
 		}
-		return cnt
-	}
-	if p := k.probe; p != nil {
-		p.begin(i)
-		for j := Index(0); j < k.bcsc.NCols; j++ {
-			if p.rep == RepDense && p.runOK && j == p.lo {
-				j = p.hi - 1
-				continue
-			}
-			if p.contains(j) {
-				continue
-			}
-			bIdx, _ := k.bcsc.Column(j)
-			if probePattern(state, amax, bIdx) {
-				cnt++
-			}
-		}
-		p.end()
 		return cnt
 	}
 	mi := 0

@@ -29,19 +29,16 @@ import (
 // under a heap pop, so there is no inner sweep to batch, and the operator
 // cost is dominated by the heap's log factor.
 type opLoops[T any] struct {
-	msa    func(acc *accum.MSA[T], a, b *matrix.CSR[T], i Index)
-	msaRun func(acc *accum.MSA[T], a, b *matrix.CSR[T], i, lo, hi Index, comp bool)
-	msaC   func(acc *accum.MSA[T], a, b *matrix.CSR[T], i Index)
+	msa  func(acc *accum.MSA[T], a, b *matrix.CSR[T], i Index)
+	msaC func(acc *accum.MSA[T], a, b *matrix.CSR[T], i Index)
 	// msaCount, set instead of msa for plus-pair, runs a whole
 	// non-complemented numeric row as a branch-free counting scatter (see
 	// accum.MSA's counting mode) and returns the row's output length.
 	msaCount func(acc *accum.MSA[T], a, b *matrix.CSR[T], i Index, mrow, col []Index, val []T) Index
 
-	hash      func(acc *accum.Hash[T], a, b *matrix.CSR[T], i Index)
-	hashProbe func(acc *accum.Hash[T], p *maskProbe, a, b *matrix.CSR[T], i Index, comp bool)
-	hashC     func(acc *accum.Hash[T], a, b *matrix.CSR[T], i Index)
+	hash  func(acc *accum.Hash[T], a, b *matrix.CSR[T], i Index)
+	hashC func(acc *accum.Hash[T], a, b *matrix.CSR[T], i Index)
 
-	mcaProbe func(acc *accum.MCA[T], p *maskProbe, a, b *matrix.CSR[T], i Index)
 	mcaMerge func(acc *accum.MCA[T], a, b *matrix.CSR[T], i Index, mrow []Index)
 
 	// innerProbe is the Inner kernel's dot product of B's column against

@@ -29,33 +29,6 @@ func msaLoopPlusTimes[T loopNumeric](acc *accum.MSA[T], a, b *matrix.CSR[T], i I
 	}
 }
 
-// msaRunLoopPlusTimes is msaKernel.numericRowRun's scatter with PlusTimes inlined.
-func msaRunLoopPlusTimes[T loopNumeric](acc *accum.MSA[T], a, b *matrix.CSR[T], i, lo, hi Index, comp bool) {
-	for kk := a.RowPtr[i]; kk < a.RowPtr[i+1]; kk++ {
-		kcol := a.Col[kk]
-		av := a.Val[kk]
-		bLo, bHi := b.RowPtr[kcol], b.RowPtr[kcol+1]
-		bCol := b.Col[bLo:bHi]
-		bVal := b.Val[bLo:bHi]
-		bVal = bVal[:len(bCol)]
-		for p, j := range bCol {
-			if (j >= lo && j < hi) == comp { // masked out
-				continue
-			}
-			switch acc.State(j) {
-			case accum.NotAllowed:
-				if comp {
-					acc.StoreC(j, av*bVal[p])
-				} else {
-					acc.Store(j, av*bVal[p])
-				}
-			case accum.Set:
-				acc.SetValue(j, acc.Value(j)+av*bVal[p])
-			}
-		}
-	}
-}
-
 // msaCLoopPlusTimes is msaKernel.numericRowC's scatter with PlusTimes inlined.
 func msaCLoopPlusTimes[T loopNumeric](acc *accum.MSA[T], a, b *matrix.CSR[T], i Index) {
 	for kk := a.RowPtr[i]; kk < a.RowPtr[i+1]; kk++ {
@@ -97,29 +70,6 @@ func hashLoopPlusTimes[T loopNumeric](acc *accum.Hash[T], a, b *matrix.CSR[T], i
 	}
 }
 
-// hashProbeLoopPlusTimes is hashKernel.numericRowProbe's scatter with PlusTimes inlined.
-func hashProbeLoopPlusTimes[T loopNumeric](acc *accum.Hash[T], mp *maskProbe, a, b *matrix.CSR[T], i Index, comp bool) {
-	for kk := a.RowPtr[i]; kk < a.RowPtr[i+1]; kk++ {
-		kcol := a.Col[kk]
-		av := a.Val[kk]
-		bLo, bHi := b.RowPtr[kcol], b.RowPtr[kcol+1]
-		bCol := b.Col[bLo:bHi]
-		bVal := b.Val[bLo:bHi]
-		bVal = bVal[:len(bCol)]
-		for p, j := range bCol {
-			if mp.contains(j) == comp { // masked out
-				continue
-			}
-			slot, st := acc.ProbeC(j)
-			if st == accum.NotAllowed {
-				acc.InsertNewAtC(slot, j, av*bVal[p])
-			} else {
-				acc.SetValueAt(slot, acc.ValueAt(slot)+av*bVal[p])
-			}
-		}
-	}
-}
-
 // hashCLoopPlusTimes is hashKernel.numericRowC's scatter with PlusTimes inlined.
 func hashCLoopPlusTimes[T loopNumeric](acc *accum.Hash[T], a, b *matrix.CSR[T], i Index) {
 	for kk := a.RowPtr[i]; kk < a.RowPtr[i+1]; kk++ {
@@ -136,29 +86,6 @@ func hashCLoopPlusTimes[T loopNumeric](acc *accum.Hash[T], a, b *matrix.CSR[T], 
 				acc.InsertNewAtC(slot, j, av*bVal[p])
 			case accum.Set:
 				acc.SetValueAt(slot, acc.ValueAt(slot)+av*bVal[p])
-			}
-		}
-	}
-}
-
-// mcaProbeLoopPlusTimes is mcaKernel.numericRow's probe scatter with PlusTimes inlined.
-func mcaProbeLoopPlusTimes[T loopNumeric](acc *accum.MCA[T], mp *maskProbe, a, b *matrix.CSR[T], i Index) {
-	for kk := a.RowPtr[i]; kk < a.RowPtr[i+1]; kk++ {
-		kcol := a.Col[kk]
-		av := a.Val[kk]
-		bLo, bHi := b.RowPtr[kcol], b.RowPtr[kcol+1]
-		bCol := b.Col[bLo:bHi]
-		bVal := b.Val[bLo:bHi]
-		bVal = bVal[:len(bCol)]
-		for p, j := range bCol {
-			if !mp.contains(j) {
-				continue
-			}
-			idx := mp.pos(j)
-			if acc.State(idx) == accum.Set {
-				acc.SetValue(idx, acc.Value(idx)+av*bVal[p])
-			} else {
-				acc.Store(idx, av*bVal[p])
 			}
 		}
 	}
@@ -215,12 +142,9 @@ func probeLoopPlusTimes[T loopNumeric](state []accum.State, value []T, amax Inde
 func opLoopsPlusTimes[T loopNumeric]() opLoops[T] {
 	return opLoops[T]{
 		msa:         msaLoopPlusTimes[T],
-		msaRun:      msaRunLoopPlusTimes[T],
 		msaC:        msaCLoopPlusTimes[T],
 		hash:        hashLoopPlusTimes[T],
-		hashProbe:   hashProbeLoopPlusTimes[T],
 		hashC:       hashCLoopPlusTimes[T],
-		mcaProbe:    mcaProbeLoopPlusTimes[T],
 		mcaMerge:    mcaMergeLoopPlusTimes[T],
 		innerProbe:  probeLoopPlusTimes[T],
 		innerNoAVal: false,
@@ -258,30 +182,6 @@ func msaCountLoopPlusPair[T loopNumeric](acc *accum.MSA[T], a, b *matrix.CSR[T],
 	return cnt
 }
 
-// msaRunLoopPlusPair is msaKernel.numericRowRun's scatter with PlusPair inlined.
-func msaRunLoopPlusPair[T loopNumeric](acc *accum.MSA[T], a, b *matrix.CSR[T], i, lo, hi Index, comp bool) {
-	for kk := a.RowPtr[i]; kk < a.RowPtr[i+1]; kk++ {
-		kcol := a.Col[kk]
-		bLo, bHi := b.RowPtr[kcol], b.RowPtr[kcol+1]
-		bCol := b.Col[bLo:bHi]
-		for _, j := range bCol {
-			if (j >= lo && j < hi) == comp { // masked out
-				continue
-			}
-			switch acc.State(j) {
-			case accum.NotAllowed:
-				if comp {
-					acc.StoreC(j, T(1))
-				} else {
-					acc.Store(j, T(1))
-				}
-			case accum.Set:
-				acc.SetValue(j, acc.Value(j)+T(1))
-			}
-		}
-	}
-}
-
 // msaCLoopPlusPair is msaKernel.numericRowC's scatter with PlusPair inlined.
 func msaCLoopPlusPair[T loopNumeric](acc *accum.MSA[T], a, b *matrix.CSR[T], i Index) {
 	for kk := a.RowPtr[i]; kk < a.RowPtr[i+1]; kk++ {
@@ -317,26 +217,6 @@ func hashLoopPlusPair[T loopNumeric](acc *accum.Hash[T], a, b *matrix.CSR[T], i 
 	}
 }
 
-// hashProbeLoopPlusPair is hashKernel.numericRowProbe's scatter with PlusPair inlined.
-func hashProbeLoopPlusPair[T loopNumeric](acc *accum.Hash[T], mp *maskProbe, a, b *matrix.CSR[T], i Index, comp bool) {
-	for kk := a.RowPtr[i]; kk < a.RowPtr[i+1]; kk++ {
-		kcol := a.Col[kk]
-		bLo, bHi := b.RowPtr[kcol], b.RowPtr[kcol+1]
-		bCol := b.Col[bLo:bHi]
-		for _, j := range bCol {
-			if mp.contains(j) == comp { // masked out
-				continue
-			}
-			slot, st := acc.ProbeC(j)
-			if st == accum.NotAllowed {
-				acc.InsertNewAtC(slot, j, T(1))
-			} else {
-				acc.SetValueAt(slot, acc.ValueAt(slot)+T(1))
-			}
-		}
-	}
-}
-
 // hashCLoopPlusPair is hashKernel.numericRowC's scatter with PlusPair inlined.
 func hashCLoopPlusPair[T loopNumeric](acc *accum.Hash[T], a, b *matrix.CSR[T], i Index) {
 	for kk := a.RowPtr[i]; kk < a.RowPtr[i+1]; kk++ {
@@ -350,26 +230,6 @@ func hashCLoopPlusPair[T loopNumeric](acc *accum.Hash[T], a, b *matrix.CSR[T], i
 				acc.InsertNewAtC(slot, j, T(1))
 			case accum.Set:
 				acc.SetValueAt(slot, acc.ValueAt(slot)+T(1))
-			}
-		}
-	}
-}
-
-// mcaProbeLoopPlusPair is mcaKernel.numericRow's probe scatter with PlusPair inlined.
-func mcaProbeLoopPlusPair[T loopNumeric](acc *accum.MCA[T], mp *maskProbe, a, b *matrix.CSR[T], i Index) {
-	for kk := a.RowPtr[i]; kk < a.RowPtr[i+1]; kk++ {
-		kcol := a.Col[kk]
-		bLo, bHi := b.RowPtr[kcol], b.RowPtr[kcol+1]
-		bCol := b.Col[bLo:bHi]
-		for _, j := range bCol {
-			if !mp.contains(j) {
-				continue
-			}
-			idx := mp.pos(j)
-			if acc.State(idx) == accum.Set {
-				acc.SetValue(idx, acc.Value(idx)+T(1))
-			} else {
-				acc.Store(idx, T(1))
 			}
 		}
 	}
@@ -416,12 +276,9 @@ func probeLoopPlusPair[T loopNumeric](state []accum.State, value []T, amax Index
 func opLoopsPlusPair[T loopNumeric]() opLoops[T] {
 	return opLoops[T]{
 		msaCount:    msaCountLoopPlusPair[T],
-		msaRun:      msaRunLoopPlusPair[T],
 		msaC:        msaCLoopPlusPair[T],
 		hash:        hashLoopPlusPair[T],
-		hashProbe:   hashProbeLoopPlusPair[T],
 		hashC:       hashCLoopPlusPair[T],
-		mcaProbe:    mcaProbeLoopPlusPair[T],
 		mcaMerge:    mcaMergeLoopPlusPair[T],
 		innerProbe:  probeLoopPlusPair[T],
 		innerNoAVal: true,
@@ -441,31 +298,6 @@ func msaLoopPlusFirst[T loopNumeric](acc *accum.MSA[T], a, b *matrix.CSR[T], i I
 			switch acc.State(j) {
 			case accum.Allowed:
 				acc.Store(j, av)
-			case accum.Set:
-				acc.SetValue(j, acc.Value(j)+av)
-			}
-		}
-	}
-}
-
-// msaRunLoopPlusFirst is msaKernel.numericRowRun's scatter with PlusFirst inlined.
-func msaRunLoopPlusFirst[T loopNumeric](acc *accum.MSA[T], a, b *matrix.CSR[T], i, lo, hi Index, comp bool) {
-	for kk := a.RowPtr[i]; kk < a.RowPtr[i+1]; kk++ {
-		kcol := a.Col[kk]
-		av := a.Val[kk]
-		bLo, bHi := b.RowPtr[kcol], b.RowPtr[kcol+1]
-		bCol := b.Col[bLo:bHi]
-		for _, j := range bCol {
-			if (j >= lo && j < hi) == comp { // masked out
-				continue
-			}
-			switch acc.State(j) {
-			case accum.NotAllowed:
-				if comp {
-					acc.StoreC(j, av)
-				} else {
-					acc.Store(j, av)
-				}
 			case accum.Set:
 				acc.SetValue(j, acc.Value(j)+av)
 			}
@@ -510,27 +342,6 @@ func hashLoopPlusFirst[T loopNumeric](acc *accum.Hash[T], a, b *matrix.CSR[T], i
 	}
 }
 
-// hashProbeLoopPlusFirst is hashKernel.numericRowProbe's scatter with PlusFirst inlined.
-func hashProbeLoopPlusFirst[T loopNumeric](acc *accum.Hash[T], mp *maskProbe, a, b *matrix.CSR[T], i Index, comp bool) {
-	for kk := a.RowPtr[i]; kk < a.RowPtr[i+1]; kk++ {
-		kcol := a.Col[kk]
-		av := a.Val[kk]
-		bLo, bHi := b.RowPtr[kcol], b.RowPtr[kcol+1]
-		bCol := b.Col[bLo:bHi]
-		for _, j := range bCol {
-			if mp.contains(j) == comp { // masked out
-				continue
-			}
-			slot, st := acc.ProbeC(j)
-			if st == accum.NotAllowed {
-				acc.InsertNewAtC(slot, j, av)
-			} else {
-				acc.SetValueAt(slot, acc.ValueAt(slot)+av)
-			}
-		}
-	}
-}
-
 // hashCLoopPlusFirst is hashKernel.numericRowC's scatter with PlusFirst inlined.
 func hashCLoopPlusFirst[T loopNumeric](acc *accum.Hash[T], a, b *matrix.CSR[T], i Index) {
 	for kk := a.RowPtr[i]; kk < a.RowPtr[i+1]; kk++ {
@@ -545,27 +356,6 @@ func hashCLoopPlusFirst[T loopNumeric](acc *accum.Hash[T], a, b *matrix.CSR[T], 
 				acc.InsertNewAtC(slot, j, av)
 			case accum.Set:
 				acc.SetValueAt(slot, acc.ValueAt(slot)+av)
-			}
-		}
-	}
-}
-
-// mcaProbeLoopPlusFirst is mcaKernel.numericRow's probe scatter with PlusFirst inlined.
-func mcaProbeLoopPlusFirst[T loopNumeric](acc *accum.MCA[T], mp *maskProbe, a, b *matrix.CSR[T], i Index) {
-	for kk := a.RowPtr[i]; kk < a.RowPtr[i+1]; kk++ {
-		kcol := a.Col[kk]
-		av := a.Val[kk]
-		bLo, bHi := b.RowPtr[kcol], b.RowPtr[kcol+1]
-		bCol := b.Col[bLo:bHi]
-		for _, j := range bCol {
-			if !mp.contains(j) {
-				continue
-			}
-			idx := mp.pos(j)
-			if acc.State(idx) == accum.Set {
-				acc.SetValue(idx, acc.Value(idx)+av)
-			} else {
-				acc.Store(idx, av)
 			}
 		}
 	}
@@ -621,12 +411,9 @@ func probeLoopPlusFirst[T loopNumeric](state []accum.State, value []T, amax Inde
 func opLoopsPlusFirst[T loopNumeric]() opLoops[T] {
 	return opLoops[T]{
 		msa:         msaLoopPlusFirst[T],
-		msaRun:      msaRunLoopPlusFirst[T],
 		msaC:        msaCLoopPlusFirst[T],
 		hash:        hashLoopPlusFirst[T],
-		hashProbe:   hashProbeLoopPlusFirst[T],
 		hashC:       hashCLoopPlusFirst[T],
-		mcaProbe:    mcaProbeLoopPlusFirst[T],
 		mcaMerge:    mcaMergeLoopPlusFirst[T],
 		innerProbe:  probeLoopPlusFirst[T],
 		innerNoAVal: false,
@@ -647,32 +434,6 @@ func msaLoopPlusSecond[T loopNumeric](acc *accum.MSA[T], a, b *matrix.CSR[T], i 
 			switch acc.State(j) {
 			case accum.Allowed:
 				acc.Store(j, bVal[p])
-			case accum.Set:
-				acc.SetValue(j, acc.Value(j)+bVal[p])
-			}
-		}
-	}
-}
-
-// msaRunLoopPlusSecond is msaKernel.numericRowRun's scatter with PlusSecond inlined.
-func msaRunLoopPlusSecond[T loopNumeric](acc *accum.MSA[T], a, b *matrix.CSR[T], i, lo, hi Index, comp bool) {
-	for kk := a.RowPtr[i]; kk < a.RowPtr[i+1]; kk++ {
-		kcol := a.Col[kk]
-		bLo, bHi := b.RowPtr[kcol], b.RowPtr[kcol+1]
-		bCol := b.Col[bLo:bHi]
-		bVal := b.Val[bLo:bHi]
-		bVal = bVal[:len(bCol)]
-		for p, j := range bCol {
-			if (j >= lo && j < hi) == comp { // masked out
-				continue
-			}
-			switch acc.State(j) {
-			case accum.NotAllowed:
-				if comp {
-					acc.StoreC(j, bVal[p])
-				} else {
-					acc.Store(j, bVal[p])
-				}
 			case accum.Set:
 				acc.SetValue(j, acc.Value(j)+bVal[p])
 			}
@@ -719,28 +480,6 @@ func hashLoopPlusSecond[T loopNumeric](acc *accum.Hash[T], a, b *matrix.CSR[T], 
 	}
 }
 
-// hashProbeLoopPlusSecond is hashKernel.numericRowProbe's scatter with PlusSecond inlined.
-func hashProbeLoopPlusSecond[T loopNumeric](acc *accum.Hash[T], mp *maskProbe, a, b *matrix.CSR[T], i Index, comp bool) {
-	for kk := a.RowPtr[i]; kk < a.RowPtr[i+1]; kk++ {
-		kcol := a.Col[kk]
-		bLo, bHi := b.RowPtr[kcol], b.RowPtr[kcol+1]
-		bCol := b.Col[bLo:bHi]
-		bVal := b.Val[bLo:bHi]
-		bVal = bVal[:len(bCol)]
-		for p, j := range bCol {
-			if mp.contains(j) == comp { // masked out
-				continue
-			}
-			slot, st := acc.ProbeC(j)
-			if st == accum.NotAllowed {
-				acc.InsertNewAtC(slot, j, bVal[p])
-			} else {
-				acc.SetValueAt(slot, acc.ValueAt(slot)+bVal[p])
-			}
-		}
-	}
-}
-
 // hashCLoopPlusSecond is hashKernel.numericRowC's scatter with PlusSecond inlined.
 func hashCLoopPlusSecond[T loopNumeric](acc *accum.Hash[T], a, b *matrix.CSR[T], i Index) {
 	for kk := a.RowPtr[i]; kk < a.RowPtr[i+1]; kk++ {
@@ -756,28 +495,6 @@ func hashCLoopPlusSecond[T loopNumeric](acc *accum.Hash[T], a, b *matrix.CSR[T],
 				acc.InsertNewAtC(slot, j, bVal[p])
 			case accum.Set:
 				acc.SetValueAt(slot, acc.ValueAt(slot)+bVal[p])
-			}
-		}
-	}
-}
-
-// mcaProbeLoopPlusSecond is mcaKernel.numericRow's probe scatter with PlusSecond inlined.
-func mcaProbeLoopPlusSecond[T loopNumeric](acc *accum.MCA[T], mp *maskProbe, a, b *matrix.CSR[T], i Index) {
-	for kk := a.RowPtr[i]; kk < a.RowPtr[i+1]; kk++ {
-		kcol := a.Col[kk]
-		bLo, bHi := b.RowPtr[kcol], b.RowPtr[kcol+1]
-		bCol := b.Col[bLo:bHi]
-		bVal := b.Val[bLo:bHi]
-		bVal = bVal[:len(bCol)]
-		for p, j := range bCol {
-			if !mp.contains(j) {
-				continue
-			}
-			idx := mp.pos(j)
-			if acc.State(idx) == accum.Set {
-				acc.SetValue(idx, acc.Value(idx)+bVal[p])
-			} else {
-				acc.Store(idx, bVal[p])
 			}
 		}
 	}
@@ -833,12 +550,9 @@ func probeLoopPlusSecond[T loopNumeric](state []accum.State, value []T, amax Ind
 func opLoopsPlusSecond[T loopNumeric]() opLoops[T] {
 	return opLoops[T]{
 		msa:         msaLoopPlusSecond[T],
-		msaRun:      msaRunLoopPlusSecond[T],
 		msaC:        msaCLoopPlusSecond[T],
 		hash:        hashLoopPlusSecond[T],
-		hashProbe:   hashProbeLoopPlusSecond[T],
 		hashC:       hashCLoopPlusSecond[T],
-		mcaProbe:    mcaProbeLoopPlusSecond[T],
 		mcaMerge:    mcaMergeLoopPlusSecond[T],
 		innerProbe:  probeLoopPlusSecond[T],
 		innerNoAVal: true,
@@ -860,33 +574,6 @@ func msaLoopMinPlus[T loopNumeric](acc *accum.MSA[T], a, b *matrix.CSR[T], i Ind
 			switch acc.State(j) {
 			case accum.Allowed:
 				acc.Store(j, av+bVal[p])
-			case accum.Set:
-				acc.SetValue(j, addMin(acc.Value(j), av+bVal[p]))
-			}
-		}
-	}
-}
-
-// msaRunLoopMinPlus is msaKernel.numericRowRun's scatter with MinPlus inlined.
-func msaRunLoopMinPlus[T loopNumeric](acc *accum.MSA[T], a, b *matrix.CSR[T], i, lo, hi Index, comp bool) {
-	for kk := a.RowPtr[i]; kk < a.RowPtr[i+1]; kk++ {
-		kcol := a.Col[kk]
-		av := a.Val[kk]
-		bLo, bHi := b.RowPtr[kcol], b.RowPtr[kcol+1]
-		bCol := b.Col[bLo:bHi]
-		bVal := b.Val[bLo:bHi]
-		bVal = bVal[:len(bCol)]
-		for p, j := range bCol {
-			if (j >= lo && j < hi) == comp { // masked out
-				continue
-			}
-			switch acc.State(j) {
-			case accum.NotAllowed:
-				if comp {
-					acc.StoreC(j, av+bVal[p])
-				} else {
-					acc.Store(j, av+bVal[p])
-				}
 			case accum.Set:
 				acc.SetValue(j, addMin(acc.Value(j), av+bVal[p]))
 			}
@@ -935,29 +622,6 @@ func hashLoopMinPlus[T loopNumeric](acc *accum.Hash[T], a, b *matrix.CSR[T], i I
 	}
 }
 
-// hashProbeLoopMinPlus is hashKernel.numericRowProbe's scatter with MinPlus inlined.
-func hashProbeLoopMinPlus[T loopNumeric](acc *accum.Hash[T], mp *maskProbe, a, b *matrix.CSR[T], i Index, comp bool) {
-	for kk := a.RowPtr[i]; kk < a.RowPtr[i+1]; kk++ {
-		kcol := a.Col[kk]
-		av := a.Val[kk]
-		bLo, bHi := b.RowPtr[kcol], b.RowPtr[kcol+1]
-		bCol := b.Col[bLo:bHi]
-		bVal := b.Val[bLo:bHi]
-		bVal = bVal[:len(bCol)]
-		for p, j := range bCol {
-			if mp.contains(j) == comp { // masked out
-				continue
-			}
-			slot, st := acc.ProbeC(j)
-			if st == accum.NotAllowed {
-				acc.InsertNewAtC(slot, j, av+bVal[p])
-			} else {
-				acc.SetValueAt(slot, addMin(acc.ValueAt(slot), av+bVal[p]))
-			}
-		}
-	}
-}
-
 // hashCLoopMinPlus is hashKernel.numericRowC's scatter with MinPlus inlined.
 func hashCLoopMinPlus[T loopNumeric](acc *accum.Hash[T], a, b *matrix.CSR[T], i Index) {
 	for kk := a.RowPtr[i]; kk < a.RowPtr[i+1]; kk++ {
@@ -974,29 +638,6 @@ func hashCLoopMinPlus[T loopNumeric](acc *accum.Hash[T], a, b *matrix.CSR[T], i 
 				acc.InsertNewAtC(slot, j, av+bVal[p])
 			case accum.Set:
 				acc.SetValueAt(slot, addMin(acc.ValueAt(slot), av+bVal[p]))
-			}
-		}
-	}
-}
-
-// mcaProbeLoopMinPlus is mcaKernel.numericRow's probe scatter with MinPlus inlined.
-func mcaProbeLoopMinPlus[T loopNumeric](acc *accum.MCA[T], mp *maskProbe, a, b *matrix.CSR[T], i Index) {
-	for kk := a.RowPtr[i]; kk < a.RowPtr[i+1]; kk++ {
-		kcol := a.Col[kk]
-		av := a.Val[kk]
-		bLo, bHi := b.RowPtr[kcol], b.RowPtr[kcol+1]
-		bCol := b.Col[bLo:bHi]
-		bVal := b.Val[bLo:bHi]
-		bVal = bVal[:len(bCol)]
-		for p, j := range bCol {
-			if !mp.contains(j) {
-				continue
-			}
-			idx := mp.pos(j)
-			if acc.State(idx) == accum.Set {
-				acc.SetValue(idx, addMin(acc.Value(idx), av+bVal[p]))
-			} else {
-				acc.Store(idx, av+bVal[p])
 			}
 		}
 	}
@@ -1053,12 +694,9 @@ func probeLoopMinPlus[T loopNumeric](state []accum.State, value []T, amax Index,
 func opLoopsMinPlus[T loopNumeric]() opLoops[T] {
 	return opLoops[T]{
 		msa:         msaLoopMinPlus[T],
-		msaRun:      msaRunLoopMinPlus[T],
 		msaC:        msaCLoopMinPlus[T],
 		hash:        hashLoopMinPlus[T],
-		hashProbe:   hashProbeLoopMinPlus[T],
 		hashC:       hashCLoopMinPlus[T],
-		mcaProbe:    mcaProbeLoopMinPlus[T],
 		mcaMerge:    mcaMergeLoopMinPlus[T],
 		innerProbe:  probeLoopMinPlus[T],
 		innerNoAVal: false,
@@ -1080,33 +718,6 @@ func msaLoopMaxTimes[T loopNumeric](acc *accum.MSA[T], a, b *matrix.CSR[T], i In
 			switch acc.State(j) {
 			case accum.Allowed:
 				acc.Store(j, av*bVal[p])
-			case accum.Set:
-				acc.SetValue(j, addMax(acc.Value(j), av*bVal[p]))
-			}
-		}
-	}
-}
-
-// msaRunLoopMaxTimes is msaKernel.numericRowRun's scatter with MaxTimes inlined.
-func msaRunLoopMaxTimes[T loopNumeric](acc *accum.MSA[T], a, b *matrix.CSR[T], i, lo, hi Index, comp bool) {
-	for kk := a.RowPtr[i]; kk < a.RowPtr[i+1]; kk++ {
-		kcol := a.Col[kk]
-		av := a.Val[kk]
-		bLo, bHi := b.RowPtr[kcol], b.RowPtr[kcol+1]
-		bCol := b.Col[bLo:bHi]
-		bVal := b.Val[bLo:bHi]
-		bVal = bVal[:len(bCol)]
-		for p, j := range bCol {
-			if (j >= lo && j < hi) == comp { // masked out
-				continue
-			}
-			switch acc.State(j) {
-			case accum.NotAllowed:
-				if comp {
-					acc.StoreC(j, av*bVal[p])
-				} else {
-					acc.Store(j, av*bVal[p])
-				}
 			case accum.Set:
 				acc.SetValue(j, addMax(acc.Value(j), av*bVal[p]))
 			}
@@ -1155,29 +766,6 @@ func hashLoopMaxTimes[T loopNumeric](acc *accum.Hash[T], a, b *matrix.CSR[T], i 
 	}
 }
 
-// hashProbeLoopMaxTimes is hashKernel.numericRowProbe's scatter with MaxTimes inlined.
-func hashProbeLoopMaxTimes[T loopNumeric](acc *accum.Hash[T], mp *maskProbe, a, b *matrix.CSR[T], i Index, comp bool) {
-	for kk := a.RowPtr[i]; kk < a.RowPtr[i+1]; kk++ {
-		kcol := a.Col[kk]
-		av := a.Val[kk]
-		bLo, bHi := b.RowPtr[kcol], b.RowPtr[kcol+1]
-		bCol := b.Col[bLo:bHi]
-		bVal := b.Val[bLo:bHi]
-		bVal = bVal[:len(bCol)]
-		for p, j := range bCol {
-			if mp.contains(j) == comp { // masked out
-				continue
-			}
-			slot, st := acc.ProbeC(j)
-			if st == accum.NotAllowed {
-				acc.InsertNewAtC(slot, j, av*bVal[p])
-			} else {
-				acc.SetValueAt(slot, addMax(acc.ValueAt(slot), av*bVal[p]))
-			}
-		}
-	}
-}
-
 // hashCLoopMaxTimes is hashKernel.numericRowC's scatter with MaxTimes inlined.
 func hashCLoopMaxTimes[T loopNumeric](acc *accum.Hash[T], a, b *matrix.CSR[T], i Index) {
 	for kk := a.RowPtr[i]; kk < a.RowPtr[i+1]; kk++ {
@@ -1194,29 +782,6 @@ func hashCLoopMaxTimes[T loopNumeric](acc *accum.Hash[T], a, b *matrix.CSR[T], i
 				acc.InsertNewAtC(slot, j, av*bVal[p])
 			case accum.Set:
 				acc.SetValueAt(slot, addMax(acc.ValueAt(slot), av*bVal[p]))
-			}
-		}
-	}
-}
-
-// mcaProbeLoopMaxTimes is mcaKernel.numericRow's probe scatter with MaxTimes inlined.
-func mcaProbeLoopMaxTimes[T loopNumeric](acc *accum.MCA[T], mp *maskProbe, a, b *matrix.CSR[T], i Index) {
-	for kk := a.RowPtr[i]; kk < a.RowPtr[i+1]; kk++ {
-		kcol := a.Col[kk]
-		av := a.Val[kk]
-		bLo, bHi := b.RowPtr[kcol], b.RowPtr[kcol+1]
-		bCol := b.Col[bLo:bHi]
-		bVal := b.Val[bLo:bHi]
-		bVal = bVal[:len(bCol)]
-		for p, j := range bCol {
-			if !mp.contains(j) {
-				continue
-			}
-			idx := mp.pos(j)
-			if acc.State(idx) == accum.Set {
-				acc.SetValue(idx, addMax(acc.Value(idx), av*bVal[p]))
-			} else {
-				acc.Store(idx, av*bVal[p])
 			}
 		}
 	}
@@ -1273,12 +838,9 @@ func probeLoopMaxTimes[T loopNumeric](state []accum.State, value []T, amax Index
 func opLoopsMaxTimes[T loopNumeric]() opLoops[T] {
 	return opLoops[T]{
 		msa:         msaLoopMaxTimes[T],
-		msaRun:      msaRunLoopMaxTimes[T],
 		msaC:        msaCLoopMaxTimes[T],
 		hash:        hashLoopMaxTimes[T],
-		hashProbe:   hashProbeLoopMaxTimes[T],
 		hashC:       hashCLoopMaxTimes[T],
-		mcaProbe:    mcaProbeLoopMaxTimes[T],
 		mcaMerge:    mcaMergeLoopMaxTimes[T],
 		innerProbe:  probeLoopMaxTimes[T],
 		innerNoAVal: false,
@@ -1300,33 +862,6 @@ func msaLoopOrAnd[T loopBool](acc *accum.MSA[T], a, b *matrix.CSR[T], i Index) {
 			switch acc.State(j) {
 			case accum.Allowed:
 				acc.Store(j, av && bVal[p])
-			case accum.Set:
-				acc.SetValue(j, acc.Value(j) || av && bVal[p])
-			}
-		}
-	}
-}
-
-// msaRunLoopOrAnd is msaKernel.numericRowRun's scatter with OrAnd inlined.
-func msaRunLoopOrAnd[T loopBool](acc *accum.MSA[T], a, b *matrix.CSR[T], i, lo, hi Index, comp bool) {
-	for kk := a.RowPtr[i]; kk < a.RowPtr[i+1]; kk++ {
-		kcol := a.Col[kk]
-		av := a.Val[kk]
-		bLo, bHi := b.RowPtr[kcol], b.RowPtr[kcol+1]
-		bCol := b.Col[bLo:bHi]
-		bVal := b.Val[bLo:bHi]
-		bVal = bVal[:len(bCol)]
-		for p, j := range bCol {
-			if (j >= lo && j < hi) == comp { // masked out
-				continue
-			}
-			switch acc.State(j) {
-			case accum.NotAllowed:
-				if comp {
-					acc.StoreC(j, av && bVal[p])
-				} else {
-					acc.Store(j, av && bVal[p])
-				}
 			case accum.Set:
 				acc.SetValue(j, acc.Value(j) || av && bVal[p])
 			}
@@ -1375,29 +910,6 @@ func hashLoopOrAnd[T loopBool](acc *accum.Hash[T], a, b *matrix.CSR[T], i Index)
 	}
 }
 
-// hashProbeLoopOrAnd is hashKernel.numericRowProbe's scatter with OrAnd inlined.
-func hashProbeLoopOrAnd[T loopBool](acc *accum.Hash[T], mp *maskProbe, a, b *matrix.CSR[T], i Index, comp bool) {
-	for kk := a.RowPtr[i]; kk < a.RowPtr[i+1]; kk++ {
-		kcol := a.Col[kk]
-		av := a.Val[kk]
-		bLo, bHi := b.RowPtr[kcol], b.RowPtr[kcol+1]
-		bCol := b.Col[bLo:bHi]
-		bVal := b.Val[bLo:bHi]
-		bVal = bVal[:len(bCol)]
-		for p, j := range bCol {
-			if mp.contains(j) == comp { // masked out
-				continue
-			}
-			slot, st := acc.ProbeC(j)
-			if st == accum.NotAllowed {
-				acc.InsertNewAtC(slot, j, av && bVal[p])
-			} else {
-				acc.SetValueAt(slot, acc.ValueAt(slot) || av && bVal[p])
-			}
-		}
-	}
-}
-
 // hashCLoopOrAnd is hashKernel.numericRowC's scatter with OrAnd inlined.
 func hashCLoopOrAnd[T loopBool](acc *accum.Hash[T], a, b *matrix.CSR[T], i Index) {
 	for kk := a.RowPtr[i]; kk < a.RowPtr[i+1]; kk++ {
@@ -1414,29 +926,6 @@ func hashCLoopOrAnd[T loopBool](acc *accum.Hash[T], a, b *matrix.CSR[T], i Index
 				acc.InsertNewAtC(slot, j, av && bVal[p])
 			case accum.Set:
 				acc.SetValueAt(slot, acc.ValueAt(slot) || av && bVal[p])
-			}
-		}
-	}
-}
-
-// mcaProbeLoopOrAnd is mcaKernel.numericRow's probe scatter with OrAnd inlined.
-func mcaProbeLoopOrAnd[T loopBool](acc *accum.MCA[T], mp *maskProbe, a, b *matrix.CSR[T], i Index) {
-	for kk := a.RowPtr[i]; kk < a.RowPtr[i+1]; kk++ {
-		kcol := a.Col[kk]
-		av := a.Val[kk]
-		bLo, bHi := b.RowPtr[kcol], b.RowPtr[kcol+1]
-		bCol := b.Col[bLo:bHi]
-		bVal := b.Val[bLo:bHi]
-		bVal = bVal[:len(bCol)]
-		for p, j := range bCol {
-			if !mp.contains(j) {
-				continue
-			}
-			idx := mp.pos(j)
-			if acc.State(idx) == accum.Set {
-				acc.SetValue(idx, acc.Value(idx) || av && bVal[p])
-			} else {
-				acc.Store(idx, av && bVal[p])
 			}
 		}
 	}
@@ -1493,12 +982,9 @@ func probeLoopOrAnd[T loopBool](state []accum.State, value []T, amax Index, bIdx
 func opLoopsOrAnd[T loopBool]() opLoops[T] {
 	return opLoops[T]{
 		msa:         msaLoopOrAnd[T],
-		msaRun:      msaRunLoopOrAnd[T],
 		msaC:        msaCLoopOrAnd[T],
 		hash:        hashLoopOrAnd[T],
-		hashProbe:   hashProbeLoopOrAnd[T],
 		hashC:       hashCLoopOrAnd[T],
-		mcaProbe:    mcaProbeLoopOrAnd[T],
 		mcaMerge:    mcaMergeLoopOrAnd[T],
 		innerProbe:  probeLoopOrAnd[T],
 		innerNoAVal: false,

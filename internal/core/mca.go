@@ -10,42 +10,29 @@ import (
 // SpGEVM (§5.4): the accumulator is indexed by mask *position* rather than
 // column id, so its arrays are only nnz(mask row) long.
 //
-// The mask representation decides how B entries find their mask position.
-// Under the CSR representation each nonzero A_ik merges the sorted B row
-// B_k* against the sorted mask row — O(nnz(m_i) + nnz(B_k*)) per A entry,
-// which for dense mask rows re-walks the whole mask once per A entry. Under
-// the bitmap representation membership is a single O(1) probe per flop and
-// only the *hits* pay a binary search for their position; under the
-// dense-run representation the position is j-lo with no scatter at all.
+// Each nonzero A_ik merges the sorted B row B_k* against the sorted mask
+// row (Algorithm 3 lines 4-8), so a B entry's mask position is the merge
+// index: O(nnz(m_i) + nnz(B_k*)) per A entry.
 //
 // Requires sorted mask and B rows; does not support complemented masks.
 // Generic over the operator type O (see msaKernel).
 type mcaKernel[T any, O semiring.Ops[T]] struct {
-	m     *matrix.Pattern
-	a, b  *matrix.CSR[T]
-	ops   O
-	lp    opLoops[T] // monomorphized scatter loops; zero → generic ops loops
-	acc   *accum.MCA[T]
-	probe *maskProbe // nil for the CSR merge path
+	m    *matrix.Pattern
+	a, b *matrix.CSR[T]
+	ops  O
+	lp   opLoops[T] // monomorphized scatter loops; zero → generic ops loops
+	acc  *accum.MCA[T]
 }
 
-func newMCAKernelFactory[T any, O semiring.Ops[T]](m *matrix.Pattern, a, b *matrix.CSR[T], ops O, lp opLoops[T], rep MaskRep, ws *Workspaces) func() kernel[T] {
+func newMCAKernelFactory[T any, O semiring.Ops[T]](m *matrix.Pattern, a, b *matrix.CSR[T], ops O, lp opLoops[T], ws *Workspaces) func() kernel[T] {
 	return func() kernel[T] {
-		k := &mcaKernel[T, O]{m: m, a: a, b: b, ops: ops, lp: lp, acc: wsGetMCA[T](ws, 64)}
-		if rep == RepBitmap || rep == RepDense {
-			k.probe = newMaskProbe(m, rep, ws)
-		}
-		return k
+		return &mcaKernel[T, O]{m: m, a: a, b: b, ops: ops, lp: lp, acc: wsGetMCA[T](ws, 64)}
 	}
 }
 
 func (k *mcaKernel[T, O]) recycle(ws *Workspaces) {
 	wsPutMCA(ws, k.acc)
 	k.acc = nil
-	if k.probe != nil {
-		k.probe.recycle(ws)
-		k.probe = nil
-	}
 }
 
 func (k *mcaKernel[T, O]) numericRow(i Index, col []Index, val []T) Index {
@@ -55,33 +42,7 @@ func (k *mcaKernel[T, O]) numericRow(i Index, col []Index, val []T) Index {
 	}
 	acc, a, b, ops := k.acc, k.a, k.b, k.ops
 	acc.Prepare(len(mrow))
-	if p := k.probe; p != nil {
-		p.begin(i)
-		if k.lp.mcaProbe != nil {
-			k.lp.mcaProbe(acc, p, a, b, i)
-		} else {
-			for kk := a.RowPtr[i]; kk < a.RowPtr[i+1]; kk++ {
-				kcol := a.Col[kk]
-				av := a.Val[kk]
-				bLo, bHi := b.RowPtr[kcol], b.RowPtr[kcol+1]
-				bCol := b.Col[bLo:bHi]
-				bVal := b.Val[bLo:bHi]
-				bVal = bVal[:len(bCol)]
-				for bi, j := range bCol {
-					if !p.contains(j) {
-						continue
-					}
-					idx := p.pos(j)
-					if acc.State(idx) == accum.Set {
-						acc.SetValue(idx, ops.Add(acc.Value(idx), ops.Mul(av, bVal[bi])))
-					} else {
-						acc.Store(idx, ops.Mul(av, bVal[bi]))
-					}
-				}
-			}
-		}
-		p.end()
-	} else if k.lp.mcaMerge != nil {
+	if k.lp.mcaMerge != nil {
 		k.lp.mcaMerge(acc, a, b, i, mrow)
 	} else {
 		for kk := a.RowPtr[i]; kk < a.RowPtr[i+1]; kk++ {
@@ -126,33 +87,19 @@ func (k *mcaKernel[T, O]) symbolicRow(i Index) Index {
 	}
 	acc, a, b := k.acc, k.a, k.b
 	acc.Prepare(len(mrow))
-	if p := k.probe; p != nil {
-		p.begin(i)
-		for kk := a.RowPtr[i]; kk < a.RowPtr[i+1]; kk++ {
-			kcol := a.Col[kk]
-			for bi := b.RowPtr[kcol]; bi < b.RowPtr[kcol+1]; bi++ {
-				j := b.Col[bi]
-				if p.contains(j) {
-					acc.Mark(p.pos(j))
-				}
+	for kk := a.RowPtr[i]; kk < a.RowPtr[i+1]; kk++ {
+		kcol := a.Col[kk]
+		bLo, bHi := b.RowPtr[kcol], b.RowPtr[kcol+1]
+		bi := bLo
+		for idx, j := range mrow {
+			for bi < bHi && b.Col[bi] < j {
+				bi++
 			}
-		}
-		p.end()
-	} else {
-		for kk := a.RowPtr[i]; kk < a.RowPtr[i+1]; kk++ {
-			kcol := a.Col[kk]
-			bLo, bHi := b.RowPtr[kcol], b.RowPtr[kcol+1]
-			bi := bLo
-			for idx, j := range mrow {
-				for bi < bHi && b.Col[bi] < j {
-					bi++
-				}
-				if bi >= bHi {
-					break
-				}
-				if b.Col[bi] == j {
-					acc.Mark(Index(idx))
-				}
+			if bi >= bHi {
+				break
+			}
+			if b.Col[bi] == j {
+				acc.Mark(Index(idx))
 			}
 		}
 	}

@@ -15,13 +15,6 @@ import (
 // have no mask order to gather in; they gather the insertion log, which
 // the MSA's two-level bitmap puts in column order (accum.MSA.OrderInserted).
 //
-// The MSA's dense state array is itself a direct-index mask representation,
-// so the bitmap adds nothing here; only the dense-run representation changes
-// execution. A mask row that is a contiguous run [lo,hi) skips the
-// SetAllowed/SetNotAllowed scatter (and the complement path's mask-row
-// reset): membership is the range check, with the state array used purely
-// for accumulation. Non-run rows fall back to the scatter row by row.
-//
 // The kernel is generic over the operator type O: instantiated for a named
 // zero-size operator (semiring.PlusPairF64, ...) the ops.Mul/ops.Add calls
 // in the scatter loops inline; instantiated for semiring.FuncOps it computes
@@ -29,18 +22,17 @@ import (
 // paths are bit-identical. The numeric loops hoist each B row into local
 // subslices so the per-flop loads are bounds-check-free.
 type msaKernel[T any, O semiring.Ops[T]] struct {
-	m     *matrix.Pattern
-	a, b  *matrix.CSR[T]
-	ops   O
-	lp    opLoops[T] // monomorphized scatter loops; zero → generic ops loops
-	comp  bool
-	dense bool // RepDense: direct-index contiguous mask rows
-	acc   *accum.MSA[T]
+	m    *matrix.Pattern
+	a, b *matrix.CSR[T]
+	ops  O
+	lp   opLoops[T] // monomorphized scatter loops; zero → generic ops loops
+	comp bool
+	acc  *accum.MSA[T]
 }
 
-func newMSAKernelFactory[T any, O semiring.Ops[T]](m *matrix.Pattern, a, b *matrix.CSR[T], ops O, lp opLoops[T], comp bool, rep MaskRep, ws *Workspaces) func() kernel[T] {
+func newMSAKernelFactory[T any, O semiring.Ops[T]](m *matrix.Pattern, a, b *matrix.CSR[T], ops O, lp opLoops[T], comp bool, ws *Workspaces) func() kernel[T] {
 	return func() kernel[T] {
-		return &msaKernel[T, O]{m: m, a: a, b: b, ops: ops, lp: lp, comp: comp, dense: rep == RepDense,
+		return &msaKernel[T, O]{m: m, a: a, b: b, ops: ops, lp: lp, comp: comp,
 			acc: wsGetMSA[T](ws, int(b.NCols))}
 	}
 }
@@ -50,66 +42,7 @@ func (k *msaKernel[T, O]) recycle(ws *Workspaces) {
 	k.acc = nil
 }
 
-// numericRowRun is the dense-run numeric row: no mask scatter, membership by
-// range check. In normal mode the in-run default state NotAllowed plays the
-// role of Allowed; in complement mode in-run columns are skipped outright
-// and the ordered insertion log drives the gather as in numericRowC.
-func (k *msaKernel[T, O]) numericRowRun(i Index, lo, hi Index, col []Index, val []T) Index {
-	mrow := k.m.Row(i)
-	acc, a, b, ops := k.acc, k.a, k.b, k.ops
-	if k.lp.msaRun != nil {
-		k.lp.msaRun(acc, a, b, i, lo, hi, k.comp)
-	} else {
-		for kk := a.RowPtr[i]; kk < a.RowPtr[i+1]; kk++ {
-			kcol := a.Col[kk]
-			av := a.Val[kk]
-			bLo, bHi := b.RowPtr[kcol], b.RowPtr[kcol+1]
-			bCol := b.Col[bLo:bHi]
-			bVal := b.Val[bLo:bHi]
-			bVal = bVal[:len(bCol)]
-			for p, j := range bCol {
-				if (j >= lo && j < hi) == k.comp { // masked out
-					continue
-				}
-				switch acc.State(j) {
-				case accum.NotAllowed:
-					if k.comp {
-						acc.StoreC(j, ops.Mul(av, bVal[p]))
-					} else {
-						acc.Store(j, ops.Mul(av, bVal[p]))
-					}
-				case accum.Set:
-					acc.SetValue(j, ops.Add(acc.Value(j), ops.Mul(av, bVal[p])))
-				}
-			}
-		}
-	}
-	var cnt Index
-	if k.comp {
-		for _, j := range acc.OrderInserted() {
-			col[cnt] = j
-			val[cnt] = acc.Value(j)
-			cnt++
-		}
-		acc.ResetC(nil) // no Excluded marks were scattered
-		return cnt
-	}
-	for _, j := range mrow {
-		if v, ok := acc.Remove(j); ok {
-			col[cnt] = j
-			val[cnt] = v
-			cnt++
-		}
-	}
-	return cnt
-}
-
 func (k *msaKernel[T, O]) numericRow(i Index, col []Index, val []T) Index {
-	if k.dense {
-		if lo, hi, ok := matrix.RowRun(k.m.Row(i)); ok {
-			return k.numericRowRun(i, lo, hi, col, val)
-		}
-	}
 	if k.comp {
 		return k.numericRowC(i, col, val)
 	}
@@ -195,47 +128,7 @@ func (k *msaKernel[T, O]) numericRowC(i Index, col []Index, val []T) Index {
 	return cnt
 }
 
-// symbolicRowRun is the dense-run symbolic row: range-check membership, no
-// mask scatter.
-func (k *msaKernel[T, O]) symbolicRowRun(i Index, lo, hi Index) Index {
-	mrow := k.m.Row(i)
-	acc, a, b := k.acc, k.a, k.b
-	for kk := a.RowPtr[i]; kk < a.RowPtr[i+1]; kk++ {
-		kcol := a.Col[kk]
-		for p := b.RowPtr[kcol]; p < b.RowPtr[kcol+1]; p++ {
-			j := b.Col[p]
-			if (j >= lo && j < hi) == k.comp {
-				continue
-			}
-			if acc.State(j) == accum.NotAllowed {
-				if k.comp {
-					acc.MarkC(j)
-				} else {
-					acc.Mark(j)
-				}
-			}
-		}
-	}
-	if k.comp {
-		cnt := Index(len(acc.Inserted()))
-		acc.ResetC(nil)
-		return cnt
-	}
-	var cnt Index
-	for _, j := range mrow {
-		if _, ok := acc.Remove(j); ok {
-			cnt++
-		}
-	}
-	return cnt
-}
-
 func (k *msaKernel[T, O]) symbolicRow(i Index) Index {
-	if k.dense {
-		if lo, hi, ok := matrix.RowRun(k.m.Row(i)); ok {
-			return k.symbolicRowRun(i, lo, hi)
-		}
-	}
 	acc, a, b := k.acc, k.a, k.b
 	mrow := k.m.Row(i)
 	if k.comp {

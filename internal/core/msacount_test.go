@@ -84,30 +84,28 @@ func checkCounts[T int64 | float64](t *testing.T, label string, c *matrix.CSR[T]
 }
 
 // TestMSACountingContract pins the plus-pair counting scatter's output
-// contract on both element types, both MSA phases and the CSR and bitmap
-// mask representations: uncontributed mask keys and empty mask rows yield
-// nothing, and a 1200-contribution entry counts exactly.
+// contract on both element types and both MSA phases: uncontributed mask
+// keys and empty mask rows yield nothing, and a 1200-contribution entry
+// counts exactly.
 func TestMSACountingContract(t *testing.T) {
 	mask, af, bf, want := countingCase()
 	toI64 := func(v float64) int64 { return int64(v) }
 	ai, bi := matrix.MapValues(af, toI64), matrix.MapValues(bf, toI64)
 	for _, phase := range []Phase{OnePhase, TwoPhase} {
 		v := Variant{MSA, phase}
-		for _, rep := range []MaskRep{RepCSR, RepBitmap} {
-			for _, threads := range []int{1, 2} {
-				opt := Options{Threads: threads, Grain: 1}
-				label := v.Name() + "/" + rep.String()
-				cf, err := runRep(v, rep, mask, af, bf, semiring.PlusPairF(), opt)
-				if err != nil {
-					t.Fatalf("%s PlusPairF: %v", label, err)
-				}
-				checkCounts(t, label+"/PlusPairF", cf, want)
-				ci, err := runRep(v, rep, mask, ai, bi, semiring.PlusPair(), opt)
-				if err != nil {
-					t.Fatalf("%s PlusPair: %v", label, err)
-				}
-				checkCounts(t, label+"/PlusPair", ci, want)
+		for _, threads := range []int{1, 2} {
+			opt := Options{Threads: threads, Grain: 1}
+			label := v.Name()
+			cf, err := runBlock(v, mask, af, bf, semiring.PlusPairF(), opt)
+			if err != nil {
+				t.Fatalf("%s PlusPairF: %v", label, err)
 			}
+			checkCounts(t, label+"/PlusPairF", cf, want)
+			ci, err := runBlock(v, mask, ai, bi, semiring.PlusPair(), opt)
+			if err != nil {
+				t.Fatalf("%s PlusPair: %v", label, err)
+			}
+			checkCounts(t, label+"/PlusPair", ci, want)
 		}
 	}
 }
@@ -190,12 +188,12 @@ func TestMSACountingWorkspaceReuse(t *testing.T) {
 		ws := NewWorkspaces()
 		for _, st := range steps {
 			opt := Options{Threads: 1}
-			want, err := runRep(v, RepCSR, st.mask, a, b, st.sr, opt)
+			want, err := runBlock(v, st.mask, a, b, st.sr, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
 			opt.Workspaces = ws
-			got, err := runRep(v, RepCSR, st.mask, a, b, st.sr, opt)
+			got, err := runBlock(v, st.mask, a, b, st.sr, opt)
 			if err != nil {
 				t.Fatal(err)
 			}

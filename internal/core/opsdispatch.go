@@ -57,25 +57,25 @@ func OpsMode[T any](sr semiring.Semiring[T]) string {
 // family with a concrete operator type O and the matching monomorphized
 // loop set lp (zero for the funcptr fallback). The Heap families take no
 // loop set: their multiply-add sits under a heap pop, so there is no inner
-// sweep to monomorphize (see opLoops). rep must already be resolved via
-// SupportedMaskRep. bcsc may be nil except that Inner then transposes b.
-func opsKernelFactory[T any, O semiring.Ops[T]](alg Algorithm, rep MaskRep, m *matrix.Pattern, a, b *matrix.CSR[T], bcsc *matrix.CSC[T], ops O, lp opLoops[T], complement bool, ws *Workspaces) (func() kernel[T], error) {
+// sweep to monomorphize (see opLoops). bcsc may be nil; Inner then
+// transposes b.
+func opsKernelFactory[T any, O semiring.Ops[T]](alg Algorithm, m *matrix.Pattern, a, b *matrix.CSR[T], bcsc *matrix.CSC[T], ops O, lp opLoops[T], complement bool, ws *Workspaces) (func() kernel[T], error) {
 	switch alg {
 	case MSA:
-		return newMSAKernelFactory(m, a, b, ops, lp, complement, rep, ws), nil
+		return newMSAKernelFactory(m, a, b, ops, lp, complement, ws), nil
 	case Hash:
-		return newHashKernelFactory(m, a, b, ops, lp, complement, rep, ws), nil
+		return newHashKernelFactory(m, a, b, ops, lp, complement, ws), nil
 	case MCA:
-		return newMCAKernelFactory(m, a, b, ops, lp, rep, ws), nil
+		return newMCAKernelFactory(m, a, b, ops, lp, ws), nil
 	case Heap:
-		return newHeapKernelFactory(m, a, b, ops, complement, 1, rep, ws), nil
+		return newHeapKernelFactory(m, a, b, ops, complement, 1, ws), nil
 	case HeapDot:
-		return newHeapKernelFactory(m, a, b, ops, complement, nInspectAll, rep, ws), nil
+		return newHeapKernelFactory(m, a, b, ops, complement, nInspectAll, ws), nil
 	case Inner:
 		if bcsc == nil {
 			bcsc = matrix.ToCSC(b)
 		}
-		return newInnerKernelFactory(m, a, bcsc, ops, lp, complement, rep, ws), nil
+		return newInnerKernelFactory(m, a, bcsc, ops, lp, complement, ws), nil
 	}
 	return nil, fmt.Errorf("core: unknown algorithm %d", alg)
 }
@@ -87,26 +87,26 @@ func opsKernelFactory[T any, O semiring.Ops[T]](alg Algorithm, rep MaskRep, m *m
 // (element, operator) type pair and the matching generated loop set from
 // loops_gen.go, whose Add/Mul are spelled out as direct expressions — the
 // form the compiler actually monomorphizes (see opLoops).
-func specializedFactory[T any](alg Algorithm, rep MaskRep, m *matrix.Pattern, a, b *matrix.CSR[T], bcsc *matrix.CSC[T], sr semiring.Semiring[T], complement bool, ws *Workspaces) func() kernel[T] {
+func specializedFactory[T any](alg Algorithm, m *matrix.Pattern, a, b *matrix.CSR[T], bcsc *matrix.CSC[T], sr semiring.Semiring[T], complement bool, ws *Workspaces) func() kernel[T] {
 	switch ops := any(sr.Ops).(type) {
 	case semiring.PlusTimesF64:
-		return monoFactory[float64](alg, rep, m, a, b, bcsc, ops, opLoopsPlusTimes[float64](), complement, ws)
+		return monoFactory[float64](alg, m, a, b, bcsc, ops, opLoopsPlusTimes[float64](), complement, ws)
 	case semiring.PlusTimesI64:
-		return monoFactory[int64](alg, rep, m, a, b, bcsc, ops, opLoopsPlusTimes[int64](), complement, ws)
+		return monoFactory[int64](alg, m, a, b, bcsc, ops, opLoopsPlusTimes[int64](), complement, ws)
 	case semiring.PlusPairI64:
-		return monoFactory[int64](alg, rep, m, a, b, bcsc, ops, opLoopsPlusPair[int64](), complement, ws)
+		return monoFactory[int64](alg, m, a, b, bcsc, ops, opLoopsPlusPair[int64](), complement, ws)
 	case semiring.PlusPairF64:
-		return monoFactory[float64](alg, rep, m, a, b, bcsc, ops, opLoopsPlusPair[float64](), complement, ws)
+		return monoFactory[float64](alg, m, a, b, bcsc, ops, opLoopsPlusPair[float64](), complement, ws)
 	case semiring.OrAndBool:
-		return monoFactory[bool](alg, rep, m, a, b, bcsc, ops, opLoopsOrAnd[bool](), complement, ws)
+		return monoFactory[bool](alg, m, a, b, bcsc, ops, opLoopsOrAnd[bool](), complement, ws)
 	case semiring.MinPlusF64:
-		return monoFactory[float64](alg, rep, m, a, b, bcsc, ops, opLoopsMinPlus[float64](), complement, ws)
+		return monoFactory[float64](alg, m, a, b, bcsc, ops, opLoopsMinPlus[float64](), complement, ws)
 	case semiring.PlusSecondF64:
-		return monoFactory[float64](alg, rep, m, a, b, bcsc, ops, opLoopsPlusSecond[float64](), complement, ws)
+		return monoFactory[float64](alg, m, a, b, bcsc, ops, opLoopsPlusSecond[float64](), complement, ws)
 	case semiring.PlusFirstF64:
-		return monoFactory[float64](alg, rep, m, a, b, bcsc, ops, opLoopsPlusFirst[float64](), complement, ws)
+		return monoFactory[float64](alg, m, a, b, bcsc, ops, opLoopsPlusFirst[float64](), complement, ws)
 	case semiring.MaxTimesF64:
-		return monoFactory[float64](alg, rep, m, a, b, bcsc, ops, opLoopsMaxTimes[float64](), complement, ws)
+		return monoFactory[float64](alg, m, a, b, bcsc, ops, opLoopsMaxTimes[float64](), complement, ws)
 	}
 	return nil
 }
@@ -117,7 +117,7 @@ func specializedFactory[T any](alg Algorithm, rep MaskRep, m *matrix.Pattern, a,
 // the same type — guaranteed already by the Ops[T] field's type, but
 // checked anyway so a mismatch degrades to the funcptr fallback instead of
 // panicking.
-func monoFactory[U any, O semiring.Ops[U], T any](alg Algorithm, rep MaskRep, m *matrix.Pattern, a, b *matrix.CSR[T], bcsc *matrix.CSC[T], ops O, lp opLoops[U], complement bool, ws *Workspaces) func() kernel[T] {
+func monoFactory[U any, O semiring.Ops[U], T any](alg Algorithm, m *matrix.Pattern, a, b *matrix.CSR[T], bcsc *matrix.CSC[T], ops O, lp opLoops[U], complement bool, ws *Workspaces) func() kernel[T] {
 	au, ok := any(a).(*matrix.CSR[U])
 	if !ok {
 		return nil
@@ -132,7 +132,7 @@ func monoFactory[U any, O semiring.Ops[U], T any](alg Algorithm, rep MaskRep, m 
 			return nil
 		}
 	}
-	f, err := opsKernelFactory(alg, rep, m, au, bu, bcscU, ops, lp, complement, ws)
+	f, err := opsKernelFactory(alg, m, au, bu, bcscU, ops, lp, complement, ws)
 	if err != nil {
 		return nil
 	}

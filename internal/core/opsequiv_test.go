@@ -9,10 +9,10 @@ import (
 	"repro/internal/semiring"
 )
 
-// opsEquivCase runs one semiring through every variant × mask rep ×
-// schedule (no cost profile, a skewed one) twice — once with the named operator type (monomorphized loops) and once
-// with the funcptr fallback (Ops stripped) — and requires bit-identical
-// output. This is the contract loops_gen.go is generated under: the
+// opsEquivCase runs one semiring through every variant × mask mode ×
+// schedule (no cost profile, a skewed one) twice — once with the named
+// operator type (monomorphized loops) and once with the funcptr fallback
+// (Ops stripped) — and requires bit-identical output. This is the contract loops_gen.go is generated under: the
 // specialized loops replicate the generic ops loops' operation order
 // exactly, so inlining must never change result bits.
 func opsEquivCase[T any](t *testing.T, sr semiring.Semiring[T], mask *matrix.Pattern, a, b *matrix.CSR[T], eq func(T, T) bool) {
@@ -38,20 +38,18 @@ func opsEquivPair[T any](t *testing.T, sr, fp semiring.Semiring[T], mask *matrix
 			if comp && !v.SupportsComplement() {
 				continue
 			}
-			for _, rep := range []MaskRep{RepCSR, RepBitmap, RepDense} {
-				for _, sc := range scheds {
-					opt := Options{Threads: 2, Grain: 3, Complement: comp, RowCosts: sc.rc}
-					want, err := runRep(v, rep, mask, a, b, fp, opt)
-					if err != nil {
-						t.Fatalf("%s %s comp=%v rep=%s profile=%s funcptr: %v", sr.Name, v.Name(), comp, rep, sc.name, err)
-					}
-					got, err := runRep(v, rep, mask, a, b, sr, opt)
-					if err != nil {
-						t.Fatalf("%s %s comp=%v rep=%s profile=%s inlined: %v", sr.Name, v.Name(), comp, rep, sc.name, err)
-					}
-					if !matrix.Equal(got, want, eq) {
-						t.Fatalf("%s %s comp=%v rep=%s profile=%s: inlined result not bit-identical to funcptr", sr.Name, v.Name(), comp, rep, sc.name)
-					}
+			for _, sc := range scheds {
+				opt := Options{Threads: 2, Grain: 3, Complement: comp, RowCosts: sc.rc}
+				want, err := runBlock(v, mask, a, b, fp, opt)
+				if err != nil {
+					t.Fatalf("%s %s comp=%v profile=%s funcptr: %v", sr.Name, v.Name(), comp, sc.name, err)
+				}
+				got, err := runBlock(v, mask, a, b, sr, opt)
+				if err != nil {
+					t.Fatalf("%s %s comp=%v profile=%s inlined: %v", sr.Name, v.Name(), comp, sc.name, err)
+				}
+				if !matrix.Equal(got, want, eq) {
+					t.Fatalf("%s %s comp=%v profile=%s: inlined result not bit-identical to funcptr", sr.Name, v.Name(), comp, sc.name)
 				}
 			}
 		}
@@ -60,9 +58,9 @@ func opsEquivPair[T any](t *testing.T, sr, fp semiring.Semiring[T], mask *matrix
 
 // TestOpsEquivalence is the operator-path equivalence property test: for
 // every named semiring, the monomorphized kernels and the funcptr fallback
-// must produce bit-identical output across all variants, mask
-// representations, and schedules (same pattern, same value bits —
-// accumulation order is part of the contract).
+// must produce bit-identical output across all variants, mask modes and
+// schedules (same pattern, same value bits — accumulation order is part
+// of the contract).
 func TestOpsEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	const m, k, n = 37, 31, 43

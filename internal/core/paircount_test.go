@@ -12,10 +12,10 @@ import (
 )
 
 // TestMaskedPairCountMatchesSum: the count equals int64(Sum(C)) of the
-// plus-pair product from every variant × mask representation × schedule
-// (no cost profile, an unskewed and a skewed one),
-// on the counting contract's case (1208 contributions, empty mask and A
-// rows) and on rectangular random operands, at one and two threads.
+// plus-pair product from every variant × schedule (no cost profile, an
+// unskewed and a skewed one), on the counting contract's case (1208
+// contributions, empty mask and A rows) and on rectangular random
+// operands, at one and two threads.
 func TestMaskedPairCountMatchesSum(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	cmask, ca, cb, _ := countingCase()
@@ -37,14 +37,12 @@ func TestMaskedPairCountMatchesSum(t *testing.T) {
 					t.Fatalf("%s: %v", tc.name, err)
 				}
 				for _, v := range AllVariants() {
-					for _, rep := range []MaskRep{RepCSR, RepBitmap, RepDense} {
-						c, err := runRep(v, rep, tc.m, tc.a, tc.b, semiring.PlusPairF(), opt)
-						if err != nil {
-							t.Fatalf("%s %s: %v", tc.name, v.Name(), err)
-						}
-						if want := int64(matrix.Sum(c)); got != want {
-							t.Fatalf("%s %s/%s/%s/%dt: count %d, Sum(C) %d", tc.name, v.Name(), rep, sc.name, threads, got, want)
-						}
+					c, err := runBlock(v, tc.m, tc.a, tc.b, semiring.PlusPairF(), opt)
+					if err != nil {
+						t.Fatalf("%s %s: %v", tc.name, v.Name(), err)
+					}
+					if want := int64(matrix.Sum(c)); got != want {
+						t.Fatalf("%s %s/%s/%dt: count %d, Sum(C) %d", tc.name, v.Name(), sc.name, threads, got, want)
 					}
 				}
 			}

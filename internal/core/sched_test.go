@@ -227,10 +227,9 @@ func TestSchedCancellationMidFlight(t *testing.T) {
 
 // TestDriverPoolsWarmZeroMisses: after one warming call, the drivers take
 // every scratch buffer (counts, offsets, bound bins) and the kernels every
-// accumulator and mask-probe bitmap from the session arena — zero
-// allocating fetches in steady state, for both phases, both schedules
-// (no profile and a skewed one), every accumulator and a complemented
-// bitmap mask.
+// accumulator from the session arena — zero allocating fetches in steady
+// state, for both phases, both schedules (no profile and a skewed one),
+// every accumulator and a complemented Hash mask.
 func TestDriverPoolsWarmZeroMisses(t *testing.T) {
 	g := grgen.RMAT(9, 8, 29)
 	l := matrix.RelabelTril(g, 1)
@@ -240,7 +239,6 @@ func TestDriverPoolsWarmZeroMisses(t *testing.T) {
 	cases := []struct {
 		v    Variant
 		comp bool
-		rep  MaskRep
 	}{
 		{v: Variant{Alg: MSA, Phase: OnePhase}},
 		{v: Variant{Alg: MSA, Phase: TwoPhase}},
@@ -248,25 +246,25 @@ func TestDriverPoolsWarmZeroMisses(t *testing.T) {
 		{v: Variant{Alg: MCA, Phase: OnePhase}},
 		{v: Variant{Alg: Heap, Phase: OnePhase}},
 		{v: Variant{Alg: Inner, Phase: OnePhase}},
-		{v: Variant{Alg: Hash, Phase: OnePhase}, comp: true, rep: RepBitmap},
+		{v: Variant{Alg: Hash, Phase: OnePhase}, comp: true},
 	}
 	for _, c := range cases {
 		for _, sc := range schedCases(costs, false) {
 			ws := NewWorkspaces()
 			opt := Options{Threads: 2, RowCosts: sc.rc, Workspaces: ws, Complement: c.comp}
-			if _, err := runRep(c.v, c.rep, m, l, l, sr, opt); err != nil { // warm the pools
+			if _, err := runBlock(c.v, m, l, l, sr, opt); err != nil { // warm the pools
 				t.Fatal(err)
 			}
 			missesBefore := ws.PoolStatsSnapshot().Misses
 			for rep := 0; rep < 3; rep++ {
-				if _, err := runRep(c.v, c.rep, m, l, l, sr, opt); err != nil {
+				if _, err := runBlock(c.v, m, l, l, sr, opt); err != nil {
 					t.Fatal(err)
 				}
 			}
 			after := ws.PoolStatsSnapshot()
 			if after.Misses != missesBefore {
-				t.Errorf("%s complement=%v rep=%s profile=%s: %d pool misses after warmup (gets %d); want 0",
-					c.v.Name(), c.comp, c.rep, sc.name, after.Misses-missesBefore, after.Gets)
+				t.Errorf("%s complement=%v profile=%s: %d pool misses after warmup (gets %d); want 0",
+					c.v.Name(), c.comp, sc.name, after.Misses-missesBefore, after.Gets)
 			}
 		}
 	}

@@ -26,8 +26,8 @@ func tickClock() func() int64 {
 // split at row 64 across two algorithm families.
 func timingBlocks() []ExecBlock {
 	return []ExecBlock{
-		{Lo: 0, Hi: 64, Alg: MSA, Rep: RepCSR},
-		{Lo: 64, Hi: 128, Alg: Hash, Rep: RepCSR},
+		{Lo: 0, Hi: 64, Alg: MSA},
+		{Lo: 64, Hi: 128, Alg: Hash},
 	}
 }
 

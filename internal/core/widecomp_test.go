@@ -18,7 +18,7 @@ type Index = matrix.Index
 // wideRow describes one row of a wide complemented product: out is the
 // exact set of output columns, hit the masked columns B also reaches (so
 // the kernel must discard them), and run makes the mask row one contiguous
-// run [run[0], run[1]) for the dense representation's range-check path.
+// run [run[0], run[1]), whose complement splits the row's output in two.
 type wideRow struct {
 	out, hit []Index
 	run      [2]Index
@@ -113,8 +113,8 @@ func wideOperands(r *rand.Rand, n Index, rows []wideRow) (*matrix.Pattern, *matr
 // TestWideComplementMasks: complemented MSA rows over 5,000 and 70,001
 // columns, whose outputs reach past the first summary word of the MSA's
 // two-level bitmap and, for short rows spread over the whole width, take
-// the comparison-sort fallback. Every phase, mask representation and
-// semiring must be bit-identical to SS:SAXPY, which gathers by sorting.
+// the comparison-sort fallback. Every phase and semiring must be
+// bit-identical to SS:SAXPY, which gathers by sorting.
 func TestWideComplementMasks(t *testing.T) {
 	r := rand.New(rand.NewSource(40))
 	bitsEq := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
@@ -135,15 +135,13 @@ func TestWideComplementMasks(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, rep := range []core.MaskRep{core.RepCSR, core.RepBitmap, core.RepDense} {
-					label := fmt.Sprintf("n=%d %s %s rep=%s", n, sr.Name, name, rep)
-					got, err := core.MaskedSpGEMMBlocked(v.Phase, []core.ExecBlock{{Lo: 0, Hi: m.NRows, Alg: v.Alg, Rep: rep}}, m, a, b, nil, sr, opt, nil)
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					if !matrix.Equal(got, want, bitsEq) {
-						t.Fatalf("%s: not bit-identical to SS:SAXPY", label)
-					}
+				label := fmt.Sprintf("n=%d %s %s", n, sr.Name, name)
+				got, err := core.MaskedSpGEMMBlocked(v.Phase, []core.ExecBlock{{Lo: 0, Hi: m.NRows, Alg: v.Alg}}, m, a, b, nil, sr, opt, nil)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if !matrix.Equal(got, want, bitsEq) {
+					t.Fatalf("%s: not bit-identical to SS:SAXPY", label)
 				}
 			}
 		}

@@ -8,16 +8,15 @@ import (
 	"unsafe"
 
 	"repro/internal/accum"
-	"repro/internal/matrix"
 )
 
 // Workspaces is a session-scoped arena of reusable kernel and driver
 // scratch. The expensive per-worker state of the kernels — the MSA's two
 // dense length-ncols arrays, hash tables, MCA buffers, heap iterator
-// storage and mask-probe bitmaps — and the phase drivers' per-call buffers
-// are taken from the arena when a call starts and returned when its
-// workers finish, so iterative callers (BFS, BC, k-truss sweeps) stop
-// paying an O(ncols) allocation per worker per call.
+// storage — and the phase drivers' per-call buffers are taken from the
+// arena when a call starts and returned when its workers finish, so
+// iterative callers (BFS, BC, k-truss sweeps) stop paying an O(ncols)
+// allocation per worker per call.
 //
 // Workspaces is safe for concurrent use and a nil *Workspaces disables
 // pooling entirely: every helper falls back to a fresh allocation. Pooled
@@ -82,7 +81,6 @@ const (
 	accHash
 	accMCA
 	accHeap
-	accBitmap
 	accKinds
 )
 
@@ -334,17 +332,3 @@ func wsGetHeap(ws *Workspaces) *accum.IterHeap {
 }
 
 func wsPutHeap(ws *Workspaces, h *accum.IterHeap) { putAcc(ws, accHeap, h) }
-
-func wsGetBitmap(ws *Workspaces, nbits int) *matrix.Bitmap {
-	if v, ok := getAcc[*matrix.Bitmap](ws, accBitmap); ok {
-		if v.Bits() < nbits {
-			ws.miss()
-			v.Resize(nbits)
-		}
-		return v
-	}
-	ws.miss()
-	return matrix.NewBitmap(nbits)
-}
-
-func wsPutBitmap(ws *Workspaces, b *matrix.Bitmap) { putAcc(ws, accBitmap, b) }

@@ -185,32 +185,16 @@ func (p *Pattern) Validate() error {
 
 // IsSortedRows reports whether every row's column indices are strictly
 // increasing (sorted and duplicate-free).
-func (a *CSR[T]) IsSortedRows() bool {
-	for i := Index(0); i < a.NRows; i++ {
-		cols := a.Col[a.RowPtr[i]:a.RowPtr[i+1]]
-		for k := 1; k < len(cols); k++ {
-			if cols[k-1] >= cols[k] {
-				return false
-			}
-		}
-	}
-	return true
-}
+func (a *CSR[T]) IsSortedRows() bool { return a.Pattern().IsSortedRows() }
 
-// IsSortedRows reports whether every mask row is strictly increasing.
+// IsSortedRows reports whether every mask row is strictly increasing
+// (sorted and duplicate-free). Degenerate zero-value patterns (no RowPtr)
+// report true: they have no row data to violate it.
 func (p *Pattern) IsSortedRows() bool {
-	return p.RowsSortedIn(0, p.NRows)
-}
-
-// RowsSortedIn reports whether every row in [lo, hi) is strictly increasing
-// (sorted and duplicate-free) — the range form kernels use to validate the
-// preconditions of sorted-row mask representations. Degenerate zero-value
-// patterns (no RowPtr) report true: they have no row data to violate it.
-func (p *Pattern) RowsSortedIn(lo, hi Index) bool {
-	if int(hi) >= len(p.RowPtr) {
+	if int(p.NRows) >= len(p.RowPtr) {
 		return true
 	}
-	for i := lo; i < hi; i++ {
+	for i := Index(0); i < p.NRows; i++ {
 		cols := p.Col[p.RowPtr[i]:p.RowPtr[i+1]]
 		for k := 1; k < len(cols); k++ {
 			if cols[k-1] >= cols[k] {

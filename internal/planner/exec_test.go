@@ -69,8 +69,8 @@ func TestExplainExecGolden(t *testing.T) {
 		Stats: Stats{NRows: 4, NCols: 4, NNZM: 8, NNZA: 8, NNZB: 8, Flops: 16, Bound1P: 8},
 		Phase: core.OnePhase,
 		Blocks: []Block{
-			{Lo: 0, Hi: 2, Alg: core.MSA, Rep: core.RepCSR, MaskNNZ: 4, Flops: 8, PredictedNs: 1000, Reason: "test block"},
-			{Lo: 2, Hi: 4, Alg: core.Hash, Rep: core.RepBitmap, MaskNNZ: 4, Flops: 8, PredictedNs: 500, Reason: "test block"},
+			{Lo: 0, Hi: 2, Alg: core.MSA, MaskNNZ: 4, Flops: 8, PredictedNs: 1000, Reason: "test block"},
+			{Lo: 2, Hi: 4, Alg: core.Hash, MaskNNZ: 4, Flops: 8, PredictedNs: 500, Reason: "test block"},
 		},
 		PredictedNs: 1500,
 	}

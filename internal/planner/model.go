@@ -33,13 +33,6 @@ type Model struct {
 	// MaskUnit is the mask gather/scatter cost per mask entry relative to
 	// the per-flop scatter cost.
 	MaskUnit float64
-	// BitmapProbeRatio scales the bitmap-representation density thresholds:
-	// the bitmap-vs-CSR probe cost ratio. Above 1 the bitmap is relatively
-	// expensive and needs denser masks to pay.
-	BitmapProbeRatio float64
-	// DenseUnit scales the dense-run representation's minimum row density
-	// the same way: the dense-direct-index-vs-CSR cost ratio.
-	DenseUnit float64
 	// PullMargin is the factor Inner must beat the best push estimate by
 	// before the planner risks its strided column accesses.
 	PullMargin float64
@@ -52,15 +45,13 @@ type Model struct {
 // cost 1 and PullMargin 8.
 func DefaultModel() *Model {
 	return &Model{
-		PushUnit:         1,
-		HashUnit:         1,
-		HeapUnit:         1,
-		InnerUnit:        1,
-		MaskUnit:         1,
-		BitmapProbeRatio: 1,
-		DenseUnit:        1,
-		PullMargin:       pullMargin,
-		NsPerUnit:        1,
+		PushUnit:   1,
+		HashUnit:   1,
+		HeapUnit:   1,
+		InnerUnit:  1,
+		MaskUnit:   1,
+		PullMargin: pullMargin,
+		NsPerUnit:  1,
 	}
 }
 

@@ -52,12 +52,6 @@ type Stats struct {
 	Bound1P int64
 	// AvgDegB is nnz(B)/nrows(B); AvgColDegB is nnz(B)/ncols(B).
 	AvgDegB, AvgColDegB float64
-	// MaskRunRows counts mask rows that are contiguous runs [lo,hi) — the
-	// shape the dense-run direct-index representation exploits — and is 0
-	// when the operands are unsorted (the O(1) run check needs sorted
-	// rows). MaskNonEmptyRows counts the rows with any entry at all,
-	// regardless of sortedness.
-	MaskRunRows, MaskNonEmptyRows int64
 	// MaxRowCost is the largest single-row cost (flops + mask entries + 1)
 	// seen by the analysis sweep — the scheduling skew diagnostic.
 	MaxRowCost int64
@@ -75,15 +69,9 @@ type Block struct {
 	Lo, Hi Index
 	// Alg is the algorithm family assigned to the range.
 	Alg core.Algorithm
-	// Rep is the mask representation the range's kernels probe with, chosen
-	// from the block's local mask-density statistics.
-	Rep core.MaskRep
 	// MaskNNZ, ANNZ and Flops are the range's mask entries, A entries and
 	// flop bound.
 	MaskNNZ, ANNZ, Flops int64
-	// RunRows and NonEmptyRows are the range's contiguous-run and non-empty
-	// mask row counts (the dense-representation signal).
-	RunRows, NonEmptyRows int64
 	// PredictedNs is the cost model's serial-kernel-time estimate for the
 	// block in nanoseconds (Model.NsPerUnit × the block's cost units); 0 on
 	// degenerate plans. Explain prints it beside the drivers' measured
@@ -202,22 +190,21 @@ func (p *Plan) hasInner() bool {
 func (p *Plan) ExecBlocks() []core.ExecBlock {
 	out := make([]core.ExecBlock, len(p.Blocks))
 	for i, b := range p.Blocks {
-		out[i] = core.ExecBlock{Lo: b.Lo, Hi: b.Hi, Alg: b.Alg, Rep: b.Rep}
+		out[i] = core.ExecBlock{Lo: b.Lo, Hi: b.Hi, Alg: b.Alg}
 	}
 	return out
 }
 
 // Restrict returns the plan of the sub-product on the given rows of this
 // plan's product, taken in order: row r of the sub-product is row rows[r],
-// and runs with the Alg and Rep of the block holding that row. Runs of
-// rows that share an Alg and Rep form one block, so the blocks tile
-// [0, len(rows)). The cost profile is this plan's, cut to the rows, so
-// each row keeps its cost and the skew verdict is taken afresh. Nothing
-// is re-analyzed: the result is only as fresh as this plan, which callers
-// re-analyze once their operands have moved far. The sub-plan's blocks
-// carry no per-block statistics or predictions, and its Stats stay this
-// plan's apart from NRows and MaxRowCost. rows must be in [0, NRows); the
-// plan is not modified.
+// and runs with the Alg of the block holding that row. Runs of rows that
+// share an Alg form one block, so the blocks tile [0, len(rows)). The cost
+// profile is this plan's, cut to the rows, so each row keeps its cost and
+// the skew verdict is taken afresh. Nothing is re-analyzed: the result is
+// only as fresh as this plan, which callers re-analyze once their operands
+// have moved far. The sub-plan's blocks carry no per-block statistics or
+// predictions, and its Stats stay this plan's apart from NRows and
+// MaxRowCost. rows must be in [0, NRows); the plan is not modified.
 func (p *Plan) Restrict(rows []Index) *Plan {
 	q := &Plan{Stats: p.Stats, Phase: p.Phase}
 	q.Stats.NRows = Index(len(rows))
@@ -229,10 +216,10 @@ func (p *Plan) Restrict(rows []Index) *Plan {
 	}
 	for r, i := range rows {
 		src := &p.Blocks[sort.Search(len(p.Blocks)-1, func(b int) bool { return p.Blocks[b].Hi > i })]
-		if n := len(q.Blocks); n > 0 && q.Blocks[n-1].Alg == src.Alg && q.Blocks[n-1].Rep == src.Rep {
+		if n := len(q.Blocks); n > 0 && q.Blocks[n-1].Alg == src.Alg {
 			q.Blocks[n-1].Hi = Index(r + 1)
 		} else {
-			q.Blocks = append(q.Blocks, Block{Lo: Index(r), Hi: Index(r + 1), Alg: src.Alg, Rep: src.Rep, Reason: src.Reason})
+			q.Blocks = append(q.Blocks, Block{Lo: Index(r), Hi: Index(r + 1), Alg: src.Alg, Reason: src.Reason})
 		}
 		if costs != nil {
 			c := costs.Prefix[i+1] - costs.Prefix[i]
@@ -242,7 +229,7 @@ func (p *Plan) Restrict(rows []Index) *Plan {
 	}
 	if len(q.Blocks) == 0 {
 		b := p.Blocks[0]
-		q.Blocks = []Block{{Alg: b.Alg, Rep: b.Rep, Reason: "restricted to no rows"}}
+		q.Blocks = []Block{{Alg: b.Alg, Reason: "restricted to no rows"}}
 	}
 	if costs != nil {
 		q.Costs = core.NewRowCosts(prefix, q.Stats.MaxRowCost)
@@ -281,9 +268,6 @@ func (p *Plan) Explain() string {
 		}
 		fmt.Fprintf(&sb, "sched: %s (max row cost %d, mean %d)\n", p.Schedule(), s.MaxRowCost, mean)
 	}
-	if s.MaskNonEmptyRows > 0 {
-		fmt.Fprintf(&sb, "mask: %d non-empty rows, %d contiguous runs\n", s.MaskNonEmptyRows, s.MaskRunRows)
-	}
 	if e := p.Exec; e != nil {
 		fmt.Fprintf(&sb, "feedback: predicted %s, actual %s", fmtNs(p.PredictedNs), fmtNs(float64(e.ActualNs)))
 		if p.PredictedNs > 0 {
@@ -292,8 +276,8 @@ func (p *Plan) Explain() string {
 		sb.WriteString("\n")
 	}
 	for i, b := range p.Blocks {
-		fmt.Fprintf(&sb, "  rows [%d,%d) → %s mask=%s sched=%s: %s (mask nnz=%d, flops=%d)",
-			b.Lo, b.Hi, b.Alg, b.Rep, p.Schedule(), b.Reason, b.MaskNNZ, b.Flops)
+		fmt.Fprintf(&sb, "  rows [%d,%d) → %s sched=%s: %s (mask nnz=%d, flops=%d)",
+			b.Lo, b.Hi, b.Alg, p.Schedule(), b.Reason, b.MaskNNZ, b.Flops)
 		if e := p.Exec; e != nil && i < len(e.BlockNs) {
 			fmt.Fprintf(&sb, " [predicted %s, actual %s]", fmtNs(b.PredictedNs), fmtNs(float64(e.BlockNs[i])))
 		}
@@ -311,9 +295,9 @@ func fmtNs(ns float64) string {
 	return time.Duration(int64(ns)).String()
 }
 
-// Cost-model constants. The pull/heap margins are ~8× density ratios,
-// tuned by hand against the Fig. 7 mask regimes and §4.3's push vs pull
-// comparison; see decide().
+// Selection and analysis constants: the hand-tuned margins of the §8 and §6
+// rules (decide, pushAlg and AnalyzeModel's phase choice) and the sizes of
+// the row blocks the analysis sweep aggregates over.
 const (
 	// pullMargin: Inner must beat the best push-style estimate by this
 	// factor (its strided column accesses are pessimistic per unit cost);
@@ -345,15 +329,10 @@ const (
 )
 
 // NeedsSortedRows reports whether any block of the plan runs a kernel with
-// the sorted-rows precondition: MCA, Heap, HeapDot and Inner always, plus
-// any block using the dense-run representation (its O(1) contiguity check is
-// only exact on sorted mask rows).
+// the sorted-rows precondition: MCA, Heap, HeapDot or Inner.
 func (p *Plan) NeedsSortedRows() bool {
 	for _, b := range p.Blocks {
 		if b.Alg != core.MSA && b.Alg != core.Hash {
-			return true
-		}
-		if b.Rep == core.RepDense {
 			return true
 		}
 	}
@@ -385,7 +364,7 @@ func AnalyzeModel(m, a, b *matrix.Pattern, opt core.Options, mdl *Model) *Plan {
 		return &Plan{
 			Stats:  Stats{NRows: nrows, NCols: ncols, Complement: opt.Complement, Sorted: true},
 			Phase:  core.OnePhase,
-			Blocks: []Block{{Lo: 0, Hi: nrows, Alg: core.MSA, Rep: core.RepCSR, Reason: "empty operands"}},
+			Blocks: []Block{{Lo: 0, Hi: nrows, Alg: core.MSA, Reason: "empty operands"}},
 		}
 	}
 	st := Stats{
@@ -401,10 +380,9 @@ func AnalyzeModel(m, a, b *matrix.Pattern, opt core.Options, mdl *Model) *Plan {
 		st.AvgColDegB = float64(st.NNZB) / float64(b.NCols)
 	}
 
-	// Partition the rows into analysis blocks and gather per-block mask
-	// sizes, flop bounds and mask-shape counts (contiguous runs, non-empty
-	// rows — the dense-representation signal) in one parallel O(nnz(A))
-	// sweep. The 1P complement bound rides along.
+	// Partition the rows into analysis blocks and gather per-block flop
+	// bounds in one parallel O(nnz(A)) sweep. The 1P complement bound
+	// rides along.
 	blockRows := int64(minBlockRows)
 	if want := (int64(nrows) + analysisBlocks - 1) / analysisBlocks; want > blockRows {
 		blockRows = want
@@ -415,8 +393,6 @@ func AnalyzeModel(m, a, b *matrix.Pattern, opt core.Options, mdl *Model) *Plan {
 	}
 	flopsPerBlock := make([]int64, nblocks)
 	boundPerBlock := make([]int64, nblocks)
-	runPerBlock := make([]int64, nblocks)
-	nonEmptyPerBlock := make([]int64, nblocks)
 	maxCostPerBlock := make([]int64, nblocks)
 	// rowCosts[i] holds row i's cost during the sweep and becomes the
 	// scheduling cost prefix after the scan below; the +1 slot carries the
@@ -430,7 +406,7 @@ func AnalyzeModel(m, a, b *matrix.Pattern, opt core.Options, mdl *Model) *Plan {
 			if hi > nrows {
 				hi = nrows
 			}
-			var flops, bnd, runs, nonEmpty, maxCost int64
+			var flops, bnd, maxCost int64
 			for i := lo; i < hi; i++ {
 				var rowFlops int64
 				for kk := a.RowPtr[i]; kk < a.RowPtr[i+1]; kk++ {
@@ -450,19 +426,9 @@ func AnalyzeModel(m, a, b *matrix.Pattern, opt core.Options, mdl *Model) *Plan {
 					}
 					bnd += rowFlops
 				}
-				if mn > 0 {
-					nonEmpty++
-					// O(1) contiguity check; exact only on sorted rows, and
-					// only consumed when st.Sorted holds.
-					if m.Col[m.RowPtr[i+1]-1]-m.Col[m.RowPtr[i]]+1 == mn {
-						runs++
-					}
-				}
 			}
 			flopsPerBlock[bi] = flops
 			boundPerBlock[bi] = bnd
-			runPerBlock[bi] = runs
-			nonEmptyPerBlock[bi] = nonEmpty
 			maxCostPerBlock[bi] = maxCost
 		}
 	})
@@ -476,13 +442,6 @@ func AnalyzeModel(m, a, b *matrix.Pattern, opt core.Options, mdl *Model) *Plan {
 	}
 	parallel.ExclusiveScanParallel(rowCosts, opt.Workers())
 	costs := core.NewRowCosts(rowCosts, st.MaxRowCost)
-	for bi := range runPerBlock {
-		if !st.Sorted {
-			runPerBlock[bi] = 0 // run check unreliable on unsorted rows
-		}
-		st.MaskRunRows += runPerBlock[bi]
-		st.MaskNonEmptyRows += nonEmptyPerBlock[bi]
-	}
 	if opt.Complement {
 		for _, bnd := range boundPerBlock {
 			st.Bound1P += bnd
@@ -508,43 +467,22 @@ func AnalyzeModel(m, a, b *matrix.Pattern, opt core.Options, mdl *Model) *Plan {
 		mn := int64(m.RowPtr[hi] - m.RowPtr[lo])
 		an := int64(a.RowPtr[hi] - a.RowPtr[lo])
 		alg, reason := decide(st, push, int64(hi-lo), mn, an, flopsPerBlock[bi], mdl)
-		blk := Block{Lo: lo, Hi: hi, Alg: alg, MaskNNZ: mn, ANNZ: an, Flops: flopsPerBlock[bi],
-			RunRows: runPerBlock[bi], NonEmptyRows: nonEmptyPerBlock[bi], Reason: reason}
-		blk.Rep = blockRep(st, blk, mdl)
-		blocks = append(blocks, blk)
+		blocks = append(blocks, Block{Lo: lo, Hi: hi, Alg: alg, MaskNNZ: mn, ANNZ: an, Flops: flopsPerBlock[bi], Reason: reason})
 	}
 	blocks = demoteUnpaidInner(st, push, blocks, mdl)
 	blocks = coalesce(blocks)
 	if len(blocks) > maxPlanBlocks {
 		// Too fragmented to pay for per-block dispatch: one global decision.
 		alg, reason := decide(st, push, int64(nrows), st.NNZM, st.NNZA, st.Flops, mdl)
-		blk := Block{Lo: 0, Hi: nrows, Alg: alg, MaskNNZ: st.NNZM, ANNZ: st.NNZA, Flops: st.Flops,
-			RunRows: st.MaskRunRows, NonEmptyRows: st.MaskNonEmptyRows,
-			Reason: "collapsed fragmented profile: " + reason}
-		blk.Rep = blockRep(st, blk, mdl)
-		blocks = []Block{blk}
+		blocks = []Block{{Lo: 0, Hi: nrows, Alg: alg, MaskNNZ: st.NNZM, ANNZ: st.NNZA, Flops: st.Flops,
+			Reason: "collapsed fragmented profile: " + reason}}
 	}
 	if len(blocks) == 0 { // nrows == 0
-		blocks = []Block{{Lo: 0, Hi: 0, Alg: push, Rep: core.RepCSR, Reason: "empty row space"}}
+		blocks = []Block{{Lo: 0, Hi: 0, Alg: push, Reason: "empty row space"}}
 	}
 	p := &Plan{Stats: st, Phase: phase, Blocks: blocks, Costs: costs}
 	mdl.predictNs(p)
 	return p
-}
-
-// blockRep selects the mask representation for one decided block by the
-// §5 density rules (dense direct indexing for contiguous-run masks, the
-// bitmap for dense mask rows probed repeatedly, CSR elsewhere), demoted to
-// what the block's algorithm can exploit.
-func blockRep(st Stats, b Block, mdl *Model) core.MaskRep {
-	if !st.Sorted {
-		// Core trusts planner-emitted reps without re-verifying, and both
-		// the dense-run check and the Hash bitmap's sort-based gather
-		// require sorted mask rows — unsorted operands stay on CSR.
-		return core.RepCSR
-	}
-	return core.AutoMaskRepRatio(b.Alg, st.Complement, int64(b.Hi-b.Lo), b.MaskNNZ, b.ANNZ, b.RunRows, b.NonEmptyRows,
-		mdl.BitmapProbeRatio, mdl.DenseUnit)
 }
 
 // sortedRows is a parallel matrix.Pattern.IsSortedRows: the check is the
@@ -648,26 +586,21 @@ func demoteUnpaidInner(st Stats, push core.Algorithm, blocks []Block, mdl *Model
 	for i := range blocks {
 		if blocks[i].Alg == core.Inner {
 			blocks[i].Alg = push
-			blocks[i].Rep = blockRep(st, blocks[i], mdl) // re-pick for the new family
 			blocks[i].Reason = "pull saving does not repay the B transpose: " + blocks[i].Reason
 		}
 	}
 	return blocks
 }
 
-// coalesce merges adjacent blocks that chose the same algorithm and mask
-// representation (blocks differing only in representation stay separate —
-// the representation is per-block execution state).
+// coalesce merges adjacent blocks that chose the same algorithm.
 func coalesce(blocks []Block) []Block {
 	out := blocks[:0]
 	for _, b := range blocks {
-		if n := len(out); n > 0 && out[n-1].Alg == b.Alg && out[n-1].Rep == b.Rep {
+		if n := len(out); n > 0 && out[n-1].Alg == b.Alg {
 			out[n-1].Hi = b.Hi
 			out[n-1].MaskNNZ += b.MaskNNZ
 			out[n-1].ANNZ += b.ANNZ
 			out[n-1].Flops += b.Flops
-			out[n-1].RunRows += b.RunRows
-			out[n-1].NonEmptyRows += b.NonEmptyRows
 			continue
 		}
 		out = append(out, b)

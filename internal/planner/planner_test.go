@@ -57,8 +57,9 @@ func TestHeuristicBoundaries(t *testing.T) {
 
 // TestPlanProperty is the safety property sweep: over a grid of random
 // instances and both mask modes, every emitted plan tiles the row space
-// exactly, never assigns MCA (or the pull kernel) under a complemented
-// mask, and executes without error.
+// exactly, coalesces every pair of neighbours that share an algorithm,
+// never assigns MCA (or the pull kernel) under a complemented mask, and
+// executes without error.
 func TestPlanProperty(t *testing.T) {
 	graphs := []*matrix.CSR[float64]{
 		grgen.RMAT(9, 8, 1),
@@ -87,6 +88,7 @@ func TestPlanProperty(t *testing.T) {
 			if next != g.NRows {
 				t.Fatalf("graph %d: blocks cover [0,%d), want [0,%d)", gi, next, g.NRows)
 			}
+			checkCoalesced(t, p)
 			if _, err := Execute(p, g.Pattern(), g, g, sr, opt, nil); err != nil {
 				t.Fatalf("graph %d complement=%v: execute: %v", gi, complement, err)
 			}
@@ -242,8 +244,20 @@ func TestMixedPlanOnSkewedProfile(t *testing.T) {
 	}
 }
 
+// checkCoalesced fails the test when two adjacent blocks of pl share an
+// algorithm: a block carries nothing else, so such neighbours must have
+// been merged.
+func checkCoalesced(t *testing.T, pl *Plan) {
+	t.Helper()
+	for k := 1; k < len(pl.Blocks); k++ {
+		if pl.Blocks[k].Alg == pl.Blocks[k-1].Alg {
+			t.Fatalf("blocks %d and %d share %s and were not coalesced:\n%s", k-1, k, pl.Blocks[k].Alg, pl.Explain())
+		}
+	}
+}
+
 // TestPlanRestrict cuts a mixed plan to scattered rows: each row keeps
-// its block's Alg and Rep, the blocks tile the rows and differ from their
+// its block's Alg, the blocks tile the rows and differ from their
 // neighbours, each row keeps its cost from the full profile, the full plan
 // is untouched, and the sub-plan computes the full product's rows.
 func TestPlanRestrict(t *testing.T) {
@@ -271,6 +285,7 @@ func TestPlanRestrict(t *testing.T) {
 	}
 	slices.Sort(rows)
 	rows = slices.Compact(rows)
+	checkCoalesced(t, p)
 	before := slices.Clone(p.Blocks)
 	q := p.Restrict(rows)
 	if !slices.Equal(p.Blocks, before) {
@@ -284,11 +299,9 @@ func TestPlanRestrict(t *testing.T) {
 		if blk.Lo != next || blk.Hi <= blk.Lo {
 			t.Fatalf("block %d = [%d,%d) does not continue the tiling at %d", k, blk.Lo, blk.Hi, next)
 		}
-		if k > 0 && blk.Alg == q.Blocks[k-1].Alg && blk.Rep == q.Blocks[k-1].Rep {
-			t.Fatalf("blocks %d and %d share %s/%s and were not coalesced", k-1, k, blk.Alg, blk.Rep)
-		}
 		next = blk.Hi
 	}
+	checkCoalesced(t, q)
 	if next != Index(len(rows)) {
 		t.Fatalf("blocks tile [0,%d), want [0,%d)", next, len(rows))
 	}
@@ -297,8 +310,8 @@ func TestPlanRestrict(t *testing.T) {
 	}
 	for r, i := range rows {
 		sub, full := blockOf(q, Index(r)), blockOf(p, i)
-		if sub.Alg != full.Alg || sub.Rep != full.Rep {
-			t.Fatalf("row %d (full row %d) runs %s/%s, its block runs %s/%s", r, i, sub.Alg, sub.Rep, full.Alg, full.Rep)
+		if sub.Alg != full.Alg {
+			t.Fatalf("row %d (full row %d) runs %s, its block runs %s", r, i, sub.Alg, full.Alg)
 		}
 		if got, want := q.Costs.Prefix[r+1]-q.Costs.Prefix[r], p.Costs.Prefix[i+1]-p.Costs.Prefix[i]; got != want {
 			t.Fatalf("row %d (full row %d) costs %d, the full profile says %d", r, i, got, want)

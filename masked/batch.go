@@ -15,11 +15,11 @@ package masked
 //   - coalescing: identical concurrent requests — same operand identities,
 //     mask mode and semiring — are computed once and share the one result
 //     (single-flight). Sound because every execution path in this
-//     repository is bit-identical: variant, phase, mask representation,
-//     schedule and worker count never change the output, so two requests
-//     that agree on operands, mask mode and semiring have exactly one
-//     answer. Results are immutable; treat a shared *Matrix as read-only,
-//     as everywhere else in the API.
+//     repository is bit-identical: variant, phase, schedule and worker
+//     count never change the output, so two requests that agree on
+//     operands, mask mode and semiring have exactly one answer. Results
+//     are immutable; treat a shared *Matrix as read-only, as everywhere
+//     else in the API.
 
 import (
 	"context"
@@ -70,9 +70,9 @@ type BatchRes struct {
 // identity (pointer), not content: serving traffic re-submits the same
 // cached operand objects. Everything that can change the outcome — mask
 // mode, semiring, and a pinned variant's support errors — is part of the
-// key; pure performance knobs (threads, and the representation and
-// schedule the planner picks) are not, because results are bit-identical
-// across them.
+// key; pure performance knobs (threads, and the algorithms and schedule
+// the planner picks) are not, because results are bit-identical across
+// them.
 //
 // The semiring contributes its Name, its Zero, and its operator identity.
 // Named semirings carry a comparable zero-size operator type (Semiring.Ops)

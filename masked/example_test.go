@@ -77,8 +77,8 @@ func ExampleSession_Multiply_cancellation() {
 }
 
 // ExampleSession_Explain previews the plan the adaptive path would run —
-// including the mask representation chosen per row block — without
-// executing the product.
+// including the algorithm chosen per row block — without executing the
+// product.
 func ExampleSession_Explain() {
 	s := masked.NewSession()
 	g := diamond()
@@ -86,11 +86,11 @@ func ExampleSession_Explain() {
 
 	plan := s.Explain(l.Pattern(), l, l)
 	fmt.Println("blocks:", len(plan.Blocks))
-	fmt.Println("representation:", plan.Blocks[0].Rep)
+	fmt.Println("algorithm:", plan.Blocks[0].Alg)
 	fmt.Println("schedule:", plan.Schedule())
 	// Output:
 	// blocks: 1
-	// representation: csr
+	// algorithm: MSA
 	// schedule: equal-row
 }
 

@@ -40,14 +40,11 @@
 // Session.MultiplyAuto returns the executed Plan and Session.Explain
 // previews it.
 //
-// Orthogonally to the variant, the planner also selects a per-block *mask
-// representation* — how kernels answer "is column j in the mask row": the
-// sorted-CSR probe, a pooled per-worker bitmap (O(1) probes for dense mask
-// rows, the k-truss and BC regime), or direct indexing of
-// contiguous mask rows — and the row schedule: equal-cost spans when the
-// per-row cost profile is skewed, equal-row chunks otherwise. Explain
-// reports both. Complement is native to every representation, so
-// complemented masks never materialize an explicit complement pattern.
+// Orthogonally to the variant, the planner also selects the row schedule:
+// equal-cost spans when the per-row cost profile is skewed, equal-row
+// chunks otherwise. Explain reports it. Complement is native to every
+// kernel that supports it, so complemented masks never materialize an
+// explicit complement pattern.
 //
 // The applications of the paper's evaluation are Session.TriangleCount,
 // Session.KTruss and Session.BC. Session.BFS runs the traversal that §4

@@ -2,9 +2,9 @@ package masked
 
 // The cost model must never change answers — only which plan runs. This
 // test pins that contract from the public session API: the planner's auto
-// path stays bit-identical to every pinned variant under the default mask
-// representation choice, and even under adversarially skewed cost models
-// that flip its choices.
+// path stays bit-identical to every pinned variant under the default cost
+// model, and even under adversarially skewed cost models that flip its
+// choices.
 
 import (
 	"context"
@@ -31,8 +31,7 @@ func modelOperands() (g *Matrix, masks map[string]*Pattern) {
 // skewed cost models — each one designed to flip the planner toward a
 // different family or phase — and requires every choice to produce the
 // bit-identical product. It first sweeps the auto path and all 12 pinned
-// variants × the named semirings, each with the representation its path
-// chooses.
+// variants × the named semirings.
 func TestSkewedModelsBitIdentical(t *testing.T) {
 	ctx := context.Background()
 	g, masks := modelOperands()
@@ -69,14 +68,12 @@ func TestSkewedModelsBitIdentical(t *testing.T) {
 		return &m
 	}
 	models := map[string]*planner.Model{
-		"default":      nil,
-		"hash-cheap":   skew(func(m *planner.Model) { m.HashUnit = 0.01 }),
-		"hash-dear":    skew(func(m *planner.Model) { m.HashUnit = 100 }),
-		"heap-cheap":   skew(func(m *planner.Model) { m.HeapUnit = 0.01 }),
-		"inner-cheap":  skew(func(m *planner.Model) { m.InnerUnit = 0.001; m.PullMargin = 1 }),
-		"mask-dear":    skew(func(m *planner.Model) { m.MaskUnit = 50 }),
-		"bitmap-cheap": skew(func(m *planner.Model) { m.BitmapProbeRatio = 0.001 }),
-		"dense-dear":   skew(func(m *planner.Model) { m.DenseUnit = 100 }),
+		"default":     nil,
+		"hash-cheap":  skew(func(m *planner.Model) { m.HashUnit = 0.01 }),
+		"hash-dear":   skew(func(m *planner.Model) { m.HashUnit = 100 }),
+		"heap-cheap":  skew(func(m *planner.Model) { m.HeapUnit = 0.01 }),
+		"inner-cheap": skew(func(m *planner.Model) { m.InnerUnit = 0.001; m.PullMargin = 1 }),
+		"mask-dear":   skew(func(m *planner.Model) { m.MaskUnit = 50 }),
 	}
 
 	for maskName, m := range masks {

@@ -31,8 +31,7 @@ import (
 // one of the paper's 12 variants, WithAuto (the default) routes through the
 // adaptive planner, WithComplement flips the mask, WithThreads bounds
 // parallelism, WithAccumulate selects the semiring of Multiply. The
-// planner (or, for a pinned variant, the mask's shape) chooses the mask
-// representation, and the row-cost profile's skew chooses the schedule.
+// row-cost profile's skew chooses the schedule.
 // Options passed to NewSession become the session's defaults; options
 // passed to an operation override them for that call. The same descriptor
 // vocabulary drives Multiply, the application methods (TriangleCount,

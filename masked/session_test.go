@@ -307,9 +307,8 @@ func TestWarmedSessionZeroDriverAllocs(t *testing.T) {
 
 // TestWarmedScratchSurvivesGC: the session arena keeps kernel scratch
 // across garbage collections, so a warmed multiply allocates as much right
-// after two collections as it does warm — for every accumulator and for a
-// complemented mask's bitmap probe (Hash on a mask of about 77 entries per
-// row, which the fixed-variant path probes through the bitmap), and for
+// after two collections as it does warm — for every accumulator, for
+// Hash's complement rows on a mask of about 77 entries per row, and for
 // MSA's complement rows, whose insertion log and ordering bitmap live on
 // the pooled accumulator. One thread and GOMAXPROCS 1 keep the counts
 // exact.
@@ -317,9 +316,6 @@ func TestWarmedScratchSurvivesGC(t *testing.T) {
 	ctx := context.Background()
 	lp, l := tcOperands(10, 8, 9)
 	dense := grgen.Random01Mask(l.NRows, l.NCols, 80, 5)
-	if core.AutoMaskRepRatio(Hash, true, int64(dense.NRows), int64(dense.NNZ()), int64(l.NNZ()), 0, 0, 1, 1) != core.RepBitmap {
-		t.Fatal("test premise broken: the dense mask does not select the Hash bitmap")
-	}
 	pin := func(alg core.Algorithm) Op { return WithVariant(Variant{Alg: alg, Phase: OnePhase}) }
 	cases := []struct {
 		name string
@@ -331,7 +327,7 @@ func TestWarmedScratchSurvivesGC(t *testing.T) {
 		{"MCA-1P", lp, []Op{pin(MCA)}},
 		{"Heap-1P", lp, []Op{pin(Heap)}},
 		{"Inner-1P", lp, []Op{pin(Inner)}},
-		{"Hash-1P/complement/bitmap", dense, []Op{pin(Hash), WithComplement()}},
+		{"Hash-1P/complement", dense, []Op{pin(Hash), WithComplement()}},
 		{"MSA-1P/complement", lp, []Op{pin(MSA), WithComplement()}},
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))

@@ -213,13 +213,13 @@ func (p *DeltaProduct) keepPlan(pl *Plan) {
 // product. It mirrors Session.execute's two paths. The Auto path neither
 // analyzes the extracted sub-operands nor touches the plan cache: it
 // cuts the frontier rows out of the product's own plan (Plan.Restrict),
-// so each row runs with the algorithm and mask representation its block
-// of the full product chose, and is scheduled by its cost from the full
-// product's profile. Once an overlay's base has moved (a compaction), the
-// plan is first re-analyzed on the current full operands, outside the
-// cache, which keeps it within one merge threshold of the content it
-// plans. Unchanged rows never reach this path at all — their cached
-// output rows are reused as-is.
+// so each row runs with the algorithm its block of the full product
+// chose, and is scheduled by its cost from the full product's profile.
+// Once an overlay's base has moved (a compaction), the plan is first
+// re-analyzed on the current full operands, outside the cache, which
+// keeps it within one merge threshold of the content it plans. Unchanged
+// rows never reach this path at all — their cached output rows are reused
+// as-is.
 func (s *Session) deltaExecute(p *DeltaProduct, o Options, m *Pattern, a, b *Matrix) (*Matrix, error) {
 	if faultinject.Fire(faultinject.PointKernelPanic) {
 		panic("faultinject: " + faultinject.PointKernelPanic)

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/matrix"
 	"repro/internal/planner"
@@ -54,15 +53,14 @@ func graphStream(rng *rand.Rand, n Index, rounds, per int) [][]Update {
 
 // TestStreamEquivalence is the session-level half of the incremental-vs-
 // rebuild battery (internal/core/delta_equiv_test.go covers the full
-// variant × rep × semiring × schedule matrix): the planner path and a
+// variant × mask mode × semiring × schedule matrix): the planner path and a
 // sample of pinned variants, under normal and complemented masks and all
 // three named semirings, must produce per-prefix output bit-identical to
 // a from-scratch Multiply on the compacted graph — including across a
 // mid-stream Compact. The graph's last row is a hub, so its row-cost
 // profile is skewed and the full Auto products claim equal-cost spans (the
 // frontier sub-products, far below 256 rows, take equal-row chunks); under
-// a model that prices hash probes and bitmaps low, Auto plans Hash on the
-// bitmap.
+// a model that prices hash probes low, Auto plans Hash.
 func TestStreamEquivalence(t *testing.T) {
 	ctx := context.Background()
 	const n = 320
@@ -72,8 +70,8 @@ func TestStreamEquivalence(t *testing.T) {
 	}
 	base := Tril(ErdosRenyi(n, 6, 11))
 	base = matrix.EWiseAdd(base, FromCOO(hub), func(x, _ float64) float64 { return x })
-	cheapBitmap := planner.DefaultModel()
-	cheapBitmap.HashUnit, cheapBitmap.BitmapProbeRatio = 1e-6, 0.01
+	cheapHash := planner.DefaultModel()
+	cheapHash.HashUnit = 1e-6
 	rng := rand.New(rand.NewSource(77))
 	stream := make([][]Update, 6)
 	for r := range stream {
@@ -93,7 +91,7 @@ func TestStreamEquivalence(t *testing.T) {
 	}{
 		{"auto", nil, nil},
 		{"auto-complement", []Op{WithComplement()}, nil},
-		{"auto-bitmap-cost", nil, cheapBitmap},
+		{"auto-hash-cost", nil, cheapHash},
 		{"pinned-msa1p", []Op{WithVariant(Variant{Alg: MSA, Phase: OnePhase})}, nil},
 		{"pinned-heap2p", []Op{WithVariant(Variant{Alg: Heap, Phase: TwoPhase})}, nil},
 	}
@@ -112,8 +110,8 @@ func TestStreamEquivalence(t *testing.T) {
 				if cfg.model != nil {
 					s.cache.SetModel(cfg.model)
 					pl := s.Explain(base.Pattern(), base, base)
-					if pl.Schedule() != "cost-balanced" || pl.Blocks[0].Alg != Hash || pl.Blocks[0].Rep != core.RepBitmap {
-						t.Fatalf("test premise broken: the plan is not Hash on the bitmap, cost-balanced:\n%s", pl.Explain())
+					if pl.Schedule() != "cost-balanced" || pl.Blocks[0].Alg != Hash {
+						t.Fatalf("test premise broken: the plan is not Hash, cost-balanced:\n%s", pl.Explain())
 					}
 				}
 				g, err := NewDeltaMatrix(base.Clone())
