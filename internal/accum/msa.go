@@ -123,9 +123,9 @@ func (s *MSA[T]) Add(key Index, v T, add func(T, T) T) {
 func (s *MSA[T]) Value(key Index) T { return s.value[key] }
 
 // SetValue overwrites the value at an already-Set key without touching its
-// state. Kernels instantiated over an inlined operator accumulate with
-// s.SetValue(key, ops.Add(s.Value(key), v)) so the add call is direct
-// rather than through a func value.
+// state. The kernels' loops accumulate with
+// s.SetValue(key, add(s.Value(key), v)), the add spelled out as a direct
+// expression in the generated loops.
 func (s *MSA[T]) SetValue(key Index, v T) { s.value[key] = v }
 
 // Mark sets key to Set without writing a value; symbolic phases use it so

@@ -213,21 +213,6 @@ func MaskedSpGEMM[T any](v Variant, m *matrix.Pattern, a, b *matrix.CSR[T], sr s
 	return runDriver(v.Phase, m, b.NCols, bound, factory, opt)
 }
 
-// algKernelFactory builds the per-worker kernel factory for one algorithm
-// family. bcsc may be nil; it is only consulted for Inner, where a
-// non-nil value avoids re-transposing B (blocked plans share one CSC
-// across blocks). ws may be nil (no pooling).
-//
-// Dispatch happens here: a semiring carrying a recognized named operator
-// gets the monomorphized kernel instantiation (Add/Mul inlined); any other
-// semiring runs the same kernels through the FuncOps fallback. See OpsMode.
-func algKernelFactory[T any](alg Algorithm, m *matrix.Pattern, a, b *matrix.CSR[T], bcsc *matrix.CSC[T], sr semiring.Semiring[T], complement bool, ws *Workspaces) (func() kernel[T], error) {
-	if f := specializedFactory(alg, m, a, b, bcsc, sr, complement, ws); f != nil {
-		return f, nil
-	}
-	return opsKernelFactory(alg, m, a, b, bcsc, funcOps(sr), opLoops[T]{}, complement, ws)
-}
-
 // ExecBlock assigns an algorithm family to the contiguous row range
 // [Lo, Hi) of a blocked (mixed-variant) execution plan. The phase is global
 // to the call — the drivers run all blocks under one phase strategy — so a
@@ -394,13 +379,13 @@ func innerBound(m *matrix.Pattern, ncols Index, complement bool) func(i Index) i
 // MaskedSpGEMMHeapNInspect runs the Heap algorithm with an explicit
 // NInspect setting, exposing the §5.5 knob for the ablation benchmark
 // (NInspect 0, 1 and nInspectAll correspond to blind push, Heap, HeapDot).
+// The heap kernel calls sr's func fields whatever the semiring, so the
+// settings compare on equal operator cost.
 func MaskedSpGEMMHeapNInspect[T any](phase Phase, m *matrix.Pattern, a, b *matrix.CSR[T], sr semiring.Semiring[T], nInspect int32, opt Options) (*matrix.CSR[T], error) {
 	if err := checkDims(m, a, b); err != nil {
 		return nil, err
 	}
-	// Ablation entry point: always the FuncOps instantiation, so NInspect
-	// comparisons are not confounded by operator dispatch differences.
-	factory := newHeapKernelFactory(m, a, b, funcOps(sr), opt.Complement, nInspect, opt.Workspaces)
+	factory := newHeapKernelFactory(m, a, b, sr, opt.Complement, nInspect, opt.Workspaces)
 	bound := allocBound(m, a, b, opt.Complement)
 	return runDriver(phase, m, b.NCols, bound, factory, opt)
 }

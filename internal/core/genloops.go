@@ -3,21 +3,23 @@
 // genloops.go emits loops_gen.go: one copy of each hot scatter/probe loop per
 // named operator, with the semiring's Add/Mul spelled out as direct
 // expressions on a numeric- (or bool-) constrained element type parameter.
-// That is the only form the Go compiler monomorphizes: interface-method
-// calls on an operator type parameter stay dictionary calls, but plain
-// arithmetic on a type-set-constrained parameter compiles to direct
-// instructions and the accumulator accessor methods inline around it.
+// That is the only form the Go compiler turns into direct instructions:
+// interface-method calls on an operator type parameter stay dictionary
+// calls, but plain arithmetic on a type-set-constrained parameter compiles
+// to direct instructions and the accumulator accessor methods inline
+// around it.
 //
-// The loop bodies must mirror the generic kernels' numeric loops exactly
-// (same structure, same operand order) so both paths are bit-identical —
-// that equivalence is asserted by TestOpsEquivalence and by the kernels
-// bench study. When changing a kernel's numeric loop, change the template
-// here to match and re-run: go generate ./internal/core
+// The loop bodies must mirror funcLoops in loops.go exactly (same
+// structure, same operand order), the loop set custom semirings run, so
+// both paths are bit-identical; TestOpsEquivalence asserts it. The
+// probeLoop comments' innerKernel.probeDot is funcLoops' innerProbe. When
+// changing a loop, change funcLoops and the template here to match and
+// re-run: go generate ./internal/core
 //
 // Operators that ignore an operand skip its load entirely (plus-pair loops
 // never touch a.Val/b.Val), which is part of the speedup being generated.
 //
-// Two plus-pair loops depart from the generic structure, both through the
+// Two plus-pair loops depart from the funcLoops structure, both through the
 // counting mode of accum.MSA (NotAllowed = 0, Allowed = 1). The MSA
 // numeric row (msaCountLoopPlusPair) is a branch-free counting scatter,
 // value[j] += T(state[j]), instead of the three-way state switch, and the

@@ -3,7 +3,6 @@ package core
 import (
 	"repro/internal/accum"
 	"repro/internal/matrix"
-	"repro/internal/semiring"
 )
 
 // hashKernel implements the Hash masked SpGEVM (§5.3): per row, the hash
@@ -16,33 +15,30 @@ import (
 // arrives, and the gather sorts the table's keys, so no explicit complement
 // is ever materialized.
 //
-// Generic over the operator type O: named operators inline ops.Mul/ops.Add
-// into the probe loops; semiring.FuncOps runs the identical loops through
-// the func fields (see msaKernel).
-type hashKernel[T any, O semiring.Ops[T]] struct {
+// The scatter is the semiring's loop set (see msaKernel).
+type hashKernel[T any] struct {
 	m    *matrix.Pattern
 	a, b *matrix.CSR[T]
-	ops  O
-	lp   opLoops[T] // monomorphized scatter loops; zero → generic ops loops
+	lp   opLoops[T]
 	comp bool
 	acc  *accum.Hash[T]
 	keys []Index // complement-mode gather scratch
 	vals []T
 }
 
-func newHashKernelFactory[T any, O semiring.Ops[T]](m *matrix.Pattern, a, b *matrix.CSR[T], ops O, lp opLoops[T], comp bool, ws *Workspaces) func() kernel[T] {
+func newHashKernelFactory[T any](m *matrix.Pattern, a, b *matrix.CSR[T], lp opLoops[T], comp bool, ws *Workspaces) func() kernel[T] {
 	return func() kernel[T] {
-		return &hashKernel[T, O]{m: m, a: a, b: b, ops: ops, lp: lp, comp: comp,
+		return &hashKernel[T]{m: m, a: a, b: b, lp: lp, comp: comp,
 			acc: wsGetHash[T](ws, 16)}
 	}
 }
 
-func (k *hashKernel[T, O]) recycle(ws *Workspaces) {
+func (k *hashKernel[T]) recycle(ws *Workspaces) {
 	wsPutHash(ws, k.acc)
 	k.acc = nil
 }
 
-func (k *hashKernel[T, O]) numericRow(i Index, col []Index, val []T) Index {
+func (k *hashKernel[T]) numericRow(i Index, col []Index, val []T) Index {
 	if k.comp {
 		return k.numericRowC(i, col, val)
 	}
@@ -50,32 +46,12 @@ func (k *hashKernel[T, O]) numericRow(i Index, col []Index, val []T) Index {
 	if len(mrow) == 0 {
 		return 0
 	}
-	acc, a, b, ops := k.acc, k.a, k.b, k.ops
+	acc := k.acc
 	acc.Prepare(len(mrow))
 	for _, j := range mrow {
 		acc.SetAllowed(j)
 	}
-	if k.lp.hash != nil {
-		k.lp.hash(acc, a, b, i)
-	} else {
-		for kk := a.RowPtr[i]; kk < a.RowPtr[i+1]; kk++ {
-			kcol := a.Col[kk]
-			av := a.Val[kk]
-			bLo, bHi := b.RowPtr[kcol], b.RowPtr[kcol+1]
-			bCol := b.Col[bLo:bHi]
-			bVal := b.Val[bLo:bHi]
-			bVal = bVal[:len(bCol)]
-			for p, j := range bCol {
-				slot, st := acc.Probe(j)
-				switch st {
-				case accum.Allowed:
-					acc.StoreAt(slot, ops.Mul(av, bVal[p]))
-				case accum.Set:
-					acc.SetValueAt(slot, ops.Add(acc.ValueAt(slot), ops.Mul(av, bVal[p])))
-				}
-			}
-		}
-	}
+	k.lp.hash(acc, k.a, k.b, i)
 	var cnt Index
 	for _, j := range mrow {
 		if v, ok := acc.Lookup(j); ok {
@@ -87,34 +63,14 @@ func (k *hashKernel[T, O]) numericRow(i Index, col []Index, val []T) Index {
 	return cnt
 }
 
-func (k *hashKernel[T, O]) numericRowC(i Index, col []Index, val []T) Index {
+func (k *hashKernel[T]) numericRowC(i Index, col []Index, val []T) Index {
 	mrow := k.m.Row(i)
-	acc, a, b, ops := k.acc, k.a, k.b, k.ops
+	acc := k.acc
 	acc.PrepareC(len(mrow) + 8)
 	for _, j := range mrow {
 		acc.SetNotAllowed(j)
 	}
-	if k.lp.hashC != nil {
-		k.lp.hashC(acc, a, b, i)
-	} else {
-		for kk := a.RowPtr[i]; kk < a.RowPtr[i+1]; kk++ {
-			kcol := a.Col[kk]
-			av := a.Val[kk]
-			bLo, bHi := b.RowPtr[kcol], b.RowPtr[kcol+1]
-			bCol := b.Col[bLo:bHi]
-			bVal := b.Val[bLo:bHi]
-			bVal = bVal[:len(bCol)]
-			for p, j := range bCol {
-				slot, st := acc.ProbeC(j)
-				switch st {
-				case accum.NotAllowed: // absent: allowed under complement
-					acc.InsertNewAtC(slot, j, ops.Mul(av, bVal[p]))
-				case accum.Set:
-					acc.SetValueAt(slot, ops.Add(acc.ValueAt(slot), ops.Mul(av, bVal[p])))
-				}
-			}
-		}
-	}
+	k.lp.hashC(acc, k.a, k.b, i)
 	k.keys, k.vals = k.keys[:0], k.vals[:0]
 	k.keys, k.vals = acc.GatherC(k.keys, k.vals)
 	sortKeyVals(k.keys, k.vals)
@@ -123,7 +79,7 @@ func (k *hashKernel[T, O]) numericRowC(i Index, col []Index, val []T) Index {
 	return Index(len(k.keys))
 }
 
-func (k *hashKernel[T, O]) symbolicRow(i Index) Index {
+func (k *hashKernel[T]) symbolicRow(i Index) Index {
 	mrow := k.m.Row(i)
 	acc, a, b := k.acc, k.a, k.b
 	if k.comp {

@@ -27,34 +27,36 @@ const nInspectAll = math.MaxInt32
 // Under a complemented mask the kernel computes products for S \ m instead
 // of S ∩ m and always uses NInspect=0 (§5.5 last paragraph).
 //
-// Generic over the operator type O (see msaKernel).
-type heapKernel[T any, O semiring.Ops[T]] struct {
+// The multiply-add sits under a heap pop, one per product term, so the
+// kernel calls the semiring's Add and Mul func fields directly rather
+// than through a loop set (see opLoops).
+type heapKernel[T any] struct {
 	m        *matrix.Pattern
 	a, b     *matrix.CSR[T]
-	ops      O
+	add, mul func(T, T) T
 	comp     bool
 	nInspect int32
 	pq       *accum.IterHeap
 }
 
-func newHeapKernelFactory[T any, O semiring.Ops[T]](m *matrix.Pattern, a, b *matrix.CSR[T], ops O, comp bool, nInspect int32, ws *Workspaces) func() kernel[T] {
+func newHeapKernelFactory[T any](m *matrix.Pattern, a, b *matrix.CSR[T], sr semiring.Semiring[T], comp bool, nInspect int32, ws *Workspaces) func() kernel[T] {
 	if comp {
 		nInspect = 0
 	}
 	return func() kernel[T] {
-		return &heapKernel[T, O]{m: m, a: a, b: b, ops: ops, comp: comp, nInspect: nInspect,
+		return &heapKernel[T]{m: m, a: a, b: b, add: sr.Add, mul: sr.Mul, comp: comp, nInspect: nInspect,
 			pq: wsGetHeap(ws)}
 	}
 }
 
-func (k *heapKernel[T, O]) recycle(ws *Workspaces) {
+func (k *heapKernel[T]) recycle(ws *Workspaces) {
 	wsPutHeap(ws, k.pq)
 	k.pq = nil
 }
 
 // insert is the Insert procedure of Algorithm 5. it must be valid.
 // mrow[mPos:] is the unconsumed portion of the mask row.
-func (k *heapKernel[T, O]) insert(it accum.RowIterator, mrow []Index, mPos int) {
+func (k *heapKernel[T]) insert(it accum.RowIterator, mrow []Index, mPos int) {
 	b := k.b
 	if k.nInspect == 0 {
 		it.Col = b.Col[it.Pos]
@@ -86,12 +88,12 @@ func (k *heapKernel[T, O]) insert(it accum.RowIterator, mrow []Index, mPos int) 
 	// Row exhausted, or mask exhausted (nothing left to output): drop.
 }
 
-func (k *heapKernel[T, O]) numericRow(i Index, col []Index, val []T) Index {
+func (k *heapKernel[T]) numericRow(i Index, col []Index, val []T) Index {
 	mrow := k.m.Row(i)
 	if !k.comp && len(mrow) == 0 {
 		return 0
 	}
-	a, b, ops := k.a, k.b, k.ops
+	a, b, add, mul := k.a, k.b, k.add, k.mul
 	k.pq.Reset()
 	for kk := a.RowPtr[i]; kk < a.RowPtr[i+1]; kk++ {
 		kcol := a.Col[kk]
@@ -111,9 +113,9 @@ func (k *heapKernel[T, O]) numericRow(i Index, col []Index, val []T) Index {
 		inMask := mPos < len(mrow) && mrow[mPos] == min.Col
 		if inMask != k.comp { // keep: mask hit (normal) or mask miss (complement)
 			j := min.Col
-			v := ops.Mul(a.Val[min.APos], b.Val[min.Pos])
+			v := mul(a.Val[min.APos], b.Val[min.Pos])
 			if prevKey == j {
-				val[cnt-1] = ops.Add(val[cnt-1], v)
+				val[cnt-1] = add(val[cnt-1], v)
 			} else {
 				col[cnt] = j
 				val[cnt] = v
@@ -132,7 +134,7 @@ func (k *heapKernel[T, O]) numericRow(i Index, col []Index, val []T) Index {
 	return cnt
 }
 
-func (k *heapKernel[T, O]) symbolicRow(i Index) Index {
+func (k *heapKernel[T]) symbolicRow(i Index) Index {
 	mrow := k.m.Row(i)
 	if !k.comp && len(mrow) == 0 {
 		return 0

@@ -3,7 +3,6 @@ package core
 import (
 	"repro/internal/accum"
 	"repro/internal/matrix"
-	"repro/internal/semiring"
 )
 
 // innerKernel implements the pull-based dot-product algorithm (§4.1): for
@@ -33,31 +32,25 @@ import (
 // completeness and correctness testing. The complemented row walks the
 // sorted mask row beside the column sweep and skips the columns it names.
 //
-// Generic over the operator type O (see msaKernel): lp.innerProbe is the
-// generated probe for a named operator, and probeDot runs the same loop
-// through ops.Mul/ops.Add for the funcptr fallback.
-type innerKernel[T any, O semiring.Ops[T]] struct {
+// Each probe is the semiring's lp.innerProbe: the generated probe of a
+// named operator, or funcLoops' for a custom semiring.
+type innerKernel[T any] struct {
 	m    *matrix.Pattern
 	a    *matrix.CSR[T]
 	bcsc *matrix.CSC[T]
-	ops  O
-	lp   opLoops[T] // lp.innerProbe is the monomorphized probe; defaults to k.probeDot
+	lp   opLoops[T]
 	comp bool
 	acc  *accum.MSA[T] // A's row, scattered in counting-mode states
 }
 
-func newInnerKernelFactory[T any, O semiring.Ops[T]](m *matrix.Pattern, a *matrix.CSR[T], bcsc *matrix.CSC[T], ops O, lp opLoops[T], comp bool, ws *Workspaces) func() kernel[T] {
+func newInnerKernelFactory[T any](m *matrix.Pattern, a *matrix.CSR[T], bcsc *matrix.CSC[T], lp opLoops[T], comp bool, ws *Workspaces) func() kernel[T] {
 	return func() kernel[T] {
-		k := &innerKernel[T, O]{m: m, a: a, bcsc: bcsc, ops: ops, lp: lp, comp: comp,
+		return &innerKernel[T]{m: m, a: a, bcsc: bcsc, lp: lp, comp: comp,
 			acc: wsGetMSA[T](ws, int(a.NCols))}
-		if k.lp.innerProbe == nil {
-			k.lp.innerProbe = k.probeDot // funcptr fallback: the generic probe below
-		}
-		return k
 	}
 }
 
-func (k *innerKernel[T, O]) recycle(ws *Workspaces) {
+func (k *innerKernel[T]) recycle(ws *Workspaces) {
 	wsPutMSA(ws, k.acc)
 	k.acc = nil
 }
@@ -65,7 +58,7 @@ func (k *innerKernel[T, O]) recycle(ws *Workspaces) {
 // scatter marks row i's columns Allowed in the scratch, storing their values
 // too when vals is set, and returns the columns (for reset) with the
 // row's largest column. The row must be non-empty.
-func (k *innerKernel[T, O]) scatter(i Index, vals bool) (aIdx []Index, amax Index) {
+func (k *innerKernel[T]) scatter(i Index, vals bool) (aIdx []Index, amax Index) {
 	aLo, aHi := k.a.RowPtr[i], k.a.RowPtr[i+1]
 	aIdx = k.a.Col[aLo:aHi]
 	state, value := k.acc.Arrays()
@@ -85,37 +78,11 @@ func (k *innerKernel[T, O]) scatter(i Index, vals bool) (aIdx []Index, amax Inde
 }
 
 // reset returns the keys scatter marked to NotAllowed.
-func (k *innerKernel[T, O]) reset(aIdx []Index) {
+func (k *innerKernel[T]) reset(aIdx []Index) {
 	state, _ := k.acc.Arrays()
 	for _, c := range aIdx {
 		state[c] = accum.NotAllowed
 	}
-}
-
-// probeDot combines the products of B's column with the scattered A row in
-// ascending k, stopping past amax. The bool reports whether the patterns
-// intersect at all.
-func (k *innerKernel[T, O]) probeDot(state []accum.State, value []T, amax Index, bIdx []Index, bVal []T) (T, bool) {
-	ops := k.ops
-	var acc T
-	found := false
-	bVal = bVal[:len(bIdx)]
-	for p, c := range bIdx {
-		if c > amax {
-			break
-		}
-		if state[c] != accum.Allowed {
-			continue
-		}
-		v := ops.Mul(value[c], bVal[p])
-		if found {
-			acc = ops.Add(acc, v)
-		} else {
-			acc = v
-			found = true
-		}
-	}
-	return acc, found
 }
 
 // probePattern is the symbolic probe: true iff B's column meets the
@@ -132,7 +99,7 @@ func probePattern(state []accum.State, amax Index, bIdx []Index) bool {
 	return false
 }
 
-func (k *innerKernel[T, O]) numericRow(i Index, col []Index, val []T) Index {
+func (k *innerKernel[T]) numericRow(i Index, col []Index, val []T) Index {
 	if k.a.RowPtr[i] == k.a.RowPtr[i+1] {
 		return 0
 	}
@@ -144,7 +111,7 @@ func (k *innerKernel[T, O]) numericRow(i Index, col []Index, val []T) Index {
 
 // numericProbes runs one probe per unmasked column of row i against the
 // scattered A row, writing the non-empty dot products in column order.
-func (k *innerKernel[T, O]) numericProbes(i, amax Index, col []Index, val []T) Index {
+func (k *innerKernel[T]) numericProbes(i, amax Index, col []Index, val []T) Index {
 	state, value := k.acc.Arrays()
 	mrow := k.m.Row(i)
 	var cnt Index
@@ -175,7 +142,7 @@ func (k *innerKernel[T, O]) numericProbes(i, amax Index, col []Index, val []T) I
 	return cnt
 }
 
-func (k *innerKernel[T, O]) symbolicRow(i Index) Index {
+func (k *innerKernel[T]) symbolicRow(i Index) Index {
 	if k.a.RowPtr[i] == k.a.RowPtr[i+1] {
 		return 0
 	}
@@ -187,7 +154,7 @@ func (k *innerKernel[T, O]) symbolicRow(i Index) Index {
 
 // symbolicProbes counts the unmasked columns of row i whose B column meets
 // the scattered A row.
-func (k *innerKernel[T, O]) symbolicProbes(i, amax Index) Index {
+func (k *innerKernel[T]) symbolicProbes(i, amax Index) Index {
 	state, _ := k.acc.Arrays()
 	mrow := k.m.Row(i)
 	var cnt Index

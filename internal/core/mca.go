@@ -3,7 +3,6 @@ package core
 import (
 	"repro/internal/accum"
 	"repro/internal/matrix"
-	"repro/internal/semiring"
 )
 
 // mcaKernel implements Algorithm 3, the Mask Compressed Accumulator masked
@@ -15,60 +14,33 @@ import (
 // index: O(nnz(m_i) + nnz(B_k*)) per A entry.
 //
 // Requires sorted mask and B rows; does not support complemented masks.
-// Generic over the operator type O (see msaKernel).
-type mcaKernel[T any, O semiring.Ops[T]] struct {
+// The merge walk is the semiring's loop set (see msaKernel).
+type mcaKernel[T any] struct {
 	m    *matrix.Pattern
 	a, b *matrix.CSR[T]
-	ops  O
-	lp   opLoops[T] // monomorphized scatter loops; zero → generic ops loops
+	lp   opLoops[T]
 	acc  *accum.MCA[T]
 }
 
-func newMCAKernelFactory[T any, O semiring.Ops[T]](m *matrix.Pattern, a, b *matrix.CSR[T], ops O, lp opLoops[T], ws *Workspaces) func() kernel[T] {
+func newMCAKernelFactory[T any](m *matrix.Pattern, a, b *matrix.CSR[T], lp opLoops[T], ws *Workspaces) func() kernel[T] {
 	return func() kernel[T] {
-		return &mcaKernel[T, O]{m: m, a: a, b: b, ops: ops, lp: lp, acc: wsGetMCA[T](ws, 64)}
+		return &mcaKernel[T]{m: m, a: a, b: b, lp: lp, acc: wsGetMCA[T](ws, 64)}
 	}
 }
 
-func (k *mcaKernel[T, O]) recycle(ws *Workspaces) {
+func (k *mcaKernel[T]) recycle(ws *Workspaces) {
 	wsPutMCA(ws, k.acc)
 	k.acc = nil
 }
 
-func (k *mcaKernel[T, O]) numericRow(i Index, col []Index, val []T) Index {
+func (k *mcaKernel[T]) numericRow(i Index, col []Index, val []T) Index {
 	mrow := k.m.Row(i)
 	if len(mrow) == 0 {
 		return 0
 	}
-	acc, a, b, ops := k.acc, k.a, k.b, k.ops
+	acc := k.acc
 	acc.Prepare(len(mrow))
-	if k.lp.mcaMerge != nil {
-		k.lp.mcaMerge(acc, a, b, i, mrow)
-	} else {
-		for kk := a.RowPtr[i]; kk < a.RowPtr[i+1]; kk++ {
-			kcol := a.Col[kk]
-			av := a.Val[kk]
-			bLo, bHi := b.RowPtr[kcol], b.RowPtr[kcol+1]
-			bi := bLo
-			// Enumerate the mask row; advance the B row iterator past smaller
-			// columns (Algorithm 3 lines 4-8).
-			for idx, j := range mrow {
-				for bi < bHi && b.Col[bi] < j {
-					bi++
-				}
-				if bi >= bHi {
-					break
-				}
-				if b.Col[bi] == j {
-					if acc.State(Index(idx)) == accum.Set {
-						acc.SetValue(Index(idx), ops.Add(acc.Value(Index(idx)), ops.Mul(av, b.Val[bi])))
-					} else {
-						acc.Store(Index(idx), ops.Mul(av, b.Val[bi]))
-					}
-				}
-			}
-		}
-	}
+	k.lp.mcaMerge(acc, k.a, k.b, i, mrow)
 	var cnt Index
 	for idx, j := range mrow {
 		if v, ok := acc.Remove(Index(idx)); ok {
@@ -80,7 +52,7 @@ func (k *mcaKernel[T, O]) numericRow(i Index, col []Index, val []T) Index {
 	return cnt
 }
 
-func (k *mcaKernel[T, O]) symbolicRow(i Index) Index {
+func (k *mcaKernel[T]) symbolicRow(i Index) Index {
 	mrow := k.m.Row(i)
 	if len(mrow) == 0 {
 		return 0

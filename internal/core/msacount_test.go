@@ -121,7 +121,7 @@ func TestMSACountingIgnoresScratch(t *testing.T) {
 	af, bf := randCSR(r, 30, 25, 0.3), randCSR(r, 25, 40, 0.3)
 	garbage := []float64{math.NaN(), math.Inf(1), math.Inf(-1), -7.5, 1e300}
 	runRows := func(acc *accum.MSA[float64]) *matrix.CSR[float64] {
-		k := &msaKernel[float64, semiring.PlusPairF64]{m: mask, a: af, b: bf,
+		k := &msaKernel[float64]{m: mask, a: af, b: bf,
 			lp: opLoopsPlusPair[float64](), acc: acc}
 		out := &matrix.CSR[float64]{NRows: mask.NRows, NCols: mask.NCols, RowPtr: make([]Index, mask.NRows+1)}
 		col, val := make([]Index, mask.NCols), make([]float64, mask.NCols)

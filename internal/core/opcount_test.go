@@ -211,7 +211,7 @@ func countHeap[T any](m *matrix.Pattern, a, b *matrix.CSR[T], sr semiring.Semiri
 	// charging ceil(log2(heap size)) per operation).
 	var ops OpCounts
 	out := &matrix.CSR[T]{NRows: m.NRows, NCols: m.NCols, RowPtr: make([]Index, m.NRows+1)}
-	k := &heapKernel[T, semiring.FuncOps[T]]{m: m, a: a, b: b, ops: funcOps(sr), nInspect: nInspect, pq: &accum.IterHeap{}}
+	k := &heapKernel[T]{m: m, a: a, b: b, add: sr.Add, mul: sr.Mul, nInspect: nInspect, pq: &accum.IterHeap{}}
 	colBuf := make([]Index, 0)
 	valBuf := make([]T, 0)
 	for i := Index(0); i < m.NRows; i++ {

@@ -11,10 +11,11 @@ import (
 
 // opsEquivCase runs one semiring through every variant × mask mode ×
 // schedule (no cost profile, a skewed one) twice — once with the named
-// operator type (monomorphized loops) and once with the funcptr fallback
-// (Ops stripped) — and requires bit-identical output. This is the contract loops_gen.go is generated under: the
-// specialized loops replicate the generic ops loops' operation order
-// exactly, so inlining must never change result bits.
+// operator type (generated loops) and once with the funcptr fallback (Ops
+// stripped, so funcLoops) — and requires bit-identical output. This is the
+// contract loops_gen.go is generated under: the generated loops replicate
+// funcLoops' operation order exactly, so inlining must never change result
+// bits.
 func opsEquivCase[T any](t *testing.T, sr semiring.Semiring[T], mask *matrix.Pattern, a, b *matrix.CSR[T], eq func(T, T) bool) {
 	t.Helper()
 	fp := sr
@@ -31,6 +32,14 @@ func opsEquivPair[T any](t *testing.T, sr, fp semiring.Semiring[T], mask *matrix
 	}
 	if fp.Ops != nil {
 		t.Fatalf("%s: funcptr semiring carries an operator type", fp.Name)
+	}
+	// Without these, a named operator missing from loopsFor would run
+	// funcLoops against itself and pass.
+	if got := OpsMode(sr); got != OpsInlined {
+		t.Fatalf("%s: OpsMode = %q, want %q", sr.Name, got, OpsInlined)
+	}
+	if got := OpsMode(fp); got != OpsFuncPtr {
+		t.Fatalf("%s: OpsMode = %q, want %q", fp.Name, got, OpsFuncPtr)
 	}
 	scheds := schedCases(ComputeRowCosts(mask, a.Pattern(), b.Pattern(), 0), false)
 	for _, v := range AllVariants() {
@@ -57,7 +66,7 @@ func opsEquivPair[T any](t *testing.T, sr, fp semiring.Semiring[T], mask *matrix
 }
 
 // TestOpsEquivalence is the operator-path equivalence property test: for
-// every named semiring, the monomorphized kernels and the funcptr fallback
+// every named semiring, the generated loops and the funcptr fallback
 // must produce bit-identical output across all variants, mask modes and
 // schedules (same pattern, same value bits — accumulation order is part
 // of the contract).
@@ -77,8 +86,8 @@ func TestOpsEquivalence(t *testing.T) {
 	}
 
 	// Custom semirings built from func literals (no operator type, and not
-	// the named operators' method values) run the generic kernel loops,
-	// Inner's probeDot among them; they must match the generated loops on
+	// the named operators' method values) run funcLoops, its Inner probe
+	// among them; they must match the generated loops on
 	// the random operands and on banded ones, whose empty rows and columns
 	// and out-of-span B columns drive Inner's probe to its early exit.
 	plusTimes := semiring.Semiring[float64]{Name: "custom-plus-times",

@@ -215,6 +215,28 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	}
 }
 
+// TestSortedRowsIn checks the range form of IsSortedRows: a range sees
+// only its own rows, a duplicate counts as unsorted, and a degenerate
+// zero-value pattern reports sorted over any range.
+func TestSortedRowsIn(t *testing.T) {
+	p := &Pattern{NRows: 3, NCols: 9, RowPtr: []Index{0, 2, 4, 6}, Col: []Index{1, 4, 5, 2, 3, 3}}
+	for _, c := range []struct {
+		lo, hi Index
+		want   bool
+	}{{0, 1, true}, {0, 2, false}, {1, 2, false}, {2, 3, false}, {0, 0, true}, {0, 3, false}} {
+		if got := p.SortedRowsIn(c.lo, c.hi); got != c.want {
+			t.Errorf("SortedRowsIn(%d, %d) = %v, want %v", c.lo, c.hi, got, c.want)
+		}
+	}
+	if p.IsSortedRows() {
+		t.Error("IsSortedRows = true on unsorted rows")
+	}
+	z := &Pattern{NRows: 4}
+	if !z.SortedRowsIn(0, 4) || !z.IsSortedRows() {
+		t.Error("zero-value pattern must report sorted")
+	}
+}
+
 func TestSortRows(t *testing.T) {
 	a := &CSR[float64]{
 		NRows: 2, NCols: 40,

@@ -190,11 +190,16 @@ func (a *CSR[T]) IsSortedRows() bool { return a.Pattern().IsSortedRows() }
 // IsSortedRows reports whether every mask row is strictly increasing
 // (sorted and duplicate-free). Degenerate zero-value patterns (no RowPtr)
 // report true: they have no row data to violate it.
-func (p *Pattern) IsSortedRows() bool {
+func (p *Pattern) IsSortedRows() bool { return p.SortedRowsIn(0, p.NRows) }
+
+// SortedRowsIn is IsSortedRows over the rows [lo, hi) only, so callers
+// can split the check across workers. Degenerate zero-value patterns
+// report true, as for IsSortedRows.
+func (p *Pattern) SortedRowsIn(lo, hi Index) bool {
 	if int(p.NRows) >= len(p.RowPtr) {
 		return true
 	}
-	for i := Index(0); i < p.NRows; i++ {
+	for i := lo; i < hi; i++ {
 		cols := p.Col[p.RowPtr[i]:p.RowPtr[i+1]]
 		for k := 1; k < len(cols); k++ {
 			if cols[k-1] >= cols[k] {

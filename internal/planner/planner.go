@@ -101,7 +101,7 @@ type Plan struct {
 	CacheHit bool
 	// Ops names the operator path the kernels will take for the semiring
 	// this plan executes with: core.OpsInlined when the semiring carries a
-	// named operator type (monomorphized loops, Add/Mul inlined) or
+	// named operator type (generated loops, Add/Mul inlined) or
 	// core.OpsFuncPtr for custom semirings (indirect calls through the
 	// Semiring func fields). Empty when the executing semiring is not yet
 	// known (plans are cached per mask/operand shape, not per semiring);
@@ -491,17 +491,8 @@ func AnalyzeModel(m, a, b *matrix.Pattern, opt core.Options, mdl *Model) *Plan {
 func sortedRows(p *matrix.Pattern, threads int) bool {
 	var unsorted atomic.Bool
 	parallel.ForChunks(nil, int(p.NRows), threads, 2048, func(lo, hi int) {
-		if unsorted.Load() {
-			return
-		}
-		for i := lo; i < hi; i++ {
-			cols := p.Col[p.RowPtr[i]:p.RowPtr[i+1]]
-			for k := 1; k < len(cols); k++ {
-				if cols[k-1] >= cols[k] {
-					unsorted.Store(true)
-					return
-				}
-			}
+		if !unsorted.Load() && !p.SortedRowsIn(Index(lo), Index(hi)) {
+			unsorted.Store(true)
 		}
 	})
 	return !unsorted.Load()

@@ -2,45 +2,27 @@ package semiring
 
 // Ops is the operator form of a semiring: a value whose Add/Mul/Zero are
 // methods rather than func fields. The named implementations below are
-// zero-size comparable structs, which buys two things the func-field form
-// cannot provide:
+// zero-size comparable structs, one distinct type per operator, which buys
+// two things the func-field form cannot provide:
 //
-//   - Kernels instantiated generically over a concrete Ops type get direct,
-//     inlinable calls to Add and Mul (no indirect call per multiply-add),
-//     so the compiler can keep the accumulator loop in registers.
+//   - The kernels recognize the operator by its type and run generated
+//     loops with Add and Mul spelled out as direct instructions
+//     (repro/internal/core's loops_gen.go).
 //   - Two independently constructed values of the same operator type compare
 //     equal, so request coalescing can key on the operator type instead of
 //     func-pointer identity.
 //
-// Custom semirings without an Ops value run through FuncOps, which adapts
-// the func fields to this interface; the kernels are the same code either
-// way, so results are bit-identical across the two paths.
+// Custom semirings carry no Ops value; the kernels then run the same loop
+// structure through the func fields, so results are bit-identical across
+// the two paths.
 type Ops[T any] interface {
 	Add(T, T) T
 	Mul(T, T) T
 	Zero() T
 }
 
-// Each named operator struct embeds a distinct unexported zero-size tag
-// type. The tag gives every operator a distinct underlying type, which
-// forces the compiler to stencil a separate kernel instantiation per
-// operator instead of sharing one dictionary-dispatched instantiation
-// across all empty structs (all plain struct{} types share a gcshape, and
-// shared-shape instantiations call methods through the dictionary — exactly
-// the indirection this package exists to remove).
-
-type tagPlusTimesF64 struct{}
-type tagPlusTimesI64 struct{}
-type tagPlusPairI64 struct{}
-type tagPlusPairF64 struct{}
-type tagOrAndBool struct{}
-type tagMinPlusF64 struct{}
-type tagPlusSecondF64 struct{}
-type tagPlusFirstF64 struct{}
-type tagMaxTimesF64 struct{}
-
 // PlusTimesF64 is the operator form of Arithmetic: (+, ×) over float64.
-type PlusTimesF64 struct{ tagPlusTimesF64 }
+type PlusTimesF64 struct{}
 
 // Add returns x + y.
 func (PlusTimesF64) Add(x, y float64) float64 { return x + y }
@@ -52,7 +34,7 @@ func (PlusTimesF64) Mul(x, y float64) float64 { return x * y }
 func (PlusTimesF64) Zero() float64 { return 0 }
 
 // PlusTimesI64 is the operator form of ArithmeticInt: (+, ×) over int64.
-type PlusTimesI64 struct{ tagPlusTimesI64 }
+type PlusTimesI64 struct{}
 
 // Add returns x + y.
 func (PlusTimesI64) Add(x, y int64) int64 { return x + y }
@@ -64,7 +46,7 @@ func (PlusTimesI64) Mul(x, y int64) int64 { return x * y }
 func (PlusTimesI64) Zero() int64 { return 0 }
 
 // PlusPairI64 is the operator form of PlusPair: (+, pair) over int64.
-type PlusPairI64 struct{ tagPlusPairI64 }
+type PlusPairI64 struct{}
 
 // Add returns x + y.
 func (PlusPairI64) Add(x, y int64) int64 { return x + y }
@@ -76,7 +58,7 @@ func (PlusPairI64) Mul(int64, int64) int64 { return 1 }
 func (PlusPairI64) Zero() int64 { return 0 }
 
 // PlusPairF64 is the operator form of PlusPairF: (+, pair) over float64.
-type PlusPairF64 struct{ tagPlusPairF64 }
+type PlusPairF64 struct{}
 
 // Add returns x + y.
 func (PlusPairF64) Add(x, y float64) float64 { return x + y }
@@ -88,7 +70,7 @@ func (PlusPairF64) Mul(float64, float64) float64 { return 1 }
 func (PlusPairF64) Zero() float64 { return 0 }
 
 // OrAndBool is the operator form of Boolean: (∨, ∧) over bool.
-type OrAndBool struct{ tagOrAndBool }
+type OrAndBool struct{}
 
 // Add returns x || y.
 func (OrAndBool) Add(x, y bool) bool { return x || y }
@@ -101,7 +83,7 @@ func (OrAndBool) Zero() bool { return false }
 
 // MinPlusF64 is the operator form of MinPlus: tropical (min, +) over
 // float64.
-type MinPlusF64 struct{ tagMinPlusF64 }
+type MinPlusF64 struct{}
 
 // Add returns min(x, y).
 func (MinPlusF64) Add(x, y float64) float64 {
@@ -119,7 +101,7 @@ func (MinPlusF64) Zero() float64 { return inf64() }
 
 // PlusSecondF64 is the operator form of PlusSecond: (+, second) over
 // float64.
-type PlusSecondF64 struct{ tagPlusSecondF64 }
+type PlusSecondF64 struct{}
 
 // Add returns x + y.
 func (PlusSecondF64) Add(x, y float64) float64 { return x + y }
@@ -131,7 +113,7 @@ func (PlusSecondF64) Mul(_, y float64) float64 { return y }
 func (PlusSecondF64) Zero() float64 { return 0 }
 
 // PlusFirstF64 is the operator form of PlusFirst: (+, first) over float64.
-type PlusFirstF64 struct{ tagPlusFirstF64 }
+type PlusFirstF64 struct{}
 
 // Add returns x + y.
 func (PlusFirstF64) Add(x, y float64) float64 { return x + y }
@@ -143,7 +125,7 @@ func (PlusFirstF64) Mul(x, _ float64) float64 { return x }
 func (PlusFirstF64) Zero() float64 { return 0 }
 
 // MaxTimesF64 is the operator form of MaxTimes: (max, ×) over float64.
-type MaxTimesF64 struct{ tagMaxTimesF64 }
+type MaxTimesF64 struct{}
 
 // Add returns max(x, y).
 func (MaxTimesF64) Add(x, y float64) float64 {
@@ -158,22 +140,3 @@ func (MaxTimesF64) Mul(x, y float64) float64 { return x * y }
 
 // Zero returns -Inf.
 func (MaxTimesF64) Zero() float64 { return -inf64() }
-
-// FuncOps adapts a func-field semiring to the Ops interface so that custom
-// semirings run through the same generic kernels as the named ones. Calls
-// still pay the func-field indirection, and the struct is not comparable —
-// it must never be used as a cache or coalescing key.
-type FuncOps[T any] struct {
-	AddFn func(T, T) T
-	MulFn func(T, T) T
-	ZeroV T
-}
-
-// Add calls the wrapped add func.
-func (o FuncOps[T]) Add(x, y T) T { return o.AddFn(x, y) }
-
-// Mul calls the wrapped multiply func.
-func (o FuncOps[T]) Mul(x, y T) T { return o.MulFn(x, y) }
-
-// Zero returns the wrapped additive identity.
-func (o FuncOps[T]) Zero() T { return o.ZeroV }

@@ -23,16 +23,16 @@ type Semiring[T any] struct {
 	// Zero is the additive identity.
 	Zero T
 	// Ops, when non-nil, is the comparable operator form of the semiring.
-	// Kernels instantiated for a recognized Ops type inline Add/Mul; when
-	// Ops is nil (a custom semiring built from func fields) kernels fall
-	// back to calling Add/Mul through the func pointers. The named
+	// For a recognized Ops type the kernels run generated loops with
+	// Add/Mul inlined; when Ops is nil (a custom semiring built from func
+	// fields) they call Add/Mul through the func pointers. The named
 	// constructors in this package always set Ops.
 	Ops Ops[T]
 }
 
 // fromOps builds a Semiring whose func fields are the operator's method
-// values, so the funcptr fallback computes with exactly the same code as
-// the inlined path and the two are bit-identical by construction.
+// values, so every caller of the func fields (Heap and HeapDot among them)
+// computes with exactly the operator's own code.
 func fromOps[T any](name string, ops Ops[T]) Semiring[T] {
 	return Semiring[T]{Name: name, Add: ops.Add, Mul: ops.Mul, Zero: ops.Zero(), Ops: ops}
 }

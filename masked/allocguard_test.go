@@ -8,33 +8,42 @@ import (
 )
 
 // TestSpecializedKernelsZeroAllocsPerRow guards the steady-state allocation
-// contract of the monomorphized operator loops: on a warmed session the
-// specialized kernels must allocate nothing per row. The loops write into
-// pooled accumulators and pooled output buffers, so a warmed multiply's
-// allocation count is a small constant (session bookkeeping + result
-// headers) — it must not grow when the input gets 4x more rows. A per-row
-// allocation of even one object would show up as a ~1500-alloc delta here.
-// The complement arm covers the MSA's insertion log and the two-level
-// bitmap that orders it, both of which ride the pooled accumulator.
+// contract of the kernels' loop sets: on a warmed session the kernels must
+// allocate nothing per row. The loops write into pooled accumulators and
+// pooled output buffers, so a warmed multiply's allocation count is a small
+// constant (session bookkeeping + result headers) — it must not grow when
+// the input gets 4x more rows. A per-row allocation of even one object
+// would show up as a ~1500-alloc delta here. The complement arm covers the
+// MSA's insertion log and the two-level bitmap that orders it, both of
+// which ride the pooled accumulator. The custom-semiring arm runs
+// funcLoops, whose closures are built once per call, and the Heap arm calls
+// the semiring's func fields per product term.
 func TestSpecializedKernelsZeroAllocsPerRow(t *testing.T) {
 	ctx := context.Background()
 	msa := Variant{Alg: MSA, Phase: OnePhase}
+	custom := Semiring{Name: "custom-plus-pair",
+		Add: func(x, y float64) float64 { return x + y },
+		Mul: func(float64, float64) float64 { return 1 }}
 	for _, c := range []struct {
 		name string
 		v    Variant
+		sr   Semiring
 		ops  []Op
+		want string // Explain's ops= label
 	}{
-		{"MSA-1P", msa, nil},
-		{"Hash-1P", Variant{Alg: Hash, Phase: OnePhase}, nil},
-		{"MCA-1P", Variant{Alg: MCA, Phase: OnePhase}, nil},
-		{"MSA-1P/complement", msa, []Op{WithComplement()}},
+		{"MSA-1P", msa, PlusPair(), nil, core.OpsInlined},
+		{"Hash-1P", Variant{Alg: Hash, Phase: OnePhase}, PlusPair(), nil, core.OpsInlined},
+		{"MCA-1P", Variant{Alg: MCA, Phase: OnePhase}, PlusPair(), nil, core.OpsInlined},
+		{"Heap-1P", Variant{Alg: Heap, Phase: OnePhase}, PlusPair(), nil, core.OpsInlined},
+		{"MSA-1P/complement", msa, PlusPair(), []Op{WithComplement()}, core.OpsInlined},
+		{"MSA-1P/custom", msa, custom, nil, core.OpsFuncPtr},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			perRun := func(scale int) float64 {
 				lp, l := tcOperands(scale, 8, 9)
-				s := NewSession(append([]Op{WithThreads(1), WithVariant(c.v), WithAccumulate(PlusPair())}, c.ops...)...)
-				if p := s.Explain(lp, l, l); p == nil || p.Ops != core.OpsInlined {
-					t.Fatalf("expected the specialized (ops=inlined) path for %s + plus-pair", c.name)
+				s := NewSession(append([]Op{WithThreads(1), WithVariant(c.v), WithAccumulate(c.sr)}, c.ops...)...)
+				if p := s.Explain(lp, l, l); p == nil || p.Ops != c.want {
+					t.Fatalf("expected the ops=%s path for %s + %s", c.want, c.name, c.sr.Name)
 				}
 				if _, err := s.Multiply(ctx, lp, l, l); err != nil { // warm pools + plan cache
 					t.Fatal(err)
@@ -51,7 +60,7 @@ func TestSpecializedKernelsZeroAllocsPerRow(t *testing.T) {
 			// allocations. A single per-row allocation would add ~1536 here
 			// (the row delta), three orders of magnitude above the slack.
 			if big > small+8 {
-				t.Errorf("%s: warmed allocs/op grew with rows: %.0f at 512 rows, %.0f at 2048 rows; specialized kernels must allocate zero per row", c.name, small, big)
+				t.Errorf("%s: warmed allocs/op grew with rows: %.0f at 512 rows, %.0f at 2048 rows; kernels must allocate zero per row", c.name, small, big)
 			}
 		})
 	}
