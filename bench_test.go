@@ -175,35 +175,45 @@ func BenchmarkFig10Scaling(b *testing.B) {
 	}
 }
 
-// BenchmarkTriangleCountAuto times the Auto engine's triangle count on
-// tc-rmat's graph shape (R-MAT scale 13, edge factor 16) at two workers.
-// cold counts a fresh Clone each iteration, so the count operand is built
-// every time and never kept; warm counts one graph, whose operand the
-// session's plan cache keeps from the second count on. The Clone is not
-// timed.
+// BenchmarkTriangleCountAuto times the Auto engine's triangle count at two
+// workers on tc-rmat's graph shape (R-MAT scale 13, edge factor 16), whose
+// count operand carries hub bitmaps, and, as er-cold and er-warm, on a
+// symmetric Erdős–Rényi graph of as many vertices and degree 16, whose
+// operand carries none. cold counts a fresh Clone each iteration, so the
+// count operand is built every time and never kept; warm counts one
+// graph, whose operand the session's plan cache keeps from the second
+// count on. The Clone is not timed.
 func BenchmarkTriangleCountAuto(b *testing.B) {
-	g := grgen.RMAT(13, 16, 1)
-	b.Run("cold", func(b *testing.B) {
-		eng := apps.NewSession(core.Options{Threads: 2}).EngineAuto()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			h := g.Clone()
-			b.StartTimer()
-			if _, err := apps.TriangleCount(h, eng); err != nil {
-				b.Fatal(err)
+	for _, tc := range []struct {
+		prefix string
+		g      *matrix.CSR[float64]
+	}{
+		{"", grgen.RMAT(13, 16, 1)},
+		{"er-", grgen.ErdosRenyiSym(1<<13, 16, 1)},
+	} {
+		g := tc.g
+		b.Run(tc.prefix+"cold", func(b *testing.B) {
+			eng := apps.NewSession(core.Options{Threads: 2}).EngineAuto()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				h := g.Clone()
+				b.StartTimer()
+				if _, err := apps.TriangleCount(h, eng); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("warm", func(b *testing.B) {
-		eng := apps.NewSession(core.Options{Threads: 2}).EngineAuto()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := apps.TriangleCount(g, eng); err != nil {
-				b.Fatal(err)
+		})
+		b.Run(tc.prefix+"warm", func(b *testing.B) {
+			eng := apps.NewSession(core.Options{Threads: 2}).EngineAuto()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := apps.TriangleCount(g, eng); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
+		})
+	}
 }
 
 // BenchmarkFig11Threads times triangle counting across worker counts

@@ -34,12 +34,12 @@ type Engine struct {
 	// Mult computes M .* (A·B) (or the complement form) over sr.
 	Mult func(m *matrix.Pattern, a, b *matrix.CSR[float64], sr semiring.Semiring[float64], complement bool) (*matrix.CSR[float64], error)
 	// PairCount, if non-nil, counts the triangles of the square graph g
-	// without materializing a product: core.MaskedPairCount(X, W, X) over
-	// g's count operand (planner.Cache.PairOperand), X being
-	// matrix.DegreeTril(g). It fills Triangles, Flops and MaskedTime. Only
-	// the Auto engine sets it; TriangleCount uses it when present and Mult
-	// otherwise, so the fixed variants and the baselines still time the
-	// kernels they name.
+	// without materializing a product: core.MaskedPairCount(Tail, W,
+	// Tail, Bits) over g's count operand (planner.Cache.PairOperand),
+	// whose hub bitmaps and tails split the rows of matrix.DegreeTril(g).
+	// It fills Triangles, Flops and MaskedTime. Only the Auto engine sets
+	// it; TriangleCount uses it when present and Mult otherwise, so the
+	// fixed variants and the baselines still time the kernels they name.
 	PairCount func(g *matrix.CSR[float64]) (TCResult, error)
 	// workers returns the worker count the engine's options allow at the
 	// moment of the call (core.Options.Workers, so an arbiter grant bounds
@@ -90,9 +90,12 @@ func (s *Session) EngineVariant(v core.Variant) Engine {
 // (planner.Cache.PairOperand): built on the call's workers, and kept from
 // the second count of the same graph arrays on, so a repeated count runs
 // only core.MaskedPairCount, scheduled over the operand's row-cost
-// profile, which also gave the flops. It makes no plan and so no plan
-// entry, hit or miss: the operand is all a count derives, and it lives in
-// the cache's operand memo, not among the plans.
+// profile, which also gave the flops. It passes the operand's hub bitmaps
+// through, so on a skewed graph the count ANDs a bitmap per edge where it
+// would walk the hub entries of a row, and walks only the tails (see
+// matrix.PairOperand). It makes no plan and so no plan entry, hit or
+// miss: the operand is all a count derives, and it lives in the cache's
+// operand memo, not among the plans.
 func (s *Session) EngineAuto() Engine {
 	opt, cache := s.Opt, s.Cache
 	return Engine{
@@ -113,7 +116,7 @@ func (s *Session) EngineAuto() Engine {
 			op := cache.PairOperand(g.Pattern(), o.Workers())
 			o.RowCosts = core.NewRowCosts(op.CostPrefix, op.MaxRowCost)
 			t0 := time.Now()
-			n, err := core.MaskedPairCount(op.X, op.W, op.X, o)
+			n, err := core.MaskedPairCount(op.Tail, op.W, op.Tail, op.Bits, o)
 			return TCResult{Triangles: n, Flops: op.Flops, MaskedTime: time.Since(t0)}, err
 		},
 	}

@@ -16,20 +16,22 @@ type TCResult struct {
 	// MaskedTime is the time spent inside the masked product only — what
 	// the paper reports for this benchmark (§8.2). On the count path it is
 	// the count kernel, core.MaskedPairCount, alone: building the count
-	// operand (X, W and the row-cost profile), or finding it kept from an
-	// earlier count of the same graph arrays, is outside it.
+	// operand (W, the hub bitmaps and tails, and the row-cost profile), or
+	// finding it kept from an earlier count of the same graph arrays, is
+	// outside it.
 	MaskedTime time.Duration
 	// TotalTime is the whole call: building the operand (the relabel, or
 	// on the count path the count operand), the product or count, and the
 	// reduction. For a count that reuses a kept count operand it is
 	// MaskedTime plus the operand's memo lookup.
 	TotalTime time.Duration
-	// Flops is flops(L·L), the work metric for GFLOPS plots (Fig. 10). The
-	// count path takes it as flops(X·X) for X = matrix.DegreeTril(g), which
-	// is L in g's own labels and so has the same
-	// Σ_k nnz(L(k,:))·nnz(L(:,k)), although its kernel reads only
-	// Σ over the edges of the shorter endpoint row (see
-	// matrix.PairOperand).
+	// Flops is flops(L·L), the work metric for GFLOPS plots (Fig. 10), so
+	// GFLOPS keeps the paper's meaning on every engine. The count path
+	// takes it as flops(X·X) for X = matrix.DegreeTril(g), which is L in
+	// g's own labels and so has the same Σ_k nnz(L(k,:))·nnz(L(:,k)),
+	// although its kernel reads far fewer entries: for every edge, the
+	// shorter endpoint row only, and with hub bitmaps only that row's tail
+	// and a few bitmap words (see matrix.PairOperand).
 	Flops int64
 }
 
@@ -56,10 +58,16 @@ func (r TCResult) GFLOPS() float64 {
 // sum(L .* (L·L)), and the count means the same for a non-symmetric g.
 // The count walks, for every edge of X, the shorter of its endpoints' X
 // rows against the marks of the longer (matrix.PairOperand's W), which is
-// the same sum. A count builds the operand and its row-cost profile,
-// which also gives the flops, unless the engine's plan cache keeps one for
-// g's arrays, which it does from their second count on while they live
-// (planner.Cache.PairOperand); no plan is made. Any other engine runs
+// the same sum. On a skewed graph the operand also splits every X row
+// into a bitmap over the 512 highest-degree vertices and a tail of the
+// rest, and the count of an edge is the popcount of its endpoints'
+// bitmaps' AND plus the marked walk of the tails, the same sum again. The
+// build keeps the bitmaps only when counting shows they replace more
+// walked entries than the words they read. A count builds the operand
+// and its row-cost profile, which also gives the flops, unless the
+// engine's plan cache keeps one for g's arrays, which it does from their
+// second count on while they live (planner.Cache.PairOperand); no plan
+// is made. Any other engine runs
 // Mult on the plus-pair semiring over L from matrix.RelabelTril, the
 // paper's operand, and sums the product, with the flops counted by
 // core.Flops.

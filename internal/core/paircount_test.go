@@ -32,7 +32,7 @@ func TestMaskedPairCountMatchesSum(t *testing.T) {
 		for _, sc := range schedCases(costs, true) {
 			for _, threads := range []int{1, 2} {
 				opt := Options{Threads: threads, Grain: 3, RowCosts: sc.rc}
-				got, err := MaskedPairCount(tc.m, tc.a.Pattern(), tc.b.Pattern(), opt)
+				got, err := MaskedPairCount(tc.m, tc.a.Pattern(), tc.b.Pattern(), nil, opt)
 				if err != nil {
 					t.Fatalf("%s: %v", tc.name, err)
 				}
@@ -48,7 +48,7 @@ func TestMaskedPairCountMatchesSum(t *testing.T) {
 			}
 		}
 	}
-	if n, err := MaskedPairCount(cmask, ca.Pattern(), cb.Pattern(), Options{}); err != nil || n != 1208 {
+	if n, err := MaskedPairCount(cmask, ca.Pattern(), cb.Pattern(), nil, Options{}); err != nil || n != 1208 {
 		t.Fatalf("counting case: got %d, %v; want 1208", n, err)
 	}
 }
@@ -62,7 +62,7 @@ func TestMaskedPairCountArena(t *testing.T) {
 	a, b := randFloatCSR(r, 40, 30, 0.3), randFloatCSR(r, 30, 50, 0.3)
 	ws := NewWorkspaces()
 	opt := Options{Threads: 1, Workspaces: ws}
-	if _, err := MaskedPairCount(m, a.Pattern(), b.Pattern(), opt); err != nil {
+	if _, err := MaskedPairCount(m, a.Pattern(), b.Pattern(), nil, opt); err != nil {
 		t.Fatal(err)
 	}
 	acc := wsGetMSA[float64](ws, int(b.NCols))
@@ -87,21 +87,25 @@ func TestMaskedPairCountArena(t *testing.T) {
 	}
 }
 
-// TestMaskedPairCountErrors: a dimension mismatch, a complemented mask and
-// a cancelled context are refused without a count.
+// TestMaskedPairCountErrors: a dimension mismatch, a complemented mask,
+// hub bitmaps that do not split into the rows and a cancelled context are
+// refused without a count.
 func TestMaskedPairCountErrors(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	m := randFloatCSR(r, 20, 20, 0.3).Pattern()
 	a := randFloatCSR(r, 20, 20, 0.3).Pattern()
-	if _, err := MaskedPairCount(m, a, randFloatCSR(r, 19, 20, 0.3).Pattern(), Options{}); err == nil {
+	if _, err := MaskedPairCount(m, a, randFloatCSR(r, 19, 20, 0.3).Pattern(), nil, Options{}); err == nil {
 		t.Error("dimension mismatch accepted")
 	}
-	if _, err := MaskedPairCount(m, a, a, Options{Complement: true}); err == nil {
+	if _, err := MaskedPairCount(m, a, a, nil, Options{Complement: true}); err == nil {
 		t.Error("complemented mask accepted")
+	}
+	if _, err := MaskedPairCount(m, a, a, make([]uint64, 21), Options{}); err == nil {
+		t.Error("bitmaps that do not split into the rows accepted")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := MaskedPairCount(m, a, a, Options{Ctx: ctx}); !errors.Is(err, context.Canceled) {
+	if _, err := MaskedPairCount(m, a, a, nil, Options{Ctx: ctx}); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled context: got %v, want context.Canceled", err)
 	}
 }

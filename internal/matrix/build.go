@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"math"
 	"sort"
 
 	"repro/internal/parallel"
@@ -197,30 +198,31 @@ func Permute[T any](a *CSR[T], perm []Index) *CSR[T] {
 // non-increasing order of degree (row nnz), breaking ties by original id.
 // Triangle counting uses this relabeling for optimal performance (§8.2).
 func DegreeDescPerm[T any](a *CSR[T]) []Index {
-	return inversePerm(degreeDescOrder(a))
+	return inversePerm(degreeDescOrder(a.RowPtr))
 }
 
-// degreeDescOrder lists the vertices of a in non-increasing order of degree
-// (row nnz), ids ascending within a degree: a stable counting sort, O(n +
-// max degree).
-func degreeDescOrder[T any](a *CSR[T]) []Index {
-	n := a.NRows
+// degreeDescOrder lists the vertices of the square matrix with row
+// pointers rowPtr in non-increasing order of degree (row nnz), ids
+// ascending within a degree: a stable counting sort, O(n + max degree).
+func degreeDescOrder(rowPtr []Index) []Index {
+	n := Index(max(len(rowPtr)-1, 0))
+	deg := func(i Index) Index { return rowPtr[i+1] - rowPtr[i] }
 	maxDeg := Index(0)
 	for i := Index(0); i < n; i++ {
-		maxDeg = max(maxDeg, a.RowNNZ(i))
+		maxDeg = max(maxDeg, deg(i))
 	}
 	// Bucket b holds degree maxDeg-b, so bucket 0 is the highest degree;
 	// start[b] is where bucket b begins in the order.
 	start := make([]Index, maxDeg+2)
 	for i := Index(0); i < n; i++ {
-		start[maxDeg-a.RowNNZ(i)+1]++
+		start[maxDeg-deg(i)+1]++
 	}
 	for b := Index(0); b <= maxDeg; b++ {
 		start[b+1] += start[b]
 	}
 	order := make([]Index, n)
 	for i := Index(0); i < n; i++ {
-		b := maxDeg - a.RowNNZ(i)
+		b := maxDeg - deg(i)
 		order[start[b]] = i
 		start[b]++
 	}
@@ -268,12 +270,20 @@ func RelabelTril[T any](a *CSR[T], workers int) *CSR[T] {
 // is a prefix of an array of nnz(a) slots. A worker panic is re-raised on
 // the caller as a parallel.WorkerPanic.
 func DegreeTril[T any](a *CSR[T], workers int) *Pattern {
-	return degreeTril(a.Pattern(), RowSpans(a.RowPtr, workers), workers)
+	x, _ := degreeTril(a.Pattern(), RowSpans(a.RowPtr, workers), workers, math.MaxInt64)
+	return x
+}
+
+// degreeRank is DegreeTril's rank of vertex v of the square matrix with
+// row pointers rp.
+func degreeRank(rp []Index, v Index) int64 {
+	return int64(rp[v+1]-rp[v])<<32 - int64(v)
 }
 
 // degreeTril builds DegreeTril's pattern of a over the row spans of bounds
-// (see RowSpans) on up to workers goroutines.
-func degreeTril(a *Pattern, bounds []Index, workers int) *Pattern {
+// (see RowSpans) on up to workers goroutines. It also returns the kept
+// entries of each row whose rank is at least hubMin.
+func degreeTril(a *Pattern, bounds []Index, workers int, hubMin int64) (*Pattern, []Index) {
 	n := a.NRows
 	rp := a.RowPtr
 	spans := len(bounds) - 1
@@ -283,8 +293,9 @@ func degreeTril(a *Pattern, bounds []Index, workers int) *Pattern {
 	// arithmetic.
 	rank := make([]int64, n)
 	for v := range n {
-		rank[v] = int64(rp[v+1]-rp[v])<<32 - int64(v)
+		rank[v] = degreeRank(rp, v)
 	}
+	hubNNZ := make([]Index, n)
 	// Each span compacts its rows' kept columns into the slots of its own
 	// entries of a: every column is written and kept by advancing dst, so a
 	// write never passes the entry being read and never leaves the span.
@@ -298,11 +309,16 @@ func degreeTril(a *Pattern, bounds []Index, workers int) *Pattern {
 			for i := bounds[s]; i < bounds[s+1]; i++ {
 				ri := rank[i]
 				start := dst
+				var hubs Index
 				for _, j := range a.Col[rp[i]:rp[i+1]] {
 					col[dst] = j
-					dst += b2i(rank[j] > ri) // branch-free: close to a coin flip
+					rj := rank[j]
+					keep := b2i(rj > ri) // branch-free: close to a coin flip
+					dst += keep
+					hubs += keep & b2i(rj >= hubMin)
 				}
 				ptr[i+1] = dst - start
+				hubNNZ[i] = hubs
 			}
 			kept[s] = dst - first
 		}
@@ -317,7 +333,7 @@ func degreeTril(a *Pattern, bounds []Index, workers int) *Pattern {
 		copy(col[ptr[bounds[s]]:], col[from:from+kept[s]])
 	}
 	nnz := ptr[n]
-	return &Pattern{NRows: n, NCols: n, RowPtr: ptr, Col: col[:nnz:nnz]}
+	return &Pattern{NRows: n, NCols: n, RowPtr: ptr, Col: col[:nnz:nnz]}, hubNNZ
 }
 
 // RowSpans splits the rows of a matrix with row pointers rowPtr into
@@ -380,7 +396,7 @@ func relabelRanges(nnz, workers int) int {
 // panic is re-raised on the caller as a parallel.WorkerPanic.
 func relabelUpper[T any](a *CSR[T], p int) *CSR[T] {
 	n := a.NRows
-	order := degreeDescOrder(a)
+	order := degreeDescOrder(a.RowPtr)
 	perm := inversePerm(order)
 	bounds := nnzRanges(a, order, p)
 	hist := make([][]Index, p)

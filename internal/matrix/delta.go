@@ -309,13 +309,24 @@ func (d *DeltaCSR[T]) applyDelete(i, j Index) bool {
 // capacity ends at the row, so appending to them reallocates instead of
 // overwriting the next base row.
 func (d *DeltaCSR[T]) MergedRow(i Index, cols []Index, vals []T) ([]Index, []T) {
+	if d.logs[i] == nil && cols == nil && vals == nil {
+		lo, hi := d.base.RowPtr[i], d.base.RowPtr[i+1]
+		return d.base.Col[lo:hi:hi], d.base.Val[lo:hi:hi]
+	}
+	return d.mergeRow(i, cols, vals, true)
+}
+
+// mergeRow appends row i of the merged matrix to cols, sorted by column,
+// and its values to vals unless values is unset, and returns the extended
+// slices.
+func (d *DeltaCSR[T]) mergeRow(i Index, cols []Index, vals []T, values bool) ([]Index, []T) {
 	lo, hi := d.base.RowPtr[i], d.base.RowPtr[i+1]
 	l := d.logs[i]
 	if l == nil {
-		if cols == nil && vals == nil {
-			return d.base.Col[lo:hi:hi], d.base.Val[lo:hi:hi]
+		if values {
+			vals = append(vals, d.base.Val[lo:hi]...)
 		}
-		return append(cols, d.base.Col[lo:hi]...), append(vals, d.base.Val[lo:hi]...)
+		return append(cols, d.base.Col[lo:hi]...), vals
 	}
 	bCol, bVal := d.base.Col[lo:hi], d.base.Val[lo:hi]
 	bi, ii, di := 0, 0, 0
@@ -327,7 +338,9 @@ func (d *DeltaCSR[T]) MergedRow(i Index, cols []Index, vals []T) ([]Index, []T) 
 				bi++ // base entry shadowed by the overwrite
 			}
 			cols = append(cols, j)
-			vals = append(vals, l.insVal[ii])
+			if values {
+				vals = append(vals, l.insVal[ii])
+			}
 			ii++
 			continue
 		}
@@ -340,7 +353,9 @@ func (d *DeltaCSR[T]) MergedRow(i Index, cols []Index, vals []T) ([]Index, []T) 
 			continue
 		}
 		cols = append(cols, j)
-		vals = append(vals, bVal[bi])
+		if values {
+			vals = append(vals, bVal[bi])
+		}
 		bi++
 	}
 	return cols, vals
@@ -448,19 +463,16 @@ func RecycledSnapshot[T any](d *DeltaCSR[T], values bool) *CSR[T] {
 // content differs from the merged matrix only at rows (ascending): those
 // rows are re-merged and spliced over src into dst's arrays (nil: fresh,
 // exactly sized ones), with their values unless values is unset (then
-// the result's Val is nil).
+// the rows' values are neither merged nor copied, and the result's Val is
+// nil).
 func (d *DeltaCSR[T]) patch(dst, src *CSR[T], rows []Index, values bool) *CSR[T] {
 	sub := &d.sub
 	sub.NRows, sub.NCols = Index(len(rows)), d.ncols
 	sub.RowPtr = append(sub.RowPtr[:0], 0)
-	// The staging slices are non-nil so MergedRow always appends a copy
-	// rather than returning a view of the base.
-	if sub.Col == nil {
-		sub.Col, sub.Val = make([]Index, 0, len(rows)), make([]T, 0, len(rows))
-	}
+	// Without values only the columns are merged; sub.Val stays empty.
 	sub.Col, sub.Val = sub.Col[:0], sub.Val[:0]
 	for _, i := range rows {
-		sub.Col, sub.Val = d.MergedRow(i, sub.Col, sub.Val)
+		sub.Col, sub.Val = d.mergeRow(i, sub.Col, sub.Val, values)
 		sub.RowPtr = append(sub.RowPtr, Index(len(sub.Col)))
 	}
 	return spliceRows(dst, src, rows, sub, values)

@@ -1,68 +1,133 @@
 package matrix
 
-import "repro/internal/parallel"
+import (
+	"math"
 
-// PairOperand is what a triangle count of a graph g walks in g's own
-// labels: X = DegreeTril(g), and W, which lists every edge of X once, at
-// the endpoint whose X row is longer. sum(X .* (W·X)) adds
-// |X(r,:) ∩ X(k,:)| once for every edge between r and k, as
-// sum(X .* (X·X)) does for the edge i→k, so the two are the same count.
-// A count over W marks the longer of the two X rows and walks the
-// shorter, so it reads Σ over the edges of min(nnz(X(i,:)), nnz(X(k,:)))
-// entries of X where one over X reads Σ_k indeg(k)·nnz(X(k,:)): the edge
-// iterator of the triangle-listing literature (Schank and Wagner, WEA
-// 2005).
+	"repro/internal/parallel"
+)
+
+// PairOperand is what a triangle count of a graph g reads in g's own
+// labels. Its edges are those of X = DegreeTril(g), and W lists every
+// edge of X once, at the endpoint whose X row is longer.
+// sum(X .* (W·X)) adds |X(r,:) ∩ X(k,:)| once for every edge between r
+// and k, as sum(X .* (X·X)) does for the edge i→k, so the two are the
+// same count. A count over W marks the longer of the two X rows and walks
+// the shorter, so it reads Σ over the edges of min(nnz(X(i,:)),
+// nnz(X(k,:))) entries of X where one over X reads Σ_k
+// indeg(k)·nnz(X(k,:)): the edge iterator of the triangle-listing
+// literature (Schank and Wagner, WEA 2005).
+//
+// On a skewed graph most of the entries those walks read are edges to a
+// few hubs. So the operand may split every row of X in two: a
+// fixed-width bitmap over the hubs H, the Hubs = min(512, n) vertices
+// DegreeTril ranks highest (the first of DegreeDescPerm's order), and
+// the tail, the row's entries outside H. The count of an edge (r, k) of
+// W is then popcount(bits(r) & bits(k)) plus the entries of Tail(k,:)
+// that Tail(r,:) marks. Hub and tail entries are disjoint, so that is
+// |X(r,:) ∩ X(k,:)| exactly. Counting over hub bitmaps is the standard
+// remedy for skew in exact triangle counting (Bisson and Fatica, IEEE
+// TPDS 2017). A hub's X row holds only vertices ranked above it, all
+// hubs, so its tail is empty. The build keeps the bits only when the hub
+// entries of the walked rows, Σ_{(r,k) ∈ W} nnz(X(k,:) ∩ H), outnumber
+// the Words() × nnz(W) words the bitmaps would read instead. Otherwise
+// Hubs is 0, Bits is nil and Tail is X.
 //
 // A PairOperand is immutable once built.
 type PairOperand struct {
-	// X is DegreeTril(g).
-	X *Pattern
+	// Hubs is the number of hubs the bits cover, 0 when the operand
+	// carries no bits.
+	Hubs int
+	// Bits holds Words() words per row, row v's at
+	// Bits[v·Words() : (v+1)·Words()]: bit b%64 of word b/64 is set when
+	// X(v,:) holds the hub of rank b, the vertex DegreeDescPerm numbers b.
+	// It is nil when Hubs is 0.
+	Bits []uint64
+	// Tail holds each row of X without its hubs, in X's order; it is X
+	// when Hubs is 0. The operand keeps no other copy of X.
+	Tail *Pattern
 	// W holds each edge i→k of X exactly once: in row i when X(i,:) is
 	// longer than X(k,:), in row k otherwise, a tie going to the lower
 	// vertex id. Row r lists first the k of X(r,:) it keeps, in X's
 	// order, then the i whose X row lists r, ascending.
 	W *Pattern
-	// CostPrefix is the row-cost prefix of the count sum(X .* (W·X)),
-	// length n+1: row r costs Σ_{k ∈ W(r,:)} nnz(X(k,:)) + nnz(X(r,:)) +
-	// 1, the cost_i = flops_i + nnz(M_i*) + 1 of core.RowCosts, so the
-	// costs total flops(W·X) + nnz(X) + n.
+	// CostPrefix is the row-cost prefix of the count, length n+1: row r
+	// costs Σ_{k ∈ W(r,:)} (Words() + nnz(Tail(k,:))) + nnz(Tail(r,:)) +
+	// 1, the cost_i = flops_i + nnz(M_i*) + 1 of core.RowCosts with the
+	// bitmap AND of an edge counted as Words() flops. Without bits that
+	// is Σ_{k ∈ W(r,:)} nnz(X(k,:)) + nnz(X(r,:)) + 1, and the costs
+	// total flops(W·X) + nnz(X) + n.
 	CostPrefix []int64
 	// MaxRowCost is the largest row cost.
 	MaxRowCost int64
 	// Flops is flops(X·X) = Σ over the edges i→k of X of nnz(X(k,:)), the
-	// flops of the relabeled L·L, which X is in g's labels.
+	// flops of the relabeled L·L, which X is in g's labels. The count
+	// reads far fewer entries than that: one row of each edge's pair, and
+	// with bits only its tail and Words() words of bitmap.
 	Flops int64
 }
 
+// Words returns the 64-bit words of each row's hub bitmap, 0 without
+// bits.
+func (p *PairOperand) Words() int { return pairWords(p.Hubs) }
+
 // Bytes returns the bytes of the operand's arrays.
 func (p *PairOperand) Bytes() int64 {
-	idx := len(p.X.RowPtr) + len(p.X.Col) + len(p.W.RowPtr) + len(p.W.Col)
-	return 4*int64(idx) + 8*int64(len(p.CostPrefix))
+	idx := len(p.Tail.RowPtr) + len(p.Tail.Col) + len(p.W.RowPtr) + len(p.W.Col)
+	return 4*int64(idx) + 8*int64(len(p.CostPrefix)+len(p.Bits))
 }
+
+// maxPairHubs is the most hubs a count operand carries bits for: eight
+// words, one cache line per row.
+const maxPairHubs = 512
+
+// pairWords is the 64-bit words of a bitmap over hubs vertices.
+func pairWords(hubs int) int { return (hubs + 63) / 64 }
 
 // NewPairOperand builds the triangle-count operand of the square graph g
 // (see PairOperand) on up to workers goroutines (0 means GOMAXPROCS). g's
 // rows must be duplicate-free; they need not be sorted, and g need not be
-// symmetric: W is built from X, not from g's other half. The output is
-// byte-identical for every worker count. A worker panic is re-raised on
-// the caller as a parallel.WorkerPanic.
+// symmetric: W is built from X, not from g's other half. Whether it
+// carries bits follows from counted work alone (see PairOperand). The
+// output is byte-identical for every worker count. A worker panic is
+// re-raised on the caller as a parallel.WorkerPanic.
 func NewPairOperand(g *Pattern, workers int) *PairOperand {
-	x := degreeTril(g, RowSpans(g.RowPtr, workers), workers)
-	return pairOperand(x, rowSpans(x.RowPtr, relabelRanges(x.NNZ(), workers)))
+	hubs := pairHubs(g, maxPairHubs)
+	x, hubNNZ := degreeTril(g, RowSpans(g.RowPtr, workers), workers, hubMin(g, hubs))
+	return pairOperand(x, hubNNZ, hubs, rowSpans(x.RowPtr, relabelRanges(x.NNZ(), workers)), false)
 }
 
-// pairOperand builds W, the cost prefix and the flops from X over the
-// contiguous row ranges of bounds, one range per worker, as a two-pass
-// scatter like relabelUpper's. Pass 1 counts each row's kept out-part,
-// its cost and the flops, and into the range's own histograms each
-// column's in-part entries and their cost. One O(n·p) sweep turns these
-// into RowPtr, the cost prefix and each range's first slot in every
-// row's in-part. Pass 2 writes each row's out-part and scatters its
-// in-part entries from those slots. The ranges follow each other in
-// ascending rows and each walks its rows in ascending order, so every
-// in-part comes out ascending and the output is byte-identical for any
-// split.
-func pairOperand(x *Pattern, bounds []Index) *PairOperand {
+// pairHubs lists the min(k, n) vertices of g that DegreeTril ranks
+// highest, highest first.
+func pairHubs(g *Pattern, k int) []Index {
+	order := degreeDescOrder(g.RowPtr)
+	return order[:min(k, len(order))]
+}
+
+// hubMin is the lowest DegreeTril rank among hubs, the highest-ranked
+// vertices of g, or math.MaxInt64 when there are none.
+func hubMin(g *Pattern, hubs []Index) int64 {
+	if len(hubs) == 0 {
+		return math.MaxInt64
+	}
+	return degreeRank(g.RowPtr, hubs[len(hubs)-1])
+}
+
+// pairOperand builds the count operand from X, each row's count of hub
+// entries and the hubs, over the contiguous row ranges of bounds, one
+// range per worker, as a two-pass scatter like relabelUpper's. Pass 1
+// counts each row's kept out-part, its cost without bits, the hub entries
+// of the rows it walks and the flops, and into the range's own histograms
+// each column's in-part entries and their cost. From those sums the rule
+// of PairOperand decides whether the operand carries bits; with force
+// set, any non-empty hubs keeps them. One O(n·p) sweep turns the
+// histograms into RowPtr, the row costs and each range's first slot in
+// every row's in-part. Pass 2 writes each row's out-part, scatters its
+// in-part entries from those slots and, with bits, writes the row's tail
+// and bitmap; the row costs with bits are then summed from W. The ranges
+// follow each other in ascending rows and each walks its rows in
+// ascending order, so every in-part comes out ascending and the output is
+// byte-identical for any split.
+func pairOperand(x *Pattern, hubNNZ, hubs, bounds []Index, force bool) *PairOperand {
 	n := x.NRows
 	rp := x.RowPtr
 	p := len(bounds) - 1
@@ -78,17 +143,26 @@ func pairOperand(x *Pattern, bounds []Index) *PairOperand {
 	inNNZ := make([][]Index, p) // per range: in-part entries per row
 	inCost := make([][]int64, p)
 	flops := make([]int64, p)
+	walks := make([]int64, p)
 	parallel.ForChunks(nil, p, p, 1, func(lo, hi int) {
 		for t := lo; t < hi; t++ {
 			inNNZ[t], inCost[t] = make([]Index, n), make([]int64, n)
-			flops[t] = pairSplit(x, key, bounds[t], bounds[t+1], outNNZ, outCost, inNNZ[t], inCost[t])
+			flops[t], walks[t] = pairSplit(x, key, hubNNZ, bounds[t], bounds[t+1], outNNZ, outCost, inNNZ[t], inCost[t])
 		}
 	})
+	var total, hubWalks int64
+	for t := range p {
+		total += flops[t]
+		hubWalks += walks[t]
+	}
+	words := pairWords(len(hubs))
+	if !force && hubWalks <= int64(words)*int64(x.NNZ()) {
+		hubs, words = nil, 0
+	}
 	// inNNZ[t][r] becomes the slot of range t's first entry in row r's
-	// in-part.
+	// in-part, and cost[r+1] row r's cost without bits.
 	ptr := make([]Index, n+1)
-	prefix := make([]int64, n+1)
-	var maxCost int64
+	cost := make([]int64, n+1)
 	for r := range n {
 		pos := ptr[r] + outNNZ[r]
 		c := outCost[r] + key[r]>>32 + 1
@@ -97,8 +171,24 @@ func pairOperand(x *Pattern, bounds []Index) *PairOperand {
 			c += inCost[t][r]
 		}
 		ptr[r+1] = pos
-		prefix[r+1] = prefix[r] + c
-		maxCost = max(maxCost, c)
+		cost[r+1] = c
+	}
+	tail, bits := x, []uint64(nil)
+	var hubBit []int32 // the rank of hub v, -1 for the other vertices
+	if words > 0 {
+		tp := make([]Index, n+1)
+		for r := range n {
+			tp[r+1] = tp[r] + rp[r+1] - rp[r] - hubNNZ[r]
+		}
+		tail = &Pattern{NRows: n, NCols: n, RowPtr: tp, Col: make([]Index, tp[n])}
+		bits = make([]uint64, int(n)*words)
+		hubBit = make([]int32, n)
+		for v := range hubBit {
+			hubBit[v] = -1
+		}
+		for b, v := range hubs {
+			hubBit[v] = int32(b)
+		}
 	}
 	// Pass 2 writes each entry twice, once where it belongs and once to
 	// its range's own sink slot past the end, instead of branching on the
@@ -109,16 +199,30 @@ func pairOperand(x *Pattern, bounds []Index) *PairOperand {
 	parallel.ForChunks(nil, p, p, 1, func(lo, hi int) {
 		for t := lo; t < hi; t++ {
 			pairScatter(x, key, bounds[t], bounds[t+1], ptr, inNNZ[t], col, nnz+Index(sinkStride*t))
+			if words > 0 {
+				pairHubSplit(x, hubBit, bounds[t], bounds[t+1], tail, bits, words)
+			}
 		}
 	})
-	var total int64
-	for _, f := range flops {
-		total += f
+	w := &Pattern{NRows: n, NCols: n, RowPtr: ptr, Col: col[:nnz:nnz]}
+	if words > 0 {
+		parallel.ForChunks(nil, p, p, 1, func(lo, hi int) {
+			for t := lo; t < hi; t++ {
+				pairBitCosts(w, tail, words, bounds[t], bounds[t+1], cost[1:])
+			}
+		})
+	}
+	var maxCost int64
+	for r := range n {
+		maxCost = max(maxCost, cost[r+1])
+		cost[r+1] += cost[r]
 	}
 	return &PairOperand{
-		X:          x,
-		W:          &Pattern{NRows: n, NCols: n, RowPtr: ptr, Col: col[:nnz:nnz]},
-		CostPrefix: prefix,
+		Hubs:       len(hubs),
+		Bits:       bits,
+		Tail:       tail,
+		W:          w,
+		CostPrefix: cost,
 		MaxRowCost: maxCost,
 		Flops:      total,
 	}
@@ -127,10 +231,10 @@ func pairOperand(x *Pattern, bounds []Index) *PairOperand {
 // pairSplit is pass 1 of pairOperand over X's rows [lo, hi): it sets
 // each row's out-part length and cost, adds each in-part entry to its
 // row's count and cost in the range's histograms cnt and cost, and
-// returns the range's share of flops(X·X).
-func pairSplit(x *Pattern, key []int64, lo, hi Index, outNNZ []Index, outCost []int64, cnt []Index, cost []int64) int64 {
+// returns the range's share of flops(X·X) and of the hub entries of the
+// walked rows.
+func pairSplit(x *Pattern, key []int64, hubNNZ []Index, lo, hi Index, outNNZ []Index, outCost []int64, cnt []Index, cost []int64) (flops, walks int64) {
 	rp, xc := x.RowPtr, x.Col
-	var flops int64
 	for i := lo; i < hi; i++ {
 		ki := key[i]
 		oi := ki >> 32
@@ -142,13 +246,15 @@ func pairSplit(x *Pattern, key []int64, lo, hi Index, outNNZ []Index, outCost []
 			ok := kk >> 32
 			kept += 1 - in
 			c += ok &^ -int64(in)
+			walks += int64(hubNNZ[k]) &^ -int64(in)
 			cnt[k] += in
 			cost[k] += oi & -int64(in)
 			flops += ok
 		}
 		outNNZ[i], outCost[i] = kept, c
+		walks += int64(rp[i+1]-rp[i]-kept) * int64(hubNNZ[i]) // the edges whose walk is row i
 	}
-	return flops
+	return flops, walks
 }
 
 // pairScatter is pass 2 of pairOperand over X's rows [lo, hi): it writes
@@ -166,5 +272,37 @@ func pairScatter(x *Pattern, key []int64, lo, hi Index, ptr, next, col []Index, 
 			col[sink^((next[k]^sink)&-in)] = i // next[k] if k takes it, else sink
 			next[k] += in
 		}
+	}
+}
+
+// pairHubSplit writes the tails and the hub bitmaps of X's rows [lo, hi)
+// into tail and bits, words to a row.
+func pairHubSplit(x *Pattern, hubBit []int32, lo, hi Index, tail *Pattern, bits []uint64, words int) {
+	rp, xc := x.RowPtr, x.Col
+	for i := lo; i < hi; i++ {
+		dst := tail.RowPtr[i]
+		row := bits[int(i)*words : int(i+1)*words]
+		for _, j := range xc[rp[i]:rp[i+1]] {
+			if b := hubBit[j]; b >= 0 {
+				row[b>>6] |= 1 << (b & 63)
+			} else {
+				tail.Col[dst] = j
+				dst++
+			}
+		}
+	}
+}
+
+// pairBitCosts sets cost[r] for W's rows [lo, hi) to the row's cost with
+// bits: Σ_{k ∈ W(r,:)} (words + nnz(Tail(k,:))) + nnz(Tail(r,:)) + 1.
+func pairBitCosts(w, tail *Pattern, words int, lo, hi Index, cost []int64) {
+	tp := tail.RowPtr
+	for r := lo; r < hi; r++ {
+		row := w.Col[w.RowPtr[r]:w.RowPtr[r+1]]
+		c := int64(words)*int64(len(row)) + int64(tp[r+1]-tp[r]) + 1
+		for _, k := range row {
+			c += int64(tp[k+1] - tp[k])
+		}
+		cost[r] = c
 	}
 }

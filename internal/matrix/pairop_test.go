@@ -6,21 +6,25 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/grgen"
 	"repro/internal/matrix"
 )
 
-// pairOperandDiff checks op against its definition for the graph g: X is
-// DegreeTril(g), W lists every edge of X exactly once at the endpoint
-// with the longer X row (the lower id on a tie), out-part first in X's
-// order and in-part ascending, the flops are core.Flops(X, X), every row
-// cost is Σ_{k ∈ W(r,:)} nnz(X(k,:)) + nnz(X(r,:)) + 1, so the costs
-// total flops(W·X) + nnz(X) + n, and the count over W equals the count
-// over X. It returns the first difference, or "".
-func pairOperandDiff(op *matrix.PairOperand, g *matrix.CSR[float64]) string {
-	x := op.X
-	if diff := samePattern(x, matrix.DegreeTril(g, 1)); diff != "" {
-		return "X is not DegreeTril(g): " + diff
-	}
+// pairOperandDiff checks op against its definition for the graph g and
+// the hub count k: the hubs H are the min(k, n) vertices DegreeDescPerm
+// numbers first, and the operand carries bits over them when k > 0 and
+// force is set or the hub entries of the walked rows outnumber
+// Words() × nnz(W). W lists every edge of X = DegreeTril(g) exactly once
+// at the endpoint with the longer X row (the lower id on a tie), out-part
+// first in X's order and in-part ascending. Each row's bitmap holds
+// exactly its X row's hubs, and its tail the rest in X's order (all of
+// it without bits). The flops are core.Flops(X, X), and every row cost is
+// Σ_{k ∈ W(r,:)} (Words() + nnz(Tail(k,:))) + nnz(Tail(r,:)) + 1, so the
+// costs total Words()·nnz(W) + flops(W·Tail) + nnz(Tail) + n. The count
+// over the tails, W and the bits equals the count over X. It returns the
+// first difference, or "".
+func pairOperandDiff(op *matrix.PairOperand, g *matrix.CSR[float64], k int, force bool) string {
+	x := matrix.DegreeTril(g, 1)
 	n := x.NRows
 	w := op.W
 	if w.NRows != n || w.NCols != n || len(w.RowPtr) != int(n)+1 || w.NNZ() != x.NNZ() {
@@ -49,14 +53,55 @@ func pairOperandDiff(op *matrix.PairOperand, g *matrix.CSR[float64]) string {
 			return fmt.Sprintf("W row %d is %v, want %v", r, w.Row(r), want)
 		}
 	}
+	// rank[v] < hubs makes v a hub, and its bit is rank[v].
+	rank := matrix.DegreeDescPerm(g)
+	hubs := min(k, int(n))
+	isHub := func(v Index) bool { return int(rank[v]) < hubs }
+	words := (hubs + 63) / 64
+	var walks int64
+	for r := Index(0); r < n; r++ {
+		for _, k := range w.Row(r) {
+			for _, j := range x.Row(k) {
+				walks += int64(b2i(isHub(j)))
+			}
+		}
+	}
+	if hubs == 0 || !force && walks <= int64(words)*int64(w.NNZ()) {
+		hubs, words = 0, 0
+	}
+	if op.Hubs != hubs || op.Words() != words || len(op.Bits) != int(n)*words {
+		return fmt.Sprintf("%d hubs in %d words a row, %d words in all; want %d hubs in %d words a row (%d hub entries walked, nnz(W) = %d)",
+			op.Hubs, op.Words(), len(op.Bits), hubs, words, walks, w.NNZ())
+	}
+	tail := op.Tail
+	if tail.NRows != n || tail.NCols != n || len(tail.RowPtr) != int(n)+1 {
+		return fmt.Sprintf("tails are %dx%d with %d row pointers, want %dx%d", tail.NRows, tail.NCols, len(tail.RowPtr), n, n)
+	}
+	for r := Index(0); r < n; r++ {
+		var want []Index
+		bits := make([]uint64, words)
+		for _, j := range x.Row(r) {
+			if hubs > 0 && isHub(j) {
+				bits[rank[j]/64] |= 1 << (rank[j] % 64)
+			} else {
+				want = append(want, j)
+			}
+		}
+		if !slices.Equal(tail.Row(r), want) {
+			return fmt.Sprintf("tail of row %d is %v, want %v", r, tail.Row(r), want)
+		}
+		if got := op.Bits[int(r)*words : int(r+1)*words]; !slices.Equal(got, bits) {
+			return fmt.Sprintf("bits of row %d are %x, want %x", r, got, bits)
+		}
+	}
 	if len(op.CostPrefix) != int(n)+1 || op.CostPrefix[0] != 0 {
 		return fmt.Sprintf("cost prefix has %d entries starting at %v, want %d from 0", len(op.CostPrefix), op.CostPrefix[:min(1, len(op.CostPrefix))], n+1)
 	}
 	var maxCost int64
 	for r := Index(0); r < n; r++ {
-		c := int64(x.RowNNZ(r)) + 1
+		c := int64(tail.RowNNZ(r)) + 1
 		for _, k := range w.Row(r) {
-			c += int64(x.RowNNZ(k))
+			c += int64(words) + int64(tail.RowNNZ(k))
 		}
 		if got := op.CostPrefix[r+1] - op.CostPrefix[r]; got != c {
 			return fmt.Sprintf("row %d costs %d, want %d", r, got, c)
@@ -66,32 +111,48 @@ func pairOperandDiff(op *matrix.PairOperand, g *matrix.CSR[float64]) string {
 	if op.MaxRowCost != maxCost {
 		return fmt.Sprintf("largest row cost %d, want %d", op.MaxRowCost, maxCost)
 	}
-	xm, wm := matrix.FromPattern(x, 1.0), matrix.FromPattern(w, 1.0)
+	xm, wm, tm := matrix.FromPattern(x, 1.0), matrix.FromPattern(w, 1.0), matrix.FromPattern(tail, 1.0)
 	if want := core.Flops(xm, xm, 1); op.Flops != want {
 		return fmt.Sprintf("flops %d, want flops(X·X) = %d", op.Flops, want)
 	}
-	if got, want := op.CostPrefix[n], core.Flops(wm, xm, 1)+int64(x.NNZ())+int64(n); got != want {
-		return fmt.Sprintf("costs total %d, want flops(W·X) + nnz(X) + n = %d", got, want)
+	if got, want := op.CostPrefix[n], int64(words)*int64(w.NNZ())+core.Flops(wm, tm, 1)+int64(tail.NNZ())+int64(n); got != want {
+		return fmt.Sprintf("costs total %d, want Words()·nnz(W) + flops(W·Tail) + nnz(Tail) + n = %d", got, want)
 	}
-	viaW, err := core.MaskedPairCount(x, w, x, core.Options{Threads: 1})
+	viaW, err := core.MaskedPairCount(tail, w, tail, op.Bits, core.Options{Threads: 1})
 	if err != nil {
 		return err.Error()
 	}
-	viaX, err := core.MaskedPairCount(x, x, x, core.Options{Threads: 1})
+	viaX, err := core.MaskedPairCount(x, x, x, nil, core.Options{Threads: 1})
 	if err != nil {
 		return err.Error()
 	}
 	if viaW != viaX {
-		return fmt.Sprintf("sum(X .* (W·X)) = %d, sum(X .* (X·X)) = %d", viaW, viaX)
+		return fmt.Sprintf("sum(X .* (W·X)) over %d hubs = %d, sum(X .* (X·X)) = %d", hubs, viaW, viaX)
 	}
 	return ""
+}
+
+// b2i is 1 for true and 0 for false.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// hubCounts are the hub counts the count-operand tests force on an n-vertex
+// graph: none, one, half and all of its vertices.
+func hubCounts(n Index) []int {
+	return []int{0, 1, (int(n) + 1) / 2, int(n)}
 }
 
 // samePairOperand reports the first difference between two operands, or "".
 func samePairOperand(got, want *matrix.PairOperand) string {
 	switch {
-	case samePattern(got.X, want.X) != "":
-		return "X: " + samePattern(got.X, want.X)
+	case got.Hubs != want.Hubs || !slices.Equal(got.Bits, want.Bits):
+		return fmt.Sprintf("%d hubs, want %d, or their bits differ", got.Hubs, want.Hubs)
+	case samePattern(got.Tail, want.Tail) != "":
+		return "tails: " + samePattern(got.Tail, want.Tail)
 	case samePattern(got.W, want.W) != "":
 		return "W: " + samePattern(got.W, want.W)
 	case !slices.Equal(got.CostPrefix, want.CostPrefix):
@@ -104,14 +165,15 @@ func samePairOperand(got, want *matrix.PairOperand) string {
 
 // TestPairOperand: on the relabel corpus (non-symmetric, unsorted-row,
 // self-loop, isolated-vertex and all-ties graphs included) the count
-// operand matches its definition (see pairOperandDiff) and is
+// operand matches its definition (see pairOperandDiff), with the hub
+// count the build picks and with 0, 1, ⌈n/2⌉ and n hubs forced, and is
 // byte-identical at every worker count and every split into spans and
 // ranges.
 func TestPairOperand(t *testing.T) {
 	for _, tc := range relabelCorpus() {
 		t.Run(tc.name, func(t *testing.T) {
 			one := matrix.NewPairOperand(tc.g.Pattern(), 1)
-			if diff := pairOperandDiff(one, tc.g); diff != "" {
+			if diff := pairOperandDiff(one, tc.g, matrix.MaxPairHubs, false); diff != "" {
 				t.Fatal(diff)
 			}
 			for _, w := range relabelWorkers {
@@ -122,13 +184,50 @@ func TestPairOperand(t *testing.T) {
 					t.Fatalf("%d ranges against one worker: %s", w, diff)
 				}
 			}
+			for _, k := range hubCounts(tc.g.NRows) {
+				one := matrix.PairOperandHubs(tc.g, 1, k)
+				if diff := pairOperandDiff(one, tc.g, k, true); diff != "" {
+					t.Fatalf("%d hubs: %s", k, diff)
+				}
+				for _, w := range relabelWorkers {
+					if diff := samePairOperand(matrix.PairOperandHubs(tc.g, w, k), one); diff != "" {
+						t.Fatalf("%d hubs, %d ranges against one: %s", k, w, diff)
+					}
+				}
+			}
 		})
+	}
+}
+
+// TestPairOperandHubRule: the build carries bits on the skewed R-MAT
+// graphs the tc-rmat benchmark counts (scale 13, edge factor 16, seeds 1
+// and 5), where most walked entries are hub edges, and none on an
+// Erdős–Rényi graph of as many vertices and degree 16, where few are.
+func TestPairOperandHubRule(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		g    *matrix.CSR[float64]
+		bits bool
+	}{
+		{"rmat-13-seed1", grgen.RMAT(13, 16, 1), true},
+		{"rmat-13-seed5", grgen.RMAT(13, 16, 5), true},
+		{"er-8192-deg16", grgen.ErdosRenyiSym(1<<13, 16, 1), false},
+	} {
+		op := matrix.NewPairOperand(tc.g.Pattern(), 2)
+		want := 0
+		if tc.bits {
+			want = matrix.MaxPairHubs
+		}
+		if op.Hubs != want {
+			t.Errorf("%s: %d hubs, want %d", tc.name, op.Hubs, want)
+		}
 	}
 }
 
 // FuzzPairOperand requires the count operand to match its definition (see
 // pairOperandDiff) on the inputs FuzzDegreeTril draws, unsorted and
-// non-symmetric ones included, and to be byte-identical for 1 to 4
+// non-symmetric ones included, with the hub count the build picks and
+// with 0, 1, ⌈n/2⌉ and n hubs forced, and to be byte-identical for 1 to 4
 // workers, each split into as many spans and ranges however small the
 // graph.
 func FuzzPairOperand(f *testing.F) {
@@ -136,12 +235,23 @@ func FuzzPairOperand(f *testing.F) {
 	f.Fuzz(func(t *testing.T, size uint8, reverse bool, data []byte) {
 		g := fuzzSquare(size, reverse, data)
 		one := matrix.NewPairOperand(g.Pattern(), 1)
-		if diff := pairOperandDiff(one, g); diff != "" {
+		if diff := pairOperandDiff(one, g, matrix.MaxPairHubs, false); diff != "" {
 			t.Fatal(diff)
 		}
 		for p := 1; p <= 4; p++ {
 			if diff := samePairOperand(matrix.PairOperandRanges(g, p), one); diff != "" {
 				t.Fatalf("%d ranges against one worker: %s", p, diff)
+			}
+		}
+		for _, k := range hubCounts(g.NRows) {
+			one := matrix.PairOperandHubs(g, 1, k)
+			if diff := pairOperandDiff(one, g, k, true); diff != "" {
+				t.Fatalf("%d hubs: %s", k, diff)
+			}
+			for p := 2; p <= 4; p++ {
+				if diff := samePairOperand(matrix.PairOperandHubs(g, p, k), one); diff != "" {
+					t.Fatalf("%d hubs, %d ranges against one: %s", k, p, diff)
+				}
 			}
 		}
 	})

@@ -113,7 +113,8 @@ func cachedCSC[T any](c *Cache, b *matrix.CSR[T]) *matrix.CSC[T] {
 // same RowPtr and Col arrays, up to maxKeptBytes and while those arrays
 // live, and every later count of them reuses it; the first count only
 // notes that the arrays were counted, so a graph counted once keeps no
-// operand. The kept X holds a copy of its Col trimmed to nnz(X).
+// operand. A kept operand without bits, whose tail is X itself, holds a
+// copy of X's Col trimmed to nnz(X); one with bits keeps no X at all.
 //
 // Two concurrent counts of arrays counted before may both build; the
 // later store wins, and neither waits for the other. The operand is
@@ -131,10 +132,12 @@ func (c *Cache) PairOperand(g *matrix.Pattern, workers int) *matrix.PairOperand 
 		return op
 	}
 	c.pairBuilds.Add(1)
-	x := *op.X
-	x.Col = make([]Index, len(op.X.Col)) // DegreeTril's Col sits in an nnz(g) array
-	copy(x.Col, op.X.Col)
-	op.X = &x
+	if op.Hubs == 0 { // the tail is DegreeTril's X, whose Col sits in an nnz(g) array
+		x := *op.Tail
+		x.Col = make([]Index, len(op.Tail.Col))
+		copy(x.Col, op.Tail.Col)
+		op.Tail = &x
+	}
 	if bytes := op.Bytes(); bytes <= c.memo.maxBytes {
 		c.memo.update(o, func(e *memoEntry) { e.pair, e.pairBytes = op, bytes })
 	}

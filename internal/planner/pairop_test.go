@@ -18,21 +18,21 @@ func pairCount(t *testing.T, c *Cache, g *matrix.CSR[float64], workers int) (int
 	t.Helper()
 	op := c.PairOperand(g.Pattern(), workers)
 	o := core.Options{Threads: workers, RowCosts: core.NewRowCosts(op.CostPrefix, op.MaxRowCost)}
-	n, err := core.MaskedPairCount(op.X, op.W, op.X, o)
+	n, err := core.MaskedPairCount(op.Tail, op.W, op.Tail, op.Bits, o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return n, op
 }
 
-// samePairOperand reports whether two count operands have the same
-// patterns, costs and flops.
+// samePairOperand reports whether two count operands have the same hubs,
+// bits, patterns, costs and flops.
 func samePairOperand(x, y *matrix.PairOperand) bool {
 	same := func(p, q *matrix.Pattern) bool {
 		return p.NRows == q.NRows && p.NCols == q.NCols && slices.Equal(p.RowPtr, q.RowPtr) && slices.Equal(p.Col, q.Col)
 	}
-	return same(x.X, y.X) && same(x.W, y.W) && slices.Equal(x.CostPrefix, y.CostPrefix) &&
-		x.MaxRowCost == y.MaxRowCost && x.Flops == y.Flops
+	return x.Hubs == y.Hubs && slices.Equal(x.Bits, y.Bits) && same(x.Tail, y.Tail) && same(x.W, y.W) &&
+		slices.Equal(x.CostPrefix, y.CostPrefix) && x.MaxRowCost == y.MaxRowCost && x.Flops == y.Flops
 }
 
 // triangles is the count of g over X = DegreeTril(g) itself, the
@@ -40,7 +40,7 @@ func samePairOperand(x, y *matrix.PairOperand) bool {
 func triangles(t *testing.T, g *matrix.CSR[float64]) int64 {
 	t.Helper()
 	x := matrix.DegreeTril(g, 1)
-	n, err := core.MaskedPairCount(x, x, x, core.Options{Threads: 1})
+	n, err := core.MaskedPairCount(x, x, x, nil, core.Options{Threads: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,13 +48,14 @@ func triangles(t *testing.T, g *matrix.CSR[float64]) int64 {
 }
 
 // TestPairOperandKept: a graph counted once keeps no operand; its second
-// count builds one and keeps it, equal to a cold one, with X's Col
-// trimmed to nnz(X) and its bytes in RetainedBytes; every later count
+// count builds one and keeps it, equal to a cold one, with its tails'
+// Col holding nnz(Tail) slots and its bytes in RetainedBytes; every later count
 // reuses that very operand. A Clone, with its own arrays, builds its own
 // on its own second count. The count path makes no plan entry, hit or
-// miss.
+// miss. An operand without bits, whose tail is X, is kept with X's Col
+// trimmed to nnz(X).
 func TestPairOperandKept(t *testing.T) {
-	g := grgen.RMAT(9, 8, 3)
+	g := grgen.RMAT(10, 16, 3)
 	want := triangles(t, g)
 	cold := matrix.NewPairOperand(g.Pattern(), 1)
 	c := NewCache()
@@ -79,8 +80,9 @@ func TestPairOperandKept(t *testing.T) {
 		t.Fatalf("first count: memo entry %+v, want one marked counted with no operand", e)
 	}
 	kept := check("second count", g, 1, 0, true)
-	if cap(kept.X.Col) != kept.X.NNZ() {
-		t.Fatalf("kept X holds %d Col slots for %d entries", cap(kept.X.Col), kept.X.NNZ())
+	if kept.Hubs == 0 || cap(kept.Tail.Col) != kept.Tail.NNZ() {
+		t.Fatalf("kept operand has %d hubs and holds %d tail Col slots for %d entries; want bits and no spare slots",
+			kept.Hubs, cap(kept.Tail.Col), kept.Tail.NNZ())
 	}
 	if got := c.Stats().RetainedBytes; got != kept.Bytes() {
 		t.Fatalf("%d bytes retained, want the kept operand's %d", got, kept.Bytes())
@@ -95,8 +97,16 @@ func TestPairOperandKept(t *testing.T) {
 	if op := check("clone's second count", h, 2, 3, true); op == kept {
 		t.Fatal("a Clone reused the original's operand")
 	}
+	// Without bits the tail is X itself, whose Col the kept operand trims.
+	er := grgen.ErdosRenyiSym(512, 8, 3)
+	pairCount(t, c, er, 2)
+	if n, op := pairCount(t, c, er, 2); n != triangles(t, er) || op.Hubs != 0 || cap(op.Tail.Col) != op.Tail.NNZ() {
+		t.Fatalf("Erdős–Rényi graph: counted %d, want %d, on an operand with %d hubs holding %d tail Col slots for %d entries; want no bits and no spare slots",
+			n, triangles(t, er), op.Hubs, cap(op.Tail.Col), op.Tail.NNZ())
+	}
 	runtime.KeepAlive(g)
 	runtime.KeepAlive(h)
+	runtime.KeepAlive(er)
 }
 
 // TestPairOperandDiesWithGraph: the operand a repeatedly counted graph

@@ -30,21 +30,25 @@ type Semiring[T any] struct {
 	Ops Ops[T]
 }
 
-// fromOps builds a Semiring whose func fields are the operator's method
-// values, so every caller of the func fields (Heap and HeapDot among them)
-// computes with exactly the operator's own code.
-func fromOps[T any](name string, ops Ops[T]) Semiring[T] {
-	return Semiring[T]{Name: name, Add: ops.Add, Mul: ops.Mul, Zero: ops.Zero(), Ops: ops}
+// fromOps builds a Semiring from its operator and the operator's add and
+// multiply, so every caller of the func fields (Heap and HeapDot among
+// them) computes with exactly the operator's own code. The constructors
+// pass method values of the concrete operator type, such as
+// PlusTimesF64{}.Add: a call through the func field is then one indirect
+// call, where a method value of the Ops interface would make a second one
+// through the interface's method table.
+func fromOps[T any](name string, ops Ops[T], add, mul func(T, T) T) Semiring[T] {
+	return Semiring[T]{Name: name, Add: add, Mul: mul, Zero: ops.Zero(), Ops: ops}
 }
 
 // Arithmetic is the standard (+, ×) semiring over float64.
 func Arithmetic() Semiring[float64] {
-	return fromOps[float64]("arithmetic", PlusTimesF64{})
+	return fromOps("arithmetic", PlusTimesF64{}, PlusTimesF64{}.Add, PlusTimesF64{}.Mul)
 }
 
 // ArithmeticInt is the (+, ×) semiring over int64.
 func ArithmeticInt() Semiring[int64] {
-	return fromOps[int64]("arithmetic-int64", PlusTimesI64{})
+	return fromOps("arithmetic-int64", PlusTimesI64{}, PlusTimesI64{}.Add, PlusTimesI64{}.Mul)
 }
 
 // PlusPair is the (+, pair) semiring: multiplication yields the constant 1
@@ -52,43 +56,43 @@ func ArithmeticInt() Semiring[int64] {
 // is the semiring of choice for triangle counting and k-truss support
 // counting (each accumulated unit is one wedge closed by the masked edge).
 func PlusPair() Semiring[int64] {
-	return fromOps[int64]("plus-pair", PlusPairI64{})
+	return fromOps("plus-pair", PlusPairI64{}, PlusPairI64{}.Add, PlusPairI64{}.Mul)
 }
 
 // PlusPairF is PlusPair over float64 values, for callers whose matrices
 // carry float64 payloads.
 func PlusPairF() Semiring[float64] {
-	return fromOps[float64]("plus-pair-f64", PlusPairF64{})
+	return fromOps("plus-pair-f64", PlusPairF64{}, PlusPairF64{}.Add, PlusPairF64{}.Mul)
 }
 
 // Boolean is the (∨, ∧) semiring over bool: the product's pattern is
 // reachability. Zero is false.
 func Boolean() Semiring[bool] {
-	return fromOps[bool]("boolean", OrAndBool{})
+	return fromOps("boolean", OrAndBool{}, OrAndBool{}.Add, OrAndBool{}.Mul)
 }
 
 // MinPlus is the tropical (min, +) semiring over float64, used for shortest
 // path relaxations. Zero is +Inf.
 func MinPlus() Semiring[float64] {
-	return fromOps[float64]("min-plus", MinPlusF64{})
+	return fromOps("min-plus", MinPlusF64{}, MinPlusF64{}.Add, MinPlusF64{}.Mul)
 }
 
 // PlusSecond is the (+, second) semiring: multiplication returns the B
 // operand. Betweenness centrality's forward phase uses it so that the number
 // of shortest paths flows along frontier expansion.
 func PlusSecond() Semiring[float64] {
-	return fromOps[float64]("plus-second", PlusSecondF64{})
+	return fromOps("plus-second", PlusSecondF64{}, PlusSecondF64{}.Add, PlusSecondF64{}.Mul)
 }
 
 // PlusFirst is the (+, first) semiring: multiplication returns the A
 // operand.
 func PlusFirst() Semiring[float64] {
-	return fromOps[float64]("plus-first", PlusFirstF64{})
+	return fromOps("plus-first", PlusFirstF64{}, PlusFirstF64{}.Add, PlusFirstF64{}.Mul)
 }
 
 // MaxTimes is the (max, ×) semiring over float64. Zero is -Inf.
 func MaxTimes() Semiring[float64] {
-	return fromOps[float64]("max-times", MaxTimesF64{})
+	return fromOps("max-times", MaxTimesF64{}, MaxTimesF64{}.Add, MaxTimesF64{}.Mul)
 }
 
 func inf64() float64 { return math.Inf(1) }
