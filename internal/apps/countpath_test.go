@@ -173,7 +173,8 @@ func fuzzGraph(size uint8, data []byte) *matrix.CSR[float64] {
 
 // FuzzTriangleCount builds a small symmetric graph without self-loops from
 // arbitrary vertex pairs (rows optionally reversed, so they arrive
-// unsorted) and requires the Auto count path, the pinned MSA-1P product's
+// unsorted) and requires the Auto count path, on the AVX-512 AND where
+// the CPU has it and on the portable one, the pinned MSA-1P product's
 // sum and TriangleCountExact to agree. Every vertex of these graphs is a
 // hub, so the count path counts on hub bitmaps alone whenever the build
 // keeps them (as for the K6 seed), and on X otherwise.
@@ -196,13 +197,18 @@ func FuzzTriangleCount(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var portable TCResult
+		withPortablePairAnd(func() { portable, err = TriangleCount(g, auto) })
+		if err != nil {
+			t.Fatal(err)
+		}
 		pinned, err := TriangleCount(g, msa)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Triangles != want || pinned.Triangles != want || got.Flops != pinned.Flops {
-			t.Fatalf("Auto %d (flops %d), MSA-1P %d (flops %d), exact %d",
-				got.Triangles, got.Flops, pinned.Triangles, pinned.Flops, want)
+		if got.Triangles != want || portable.Triangles != want || pinned.Triangles != want || got.Flops != pinned.Flops {
+			t.Fatalf("Auto %d (flops %d, portable AND %d), MSA-1P %d (flops %d), exact %d",
+				got.Triangles, got.Flops, portable.Triangles, pinned.Triangles, pinned.Flops, want)
 		}
 	})
 }

@@ -35,7 +35,8 @@ type Engine struct {
 	Mult func(m *matrix.Pattern, a, b *matrix.CSR[float64], sr semiring.Semiring[float64], complement bool) (*matrix.CSR[float64], error)
 	// PairCount, if non-nil, counts the triangles of the square graph g
 	// without materializing a product: core.MaskedPairCount(Tail, W,
-	// Tail, Bits) over g's count operand (planner.Cache.PairOperand),
+	// Tail, Bits, WalkEnd) over g's count operand
+	// (planner.Cache.PairOperand),
 	// whose hub bitmaps and tails split the rows of matrix.DegreeTril(g).
 	// It fills Triangles, Flops and MaskedTime. Only the Auto engine sets
 	// it; TriangleCount uses it when present and Mult otherwise, so the
@@ -91,8 +92,9 @@ func (s *Session) EngineVariant(v core.Variant) Engine {
 // the second count of the same graph arrays on, so a repeated count runs
 // only core.MaskedPairCount, scheduled over the operand's row-cost
 // profile, which also gave the flops. It passes the operand's hub bitmaps
-// through, so on a skewed graph the count ANDs a bitmap per edge where it
-// would walk the hub entries of a row, and walks only the tails (see
+// and walk ends through, so on a skewed graph the count ANDs a bitmap
+// per edge where it would walk the hub entries of a row, and walks the
+// tails of only the edges whose two tails are not empty (see
 // matrix.PairOperand). It makes no plan and so no plan entry, hit or
 // miss: the operand is all a count derives, and it lives in the cache's
 // operand memo, not among the plans.
@@ -116,7 +118,7 @@ func (s *Session) EngineAuto() Engine {
 			op := cache.PairOperand(g.Pattern(), o.Workers())
 			o.RowCosts = core.NewRowCosts(op.CostPrefix, op.MaxRowCost)
 			t0 := time.Now()
-			n, err := core.MaskedPairCount(op.Tail, op.W, op.Tail, op.Bits, o)
+			n, err := core.MaskedPairCount(op.Tail, op.W, op.Tail, op.Bits, op.WalkEnd, o)
 			return TCResult{Triangles: n, Flops: op.Flops, MaskedTime: time.Since(t0)}, err
 		},
 	}

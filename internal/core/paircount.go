@@ -9,6 +9,14 @@ import (
 	"repro/internal/matrix"
 )
 
+// pairAVX512 is set once, from the CPU's features, when MaskedPairCount
+// ANDs hub bitmaps with pairAndAVX512 instead of pairAnd's Go loop.
+var pairAVX512 = hasAVX512PopCount()
+
+// maxPairWords is the most 64-bit words a MaskedPairCount bitmap row
+// holds: 512 bits, one cache line and one ZMM register.
+const maxPairWords = 8
+
 // MaskedPairCount returns sum(M .* (A·B)) over the plus-pair semiring: the
 // number of flops of A·B that land on an entry of the non-complemented
 // mask M. It is the value int64(matrix.Sum(C)) has for C from any variant
@@ -26,16 +34,25 @@ import (
 // need not be sorted.
 //
 // bits, when not empty, carries more of a square M and B as bitmaps,
-// words = len(bits)/nrows(M) to a row: bit b of row v's bitmap,
+// words = len(bits)/nrows(M) ≤ 8 to a row: bit b of row v's bitmap,
 // bits[v·words : (v+1)·words], stands for a column c_b, the same in every
 // row, that M(v,:) and B(v,:) hold without listing it. The count then
 // adds popcount(bits(i) & bits(k)) for every k of A(i,:) beside the
 // marked walk of B(k,:), so it is sum(M' .* (A·B')) for the M' and B'
-// that hold the listed and the bitmap columns. matrix.PairOperand's Bits,
-// Tail and W are such operands: the triangle count is
-// MaskedPairCount(Tail, W, Tail, Bits). Only the words from the first to
-// the last non-zero word of bits(i) are read.
-func MaskedPairCount(m, a, b *matrix.Pattern, bits []uint64, opt Options) (int64, error) {
+// that hold the listed and the bitmap columns. On amd64 CPUs with
+// AVX-512F and AVX512_VPOPCNTDQ that is one 512-bit AND, popcount and add
+// per k, each load masked to the row's words; elsewhere a Go loop over
+// the words. The CPU's features alone choose.
+//
+// walk, when not nil, holds one index per row of A and ends the part of
+// each row the marked walk visits: it walks a.Col[a.RowPtr[i]:walk[i]],
+// and every k past that must have an empty B(k,:) (its bitmap part is
+// still ANDed). A row with an empty A(i,:) reads neither bits nor B, and
+// one with an empty M(i,:) walks nothing.
+//
+// matrix.PairOperand's Bits, Tail, W and WalkEnd are such operands: the
+// triangle count is MaskedPairCount(Tail, W, Tail, Bits, WalkEnd).
+func MaskedPairCount(m, a, b *matrix.Pattern, bits []uint64, walk []Index, opt Options) (int64, error) {
 	if m.NRows != a.NRows || m.NCols != b.NCols || a.NCols != b.NRows {
 		return 0, fmt.Errorf("core: dimension mismatch M(%dx%d) A(%dx%d) B(%dx%d)",
 			m.NRows, m.NCols, a.NRows, a.NCols, b.NRows, b.NCols)
@@ -45,11 +62,14 @@ func MaskedPairCount(m, a, b *matrix.Pattern, bits []uint64, opt Options) (int64
 	}
 	var words int
 	if len(bits) > 0 {
-		if m.NRows == 0 || m.NRows != b.NRows || len(bits)%int(m.NRows) != 0 {
-			return 0, fmt.Errorf("core: %d bitmap words do not split into the %d rows of M and B(%dx%d)",
-				len(bits), m.NRows, b.NRows, b.NCols)
+		if m.NRows == 0 || m.NRows != b.NRows || len(bits)%int(m.NRows) != 0 || len(bits)/int(m.NRows) > maxPairWords {
+			return 0, fmt.Errorf("core: %d bitmap words do not split into the %d rows of M and B(%dx%d), at most %d words a row",
+				len(bits), m.NRows, b.NRows, b.NCols, maxPairWords)
 		}
 		words = len(bits) / int(m.NRows)
+	}
+	if walk != nil && len(walk) != int(a.NRows) {
+		return 0, fmt.Errorf("core: %d walk ends for the %d rows of A", len(walk), a.NRows)
 	}
 	if err := opt.Err(); err != nil {
 		return 0, err
@@ -57,6 +77,7 @@ func MaskedPairCount(m, a, b *matrix.Pattern, bits []uint64, opt Options) (int64
 	if m.NNZ() == 0 && words == 0 {
 		return 0, nil
 	}
+	simd := pairAVX512
 	var total atomic.Int64
 	var accs passScratch[*accum.MSA[float64]]
 	err := forRows(opt, m.NRows, nil, func(_ int, claim func() (int, int, bool)) {
@@ -69,31 +90,25 @@ func MaskedPairCount(m, a, b *matrix.Pattern, bits []uint64, opt Options) (int64
 				break
 			}
 			for i := lo; i < hi; i++ {
+				a0, a1 := a.RowPtr[i], a.RowPtr[i+1]
+				if a0 == a1 {
+					continue
+				}
+				arow := a.Col[a0:a1]
+				if words > 0 {
+					sum += hubAnd(simd, bits, words, i, arow)
+				}
+				if walk != nil {
+					arow = arow[:walk[i]-a0]
+				}
 				mrow := m.Col[m.RowPtr[i]:m.RowPtr[i+1]]
-				arow := a.Col[a.RowPtr[i]:a.RowPtr[i+1]]
-				// bi is bits(i) from its first to its last non-zero word,
-				// the only words whose AND can be non-zero; off is the
-				// first one's place in a row.
-				w0, w1 := i*words, (i+1)*words
-				for w0 < w1 && bits[w0] == 0 {
-					w0++
-				}
-				for w1 > w0 && bits[w1-1] == 0 {
-					w1--
-				}
-				bi, off := bits[w0:w1], w0-i*words
-				if len(arow) == 0 || len(mrow) == 0 && len(bi) == 0 {
+				if len(mrow) == 0 || len(arow) == 0 {
 					continue
 				}
 				for _, j := range mrow {
 					state[j] = accum.Allowed
 				}
-				if len(mrow) > 0 {
-					sum += pairWalk(state, arow, b.RowPtr, b.Col)
-				}
-				if len(bi) > 0 {
-					sum += pairAnd(bi, arow, bits, words, off)
-				}
+				sum += pairWalk(state, arow, b.RowPtr, b.Col)
 				for _, j := range mrow {
 					state[j] = accum.NotAllowed
 				}
@@ -127,15 +142,27 @@ func pairWalk(state []accum.State, arow, rowPtr, col []Index) int64 {
 	return sum
 }
 
-// pairAnd returns Σ over k in arow of popcount(bi & bits(k)), bi being
-// words off to off+len(bi) of a bitmap row and bits(k) the same words of
-// row k of bits, words to a row.
+// hubAnd returns Σ over k in arow of popcount(bits(i) & bits(k)), rows of
+// words words, from pairAndAVX512 when simd is set and from pairAnd
+// otherwise or when a row lies outside bits, so that the bounds check of
+// pairAnd's Go loop reports it.
+func hubAnd(simd bool, bits []uint64, words, i int, arow []Index) int64 {
+	if simd {
+		if sum, ok := pairAndAVX512(bits, words, i, arow); ok {
+			return sum
+		}
+	}
+	return pairAnd(bits, words, i, arow)
+}
+
+// pairAnd is hubAnd's portable loop.
 //
 //go:noinline
-func pairAnd(bi []uint64, arow []Index, bits []uint64, words, off int) int64 {
+func pairAnd(bits []uint64, words, i int, arow []Index) int64 {
+	bi := bits[i*words : (i+1)*words]
 	var sum int64
 	for _, k := range arow {
-		bk := bits[int(k)*words+off:][:len(bi)]
+		bk := bits[int(k)*words:][:len(bi)]
 		for w, x := range bi {
 			sum += int64(mbits.OnesCount64(x & bk[w]))
 		}

@@ -1,6 +1,9 @@
 package matrix
 
-import "math"
+import (
+	"math"
+	_ "unsafe" // go:linkname
+)
 
 // Test hooks: the relabel on exactly p ranges, the degree orientation on
 // exactly p spans and the count operand on p spans and p ranges, whatever
@@ -37,3 +40,17 @@ func pairOperandOn(g *Pattern, p, k int, force bool) *PairOperand {
 }
 
 const MaxPairHubs = maxPairHubs
+
+// WithPortablePairAnd runs f with core.MaskedPairCount ANDing hub bitmaps
+// on its portable Go loop, whatever the CPU has, so that a host with
+// AVX-512 tests both loops. core's choice is its unexported pairAVX512,
+// linked here because core imports matrix.
+func WithPortablePairAnd(f func()) {
+	old := corePairAVX512
+	corePairAVX512 = false
+	defer func() { corePairAVX512 = old }()
+	f()
+}
+
+//go:linkname corePairAVX512 repro/internal/core.pairAVX512
+var corePairAVX512 bool

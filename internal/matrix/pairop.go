@@ -32,6 +32,11 @@ import (
 // the Words() × nnz(W) words the bitmaps would read instead. Otherwise
 // Hubs is 0, Bits is nil and Tail is X.
 //
+// Most tails are empty, so each W row lists first the edges whose
+// Tail(k,:) is not empty, the only ones whose walk can find anything,
+// and WalkEnd says where they end. A count walks those edges of the rows
+// whose own tail is not empty, and ANDs the bitmaps of every edge.
+//
 // A PairOperand is immutable once built.
 type PairOperand struct {
 	// Hubs is the number of hubs the bits cover, 0 when the operand
@@ -47,15 +52,22 @@ type PairOperand struct {
 	Tail *Pattern
 	// W holds each edge i→k of X exactly once: in row i when X(i,:) is
 	// longer than X(k,:), in row k otherwise, a tie going to the lower
-	// vertex id. Row r lists first the k of X(r,:) it keeps, in X's
-	// order, then the i whose X row lists r, ascending.
+	// vertex id. Row r lists first the k whose Tail(k,:) is not empty,
+	// then the others; within each group, first the k of X(r,:) it keeps,
+	// in X's order, then the i whose X row lists r, ascending.
 	W *Pattern
+	// WalkEnd ends, for each row r of W, the edges whose Tail(k,:) is not
+	// empty: they are W.Col[W.RowPtr[r]:WalkEnd[r]].
+	WalkEnd []Index
 	// CostPrefix is the row-cost prefix of the count, length n+1: row r
-	// costs Σ_{k ∈ W(r,:)} (Words() + nnz(Tail(k,:))) + nnz(Tail(r,:)) +
-	// 1, the cost_i = flops_i + nnz(M_i*) + 1 of core.RowCosts with the
-	// bitmap AND of an edge counted as Words() flops. Without bits that
-	// is Σ_{k ∈ W(r,:)} nnz(X(k,:)) + nnz(X(r,:)) + 1, and the costs
-	// total flops(W·X) + nnz(X) + n.
+	// costs Words()·nnz(W(r,:)) + t_r·Σ_{k ∈ W(r,:)} nnz(Tail(k,:)) +
+	// nnz(Tail(r,:)) + 1, t_r being 1 when Tail(r,:) is not empty and 0
+	// otherwise. That is the cost_i = flops_i + nnz(M_i*) + 1 of
+	// core.RowCosts with the bitmap AND of an edge counted as Words()
+	// flops and only the tails the count walks as flops. Without bits
+	// every row of W with an edge has a non-empty X row, so that is
+	// Σ_{k ∈ W(r,:)} nnz(X(k,:)) + nnz(X(r,:)) + 1, and the costs total
+	// flops(W·X) + nnz(X) + n.
 	CostPrefix []int64
 	// MaxRowCost is the largest row cost.
 	MaxRowCost int64
@@ -72,7 +84,7 @@ func (p *PairOperand) Words() int { return pairWords(p.Hubs) }
 
 // Bytes returns the bytes of the operand's arrays.
 func (p *PairOperand) Bytes() int64 {
-	idx := len(p.Tail.RowPtr) + len(p.Tail.Col) + len(p.W.RowPtr) + len(p.W.Col)
+	idx := len(p.Tail.RowPtr) + len(p.Tail.Col) + len(p.W.RowPtr) + len(p.W.Col) + len(p.WalkEnd)
 	return 4*int64(idx) + 8*int64(len(p.CostPrefix)+len(p.Bits))
 }
 
@@ -123,10 +135,11 @@ func hubMin(g *Pattern, hubs []Index) int64 {
 // histograms into RowPtr, the row costs and each range's first slot in
 // every row's in-part. Pass 2 writes each row's out-part, scatters its
 // in-part entries from those slots and, with bits, writes the row's tail
-// and bitmap; the row costs with bits are then summed from W. The ranges
-// follow each other in ascending rows and each walks its rows in
-// ascending order, so every in-part comes out ascending and the output is
-// byte-identical for any split.
+// and bitmap. The ranges follow each other in ascending rows and each
+// walks its rows in ascending order, so every in-part comes out
+// ascending. A last pass moves each W row's edges with a non-empty tail
+// first, keeping their order, and with bits sums the row costs from W.
+// The output is byte-identical for any split.
 func pairOperand(x *Pattern, hubNNZ, hubs, bounds []Index, force bool) *PairOperand {
 	n := x.NRows
 	rp := x.RowPtr
@@ -205,13 +218,12 @@ func pairOperand(x *Pattern, hubNNZ, hubs, bounds []Index, force bool) *PairOper
 		}
 	})
 	w := &Pattern{NRows: n, NCols: n, RowPtr: ptr, Col: col[:nnz:nnz]}
-	if words > 0 {
-		parallel.ForChunks(nil, p, p, 1, func(lo, hi int) {
-			for t := lo; t < hi; t++ {
-				pairBitCosts(w, tail, words, bounds[t], bounds[t+1], cost[1:])
-			}
-		})
-	}
+	walkEnd := make([]Index, n)
+	parallel.ForChunks(nil, p, p, 1, func(lo, hi int) {
+		for t := lo; t < hi; t++ {
+			pairWalkFirst(w, tail, words, bounds[t], bounds[t+1], walkEnd, cost[1:])
+		}
+	})
 	var maxCost int64
 	for r := range n {
 		maxCost = max(maxCost, cost[r+1])
@@ -222,6 +234,7 @@ func pairOperand(x *Pattern, hubNNZ, hubs, bounds []Index, force bool) *PairOper
 		Bits:       bits,
 		Tail:       tail,
 		W:          w,
+		WalkEnd:    walkEnd,
 		CostPrefix: cost,
 		MaxRowCost: maxCost,
 		Flops:      total,
@@ -293,16 +306,40 @@ func pairHubSplit(x *Pattern, hubBit []int32, lo, hi Index, tail *Pattern, bits 
 	}
 }
 
-// pairBitCosts sets cost[r] for W's rows [lo, hi) to the row's cost with
-// bits: Σ_{k ∈ W(r,:)} (words + nnz(Tail(k,:))) + nnz(Tail(r,:)) + 1.
-func pairBitCosts(w, tail *Pattern, words int, lo, hi Index, cost []int64) {
+// pairWalkFirst moves, in each of W's rows [lo, hi), the edges whose
+// Tail(k,:) is not empty ahead of the others, keeping the order within
+// each group, and sets walkEnd[r] past them. With bits it also sets
+// cost[r] to the row's cost: words·nnz(W(r,:)) + t_r·Σ_{k ∈ W(r,:)}
+// nnz(Tail(k,:)) + nnz(Tail(r,:)) + 1 (see PairOperand).
+func pairWalkFirst(w, tail *Pattern, words int, lo, hi Index, walkEnd []Index, cost []int64) {
 	tp := tail.RowPtr
+	var most Index
+	for r := lo; r < hi; r++ {
+		most = max(most, w.RowPtr[r+1]-w.RowPtr[r])
+	}
+	rest := make([]Index, 0, most)
 	for r := lo; r < hi; r++ {
 		row := w.Col[w.RowPtr[r]:w.RowPtr[r+1]]
-		c := int64(words)*int64(len(row)) + int64(tp[r+1]-tp[r]) + 1
+		rest = rest[:0]
+		first := 0
+		var walked int64
 		for _, k := range row {
-			c += int64(tp[k+1] - tp[k])
+			if t := tp[k+1] - tp[k]; t > 0 {
+				row[first] = k
+				first++
+				walked += int64(t)
+			} else {
+				rest = append(rest, k)
+			}
 		}
-		cost[r] = c
+		copy(row[first:], rest)
+		walkEnd[r] = w.RowPtr[r] + Index(first)
+		if words > 0 {
+			tr := int64(tp[r+1] - tp[r])
+			if tr == 0 {
+				walked = 0
+			}
+			cost[r] = int64(words)*int64(len(row)) + walked + tr + 1
+		}
 	}
 }

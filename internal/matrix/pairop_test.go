@@ -15,14 +15,18 @@ import (
 // numbers first, and the operand carries bits over them when k > 0 and
 // force is set or the hub entries of the walked rows outnumber
 // Words() × nnz(W). W lists every edge of X = DegreeTril(g) exactly once
-// at the endpoint with the longer X row (the lower id on a tie), out-part
-// first in X's order and in-part ascending. Each row's bitmap holds
-// exactly its X row's hubs, and its tail the rest in X's order (all of
-// it without bits). The flops are core.Flops(X, X), and every row cost is
-// Σ_{k ∈ W(r,:)} (Words() + nnz(Tail(k,:))) + nnz(Tail(r,:)) + 1, so the
-// costs total Words()·nnz(W) + flops(W·Tail) + nnz(Tail) + n. The count
-// over the tails, W and the bits equals the count over X. It returns the
-// first difference, or "".
+// at the endpoint with the longer X row (the lower id on a tie), first
+// the edges whose Tail(k,:) is not empty, up to WalkEnd, then the others;
+// within each group out-part first in X's order and in-part ascending.
+// Each row's bitmap holds exactly its X row's hubs, and its tail the rest
+// in X's order (all of it without bits). The flops are core.Flops(X, X),
+// and every row cost is Words()·nnz(W(r,:)) + nnz(Tail(r,:)) + 1, plus
+// Σ_{k ∈ W(r,:)} nnz(Tail(k,:)) when Tail(r,:) is not empty, so the
+// costs total Words()·nnz(W) + flops(Walked·Tail) + nnz(Tail) + n, for
+// Walked the edges up to WalkEnd of the rows with a tail. The count over
+// the tails, W, the bits and the walk ends equals the count over X on
+// the AVX-512 AND, where the CPU has it, and on the portable one. It
+// returns the first difference, or "".
 func pairOperandDiff(op *matrix.PairOperand, g *matrix.CSR[float64], k int, force bool) string {
 	x := matrix.DegreeTril(g, 1)
 	n := x.NRows
@@ -34,6 +38,7 @@ func pairOperandDiff(op *matrix.PairOperand, g *matrix.CSR[float64], k int, forc
 		du, dv := x.RowNNZ(u), x.RowNNZ(v)
 		return du > dv || du == dv && u < v
 	}
+	rows := make([][]Index, n) // W's rows before the walked edges move first
 	for r := Index(0); r < n; r++ {
 		var out, in []Index
 		for _, k := range x.Row(r) {
@@ -49,9 +54,7 @@ func pairOperandDiff(op *matrix.PairOperand, g *matrix.CSR[float64], k int, forc
 				in = append(in, i)
 			}
 		}
-		if want := append(out, in...); !slices.Equal(w.Row(r), want) {
-			return fmt.Sprintf("W row %d is %v, want %v", r, w.Row(r), want)
-		}
+		rows[r] = append(out, in...)
 	}
 	// rank[v] < hubs makes v a hub, and its bit is rank[v].
 	rank := matrix.DegreeDescPerm(g)
@@ -60,7 +63,7 @@ func pairOperandDiff(op *matrix.PairOperand, g *matrix.CSR[float64], k int, forc
 	words := (hubs + 63) / 64
 	var walks int64
 	for r := Index(0); r < n; r++ {
-		for _, k := range w.Row(r) {
+		for _, k := range rows[r] {
 			for _, j := range x.Row(k) {
 				walks += int64(b2i(isHub(j)))
 			}
@@ -94,6 +97,30 @@ func pairOperandDiff(op *matrix.PairOperand, g *matrix.CSR[float64], k int, forc
 			return fmt.Sprintf("bits of row %d are %x, want %x", r, got, bits)
 		}
 	}
+	if len(op.WalkEnd) != int(n) {
+		return fmt.Sprintf("%d walk ends, want %d", len(op.WalkEnd), n)
+	}
+	walked := &matrix.Pattern{NRows: n, NCols: n, RowPtr: make([]Index, n+1)} // the edges a count walks
+	for r := Index(0); r < n; r++ {
+		var first, rest []Index
+		for _, k := range rows[r] {
+			if tail.RowNNZ(k) > 0 {
+				first = append(first, k)
+			} else {
+				rest = append(rest, k)
+			}
+		}
+		if want := append(first, rest...); !slices.Equal(w.Row(r), want) {
+			return fmt.Sprintf("W row %d is %v, want %v", r, w.Row(r), want)
+		}
+		if got := op.WalkEnd[r] - w.RowPtr[r]; got != Index(len(first)) {
+			return fmt.Sprintf("W row %d walks %d edges, want the %d whose tail is not empty", r, got, len(first))
+		}
+		if tail.RowNNZ(r) > 0 {
+			walked.Col = append(walked.Col, first...)
+		}
+		walked.RowPtr[r+1] = Index(len(walked.Col))
+	}
 	if len(op.CostPrefix) != int(n)+1 || op.CostPrefix[0] != 0 {
 		return fmt.Sprintf("cost prefix has %d entries starting at %v, want %d from 0", len(op.CostPrefix), op.CostPrefix[:min(1, len(op.CostPrefix))], n+1)
 	}
@@ -101,7 +128,10 @@ func pairOperandDiff(op *matrix.PairOperand, g *matrix.CSR[float64], k int, forc
 	for r := Index(0); r < n; r++ {
 		c := int64(tail.RowNNZ(r)) + 1
 		for _, k := range w.Row(r) {
-			c += int64(words) + int64(tail.RowNNZ(k))
+			c += int64(words)
+			if tail.RowNNZ(r) > 0 {
+				c += int64(tail.RowNNZ(k))
+			}
 		}
 		if got := op.CostPrefix[r+1] - op.CostPrefix[r]; got != c {
 			return fmt.Sprintf("row %d costs %d, want %d", r, got, c)
@@ -111,23 +141,31 @@ func pairOperandDiff(op *matrix.PairOperand, g *matrix.CSR[float64], k int, forc
 	if op.MaxRowCost != maxCost {
 		return fmt.Sprintf("largest row cost %d, want %d", op.MaxRowCost, maxCost)
 	}
-	xm, wm, tm := matrix.FromPattern(x, 1.0), matrix.FromPattern(w, 1.0), matrix.FromPattern(tail, 1.0)
+	xm, wm, tm := matrix.FromPattern(x, 1.0), matrix.FromPattern(walked, 1.0), matrix.FromPattern(tail, 1.0)
 	if want := core.Flops(xm, xm, 1); op.Flops != want {
 		return fmt.Sprintf("flops %d, want flops(X·X) = %d", op.Flops, want)
 	}
 	if got, want := op.CostPrefix[n], int64(words)*int64(w.NNZ())+core.Flops(wm, tm, 1)+int64(tail.NNZ())+int64(n); got != want {
-		return fmt.Sprintf("costs total %d, want Words()·nnz(W) + flops(W·Tail) + nnz(Tail) + n = %d", got, want)
+		return fmt.Sprintf("costs total %d, want Words()·nnz(W) + flops(Walked·Tail) + nnz(Tail) + n = %d", got, want)
 	}
-	viaW, err := core.MaskedPairCount(tail, w, tail, op.Bits, core.Options{Threads: 1})
+	viaX, err := core.MaskedPairCount(x, x, x, nil, nil, core.Options{Threads: 1})
 	if err != nil {
 		return err.Error()
 	}
-	viaX, err := core.MaskedPairCount(x, x, x, nil, core.Options{Threads: 1})
+	count := func() (int64, error) {
+		return core.MaskedPairCount(tail, w, tail, op.Bits, op.WalkEnd, core.Options{Threads: 1})
+	}
+	viaW, err := count()
 	if err != nil {
 		return err.Error()
 	}
-	if viaW != viaX {
-		return fmt.Sprintf("sum(X .* (W·X)) over %d hubs = %d, sum(X .* (X·X)) = %d", hubs, viaW, viaX)
+	var portable int64
+	matrix.WithPortablePairAnd(func() { portable, err = count() })
+	if err != nil {
+		return err.Error()
+	}
+	if viaW != viaX || portable != viaX {
+		return fmt.Sprintf("sum(X .* (W·X)) over %d hubs = %d (portable AND %d), sum(X .* (X·X)) = %d", hubs, viaW, portable, viaX)
 	}
 	return ""
 }
@@ -141,9 +179,10 @@ func b2i(b bool) int {
 }
 
 // hubCounts are the hub counts the count-operand tests force on an n-vertex
-// graph: none, one, half and all of its vertices.
+// graph: none, one, half and all of its vertices, at most MaxPairHubs,
+// the 512 bits of the widest bitmap row a count takes.
 func hubCounts(n Index) []int {
-	return []int{0, 1, (int(n) + 1) / 2, int(n)}
+	return []int{0, 1, min((int(n)+1)/2, matrix.MaxPairHubs), min(int(n), matrix.MaxPairHubs)}
 }
 
 // samePairOperand reports the first difference between two operands, or "".
@@ -155,6 +194,8 @@ func samePairOperand(got, want *matrix.PairOperand) string {
 		return "tails: " + samePattern(got.Tail, want.Tail)
 	case samePattern(got.W, want.W) != "":
 		return "W: " + samePattern(got.W, want.W)
+	case !slices.Equal(got.WalkEnd, want.WalkEnd):
+		return "walk ends differ"
 	case !slices.Equal(got.CostPrefix, want.CostPrefix):
 		return "cost prefix differs"
 	case got.MaxRowCost != want.MaxRowCost || got.Flops != want.Flops:
@@ -165,8 +206,9 @@ func samePairOperand(got, want *matrix.PairOperand) string {
 
 // TestPairOperand: on the relabel corpus (non-symmetric, unsorted-row,
 // self-loop, isolated-vertex and all-ties graphs included) the count
-// operand matches its definition (see pairOperandDiff), with the hub
-// count the build picks and with 0, 1, ⌈n/2⌉ and n hubs forced, and is
+// operand matches its definition (see pairOperandDiff), its count on
+// both AND loops included, with the hub count the build picks and with
+// 0, 1, ⌈n/2⌉ and n hubs forced (at most 512), and is
 // byte-identical at every worker count and every split into spans and
 // ranges.
 func TestPairOperand(t *testing.T) {
@@ -225,11 +267,12 @@ func TestPairOperandHubRule(t *testing.T) {
 }
 
 // FuzzPairOperand requires the count operand to match its definition (see
-// pairOperandDiff) on the inputs FuzzDegreeTril draws, unsorted and
-// non-symmetric ones included, with the hub count the build picks and
-// with 0, 1, ⌈n/2⌉ and n hubs forced, and to be byte-identical for 1 to 4
-// workers, each split into as many spans and ranges however small the
-// graph.
+// pairOperandDiff), its count on both AND loops included, on the inputs
+// FuzzDegreeTril draws, unsorted and non-symmetric ones included, with
+// the hub count the build picks and with 0, 1, ⌈n/2⌉ and n hubs forced
+// (n ≤ 32, so one-word bitmap rows, whose masked loads read one word),
+// and to be byte-identical for 1 to 4 workers, each split into as many
+// spans and ranges however small the graph.
 func FuzzPairOperand(f *testing.F) {
 	addRelabelSeeds(f)
 	f.Fuzz(func(t *testing.T, size uint8, reverse bool, data []byte) {

@@ -18,7 +18,7 @@ func pairCount(t *testing.T, c *Cache, g *matrix.CSR[float64], workers int) (int
 	t.Helper()
 	op := c.PairOperand(g.Pattern(), workers)
 	o := core.Options{Threads: workers, RowCosts: core.NewRowCosts(op.CostPrefix, op.MaxRowCost)}
-	n, err := core.MaskedPairCount(op.Tail, op.W, op.Tail, op.Bits, o)
+	n, err := core.MaskedPairCount(op.Tail, op.W, op.Tail, op.Bits, op.WalkEnd, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,13 +26,13 @@ func pairCount(t *testing.T, c *Cache, g *matrix.CSR[float64], workers int) (int
 }
 
 // samePairOperand reports whether two count operands have the same hubs,
-// bits, patterns, costs and flops.
+// bits, patterns, walk ends, costs and flops.
 func samePairOperand(x, y *matrix.PairOperand) bool {
 	same := func(p, q *matrix.Pattern) bool {
 		return p.NRows == q.NRows && p.NCols == q.NCols && slices.Equal(p.RowPtr, q.RowPtr) && slices.Equal(p.Col, q.Col)
 	}
 	return x.Hubs == y.Hubs && slices.Equal(x.Bits, y.Bits) && same(x.Tail, y.Tail) && same(x.W, y.W) &&
-		slices.Equal(x.CostPrefix, y.CostPrefix) && x.MaxRowCost == y.MaxRowCost && x.Flops == y.Flops
+		slices.Equal(x.WalkEnd, y.WalkEnd) && slices.Equal(x.CostPrefix, y.CostPrefix) && x.MaxRowCost == y.MaxRowCost && x.Flops == y.Flops
 }
 
 // triangles is the count of g over X = DegreeTril(g) itself, the
@@ -40,7 +40,7 @@ func samePairOperand(x, y *matrix.PairOperand) bool {
 func triangles(t *testing.T, g *matrix.CSR[float64]) int64 {
 	t.Helper()
 	x := matrix.DegreeTril(g, 1)
-	n, err := core.MaskedPairCount(x, x, x, nil, core.Options{Threads: 1})
+	n, err := core.MaskedPairCount(x, x, x, nil, nil, core.Options{Threads: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
