@@ -3,10 +3,8 @@ package core
 // Test hook: withPortablePairAnd runs f with MaskedPairCount ANDing hub
 // bitmaps on pairAnd's Go loop, whatever the CPU has, so that a host with
 // AVX-512 tests both loops. The tests of other packages reach
-// pairAVX512 from their own export_test.go.
+// setPairAVX512 from their own export_test.go.
 func withPortablePairAnd(f func()) {
-	old := pairAVX512
-	pairAVX512 = false
-	defer func() { pairAVX512 = old }()
+	defer setPairAVX512(setPairAVX512(false))
 	f()
 }

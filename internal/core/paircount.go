@@ -44,11 +44,12 @@ const maxPairWords = 8
 // per k, each load masked to the row's words; elsewhere a Go loop over
 // the words. The CPU's features alone choose.
 //
-// walk, when not nil, holds one index per row of A and ends the part of
-// each row the marked walk visits: it walks a.Col[a.RowPtr[i]:walk[i]],
-// and every k past that must have an empty B(k,:) (its bitmap part is
-// still ANDed). A row with an empty A(i,:) reads neither bits nor B, and
-// one with an empty M(i,:) walks nothing.
+// walk holds one index per row of A and ends the part of each row the
+// marked walk visits: it walks a.Col[a.RowPtr[i]:walk[i]], and every k
+// past that must have an empty B(k,:) (its bitmap part is still ANDed).
+// a.RowPtr[1:] walks whole rows. An end outside its row panics. A row
+// with an empty A(i,:) reads neither bits nor B, and one with an empty
+// M(i,:) walks nothing.
 //
 // matrix.PairOperand's Bits, Tail, W and WalkEnd are such operands: the
 // triangle count is MaskedPairCount(Tail, W, Tail, Bits, WalkEnd).
@@ -68,7 +69,7 @@ func MaskedPairCount(m, a, b *matrix.Pattern, bits []uint64, walk []Index, opt O
 		}
 		words = len(bits) / int(m.NRows)
 	}
-	if walk != nil && len(walk) != int(a.NRows) {
+	if len(walk) != int(a.NRows) {
 		return 0, fmt.Errorf("core: %d walk ends for the %d rows of A", len(walk), a.NRows)
 	}
 	if err := opt.Err(); err != nil {
@@ -94,13 +95,11 @@ func MaskedPairCount(m, a, b *matrix.Pattern, bits []uint64, walk []Index, opt O
 				if a0 == a1 {
 					continue
 				}
-				arow := a.Col[a0:a1]
+				arow := a.Col[a0:a1:a1]
 				if words > 0 {
 					sum += hubAnd(simd, bits, words, i, arow)
 				}
-				if walk != nil {
-					arow = arow[:walk[i]-a0]
-				}
+				arow = arow[:walk[i]-a0]
 				mrow := m.Col[m.RowPtr[i]:m.RowPtr[i+1]]
 				if len(mrow) == 0 || len(arow) == 0 {
 					continue
@@ -123,6 +122,16 @@ func MaskedPairCount(m, a, b *matrix.Pattern, bits []uint64, walk []Index, opt O
 		return 0, err
 	}
 	return total.Load(), nil
+}
+
+// setPairAVX512 sets whether MaskedPairCount ANDs on pairAndAVX512 and
+// returns the previous setting. Only tests call it, to run the portable
+// loop on a host with AVX-512 and then to restore what it returned: those
+// of core directly, those of the packages core imports through
+// go:linkname, so that renaming it fails their link.
+func setPairAVX512(on bool) (old bool) {
+	old, pairAVX512 = pairAVX512, on
+	return old
 }
 
 // pairWalk returns the marks that the B rows arow names hit: Σ over k in

@@ -79,7 +79,7 @@ func TestMaskedPairCountMatchesSum(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	cmask, ca, cb, _ := countingCase()
 	plain := func(name string, m *matrix.Pattern, a, b *matrix.CSR[float64]) pairCase {
-		return pairCase{name, m, a, b, m, b.Pattern(), a.Pattern(), nil, nil}
+		return pairCase{name, m, a, b, m, b.Pattern(), a.Pattern(), nil, a.RowPtr[1:]}
 	}
 	cases := []pairCase{
 		plain("counting", cmask, ca, cb),
@@ -114,7 +114,7 @@ func TestMaskedPairCountMatchesSum(t *testing.T) {
 			}
 		}
 	}
-	if n, err := MaskedPairCount(cmask, ca.Pattern(), cb.Pattern(), nil, nil, Options{}); err != nil || n != 1208 {
+	if n, err := MaskedPairCount(cmask, ca.Pattern(), cb.Pattern(), nil, ca.RowPtr[1:], Options{}); err != nil || n != 1208 {
 		t.Fatalf("counting case: got %d, %v; want 1208", n, err)
 	}
 }
@@ -122,9 +122,27 @@ func TestMaskedPairCountMatchesSum(t *testing.T) {
 // TestMaskedPairCountOutsideBits: an A column that names no bitmap row
 // panics on both AND loops, as the Go loop's bounds check does, and
 // the AVX-512 loop, where the CPU has it, reports the row outside bits
-// (k = n, a negative k, i = n) instead of reading it.
+// (k = n, a negative k, i = n) instead of reading it. A walk end past its
+// row's end or before its start panics too, instead of walking a
+// neighbouring row's columns.
 func TestMaskedPairCountOutsideBits(t *testing.T) {
 	const n = 5
+	full := &matrix.Pattern{NRows: n, NCols: n, RowPtr: make([]Index, n+1)}
+	for v := range Index(n) {
+		full.Col = append(full.Col, 0, 1, 2, 3, 4)
+		full.RowPtr[v+1] = Index(len(full.Col))
+	}
+	diag := &matrix.Pattern{NRows: n, NCols: n, RowPtr: []Index{0, 1, 2, 3, 4, 5}, Col: []Index{0, 1, 2, 3, 4}}
+	for _, walk := range [][]Index{{2, 2, 3, 4, 5}, {1, 0, 3, 4, 5}, {1, 2, 3, 4, 6}} {
+		panicked := func() (panicked bool) {
+			defer func() { panicked = recover() != nil }()
+			MaskedPairCount(full, diag, full, nil, walk, Options{Threads: 1})
+			return false
+		}()
+		if !panicked {
+			t.Errorf("walk ends %v outside rows %v counted", walk, diag.RowPtr)
+		}
+	}
 	for _, words := range []int{1, 3, 8} {
 		bits := make([]uint64, n*words)
 		for j := range bits {
@@ -134,7 +152,7 @@ func TestMaskedPairCountOutsideBits(t *testing.T) {
 		a := &matrix.Pattern{NRows: n, NCols: n, RowPtr: []Index{0, 2, 2, 2, 2, 2}, Col: []Index{1, n}}
 		count := func() (panicked bool) {
 			defer func() { panicked = recover() != nil }()
-			MaskedPairCount(empty, a, empty, bits, nil, Options{Threads: 1})
+			MaskedPairCount(empty, a, empty, bits, a.RowPtr[1:], Options{Threads: 1})
 			return false
 		}
 		if !count() {
@@ -171,7 +189,7 @@ func TestMaskedPairCountArena(t *testing.T) {
 	a, b := randFloatCSR(r, 40, 30, 0.3), randFloatCSR(r, 30, 50, 0.3)
 	ws := NewWorkspaces()
 	opt := Options{Threads: 1, Workspaces: ws}
-	if _, err := MaskedPairCount(m, a.Pattern(), b.Pattern(), nil, nil, opt); err != nil {
+	if _, err := MaskedPairCount(m, a.Pattern(), b.Pattern(), nil, a.RowPtr[1:], opt); err != nil {
 		t.Fatal(err)
 	}
 	acc := wsGetMSA[float64](ws, int(b.NCols))
@@ -198,30 +216,34 @@ func TestMaskedPairCountArena(t *testing.T) {
 
 // TestMaskedPairCountErrors: a dimension mismatch, a complemented mask,
 // hub bitmaps that do not split into the rows or hold more than eight
-// words a row, walk ends that do not match A's rows and a cancelled
+// words a row, walk ends that do not match A's rows or are missing and a
+// cancelled
 // context are refused without a count.
 func TestMaskedPairCountErrors(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	m := randFloatCSR(r, 20, 20, 0.3).Pattern()
 	a := randFloatCSR(r, 20, 20, 0.3).Pattern()
-	if _, err := MaskedPairCount(m, a, randFloatCSR(r, 19, 20, 0.3).Pattern(), nil, nil, Options{}); err == nil {
+	if _, err := MaskedPairCount(m, a, randFloatCSR(r, 19, 20, 0.3).Pattern(), nil, a.RowPtr[1:], Options{}); err == nil {
 		t.Error("dimension mismatch accepted")
 	}
-	if _, err := MaskedPairCount(m, a, a, nil, nil, Options{Complement: true}); err == nil {
+	if _, err := MaskedPairCount(m, a, a, nil, a.RowPtr[1:], Options{Complement: true}); err == nil {
 		t.Error("complemented mask accepted")
 	}
-	if _, err := MaskedPairCount(m, a, a, make([]uint64, 21), nil, Options{}); err == nil {
+	if _, err := MaskedPairCount(m, a, a, make([]uint64, 21), a.RowPtr[1:], Options{}); err == nil {
 		t.Error("bitmaps that do not split into the rows accepted")
 	}
-	if _, err := MaskedPairCount(m, a, a, make([]uint64, 20*9), nil, Options{}); err == nil {
+	if _, err := MaskedPairCount(m, a, a, make([]uint64, 20*9), a.RowPtr[1:], Options{}); err == nil {
 		t.Error("bitmap rows of 9 words accepted")
 	}
 	if _, err := MaskedPairCount(m, a, a, nil, make([]Index, 19), Options{}); err == nil {
 		t.Error("walk ends that do not match the rows of A accepted")
 	}
+	if _, err := MaskedPairCount(m, a, a, nil, nil, Options{}); err == nil {
+		t.Error("no walk ends accepted")
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := MaskedPairCount(m, a, a, nil, nil, Options{Ctx: ctx}); !errors.Is(err, context.Canceled) {
+	if _, err := MaskedPairCount(m, a, a, nil, a.RowPtr[1:], Options{Ctx: ctx}); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled context: got %v, want context.Canceled", err)
 	}
 }

@@ -10,7 +10,8 @@ import (
 // the graph's size, so that the tests can split graphs smaller than
 // relabelMinRangeNNZ or rowSpanMinWeight, and the range bounds the relabel
 // would use. PairOperandHubs also fixes the operand's hub count at
-// min(k, n) and keeps the bits of any k > 0, whatever the rule says.
+// min(k, n, MaxPairHubs) and keeps the bits of any k > 0, whatever the
+// rule says.
 
 func RelabelTrilRanges(a *CSR[float64], p int) *CSR[float64] {
 	return Transpose(relabelUpper(a, p))
@@ -43,14 +44,13 @@ const MaxPairHubs = maxPairHubs
 
 // WithPortablePairAnd runs f with core.MaskedPairCount ANDing hub bitmaps
 // on its portable Go loop, whatever the CPU has, so that a host with
-// AVX-512 tests both loops. core's choice is its unexported pairAVX512,
-// linked here because core imports matrix.
+// AVX-512 tests both loops. core's setting is its unexported
+// setPairAVX512, linked here because core imports matrix: without it the
+// test binary fails to link.
 func WithPortablePairAnd(f func()) {
-	old := corePairAVX512
-	corePairAVX512 = false
-	defer func() { corePairAVX512 = old }()
+	defer coreSetPairAVX512(coreSetPairAVX512(false))
 	f()
 }
 
-//go:linkname corePairAVX512 repro/internal/core.pairAVX512
-var corePairAVX512 bool
+//go:linkname coreSetPairAVX512 repro/internal/core.setPairAVX512
+func coreSetPairAVX512(on bool) (old bool)

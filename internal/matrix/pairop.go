@@ -108,11 +108,11 @@ func NewPairOperand(g *Pattern, workers int) *PairOperand {
 	return pairOperand(x, hubNNZ, hubs, rowSpans(x.RowPtr, relabelRanges(x.NNZ(), workers)), false)
 }
 
-// pairHubs lists the min(k, n) vertices of g that DegreeTril ranks
-// highest, highest first.
+// pairHubs lists the min(k, n, maxPairHubs) vertices of g that
+// DegreeTril ranks highest, highest first.
 func pairHubs(g *Pattern, k int) []Index {
 	order := degreeDescOrder(g.RowPtr)
-	return order[:min(k, len(order))]
+	return order[:min(k, maxPairHubs, len(order))]
 }
 
 // hubMin is the lowest DegreeTril rank among hubs, the highest-ranked

@@ -11,10 +11,10 @@ import (
 )
 
 // pairOperandDiff checks op against its definition for the graph g and
-// the hub count k: the hubs H are the min(k, n) vertices DegreeDescPerm
-// numbers first, and the operand carries bits over them when k > 0 and
-// force is set or the hub entries of the walked rows outnumber
-// Words() × nnz(W). W lists every edge of X = DegreeTril(g) exactly once
+// the hub count k: the hubs H are the min(k, n, MaxPairHubs) vertices
+// DegreeDescPerm numbers first, and the operand carries bits over them
+// when k > 0 and force is set or the hub entries of the walked rows
+// outnumber Words() × nnz(W). W lists every edge of X = DegreeTril(g) exactly once
 // at the endpoint with the longer X row (the lower id on a tie), first
 // the edges whose Tail(k,:) is not empty, up to WalkEnd, then the others;
 // within each group out-part first in X's order and in-part ascending.
@@ -58,7 +58,7 @@ func pairOperandDiff(op *matrix.PairOperand, g *matrix.CSR[float64], k int, forc
 	}
 	// rank[v] < hubs makes v a hub, and its bit is rank[v].
 	rank := matrix.DegreeDescPerm(g)
-	hubs := min(k, int(n))
+	hubs := min(k, int(n), matrix.MaxPairHubs)
 	isHub := func(v Index) bool { return int(rank[v]) < hubs }
 	words := (hubs + 63) / 64
 	var walks int64
@@ -148,7 +148,7 @@ func pairOperandDiff(op *matrix.PairOperand, g *matrix.CSR[float64], k int, forc
 	if got, want := op.CostPrefix[n], int64(words)*int64(w.NNZ())+core.Flops(wm, tm, 1)+int64(tail.NNZ())+int64(n); got != want {
 		return fmt.Sprintf("costs total %d, want Words()·nnz(W) + flops(Walked·Tail) + nnz(Tail) + n = %d", got, want)
 	}
-	viaX, err := core.MaskedPairCount(x, x, x, nil, nil, core.Options{Threads: 1})
+	viaX, err := core.MaskedPairCount(x, x, x, nil, x.RowPtr[1:], core.Options{Threads: 1})
 	if err != nil {
 		return err.Error()
 	}
@@ -179,10 +179,10 @@ func b2i(b bool) int {
 }
 
 // hubCounts are the hub counts the count-operand tests force on an n-vertex
-// graph: none, one, half and all of its vertices, at most MaxPairHubs,
-// the 512 bits of the widest bitmap row a count takes.
+// graph: none, one, half and all of its vertices. The build keeps at most
+// MaxPairHubs of them.
 func hubCounts(n Index) []int {
-	return []int{0, 1, min((int(n)+1)/2, matrix.MaxPairHubs), min(int(n), matrix.MaxPairHubs)}
+	return []int{0, 1, (int(n) + 1) / 2, int(n)}
 }
 
 // samePairOperand reports the first difference between two operands, or "".
@@ -208,7 +208,7 @@ func samePairOperand(got, want *matrix.PairOperand) string {
 // self-loop, isolated-vertex and all-ties graphs included) the count
 // operand matches its definition (see pairOperandDiff), its count on
 // both AND loops included, with the hub count the build picks and with
-// 0, 1, ⌈n/2⌉ and n hubs forced (at most 512), and is
+// 0, 1, ⌈n/2⌉ and n hubs forced (the build keeps at most 512), and is
 // byte-identical at every worker count and every split into spans and
 // ranges.
 func TestPairOperand(t *testing.T) {
