@@ -153,6 +153,42 @@ func TestTriangleCountCountPath(t *testing.T) {
 	}
 }
 
+// TestTriangleCountWalkList: on an R-MAT graph of 4,096 vertices, eight
+// times the 512 hubs, the count operand carries hub bitmaps and a
+// non-empty Walks list, which the small graphs of the other count tests
+// never do. At one and two workers, six Auto counts on one session, on
+// the AVX-512 AND where the CPU has it and on the portable one in turn,
+// equal SS:SAXPY's and TriangleCountExact: the first count's operand is
+// built and dropped, the second's kept and the others' reused.
+func TestTriangleCountWalkList(t *testing.T) {
+	g := grgen.RMAT(12, 16, 1)
+	if op := matrix.NewPairOperand(g.Pattern(), 2); op.Hubs == 0 || op.Walks == nil || op.Walks.NNZ() == 0 {
+		t.Fatalf("premise: the operand carries %d hubs and Walks %v; want bits and a non-empty list", op.Hubs, op.Walks != nil)
+	}
+	want := TriangleCountExact(g)
+	ref, err := TriangleCount(g, NewSession(core.Options{Threads: 1}).EngineSSSaxpy())
+	if err != nil || ref.Triangles != want {
+		t.Fatalf("SS:SAXPY counts %d (%v), TriangleCountExact %d", ref.Triangles, err, want)
+	}
+	for _, threads := range []int{1, 2} {
+		auto := NewSession(core.Options{Threads: threads}).EngineAuto()
+		for i := range 3 {
+			got, err := TriangleCount(g, auto)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var portable TCResult
+			withPortablePairAnd(func() { portable, err = TriangleCount(g, auto) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Triangles != want || portable.Triangles != want {
+				t.Fatalf("%d workers, counts %d and %d: Auto %d (portable AND %d), want %d", threads, 2*i+1, 2*i+2, got.Triangles, portable.Triangles, want)
+			}
+		}
+	}
+}
+
 // fuzzGraph builds a symmetric graph without self-loops on size%33
 // vertices from the byte pairs of data.
 func fuzzGraph(size uint8, data []byte) *matrix.CSR[float64] {

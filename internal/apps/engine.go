@@ -35,7 +35,7 @@ type Engine struct {
 	Mult func(m *matrix.Pattern, a, b *matrix.CSR[float64], sr semiring.Semiring[float64], complement bool) (*matrix.CSR[float64], error)
 	// PairCount, if non-nil, counts the triangles of the square graph g
 	// without materializing a product: core.MaskedPairCount(Tail, W,
-	// Tail, Bits, WalkEnd) over g's count operand
+	// Tail, Bits, WalkEnd, Walks) over g's count operand
 	// (planner.Cache.PairOperand),
 	// whose hub bitmaps and tails split the rows of matrix.DegreeTril(g).
 	// It fills Triangles, Flops and MaskedTime. Only the Auto engine sets
@@ -91,10 +91,11 @@ func (s *Session) EngineVariant(v core.Variant) Engine {
 // (planner.Cache.PairOperand): built on the call's workers, and kept from
 // the second count of the same graph arrays on, so a repeated count runs
 // only core.MaskedPairCount, scheduled over the operand's row-cost
-// profile, which also gave the flops. It passes the operand's hub bitmaps
-// and walk ends through, so on a skewed graph the count ANDs a bitmap
-// per edge where it would walk the hub entries of a row, and walks the
-// tails of only the edges whose two tails are not empty (see
+// profile, which also gave the flops. It passes the operand's hub
+// bitmaps, walk ends and walk list through, so on a skewed graph the
+// count ANDs a bitmap per edge where it would walk the hub entries of a
+// row, and walks the tails of only the edges whose two tails are not
+// empty, as one list per row where the operand keeps one (see
 // matrix.PairOperand). It makes no plan and so no plan entry, hit or
 // miss: the operand is all a count derives, and it lives in the cache's
 // operand memo, not among the plans.
@@ -118,7 +119,7 @@ func (s *Session) EngineAuto() Engine {
 			op := cache.PairOperand(g.Pattern(), o.Workers())
 			o.RowCosts = core.NewRowCosts(op.CostPrefix, op.MaxRowCost)
 			t0 := time.Now()
-			n, err := core.MaskedPairCount(op.Tail, op.W, op.Tail, op.Bits, op.WalkEnd, o)
+			n, err := core.MaskedPairCount(op.Tail, op.W, op.Tail, op.Bits, op.WalkEnd, op.Walks, o)
 			return TCResult{Triangles: n, Flops: op.Flops, MaskedTime: time.Since(t0)}, err
 		},
 	}

@@ -63,7 +63,9 @@ func (r TCResult) GFLOPS() float64 {
 // rest, and the count of an edge is the popcount of its endpoints'
 // bitmaps' AND plus the marked walk of the tails, the same sum again. The
 // build keeps the bitmaps only when counting shows they replace more
-// walked entries than the words they read. A count builds the operand
+// walked entries than the words they read, and lays each row's walks out
+// as one list when that list holds no more entries than W has edges. A
+// count builds the operand
 // and its row-cost profile, which also gives the flops, unless the
 // engine's plan cache keeps one for g's arrays, which it does from their
 // second count on while they live (planner.Cache.PairOperand); no plan

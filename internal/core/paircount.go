@@ -51,9 +51,18 @@ const maxPairWords = 8
 // with an empty A(i,:) reads neither bits nor B, and one with an empty
 // M(i,:) walks nothing.
 //
-// matrix.PairOperand's Bits, Tail, W and WalkEnd are such operands: the
-// triangle count is MaskedPairCount(Tail, W, Tail, Bits, WalkEnd).
-func MaskedPairCount(m, a, b *matrix.Pattern, bits []uint64, walk []Index, opt Options) (int64, error) {
+// list, when not nil, holds each row's walk laid out in order: row i is
+// B(k,:) for each k of a.Col[a.RowPtr[i]:walk[i]], concatenated, and may
+// be empty where M(i,:) is. The count then sums the marks over that one
+// slice instead of loading B's row pointers and walking B(k,:) per k;
+// the walk ends still say which rows walk anything. The caller vouches
+// for its contents: a list that is not that concatenation gives a wrong
+// count, not an error.
+//
+// matrix.PairOperand's Bits, Tail, W, WalkEnd and Walks are such
+// operands: the triangle count is MaskedPairCount(Tail, W, Tail, Bits,
+// WalkEnd, Walks), Walks being nil when the operand keeps none.
+func MaskedPairCount(m, a, b *matrix.Pattern, bits []uint64, walk []Index, list *matrix.Pattern, opt Options) (int64, error) {
 	if m.NRows != a.NRows || m.NCols != b.NCols || a.NCols != b.NRows {
 		return 0, fmt.Errorf("core: dimension mismatch M(%dx%d) A(%dx%d) B(%dx%d)",
 			m.NRows, m.NCols, a.NRows, a.NCols, b.NRows, b.NCols)
@@ -71,6 +80,10 @@ func MaskedPairCount(m, a, b *matrix.Pattern, bits []uint64, walk []Index, opt O
 	}
 	if len(walk) != int(a.NRows) {
 		return 0, fmt.Errorf("core: %d walk ends for the %d rows of A", len(walk), a.NRows)
+	}
+	if list != nil && (list.NRows != a.NRows || list.NCols != b.NCols || len(list.RowPtr) != int(a.NRows)+1) {
+		return 0, fmt.Errorf("core: a %dx%d walk list with %d row pointers for A(%dx%d) and B(%dx%d)",
+			list.NRows, list.NCols, len(list.RowPtr), a.NRows, a.NCols, b.NRows, b.NCols)
 	}
 	if err := opt.Err(); err != nil {
 		return 0, err
@@ -107,7 +120,11 @@ func MaskedPairCount(m, a, b *matrix.Pattern, bits []uint64, walk []Index, opt O
 				for _, j := range mrow {
 					state[j] = accum.Allowed
 				}
-				sum += pairWalk(state, arow, b.RowPtr, b.Col)
+				if list != nil {
+					sum += pairSum(state, list.Col[list.RowPtr[i]:list.RowPtr[i+1]])
+				} else {
+					sum += pairWalk(state, arow, b.RowPtr, b.Col)
+				}
 				for _, j := range mrow {
 					state[j] = accum.NotAllowed
 				}
@@ -147,6 +164,18 @@ func pairWalk(state []accum.State, arow, rowPtr, col []Index) int64 {
 		for _, j := range col[rowPtr[k]:rowPtr[k+1]] {
 			sum += int64(state[j])
 		}
+	}
+	return sum
+}
+
+// pairSum returns Σ over j in cols of state[j]: pairWalk over a walk
+// list.
+//
+//go:noinline
+func pairSum(state []accum.State, cols []Index) int64 {
+	var sum int64
+	for _, j := range cols {
+		sum += int64(state[j])
 	}
 	return sum
 }

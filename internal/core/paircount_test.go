@@ -59,6 +59,23 @@ func hubPairCase(r *rand.Rand, name string, n Index, hub func(Index) bool, sprea
 	return pairCase{name, s.Pattern(), a, s, tail, tail, ta, bits, walk}
 }
 
+// walkList returns tc's walks laid out as MaskedPairCount's list: row i
+// holds tb(k,:) for each k of ta(i,:) up to its walk end, concatenated,
+// and nothing where tm(i,:) is empty.
+func walkList(tc pairCase) *matrix.Pattern {
+	n := tc.ta.NRows
+	list := &matrix.Pattern{NRows: n, NCols: tc.tb.NCols, RowPtr: make([]Index, n+1)}
+	for i := Index(0); i < n; i++ {
+		if tc.tm.RowPtr[i+1] > tc.tm.RowPtr[i] {
+			for _, k := range tc.ta.Col[tc.ta.RowPtr[i]:tc.walk[i]] {
+				list.Col = append(list.Col, tc.tb.Col[tc.tb.RowPtr[k]:tc.tb.RowPtr[k+1]]...)
+			}
+		}
+		list.RowPtr[i+1] = Index(len(list.Col))
+	}
+	return list
+}
+
 // b2i is 1 for true and 0 for false.
 func b2i(b bool) Index {
 	if b {
@@ -74,7 +91,8 @@ func b2i(b bool) Index {
 // and on square ones whose M and B keep some columns as bitmaps of one
 // and of eight words and whose walk ends skip the empty B rows, at one
 // and two threads, on the AVX-512 AND where the CPU has it and on the
-// portable one.
+// portable one, each walking B's rows and walking the walks laid out as
+// one list.
 func TestMaskedPairCountMatchesSum(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	cmask, ca, cb, _ := countingCase()
@@ -92,29 +110,32 @@ func TestMaskedPairCountMatchesSum(t *testing.T) {
 		for _, sc := range schedCases(costs, true) {
 			for _, threads := range []int{1, 2} {
 				opt := Options{Threads: threads, Grain: 3, RowCosts: sc.rc}
-				count := func() int64 {
-					n, err := MaskedPairCount(tc.tm, tc.ta, tc.tb, tc.bits, tc.walk, opt)
+				count := func(list *matrix.Pattern) int64 {
+					n, err := MaskedPairCount(tc.tm, tc.ta, tc.tb, tc.bits, tc.walk, list, opt)
 					if err != nil {
 						t.Fatalf("%s: %v", tc.name, err)
 					}
 					return n
 				}
-				got := count()
-				var portable int64
-				withPortablePairAnd(func() { portable = count() })
-				for _, v := range AllVariants() {
-					c, err := runBlock(v, tc.m, tc.a, tc.b, semiring.PlusPairF(), opt)
-					if err != nil {
-						t.Fatalf("%s %s: %v", tc.name, v.Name(), err)
-					}
-					if want := int64(matrix.Sum(c)); got != want || portable != want {
-						t.Fatalf("%s %s/%s/%dt: count %d (portable AND %d), Sum(C) %d", tc.name, v.Name(), sc.name, threads, got, portable, want)
+				for _, list := range []*matrix.Pattern{nil, walkList(tc)} {
+					got := count(list)
+					var portable int64
+					withPortablePairAnd(func() { portable = count(list) })
+					for _, v := range AllVariants() {
+						c, err := runBlock(v, tc.m, tc.a, tc.b, semiring.PlusPairF(), opt)
+						if err != nil {
+							t.Fatalf("%s %s: %v", tc.name, v.Name(), err)
+						}
+						if want := int64(matrix.Sum(c)); got != want || portable != want {
+							t.Fatalf("%s %s/%s/%dt, list %v: count %d (portable AND %d), Sum(C) %d",
+								tc.name, v.Name(), sc.name, threads, list != nil, got, portable, want)
+						}
 					}
 				}
 			}
 		}
 	}
-	if n, err := MaskedPairCount(cmask, ca.Pattern(), cb.Pattern(), nil, ca.RowPtr[1:], Options{}); err != nil || n != 1208 {
+	if n, err := MaskedPairCount(cmask, ca.Pattern(), cb.Pattern(), nil, ca.RowPtr[1:], nil, Options{}); err != nil || n != 1208 {
 		t.Fatalf("counting case: got %d, %v; want 1208", n, err)
 	}
 }
@@ -136,7 +157,7 @@ func TestMaskedPairCountOutsideBits(t *testing.T) {
 	for _, walk := range [][]Index{{2, 2, 3, 4, 5}, {1, 0, 3, 4, 5}, {1, 2, 3, 4, 6}} {
 		panicked := func() (panicked bool) {
 			defer func() { panicked = recover() != nil }()
-			MaskedPairCount(full, diag, full, nil, walk, Options{Threads: 1})
+			MaskedPairCount(full, diag, full, nil, walk, nil, Options{Threads: 1})
 			return false
 		}()
 		if !panicked {
@@ -152,7 +173,7 @@ func TestMaskedPairCountOutsideBits(t *testing.T) {
 		a := &matrix.Pattern{NRows: n, NCols: n, RowPtr: []Index{0, 2, 2, 2, 2, 2}, Col: []Index{1, n}}
 		count := func() (panicked bool) {
 			defer func() { panicked = recover() != nil }()
-			MaskedPairCount(empty, a, empty, bits, a.RowPtr[1:], Options{Threads: 1})
+			MaskedPairCount(empty, a, empty, bits, a.RowPtr[1:], nil, Options{Threads: 1})
 			return false
 		}
 		if !count() {
@@ -189,7 +210,7 @@ func TestMaskedPairCountArena(t *testing.T) {
 	a, b := randFloatCSR(r, 40, 30, 0.3), randFloatCSR(r, 30, 50, 0.3)
 	ws := NewWorkspaces()
 	opt := Options{Threads: 1, Workspaces: ws}
-	if _, err := MaskedPairCount(m, a.Pattern(), b.Pattern(), nil, a.RowPtr[1:], opt); err != nil {
+	if _, err := MaskedPairCount(m, a.Pattern(), b.Pattern(), nil, a.RowPtr[1:], nil, opt); err != nil {
 		t.Fatal(err)
 	}
 	acc := wsGetMSA[float64](ws, int(b.NCols))
@@ -216,34 +237,43 @@ func TestMaskedPairCountArena(t *testing.T) {
 
 // TestMaskedPairCountErrors: a dimension mismatch, a complemented mask,
 // hub bitmaps that do not split into the rows or hold more than eight
-// words a row, walk ends that do not match A's rows or are missing and a
-// cancelled
-// context are refused without a count.
+// words a row, walk ends that do not match A's rows or are missing, a
+// walk list whose rows or columns do not match A's rows and B's columns
+// and a cancelled context are refused without a count.
 func TestMaskedPairCountErrors(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	m := randFloatCSR(r, 20, 20, 0.3).Pattern()
 	a := randFloatCSR(r, 20, 20, 0.3).Pattern()
-	if _, err := MaskedPairCount(m, a, randFloatCSR(r, 19, 20, 0.3).Pattern(), nil, a.RowPtr[1:], Options{}); err == nil {
+	if _, err := MaskedPairCount(m, a, randFloatCSR(r, 19, 20, 0.3).Pattern(), nil, a.RowPtr[1:], nil, Options{}); err == nil {
 		t.Error("dimension mismatch accepted")
 	}
-	if _, err := MaskedPairCount(m, a, a, nil, a.RowPtr[1:], Options{Complement: true}); err == nil {
+	if _, err := MaskedPairCount(m, a, a, nil, a.RowPtr[1:], nil, Options{Complement: true}); err == nil {
 		t.Error("complemented mask accepted")
 	}
-	if _, err := MaskedPairCount(m, a, a, make([]uint64, 21), a.RowPtr[1:], Options{}); err == nil {
+	if _, err := MaskedPairCount(m, a, a, make([]uint64, 21), a.RowPtr[1:], nil, Options{}); err == nil {
 		t.Error("bitmaps that do not split into the rows accepted")
 	}
-	if _, err := MaskedPairCount(m, a, a, make([]uint64, 20*9), a.RowPtr[1:], Options{}); err == nil {
+	if _, err := MaskedPairCount(m, a, a, make([]uint64, 20*9), a.RowPtr[1:], nil, Options{}); err == nil {
 		t.Error("bitmap rows of 9 words accepted")
 	}
-	if _, err := MaskedPairCount(m, a, a, nil, make([]Index, 19), Options{}); err == nil {
+	if _, err := MaskedPairCount(m, a, a, nil, make([]Index, 19), nil, Options{}); err == nil {
 		t.Error("walk ends that do not match the rows of A accepted")
 	}
-	if _, err := MaskedPairCount(m, a, a, nil, nil, Options{}); err == nil {
+	if _, err := MaskedPairCount(m, a, a, nil, nil, nil, Options{}); err == nil {
 		t.Error("no walk ends accepted")
+	}
+	for _, list := range []*matrix.Pattern{
+		{NRows: 19, NCols: 20, RowPtr: make([]Index, 20)},
+		{NRows: 20, NCols: 19, RowPtr: make([]Index, 21)},
+		{NRows: 20, NCols: 20, RowPtr: make([]Index, 20)},
+	} {
+		if _, err := MaskedPairCount(m, a, a, nil, a.RowPtr[1:], list, Options{}); err == nil {
+			t.Errorf("a %dx%d walk list with %d row pointers accepted", list.NRows, list.NCols, len(list.RowPtr))
+		}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := MaskedPairCount(m, a, a, nil, a.RowPtr[1:], Options{Ctx: ctx}); !errors.Is(err, context.Canceled) {
+	if _, err := MaskedPairCount(m, a, a, nil, a.RowPtr[1:], nil, Options{Ctx: ctx}); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled context: got %v, want context.Canceled", err)
 	}
 }

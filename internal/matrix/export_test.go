@@ -10,8 +10,8 @@ import (
 // the graph's size, so that the tests can split graphs smaller than
 // relabelMinRangeNNZ or rowSpanMinWeight, and the range bounds the relabel
 // would use. PairOperandHubs also fixes the operand's hub count at
-// min(k, n, MaxPairHubs) and keeps the bits of any k > 0, whatever the
-// rule says.
+// min(k, n, MaxPairHubs), keeps the bits of any k > 0 and keeps Walks
+// when walks is set and drops it otherwise, whatever the rules say.
 
 func RelabelTrilRanges(a *CSR[float64], p int) *CSR[float64] {
 	return Transpose(relabelUpper(a, p))
@@ -27,17 +27,21 @@ func RelabelBounds(a *CSR[float64], p int) []Index {
 }
 
 func PairOperandRanges(a *CSR[float64], p int) *PairOperand {
-	return pairOperandOn(a.Pattern(), p, maxPairHubs, false)
+	return pairOperandOn(a.Pattern(), p, maxPairHubs, byRule, byRule)
 }
 
-func PairOperandHubs(a *CSR[float64], p, k int) *PairOperand {
-	return pairOperandOn(a.Pattern(), p, k, true)
+func PairOperandHubs(a *CSR[float64], p, k int, walks bool) *PairOperand {
+	walksRule := never
+	if walks {
+		walksRule = always
+	}
+	return pairOperandOn(a.Pattern(), p, k, always, walksRule)
 }
 
-func pairOperandOn(g *Pattern, p, k int, force bool) *PairOperand {
+func pairOperandOn(g *Pattern, p, k int, bitsRule, walksRule pairRule) *PairOperand {
 	hubs := pairHubs(g, k)
 	x, hubNNZ := degreeTril(g, rowSpans(g.RowPtr, p), p, hubMin(g, hubs))
-	return pairOperand(x, hubNNZ, hubs, rowSpans(x.RowPtr, p), force)
+	return pairOperand(x, hubNNZ, hubs, rowSpans(x.RowPtr, p), bitsRule, walksRule)
 }
 
 const MaxPairHubs = maxPairHubs

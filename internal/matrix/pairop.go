@@ -37,6 +37,15 @@ import (
 // and WalkEnd says where they end. A count walks those edges of the rows
 // whose own tail is not empty, and ANDs the bitmaps of every edge.
 //
+// Walks lays those walks out in order: row r of Walks is Tail(k,:) for
+// each k of W(r,:)[:WalkEnd[r]], concatenated, when Tail(r,:) is not
+// empty. A count then sums the marks over one slice per row instead of
+// loading two row pointers and running a short loop per walked edge. The
+// build keeps Walks only when its entries, the tail entries the count
+// walks, are at most nnz(W); a graph whose walks read more than that
+// (a uniform one, or a skewed one at a larger scale) gets no Walks, and
+// its count walks W and Tail.
+//
 // A PairOperand is immutable once built.
 type PairOperand struct {
 	// Hubs is the number of hubs the bits cover, 0 when the operand
@@ -59,6 +68,11 @@ type PairOperand struct {
 	// WalkEnd ends, for each row r of W, the edges whose Tail(k,:) is not
 	// empty: they are W.Col[W.RowPtr[r]:WalkEnd[r]].
 	WalkEnd []Index
+	// Walks holds, in row r, the tails Tail(k,:) of the edges
+	// W.Col[W.RowPtr[r]:WalkEnd[r]] one after the other, in that order,
+	// when Tail(r,:) is not empty, and nothing otherwise. It is nil when
+	// that would take more than nnz(W) entries.
+	Walks *Pattern
 	// CostPrefix is the row-cost prefix of the count, length n+1: row r
 	// costs Words()·nnz(W(r,:)) + t_r·Σ_{k ∈ W(r,:)} nnz(Tail(k,:)) +
 	// nnz(Tail(r,:)) + 1, t_r being 1 when Tail(r,:) is not empty and 0
@@ -82,10 +96,29 @@ type PairOperand struct {
 // bits.
 func (p *PairOperand) Words() int { return pairWords(p.Hubs) }
 
-// Bytes returns the bytes of the operand's arrays.
+// Bytes returns the bytes of the operand's arrays, Walks included.
 func (p *PairOperand) Bytes() int64 {
 	idx := len(p.Tail.RowPtr) + len(p.Tail.Col) + len(p.W.RowPtr) + len(p.W.Col) + len(p.WalkEnd)
+	if p.Walks != nil {
+		idx += len(p.Walks.RowPtr) + len(p.Walks.Col)
+	}
 	return 4*int64(idx) + 8*int64(len(p.CostPrefix)+len(p.Bits))
+}
+
+// pairRule says whether pairOperand keeps a part of the operand when
+// that part's rule says so (byRule), always or never. Only tests pass
+// anything but byRule.
+type pairRule uint8
+
+const (
+	byRule pairRule = iota
+	always
+	never
+)
+
+// keep reports whether to keep the part, given what its rule says.
+func (r pairRule) keep(rule bool) bool {
+	return r == always || r == byRule && rule
 }
 
 // maxPairHubs is the most hubs a count operand carries bits for: eight
@@ -105,7 +138,7 @@ func pairWords(hubs int) int { return (hubs + 63) / 64 }
 func NewPairOperand(g *Pattern, workers int) *PairOperand {
 	hubs := pairHubs(g, maxPairHubs)
 	x, hubNNZ := degreeTril(g, RowSpans(g.RowPtr, workers), workers, hubMin(g, hubs))
-	return pairOperand(x, hubNNZ, hubs, rowSpans(x.RowPtr, relabelRanges(x.NNZ(), workers)), false)
+	return pairOperand(x, hubNNZ, hubs, rowSpans(x.RowPtr, relabelRanges(x.NNZ(), workers)), byRule, byRule)
 }
 
 // pairHubs lists the min(k, n, maxPairHubs) vertices of g that
@@ -130,17 +163,21 @@ func hubMin(g *Pattern, hubs []Index) int64 {
 // counts each row's kept out-part, its cost without bits, the hub entries
 // of the rows it walks and the flops, and into the range's own histograms
 // each column's in-part entries and their cost. From those sums the rule
-// of PairOperand decides whether the operand carries bits; with force
-// set, any non-empty hubs keeps them. One O(n·p) sweep turns the
+// of PairOperand decides whether the operand carries bits over non-empty
+// hubs, unless bitsRule overrides it. One O(n·p) sweep turns the
 // histograms into RowPtr, the row costs and each range's first slot in
 // every row's in-part. Pass 2 writes each row's out-part, scatters its
 // in-part entries from those slots and, with bits, writes the row's tail
 // and bitmap. The ranges follow each other in ascending rows and each
 // walks its rows in ascending order, so every in-part comes out
-// ascending. A last pass moves each W row's edges with a non-empty tail
-// first, keeping their order, and with bits sums the row costs from W.
-// The output is byte-identical for any split.
-func pairOperand(x *Pattern, hubNNZ, hubs, bounds []Index, force bool) *PairOperand {
+// ascending. A third pass moves each W row's edges with a non-empty tail
+// first, keeping their order, sums the tail entries of each row's walk
+// and with bits sums the row costs from W. From their total the rule of
+// PairOperand decides whether the operand carries Walks, unless
+// walksRule overrides it; a last pass over the same ranges copies the
+// tails into Walks, each range from the slot the ranges before it end
+// at. The output is byte-identical for any split.
+func pairOperand(x *Pattern, hubNNZ, hubs, bounds []Index, bitsRule, walksRule pairRule) *PairOperand {
 	n := x.NRows
 	rp := x.RowPtr
 	p := len(bounds) - 1
@@ -169,7 +206,7 @@ func pairOperand(x *Pattern, hubNNZ, hubs, bounds []Index, force bool) *PairOper
 		hubWalks += walks[t]
 	}
 	words := pairWords(len(hubs))
-	if !force && hubWalks <= int64(words)*int64(x.NNZ()) {
+	if !bitsRule.keep(hubWalks > int64(words)*int64(x.NNZ())) {
 		hubs, words = nil, 0
 	}
 	// inNNZ[t][r] becomes the slot of range t's first entry in row r's
@@ -219,11 +256,25 @@ func pairOperand(x *Pattern, hubNNZ, hubs, bounds []Index, force bool) *PairOper
 	})
 	w := &Pattern{NRows: n, NCols: n, RowPtr: ptr, Col: col[:nnz:nnz]}
 	walkEnd := make([]Index, n)
+	listed := make([]int64, p) // per range: the tail entries its rows walk
 	parallel.ForChunks(nil, p, p, 1, func(lo, hi int) {
 		for t := lo; t < hi; t++ {
-			pairWalkFirst(w, tail, words, bounds[t], bounds[t+1], walkEnd, cost[1:])
+			listed[t] = pairWalkFirst(w, tail, words, bounds[t], bounds[t+1], walkEnd, cost[1:])
 		}
 	})
+	var entries int64
+	for t, e := range listed {
+		listed[t], entries = entries, entries+e // range t's first slot
+	}
+	var walkList *Pattern
+	if walksRule.keep(entries <= int64(nnz)) {
+		walkList = &Pattern{NRows: n, NCols: n, RowPtr: make([]Index, n+1), Col: make([]Index, entries)}
+		parallel.ForChunks(nil, p, p, 1, func(lo, hi int) {
+			for t := lo; t < hi; t++ {
+				pairWalkTails(w, tail, walkEnd, bounds[t], bounds[t+1], Index(listed[t]), walkList)
+			}
+		})
+	}
 	var maxCost int64
 	for r := range n {
 		maxCost = max(maxCost, cost[r+1])
@@ -235,6 +286,7 @@ func pairOperand(x *Pattern, hubNNZ, hubs, bounds []Index, force bool) *PairOper
 		Tail:       tail,
 		W:          w,
 		WalkEnd:    walkEnd,
+		Walks:      walkList,
 		CostPrefix: cost,
 		MaxRowCost: maxCost,
 		Flops:      total,
@@ -308,16 +360,19 @@ func pairHubSplit(x *Pattern, hubBit []int32, lo, hi Index, tail *Pattern, bits 
 
 // pairWalkFirst moves, in each of W's rows [lo, hi), the edges whose
 // Tail(k,:) is not empty ahead of the others, keeping the order within
-// each group, and sets walkEnd[r] past them. With bits it also sets
-// cost[r] to the row's cost: words·nnz(W(r,:)) + t_r·Σ_{k ∈ W(r,:)}
-// nnz(Tail(k,:)) + nnz(Tail(r,:)) + 1 (see PairOperand).
-func pairWalkFirst(w, tail *Pattern, words int, lo, hi Index, walkEnd []Index, cost []int64) {
+// each group, and sets walkEnd[r] past them. It returns the tail entries
+// the rows' walks read, Σ_r t_r·Σ_{k ∈ W(r,:)} nnz(Tail(k,:)). With bits
+// it also sets cost[r] to the row's cost: words·nnz(W(r,:)) +
+// t_r·Σ_{k ∈ W(r,:)} nnz(Tail(k,:)) + nnz(Tail(r,:)) + 1 (see
+// PairOperand).
+func pairWalkFirst(w, tail *Pattern, words int, lo, hi Index, walkEnd []Index, cost []int64) int64 {
 	tp := tail.RowPtr
 	var most Index
 	for r := lo; r < hi; r++ {
 		most = max(most, w.RowPtr[r+1]-w.RowPtr[r])
 	}
 	rest := make([]Index, 0, most)
+	var entries int64
 	for r := lo; r < hi; r++ {
 		row := w.Col[w.RowPtr[r]:w.RowPtr[r+1]]
 		rest = rest[:0]
@@ -334,12 +389,29 @@ func pairWalkFirst(w, tail *Pattern, words int, lo, hi Index, walkEnd []Index, c
 		}
 		copy(row[first:], rest)
 		walkEnd[r] = w.RowPtr[r] + Index(first)
+		tr := int64(tp[r+1] - tp[r])
+		if tr == 0 {
+			walked = 0
+		}
+		entries += walked
 		if words > 0 {
-			tr := int64(tp[r+1] - tp[r])
-			if tr == 0 {
-				walked = 0
-			}
 			cost[r] = int64(words)*int64(len(row)) + walked + tr + 1
 		}
+	}
+	return entries
+}
+
+// pairWalkTails writes the walks of W's rows [lo, hi) into walks from
+// slot dst on, and sets their row pointers: a row's walk is the tails of
+// its walked edges, in order, when its own tail is not empty.
+func pairWalkTails(w, tail *Pattern, walkEnd []Index, lo, hi, dst Index, walks *Pattern) {
+	tp, tc := tail.RowPtr, tail.Col
+	for r := lo; r < hi; r++ {
+		if tp[r+1] > tp[r] {
+			for _, k := range w.Col[w.RowPtr[r]:walkEnd[r]] {
+				dst += Index(copy(walks.Col[dst:], tc[tp[k]:tp[k+1]]))
+			}
+		}
+		walks.RowPtr[r+1] = dst
 	}
 }

@@ -23,11 +23,15 @@ import (
 // and every row cost is Words()·nnz(W(r,:)) + nnz(Tail(r,:)) + 1, plus
 // Σ_{k ∈ W(r,:)} nnz(Tail(k,:)) when Tail(r,:) is not empty, so the
 // costs total Words()·nnz(W) + flops(Walked·Tail) + nnz(Tail) + n, for
-// Walked the edges up to WalkEnd of the rows with a tail. The count over
-// the tails, W, the bits and the walk ends equals the count over X on
-// the AVX-512 AND, where the CPU has it, and on the portable one. It
-// returns the first difference, or "".
-func pairOperandDiff(op *matrix.PairOperand, g *matrix.CSR[float64], k int, force bool) string {
+// Walked the edges up to WalkEnd of the rows with a tail. Walks holds in
+// each row r the tails of Walked(r,:) concatenated in order, nothing in
+// the rows without a tail; the operand carries it when force is set and
+// walks is too, or, without force, when it holds at most nnz(W) entries.
+// Bytes() counts every array, Walks included. The count over the tails,
+// W, the bits, the walk ends and Walks equals the count over X on the
+// AVX-512 AND, where the CPU has it, and on the portable one. It returns
+// the first difference, or "".
+func pairOperandDiff(op *matrix.PairOperand, g *matrix.CSR[float64], k int, force, walks bool) string {
 	x := matrix.DegreeTril(g, 1)
 	n := x.NRows
 	w := op.W
@@ -61,20 +65,20 @@ func pairOperandDiff(op *matrix.PairOperand, g *matrix.CSR[float64], k int, forc
 	hubs := min(k, int(n), matrix.MaxPairHubs)
 	isHub := func(v Index) bool { return int(rank[v]) < hubs }
 	words := (hubs + 63) / 64
-	var walks int64
+	var hubWalks int64
 	for r := Index(0); r < n; r++ {
 		for _, k := range rows[r] {
 			for _, j := range x.Row(k) {
-				walks += int64(b2i(isHub(j)))
+				hubWalks += int64(b2i(isHub(j)))
 			}
 		}
 	}
-	if hubs == 0 || !force && walks <= int64(words)*int64(w.NNZ()) {
+	if hubs == 0 || !force && hubWalks <= int64(words)*int64(w.NNZ()) {
 		hubs, words = 0, 0
 	}
 	if op.Hubs != hubs || op.Words() != words || len(op.Bits) != int(n)*words {
 		return fmt.Sprintf("%d hubs in %d words a row, %d words in all; want %d hubs in %d words a row (%d hub entries walked, nnz(W) = %d)",
-			op.Hubs, op.Words(), len(op.Bits), hubs, words, walks, w.NNZ())
+			op.Hubs, op.Words(), len(op.Bits), hubs, words, hubWalks, w.NNZ())
 	}
 	tail := op.Tail
 	if tail.NRows != n || tail.NCols != n || len(tail.RowPtr) != int(n)+1 {
@@ -141,6 +145,33 @@ func pairOperandDiff(op *matrix.PairOperand, g *matrix.CSR[float64], k int, forc
 	if op.MaxRowCost != maxCost {
 		return fmt.Sprintf("largest row cost %d, want %d", op.MaxRowCost, maxCost)
 	}
+	list := &matrix.Pattern{NRows: n, NCols: n, RowPtr: make([]Index, n+1)} // Walks by its definition
+	for r := Index(0); r < n; r++ {
+		for _, k := range walked.Row(r) {
+			list.Col = append(list.Col, tail.Row(k)...)
+		}
+		list.RowPtr[r+1] = Index(len(list.Col))
+	}
+	if !force {
+		walks = list.NNZ() <= w.NNZ()
+	}
+	switch {
+	case !walks && op.Walks != nil:
+		return fmt.Sprintf("the operand carries Walks of %d entries, want none (nnz(W) = %d)", op.Walks.NNZ(), w.NNZ())
+	case walks && op.Walks == nil:
+		return fmt.Sprintf("the operand carries no Walks, want %d entries (nnz(W) = %d)", list.NNZ(), w.NNZ())
+	case walks:
+		if diff := samePattern(op.Walks, list); diff != "" {
+			return "Walks: " + diff
+		}
+	}
+	idx := len(tail.RowPtr) + len(tail.Col) + len(w.RowPtr) + len(w.Col) + len(op.WalkEnd)
+	if walks {
+		idx += len(list.RowPtr) + len(list.Col)
+	}
+	if got, want := op.Bytes(), 4*int64(idx)+8*int64(len(op.CostPrefix)+len(op.Bits)); got != want {
+		return fmt.Sprintf("Bytes() = %d, want %d", got, want)
+	}
 	xm, wm, tm := matrix.FromPattern(x, 1.0), matrix.FromPattern(walked, 1.0), matrix.FromPattern(tail, 1.0)
 	if want := core.Flops(xm, xm, 1); op.Flops != want {
 		return fmt.Sprintf("flops %d, want flops(X·X) = %d", op.Flops, want)
@@ -148,12 +179,12 @@ func pairOperandDiff(op *matrix.PairOperand, g *matrix.CSR[float64], k int, forc
 	if got, want := op.CostPrefix[n], int64(words)*int64(w.NNZ())+core.Flops(wm, tm, 1)+int64(tail.NNZ())+int64(n); got != want {
 		return fmt.Sprintf("costs total %d, want Words()·nnz(W) + flops(Walked·Tail) + nnz(Tail) + n = %d", got, want)
 	}
-	viaX, err := core.MaskedPairCount(x, x, x, nil, x.RowPtr[1:], core.Options{Threads: 1})
+	viaX, err := core.MaskedPairCount(x, x, x, nil, x.RowPtr[1:], nil, core.Options{Threads: 1})
 	if err != nil {
 		return err.Error()
 	}
 	count := func() (int64, error) {
-		return core.MaskedPairCount(tail, w, tail, op.Bits, op.WalkEnd, core.Options{Threads: 1})
+		return core.MaskedPairCount(tail, w, tail, op.Bits, op.WalkEnd, op.Walks, core.Options{Threads: 1})
 	}
 	viaW, err := count()
 	if err != nil {
@@ -165,7 +196,7 @@ func pairOperandDiff(op *matrix.PairOperand, g *matrix.CSR[float64], k int, forc
 		return err.Error()
 	}
 	if viaW != viaX || portable != viaX {
-		return fmt.Sprintf("sum(X .* (W·X)) over %d hubs = %d (portable AND %d), sum(X .* (X·X)) = %d", hubs, viaW, portable, viaX)
+		return fmt.Sprintf("sum(X .* (W·X)) over %d hubs, walks listed %v = %d (portable AND %d), sum(X .* (X·X)) = %d", hubs, walks, viaW, portable, viaX)
 	}
 	return ""
 }
@@ -196,6 +227,10 @@ func samePairOperand(got, want *matrix.PairOperand) string {
 		return "W: " + samePattern(got.W, want.W)
 	case !slices.Equal(got.WalkEnd, want.WalkEnd):
 		return "walk ends differ"
+	case (got.Walks == nil) != (want.Walks == nil):
+		return fmt.Sprintf("Walks kept %v, want %v", got.Walks != nil, want.Walks != nil)
+	case got.Walks != nil && samePattern(got.Walks, want.Walks) != "":
+		return "Walks: " + samePattern(got.Walks, want.Walks)
 	case !slices.Equal(got.CostPrefix, want.CostPrefix):
 		return "cost prefix differs"
 	case got.MaxRowCost != want.MaxRowCost || got.Flops != want.Flops:
@@ -207,15 +242,15 @@ func samePairOperand(got, want *matrix.PairOperand) string {
 // TestPairOperand: on the relabel corpus (non-symmetric, unsorted-row,
 // self-loop, isolated-vertex and all-ties graphs included) the count
 // operand matches its definition (see pairOperandDiff), its count on
-// both AND loops included, with the hub count the build picks and with
-// 0, 1, ⌈n/2⌉ and n hubs forced (the build keeps at most 512), and is
-// byte-identical at every worker count and every split into spans and
-// ranges.
+// both AND loops included, with the hub count and Walks the build picks
+// and with 0, 1, ⌈n/2⌉ and n hubs forced (the build keeps at most 512),
+// each with Walks forced on and off, and is byte-identical at every
+// worker count and every split into spans and ranges.
 func TestPairOperand(t *testing.T) {
 	for _, tc := range relabelCorpus() {
 		t.Run(tc.name, func(t *testing.T) {
 			one := matrix.NewPairOperand(tc.g.Pattern(), 1)
-			if diff := pairOperandDiff(one, tc.g, matrix.MaxPairHubs, false); diff != "" {
+			if diff := pairOperandDiff(one, tc.g, matrix.MaxPairHubs, false, false); diff != "" {
 				t.Fatal(diff)
 			}
 			for _, w := range relabelWorkers {
@@ -227,13 +262,15 @@ func TestPairOperand(t *testing.T) {
 				}
 			}
 			for _, k := range hubCounts(tc.g.NRows) {
-				one := matrix.PairOperandHubs(tc.g, 1, k)
-				if diff := pairOperandDiff(one, tc.g, k, true); diff != "" {
-					t.Fatalf("%d hubs: %s", k, diff)
-				}
-				for _, w := range relabelWorkers {
-					if diff := samePairOperand(matrix.PairOperandHubs(tc.g, w, k), one); diff != "" {
-						t.Fatalf("%d hubs, %d ranges against one: %s", k, w, diff)
+				for _, walks := range []bool{false, true} {
+					one := matrix.PairOperandHubs(tc.g, 1, k, walks)
+					if diff := pairOperandDiff(one, tc.g, k, true, walks); diff != "" {
+						t.Fatalf("%d hubs, walks listed %v: %s", k, walks, diff)
+					}
+					for _, w := range relabelWorkers {
+						if diff := samePairOperand(matrix.PairOperandHubs(tc.g, w, k, walks), one); diff != "" {
+							t.Fatalf("%d hubs, walks listed %v, %d ranges against one: %s", k, walks, w, diff)
+						}
 					}
 				}
 			}
@@ -241,15 +278,17 @@ func TestPairOperand(t *testing.T) {
 	}
 }
 
-// TestPairOperandHubRule: the build carries bits on the skewed R-MAT
-// graphs the tc-rmat benchmark counts (scale 13, edge factor 16, seeds 1
-// and 5), where most walked entries are hub edges, and none on an
-// Erdős–Rényi graph of as many vertices and degree 16, where few are.
+// TestPairOperandHubRule: the build carries bits and Walks on the skewed
+// R-MAT graphs the tc-rmat benchmark counts (scale 13, edge factor 16,
+// seeds 1 and 5), where most walked entries are hub edges and the walks
+// read fewer tail entries than W holds edges, and neither on an
+// Erdős–Rényi graph of as many vertices and degree 16, where few walked
+// entries are hub edges and the walks read about five times nnz(W).
 func TestPairOperandHubRule(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		g    *matrix.CSR[float64]
-		bits bool
+		kept bool
 	}{
 		{"rmat-13-seed1", grgen.RMAT(13, 16, 1), true},
 		{"rmat-13-seed5", grgen.RMAT(13, 16, 5), true},
@@ -257,11 +296,14 @@ func TestPairOperandHubRule(t *testing.T) {
 	} {
 		op := matrix.NewPairOperand(tc.g.Pattern(), 2)
 		want := 0
-		if tc.bits {
+		if tc.kept {
 			want = matrix.MaxPairHubs
 		}
 		if op.Hubs != want {
 			t.Errorf("%s: %d hubs, want %d", tc.name, op.Hubs, want)
+		}
+		if (op.Walks != nil) != tc.kept {
+			t.Errorf("%s: Walks kept %v, want %v", tc.name, op.Walks != nil, tc.kept)
 		}
 	}
 }
@@ -269,16 +311,17 @@ func TestPairOperandHubRule(t *testing.T) {
 // FuzzPairOperand requires the count operand to match its definition (see
 // pairOperandDiff), its count on both AND loops included, on the inputs
 // FuzzDegreeTril draws, unsorted and non-symmetric ones included, with
-// the hub count the build picks and with 0, 1, ⌈n/2⌉ and n hubs forced
-// (n ≤ 32, so one-word bitmap rows, whose masked loads read one word),
-// and to be byte-identical for 1 to 4 workers, each split into as many
-// spans and ranges however small the graph.
+// the hub count and Walks the build picks and with 0, 1, ⌈n/2⌉ and n hubs
+// forced (n ≤ 32, so one-word bitmap rows, whose masked loads read one
+// word), each with Walks forced on and off, and to be byte-identical for
+// 1 to 4 workers, each split into as many spans and ranges however small
+// the graph.
 func FuzzPairOperand(f *testing.F) {
 	addRelabelSeeds(f)
 	f.Fuzz(func(t *testing.T, size uint8, reverse bool, data []byte) {
 		g := fuzzSquare(size, reverse, data)
 		one := matrix.NewPairOperand(g.Pattern(), 1)
-		if diff := pairOperandDiff(one, g, matrix.MaxPairHubs, false); diff != "" {
+		if diff := pairOperandDiff(one, g, matrix.MaxPairHubs, false, false); diff != "" {
 			t.Fatal(diff)
 		}
 		for p := 1; p <= 4; p++ {
@@ -287,13 +330,15 @@ func FuzzPairOperand(f *testing.F) {
 			}
 		}
 		for _, k := range hubCounts(g.NRows) {
-			one := matrix.PairOperandHubs(g, 1, k)
-			if diff := pairOperandDiff(one, g, k, true); diff != "" {
-				t.Fatalf("%d hubs: %s", k, diff)
-			}
-			for p := 2; p <= 4; p++ {
-				if diff := samePairOperand(matrix.PairOperandHubs(g, p, k), one); diff != "" {
-					t.Fatalf("%d hubs, %d ranges against one: %s", k, p, diff)
+			for _, walks := range []bool{false, true} {
+				one := matrix.PairOperandHubs(g, 1, k, walks)
+				if diff := pairOperandDiff(one, g, k, true, walks); diff != "" {
+					t.Fatalf("%d hubs, walks listed %v: %s", k, walks, diff)
+				}
+				for p := 2; p <= 4; p++ {
+					if diff := samePairOperand(matrix.PairOperandHubs(g, p, k, walks), one); diff != "" {
+						t.Fatalf("%d hubs, walks listed %v, %d ranges against one: %s", k, walks, p, diff)
+					}
 				}
 			}
 		}

@@ -124,9 +124,6 @@ func NewArbiter(budget, maxInflight int) *Arbiter {
 	}
 }
 
-// Budget returns the arbiter's total worker budget.
-func (a *Arbiter) Budget() int { return a.budget }
-
 // MaxInflight returns the admission cap.
 func (a *Arbiter) MaxInflight() int { return a.maxIn }
 

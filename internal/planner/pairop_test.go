@@ -18,7 +18,7 @@ func pairCount(t *testing.T, c *Cache, g *matrix.CSR[float64], workers int) (int
 	t.Helper()
 	op := c.PairOperand(g.Pattern(), workers)
 	o := core.Options{Threads: workers, RowCosts: core.NewRowCosts(op.CostPrefix, op.MaxRowCost)}
-	n, err := core.MaskedPairCount(op.Tail, op.W, op.Tail, op.Bits, op.WalkEnd, o)
+	n, err := core.MaskedPairCount(op.Tail, op.W, op.Tail, op.Bits, op.WalkEnd, op.Walks, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func samePairOperand(x, y *matrix.PairOperand) bool {
 func triangles(t *testing.T, g *matrix.CSR[float64]) int64 {
 	t.Helper()
 	x := matrix.DegreeTril(g, 1)
-	n, err := core.MaskedPairCount(x, x, x, nil, x.RowPtr[1:], core.Options{Threads: 1})
+	n, err := core.MaskedPairCount(x, x, x, nil, x.RowPtr[1:], nil, core.Options{Threads: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

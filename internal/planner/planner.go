@@ -164,18 +164,6 @@ func (p *Plan) Mixed() bool {
 	return false
 }
 
-// Variant returns the plan's single (algorithm, phase) variant. For mixed
-// plans it returns the variant of the block covering the most flops.
-func (p *Plan) Variant() core.Variant {
-	best, bestFlops := core.MSA, int64(-1)
-	for _, b := range p.Blocks {
-		if b.Flops+b.MaskNNZ > bestFlops {
-			bestFlops, best = b.Flops+b.MaskNNZ, b.Alg
-		}
-	}
-	return core.Variant{Alg: best, Phase: p.Phase}
-}
-
 // hasInner reports whether any block of the plan runs Inner.
 func (p *Plan) hasInner() bool {
 	for _, b := range p.Blocks {

@@ -214,9 +214,6 @@ func (sv *Server) guard(h http.HandlerFunc) http.HandlerFunc {
 // reference computations and direct stats access).
 func (sv *Server) Session() *masked.Session { return sv.sess }
 
-// Handler returns the HTTP handler serving all endpoints.
-func (sv *Server) Handler() http.Handler { return sv.mux }
-
 // Serve accepts connections on ln until ctx is cancelled, then drains
 // in-flight requests (bounded by DrainTimeout) before returning. A clean
 // drain returns nil.
